@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .coord import (
@@ -278,6 +277,9 @@ def cmd_verify(args) -> int:
     if args.model:
         with open(args.model, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
+        for field in ("family", "n", "ell", "quadruple"):
+            if field not in spec:
+                raise ConfigError(f"model file {args.model} has no {field!r} field")
         args.family = spec["family"]
         args.n = spec["n"]
         args.ell = spec["ell"]
@@ -299,17 +301,15 @@ def cmd_verify(args) -> int:
     unknown = [s for s in args.suite if s not in SUITES]
     if unknown:
         raise ConfigError(f"unknown suite entries: {unknown}")
+    if args.samples < 0:
+        raise ConfigError(f"--samples must be at least 0, got {args.samples}")
     if args.samples > 0 and args.seed is None:
         raise ConfigError("a seed is required whenever samples > 0")
     model = build_model(
         args.family, args.n, args.ell, q, args.k, override_bounds=args.override_bounds
     )
-    checks = _verify_checks(model, q, args)
-    threads = max(1, int(os.environ.get("RG_LIE_THREADS", "1")))
     results = []
-
-    def run_one(item):
-        name, fn = item
+    for name, fn in _verify_checks(model, q, args):
         t0 = time.monotonic()
         out = fn()
         elapsed = int((time.monotonic() - t0) * 1000)
@@ -317,13 +317,7 @@ def cmd_verify(args) -> int:
         entry.update({k: v for k, v in out.items() if k not in ("status", "name")})
         if args.timings:
             entry["elapsed_ms"] = elapsed
-        return entry
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, checks))
-    else:
-        results = [run_one(c) for c in checks]
+        results.append(entry)
     results.sort(key=lambda e: e["name"])
     report = {
         "tool": {"name": "rootgraded", "version": __version__},

@@ -27,6 +27,7 @@ from .exactla import (
     SparseMatrix,
     SparseVector,
     Subspace,
+    kernel,
     kernel_of_rows,
     q_parse,
     q_str,
@@ -96,8 +97,8 @@ class CoordinateQuadruple:
         }
         self.b_space = BasedSpace(list(a_labels) + list(c_labels))
         ident = SparseMatrix.identity(self.a_space)
-        self.a_part_sub = _eigenspace(self.star - ident)
-        self.b_part_sub = _eigenspace(self.star + ident)
+        self.a_part_sub = kernel(self.star - ident)
+        self.b_part_sub = kernel(self.star + ident)
 
     # -- products ---------------------------------------------------------
 
@@ -158,12 +159,6 @@ class CoordinateQuadruple:
 
     def __repr__(self):
         return f"CoordinateQuadruple({self.name}, type {self.qtype})"
-
-
-def _eigenspace(shifted: SparseMatrix) -> Subspace:
-    from .exactla import kernel
-
-    return kernel(shifted)
 
 
 # ---------------------------------------------------------------------------
@@ -458,17 +453,17 @@ def relation_generators(q: CoordinateQuadruple) -> list[SparseVector]:
     for x in avecs:
         for y in avecs:
             for z in avecs:
-                xy = _lift_a(q, q.a_mul(_drop(q, x), _drop(q, y)))
-                zx = _lift_a(q, q.a_mul(_drop(q, z), _drop(q, x)))
-                yz = _lift_a(q, q.a_mul(_drop(q, y), _drop(q, z)))
+                xy = _lift(q, q.a_mul(_drop(q, x), _drop(q, y)))
+                zx = _lift(q, q.a_mul(_drop(q, z), _drop(q, x)))
+                yz = _lift(q, q.a_mul(_drop(q, y), _drop(q, z)))
                 gens.append(tens(xy, z) + tens(zx, y) + tens(yz, x))
     for c in cvecs:
         for cp in cvecs:
             for al in avecs:
                 a_only = _drop(q, al)
-                f_ccp = _lift_a(q, q.f_val(_dropc(q, c), _dropc(q, cp)))
-                sc = _lift_c(q, q.c_act(q.a_star(a_only), _dropc(q, cp)))
-                ac = _lift_c(q, q.c_act(a_only, _dropc(q, c)))
+                f_ccp = _lift(q, q.f_val(_dropc(q, c), _dropc(q, cp)))
+                sc = _lift(q, q.c_act(q.a_star(a_only), _dropc(q, cp)))
+                ac = _lift(q, q.c_act(a_only, _dropc(q, c)))
                 gens.append(tens(f_ccp, al) + tens(sc, c) - tens(ac, cp))
     return gens
 
@@ -481,11 +476,8 @@ def _dropc(q, v: SparseVector) -> SparseVector:
     return SparseVector(q.c_space, {l: c for l, c in v.entries.items() if l in q.c_space})
 
 
-def _lift_a(q, v: SparseVector) -> SparseVector:
-    return SparseVector(q.b_space, dict(v.entries))
-
-
-def _lift_c(q, v: SparseVector) -> SparseVector:
+def _lift(q, v: SparseVector) -> SparseVector:
+    """An element of a or of C, as an element of b."""
     return SparseVector(q.b_space, dict(v.entries))
 
 
@@ -578,14 +570,18 @@ class BBQuotient:
     def dim(self) -> int:
         return self.quotient.dim
 
+    def pair_tensor(self, x: SparseVector, y: SparseVector) -> SparseVector:
+        """x (x) y in b (x) b, for x, y in b (or in a or C, lifted into b)."""
+        entries = {
+            tensor_label(lx, ly): vx * vy
+            for lx, vx in x.entries.items()
+            for ly, vy in y.entries.items()
+        }
+        return SparseVector(self.tensor, entries)
+
     def project_pair(self, x: SparseVector, y: SparseVector) -> SparseVector:
         """{x, y}_ell as a coset vector, for x, y in b."""
-        entries = {}
-        for lx, vx in x.entries.items():
-            for ly, vy in y.entries.items():
-                key = tensor_label(lx, ly)
-                entries[key] = entries.get(key, QZERO) + vx * vy
-        return self.quotient.project(SparseVector(self.tensor, entries))
+        return self.quotient.project(self.pair_tensor(x, y))
 
     def bracket_cosets(self, u: SparseVector, v: SparseVector) -> SparseVector:
         """Bracket of two coset vectors (coset-space coordinates)."""
@@ -617,9 +613,6 @@ class HomologySubspace:
 def full_homology(bb: BBQuotient) -> HomologySubspace:
     """Kernel of coset -> total derivation; verified central in {b,b}_ell."""
     csp = bb.quotient.coset_space
-    b_space = bb.q.b_space
-    end_labels = [f"D:{r}|{c}" for r in b_space.labels for c in b_space.labels]
-    end_space = BasedSpace(end_labels)
     rows_by_pos: dict[str, dict[str, Fraction]] = {}
     for lab in csp.labels:
         d = bb.derivation_of_coset(csp.basis_vector(lab))
@@ -736,17 +729,24 @@ def _standard_skew(m: int) -> list[list[Fraction]]:
     return g
 
 
+def _size_param(params: dict, key: str, default: int) -> int:
+    val = int(params.get(key, default))
+    if val < 1:
+        raise ValueError(f"preset parameter {key}={val} must be at least 1")
+    return val
+
+
 def preset_quadruple(name: str, **params) -> CoordinateQuadruple:
     """The named minimal faithful instances of the five quadruple types."""
     if name == "matrix":
-        k = int(params.get("k", 2))
+        k = _size_param(params, "k", 2)
         labels, mult, unit = _matrix_algebra_tables(k)
         star = {(l, l): QONE for l in labels}
         return CoordinateQuadruple(
             "A", labels, mult, unit, star, name=f"matrix:k={k}"
         )
     if name == "group_ring":
-        m = int(params.get("m", 3))
+        m = _size_param(params, "m", 3)
         labels = [f"g:{i}" for i in range(m)]
         mult = {
             (f"g:{i}", f"g:{j}"): {f"g:{(i + j) % m}": QONE}
@@ -775,7 +775,7 @@ def preset_quadruple(name: str, **params) -> CoordinateQuadruple:
             "B", labels, mult, unit={"one": QONE}, star=star, name=f"clifford:d={d}"
         )
     if name == "matrix_transpose":
-        k = int(params.get("k", 2))
+        k = _size_param(params, "k", 2)
         labels, mult, unit = _matrix_algebra_tables(k)
         star = {(f"m:{j},{i}", f"m:{i},{j}"): QONE for i in range(k) for j in range(k)}
         return CoordinateQuadruple(
@@ -808,7 +808,7 @@ def preset_quadruple(name: str, **params) -> CoordinateQuadruple:
             name=f"symplectic:m={m}",
         )
     if name == "matrix_hermitian":
-        k = int(params.get("k", 2))
+        k = _size_param(params, "k", 2)
         m = int(params.get("m", 2))
         if m % 2:
             raise ValueError("matrix_hermitian preset needs even m")

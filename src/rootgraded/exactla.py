@@ -4,13 +4,13 @@ Everything downstream (root systems, matrix Lie algebras, coordinate
 algebras, graded models) is built on the types here.  Scalars are
 ``fractions.Fraction`` throughout; there is no floating point anywhere.
 All values are immutable after construction and all operations are pure,
-so they can be shared freely between concurrent verification tasks.
+so they can be shared freely.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 Q = Fraction
 
@@ -155,20 +155,6 @@ class SparseVector:
     def __repr__(self):
         parts = [f"{q_str(v)}*{lab}" for lab, v in self.items_sorted()]
         return " + ".join(parts) if parts else "0"
-
-
-def vec_sum(space: BasedSpace, terms: Iterable[SparseVector]) -> SparseVector:
-    out: dict[str, Fraction] = {}
-    for t in terms:
-        if t.space != space:
-            raise ShapeError("vector spaces differ")
-        for lab, val in t.entries.items():
-            s = out.get(lab, QZERO) + val
-            if s:
-                out[lab] = s
-            else:
-                out.pop(lab, None)
-    return SparseVector(space, out)
 
 
 class SparseMatrix:
@@ -444,20 +430,7 @@ def kernel(m: SparseMatrix) -> Subspace:
         for r in m.codomain.labels
         if r in rows_by_label
     ]
-    rs = rref(row_vecs, m.domain)
-    labels = m.domain.labels
-    pivot_set = set(rs.pivots)
-    basis = []
-    for j, lab in enumerate(labels):
-        if j in pivot_set:
-            continue
-        entries = {lab: QONE}
-        for p, row in zip(rs.pivots, rs.rows):
-            coeff = row.get(lab)
-            if coeff:
-                entries[labels[p]] = -coeff
-        basis.append(SparseVector(m.domain, entries))
-    return rref(basis, m.domain)
+    return kernel_of_rows(row_vecs, m.domain)
 
 
 def kernel_of_rows(rows: Sequence[SparseVector], space: BasedSpace) -> Subspace:

@@ -18,16 +18,16 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import lcm
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .coord import (
-    BBQuotient,
     CoordinateQuadruple,
     InternalConsistencyError,
     beta_star,
     beta_star_map_rows,
     build_bb,
     check_uniform,
+    diamond_heart,
     full_homology,
 )
 from .exactla import (
@@ -45,7 +45,6 @@ from .exactla import (
     rref,
     split_tensor_label,
     subspace_sum,
-    tensor_label,
 )
 from .liealg import (
     RepModule,
@@ -80,6 +79,16 @@ def subset_size(family: str, ell: int) -> int:
     return ell + 1 if family in ("A", "D") else ell
 
 
+def _add_scaled(acc: dict, row: dict, c: Fraction = QONE) -> None:
+    """acc += c * row, dropping the entries that cancel."""
+    for k, v in row.items():
+        s = acc.get(k, QZERO) + c * v
+        if s:
+            acc[k] = s
+        else:
+            del acc[k]
+
+
 class GradedElement:
     """Element of L(b, K): sparse coefficients over the model basis."""
 
@@ -94,12 +103,7 @@ class GradedElement:
 
     def __add__(self, other: "GradedElement") -> "GradedElement":
         out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            s = out.get(i, QZERO) + c
-            if s:
-                out[i] = s
-            else:
-                out.pop(i, None)
+        _add_scaled(out, other.coeffs)
         return GradedElement(self.model, out)
 
     def __sub__(self, other):
@@ -140,11 +144,230 @@ class GradedElement:
     def d_part(self):
         return self._part("d")
 
-    def describe(self) -> list[str]:
-        out = []
-        for i in sorted(self.coeffs):
-            out.append(f"{q_str(self.coeffs[i])}*{self.model.basis_label(i)}")
-        return out
+
+# ---------------------------------------------------------------------------
+# the bracket as a table of terms
+#
+# A basis element is a matrix-side object times a coordinate-side object:
+# x (x) a in G (x) A, s (x) b in S (x) B, u (x) c in V (x) C, and for a coset
+# <k> of the D-part the pair (J_0, <k>).  The bracket of two basis elements
+# is bilinear in both sides (Allison-Benkart-Gao, Memoirs AMS 158, 2002;
+# Benkart-Zelmanov, Invent. Math. 126, 1996): a sum of terms
+#     scale * mat(x, y) (x) coord(a, a')
+# each placed in a target kind.  TERMS holds these terms per family and per
+# pair of kinds, in basis order (g < s < v < d), so the d-rows give
+# [e, <k>] = -[<k>, e].
+
+
+class Term(NamedTuple):
+    target: str  # kind of the result: "g", "s", "v" or "d"
+    mat: Callable  # (model, x, y) -> matrix, natural-module vector or scalar
+    coord: Callable  # (model, a, a') -> vector of a or C, or a b (x) b tensor
+    scale: Callable = lambda m: QONE
+
+
+# matrix side
+
+
+def _lie(m, x, y):
+    return commutator(x, y)
+
+
+def _circ(m, x, y):
+    return circ_trunc(x, y, m.idem0, m.family)
+
+
+def _jordan(m, x, y):
+    return anticommutator(x, y)
+
+
+def _trace(m, x, y):
+    return (x @ y).trace()
+
+
+def _act(m, x, u):
+    return x.apply(u)
+
+
+def _acted_on(m, u, x):
+    return x.apply(u)
+
+
+def _first(m, x, y):
+    return x
+
+
+def _one(m, x, y):
+    return QONE
+
+
+def _form(m, u, w):
+    return m.G.nat.form(u, w)
+
+
+def _d_uw(m, u, w):
+    """D_{u,w}: z -> (u, z) w - (w, z) u on the natural module."""
+    nat = m.G.nat
+    entries = {}
+    for z in nat.space.labels:
+        zf = nat.space.basis_vector(z)
+        col = w.scale(nat.form(u, zf)) - u.scale(nat.form(w, zf))
+        for r, val in col.entries.items():
+            entries[(r, z)] = val
+    return SparseMatrix(nat.space, nat.space, entries)
+
+
+def _v_op(variant: str) -> Callable:
+    def op(m, u, w):
+        return v_ops(u, w, m.G.nat, m.idem0, variant)
+
+    return op
+
+
+# coordinate side; a coset <k> is a _Coset record
+
+
+class _Coset(NamedTuple):
+    bstar: SparseVector  # beta*(e1, e2) for <k> = <e1, e2>
+    deriv: SparseMatrix  # the derivation d_{e1, e2} of b
+    c1: SparseVector  # module parts of e1 and e2
+    c2: SparseVector
+    lift: SparseVector  # e1 (x) e2 in b (x) b
+
+
+def _prod(m, a, b):
+    return m.quadruple.a_mul(a, b)
+
+
+def _circle(m, a, b):
+    q = m.quadruple
+    return q.a_mul(a, b) + q.a_mul(b, a)
+
+
+def _bracket(m, a, b):
+    q = m.quadruple
+    return q.a_mul(a, b) - q.a_mul(b, a)
+
+
+def _pair(m, x, y):
+    return m.bb.pair_tensor(x, y)
+
+
+def _c_act(m, a, c):
+    return m.quadruple.c_act(a, c)
+
+
+def _diamond(m, c, c2):
+    return diamond_heart(m.quadruple, c, c2)[0]
+
+
+def _heart(m, c, c2):
+    return diamond_heart(m.quadruple, c, c2)[1]
+
+
+def _with_bstar(op: Callable) -> Callable:
+    def coord(m, a, coset):
+        return op(m, a, coset.bstar)
+
+    return coord
+
+
+def _bstar_act(m, c, coset):
+    return m.quadruple.c_act(coset.bstar, c)
+
+
+def _f_act(m, c, coset):
+    return _f_action(m.quadruple, c, coset.c1, coset.c2)
+
+
+def _f_action(q, c, c1, c2):
+    """c1 f(c, c2) + c2 f(c, c1): the module part of <c1, c2> acting on c."""
+    return q.c_act(q.f_val(c, c2), c1) + q.c_act(q.f_val(c, c1), c2)
+
+
+def _deriv(m, a, coset):
+    q = m.quadruple
+    img = coset.deriv.apply(SparseVector(q.b_space, a.entries))
+    return SparseVector(q.a_space, img.entries)
+
+
+def _coset_act(m, coset, other):
+    return m.bb.apply_pair_action(coset.deriv, other.lift)
+
+
+def _half(m):
+    return Q(1, 2)
+
+
+def _quarter_ell(m):
+    return Q(1, 4 * m.ell)
+
+
+_DD = (Term("d", _one, _coset_act),)
+_TYPE_C = {
+    "gg": (
+        Term("g", _lie, _circle, _half),
+        Term("s", _circ, _bracket, _half),
+        Term("d", _trace, _pair),
+    ),
+    "gs": (Term("g", _circ, _bracket, _half), Term("s", _lie, _circle, _half)),
+    "gd": (
+        Term("g", _jordan, _with_bstar(_bracket), _quarter_ell),
+        Term("s", _lie, _with_bstar(_circle), _quarter_ell),
+    ),
+    "sd": (
+        Term("g", _lie, _with_bstar(_circle), _quarter_ell),
+        Term("s", _circ, _with_bstar(_bracket), _quarter_ell),
+        Term("d", _trace, _with_bstar(_pair), lambda m: Q(1, 2 * m.ell)),
+    ),
+    "dd": _DD,
+}
+_TYPE_C["ss"] = _TYPE_C["gg"]
+
+TERMS: dict[str, dict[str, tuple[Term, ...]]] = {
+    "A": {
+        "gg": (
+            Term("g", _lie, _circle, _half),
+            Term("g", _circ, _bracket, _half),
+            Term("d", _trace, _pair),
+        ),
+        "gd": (
+            Term("g", _circ, _with_bstar(_bracket), lambda m: Q(1, 2 * m.m0)),
+            Term("g", _lie, _with_bstar(_circle), lambda m: Q(1, 2 * m.m0)),
+            Term("d", _trace, _with_bstar(_pair), lambda m: Q(1, m.m0)),
+        ),
+        "dd": _DD,
+    },
+    "B": {
+        "gg": (Term("g", _lie, _prod), Term("d", _trace, _pair)),
+        "gs": (Term("s", _act, _prod),),
+        "ss": (Term("g", _d_uw, _prod), Term("d", _form, _pair)),
+        "gd": (Term("g", _first, _deriv, lambda m: Q(-1)),),
+        "sd": (Term("s", _first, _deriv, lambda m: Q(-1)),),
+        "dd": _DD,
+    },
+    "C": _TYPE_C,
+    "BC": {
+        **_TYPE_C,
+        "gv": (Term("v", _act, _c_act),),
+        "sv": (Term("v", _act, _c_act),),
+        "vv": (
+            Term("g", _v_op("circ"), _diamond),
+            Term("s", _v_op("bracket_ell"), _heart),
+            Term("d", _form, _pair),
+        ),
+        "vd": (
+            Term("v", _acted_on, _bstar_act, lambda m: Q(-1, 2 * m.ell)),
+            Term("v", _first, _f_act, _half),
+        ),
+    },
+    # the D-part of type D is central
+    "D": {"gg": (Term("g", _lie, _prod), Term("d", _trace, _pair))},
+}
+
+
+def _scalar_coords(val) -> dict[int, Fraction]:
+    return {0: val} if val else {}
 
 
 class GradedModel:
@@ -225,40 +448,59 @@ class GradedModel:
         self.c_basis = [q.c_space.basis_vector(l) for l in q.c_space.labels]
 
         self._assemble_basis()
-        self._build_caches()
         self._verify_model_well_defined()
         self._build_table()
 
     # -- basis bookkeeping -------------------------------------------------
 
     def _assemble_basis(self):
+        """Lay the basis out kind by kind (g, s, v, d).  A kind has a list of
+        matrix-side objects and a list of coordinate-side objects; its
+        element (i, p) sits at offset + i * width + p, width being the number
+        of coordinate-side objects.  The d-part is J_0 times the cosets."""
+        q = self.quadruple
+
+        def natural(kind, module, coords):
+            labels = module.space.labels
+            vecs = [self.G.nat.space.basis_vector(l) for l in labels]
+            return (kind, vecs, [label_weight(l) for l in labels], coords)
+
+        kinds = [("g", self.G.wb.basis_mats, self.G.wb.weight_of_basis, self.a_basis)]
+        if self.family == "B":
+            kinds.append(natural("s", self.smod, self.b_basis))
+        elif self.smod is not None:
+            kinds.append(
+                ("s", self.smod.wb.basis_mats, self.smod.wb.weight_of_basis, self.b_basis)
+            )
+        if self.vmod is not None:
+            kinds.append(natural("v", self.vmod, self.c_basis))
+        cosets = []
+        for lab in self.dpart.coset_space.labels:
+            e1, e2 = (q.b_space.basis_vector(l) for l in split_tensor_label(lab))
+            cosets.append(
+                _Coset(
+                    bstar=beta_star(q, e1, e2),
+                    deriv=self.bb._pair_derivation(lab),
+                    c1=q.split_b(e1)[1],
+                    c2=q.split_b(e2)[1],
+                    lift=self.bb.tensor.basis_vector(lab),
+                )
+            )
+        kinds.append(("d", [self.idem0.matrix], [Root.zero()], cosets))
+
         self.basis: list[tuple[str, tuple]] = []
         self.weight_of: list[Root] = []
         self.index_of: dict[tuple[str, tuple], int] = {}
-
-        def push(kind, key, weight):
-            self.index_of[(kind, key)] = len(self.basis)
-            self.basis.append((kind, key))
-            self.weight_of.append(weight)
-
-        for gi, w in enumerate(self.G.wb.weight_of_basis):
-            for ai in range(len(self.a_basis)):
-                push("g", (gi, ai), w)
-        if self.smod is not None:
-            if self.family == "B":
-                for si, lab in enumerate(self.smod.space.labels):
-                    for bi in range(len(self.b_basis)):
-                        push("s", (si, bi), label_weight(lab))
-            else:
-                for si, w in enumerate(self.smod.wb.weight_of_basis):
-                    for bi in range(len(self.b_basis)):
-                        push("s", (si, bi), w)
-        if self.vmod is not None:
-            for vi, lab in enumerate(self.vmod.space.labels):
-                for ci in range(len(self.c_basis)):
-                    push("v", (vi, ci), label_weight(lab))
-        for di, lab in enumerate(self.dpart.coset_space.labels):
-            push("d", (di,), Root.zero())
+        # kind -> (offset, width, matrix-side objects, coordinate-side objects)
+        self._kinds: dict[str, tuple[int, int, list, list]] = {}
+        for kind, mats, weights, coords in kinds:
+            self._kinds[kind] = (len(self.basis), len(coords), mats, coords)
+            for i, w in enumerate(weights):
+                for p in range(len(coords)):
+                    key = (p,) if kind == "d" else (i, p)
+                    self.index_of[(kind, key)] = len(self.basis)
+                    self.basis.append((kind, key))
+                    self.weight_of.append(w)
 
     @property
     def dim(self) -> int:
@@ -266,18 +508,21 @@ class GradedModel:
 
     def basis_label(self, i: int) -> str:
         kind, key = self.basis[i]
-        if kind == "g":
-            return f"g{key[0]}[{root_str(self.weight_of[i])}]⊗a{key[1]}"
-        if kind == "s":
-            return f"s{key[0]}[{root_str(self.weight_of[i])}]⊗b{key[1]}"
-        if kind == "v":
-            return f"v{key[0]}[{root_str(self.weight_of[i])}]⊗c{key[1]}"
-        return f"d[{self.dpart.coset_space.labels[key[0]]}]"
+        if kind == "d":
+            return f"d[{self.dpart.coset_space.labels[key[0]]}]"
+        coord = {"g": "a", "s": "b", "v": "c"}[kind]
+        return f"{kind}{key[0]}[{root_str(self.weight_of[i])}]⊗{coord}{key[1]}"
 
     def element(self, coeffs: dict[int, Fraction]) -> GradedElement:
         return GradedElement(self, coeffs)
 
-    # -- structure-constant caches ------------------------------------------
+    def indices_by_weight(self) -> dict[Root, list[int]]:
+        out: dict[Root, list[int]] = {}
+        for i, w in enumerate(self.weight_of):
+            out.setdefault(w, []).append(i)
+        return out
+
+    # -- coordinates of factors ----------------------------------------------
 
     def _coords_A(self, vec) -> dict[int, Fraction]:
         coords = self.quadruple.a_part_sub.coordinates(vec)
@@ -292,6 +537,12 @@ class GradedModel:
             self.quadruple.c_space.pos(lab): c for lab, c in vec.entries.items()
         }
 
+    def _coords_D(self, tensor_vec) -> dict[int, Fraction]:
+        """Coset coordinates of a b (x) b tensor."""
+        proj = self.dpart.project(tensor_vec)
+        csp = self.dpart.coset_space
+        return {csp.pos(lab): c for lab, c in proj.entries.items()}
+
     def _coords_G(self, mat) -> dict[int, Fraction]:
         return self.G.wb.coords_of_mat(mat)
 
@@ -300,469 +551,84 @@ class GradedModel:
             return {self.smod.space.pos(lab): c for lab, c in obj.entries.items()}
         return self.smod.wb.coords_of_mat(obj)
 
+    def _coords_V(self, vec) -> dict[int, Fraction]:
+        return {self.G.nat.space.pos(lab): c for lab, c in vec.entries.items()}
+
     def _dcoset(self, x, y) -> dict[int, Fraction]:
         """Coset coordinates of {x, y} for x, y in b (or a lifted into b)."""
-        q = self.quadruple
-        xb = SparseVector(q.b_space, dict(x.entries))
-        yb = SparseVector(q.b_space, dict(y.entries))
-        entries = {}
-        for lx, vx in xb.entries.items():
-            for ly, vy in yb.entries.items():
-                key = tensor_label(lx, ly)
-                entries[key] = entries.get(key, QZERO) + vx * vy
-        proj = self.dpart.project(SparseVector(self.bb.tensor, entries))
-        csp = self.dpart.coset_space
-        return {csp.pos(lab): c for lab, c in proj.entries.items()}
+        return self._coords_D(self.bb.pair_tensor(x, y))
 
-    def _build_caches(self):
-        q = self.quadruple
-        fam = self.family
-        half = Q(1, 2)
-        gmats = self.G.wb.basis_mats
-        self._lie_g = {}
-        self._circ_g = {}
-        self._tr_g = {}
-        for i, x in enumerate(gmats):
-            for j in range(i, len(gmats)):
-                y = gmats[j]
-                self._lie_g[(i, j)] = self._coords_G(commutator(x, y))
-                self._tr_g[(i, j)] = (x @ y).trace()
-                if fam == "A":
-                    self._circ_g[(i, j)] = self._coords_G(
-                        circ_trunc(x, y, self.idem0, "A")
-                    )
-                elif fam in ("C", "BC"):
-                    self._circ_g[(i, j)] = self._coords_S(
-                        circ_trunc(x, y, self.idem0, fam)
-                    )
-        # coordinate algebra caches
-        ab = self.a_basis
-        bbv = self.b_basis
-        self._aa = {}
-        for p, a in enumerate(ab):
-            for t, a2 in enumerate(ab):
-                prod = q.a_mul(a, a2)
-                entry = {"dcos": self._dcoset(a, a2)}
-                if fam in ("B", "D"):
-                    entry["prod_A"] = self._coords_A(prod)
-                else:
-                    circ = prod + q.a_mul(a2, a)
-                    brk = prod - q.a_mul(a2, a)
-                    entry["half_circ_A"] = self._coords_A(circ.scale(half))
-                    entry["half_brk"] = (
-                        self._coords_A(brk.scale(half))
-                        if fam == "A"
-                        else self._coords_B(brk.scale(half))
-                    )
-                self._aa[(p, t)] = entry
-        self._bbp = {}
-        self._abp = {}
-        if fam in ("B", "C", "BC"):
-            for p, b in enumerate(bbv):
-                for t, b2 in enumerate(bbv):
-                    prod = q.a_mul(b, b2)
-                    entry = {"dcos": self._dcoset(b, b2)}
-                    if fam == "B":
-                        entry["form_A"] = self._coords_A(prod)
-                    else:
-                        circ = prod + q.a_mul(b2, b)
-                        brk = prod - q.a_mul(b2, b)
-                        entry["half_circ_A"] = self._coords_A(circ.scale(half))
-                        entry["half_brk_B"] = self._coords_B(brk.scale(half))
-                    self._bbp[(p, t)] = entry
-            for p, a in enumerate(ab):
-                for t, b in enumerate(bbv):
-                    prod = q.a_mul(a, b)
-                    entry = {}
-                    if fam == "B":
-                        entry["prod_B"] = self._coords_B(prod)
-                    else:
-                        circ = prod + q.a_mul(b, a)
-                        brk = prod - q.a_mul(b, a)
-                        entry["half_brk_A"] = self._coords_A(brk.scale(half))
-                        entry["half_circ_B"] = self._coords_B(circ.scale(half))
-                    self._abp[(p, t)] = entry
-        self._ac = {}
-        self._bc = {}
-        self._cc = {}
-        if fam == "BC":
-            for p, a in enumerate(ab):
-                for t, c in enumerate(self.c_basis):
-                    self._ac[(p, t)] = self._coords_C(q.c_act(a, c))
-            for p, b in enumerate(bbv):
-                for t, c in enumerate(self.c_basis):
-                    self._bc[(p, t)] = self._coords_C(q.c_act(b, c))
-            for p, c in enumerate(self.c_basis):
-                for t, c2 in enumerate(self.c_basis):
-                    f1 = q.f_val(c, c2)
-                    f2 = q.f_val(c2, c)
-                    self._cc[(p, t)] = {
-                        "dia_A": self._coords_A((f1 - f2).scale(half)),
-                        "heart_B": self._coords_B((f1 + f2).scale(half)),
-                        "dcos": self._dcoset(
-                            SparseVector(q.b_space, dict(c.entries)),
-                            SparseVector(q.b_space, dict(c2.entries)),
-                        ),
-                    }
-        # module-action caches on the matrix side
-        smats = None
-        if self.smod is not None and fam != "B":
-            smats = self.smod.wb.basis_mats
-            self._lie_s = {}
-            self._circ_s = {}
-            self._tr_s = {}
-            for i, s in enumerate(smats):
-                for j in range(i, len(smats)):
-                    t = smats[j]
-                    self._lie_s[(i, j)] = self._coords_G(commutator(s, t))
-                    self._circ_s[(i, j)] = self._coords_S(
-                        circ_trunc(s, t, self.idem0, fam)
-                    )
-                    self._tr_s[(i, j)] = (s @ t).trace()
-            self._circ_gs = {}
-            self._lie_gs = {}
-            for i, x in enumerate(gmats):
-                for j, s in enumerate(smats):
-                    self._circ_gs[(i, j)] = self._coords_G(
-                        circ_trunc(x, s, self.idem0, fam)
-                    )
-                    self._lie_gs[(i, j)] = self._coords_S(commutator(x, s))
-        if fam == "B":
-            nat = self.G.nat
-            self._gs_apply = {}
-            for i, x in enumerate(gmats):
-                for j, lab in enumerate(self.smod.space.labels):
-                    img = x.apply(self.smod.space.basis_vector(lab))
-                    self._gs_apply[(i, j)] = self._coords_S(img)
-            self._dst = {}
-            self._form_ss = {}
-            labs = self.smod.space.labels
-            for i, li in enumerate(labs):
-                for j in range(i, len(labs)):
-                    u = nat.space.basis_vector(li)
-                    w = nat.space.basis_vector(labs[j])
-                    # D_{u,w} on V: z -> (u, z) w - (w, z) u
-                    entries = {}
-                    for z in nat.space.labels:
-                        zf = nat.space.basis_vector(z)
-                        col = w.scale(nat.form(u, zf)) - u.scale(nat.form(w, zf))
-                        for r, val in col.entries.items():
-                            entries[(r, z)] = val
-                    self._dst[(i, j)] = self._coords_G(
-                        SparseMatrix(nat.space, nat.space, entries)
-                    )
-                    self._form_ss[(i, j)] = nat.form(u, w)
-        if fam == "BC":
-            nat = self.G.nat
-            vlabs = self.vmod.space.labels
-            self._gv = {}
-            for i, x in enumerate(gmats):
-                for p, lab in enumerate(vlabs):
-                    img = x.apply(nat.space.basis_vector(lab))
-                    self._gv[(i, p)] = {nat.space.pos(r): c for r, c in img.entries.items()}
-            self._sv = {}
-            for i, s in enumerate(smats):
-                for p, lab in enumerate(vlabs):
-                    img = s.apply(nat.space.basis_vector(lab))
-                    self._sv[(i, p)] = {nat.space.pos(r): c for r, c in img.entries.items()}
-            self._vv = {}
-            for p, lp in enumerate(vlabs):
-                u = nat.space.basis_vector(lp)
-                for t in range(p, len(vlabs)):
-                    w = nat.space.basis_vector(vlabs[t])
-                    self._vv[(p, t)] = {
-                        "circ_G": self._coords_G(v_ops(u, w, nat, self.idem0, "circ")),
-                        "brk_S": self._coords_S(
-                            v_ops(u, w, nat, self.idem0, "bracket_ell")
-                        ),
-                        "form": nat.form(u, w),
-                    }
-        # D-part row caches
-        csp = self.dpart.coset_space
-        self._dk = []
-        for lab in csp.labels:
-            l1, l2 = split_tensor_label(lab)
-            e1 = self.quadruple.b_space.basis_vector(l1)
-            e2 = self.quadruple.b_space.basis_vector(l2)
-            self._dk.append(
-                {
-                    "label": lab,
-                    "deriv": self.bb._pair_derivation(lab),
-                    "bstar": beta_star(self.quadruple, e1, e2),
-                    "c1": self.quadruple.split_b(e1)[1],
-                    "c2": self.quadruple.split_b(e2)[1],
-                }
-            )
-        if fam in ("A", "C", "BC"):
-            j0 = self.idem0.matrix
-            self._gJ = []
-            for x in gmats:
-                entry = {"tr": (x @ j0).trace()}
-                if fam == "A":
-                    entry["circ_G"] = self._coords_G(circ_trunc(x, j0, self.idem0, "A"))
-                    entry["lie_G"] = self._coords_G(commutator(x, j0))
-                else:
-                    entry["circ_G"] = self._coords_G(anticommutator(x, j0))
-                    entry["lie_S"] = self._coords_S(commutator(x, j0))
-                self._gJ.append(entry)
-            if fam in ("C", "BC"):
-                self._sJ = []
-                for s in smats:
-                    self._sJ.append(
-                        {
-                            "tr": (s @ j0).trace(),
-                            "lie_G": self._coords_G(commutator(s, j0)),
-                            "circ_S": self._coords_S(circ_trunc(s, j0, self.idem0, fam)),
-                        }
-                    )
-
-    # -- bracket rows -------------------------------------------------------
-
-    def _row_gg(self, i, p, j, t) -> dict[int, Fraction]:
-        # callers guarantee i <= j (the assembled basis is lexicographic)
-        out: dict[int, Fraction] = {}
-        lie = self._lie_g[(i, j)]
-        tr = self._tr_g[(i, j)]
-        aa = self._aa[(p, t)]
-        fam = self.family
-        if fam in ("B", "D"):
-            self._emit_g(out, lie, aa["prod_A"])
-        elif fam == "A":
-            self._emit_g(out, lie, aa["half_circ_A"])
-            self._emit_g(out, self._circ_g[(i, j)], aa["half_brk"])
-        else:
-            self._emit_g(out, lie, aa["half_circ_A"])
-            self._emit_s(out, self._circ_g[(i, j)], aa["half_brk"])
-        if tr:
-            self._emit_d(out, aa["dcos"], tr)
-        return out
-
-    def _emit_g(self, out, gcoords, acoords, scale=QONE):
-        for gi, cg in gcoords.items():
-            for ai, ca in acoords.items():
-                idx = self.index_of[("g", (gi, ai))]
-                s = out.get(idx, QZERO) + scale * cg * ca
-                if s:
-                    out[idx] = s
-                else:
-                    out.pop(idx, None)
-
-    def _emit_s(self, out, scoords, bcoords, scale=QONE):
-        for si, cs in scoords.items():
-            for bi, cb in bcoords.items():
-                idx = self.index_of[("s", (si, bi))]
-                s = out.get(idx, QZERO) + scale * cs * cb
-                if s:
-                    out[idx] = s
-                else:
-                    out.pop(idx, None)
-
-    def _emit_v(self, out, vcoords, ccoords, scale=QONE):
-        for vi, cv in vcoords.items():
-            for ci, cc in ccoords.items():
-                idx = self.index_of[("v", (vi, ci))]
-                s = out.get(idx, QZERO) + scale * cv * cc
-                if s:
-                    out[idx] = s
-                else:
-                    out.pop(idx, None)
-
-    def _emit_d(self, out, dcoords, scale=QONE):
-        for di, cd in dcoords.items():
-            idx = self.index_of[("d", (di,))]
-            s = out.get(idx, QZERO) + scale * cd
-            if s:
-                out[idx] = s
-            else:
-                out.pop(idx, None)
-
-    def _row_gs(self, i, p, j, t) -> dict[int, Fraction]:
-        # [x_i (x) a_p, s_j (x) b_t]
-        out: dict[int, Fraction] = {}
-        fam = self.family
-        if fam == "B":
-            self._emit_s(out, self._gs_apply[(i, j)], self._abp[(p, t)]["prod_B"])
-            return out
-        ab = self._abp[(p, t)]
-        self._emit_g(out, self._circ_gs[(i, j)], ab["half_brk_A"])
-        self._emit_s(out, self._lie_gs[(i, j)], ab["half_circ_B"])
-        return out
-
-    def _row_ss(self, i, p, j, t) -> dict[int, Fraction]:
-        # callers guarantee i <= j
-        out: dict[int, Fraction] = {}
-        fam = self.family
-        if fam == "B":
-            self._emit_g(out, self._dst[(i, j)], self._bbp[(p, t)]["form_A"])
-            form = self._form_ss[(i, j)]
-            if form:
-                self._emit_d(out, self._bbp[(p, t)]["dcos"], form)
-            return out
-        bb = self._bbp[(p, t)]
-        self._emit_g(out, self._lie_s[(i, j)], bb["half_circ_A"])
-        self._emit_s(out, self._circ_s[(i, j)], bb["half_brk_B"])
-        tr = self._tr_s[(i, j)]
-        if tr:
-            self._emit_d(out, bb["dcos"], tr)
-        return out
-
-    def _row_gv(self, i, p, j, t) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        self._emit_v(out, self._gv[(i, j)], self._ac[(p, t)])
-        return out
-
-    def _row_sv(self, i, p, j, t) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        self._emit_v(out, self._sv[(i, j)], self._bc[(p, t)])
-        return out
-
-    def _row_vv(self, i, p, j, t) -> dict[int, Fraction]:
-        # callers guarantee i <= j
-        out: dict[int, Fraction] = {}
-        vv = self._vv[(i, j)]
-        cc = self._cc[(p, t)]
-        self._emit_g(out, vv["circ_G"], cc["dia_A"])
-        self._emit_s(out, vv["brk_S"], cc["heart_B"])
-        if vv["form"]:
-            self._emit_d(out, cc["dcos"], vv["form"])
-        return out
-
-    # D-part rows: [<beta1, beta2>, other]
-    def _row_dg(self, k, i, p) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        fam = self.family
-        info = self._dk[k]
-        q = self.quadruple
-        if fam == "D":
-            return out
-        if fam == "B":
-            img = info["deriv"].apply(
-                SparseVector(q.b_space, dict(self.a_basis[p].entries))
-            )
-            acoords = self._coords_A(SparseVector(q.a_space, dict(img.entries)))
-            self._emit_g(out, {i: QONE}, acoords)
-            return out
-        bstar = info["bstar"]
-        if bstar.is_zero():
-            return out
-        a = self.a_basis[p]
-        brk = q.a_mul(a, bstar) - q.a_mul(bstar, a)
-        circ = q.a_mul(a, bstar) + q.a_mul(bstar, a)
-        gj = self._gJ[i]
-        if fam == "A":
-            scale = Q(-1, 2 * self.m0)
-            self._emit_g(out, gj["circ_G"], self._coords_A(brk), scale)
-            self._emit_g(out, gj["lie_G"], self._coords_A(circ), scale)
-            if gj["tr"]:
-                self._emit_d(out, self._dcoset(a, bstar), 2 * scale * gj["tr"])
-            return out
-        scale = Q(-1, 4 * self.ell)
-        self._emit_g(out, gj["circ_G"], self._coords_A(brk), scale)
-        self._emit_s(out, gj["lie_S"], self._coords_B(circ), scale)
-        return out
-
-    def _row_ds(self, k, i, p) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        fam = self.family
-        info = self._dk[k]
-        q = self.quadruple
-        if fam == "B":
-            img = info["deriv"].apply(
-                SparseVector(q.b_space, dict(self.b_basis[p].entries))
-            )
-            bcoords = self._coords_B(SparseVector(q.a_space, dict(img.entries)))
-            self._emit_s(out, {i: QONE}, bcoords)
-            return out
-        bstar = info["bstar"]
-        if bstar.is_zero():
-            return out
-        b = self.b_basis[p]
-        brk = q.a_mul(b, bstar) - q.a_mul(bstar, b)
-        circ = q.a_mul(b, bstar) + q.a_mul(bstar, b)
-        sj = self._sJ[i]
-        scale = Q(-1, 4 * self.ell)
-        self._emit_g(out, sj["lie_G"], self._coords_A(circ), scale)
-        self._emit_s(out, sj["circ_S"], self._coords_B(brk), scale)
-        if sj["tr"]:
-            self._emit_d(out, self._dcoset(b, bstar), 2 * scale * sj["tr"])
-        return out
-
-    def _row_dv(self, k, i, p) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        info = self._dk[k]
-        q = self.quadruple
-        c = self.c_basis[p]
-        bstar = info["bstar"]
-        if not bstar.is_zero():
-            ccoords = self._coords_C(q.c_act(bstar, c))
-            if ccoords:
-                j0v = self._j0_vcoords(i)
-                self._emit_v(out, j0v, ccoords, Q(1, 2 * self.ell))
-        c1, c2 = info["c1"], info["c2"]
-        if not (c1.is_zero() or c2.is_zero()):
-            term = q.c_act(q.f_val(c, c2), c1) + q.c_act(q.f_val(c, c1), c2)
-            ccoords = self._coords_C(term)
-            if ccoords:
-                self._emit_v(out, {i: QONE}, ccoords, Q(-1, 2))
-        return out
-
-    def _j0_vcoords(self, i) -> dict[int, Fraction]:
-        lab = self.vmod.space.labels[i]
-        img = self.idem0.matrix.apply(self.G.space.basis_vector(lab))
-        return {self.G.space.pos(r): c for r, c in img.entries.items()}
-
-    def _row_dd(self, k, l) -> dict[int, Fraction]:
-        if self.family == "D":
-            return {}
-        info = self._dk[k]
-        lab = self.dpart.coset_space.labels[l]
-        lift = self.bb.tensor.basis_vector(lab)
-        img = self.bb.apply_pair_action(info["deriv"], lift)
-        proj = self.dpart.project(img)
-        csp = self.dpart.coset_space
+    def _factor_coords(self, target: str) -> tuple[Callable, Callable]:
+        """Coordinate maps of the matrix-side and coordinate-side factors of
+        a term whose result has kind ``target``."""
         return {
-            self.index_of[("d", (csp.pos(r),))]: c for r, c in proj.entries.items()
-        }
+            "g": (self._coords_G, self._coords_A),
+            "s": (self._coords_S, self._coords_B),
+            "v": (self._coords_V, self._coords_C),
+            "d": (_scalar_coords, self._coords_D),
+        }[target]
 
-    def _bracket_pair(self, gi: int, gj: int) -> dict[int, Fraction]:
-        """Structure constants [e_gi, e_gj] over global indices."""
-        ki, keyi = self.basis[gi]
-        kj, keyj = self.basis[gj]
-        order = {"g": 0, "s": 1, "v": 2, "d": 3}
-        if order[ki] > order[kj]:
-            out = self._bracket_pair(gj, gi)
-            return {m: -c for m, c in out.items()}
-        if ki == "g" and kj == "g":
-            return self._row_gg(keyi[0], keyi[1], keyj[0], keyj[1])
-        if ki == "g" and kj == "s":
-            return self._row_gs(keyi[0], keyi[1], keyj[0], keyj[1])
-        if ki == "g" and kj == "v":
-            return self._row_gv(keyi[0], keyi[1], keyj[0], keyj[1])
-        if ki == "s" and kj == "s":
-            return self._row_ss(keyi[0], keyi[1], keyj[0], keyj[1])
-        if ki == "s" and kj == "v":
-            return self._row_sv(keyi[0], keyi[1], keyj[0], keyj[1])
-        if ki == "v" and kj == "v":
-            return self._row_vv(keyi[0], keyi[1], keyj[0], keyj[1])
-        if kj == "d":
-            if ki == "d":
-                return self._row_dd(keyi[0], keyj[0])
-            row = {
-                "g": self._row_dg,
-                "s": self._row_ds,
-                "v": self._row_dv,
-            }[ki](keyj[0], keyi[0], keyi[1])
-            return {m: -c for m, c in row.items()}
-        raise AssertionError((ki, kj))
+    # -- bracket table ------------------------------------------------------
+
+    def _block(self, k1: str, k2: str, swap: bool = False, keep=None) -> dict:
+        """Rows [e, f] for all basis pairs e < f with e of kind k1 and f of
+        kind k2, evaluated from the family's terms.  Each factor is computed
+        once per matrix-side pair (i <= j within a kind) and once per
+        coordinate-side pair.  With ``swap`` every factor is evaluated on
+        swapped arguments, mat(y, x) and coord(a', a), so the row stored at
+        (e, f) is [f, e].  ``keep`` receives each term's matrix-side factors
+        under (k1 + k2, target, mat)."""
+        off1, w1, mats1, coords1 = self._kinds[k1]
+        off2, w2, mats2, coords2 = self._kinds[k2]
+        same = k1 == k2
+        rows: dict[tuple[int, int], dict[int, Fraction]] = {}
+        for term in TERMS[self.family].get(k1 + k2, ()):
+            mat_coords, coord_coords = self._factor_coords(term.target)
+            mat = {}
+            for i, x in enumerate(mats1):
+                for j in range(i if same else 0, len(mats2)):
+                    y = mats2[j]
+                    f = mat_coords(term.mat(self, y, x) if swap else term.mat(self, x, y))
+                    if f:
+                        mat[(i, j)] = f
+            coord = []
+            for p, a in enumerate(coords1):
+                for t, b in enumerate(coords2):
+                    f = coord_coords(
+                        term.coord(self, b, a) if swap else term.coord(self, a, b)
+                    )
+                    if f:
+                        coord.append((p, t, f))
+            if keep is not None:
+                keep[k1 + k2, term.target, term.mat] = mat
+            scale = term.scale(self)
+            off_t, w_t = self._kinds[term.target][:2]
+            for (i, j), mf in mat.items():
+                e0, f0 = off1 + i * w1, off2 + j * w2
+                for p, t, cf in coord:
+                    if same and i == j and p >= t:
+                        continue
+                    row = rows.setdefault((e0 + p, f0 + t), {})
+                    for mi, cm in mf.items():
+                        c0 = scale * cm
+                        base = off_t + mi * w_t
+                        for ci, cc in cf.items():
+                            idx = base + ci
+                            s = row.get(idx, QZERO) + c0 * cc
+                            if s:
+                                row[idx] = s
+                            else:
+                                del row[idx]
+        return {key: row for key, row in rows.items() if row}
 
     def _build_table(self):
-        dim = self.dim
-        self.table = {}
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                row = self._bracket_pair(i, j)
-                if row:
-                    self.table[(i, j)] = row
+        rows = {}
+        kept = {}
+        for pair in TERMS[self.family]:
+            rows.update(self._block(pair[0], pair[1], keep=kept))
+        self.table = dict(sorted(rows.items()))
+        # coordinates of [x_i, x_j] in G for i <= j, read by the grading check
+        self._g_lie = kept.get(("gg", "g", _lie), {})
         self._int_table = None
 
     def bracket_indices(self, i: int, j: int) -> dict[int, Fraction]:
@@ -779,16 +645,7 @@ class GradedModel:
         out: dict[int, Fraction] = {}
         for i, ci in x.coeffs.items():
             for j, cj in y.coeffs.items():
-                row = self.bracket_indices(i, j)
-                if not row:
-                    continue
-                c = ci * cj
-                for m, v in row.items():
-                    s = out.get(m, QZERO) + c * v
-                    if s:
-                        out[m] = s
-                    else:
-                        out.pop(m, None)
+                _add_scaled(out, self.bracket_indices(i, j), ci * cj)
         return GradedElement(self, out)
 
     def int_table(self):
@@ -831,8 +688,7 @@ class GradedModel:
                         c2 = q.split_b(q.b_space.basis_vector(l2))[1]
                         if c1.is_zero() or c2.is_zero():
                             continue
-                        term = q.c_act(q.f_val(c, c2), c1) + q.c_act(q.f_val(c, c1), c2)
-                        acc = acc + term.scale(coeff)
+                        acc = acc + _f_action(q, c, c1, c2).scale(coeff)
                     if not acc.is_zero():
                         raise InternalConsistencyError(
                             "module row does not vanish on the relation space",
@@ -851,136 +707,33 @@ def build_model(
     return GradedModel(family, n, ell, quadruple, k_span, override_bounds)
 
 
-def bracket(m: GradedModel, x: GradedElement, y: GradedElement) -> GradedElement:
-    return m.bracket(x, y)
-
-
 # ---------------------------------------------------------------------------
 # verification suites
 
 
-def _direct_reversed_bracket(m: GradedModel, gi: int, gj: int) -> dict[int, Fraction] | None:
-    """[e_gj, e_gi] for a same-kind pair, recomputed without the table caches.
-
-    Returns None for cross-kind pairs, whose reversed bracket the source
-    tables define by negation (no independent content to check).
-    """
-    ki, keyi = m.basis[gi]
-    kj, keyj = m.basis[gj]
-    if ki != kj:
-        return None
-    fam = m.family
-    out: dict[int, Fraction] = {}
-    half = Q(1, 2)
-    q = m.quadruple
-    if ki == "g":
-        j, t = keyj
-        i, p = keyi
-        x, y = m.G.wb.basis_mats[j], m.G.wb.basis_mats[i]
-        a, a2 = m.a_basis[t], m.a_basis[p]
-        lie = m._coords_G(commutator(x, y))
-        tr = (x @ y).trace()
-        if fam in ("B", "D"):
-            m._emit_g(out, lie, m._coords_A(q.a_mul(a, a2)))
-        else:
-            circ_a = m._coords_A((q.a_mul(a, a2) + q.a_mul(a2, a)).scale(half))
-            brk = (q.a_mul(a, a2) - q.a_mul(a2, a)).scale(half)
-            m._emit_g(out, lie, circ_a)
-            circ_x = circ_trunc(x, y, m.idem0, fam)
-            if fam == "A":
-                m._emit_g(out, m._coords_G(circ_x), m._coords_A(brk))
-            else:
-                m._emit_s(out, m._coords_S(circ_x), m._coords_B(brk))
-        if tr:
-            m._emit_d(out, m._dcoset(a, a2), tr)
-        return out
-    if ki == "s":
-        j, t = keyj
-        i, p = keyi
-        b, b2 = m.b_basis[t], m.b_basis[p]
-        if fam == "B":
-            nat = m.G.nat
-            u = nat.space.basis_vector(m.smod.space.labels[j])
-            w = nat.space.basis_vector(m.smod.space.labels[i])
-            entries = {}
-            for z in nat.space.labels:
-                zf = nat.space.basis_vector(z)
-                col = w.scale(nat.form(u, zf)) - u.scale(nat.form(w, zf))
-                for r, val in col.entries.items():
-                    entries[(r, z)] = val
-            dst = m._coords_G(SparseMatrix(nat.space, nat.space, entries))
-            m._emit_g(out, dst, m._coords_A(q.a_mul(b, b2)))
-            form = nat.form(u, w)
-            if form:
-                m._emit_d(out, m._dcoset(b, b2), form)
-            return out
-        s, tmat = m.smod.wb.basis_mats[j], m.smod.wb.basis_mats[i]
-        lie = m._coords_G(commutator(s, tmat))
-        circ = m._coords_S(circ_trunc(s, tmat, m.idem0, fam))
-        tr = (s @ tmat).trace()
-        m._emit_g(out, lie, m._coords_A((q.a_mul(b, b2) + q.a_mul(b2, b)).scale(half)))
-        m._emit_s(out, circ, m._coords_B((q.a_mul(b, b2) - q.a_mul(b2, b)).scale(half)))
-        if tr:
-            m._emit_d(out, m._dcoset(b, b2), tr)
-        return out
-    if ki == "v":
-        j, t = keyj
-        i, p = keyi
-        nat = m.G.nat
-        u = nat.space.basis_vector(m.vmod.space.labels[j])
-        w = nat.space.basis_vector(m.vmod.space.labels[i])
-        c, c2 = m.c_basis[t], m.c_basis[p]
-        f1, f2 = q.f_val(c, c2), q.f_val(c2, c)
-        m._emit_g(
-            out,
-            m._coords_G(v_ops(u, w, nat, m.idem0, "circ")),
-            m._coords_A((f1 - f2).scale(half)),
-        )
-        m._emit_s(
-            out,
-            m._coords_S(v_ops(u, w, nat, m.idem0, "bracket_ell")),
-            m._coords_B((f1 + f2).scale(half)),
-        )
-        form = nat.form(u, w)
-        if form:
-            m._emit_d(
-                out,
-                m._dcoset(
-                    SparseVector(q.b_space, dict(c.entries)),
-                    SparseVector(q.b_space, dict(c2.entries)),
-                ),
-                form,
-            )
-        return out
-    # d-d
-    return m._row_dd(keyj[0], keyi[0])
-
-
 def verify_antisymmetry(m: GradedModel) -> dict:
-    """Exhaustive pair check; same-kind reversed brackets are recomputed
-    from the defining formulas, not read off the table."""
+    """Exhaustive check of [f, e] = -[e, f] over same-kind basis pairs.
+
+    The reversed brackets are evaluated from the family's terms on swapped
+    arguments and compared with ``table`` pair by pair; they are never read
+    off the table.  Cross-kind pairs are stored once, in basis order, so
+    their reversal is structural.
+    """
     failures = []
-    dim = m.dim
     checked = 0
-    structural = 0
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            backward = _direct_reversed_bracket(m, i, j)
-            if backward is None:
-                structural += 1
-                continue
-            checked += 1
-            mismatch = dict(m.bracket_indices(i, j))
-            for k, c in backward.items():
-                s = mismatch.get(k, QZERO) + c
-                if s:
-                    mismatch[k] = s
-                else:
-                    mismatch.pop(k, None)
+    for kind, (off, width, mats, _coords) in m._kinds.items():
+        size = len(mats) * width
+        checked += size * (size - 1) // 2
+        end = off + size
+        backward = m._block(kind, kind, swap=True)
+        forward = [key for key in m.table if off <= key[0] and key[1] < end]
+        for key in sorted(backward.keys() | forward):
+            mismatch = dict(m.table.get(key, {}))
+            _add_scaled(mismatch, backward.get(key, {}))
             if mismatch:
                 failures.append(
                     {
-                        "pair": [m.basis_label(i), m.basis_label(j)],
+                        "pair": [m.basis_label(key[0]), m.basis_label(key[1])],
                         "defect": {str(k): q_str(c) for k, c in mismatch.items()},
                     }
                 )
@@ -992,7 +745,7 @@ def verify_antisymmetry(m: GradedModel) -> dict:
         "name": "antisymmetry",
         "status": "pass" if not failures else "fail",
         "pairs_checked": checked,
-        "pairs_structural": structural,
+        "pairs_structural": m.dim * (m.dim - 1) // 2 - checked,
         "witnesses": failures,
     }
 
@@ -1075,6 +828,16 @@ def verify_jacobi(m: GradedModel, strategy: dict) -> dict:
     }
 
 
+def _check(name: str, passed: bool, witnesses=()) -> dict:
+    status = "pass" if passed else "fail"
+    return {"name": name, "status": status, "witnesses": list(witnesses)[:5]}
+
+
+def _suite(name: str, checks: list[dict], **extra) -> dict:
+    status = "pass" if all(c["status"] == "pass" for c in checks) else "fail"
+    return {"name": name, "status": status, "checks": checks, **extra}
+
+
 def verify_grading(m: GradedModel) -> dict:
     """The grading axioms for the assembled model: grading pair, weights, L_0."""
     checks = []
@@ -1095,25 +858,14 @@ def verify_grading(m: GradedModel) -> dict:
             xj = g_tensor_unit(j)
             for gi, ci in xi.items():
                 for gj, cj in xj.items():
-                    for idx, c in m.bracket_indices(gi, gj).items():
-                        s = lhs.get(idx, QZERO) + ci * cj * c
-                        if s:
-                            lhs[idx] = s
-                        else:
-                            lhs.pop(idx, None)
+                    _add_scaled(lhs, m.bracket_indices(gi, gj), ci * cj)
             expected: dict[int, Fraction] = {}
-            for gk, c in m._lie_g[(i, j)].items():
-                for idx, cu in g_tensor_unit(gk).items():
-                    expected[idx] = expected.get(idx, QZERO) + c * cu
-            expected = {k: v for k, v in expected.items() if v}
+            for gk, c in m._g_lie.get((i, j), {}).items():
+                _add_scaled(expected, g_tensor_unit(gk), c)
             if lhs != expected:
                 hom_fail.append([m.basis_label(min(xi)), m.basis_label(min(xj))])
     checks.append(
-        {
-            "name": "grading-pair: x -> x(x)1 is a Lie homomorphism",
-            "status": "pass" if not hom_fail else "fail",
-            "witnesses": hom_fail[:5],
-        }
+        _check("grading-pair: x -> x(x)1 is a Lie homomorphism", not hom_fail, hom_fail)
     )
 
     # (ii) every basis vector is a simultaneous ad-eigenvector for the
@@ -1134,29 +886,19 @@ def verify_grading(m: GradedModel) -> dict:
         for hpos, h_el in enumerate(cartan_elements):
             acc: dict[int, Fraction] = {}
             for hi, ch in h_el.items():
-                for idx, c in m.bracket_indices(hi, e_idx).items():
-                    s = acc.get(idx, QZERO) + ch * c
-                    if s:
-                        acc[idx] = s
-                    else:
-                        acc.pop(idx, None)
+                _add_scaled(acc, m.bracket_indices(hi, e_idx), ch)
             lam = _cartan_eigenvalue(m, w, hpos)
             expected = {e_idx: lam} if lam else {}
             if acc != expected:
                 eig_fail.append([m.basis_label(e_idx), hpos])
                 break
     checks.append(
-        {
-            "name": "weight decomposition: ad-eigenvector check",
-            "status": "pass" if not eig_fail else "fail",
-            "witnesses": eig_fail[:5],
-        }
+        _check("weight decomposition: ad-eigenvector check", not eig_fail, eig_fail)
     )
 
     # weight table: weights lie in R and the per-root dimensions match
-    dims: dict[Root, int] = {}
-    for w in m.weight_of:
-        dims[w] = dims.get(w, 0) + 1
+    by_weight = m.indices_by_weight()
+    dims = {w: len(indices) for w, indices in by_weight.items()}
     table_fail = []
     in_r_fail = [root_str(w) for w in dims if w not in m.roots.roots]
     for alpha in m.roots.nonzero():
@@ -1166,20 +908,17 @@ def verify_grading(m: GradedModel) -> dict:
                 {"root": root_str(alpha), "dim": dims.get(alpha, 0), "expected": expected}
             )
     checks.append(
-        {
-            "name": "weight table: weights in R and dimensions match",
-            "status": "pass" if not (table_fail or in_r_fail) else "fail",
-            "witnesses": (in_r_fail + table_fail)[:5],
-        }
+        _check(
+            "weight table: weights in R and dimensions match",
+            not (table_fail or in_r_fail),
+            in_r_fail + table_fail,
+        )
     )
 
     # (iii) L_0 = sum over alpha of [L_alpha, L_-alpha]
-    zero_indices = [i for i, w in enumerate(m.weight_of) if w.is_zero()]
+    zero_indices = by_weight.get(Root.zero(), [])
     zero_space = BasedSpace([f"z:{i}" for i in zero_indices])
     relabel = {idx: f"z:{idx}" for idx in zero_indices}
-    by_weight: dict[Root, list[int]] = {}
-    for i, w in enumerate(m.weight_of):
-        by_weight.setdefault(w, []).append(i)
     span_vecs = []
     l0_fail = []
     for alpha, plus in by_weight.items():
@@ -1191,26 +930,17 @@ def verify_grading(m: GradedModel) -> dict:
                 row = m.bracket_indices(i, j)
                 if not row:
                     continue
-                entries = {}
                 bad = [idx for idx in row if idx not in relabel]
                 if bad:
                     l0_fail.append(f"opposite-root bracket has nonzero weight part at {bad[:3]}")
                     continue
-                for idx, c in row.items():
-                    entries[relabel[idx]] = entries.get(relabel[idx], QZERO) + c
+                entries = {relabel[idx]: c for idx, c in row.items()}
                 span_vecs.append(SparseVector(zero_space, entries))
     span = rref(span_vecs, zero_space)
     if span.dim != len(zero_indices):
         l0_fail.append(f"span dim {span.dim} < zero-weight dim {len(zero_indices)}")
-    checks.append(
-        {
-            "name": "L_0 = sum of [L_alpha, L_-alpha]",
-            "status": "pass" if not l0_fail else "fail",
-            "witnesses": l0_fail[:5],
-        }
-    )
-    status = "pass" if all(c["status"] == "pass" for c in checks) else "fail"
-    return {"name": "grading", "status": status, "checks": checks}
+    checks.append(_check("L_0 = sum of [L_alpha, L_-alpha]", not l0_fail, l0_fail))
+    return _suite("grading", checks)
 
 
 def _cartan_eigenvalue(m: GradedModel, w: Root, hpos: int) -> Fraction:
@@ -1255,21 +985,17 @@ class SubModel:
         if len(comps) != 1:
             raise ModelError("S is not irreducible")
         self.s_roots = s_set
-        by_weight: dict[Root, list[int]] = {}
-        for i, w in enumerate(model.weight_of):
-            by_weight.setdefault(w, []).append(i)
+        by_weight = model.indices_by_weight()
         self.nonzero_indices = sorted(
             i for alpha in s_set for i in by_weight.get(alpha, [])
         )
-        zero_indices = [i for i, w in enumerate(model.weight_of) if w.is_zero()]
+        zero_indices = by_weight.get(Root.zero(), [])
         self.zero_space = BasedSpace([f"z:{i}" for i in zero_indices])
         vecs = []
         for alpha in sorted(s_set):
             for i in by_weight.get(alpha, []):
                 for j in by_weight.get(-alpha, []):
-                    row = model.bracket_indices(i, j)
-                    entries = {f"z:{idx}": c for idx, c in row.items()}
-                    vecs.append(SparseVector(self.zero_space, entries))
+                    vecs.append(self._zero_vec(model.bracket_indices(i, j)))
         self.zero_part = rref(vecs, self.zero_space)
 
     @property
@@ -1289,18 +1015,12 @@ class SubModel:
             {int(lab.split(":")[1]): c for lab, c in r.entries.items()}
             for r in self.zero_part.rows
         ]
-        s_with_zero = self.s_roots | {Root.zero()}
         for a_pos, xa in enumerate(basis_rows):
             for xb in basis_rows[a_pos:]:
                 acc: dict[int, Fraction] = {}
                 for i, ci in xa.items():
                     for j, cj in xb.items():
-                        for idx, c in m.bracket_indices(i, j).items():
-                            s = acc.get(idx, QZERO) + ci * cj * c
-                            if s:
-                                acc[idx] = s
-                            else:
-                                acc.pop(idx, None)
+                        _add_scaled(acc, m.bracket_indices(i, j), ci * cj)
                 zero_piece: dict[int, Fraction] = {}
                 for idx, c in acc.items():
                     w = m.weight_of[idx]
@@ -1315,11 +1035,7 @@ class SubModel:
                 if zero_piece and not self.zero_part.contains(self._zero_vec(zero_piece)):
                     closure_fail.append("zero-weight part escapes the subalgebra")
         checks.append(
-            {
-                "name": "subalgebra closed under bracket",
-                "status": "pass" if not closure_fail else "fail",
-                "witnesses": closure_fail[:5],
-            }
+            _check("subalgebra closed under bracket", not closure_fail, closure_fail)
         )
         # grading pair: G^S root spaces present for the semi-divisible part
         s_sdiv = {
@@ -1332,14 +1048,13 @@ class SubModel:
             if alpha not in m.G.root_space_index:
                 missing.append(root_str(alpha))
         checks.append(
-            {
-                "name": "grading pair root spaces present (S semi-divisible part)",
-                "status": "pass" if not missing else "fail",
-                "witnesses": missing[:5],
-            }
+            _check(
+                "grading pair root spaces present (S semi-divisible part)",
+                not missing,
+                missing,
+            )
         )
-        status = "pass" if all(c["status"] == "pass" for c in checks) else "fail"
-        return {"name": "subsystem", "status": status, "checks": checks}
+        return _suite("subsystem", checks)
 
 
 def subalgebra(model: GradedModel, s_roots: Iterable[Root]) -> SubModel:
@@ -1375,21 +1090,12 @@ def level_coset(
     if target is not None:
         bs = beta_star(m.quadruple, _to_b(m, x), _to_b(m, y))
         if not bs.is_zero():
-            op = _level_op(m, lam, m.G.space)
-            if target == "s":
-                op_coords = m._coords_S(op)
-                coeff_coords = m._coords_B(bs)
-                for si, cs in op_coords.items():
-                    for bi, cb in coeff_coords.items():
-                        idx = m.index_of[("s", (si, bi))]
-                        coeffs[idx] = coeffs.get(idx, QZERO) + factor * cs * cb
-            else:
-                op_coords = m._coords_G(op)
-                coeff_coords = m._coords_A(bs)
-                for gi, cg in op_coords.items():
-                    for ai, ca in coeff_coords.items():
-                        idx = m.index_of[("g", (gi, ai))]
-                        coeffs[idx] = coeffs.get(idx, QZERO) + factor * cg * ca
+            mat_coords, coord_coords = m._factor_coords(target)
+            off, width = m._kinds[target][:2]
+            for mi, cm in mat_coords(_level_op(m, lam, m.G.space)).items():
+                for ci, cc in coord_coords(bs).items():
+                    idx = off + mi * width + ci
+                    coeffs[idx] = coeffs.get(idx, QZERO) + factor * cm * cc
     return GradedElement(m, coeffs)
 
 
@@ -1420,13 +1126,7 @@ def verify_level_transition(m: GradedModel, added: int) -> dict:
     op_zero_at_base = _level_op(
         m, frozenset(range(1, m.m0 + 1)), ext.space
     ).is_zero()
-    checks.append(
-        {
-            "name": "correction vanishes at lambda = I_0",
-            "status": "pass" if op_zero_at_base else "fail",
-            "witnesses": [],
-        }
-    )
+    checks.append(_check("correction vanishes at lambda = I_0", op_zero_at_base))
     target, factor = _level_correction_targets(m)
     op_ok = not op.is_zero()
     if target is None:
@@ -1434,11 +1134,7 @@ def verify_level_transition(m: GradedModel, added: int) -> dict:
         bsm = beta_star_map_rows(m.quadruple)
         all_zero = all(row.is_zero() for row in bsm.values())
         checks.append(
-            {
-                "name": "beta* vanishes identically (commutative coordinates)",
-                "status": "pass" if all_zero else "fail",
-                "witnesses": [],
-            }
+            _check("beta* vanishes identically (commutative coordinates)", all_zero)
         )
     else:
         if ext.gram is not None:
@@ -1447,11 +1143,7 @@ def verify_level_transition(m: GradedModel, added: int) -> dict:
         else:
             op_in_s = op.trace() == 0
         checks.append(
-            {
-                "name": "level operator nonzero, traceless, form-compatible",
-                "status": "pass" if (op_ok and op_in_s) else "fail",
-                "witnesses": [],
-            }
+            _check("level operator nonzero, traceless, form-compatible", op_ok and op_in_s)
         )
         # kernel comparison over the tensor space
         tensor = m.bb.tensor
@@ -1462,26 +1154,15 @@ def verify_level_transition(m: GradedModel, added: int) -> dict:
         forward = ker0.is_subspace_of(ker_joint)
         backward = ker_joint.is_subspace_of(ker0)
         checks.append(
-            {
-                "name": "sum of level-0 cosets vanishes => sum of beta* vanishes",
-                "status": "pass" if forward else "fail",
-                "witnesses": [],
-            }
+            _check("sum of level-0 cosets vanishes => sum of beta* vanishes", forward)
         )
         checks.append(
-            {
-                "name": "sum of level-lambda cosets and beta* vanish => level-0 sum vanishes",
-                "status": "pass" if backward else "fail",
-                "witnesses": [],
-            }
+            _check(
+                "sum of level-lambda cosets and beta* vanish => level-0 sum vanishes",
+                backward,
+            )
         )
-    status = "pass" if all(c["status"] == "pass" for c in checks) else "fail"
-    return {
-        "name": f"level-transition[+{added}]",
-        "status": status,
-        "lambda_size": len(lam),
-        "checks": checks,
-    }
+    return _suite(f"level-transition[+{added}]", checks, lambda_size=len(lam))
 
 
 def _projection_rows(m: GradedModel) -> list[SparseVector]:

@@ -702,16 +702,6 @@ def v_ops(
     half = Q(1, 2)
     uv = nat.form(u, v)
     entries: dict[tuple[str, str], Fraction] = {}
-
-    def add_column(w_lab: str, vec: SparseVector):
-        for r, c in vec.entries.items():
-            key = (r, w_lab)
-            s = entries.get(key, QZERO) + c
-            if s:
-                entries[key] = s
-            else:
-                entries.pop(key, None)
-
     for w_lab in space.labels:
         w = space.basis_vector(w_lab)
         vw = nat.form(v, w)
@@ -719,7 +709,8 @@ def v_ops(
             col = u.scale(half * vw) + v.scale(half * nat.form(u, w))
         else:
             col = u.scale(half * vw) + v.scale(half * nat.form(w, u))
-        add_column(w_lab, col)
+        for r, c in col.entries.items():
+            entries[(r, w_lab)] = c
     m = SparseMatrix(space, space, entries)
     if variant == "circ" or uv == 0:
         return m

@@ -195,18 +195,42 @@ def test_timings_flag_adds_elapsed(capsys):
     assert "elapsed_ms" in out
 
 
-def test_threads_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("RG_LIE_THREADS", "2")
-    argv = [
+def run_cli_err(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().err
+
+
+def test_verify_negative_samples_exits_2(capsys):
+    code, err = run_cli_err(
+        capsys,
         "verify", "--family", "BC", "--n", "4", "--ell", "4",
-        "--preset", "symplectic:m=2", "--suite", "jacobi,grading,homology",
-        "--seed", "7",
-    ]
-    code, out = run_cli(capsys, *argv)
-    assert code == 0
-    monkeypatch.setenv("RG_LIE_THREADS", "1")
-    code2, out2 = run_cli(capsys, *argv)
-    assert out == out2  # deterministic merge regardless of parallelism
+        "--preset", "symplectic:m=2", "--suite", "jacobi", "--samples", "-5",
+    )
+    assert code == 2
+    assert err.count("\n") == 1 and "--samples" in err
+
+
+@pytest.mark.parametrize("field", ["family", "n", "ell", "quadruple"])
+def test_model_file_missing_field_exits_2(capsys, tmp_path, field):
+    spec = {"family": "BC", "n": 4, "ell": 4, "quadruple": "symplectic:m=2"}
+    del spec[field]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(spec))
+    code, err = run_cli_err(
+        capsys, "verify", "--model", str(path), "--suite", "grading", "--samples", "0"
+    )
+    assert code == 2
+    assert err.count("\n") == 1 and repr(field) in err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["matrix:k=0", "matrix_transpose:k=0", "matrix_hermitian:k=0,m=2", "group_ring:m=0"],
+)
+def test_fh_degenerate_preset_exits_2(capsys, spec):
+    code, err = run_cli_err(capsys, "fh", "--quadruple", spec)
+    assert code == 2
+    assert err.count("\n") == 1 and "must be at least 1" in err
 
 
 def test_emit_flag_accepted_on_subcommands(capsys):
@@ -220,6 +244,11 @@ def test_cross_process_determinism(tmp_path):
     # hash randomization
     import subprocess, sys, os
 
+    import rootgraded
+
+    # the child imports the same package copy as this process
+    src = os.path.dirname(os.path.dirname(rootgraded.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     argv = [
         sys.executable, "-m", "rootgraded.cli",
         "verify", "--family", "BC", "--n", "4", "--ell", "4",
@@ -228,7 +257,7 @@ def test_cross_process_determinism(tmp_path):
     ]
     outs = []
     for seed in ("1", "31337"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
         proc = subprocess.run(argv, capture_output=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)

@@ -1,9 +1,13 @@
+import hashlib
+from collections import Counter
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
 
+import rootgraded.graded as graded
 from rootgraded.coord import CoordinateQuadruple, parse_preset_spec
-from rootgraded.exactla import BasedSpace
+from rootgraded.exactla import BasedSpace, q_str
 from rootgraded.graded import (
     GradedElement,
     ModelError,
@@ -94,7 +98,8 @@ def test_unit_row_bracket():
             xj = m.index_of[("g", (j, 0))]
             row = m.bracket_indices(xi, xj)
             expected = {
-                m.index_of[("g", (k, 0))]: c for k, c in m._lie_g[(min(i, j), max(i, j))].items()
+                m.index_of[("g", (k, 0))]: c
+                for k, c in m._g_lie.get((min(i, j), max(i, j)), {}).items()
             }
             if i > j:
                 expected = {k: -c for k, c in expected.items()}
@@ -149,6 +154,10 @@ def test_exhaustive_antisymmetry_and_jacobi_small_bc():
     m = model("BC", 4, 4, "symplectic:m=2")
     ra = verify_antisymmetry(m)
     assert ra["status"] == "pass"
+    sizes = Counter(kind for kind, _ in m.basis)
+    assert len(sizes) == 3  # g, v and d
+    assert ra["pairs_checked"] == sum(n * (n - 1) // 2 for n in sizes.values())
+    assert ra["pairs_structural"] == sum(a * b for a, b in combinations(sizes.values(), 2))
     rj = verify_jacobi(m, {"kind": "exhaustive_basis"})
     assert rj["status"] == "pass"
     assert rj["triples"] == sum(
@@ -425,3 +434,57 @@ def test_level_coset_mixed_pair_is_zero():
     b = q.b_space.basis_vector("m:0,1") - q.b_space.basis_vector("m:1,0")
     lc = level_coset(m, range(1, 6), a, b)
     assert lc.is_zero()
+
+
+# sha256 of each table, computed before the bracket formulas moved into the
+# term tables; any change of a structure constant changes the digest
+TABLE_DIGESTS = {
+    ("BC", 4, 4, "symplectic:m=2"): (
+        "2be6b16d29a28185b864565af709236a75af5f51610594269f81cb39db03f903"
+    ),
+    ("A", 6, 5, "matrix:k=2"): (
+        "b3b19b1db14676f7753def63ec22d52c5f31046dee79ce3f1d5cf6c53cd1991e"
+    ),
+    ("B", 5, 5, "clifford:d=2"): (
+        "6716d4d3918895a4ae9bbc3dff5f98cc478a44fb2bf5b4c47679059d1ab37f96"
+    ),
+    ("C", 5, 5, "matrix_transpose:k=2"): (
+        "a0dc8f99d62c77dbd31b9ab2bdb465df652d9fc68d1355a9c24703b0b2b9cf3c"
+    ),
+    ("D", 6, 5, "group_ring:m=3"): (
+        "c7096940d5f19d58b8b421cf828f9392aa56683bbf65f3cd76e84f12106e3ab1"
+    ),
+}
+
+
+@pytest.mark.parametrize("config", list(TABLE_DIGESTS), ids=lambda c: " ".join(map(str, c)))
+def test_bracket_table_digest(config):
+    m = model(*config)
+    text = repr(
+        [
+            (key, sorted((idx, q_str(c)) for idx, c in row.items()))
+            for key, row in sorted(m.table.items())
+        ]
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == TABLE_DIGESTS[config]
+
+
+@pytest.mark.parametrize(
+    "term,field,op",
+    [
+        # [x, y] (x) (a a' + a' a) becomes (x o y) (x) (a a' + a' a)
+        (0, "mat", graded._circ),
+        # (x o y) (x) (a a' - a' a) becomes (x o y) (x) (a a' + a' a)
+        (1, "coord", graded._circle),
+    ],
+)
+def test_antisymmetry_fails_on_symmetric_term(monkeypatch, term, field, op):
+    # build and check read the same terms; a term whose two factors are both
+    # symmetric under swapping the arguments must be caught
+    terms = list(graded.TERMS["A"]["gg"])
+    terms[term] = terms[term]._replace(**{field: op})
+    monkeypatch.setitem(graded.TERMS["A"], "gg", tuple(terms))
+    m = build_model("A", 6, 5, parse_preset_spec("matrix:k=2"))
+    r = verify_antisymmetry(m)
+    assert r["status"] == "fail"
+    assert r["witnesses"]
