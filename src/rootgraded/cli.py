@@ -391,7 +391,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--samples", type=int, default=500)
     p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--exhaustive-max", type=int, default=120)
+    p_verify.add_argument("--exhaustive-max", type=int, default=300)
     p_verify.add_argument("--cross-ell", type=int, default=7)
     p_verify.add_argument("--timings", action="store_true")
     p_verify.add_argument("--out")

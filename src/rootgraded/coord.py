@@ -902,6 +902,9 @@ def quadruple_to_json(q: CoordinateQuadruple) -> dict:
 
 
 def quadruple_from_json(data: dict) -> CoordinateQuadruple:
+    for key in ("type", "a_dim", "structure_constants", "unit", "star"):
+        if key not in data:
+            raise ValueError(f"quadruple has no {key!r} field")
     a_labels = [f"a:{i}" for i in range(int(data["a_dim"]))]
     c_labels = [f"c:{i}" for i in range(int(data.get("c_dim", 0)))]
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from rootgraded.cli import load_quadruple, main
+from rootgraded.coord import quadruple_to_json
 
 
 def run_cli(capsys, *argv):
@@ -56,7 +57,7 @@ def test_verify_acceptance_style_run(capsys):
     assert statuses["antisymmetry"] == "pass"
     assert statuses["grading"] == "pass"
     assert statuses["jacobi-random"] == "pass"
-    assert statuses["jacobi-exhaustive"] == "pass"  # dim 55 <= 120
+    assert statuses["jacobi-exhaustive"] == "pass"  # dim 55 <= 300
     names = [c["name"] for c in data["checks"]]
     assert names == sorted(names)
 
@@ -208,6 +209,29 @@ def test_verify_negative_samples_exits_2(capsys):
     )
     assert code == 2
     assert err.count("\n") == 1 and "--samples" in err
+
+
+def test_verify_zero_samples_needs_no_seed(capsys):
+    code, out = run_cli(
+        capsys,
+        "verify", "--family", "A", "--n", "6", "--ell", "5",
+        "--quadruple", "matrix:k=2", "--suite", "jacobi", "--samples", "0",
+    )
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["jacobi-random"]["status"] == "pass"
+    assert checks["jacobi-random"]["triples"] == 0
+
+
+@pytest.mark.parametrize("key", ["type", "a_dim", "structure_constants", "unit", "star"])
+def test_quadruple_file_missing_key_exits_2(capsys, tmp_path, key):
+    data = quadruple_to_json(load_quadruple("matrix:k=2"))
+    del data[key]
+    path = tmp_path / "quadruple.json"
+    path.write_text(json.dumps(data))
+    code, err = run_cli_err(capsys, "fh", "--quadruple", str(path))
+    assert code == 2
+    assert err.count("\n") == 1 and repr(key) in err
 
 
 @pytest.mark.parametrize("field", ["family", "n", "ell", "quadruple"])

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from collections import Counter
 from fractions import Fraction as Q
 from itertools import combinations
@@ -166,6 +167,62 @@ def test_exhaustive_antisymmetry_and_jacobi_small_bc():
         for j in range(i, m.dim)
         for k in range(j, m.dim)
     )
+
+
+def _naive_jacobi(m):
+    """Every triple i <= j <= k, in lexicographic order, whose Jacobi defect
+    over ``bracket_indices`` is nonzero, with the number of triples up to and
+    including it and its report witness."""
+    count, out = 0, []
+    for i in range(m.dim):
+        for j in range(i, m.dim):
+            for k in range(j, m.dim):
+                count += 1
+                defect = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for mid, x in m.bracket_indices(b, c).items():
+                        for idx, y in m.bracket_indices(a, mid).items():
+                            defect[idx] = defect.get(idx, 0) + x * y
+                defect = sorted(idx for idx, v in defect.items() if v)
+                if defect:
+                    labels = [m.basis_label(t) for t in (i, j, k)]
+                    out.append((count, (i, j, k), {"triple": labels, "defect_indices": defect}))
+    return out
+
+
+@pytest.mark.parametrize(
+    "config", [("BC", 5, 4, "symplectic:m=2"), ("B", 6, 5, "clifford:d=2")],
+    ids=lambda c: " ".join(map(str, c)),
+)
+@pytest.mark.parametrize("seed,mutation", [(1, "flip"), (2, "triple"), (3, "insert")])
+def test_exhaustive_jacobi_matches_naive_on_mutants(config, seed, mutation):
+    # the cached integer table and ``table`` are changed alike: one
+    # coefficient flipped or tripled, or a zero bracket given the value of a
+    # nonzero one; pruning must neither hide the fault nor change which
+    # triples report it
+    m = build_model(*config[:3], parse_preset_spec(config[3]))
+    ad = m.int_table()
+    rng = random.Random(seed)
+    a, b = rng.choice(sorted(m.table))
+    if mutation == "insert":
+        zero = [(c, d) for c in range(m.dim) for d in range(c + 1, m.dim) if (c, d) not in m.table]
+        c, d = rng.choice(zero)
+        m.table[c, d] = dict(m.table[a, b])
+        row = dict(ad[a][b][0])
+        ad[c][d], ad[d][c] = (row, 1), (row, -1)
+    else:
+        idx = rng.choice(sorted(m.table[a, b]))
+        factor = -1 if mutation == "flip" else 3
+        ad[a][b][0][idx] *= factor
+        m.table[a, b][idx] *= factor
+    r = verify_jacobi(m, {"kind": "exhaustive_basis"})
+    bad = _naive_jacobi(m)
+    assert r["status"] == "fail"
+    assert r["triples"] == bad[4][0]
+    assert r["witnesses"] == [w for _, _, w in bad[:5]]
+    # beyond the fifth witness too, no faulty triple is pruned
+    unpruned = {t[:3] for t in graded._unpruned_triples(ad, m.dim)}
+    assert all(t in unpruned for _, t, _ in bad)
 
 
 def test_random_jacobi_type_a():
@@ -366,15 +423,13 @@ def test_jacobi_exhaustive_against_dpart(family, n, ell, preset):
     # random sampling rarely hits the low-dimensional D-part of the big
     # models, so run every triple with at least one D-part slot directly
     m = model(family, n, ell, preset)
-    from rootgraded.graded import _jacobi_defect_int
-
-    _denom, scaled = m.int_table()
+    ad = m.int_table()
     d_idx = [i for i, (k, _) in enumerate(m.basis) if k == "d"]
     assert d_idx
     for d in d_idx:
         for i in range(m.dim):
             for j in range(i, m.dim):
-                assert not _jacobi_defect_int(m, d, i, j, scaled), (d, i, j)
+                assert not graded._jacobi_defect(ad, d, i, j), (d, i, j)
 
 
 def test_jacobi_type_d_with_nonzero_dpart():
@@ -385,14 +440,12 @@ def test_jacobi_type_d_with_nonzero_dpart():
     assert m.dpart.dim == 1
     r = verify_jacobi(m, {"kind": "random", "samples": 1500, "seed": 7})
     assert r["status"] == "pass"
-    from rootgraded.graded import _jacobi_defect_int
-
-    _denom, scaled = m.int_table()
+    ad = m.int_table()
     d_idx = [i for i, (k, _) in enumerate(m.basis) if k == "d"]
     for d in d_idx:
         for i in range(m.dim):
             for j in range(i, m.dim):
-                assert not _jacobi_defect_int(m, d, i, j, scaled)
+                assert not graded._jacobi_defect(ad, d, i, j)
 
 
 def test_subalgebra_type_a_on_three_of_six_indices():
@@ -416,14 +469,12 @@ def test_wider_module_presets(preset):
     m = model("BC", 4, 4, preset)
     assert verify_jacobi(m, {"kind": "random", "samples": 800, "seed": 11})["status"] == "pass"
     assert verify_grading(m)["status"] == "pass"
-    from rootgraded.graded import _jacobi_defect_int
-
-    _denom, scaled = m.int_table()
+    ad = m.int_table()
     d_idx = [i for i, (k, _) in enumerate(m.basis) if k == "d"]
     for d in d_idx:
         for i in range(m.dim):
             for j in range(i, m.dim):
-                assert not _jacobi_defect_int(m, d, i, j, scaled)
+                assert not graded._jacobi_defect(ad, d, i, j)
 
 
 def test_level_coset_mixed_pair_is_zero():
