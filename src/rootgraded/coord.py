@@ -27,6 +27,7 @@ from .exactla import (
     SparseMatrix,
     SparseVector,
     Subspace,
+    add_scaled,
     kernel,
     kernel_of_rows,
     q_parse,
@@ -103,34 +104,16 @@ class CoordinateQuadruple:
     # -- products ---------------------------------------------------------
 
     def a_mul(self, x: SparseVector, y: SparseVector) -> SparseVector:
-        out = self.a_space.zero()
-        for i, ci in x.entries.items():
-            for j, cj in y.entries.items():
-                term = self.mult.get((i, j))
-                if term is not None:
-                    out = out + term.scale(ci * cj)
-        return out
+        return _bilinear(self.mult, x, y, self.a_space)
 
     def a_star(self, x: SparseVector) -> SparseVector:
         return self.star.apply(x)
 
     def c_act(self, a: SparseVector, c: SparseVector) -> SparseVector:
-        out = self.c_space.zero()
-        for i, ci in a.entries.items():
-            for j, cj in c.entries.items():
-                term = self.action.get((i, j))
-                if term is not None:
-                    out = out + term.scale(ci * cj)
-        return out
+        return _bilinear(self.action, a, c, self.c_space)
 
     def f_val(self, c: SparseVector, cp: SparseVector) -> SparseVector:
-        out = self.a_space.zero()
-        for i, ci in c.entries.items():
-            for j, cj in cp.entries.items():
-                term = self.f_table.get((i, j))
-                if term is not None:
-                    out = out + term.scale(ci * cj)
-        return out
+        return _bilinear(self.f_table, c, cp, self.a_space)
 
     # -- b = a (+) C ------------------------------------------------------
 
@@ -159,6 +142,17 @@ class CoordinateQuadruple:
 
     def __repr__(self):
         return f"CoordinateQuadruple({self.name}, type {self.qtype})"
+
+
+def _bilinear(table, x: SparseVector, y: SparseVector, space: BasedSpace) -> SparseVector:
+    """The bilinear map with basis values ``table[(i, j)]``, applied to x, y."""
+    out: dict[str, Fraction] = {}
+    for i, ci in x.entries.items():
+        for j, cj in y.entries.items():
+            term = table.get((i, j))
+            if term is not None:
+                add_scaled(out, term.entries, ci * cj)
+    return SparseVector(space, out)
 
 
 # ---------------------------------------------------------------------------
@@ -218,22 +212,24 @@ def derivation(q, ell: int, x: SparseVector, y: SparseVector) -> SparseMatrix:
     cols: dict[tuple[str, str], Fraction] = {}
 
     def add_col(lab: str, vec: SparseVector):
-        for r, v in vec.entries.items():
-            key = (r, lab)
-            s = cols.get(key, QZERO) + v
-            if s:
-                cols[key] = s
-            else:
-                cols.pop(key, None)
+        add_scaled(cols, {(r, lab): v for r, v in vec.entries.items()})
+
+    def add_ad_cols(z: SparseVector, scale: Fraction, with_module: bool):
+        # the columns of scale * ad(z) on a and, with_module, those of
+        # c -> scale * z.c on C; there is nothing to add when z is zero
+        if z.is_zero():
+            return
+        for lab in q.a_space.labels:
+            beta = q.a_space.basis_vector(lab)
+            add_col(lab, (q.a_mul(z, beta) - q.a_mul(beta, z)).scale(scale))
+        for lab in q.c_space.labels if with_module else ():
+            beta = q.c_space.basis_vector(lab)
+            add_col(lab, q.c_act(z, beta).scale(scale))
 
     t = q.qtype
     if t != "D" and not (a1.is_zero() or a2.is_zero()):
         if t == "A":
-            comm = q.a_mul(a1, a2) - q.a_mul(a2, a1)
-            scale = Q(1, ell + 1)
-            for lab in q.a_space.labels:
-                beta = q.a_space.basis_vector(lab)
-                add_col(lab, (q.a_mul(comm, beta) - q.a_mul(beta, comm)).scale(scale))
+            add_ad_cols(q.a_mul(a1, a2) - q.a_mul(a2, a1), Q(1, ell + 1), False)
         elif t == "B":
             for lab in q.a_space.labels:
                 beta = q.a_space.basis_vector(lab)
@@ -246,19 +242,11 @@ def derivation(q, ell: int, x: SparseVector, y: SparseVector) -> SparseMatrix:
                 + q.a_mul(s1, s2)
                 - q.a_mul(s2, s1)
             )
-            scale = Q(1, 4 * ell)
-            for lab in q.a_space.labels:
-                beta = q.a_space.basis_vector(lab)
-                add_col(lab, (q.a_mul(comm, beta) - q.a_mul(beta, comm)).scale(scale))
-            for lab in q.c_space.labels:
-                beta = q.c_space.basis_vector(lab)
-                add_col(lab, q.c_act(comm, beta).scale(scale))
+            add_ad_cols(comm, Q(1, 4 * ell), True)
     if t == "BC" and not (c1.is_zero() or c2.is_zero()):
         heart = (q.f_val(c1, c2) + q.f_val(c2, c1)).scale(Q(1, 2))
         scale = Q(-1, 2 * ell)
-        for lab in q.a_space.labels:
-            beta = q.a_space.basis_vector(lab)
-            add_col(lab, (q.a_mul(heart, beta) - q.a_mul(beta, heart)).scale(scale))
+        add_ad_cols(heart, scale, False)
         half = Q(1, 2)
         for lab in q.c_space.labels:
             beta = q.c_space.basis_vector(lab)
@@ -422,11 +410,13 @@ def relation_generators(q: CoordinateQuadruple) -> list[SparseVector]:
     tsp = tensor_space(q.b_space, q.b_space)
     gens: list[SparseVector] = []
 
-    def tens(x: SparseVector, y: SparseVector) -> SparseVector:
-        entries = {}
-        for lx, vx in x.entries.items():
-            for ly, vy in y.entries.items():
-                entries[tensor_label(lx, ly)] = vx * vy
+    def tens(*pairs: tuple[SparseVector, SparseVector]) -> SparseVector:
+        """The sum of x (x) y over the given pairs (x, y)."""
+        entries: dict[str, Fraction] = {}
+        for x, y in pairs:
+            for lx, vx in x.entries.items():
+                row = {tensor_label(lx, ly): vy for ly, vy in y.entries.items()}
+                add_scaled(entries, row, vx)
         return SparseVector(tsp, entries)
 
     avecs = [q.b_space.basis_vector(l) for l in q.a_space.labels]
@@ -439,32 +429,39 @@ def relation_generators(q: CoordinateQuadruple) -> list[SparseVector]:
     ]
     for al in avecs:
         for c in cvecs:
-            gens.append(tens(al, c))
-            gens.append(tens(c, al))
+            gens.append(tens((al, c)))
+            gens.append(tens((c, al)))
     for a in apart:
         for b in bpart:
-            gens.append(tens(a, b))
+            gens.append(tens((a, b)))
     for x in avecs:
         for y in avecs:
-            gens.append(tens(x, y) + tens(y, x))
+            gens.append(tens((x, y), (y, x)))
     for i, c in enumerate(cvecs):
         for cp in cvecs[i + 1 :]:
-            gens.append(tens(c, cp) - tens(cp, c))
-    for x in avecs:
-        for y in avecs:
-            for z in avecs:
-                xy = _lift(q, q.a_mul(_drop(q, x), _drop(q, y)))
-                zx = _lift(q, q.a_mul(_drop(q, z), _drop(q, x)))
-                yz = _lift(q, q.a_mul(_drop(q, y), _drop(q, z)))
-                gens.append(tens(xy, z) + tens(zx, y) + tens(yz, x))
-    for c in cvecs:
-        for cp in cvecs:
-            for al in avecs:
-                a_only = _drop(q, al)
-                f_ccp = _lift(q, q.f_val(_dropc(q, c), _dropc(q, cp)))
-                sc = _lift(q, q.c_act(q.a_star(a_only), _dropc(q, cp)))
-                ac = _lift(q, q.c_act(a_only, _dropc(q, c)))
-                gens.append(tens(f_ccp, al) + tens(sc, c) - tens(ac, cp))
+            gens.append(tens((c, cp), (-cp, c)))
+    # each product below is used by several generators: compute it once
+    a_only = [_drop(q, x) for x in avecs]
+    c_only = [_dropc(q, c) for c in cvecs]
+    prod = [[_lift(q, q.a_mul(x, y)) for y in a_only] for x in a_only]
+    n = len(avecs)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                gens.append(
+                    tens(
+                        (prod[i][j], avecs[k]),
+                        (prod[k][i], avecs[j]),
+                        (prod[j][k], avecs[i]),
+                    )
+                )
+    act = [[_lift(q, q.c_act(x, c)) for c in c_only] for x in a_only]
+    star_act = [[_lift(q, q.c_act(q.a_star(x), c)) for c in c_only] for x in a_only]
+    for i, c in enumerate(cvecs):
+        for j, cp in enumerate(cvecs):
+            f_ccp = _lift(q, q.f_val(c_only[i], c_only[j]))
+            for k, al in enumerate(avecs):
+                gens.append(tens((f_ccp, al), (star_act[k][j], c), (-act[k][i], cp)))
     return gens
 
 
@@ -484,33 +481,40 @@ def _lift(q, v: SparseVector) -> SparseVector:
 class BBQuotient:
     """{b, b}_ell = (b (x) b)/K with the derivation-induced bracket."""
 
-    __slots__ = (
-        "q",
-        "ell",
-        "tensor",
-        "relations",
-        "quotient",
-        "pair_derivations",
-        "_deriv_cache",
-    )
+    __slots__ = ("q", "ell", "tensor", "relations", "quotient", "_deriv_cache")
 
     def __init__(self, q: CoordinateQuadruple, ell: int, check: bool = True):
         self.q = q
         self.ell = ell
         self.tensor = tensor_space(q.b_space, q.b_space)
-        gens = relation_generators(q)
-        self.relations = rref(gens, self.tensor)
+        self.relations = rref(relation_generators(q), self.tensor)
         self.quotient = QuotientSpace(self.tensor, self.relations)
         self._deriv_cache: dict[str, SparseMatrix] = {}
         if check:
-            self._verify_well_defined(gens)
+            self._verify_well_defined()
+
+    def at_ell(self, ell: int) -> "BBQuotient":
+        """The same quotient at another ell, not re-verified.
+
+        K, and with it the tensor space and the quotient, does not depend on
+        ell, so they are shared; the derivations do, so the result computes
+        its own.
+        """
+        other = object.__new__(BBQuotient)
+        other.q = self.q
+        other.ell = ell
+        other.tensor = self.tensor
+        other.relations = self.relations
+        other.quotient = self.quotient
+        other._deriv_cache = {}
+        return other
 
     # derivation attached to a tensor vector, by bilinearity
     def derivation_of(self, t: SparseVector) -> SparseMatrix:
-        acc = SparseMatrix.zero(self.q.b_space, self.q.b_space)
+        acc: dict[tuple[str, str], Fraction] = {}
         for lab, coeff in t.entries.items():
-            acc = acc + self._pair_derivation(lab).scale(coeff)
-        return acc
+            add_scaled(acc, self._pair_derivation(lab).entries, coeff)
+        return SparseMatrix(self.q.b_space, self.q.b_space, acc)
 
     def _pair_derivation(self, lab: str) -> SparseMatrix:
         d = self._deriv_cache.get(lab)
@@ -527,28 +531,18 @@ class BBQuotient:
 
     def apply_pair_action(self, d: SparseMatrix, t: SparseVector) -> SparseVector:
         """(d (x) 1 + 1 (x) d) applied to a tensor vector."""
+        return self._apply_columns(_columns(d), t)
+
+    def _apply_columns(self, cols, t: SparseVector) -> SparseVector:
+        """apply_pair_action for d given by its columns, ``_columns(d)``."""
         out: dict[str, Fraction] = {}
         for lab, coeff in t.entries.items():
             l1, l2 = split_tensor_label(lab)
-            img1 = d.apply(self.q.b_space.basis_vector(l1))
-            for r, v in img1.entries.items():
-                key = tensor_label(r, l2)
-                s = out.get(key, QZERO) + coeff * v
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-            img2 = d.apply(self.q.b_space.basis_vector(l2))
-            for r, v in img2.entries.items():
-                key = tensor_label(l1, r)
-                s = out.get(key, QZERO) + coeff * v
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+            add_scaled(out, {tensor_label(r, l2): v for r, v in cols.get(l1, ())}, coeff)
+            add_scaled(out, {tensor_label(l1, r): v for r, v in cols.get(l2, ())}, coeff)
         return SparseVector(self.tensor, out)
 
-    def _verify_well_defined(self, gens: list[SparseVector]):
+    def _verify_well_defined(self):
         for g in self.relations.rows:
             if not self.derivation_of(g).is_zero():
                 raise InternalConsistencyError(
@@ -558,8 +552,9 @@ class BBQuotient:
             d = self._pair_derivation(lab)
             if d.is_zero():
                 continue
+            cols = _columns(d)
             for g in self.relations.rows:
-                img = self.apply_pair_action(d, g)
+                img = self._apply_columns(cols, g)
                 if not self.relations.contains(img):
                     raise InternalConsistencyError(
                         "bracket does not preserve the relation space",
@@ -591,6 +586,14 @@ class BBQuotient:
 
     def derivation_of_coset(self, u: SparseVector) -> SparseMatrix:
         return self.derivation_of(self.quotient.lift(u))
+
+
+def _columns(d: SparseMatrix) -> dict[str, list[tuple[str, Fraction]]]:
+    """Column label -> [(row label, entry)] of d, in entry order."""
+    cols: dict[str, list[tuple[str, Fraction]]] = {}
+    for (r, c), v in d.entries.items():
+        cols.setdefault(c, []).append((r, v))
+    return cols
 
 
 def build_bb(q: CoordinateQuadruple, ell: int) -> BBQuotient:
@@ -649,19 +652,23 @@ def check_uniform(
     k_span: Sequence[SparseVector],
     fh: HomologySubspace | None = None,
     cross_check_ell: int | None = None,
+    beta_rows: dict[str, SparseVector] | None = None,
 ) -> dict:
     """Decide the uniform property for span(k_span) inside FH; exact.
 
     The condition collapses to: the beta* map vanishes on the preimage
     K + lift(span(k_span)) of the span.  The optional cross-check re-runs
     the verdict at a second ell value (the claim is that it cannot change).
+    ``beta_rows`` is ``beta_star_map_rows(bb.q)`` when the caller has it.
     """
     if fh is None:
         fh = full_homology(bb)
     for v in k_span:
         if not fh.basis.contains(v):
             raise ValueError("spanning vector lies outside the full homology group")
-    verdict, witness = _uniform_verdict(bb, k_span)
+    if beta_rows is None:
+        beta_rows = beta_star_map_rows(bb.q)
+    verdict, witness = _uniform_verdict(bb, k_span, beta_rows)
     report = {
         "ell": bb.ell,
         "k_dim": rref(list(k_span), bb.quotient.coset_space).dim if k_span else 0,
@@ -669,7 +676,7 @@ def check_uniform(
         "witness": witness,
     }
     if cross_check_ell is not None and cross_check_ell != bb.ell:
-        bb2 = BBQuotient(bb.q, cross_check_ell, check=False)
+        bb2 = bb.at_ell(cross_check_ell)
         fh2 = full_homology(bb2)
         k2 = list(k_span)
         for v in k2:
@@ -677,7 +684,7 @@ def check_uniform(
                 raise InternalConsistencyError(
                     "homology membership changed with ell", witness=v
                 )
-        verdict2, _ = _uniform_verdict(bb2, k2)
+        verdict2, _ = _uniform_verdict(bb2, k2, beta_rows)
         report["cross_check"] = {"ell": cross_check_ell, "uniform": verdict2}
         if verdict2 != verdict:
             raise InternalConsistencyError(
@@ -687,20 +694,14 @@ def check_uniform(
     return report
 
 
-def _uniform_verdict(bb: BBQuotient, k_span: Sequence[SparseVector]):
+def _uniform_verdict(bb: BBQuotient, k_span: Sequence[SparseVector], beta_rows):
     preimage = list(bb.relations.rows) + [bb.quotient.lift(v) for v in k_span]
-    bsm = beta_star_map_rows(bb.q)
+    rows = [row.entries for row in beta_rows.values()]
     for t in preimage:
-        total = bb.q.a_space.zero()
-        for r, row in bsm.items():
-            val = sum(
-                (row.get(lab) * c for lab, c in t.entries.items() if row.get(lab)),
-                QZERO,
-            )
+        for row in rows:
+            val = sum((row[lab] * c for lab, c in t.entries.items() if lab in row), QZERO)
             if val:
-                total = total + bb.q.a_space.basis_vector(r).scale(val)
-        if not total.is_zero():
-            return False, repr(t)
+                return False, repr(t)
     return True, None
 
 
@@ -902,29 +903,73 @@ def quadruple_to_json(q: CoordinateQuadruple) -> dict:
 
 
 def quadruple_from_json(data: dict) -> CoordinateQuadruple:
+    """The inverse of ``quadruple_to_json``; malformed data raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError("a quadruple must be a JSON object")
     for key in ("type", "a_dim", "structure_constants", "unit", "star"):
         if key not in data:
             raise ValueError(f"quadruple has no {key!r} field")
-    a_labels = [f"a:{i}" for i in range(int(data["a_dim"]))]
-    c_labels = [f"c:{i}" for i in range(int(data.get("c_dim", 0)))]
+    a_labels = [f"a:{i}" for i in range(_json_dim(data, "a_dim"))]
+    c_labels = [f"c:{i}" for i in range(_json_dim(data, "c_dim"))]
 
-    def untable(rows, left, right, out):
+    def untable(key, left, right, out):
         table: dict[tuple[str, str], dict[str, Fraction]] = {}
-        for i, j, k, val in rows:
-            table.setdefault((left[i], right[j]), {})[out[k]] = q_parse(val)
+        for i, j, k, val in _json_rows(data, key, 4):
+            pair = (_json_label(key, left, i), _json_label(key, right, j))
+            table.setdefault(pair, {})[_json_label(key, out, k)] = _json_scalar(key, val)
         return table
 
+    unit = {}
+    for i, val in _json_rows(data, "unit", 2):
+        unit[_json_label("unit", a_labels, i)] = _json_scalar("unit", val)
+    star = {}
+    for r, c, val in _json_rows(data, "star", 3):
+        pair = (_json_label("star", a_labels, r), _json_label("star", a_labels, c))
+        star[pair] = _json_scalar("star", val)
     return CoordinateQuadruple(
         data["type"],
         a_labels,
-        untable(data["structure_constants"], a_labels, a_labels, a_labels),
-        {a_labels[i]: q_parse(v) for i, v in data["unit"]},
-        {(a_labels[r], a_labels[c]): q_parse(v) for r, c, v in data["star"]},
+        untable("structure_constants", a_labels, a_labels, a_labels),
+        unit,
+        star,
         c_labels,
-        untable(data.get("action", []), a_labels, c_labels, c_labels),
-        untable(data.get("f", []), c_labels, c_labels, a_labels),
+        untable("action", a_labels, c_labels, c_labels),
+        untable("f", c_labels, c_labels, a_labels),
         name=data.get("name", data["type"]),
     )
+
+
+def _json_dim(data: dict, key: str) -> int:
+    dim = data.get(key, 0)
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
+        raise ValueError(f"quadruple field {key!r} must be a nonnegative integer, not {dim!r}")
+    return dim
+
+
+def _json_rows(data: dict, key: str, width: int) -> list[list]:
+    rows = data.get(key, [])
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and len(row) == width for row in rows
+    ):
+        raise ValueError(f"quadruple field {key!r} must be a list of rows of length {width}")
+    return rows
+
+
+def _json_label(key: str, labels: Sequence[str], i) -> str:
+    if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < len(labels):
+        raise ValueError(
+            f"quadruple field {key!r}: basis index {i!r} is outside 0..{len(labels) - 1}"
+        )
+    return labels[i]
+
+
+def _json_scalar(key: str, val) -> Fraction:
+    if not isinstance(val, (str, int)) or isinstance(val, bool):
+        raise ValueError(f"quadruple field {key!r}: {val!r} is not a rational string")
+    try:
+        return q_parse(val)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"quadruple field {key!r}: {val!r} is not a rational") from None
 
 
 def load_quadruple_file(path: str) -> CoordinateQuadruple:

@@ -63,7 +63,9 @@ class BasedSpace:
         return label in self._pos
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, BasedSpace) and self.labels == other.labels
+        return self is other or (
+            isinstance(other, BasedSpace) and self.labels == other.labels
+        )
 
     def __hash__(self):
         return hash(self.labels)
@@ -100,11 +102,12 @@ class SparseVector:
 
     def __init__(self, space: BasedSpace, entries: Mapping[str, Fraction]):
         clean = {}
+        pos = space._pos
         for lab, val in entries.items():
-            if lab not in space:
+            if lab not in pos:
                 raise ShapeError(f"label {lab!r} not in space")
-            v = Q(val)
-            if v != 0:
+            v = val if type(val) is Fraction else Q(val)
+            if v:
                 clean[lab] = v
         self.space = space
         self.entries = clean
@@ -173,11 +176,12 @@ class SparseMatrix:
         entries: Mapping[tuple[str, str], Fraction],
     ):
         clean = {}
+        rows, cols = codomain._pos, domain._pos
         for (r, c), val in entries.items():
-            if r not in codomain or c not in domain:
+            if r not in rows or c not in cols:
                 raise ShapeError(f"entry ({r!r}, {c!r}) outside matrix shape")
-            v = Q(val)
-            if v != 0:
+            v = val if type(val) is Fraction else Q(val)
+            if v:
                 clean[(r, c)] = v
         self.domain = domain
         self.codomain = codomain
@@ -296,59 +300,44 @@ class Subspace:
     are equal iff their ``rows`` lists are equal.
     """
 
-    __slots__ = ("ambient", "rows", "pivots", "_pivot_of_row")
+    __slots__ = ("ambient", "rows", "pivots", "_row_of_pivot")
 
     def __init__(self, ambient: BasedSpace, rows: Sequence[SparseVector], pivots: Sequence[int]):
         self.ambient = ambient
         self.rows = tuple(rows)
         self.pivots = tuple(pivots)
-        self._pivot_of_row = {p: i for i, p in enumerate(pivots)}
+        self._row_of_pivot = {ambient.labels[p]: i for i, p in enumerate(self.pivots)}
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def reduce(self, v: SparseVector) -> SparseVector:
-        """Subtract the projection onto the span; residual has no pivot support."""
+    def _eliminate(self, v: SparseVector):
+        """v minus its projection onto the span, as a dict, and the
+        (row index, coefficient) pairs of that projection."""
         if v.space != self.ambient:
             raise ShapeError("vector not in ambient space")
         out = dict(v.entries)
-        labels = self.ambient.labels
-        for p, i in self._pivot_of_row.items():
-            coeff = out.get(labels[p])
-            if not coeff:
-                continue
-            for lab, val in self.rows[i].entries.items():
-                s = out.get(lab, QZERO) - coeff * val
-                if s:
-                    out[lab] = s
-                else:
-                    out.pop(lab, None)
-        return SparseVector(self.ambient, out)
+        hits = _pivot_coefficients(out, self._row_of_pivot)
+        for i, coeff in hits:
+            add_scaled(out, self.rows[i].entries, -coeff)
+        return out, hits
+
+    def reduce(self, v: SparseVector) -> SparseVector:
+        """Subtract the projection onto the span; residual has no pivot support."""
+        return SparseVector(self.ambient, self._eliminate(v)[0])
 
     def contains(self, v: SparseVector) -> bool:
         return self.reduce(v).is_zero()
 
     def coordinates(self, v: SparseVector) -> list[Fraction]:
         """Coefficients of v over the rref basis rows; raises if v is outside."""
-        if v.space != self.ambient:
-            raise ShapeError("vector not in ambient space")
-        out = dict(v.entries)
-        labels = self.ambient.labels
-        coords = [QZERO] * len(self.rows)
-        for p, i in self._pivot_of_row.items():
-            coeff = out.get(labels[p])
-            if not coeff:
-                continue
-            coords[i] = coeff
-            for lab, val in self.rows[i].entries.items():
-                s = out.get(lab, QZERO) - coeff * val
-                if s:
-                    out[lab] = s
-                else:
-                    out.pop(lab, None)
-        if out:
+        residual, hits = self._eliminate(v)
+        if residual:
             raise ShapeError("vector not in subspace")
+        coords = [QZERO] * len(self.rows)
+        for i, coeff in hits:
+            coords[i] = coeff
         return coords
 
     def __eq__(self, other) -> bool:
@@ -368,6 +357,26 @@ class Subspace:
         return all(other.contains(r) for r in self.rows)
 
 
+def add_scaled(acc: dict, row: Mapping, c: Fraction = QONE) -> None:
+    """acc += c * row in place, dropping the entries that cancel."""
+    for k, v in row.items():
+        s = acc.get(k, QZERO) + c * v
+        if s:
+            acc[k] = s
+        else:
+            acc.pop(k, None)
+
+
+def _pivot_coefficients(cur: Mapping[str, Fraction], row_of_pivot: Mapping[str, int]):
+    """(row index, coefficient) for the pivots cur holds, in row order.
+
+    The rows are fully reduced (each is zero on every other pivot column),
+    so subtracting one never changes cur at another pivot: the coefficients
+    can be read off cur once, and only the pivots it holds need a visit.
+    """
+    return sorted((row_of_pivot[lab], c) for lab, c in cur.items() if lab in row_of_pivot)
+
+
 def rref(vectors: Sequence[SparseVector], space: BasedSpace | None = None) -> Subspace:
     """Reduced row-echelon basis of the span, pivots in ambient label order."""
     if space is None:
@@ -376,41 +385,29 @@ def rref(vectors: Sequence[SparseVector], space: BasedSpace | None = None) -> Su
         space = vectors[0].space
     rows: list[dict[str, Fraction]] = []
     pivots: list[int] = []
-    labels = space.labels
+    row_of_pivot: dict[str, int] = {}
+    pos = space._pos
     for v in vectors:
         if v.space != space:
             raise ShapeError("mixed ambient spaces")
         cur = dict(v.entries)
-        for p, row in zip(pivots, rows):
-            coeff = cur.get(labels[p])
-            if not coeff:
-                continue
-            for lab, val in row.items():
-                s = cur.get(lab, QZERO) - coeff * val
-                if s:
-                    cur[lab] = s
-                else:
-                    cur.pop(lab, None)
+        for i, coeff in _pivot_coefficients(cur, row_of_pivot):
+            add_scaled(cur, rows[i], -coeff)
         if not cur:
             continue
-        p = min(space.pos(lab) for lab in cur)
-        inv = QONE / cur[labels[p]]
+        lab_p = min(cur, key=pos.__getitem__)
+        inv = QONE / cur[lab_p]
         cur = {lab: inv * val for lab, val in cur.items()}
         # eliminate the new pivot from existing rows
         for i, row in enumerate(rows):
-            coeff = row.get(labels[p])
-            if not coeff:
-                continue
-            new = dict(row)
-            for lab, val in cur.items():
-                s = new.get(lab, QZERO) - coeff * val
-                if s:
-                    new[lab] = s
-                else:
-                    new.pop(lab, None)
-            rows[i] = new
+            coeff = row.get(lab_p)
+            if coeff:
+                new = dict(row)
+                add_scaled(new, cur, -coeff)
+                rows[i] = new
+        row_of_pivot[lab_p] = len(rows)
         rows.append(cur)
-        pivots.append(p)
+        pivots.append(pos[lab_p])
     order = sorted(range(len(pivots)), key=lambda i: pivots[i])
     return Subspace(
         space,
@@ -437,16 +434,18 @@ def kernel_of_rows(rows: Sequence[SparseVector], space: BasedSpace) -> Subspace:
     """Common nullspace of a family of linear functionals given as row vectors."""
     rs = rref(list(rows), space)
     labels = space.labels
+    # free label -> the pivot entries of its kernel vector, in pivot order
+    free_col: dict[str, list[tuple[str, Fraction]]] = {}
+    for p, row in zip(rs.pivots, rs.rows):
+        for lab, coeff in row.entries.items():
+            free_col.setdefault(lab, []).append((labels[p], -coeff))
     pivot_set = set(rs.pivots)
     basis = []
     for j, lab in enumerate(labels):
         if j in pivot_set:
             continue
         entries = {lab: QONE}
-        for p, row in zip(rs.pivots, rs.rows):
-            coeff = row.get(lab)
-            if coeff:
-                entries[labels[p]] = -coeff
+        entries.update(free_col.get(lab, ()))
         basis.append(SparseVector(space, entries))
     return rref(basis, space)
 

@@ -38,6 +38,7 @@ from .exactla import (
     QuotientSpace,
     SparseMatrix,
     SparseVector,
+    add_scaled,
     anticommutator,
     commutator,
     kernel_of_rows,
@@ -79,16 +80,6 @@ def subset_size(family: str, ell: int) -> int:
     return ell + 1 if family in ("A", "D") else ell
 
 
-def _add_scaled(acc: dict, row: dict, c: Fraction = QONE) -> None:
-    """acc += c * row, dropping the entries that cancel."""
-    for k, v in row.items():
-        s = acc.get(k, QZERO) + c * v
-        if s:
-            acc[k] = s
-        else:
-            del acc[k]
-
-
 class GradedElement:
     """Element of L(b, K): sparse coefficients over the model basis."""
 
@@ -103,7 +94,7 @@ class GradedElement:
 
     def __add__(self, other: "GradedElement") -> "GradedElement":
         out = dict(self.coeffs)
-        _add_scaled(out, other.coeffs)
+        add_scaled(out, other.coeffs)
         return GradedElement(self.model, out)
 
     def __sub__(self, other):
@@ -416,7 +407,10 @@ class GradedModel:
         else:
             k_vectors = list(k_span)
             self.k_name = f"span({len(k_vectors)})"
-        self.uniform_report = check_uniform(self.bb, k_vectors, fh=self.fh)
+        beta_rows = beta_star_map_rows(quadruple)
+        self.uniform_report = check_uniform(
+            self.bb, k_vectors, fh=self.fh, beta_rows=beta_rows
+        )
         if not self.uniform_report["uniform"]:
             raise ModelError(
                 "K does not satisfy the uniform property: "
@@ -448,7 +442,7 @@ class GradedModel:
         self.c_basis = [q.c_space.basis_vector(l) for l in q.c_space.labels]
 
         self._assemble_basis()
-        self._verify_model_well_defined()
+        self._verify_model_well_defined(beta_rows)
         self._build_table()
 
     # -- basis bookkeeping -------------------------------------------------
@@ -645,7 +639,7 @@ class GradedModel:
         out: dict[int, Fraction] = {}
         for i, ci in x.coeffs.items():
             for j, cj in y.coeffs.items():
-                _add_scaled(out, self.bracket_indices(i, j), ci * cj)
+                add_scaled(out, self.bracket_indices(i, j), ci * cj)
         return GradedElement(self, out)
 
     def int_table(self) -> list[dict[int, tuple[dict[int, int], int]]]:
@@ -668,12 +662,11 @@ class GradedModel:
 
     # -- model-level well-definedness ----------------------------------------
 
-    def _verify_model_well_defined(self):
+    def _verify_model_well_defined(self, beta_rows: dict[str, SparseVector]):
         # beta* must vanish on the full relation space (this is exactly the
         # uniform property of the chosen K, re-checked on the total span)
-        rows = beta_star_map_rows(self.quadruple)
         for t in self.dpart.relations.rows:
-            for r, row in rows.items():
+            for row in beta_rows.values():
                 val = sum((row.get(lab) * c for lab, c in t.entries.items()), QZERO)
                 if val:
                     raise InternalConsistencyError(
@@ -732,7 +725,7 @@ def verify_antisymmetry(m: GradedModel) -> dict:
         forward = [key for key in m.table if off <= key[0] and key[1] < end]
         for key in sorted(backward.keys() | forward):
             mismatch = dict(m.table.get(key, {}))
-            _add_scaled(mismatch, backward.get(key, {}))
+            add_scaled(mismatch, backward.get(key, {}))
             if mismatch:
                 failures.append(
                     {
@@ -876,10 +869,10 @@ def verify_grading(m: GradedModel) -> dict:
             xj = g_tensor_unit(j)
             for gi, ci in xi.items():
                 for gj, cj in xj.items():
-                    _add_scaled(lhs, m.bracket_indices(gi, gj), ci * cj)
+                    add_scaled(lhs, m.bracket_indices(gi, gj), ci * cj)
             expected: dict[int, Fraction] = {}
             for gk, c in m._g_lie.get((i, j), {}).items():
-                _add_scaled(expected, g_tensor_unit(gk), c)
+                add_scaled(expected, g_tensor_unit(gk), c)
             if lhs != expected:
                 hom_fail.append([m.basis_label(min(xi)), m.basis_label(min(xj))])
     checks.append(
@@ -904,7 +897,7 @@ def verify_grading(m: GradedModel) -> dict:
         for hpos, h_el in enumerate(cartan_elements):
             acc: dict[int, Fraction] = {}
             for hi, ch in h_el.items():
-                _add_scaled(acc, m.bracket_indices(hi, e_idx), ch)
+                add_scaled(acc, m.bracket_indices(hi, e_idx), ch)
             lam = _cartan_eigenvalue(m, w, hpos)
             expected = {e_idx: lam} if lam else {}
             if acc != expected:
@@ -1038,7 +1031,7 @@ class SubModel:
                 acc: dict[int, Fraction] = {}
                 for i, ci in xa.items():
                     for j, cj in xb.items():
-                        _add_scaled(acc, m.bracket_indices(i, j), ci * cj)
+                        add_scaled(acc, m.bracket_indices(i, j), ci * cj)
                 zero_piece: dict[int, Fraction] = {}
                 for idx, c in acc.items():
                     w = m.weight_of[idx]

@@ -25,6 +25,7 @@ from .exactla import (
     SparseMatrix,
     SparseVector,
     Subspace,
+    add_scaled,
     anticommutator,
     commutator,
     kernel_of_rows,
@@ -410,12 +411,7 @@ class RepModule:
         acc: dict[tuple[str, str], Fraction] = {}
         for lab, c in v.entries.items():
             i = int(lab.split(":")[1])
-            for key, val in self.wb.basis_mats[i].entries.items():
-                s = acc.get(key, QZERO) + c * val
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
+            add_scaled(acc, self.wb.basis_mats[i].entries, c)
         return SparseMatrix(self.algebra.space, self.algebra.space, acc)
 
     def from_matrix(self, m: SparseMatrix) -> SparseVector:

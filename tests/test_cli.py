@@ -234,6 +234,38 @@ def test_quadruple_file_missing_key_exits_2(capsys, tmp_path, key):
     assert err.count("\n") == 1 and repr(key) in err
 
 
+_ONE_DIM = {
+    "type": "A", "a_dim": 1, "structure_constants": [[0, 0, 0, "1"]],
+    "unit": [[0, "1"]], "star": [[0, 0, "1"]],
+}
+
+
+@pytest.mark.parametrize(
+    "change, words",
+    [
+        ({"structure_constants": [[0, 0, 5, "1"]]}, "basis index 5"),
+        ({"structure_constants": 5}, "list of rows"),
+        ({"structure_constants": [[0, 0, "1"]]}, "list of rows"),
+        ({"star": [[-1, 0, "1"]]}, "basis index -1"),
+        ({"unit": [[0, 1.5]]}, "not a rational"),
+        ({"a_dim": "two"}, "nonnegative integer"),
+    ],
+)
+def test_malformed_quadruple_file_exits_2(capsys, tmp_path, change, words):
+    path = tmp_path / "quadruple.json"
+    path.write_text(json.dumps({**_ONE_DIM, **change}))
+    code, err = run_cli_err(capsys, "fh", "--quadruple", str(path))
+    assert code == 2
+    assert err.count("\n") == 1 and words in err
+
+
+def test_one_dimensional_quadruple_file_loads(capsys, tmp_path):
+    path = tmp_path / "quadruple.json"
+    path.write_text(json.dumps(_ONE_DIM))
+    code, _ = run_cli_err(capsys, "fh", "--quadruple", str(path))
+    assert code == 0
+
+
 @pytest.mark.parametrize("field", ["family", "n", "ell", "quadruple"])
 def test_model_file_missing_field_exits_2(capsys, tmp_path, field):
     spec = {"family": "BC", "n": 4, "ell": 4, "quadruple": "symplectic:m=2"}

@@ -4,6 +4,7 @@ import pytest
 
 from fractions import Fraction as Q
 
+import rootgraded.coord as coord
 from rootgraded.coord import (
     BBQuotient,
     CoordinateQuadruple,
@@ -399,3 +400,51 @@ def test_group_ring_m1_is_scalar_type_d():
     q = preset_quadruple("group_ring", m=1)
     assert q.a_dim == 1
     assert validate_quadruple(q)["valid"]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "matrix:k=2",
+        "clifford:d=2",
+        "matrix_transpose:k=2",
+        "symplectic:m=2",
+        "group_ring:m=3",
+    ],
+)
+def test_relation_space_does_not_depend_on_ell(spec):
+    # one preset of each type A, B, C, BC, D: what BBQuotient.at_ell shares
+    q = quad(spec)
+    bb4, bb7 = BBQuotient(q, 4), BBQuotient(q, 7)
+    assert bb4.tensor == bb7.tensor
+    assert bb4.relations == bb7.relations
+    assert bb4.quotient.coset_labels == bb7.quotient.coset_labels
+
+
+@pytest.mark.parametrize(
+    "spec", ["matrix_transpose:k=2", "matrix_hermitian:k=2,m=2", "matrix:k=2"]
+)
+def test_cross_check_uses_derivations_at_second_ell(spec, monkeypatch):
+    q = quad(spec)
+    bb = BBQuotient(q, 4)
+    seen = []
+    real_full_homology = coord.full_homology
+
+    def recording_full_homology(b):
+        seen.append(b)
+        return real_full_homology(b)
+
+    monkeypatch.setattr(coord, "full_homology", recording_full_homology)
+    report = check_uniform(bb, [], cross_check_ell=7)
+    assert report["cross_check"]["ell"] == 7
+    assert [b.ell for b in seen] == [4, 7]
+    bb7 = seen[1]
+    assert bb7.relations is bb.relations
+    csp = bb.quotient.coset_space
+    differs = False
+    for lab in csp.labels:
+        x, y = (q.b_space.basis_vector(l) for l in lab.split("⊗"))
+        d7 = bb7.derivation_of_coset(csp.basis_vector(lab))
+        assert d7 == derivation(q, 7, x, y)
+        differs |= d7 != bb.derivation_of_coset(csp.basis_vector(lab))
+    assert differs

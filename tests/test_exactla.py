@@ -11,6 +11,7 @@ from rootgraded.exactla import (
     SparseMatrix,
     SparseVector,
     kernel,
+    kernel_of_rows,
     q_parse,
     q_str,
     rref,
@@ -164,3 +165,105 @@ def test_subspace_coordinates():
     assert coords == [Q(2), Q(3)]
     with pytest.raises(ShapeError):
         sub.coordinates(vec(S3, 0, 0, 1))
+
+
+# -- dense oracle ------------------------------------------------------------
+
+
+def dense_rref(rows, n):
+    """Plain Gauss-Jordan over Fraction: (pivot columns, reduced rows)."""
+    work = [list(r) for r in rows]
+    pivots, out = [], []
+    for col in range(n):
+        hit = next((r for r in work if r[col] != 0), None)
+        if hit is None:
+            continue
+        work.remove(hit)
+        hit = [x / hit[col] for x in hit]
+        work = [[x - r[col] * h for x, h in zip(r, hit)] for r in work]
+        out = [[x - r[col] * h for x, h in zip(r, hit)] for r in out]
+        pivots.append(col)
+        out.append(hit)
+    return pivots, out
+
+
+def dense(v, space):
+    return [v.get(lab) for lab in space.labels]
+
+
+def sparse(row, space):
+    return SparseVector(space, dict(zip(space.labels, row)))
+
+
+def combine(coeffs, rows, n):
+    return [sum((c * r[j] for c, r in zip(coeffs, rows)), Q(0)) for j in range(n)]
+
+
+def in_dense_span(rows, row, n):
+    return len(dense_rref(rows + [row], n)[0]) == len(dense_rref(rows, n)[0])
+
+
+small_q = st.sampled_from([Q(0)] * 6 + [Q(1), Q(-1), Q(2), Q(1, 2), Q(-3, 4), Q(5, 3)])
+
+
+@st.composite
+def redundant_rows(draw):
+    """Sparse rows over n labels, at most 3 of them independent, and at
+    least 10/3 as many rows as that: an rref yield of at most 0.3."""
+    n = draw(st.integers(1, 8))
+    space = BasedSpace([f"u{i}" for i in range(n)])
+    base = draw(st.lists(st.lists(small_q, min_size=n, max_size=n), min_size=1, max_size=3))
+    total = -(-len(base) * 10 // 3) + draw(st.integers(0, 6))
+    rows = list(base)
+    for _ in range(total - len(base)):
+        coeffs = draw(st.lists(small_q, min_size=len(base), max_size=len(base)))
+        rows.append(combine(coeffs, base, n))
+    rows = draw(st.permutations(rows))
+    probe = draw(st.lists(small_q, min_size=n, max_size=n))
+    mix = draw(st.lists(small_q, min_size=len(rows), max_size=len(rows)))
+    return space, rows, probe, mix
+
+
+@settings(max_examples=200, deadline=None)
+@given(redundant_rows())
+def test_sparse_elimination_matches_dense_oracle(case):
+    space, rows, probe, mix = case
+    n = space.dim
+    pivots, reduced = dense_rref(rows, n)
+    assert len(pivots) <= 0.3 * len(rows)
+    sub = rref([sparse(r, space) for r in rows], space)
+    assert list(sub.pivots) == pivots
+    assert [dense(r, space) for r in sub.rows] == reduced
+
+    # reduce: the unique representative of probe + span with no pivot support
+    residual = dense(sub.reduce(sparse(probe, space)), space)
+    assert all(residual[p] == 0 for p in pivots)
+    diff = [a - b for a, b in zip(probe, residual)]
+    assert in_dense_span(reduced, diff, n)
+    inside = in_dense_span(reduced, probe, n)
+    assert sub.contains(sparse(probe, space)) == inside
+
+    # coordinates of a vector of the span, and refusal outside it
+    member = combine(mix, rows, n)
+    coords = sub.coordinates(sparse(member, space))
+    assert combine(coords, reduced, n) == member
+    if not inside:
+        with pytest.raises(ShapeError):
+            sub.coordinates(sparse(probe, space))
+
+    # kernel_of_rows: the rref of the dense nullspace
+    free = [j for j in range(n) if j not in pivots]
+    null = []
+    for j in free:
+        k = [Q(0)] * n
+        k[j] = Q(1)
+        for p, r in zip(pivots, reduced):
+            k[p] = -r[j]
+        null.append(k)
+    ker = kernel_of_rows([sparse(r, space) for r in rows], space)
+    null_pivots, null_rows = dense_rref(null, n)
+    assert list(ker.pivots) == null_pivots
+    assert [dense(r, space) for r in ker.rows] == null_rows
+    for k in ker.rows:
+        for r in rows:
+            assert sum((a * b for a, b in zip(dense(k, space), r)), Q(0)) == 0
