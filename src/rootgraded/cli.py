@@ -25,12 +25,12 @@ from .coord import (
     derivation,
     load_quadruple_file,
     parse_preset_spec,
+    quadruple_from_json,
     quadruple_to_json,
     validate_quadruple,
 )
 from .exactla import q_str
 from .graded import (
-    ModelError,
     build_model,
     subalgebra,
     verify_antisymmetry,
@@ -38,7 +38,7 @@ from .graded import (
     verify_jacobi,
     verify_level_transition,
 )
-from .liealg import DegenerateInputError, build_algebra
+from .liealg import build_algebra
 from .rootsys import generate, root_str, roots_json
 
 SUITES = (
@@ -51,6 +51,8 @@ SUITES = (
     "subsystem",
 )
 DEFAULT_SUITE = ("grading", "jacobi", "derivation")
+FAMILIES = ("A", "B", "C", "D", "BC")
+K_CHOICES = ("zero", "fh")
 
 
 class ConfigError(ValueError):
@@ -87,10 +89,7 @@ def cmd_roots(args) -> int:
 
 
 def cmd_algebra(args) -> int:
-    try:
-        alg = build_algebra(args.family, args.n)
-    except DegenerateInputError as exc:
-        raise ConfigError(str(exc)) from exc
+    alg = build_algebra(args.family, args.n)
     root_spaces = {}
     for alpha, positions in sorted(alg.root_space_index.items()):
         mats = []
@@ -236,7 +235,7 @@ def _homology_check(model) -> dict:
     fh = model.fh
     central_fail = []
     csp = model.bb.quotient.coset_space
-    for f in fh.basis.rows:
+    for f in fh.rows:
         for lab in csp.labels:
             if not model.bb.bracket_cosets(csp.basis_vector(lab), f).is_zero():
                 central_fail.append(lab)
@@ -275,22 +274,7 @@ def _subsystem_check(model) -> dict:
 
 def cmd_verify(args) -> int:
     if args.model:
-        with open(args.model, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
-        for field in ("family", "n", "ell", "quadruple"):
-            if field not in spec:
-                raise ConfigError(f"model file {args.model} has no {field!r} field")
-        args.family = spec["family"]
-        args.n = spec["n"]
-        args.ell = spec["ell"]
-        quadruple_field = spec["quadruple"]
-        if isinstance(quadruple_field, dict):
-            from .coord import quadruple_from_json
-
-            q = quadruple_from_json(quadruple_field)
-        else:
-            q = load_quadruple(quadruple_field)
-        args.k = spec.get("K", "zero")
+        q = _load_model_file(args)
     else:
         for field in ("family", "n", "ell", "quadruple"):
             if getattr(args, field, None) is None:
@@ -339,6 +323,38 @@ def cmd_verify(args) -> int:
     return 0 if all(c["status"] in ("pass", "skipped") for c in results) else 1
 
 
+def _load_model_file(args):
+    """Read --model into args (family, n, ell, k) and return its quadruple.
+    Each field must be a value its flag accepts."""
+    with open(args.model, "r", encoding="utf-8") as fh:
+        spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise ConfigError(f"model file {args.model} must hold a JSON object")
+    for field in ("family", "n", "ell", "quadruple"):
+        if field not in spec:
+            raise ConfigError(f"model file {args.model} has no {field!r} field")
+    spec.setdefault("K", "zero")
+    for field, ok, expected in (
+        ("family", lambda v: v in FAMILIES, f"one of {list(FAMILIES)}"),
+        ("n", _is_int, "an integer"),
+        ("ell", _is_int, "an integer"),
+        ("quadruple", lambda v: isinstance(v, (str, dict)), "a string or an object"),
+        ("K", lambda v: v in K_CHOICES, f"one of {list(K_CHOICES)}"),
+    ):
+        if not ok(spec[field]):
+            raise ConfigError(
+                f"model file {args.model}: {field!r} must be {expected}, not {spec[field]!r}"
+            )
+    args.family, args.n, args.ell, args.k = spec["family"], spec["n"], spec["ell"], spec["K"]
+    if isinstance(spec["quadruple"], dict):
+        return quadruple_from_json(spec["quadruple"])
+    return load_quadruple(spec["quadruple"])
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_suite(text: str) -> list[str]:
     return [s.strip() for s in text.split(",") if s.strip()]
 
@@ -356,7 +372,7 @@ def make_parser() -> argparse.ArgumentParser:
         return sub.add_parser(name, parents=[emit_parent], **kw)
 
     p_roots = add_parser("roots", help="emit a finite root-system truncation")
-    p_roots.add_argument("--family", required=True, choices=["A", "B", "C", "D", "BC"])
+    p_roots.add_argument("--family", required=True, choices=FAMILIES)
     p_roots.add_argument("--n", type=int, required=True)
     p_roots.add_argument("--out")
     p_roots.set_defaults(fn=cmd_roots)
@@ -400,7 +416,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def _model_flags(p, required=True):
-    p.add_argument("--family", required=required, choices=["A", "B", "C", "D", "BC"])
+    p.add_argument("--family", required=required, choices=FAMILIES)
     p.add_argument("--n", type=int, required=required)
     p.add_argument("--ell", type=int, required=required)
     p.add_argument(
@@ -410,7 +426,7 @@ def _model_flags(p, required=True):
         required=required,
         help="preset spec like symplectic:m=2, or a quadruple JSON file",
     )
-    p.add_argument("--k", choices=["zero", "fh"], default="zero")
+    p.add_argument("--k", choices=K_CHOICES, default="zero")
     p.add_argument("--override-bounds", action="store_true")
 
 
@@ -424,7 +440,7 @@ def main(argv=None) -> int:
         if exc.witness is not None:
             sys.stderr.write(f"witness: {exc.witness!r}\n")
         return 3
-    except (ConfigError, ModelError, DegenerateInputError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -63,6 +63,7 @@ class CoordinateQuadruple:
         "action",
         "f_table",
         "b_space",
+        "bb_space",
         "a_part_sub",
         "b_part_sub",
     )
@@ -97,6 +98,8 @@ class CoordinateQuadruple:
             key: SparseVector(self.a_space, val) for key, val in (f_table or {}).items()
         }
         self.b_space = BasedSpace(list(a_labels) + list(c_labels))
+        # b (x) b, shared by K, beta* and every {b,b}_ell built on q
+        self.bb_space = tensor_space(self.b_space, self.b_space)
         ident = SparseMatrix.identity(self.a_space)
         self.a_part_sub = kernel(self.star - ident)
         self.b_part_sub = kernel(self.star + ident)
@@ -407,7 +410,7 @@ def validate_quadruple(q: CoordinateQuadruple) -> dict:
 
 def relation_generators(q: CoordinateQuadruple) -> list[SparseVector]:
     """The seven generator families of K, instantiated over basis tuples."""
-    tsp = tensor_space(q.b_space, q.b_space)
+    tsp = q.bb_space
     gens: list[SparseVector] = []
 
     def tens(*pairs: tuple[SparseVector, SparseVector]) -> SparseVector:
@@ -479,26 +482,29 @@ def _lift(q, v: SparseVector) -> SparseVector:
 
 
 class BBQuotient:
-    """{b, b}_ell = (b (x) b)/K with the derivation-induced bracket."""
+    """{b, b}_ell = (b (x) b)/K with the derivation-induced bracket.
 
-    __slots__ = ("q", "ell", "tensor", "relations", "quotient", "_deriv_cache")
+    ``beta_rows`` is the beta* map b (x) b -> a as rows,
+    ``beta_star_map_rows(q)``; like K it does not depend on ell.
+    """
 
-    def __init__(self, q: CoordinateQuadruple, ell: int, check: bool = True):
+    __slots__ = ("q", "ell", "tensor", "relations", "quotient", "beta_rows", "_deriv_cache")
+
+    def __init__(self, q: CoordinateQuadruple, ell: int):
         self.q = q
         self.ell = ell
-        self.tensor = tensor_space(q.b_space, q.b_space)
+        self.tensor = q.bb_space
         self.relations = rref(relation_generators(q), self.tensor)
         self.quotient = QuotientSpace(self.tensor, self.relations)
+        self.beta_rows = beta_star_map_rows(q)
         self._deriv_cache: dict[str, SparseMatrix] = {}
-        if check:
-            self._verify_well_defined()
+        self._verify_well_defined()
 
     def at_ell(self, ell: int) -> "BBQuotient":
         """The same quotient at another ell, not re-verified.
 
-        K, and with it the tensor space and the quotient, does not depend on
-        ell, so they are shared; the derivations do, so the result computes
-        its own.
+        Neither K (with the quotient) nor the beta* rows depend on ell, so
+        they are shared; the derivations do, so the result computes its own.
         """
         other = object.__new__(BBQuotient)
         other.q = self.q
@@ -506,6 +512,7 @@ class BBQuotient:
         other.tensor = self.tensor
         other.relations = self.relations
         other.quotient = self.quotient
+        other.beta_rows = self.beta_rows
         other._deriv_cache = {}
         return other
 
@@ -600,21 +607,9 @@ def build_bb(q: CoordinateQuadruple, ell: int) -> BBQuotient:
     return BBQuotient(q, ell)
 
 
-class HomologySubspace:
-    __slots__ = ("parent", "basis", "uniform_checked")
-
-    def __init__(self, parent: BBQuotient, basis: Subspace):
-        self.parent = parent
-        self.basis = basis
-        self.uniform_checked = None
-
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
-
-
-def full_homology(bb: BBQuotient) -> HomologySubspace:
-    """Kernel of coset -> total derivation; verified central in {b,b}_ell."""
+def full_homology(bb: BBQuotient) -> Subspace:
+    """FH as a subspace of the coset space: the kernel of coset -> total
+    derivation; verified central in {b,b}_ell."""
     csp = bb.quotient.coset_space
     rows_by_pos: dict[str, dict[str, Fraction]] = {}
     for lab in csp.labels:
@@ -631,13 +626,12 @@ def full_homology(bb: BBQuotient) -> HomologySubspace:
                 raise InternalConsistencyError(
                     "homology element is not central", witness=(lab, f)
                 )
-    hs = HomologySubspace(bb, fh)
-    return hs
+    return fh
 
 
 def beta_star_map_rows(q: CoordinateQuadruple) -> dict[str, SparseVector]:
     """The linear map b(x)b -> a sending x(x)y to beta*_{x,y}, as rows."""
-    tsp = tensor_space(q.b_space, q.b_space)
+    tsp = q.bb_space
     rows: dict[str, dict[str, Fraction]] = {}
     for l1 in q.b_space.labels:
         for l2 in q.b_space.labels:
@@ -650,25 +644,22 @@ def beta_star_map_rows(q: CoordinateQuadruple) -> dict[str, SparseVector]:
 def check_uniform(
     bb: BBQuotient,
     k_span: Sequence[SparseVector],
-    fh: HomologySubspace | None = None,
+    fh: Subspace | None = None,
     cross_check_ell: int | None = None,
-    beta_rows: dict[str, SparseVector] | None = None,
 ) -> dict:
     """Decide the uniform property for span(k_span) inside FH; exact.
 
     The condition collapses to: the beta* map vanishes on the preimage
-    K + lift(span(k_span)) of the span.  The optional cross-check re-runs
-    the verdict at a second ell value (the claim is that it cannot change).
-    ``beta_rows`` is ``beta_star_map_rows(bb.q)`` when the caller has it.
+    K + lift(span(k_span)) of the span.  Neither K nor beta* depends on
+    ell, so neither does the verdict; the optional cross-check recomputes
+    FH at a second ell value and checks that the span still lies in it.
     """
     if fh is None:
         fh = full_homology(bb)
     for v in k_span:
-        if not fh.basis.contains(v):
+        if not fh.contains(v):
             raise ValueError("spanning vector lies outside the full homology group")
-    if beta_rows is None:
-        beta_rows = beta_star_map_rows(bb.q)
-    verdict, witness = _uniform_verdict(bb, k_span, beta_rows)
+    verdict, witness = _uniform_verdict(bb, k_span)
     report = {
         "ell": bb.ell,
         "k_dim": rref(list(k_span), bb.quotient.coset_space).dim if k_span else 0,
@@ -676,27 +667,19 @@ def check_uniform(
         "witness": witness,
     }
     if cross_check_ell is not None and cross_check_ell != bb.ell:
-        bb2 = bb.at_ell(cross_check_ell)
-        fh2 = full_homology(bb2)
-        k2 = list(k_span)
-        for v in k2:
-            if not fh2.basis.contains(v):
+        fh2 = full_homology(bb.at_ell(cross_check_ell))
+        for v in k_span:
+            if not fh2.contains(v):
                 raise InternalConsistencyError(
                     "homology membership changed with ell", witness=v
                 )
-        verdict2, _ = _uniform_verdict(bb2, k2, beta_rows)
-        report["cross_check"] = {"ell": cross_check_ell, "uniform": verdict2}
-        if verdict2 != verdict:
-            raise InternalConsistencyError(
-                "uniform verdict changed between ell values", witness=report
-            )
-    fh.uniform_checked = verdict
+        report["cross_check"] = {"ell": cross_check_ell, "uniform": verdict}
     return report
 
 
-def _uniform_verdict(bb: BBQuotient, k_span: Sequence[SparseVector], beta_rows):
+def _uniform_verdict(bb: BBQuotient, k_span: Sequence[SparseVector]):
     preimage = list(bb.relations.rows) + [bb.quotient.lift(v) for v in k_span]
-    rows = [row.entries for row in beta_rows.values()]
+    rows = [row.entries for row in bb.beta_rows.values()]
     for t in preimage:
         for row in rows:
             val = sum((row[lab] * c for lab, c in t.entries.items() if lab in row), QZERO)
@@ -759,7 +742,7 @@ def preset_quadruple(name: str, **params) -> CoordinateQuadruple:
             "D", labels, mult, unit={"g:0": QONE}, star=star, name=f"group_ring:m={m}"
         )
     if name == "clifford":
-        d = int(params.get("d", 2))
+        d = _size_param(params, "d", 2)
         labels = ["one"] + [f"w:{i}" for i in range(1, d + 1)]
         mult = {}
         for l in labels:
@@ -783,7 +766,7 @@ def preset_quadruple(name: str, **params) -> CoordinateQuadruple:
             "C", labels, mult, unit, star, name=f"matrix_transpose:k={k}"
         )
     if name == "symplectic":
-        m = int(params.get("m", 2))
+        m = _size_param(params, "m", 2)
         if m % 2:
             raise ValueError("symplectic preset needs even m")
         a_labels = ["one"]
@@ -810,7 +793,7 @@ def preset_quadruple(name: str, **params) -> CoordinateQuadruple:
         )
     if name == "matrix_hermitian":
         k = _size_param(params, "k", 2)
-        m = int(params.get("m", 2))
+        m = _size_param(params, "m", 2)
         if m % 2:
             raise ValueError("matrix_hermitian preset needs even m")
         a_labels, mult, unit = _matrix_algebra_tables(k)

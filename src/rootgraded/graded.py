@@ -24,7 +24,6 @@ from .coord import (
     CoordinateQuadruple,
     InternalConsistencyError,
     beta_star,
-    beta_star_map_rows,
     build_bb,
     check_uniform,
     diamond_heart,
@@ -402,15 +401,12 @@ class GradedModel:
             k_vectors: list[SparseVector] = []
             self.k_name = "zero"
         elif k_span == "fh":
-            k_vectors = list(self.fh.basis.rows)
+            k_vectors = list(self.fh.rows)
             self.k_name = "fh"
         else:
             k_vectors = list(k_span)
             self.k_name = f"span({len(k_vectors)})"
-        beta_rows = beta_star_map_rows(quadruple)
-        self.uniform_report = check_uniform(
-            self.bb, k_vectors, fh=self.fh, beta_rows=beta_rows
-        )
+        self.uniform_report = check_uniform(self.bb, k_vectors, fh=self.fh)
         if not self.uniform_report["uniform"]:
             raise ModelError(
                 "K does not satisfy the uniform property: "
@@ -442,7 +438,7 @@ class GradedModel:
         self.c_basis = [q.c_space.basis_vector(l) for l in q.c_space.labels]
 
         self._assemble_basis()
-        self._verify_model_well_defined(beta_rows)
+        self._verify_model_well_defined()
         self._build_table()
 
     # -- basis bookkeeping -------------------------------------------------
@@ -662,34 +658,28 @@ class GradedModel:
 
     # -- model-level well-definedness ----------------------------------------
 
-    def _verify_model_well_defined(self, beta_rows: dict[str, SparseVector]):
-        # beta* must vanish on the full relation space (this is exactly the
-        # uniform property of the chosen K, re-checked on the total span)
+    def _verify_model_well_defined(self):
+        """The module-row f-terms of type BC must vanish on the relation
+        space; that beta* does is the uniform property of K, which
+        ``check_uniform`` has decided."""
+        if self.family != "BC":
+            return
+        q = self.quadruple
         for t in self.dpart.relations.rows:
-            for row in beta_rows.values():
-                val = sum((row.get(lab) * c for lab, c in t.entries.items()), QZERO)
-                if val:
+            for c in self.c_basis:
+                acc = q.c_space.zero()
+                for lab, coeff in t.entries.items():
+                    l1, l2 = split_tensor_label(lab)
+                    c1 = q.split_b(q.b_space.basis_vector(l1))[1]
+                    c2 = q.split_b(q.b_space.basis_vector(l2))[1]
+                    if c1.is_zero() or c2.is_zero():
+                        continue
+                    acc = acc + _f_action(q, c, c1, c2).scale(coeff)
+                if not acc.is_zero():
                     raise InternalConsistencyError(
-                        "beta* does not vanish on the relation space", witness=t
+                        "module row does not vanish on the relation space",
+                        witness=(t, c),
                     )
-        # the module-row f-terms must also vanish on the relation space
-        if self.family == "BC":
-            q = self.quadruple
-            for t in self.dpart.relations.rows:
-                for c in self.c_basis:
-                    acc = q.c_space.zero()
-                    for lab, coeff in t.entries.items():
-                        l1, l2 = split_tensor_label(lab)
-                        c1 = q.split_b(q.b_space.basis_vector(l1))[1]
-                        c2 = q.split_b(q.b_space.basis_vector(l2))[1]
-                        if c1.is_zero() or c2.is_zero():
-                            continue
-                        acc = acc + _f_action(q, c, c1, c2).scale(coeff)
-                    if not acc.is_zero():
-                        raise InternalConsistencyError(
-                            "module row does not vanish on the relation space",
-                            witness=(t, c),
-                        )
 
 
 def build_model(
@@ -927,31 +917,40 @@ def verify_grading(m: GradedModel) -> dict:
     )
 
     # (iii) L_0 = sum over alpha of [L_alpha, L_-alpha]
-    zero_indices = by_weight.get(Root.zero(), [])
-    zero_space = BasedSpace([f"z:{i}" for i in zero_indices])
-    relabel = {idx: f"z:{idx}" for idx in zero_indices}
-    span_vecs = []
-    l0_fail = []
-    for alpha, plus in by_weight.items():
-        if alpha.is_zero():
-            continue
-        minus = by_weight.get(-alpha, [])
-        for i in plus:
-            for j in minus:
+    zero_space, span, stray = _zero_weight_span(
+        m, by_weight, [alpha for alpha in by_weight if not alpha.is_zero()]
+    )
+    l0_fail = [f"opposite-root bracket has nonzero weight part at {bad}" for bad in stray]
+    if span.dim != zero_space.dim:
+        l0_fail.append(f"span dim {span.dim} < zero-weight dim {zero_space.dim}")
+    checks.append(_check("L_0 = sum of [L_alpha, L_-alpha]", not l0_fail, l0_fail))
+    return _suite("grading", checks)
+
+
+def _zero_weight_span(m: GradedModel, by_weight: dict, roots: Iterable[Root]):
+    """The span of the brackets [x_i, x_j], x_i of weight alpha and x_j of
+    weight -alpha for each alpha in ``roots``, in the zero-weight space
+    spanned by labels ``z:<index>``.  Returns that space, the span as a
+    Subspace, and for each bracket with a part of nonzero weight the first
+    three indices of that part (such a bracket is left out of the span)."""
+    zero_space = BasedSpace([f"z:{i}" for i in by_weight.get(Root.zero(), [])])
+    vecs, stray = [], []
+    for alpha in roots:
+        for i in by_weight.get(alpha, []):
+            for j in by_weight.get(-alpha, []):
                 row = m.bracket_indices(i, j)
                 if not row:
                     continue
-                bad = [idx for idx in row if idx not in relabel]
+                bad = [idx for idx in row if not m.weight_of[idx].is_zero()]
                 if bad:
-                    l0_fail.append(f"opposite-root bracket has nonzero weight part at {bad[:3]}")
+                    stray.append(bad[:3])
                     continue
-                entries = {relabel[idx]: c for idx, c in row.items()}
-                span_vecs.append(SparseVector(zero_space, entries))
-    span = rref(span_vecs, zero_space)
-    if span.dim != len(zero_indices):
-        l0_fail.append(f"span dim {span.dim} < zero-weight dim {len(zero_indices)}")
-    checks.append(_check("L_0 = sum of [L_alpha, L_-alpha]", not l0_fail, l0_fail))
-    return _suite("grading", checks)
+                vecs.append(_zero_vec(zero_space, row))
+    return zero_space, rref(vecs, zero_space), stray
+
+
+def _zero_vec(zero_space: BasedSpace, row: dict[int, Fraction]) -> SparseVector:
+    return SparseVector(zero_space, {f"z:{i}": c for i, c in row.items()})
 
 
 def _cartan_eigenvalue(m: GradedModel, w: Root, hpos: int) -> Fraction:
@@ -1000,21 +999,13 @@ class SubModel:
         self.nonzero_indices = sorted(
             i for alpha in s_set for i in by_weight.get(alpha, [])
         )
-        zero_indices = by_weight.get(Root.zero(), [])
-        self.zero_space = BasedSpace([f"z:{i}" for i in zero_indices])
-        vecs = []
-        for alpha in sorted(s_set):
-            for i in by_weight.get(alpha, []):
-                for j in by_weight.get(-alpha, []):
-                    vecs.append(self._zero_vec(model.bracket_indices(i, j)))
-        self.zero_part = rref(vecs, self.zero_space)
+        self.zero_space, self.zero_part, _ = _zero_weight_span(
+            model, by_weight, sorted(s_set)
+        )
 
     @property
     def dim(self) -> int:
         return len(self.nonzero_indices) + self.zero_part.dim
-
-    def _zero_vec(self, row: dict[int, Fraction]) -> SparseVector:
-        return SparseVector(self.zero_space, {f"z:{i}": c for i, c in row.items()})
 
     def verify(self) -> dict:
         m = self.model
@@ -1043,7 +1034,9 @@ class SubModel:
                         break
                 if zero_piece is None:
                     continue
-                if zero_piece and not self.zero_part.contains(self._zero_vec(zero_piece)):
+                if zero_piece and not self.zero_part.contains(
+                    _zero_vec(self.zero_space, zero_piece)
+                ):
                     closure_fail.append("zero-weight part escapes the subalgebra")
         checks.append(
             _check("subalgebra closed under bracket", not closure_fail, closure_fail)
@@ -1142,8 +1135,7 @@ def verify_level_transition(m: GradedModel, added: int) -> dict:
     op_ok = not op.is_zero()
     if target is None:
         # families with commutative coordinates: correction is identically 0
-        bsm = beta_star_map_rows(m.quadruple)
-        all_zero = all(row.is_zero() for row in bsm.values())
+        all_zero = all(row.is_zero() for row in m.bb.beta_rows.values())
         checks.append(
             _check("beta* vanishes identically (commutative coordinates)", all_zero)
         )
@@ -1159,7 +1151,7 @@ def verify_level_transition(m: GradedModel, added: int) -> dict:
         # kernel comparison over the tensor space
         tensor = m.bb.tensor
         proj_rows = _projection_rows(m)
-        bstar_rows = list(beta_star_map_rows(m.quadruple).values())
+        bstar_rows = list(m.bb.beta_rows.values())
         ker0 = m.dpart.relations
         ker_joint = kernel_of_rows(proj_rows + bstar_rows, tensor)
         forward = ker0.is_subspace_of(ker_joint)

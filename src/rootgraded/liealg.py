@@ -300,26 +300,36 @@ class MatrixLieAlgebra:
 def defining_condition_rows(nat: FormedSpace) -> list[SparseVector]:
     """Linear conditions cutting the algebra out of gl, as rows over gl coords."""
     glsp = gl_space(nat.space)
-    labels = nat.space.labels
     if nat.family == "A":
-        return [SparseVector(glsp, {gl_label(l, l): QONE for l in labels})]
-    gram = nat.gram
+        return [_trace_row(nat, glsp)]
+    # phi^T G + G phi = 0  <=>  (phi v, w) = -(v, phi w)
+    return _form_rows(nat, glsp, QONE)
+
+
+def _trace_row(nat: FormedSpace, glsp: BasedSpace) -> SparseVector:
+    return SparseVector(glsp, {gl_label(l, l): QONE for l in nat.space.labels})
+
+
+def _form_rows(nat: FormedSpace, glsp: BasedSpace, sign: Fraction) -> list[SparseVector]:
+    """The nonzero entries (u, w) of phi^T G + sign * G phi, as rows over gl
+    coordinates, for the Gram matrix G of the natural module."""
+    labels = nat.space.labels
     cols: dict[str, list[tuple[str, Fraction]]] = {}
     rows_g: dict[str, list[tuple[str, Fraction]]] = {}
-    for (r, c), v in gram.entries.items():
+    for (r, c), v in nat.gram.entries.items():
         rows_g.setdefault(r, []).append((c, v))
         cols.setdefault(c, []).append((r, v))
     out = []
     for u in labels:
         for w in labels:
-            # (phi^T G + G phi)[u, w] = sum_t phi[t,u] G[t,w] + sum_t G[u,t] phi[t,w]
+            # (phi^T G)[u, w] = sum_t phi[t,u] G[t,w], (G phi)[u, w] = sum_t G[u,t] phi[t,w]
             entries: dict[str, Fraction] = {}
             for t, val in cols.get(w, ()):
                 key = gl_label(t, u)
                 entries[key] = entries.get(key, QZERO) + val
             for t, val in rows_g.get(u, ()):
                 key = gl_label(t, w)
-                entries[key] = entries.get(key, QZERO) + val
+                entries[key] = entries.get(key, QZERO) + sign * val
             if entries:
                 out.append(SparseVector(glsp, entries))
     return out
@@ -366,26 +376,8 @@ class RepModule:
                 raise ValueError("kind S is only defined for family C")
             nat = algebra.nat
             glsp = algebra.glsp
-            labels = nat.space.labels
-            rows = [SparseVector(glsp, {gl_label(l, l): QONE for l in labels})]
-            gram = nat.gram
-            cols: dict[str, list[tuple[str, Fraction]]] = {}
-            rows_g: dict[str, list[tuple[str, Fraction]]] = {}
-            for (r, c), v in gram.entries.items():
-                rows_g.setdefault(r, []).append((c, v))
-                cols.setdefault(c, []).append((r, v))
-            for u in labels:
-                for w in labels:
-                    # (phi^T G - G phi)[u, w] = 0  <=>  (phi v, w) = (v, phi w)
-                    entries: dict[str, Fraction] = {}
-                    for t, val in cols.get(w, ()):
-                        key = gl_label(t, u)
-                        entries[key] = entries.get(key, QZERO) + val
-                    for t, val in rows_g.get(u, ()):
-                        key = gl_label(t, w)
-                        entries[key] = entries.get(key, QZERO) - val
-                    if entries:
-                        rows.append(SparseVector(glsp, entries))
+            # traceless, and phi^T G - G phi = 0  <=>  (phi v, w) = (v, phi w)
+            rows = [_trace_row(nat, glsp)] + _form_rows(nat, glsp, -QONE)
             ker = kernel_of_rows(rows, glsp)
             self.wb = WeightedBasis(glsp, nat.space, ker.rows)
             self.space = BasedSpace([f"s:{i}" for i in range(self.wb.dim)])
@@ -658,14 +650,14 @@ def derivation_span_equals_oB(n: int) -> tuple[bool, int, int]:
 class TruncationIdempotent:
     __slots__ = ("subset", "space", "matrix")
 
-    def __init__(self, nat_space: BasedSpace, subset: Iterable[int], include_zero: bool = True):
+    def __init__(self, nat_space: BasedSpace, subset: Iterable[int]):
         self.subset = frozenset(subset)
         self.space = nat_space
         entries = {}
         for lab in nat_space.labels:
             kind, _, num = lab.partition(":")
             i = int(num)
-            if (i == 0 and include_zero and lab in nat_space) or i in self.subset:
+            if i == 0 or i in self.subset:
                 entries[(lab, lab)] = QONE
         self.matrix = SparseMatrix(nat_space, nat_space, entries)
 
@@ -712,8 +704,6 @@ def v_ops(
         return m
     if variant == "bracket_ell":
         return m + idem.matrix.scale(uv / Q(2 * idem.size))
-    if variant == "bracket_n":
-        return m + SparseMatrix.identity(space).scale(uv / Q(2 * nat.n))
     raise ValueError(f"unknown variant {variant!r}")
 
 

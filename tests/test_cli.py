@@ -3,7 +3,7 @@ import json
 import pytest
 
 from rootgraded.cli import load_quadruple, main
-from rootgraded.coord import quadruple_to_json
+from rootgraded.coord import InternalConsistencyError, quadruple_to_json
 
 
 def run_cli(capsys, *argv):
@@ -280,13 +280,53 @@ def test_model_file_missing_field_exits_2(capsys, tmp_path, field):
 
 
 @pytest.mark.parametrize(
+    "field, value", [("n", "6"), ("ell", "4"), ("quadruple", 5), ("K", "bogus")]
+)
+def test_model_file_bad_field_exits_2(capsys, tmp_path, field, value):
+    spec = {"family": "BC", "n": 4, "ell": 4, "quadruple": "symplectic:m=2", field: value}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(spec))
+    code, err = run_cli_err(
+        capsys, "verify", "--model", str(path), "--suite", "grading", "--samples", "0"
+    )
+    assert code == 2
+    assert err.count("\n") == 1 and repr(field) in err
+
+
+@pytest.mark.parametrize(
     "spec",
-    ["matrix:k=0", "matrix_transpose:k=0", "matrix_hermitian:k=0,m=2", "group_ring:m=0"],
+    [
+        "matrix:k=0",
+        "matrix_transpose:k=0",
+        "matrix_hermitian:k=0,m=2",
+        "group_ring:m=0",
+        "clifford:d=-3",
+        "symplectic:m=-2",
+        "matrix_hermitian:k=2,m=-2",
+    ],
 )
 def test_fh_degenerate_preset_exits_2(capsys, spec):
     code, err = run_cli_err(capsys, "fh", "--quadruple", spec)
     assert code == 2
     assert err.count("\n") == 1 and "must be at least 1" in err
+
+
+def test_internal_consistency_error_exits_3(capsys, monkeypatch):
+    import rootgraded.cli as cli
+
+    def broken_build(*args, **kwargs):
+        raise InternalConsistencyError("relation space not preserved", witness=("x", "y"))
+
+    monkeypatch.setattr(cli, "build_model", broken_build)
+    code, err = run_cli_err(
+        capsys,
+        "verify", "--family", "BC", "--n", "4", "--ell", "4",
+        "--quadruple", "symplectic:m=2", "--suite", "grading", "--samples", "0",
+    )
+    assert code == 3
+    assert err == (
+        "internal consistency error: relation space not preserved\nwitness: ('x', 'y')\n"
+    )
 
 
 def test_emit_flag_accepted_on_subcommands(capsys):

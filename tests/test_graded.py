@@ -81,10 +81,25 @@ def test_k_span_outside_homology_rejected():
     fh = coord.full_homology(bb)
     csp = bb.quotient.coset_space
     outside = next(
-        csp.basis_vector(l) for l in csp.labels if not fh.basis.contains(csp.basis_vector(l))
+        csp.basis_vector(l) for l in csp.labels if not fh.contains(csp.basis_vector(l))
     )
     with pytest.raises(ValueError):
         build_model("A", 6, 5, q, [outside])
+
+
+def test_uniform_verdict_fails_when_beta_star_misses_a_relation(monkeypatch):
+    # with the unit added on every basis pair, beta* is 2 * unit on the
+    # generator x(x)x + x(x)x of K, so K = 0 is no longer uniform
+    import rootgraded.coord as coord
+
+    real_beta_star = coord.beta_star
+    monkeypatch.setattr(coord, "beta_star", lambda q, x, y: real_beta_star(q, x, y) + q.unit)
+    q = parse_preset_spec("matrix:k=2")
+    report = coord.check_uniform(coord.build_bb(q, 5), [], cross_check_ell=7)
+    assert report["uniform"] is False and report["witness"]
+    assert report["cross_check"] == {"ell": 7, "uniform": False}
+    with pytest.raises(ModelError, match="uniform property"):
+        build_model("A", 6, 5, q)
 
 
 def test_unit_row_bracket():
