@@ -190,10 +190,19 @@ def diamond_heart(q, c: SparseVector, cp: SparseVector) -> tuple[SparseVector, S
 
 def beta_star(q, x: SparseVector, y: SparseVector) -> SparseVector:
     """[a1, a2] + [b1, b2] - c1 heart c2, split through the involution."""
-    a1g, c1 = q.split_b(x)
-    a2g, c2 = q.split_b(y)
-    a1, b1 = q.proj_a_part(a1g), q.proj_b_part(a1g)
-    a2, b2 = q.proj_a_part(a2g), q.proj_b_part(a2g)
+    return _beta_star_of_parts(q, _beta_parts(q, x), _beta_parts(q, y))
+
+
+def _beta_parts(q, x: SparseVector):
+    """x in b split as (a, b, c): its *-fixed and *-skew parts and its C part."""
+    ag, c = q.split_b(x)
+    return q.proj_a_part(ag), q.proj_b_part(ag), c
+
+
+def _beta_star_of_parts(q, parts1, parts2) -> SparseVector:
+    """beta* of two elements of b given by their ``_beta_parts``."""
+    a1, b1, c1 = parts1
+    a2, b2, c2 = parts2
     out = (
         q.a_mul(a1, a2)
         - q.a_mul(a2, a1)
@@ -632,10 +641,11 @@ def full_homology(bb: BBQuotient) -> Subspace:
 def beta_star_map_rows(q: CoordinateQuadruple) -> dict[str, SparseVector]:
     """The linear map b(x)b -> a sending x(x)y to beta*_{x,y}, as rows."""
     tsp = q.bb_space
+    parts = {l: _beta_parts(q, q.b_space.basis_vector(l)) for l in q.b_space.labels}
     rows: dict[str, dict[str, Fraction]] = {}
-    for l1 in q.b_space.labels:
-        for l2 in q.b_space.labels:
-            val = beta_star(q, q.b_space.basis_vector(l1), q.b_space.basis_vector(l2))
+    for l1, p1 in parts.items():
+        for l2, p2 in parts.items():
+            val = _beta_star_of_parts(q, p1, p2)
             for r, v in val.entries.items():
                 rows.setdefault(r, {})[tensor_label(l1, l2)] = v
     return {r: SparseVector(tsp, entries) for r, entries in rows.items()}
@@ -720,8 +730,24 @@ def _size_param(params: dict, key: str, default: int) -> int:
     return val
 
 
+# preset name -> the size parameters it takes
+PRESET_PARAMS = {
+    "matrix": ("k",),
+    "group_ring": ("m",),
+    "clifford": ("d",),
+    "matrix_transpose": ("k",),
+    "symplectic": ("m",),
+    "matrix_hermitian": ("k", "m"),
+}
+
+
 def preset_quadruple(name: str, **params) -> CoordinateQuadruple:
     """The named minimal faithful instances of the five quadruple types."""
+    if name not in PRESET_PARAMS:
+        raise ValueError(f"unknown preset {name!r}")
+    for key in params:
+        if key not in PRESET_PARAMS[name]:
+            raise ValueError(f"preset {name} takes no parameter {key!r}")
     if name == "matrix":
         k = _size_param(params, "k", 2)
         labels, mult, unit = _matrix_algebra_tables(k)
@@ -828,17 +854,6 @@ def preset_quadruple(name: str, **params) -> CoordinateQuadruple:
             f_table,
             name=f"matrix_hermitian:k={k},m={m}",
         )
-    raise ValueError(f"unknown preset {name!r}")
-
-
-PRESET_NAMES = (
-    "matrix",
-    "group_ring",
-    "clifford",
-    "matrix_transpose",
-    "symplectic",
-    "matrix_hermitian",
-)
 
 
 def parse_preset_spec(spec: str) -> CoordinateQuadruple:
@@ -848,7 +863,10 @@ def parse_preset_spec(spec: str) -> CoordinateQuadruple:
     if rest:
         for piece in rest.split(","):
             key, _, val = piece.partition("=")
-            params[key.strip()] = int(val)
+            key = key.strip()
+            if key in params:
+                raise ValueError(f"preset parameter {key!r} is given twice in {spec!r}")
+            params[key] = int(val)
     q = preset_quadruple(name.strip(), **params)
     report = validate_quadruple(q)
     if not report["valid"]:

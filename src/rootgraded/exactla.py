@@ -330,15 +330,13 @@ class Subspace:
     def contains(self, v: SparseVector) -> bool:
         return self.reduce(v).is_zero()
 
-    def coordinates(self, v: SparseVector) -> list[Fraction]:
-        """Coefficients of v over the rref basis rows; raises if v is outside."""
+    def coordinates(self, v: SparseVector) -> dict[int, Fraction]:
+        """The nonzero coefficients of v over the rref basis rows, as
+        {row index: coefficient}; raises if v is outside."""
         residual, hits = self._eliminate(v)
         if residual:
             raise ShapeError("vector not in subspace")
-        coords = [QZERO] * len(self.rows)
-        for i, coeff in hits:
-            coords[i] = coeff
-        return coords
+        return dict(hits)
 
     def __eq__(self, other) -> bool:
         return (

@@ -360,6 +360,32 @@ def _scalar_coords(val) -> dict[int, Fraction]:
     return {0: val} if val else {}
 
 
+def _label_coords(space: BasedSpace) -> Callable:
+    """The reader of vectors over ``space`` as {label position: coefficient}."""
+    return lambda vec: {space.pos(lab): c for lab, c in vec.entries.items()}
+
+
+def _coset_coords(dpart: QuotientSpace) -> Callable:
+    """The reader of b (x) b tensors as coset coordinates in the D-part."""
+    read = _label_coords(dpart.coset_space)
+    return lambda t: read(dpart.project(t))
+
+
+class _Kind(NamedTuple):
+    """A kind of basis element, laid out by ``GradedModel._assemble_basis``:
+    element (i, p) sits at offset + i * width + p, width being the number of
+    coordinate-side objects.  The two readers give the coordinates, in the
+    kind's matrix-side and coordinate-side objects, of the factors of a
+    term that lands in this kind."""
+
+    offset: int
+    width: int
+    mats: list  # matrix-side objects
+    coords: list  # coordinate-side objects
+    read_mat: Callable
+    read_coord: Callable
+
+
 class GradedModel:
     def __init__(
         self,
@@ -444,26 +470,31 @@ class GradedModel:
     # -- basis bookkeeping -------------------------------------------------
 
     def _assemble_basis(self):
-        """Lay the basis out kind by kind (g, s, v, d).  A kind has a list of
-        matrix-side objects and a list of coordinate-side objects; its
-        element (i, p) sits at offset + i * width + p, width being the number
-        of coordinate-side objects.  The d-part is J_0 times the cosets."""
+        """Lay the basis out kind by kind (g, s, v, d), each a ``_Kind``.
+        The natural module (V of BC, S of B) and C are read by label
+        position, A and B through the rref of the *-eigenspace, G and the
+        S of C/BC through their weighted bases; the d-part is J_0 times the
+        cosets, read by projection to the coset space."""
         q = self.quadruple
+        nat = self.G.space
 
-        def natural(kind, module, coords):
-            labels = module.space.labels
-            vecs = [self.G.nat.space.basis_vector(l) for l in labels]
-            return (kind, vecs, [label_weight(l) for l in labels], coords)
+        def natural(coords, read_coord):
+            vecs = [nat.basis_vector(l) for l in nat.labels]
+            weights = [label_weight(l) for l in nat.labels]
+            return vecs, weights, coords, _label_coords(nat), read_coord
 
-        kinds = [("g", self.G.wb.basis_mats, self.G.wb.weight_of_basis, self.a_basis)]
+        def weighted(wb, coords, read_coord):
+            return wb.basis_mats, wb.weight_of_basis, coords, wb.coords_of_mat, read_coord
+
+        # kind -> (matrix-side objects, their weights, coordinate-side
+        # objects, the two readers)
+        kinds = {"g": weighted(self.G.wb, self.a_basis, q.a_part_sub.coordinates)}
         if self.family == "B":
-            kinds.append(natural("s", self.smod, self.b_basis))
+            kinds["s"] = natural(self.b_basis, q.b_part_sub.coordinates)
         elif self.smod is not None:
-            kinds.append(
-                ("s", self.smod.wb.basis_mats, self.smod.wb.weight_of_basis, self.b_basis)
-            )
+            kinds["s"] = weighted(self.smod.wb, self.b_basis, q.b_part_sub.coordinates)
         if self.vmod is not None:
-            kinds.append(natural("v", self.vmod, self.c_basis))
+            kinds["v"] = natural(self.c_basis, _label_coords(q.c_space))
         cosets = []
         for lab in self.dpart.coset_space.labels:
             e1, e2 = (q.b_space.basis_vector(l) for l in split_tensor_label(lab))
@@ -476,15 +507,17 @@ class GradedModel:
                     lift=self.bb.tensor.basis_vector(lab),
                 )
             )
-        kinds.append(("d", [self.idem0.matrix], [Root.zero()], cosets))
+        d_mats = [self.idem0.matrix]
+        kinds["d"] = (d_mats, [Root.zero()], cosets, _scalar_coords, _coset_coords(self.dpart))
 
         self.basis: list[tuple[str, tuple]] = []
         self.weight_of: list[Root] = []
         self.index_of: dict[tuple[str, tuple], int] = {}
-        # kind -> (offset, width, matrix-side objects, coordinate-side objects)
-        self._kinds: dict[str, tuple[int, int, list, list]] = {}
-        for kind, mats, weights, coords in kinds:
-            self._kinds[kind] = (len(self.basis), len(coords), mats, coords)
+        self._kinds: dict[str, _Kind] = {}
+        for kind, (mats, weights, coords, read_mat, read_coord) in kinds.items():
+            self._kinds[kind] = _Kind(
+                len(self.basis), len(coords), mats, coords, read_mat, read_coord
+            )
             for i, w in enumerate(weights):
                 for p in range(len(coords)):
                     key = (p,) if kind == "d" else (i, p)
@@ -512,51 +545,9 @@ class GradedModel:
             out.setdefault(w, []).append(i)
         return out
 
-    # -- coordinates of factors ----------------------------------------------
-
-    def _coords_A(self, vec) -> dict[int, Fraction]:
-        coords = self.quadruple.a_part_sub.coordinates(vec)
-        return {i: c for i, c in enumerate(coords) if c}
-
-    def _coords_B(self, vec) -> dict[int, Fraction]:
-        coords = self.quadruple.b_part_sub.coordinates(vec)
-        return {i: c for i, c in enumerate(coords) if c}
-
-    def _coords_C(self, vec) -> dict[int, Fraction]:
-        return {
-            self.quadruple.c_space.pos(lab): c for lab, c in vec.entries.items()
-        }
-
-    def _coords_D(self, tensor_vec) -> dict[int, Fraction]:
-        """Coset coordinates of a b (x) b tensor."""
-        proj = self.dpart.project(tensor_vec)
-        csp = self.dpart.coset_space
-        return {csp.pos(lab): c for lab, c in proj.entries.items()}
-
-    def _coords_G(self, mat) -> dict[int, Fraction]:
-        return self.G.wb.coords_of_mat(mat)
-
-    def _coords_S(self, obj) -> dict[int, Fraction]:
-        if self.family == "B":
-            return {self.smod.space.pos(lab): c for lab, c in obj.entries.items()}
-        return self.smod.wb.coords_of_mat(obj)
-
-    def _coords_V(self, vec) -> dict[int, Fraction]:
-        return {self.G.nat.space.pos(lab): c for lab, c in vec.entries.items()}
-
     def _dcoset(self, x, y) -> dict[int, Fraction]:
         """Coset coordinates of {x, y} for x, y in b (or a lifted into b)."""
-        return self._coords_D(self.bb.pair_tensor(x, y))
-
-    def _factor_coords(self, target: str) -> tuple[Callable, Callable]:
-        """Coordinate maps of the matrix-side and coordinate-side factors of
-        a term whose result has kind ``target``."""
-        return {
-            "g": (self._coords_G, self._coords_A),
-            "s": (self._coords_S, self._coords_B),
-            "v": (self._coords_V, self._coords_C),
-            "d": (_scalar_coords, self._coords_D),
-        }[target]
+        return self._kinds["d"].read_coord(self.bb.pair_tensor(x, y))
 
     # -- bracket table ------------------------------------------------------
 
@@ -568,12 +559,12 @@ class GradedModel:
         swapped arguments, mat(y, x) and coord(a', a), so the row stored at
         (e, f) is [f, e].  ``keep`` receives each term's matrix-side factors
         under (k1 + k2, target, mat)."""
-        off1, w1, mats1, coords1 = self._kinds[k1]
-        off2, w2, mats2, coords2 = self._kinds[k2]
+        off1, w1, mats1, coords1 = self._kinds[k1][:4]
+        off2, w2, mats2, coords2 = self._kinds[k2][:4]
         same = k1 == k2
         rows: dict[tuple[int, int], dict[int, Fraction]] = {}
         for term in TERMS[self.family].get(k1 + k2, ()):
-            mat_coords, coord_coords = self._factor_coords(term.target)
+            off_t, w_t, _mats, _coords, mat_coords, coord_coords = self._kinds[term.target]
             mat = {}
             for i, x in enumerate(mats1):
                 for j in range(i if same else 0, len(mats2)):
@@ -592,7 +583,6 @@ class GradedModel:
             if keep is not None:
                 keep[k1 + k2, term.target, term.mat] = mat
             scale = term.scale(self)
-            off_t, w_t = self._kinds[term.target][:2]
             for (i, j), mf in mat.items():
                 e0, f0 = off1 + i * w1, off2 + j * w2
                 for p, t, cf in coord:
@@ -707,7 +697,7 @@ def verify_antisymmetry(m: GradedModel) -> dict:
     """
     failures = []
     checked = 0
-    for kind, (off, width, mats, _coords) in m._kinds.items():
+    for kind, (off, width, mats, *_readers) in m._kinds.items():
         size = len(mats) * width
         checked += size * (size - 1) // 2
         end = off + size
@@ -842,7 +832,7 @@ def _suite(name: str, checks: list[dict], **extra) -> dict:
 def verify_grading(m: GradedModel) -> dict:
     """The grading axioms for the assembled model: grading pair, weights, L_0."""
     checks = []
-    unit_coords = m._coords_A(m.quadruple.unit)
+    unit_coords = m.quadruple.a_part_sub.coordinates(m.quadruple.unit)
 
     def g_tensor_unit(gi):
         return {
@@ -874,7 +864,7 @@ def verify_grading(m: GradedModel) -> dict:
     eig_fail = []
     cartan_elements = []
     for h in m.G.cartan:
-        coords = m._coords_G(h)
+        coords = m.G.coords_of_mat(h)
         cartan_elements.append(
             {
                 m.index_of[("g", (gi, ai))]: cg * ca
@@ -1094,11 +1084,10 @@ def level_coset(
     if target is not None:
         bs = beta_star(m.quadruple, _to_b(m, x), _to_b(m, y))
         if not bs.is_zero():
-            mat_coords, coord_coords = m._factor_coords(target)
-            off, width = m._kinds[target][:2]
-            for mi, cm in mat_coords(_level_op(m, lam, m.G.space)).items():
-                for ci, cc in coord_coords(bs).items():
-                    idx = off + mi * width + ci
+            kind = m._kinds[target]
+            for mi, cm in kind.read_mat(_level_op(m, lam, m.G.space)).items():
+                for ci, cc in kind.read_coord(bs).items():
+                    idx = kind.offset + mi * kind.width + ci
                     coeffs[idx] = coeffs.get(idx, QZERO) + factor * cm * cc
     return GradedElement(m, coeffs)
 

@@ -26,7 +26,6 @@ from .exactla import (
     SparseVector,
     Subspace,
     add_scaled,
-    anticommutator,
     commutator,
     kernel_of_rows,
     rref,
@@ -142,19 +141,23 @@ class WeightedBasis:
     """A subspace of gl coordinates organized by ad-weights of the Cartan.
 
     Basis order: the weight-zero block first, then nonzero weights in
-    sorted order.  Used for both the algebras and the symmetric module.
+    sorted order, each block the rref of the span's part of that weight.
+    Used for both the algebras and the symmetric module.  The blocks have
+    disjoint supports, so the canonical rref ``full`` of the span holds the
+    same rows in pivot order; coordinates are read through it, each row
+    standing for the basis vector with the same pivot.
     """
 
     __slots__ = (
         "glsp",
         "space",
-        "weight_subspaces",
         "basis_vecs",
         "basis_mats",
         "weight_of_basis",
         "zero_block",
         "root_space_index",
         "full",
+        "_basis_of_row",
     )
 
     def __init__(self, glsp: BasedSpace, space: BasedSpace, rows: Sequence[SparseVector]):
@@ -167,28 +170,28 @@ class WeightedBasis:
                 parts.setdefault(gl_coord_weight(lab), {})[lab] = val
             for w, entries in parts.items():
                 buckets.setdefault(w, []).append(SparseVector(glsp, entries))
-        self.weight_subspaces = {
-            w: rref(vecs, glsp) for w, vecs in buckets.items()
-        }
+        weight_subspaces = {w: rref(vecs, glsp) for w, vecs in buckets.items()}
         zero = Root.zero()
         self.basis_vecs: list[SparseVector] = []
         self.weight_of_basis: list[Root] = []
         self.root_space_index: dict[Root, list[int]] = {}
-        ordered = ([zero] if zero in self.weight_subspaces else []) + sorted(
-            w for w in self.weight_subspaces if not w.is_zero()
+        basis_of_pivot: dict[int, int] = {}
+        ordered = ([zero] if zero in weight_subspaces else []) + sorted(
+            w for w in weight_subspaces if not w.is_zero()
         )
         for w in ordered:
-            positions = []
-            for r in self.weight_subspaces[w].rows:
-                positions.append(len(self.basis_vecs))
-                self.basis_vecs.append(r)
-                self.weight_of_basis.append(w)
+            sub = weight_subspaces[w]
+            positions = list(range(len(self.basis_vecs), len(self.basis_vecs) + sub.dim))
+            basis_of_pivot.update(zip(sub.pivots, positions))
+            self.basis_vecs.extend(sub.rows)
+            self.weight_of_basis.extend([w] * sub.dim)
             if not w.is_zero():
                 self.root_space_index[w] = positions
-        zero_sub = self.weight_subspaces.get(zero)
+        zero_sub = weight_subspaces.get(zero)
         self.zero_block = zero_sub.dim if zero_sub is not None else 0
         self.basis_mats = [vec_to_mat(v, space) for v in self.basis_vecs]
         self.full = rref(self.basis_vecs, glsp)
+        self._basis_of_row = [basis_of_pivot[p] for p in self.full.pivots]
 
     @property
     def dim(self) -> int:
@@ -196,25 +199,8 @@ class WeightedBasis:
 
     def coords_of_vec(self, v: SparseVector) -> dict[int, Fraction]:
         """Coefficients over the weight-adapted basis; raises if outside."""
-        parts: dict[Root, dict[str, Fraction]] = {}
-        for lab, val in v.entries.items():
-            parts.setdefault(gl_coord_weight(lab), {})[lab] = val
-        out: dict[int, Fraction] = {}
-        for w, entries in parts.items():
-            sub = self.weight_subspaces.get(w)
-            if sub is None:
-                raise ShapeError(f"component of weight {w} lies outside the span")
-            coords = sub.coordinates(SparseVector(self.glsp, entries))
-            base = self._block_start(w)
-            for k, c in enumerate(coords):
-                if c:
-                    out[base + k] = c
-        return out
-
-    def _block_start(self, w: Root) -> int:
-        if w.is_zero():
-            return 0
-        return self.root_space_index[w][0]
+        basis_of_row = self._basis_of_row
+        return {basis_of_row[k]: c for k, c in self.full.coordinates(v).items()}
 
     def coords_of_mat(self, m: SparseMatrix) -> dict[int, Fraction]:
         return self.coords_of_vec(mat_to_vec(m, self.glsp))
@@ -468,24 +454,21 @@ def weight_decompose(
             for lam in range(-bound, bound + 1):
                 lam_q = Q(lam)
                 shifted = [img - v.scale(lam_q) for img, v in zip(images, sub.rows)]
-                coeff_rows = []
-                ok = True
-                for sv in shifted:
+                # row i of the shifted operator in subspace coordinates:
+                # coordinate i of the image of each basis row j
+                op_rows: list[dict[str, Fraction]] = [{} for _ in range(sub.dim)]
+                for j, sv in enumerate(shifted):
                     try:
-                        coeff_rows.append(sub.coordinates(sv))
+                        coords = sub.coordinates(sv)
                     except ShapeError:
                         raise DecompositionError(
                             "cartan action does not preserve the subspace",
                             witness=sv,
                         )
+                    for i, c in coords.items():
+                        op_rows[i][f"c:{j}"] = c
                 coeff_space = BasedSpace([f"c:{i}" for i in range(sub.dim)])
-                rows = [
-                    SparseVector(
-                        coeff_space,
-                        {f"c:{i}": row[i] for i in range(sub.dim) if row[i]},
-                    )
-                    for row in _transpose_rows(coeff_rows, sub.dim)
-                ]
+                rows = [SparseVector(coeff_space, row) for row in op_rows]
                 ker = kernel_of_rows(rows, coeff_space)
                 if ker.dim == 0:
                     continue
@@ -505,14 +488,6 @@ def weight_decompose(
                 )
         pieces = new_pieces
     return dict(pieces)
-
-
-def _transpose_rows(coeff_rows, dim):
-    # rows of the operator matrix in subspace coordinates
-    out = []
-    for i in range(dim):
-        out.append([coeff_rows[j][i] for j in range(dim)])
-    return out
 
 
 def _eig_bound(h: SparseMatrix) -> int:
@@ -670,8 +645,9 @@ def circ_trunc(
     x: SparseMatrix, y: SparseMatrix, idem: TruncationIdempotent, family: str
 ) -> SparseMatrix:
     """Family-normalized symmetric product xy + yx - (factor tr(xy)/|I_0|) J_0."""
-    base = anticommutator(x, y)
-    t = (x @ y).trace()
+    xy = x @ y
+    base = xy + y @ x
+    t = xy.trace()
     if t == 0:
         return base
     factor = Q(2) if family in ("A", "D") else QONE

@@ -311,6 +311,16 @@ def test_fh_degenerate_preset_exits_2(capsys, spec):
     assert err.count("\n") == 1 and "must be at least 1" in err
 
 
+@pytest.mark.parametrize(
+    "spec,param",
+    [("matrix:K=3", "'K'"), ("symplectic:k=4", "'k'"), ("group_ring:m=3,m=4", "'m'")],
+)
+def test_fh_preset_unknown_or_repeated_parameter_exits_2(capsys, spec, param):
+    code, err = run_cli_err(capsys, "fh", "--quadruple", spec)
+    assert code == 2
+    assert err.count("\n") == 1 and f"parameter {param}" in err
+
+
 def test_internal_consistency_error_exits_3(capsys, monkeypatch):
     import rootgraded.cli as cli
 

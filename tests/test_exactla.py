@@ -162,7 +162,8 @@ def test_subspace_coordinates():
     sub = rref([vec(S3, 1, 0, 1), vec(S3, 0, 1, 1)])
     v = vec(S3, 2, 3, 5)
     coords = sub.coordinates(v)
-    assert coords == [Q(2), Q(3)]
+    assert coords == {0: Q(2), 1: Q(3)}
+    assert sub.coordinates(vec(S3, 2, 0, 2)) == {0: Q(2)}
     with pytest.raises(ShapeError):
         sub.coordinates(vec(S3, 0, 0, 1))
 
@@ -246,7 +247,8 @@ def test_sparse_elimination_matches_dense_oracle(case):
     # coordinates of a vector of the span, and refusal outside it
     member = combine(mix, rows, n)
     coords = sub.coordinates(sparse(member, space))
-    assert combine(coords, reduced, n) == member
+    assert all(coords.values())
+    assert combine([coords.get(i, Q(0)) for i in range(len(reduced))], reduced, n) == member
     if not inside:
         with pytest.raises(ShapeError):
             sub.coordinates(sparse(probe, space))

@@ -92,8 +92,8 @@ def test_uniform_verdict_fails_when_beta_star_misses_a_relation(monkeypatch):
     # generator x(x)x + x(x)x of K, so K = 0 is no longer uniform
     import rootgraded.coord as coord
 
-    real_beta_star = coord.beta_star
-    monkeypatch.setattr(coord, "beta_star", lambda q, x, y: real_beta_star(q, x, y) + q.unit)
+    real = coord._beta_star_of_parts
+    monkeypatch.setattr(coord, "_beta_star_of_parts", lambda q, p1, p2: real(q, p1, p2) + q.unit)
     q = parse_preset_spec("matrix:k=2")
     report = coord.check_uniform(coord.build_bb(q, 5), [], cross_check_ell=7)
     assert report["uniform"] is False and report["witness"]
@@ -105,7 +105,7 @@ def test_uniform_verdict_fails_when_beta_star_misses_a_relation(monkeypatch):
 def test_unit_row_bracket():
     # [x (x) 1, y (x) 1] = [x, y] (x) 1 (the 1(x)1 coset dies in the quotient)
     m = model("BC", 4, 4, "symplectic:m=2")
-    unit_coords = m._coords_A(m.quadruple.unit)
+    unit_coords = m.quadruple.a_part_sub.coordinates(m.quadruple.unit)
     assert unit_coords == {0: Q(1)}
     gdim = len(m.G.wb.basis_mats)
     for i in range(0, gdim, 7):
@@ -160,8 +160,8 @@ def test_bc_symplectic_orthogonal_vectors_row():
     c1 = q.c_space.basis_vector("c:1")
     dia = (q.f_val(c0, c1) - q.f_val(c1, c0)).scale(Q(1, 2))
     expected = {}
-    for gi, cg in m._coords_G(v_ops(u, w, nat, m.idem0, "circ")).items():
-        for ai, ca in m._coords_A(dia).items():
+    for gi, cg in m.G.coords_of_mat(v_ops(u, w, nat, m.idem0, "circ")).items():
+        for ai, ca in m.quadruple.a_part_sub.coordinates(dia).items():
             expected[m.index_of[("g", (gi, ai))]] = cg * ca
     assert row == expected
 

@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
 
-from rootgraded.exactla import BasedSpace, SparseMatrix, commutator
+from rootgraded.exactla import BasedSpace, ShapeError, SparseMatrix, commutator
 from rootgraded.liealg import (
     CliffordJordan,
     DegenerateInputError,
@@ -49,6 +50,30 @@ def test_matrix_unit():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_dimensions(family, n):
     assert alg(family, n).dim == expected_dimension(family, n)
+
+
+@pytest.mark.parametrize("which", ["A", "B", "C", "D", "S"])
+def test_weighted_basis_coordinates(which):
+    # the reader must refuse a matrix outside the span; correct bracket
+    # tables never leave it, so the digest tests cannot show this
+    g = alg("C" if which == "S" else which, 3)
+    wb = build_module(g, "S").wb if which == "S" else g.wb
+    for k, mat in enumerate(wb.basis_mats):
+        assert wb.coords_of_mat(mat) == {k: Q(1)}
+    rng = random.Random(6)
+    coeffs = {k: Q(rng.randint(-3, 3)) for k in range(wb.dim)}
+    combo = SparseMatrix.zero(g.space, g.space)
+    for k, c in coeffs.items():
+        combo = combo + wb.basis_mats[k].scale(c)
+    assert wb.coords_of_mat(combo) == {k: c for k, c in coeffs.items() if c}
+    if which == "A":
+        outside = SparseMatrix.identity(g.space)
+    elif which == "S":
+        outside = g.basis_mats[0]
+    else:
+        outside = matrix_unit("v:1", "v:1", g.space)
+    with pytest.raises(ShapeError):
+        wb.coords_of_mat(outside)
 
 
 def test_degenerate_inputs():
