@@ -289,9 +289,11 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"--samples must be at least 0, got {args.samples}")
     if args.samples > 0 and args.seed is None:
         raise ConfigError("a seed is required whenever samples > 0")
+    t0 = time.monotonic()
     model = build_model(
         args.family, args.n, args.ell, q, args.k, override_bounds=args.override_bounds
     )
+    build_elapsed = int((time.monotonic() - t0) * 1000)
     results = []
     for name, fn in _verify_checks(model, q, args):
         t0 = time.monotonic()
@@ -319,6 +321,8 @@ def cmd_verify(args) -> int:
         },
         "checks": results,
     }
+    if args.timings:
+        report["build_elapsed_ms"] = build_elapsed
     _emit(report, args.out)
     return 0 if all(c["status"] in ("pass", "skipped") for c in results) else 1
 

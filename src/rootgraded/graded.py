@@ -38,8 +38,6 @@ from .exactla import (
     SparseMatrix,
     SparseVector,
     add_scaled,
-    anticommutator,
-    commutator,
     kernel_of_rows,
     q_str,
     rref,
@@ -51,7 +49,7 @@ from .liealg import (
     TruncationIdempotent,
     build_algebra,
     build_module,
-    circ_trunc,
+    circ_of_products,
     label_weight,
     v_ops,
 )
@@ -156,23 +154,28 @@ class Term(NamedTuple):
     scale: Callable = lambda m: QONE
 
 
-# matrix side
+# matrix side.  The product ops read the pair's two products (xy, yx), so
+# the swapped pair is (yx, xy); both vanish unless the supports of x and y
+# meet.  The other ops read the pair (x, y) itself.
 
 
-def _lie(m, x, y):
-    return commutator(x, y)
+def _lie(m, xy, yx):
+    return xy - yx
 
 
-def _circ(m, x, y):
-    return circ_trunc(x, y, m.idem0, m.family)
+def _circ(m, xy, yx):
+    return circ_of_products(xy, yx, m.idem0, m.family)
 
 
-def _jordan(m, x, y):
-    return anticommutator(x, y)
+def _jordan(m, xy, yx):
+    return xy + yx
 
 
-def _trace(m, x, y):
-    return (x @ y).trace()
+def _trace(m, xy, yx):
+    return xy.trace()
+
+
+_PRODUCTS = (_lie, _circ, _jordan, _trace)
 
 
 def _act(m, x, u):
@@ -198,10 +201,10 @@ def _form(m, u, w):
 def _d_uw(m, u, w):
     """D_{u,w}: z -> (u, z) w - (w, z) u on the natural module."""
     nat = m.G.nat
+    uz, wz = nat.functional(u), nat.functional(w)
     entries = {}
     for z in nat.space.labels:
-        zf = nat.space.basis_vector(z)
-        col = w.scale(nat.form(u, zf)) - u.scale(nat.form(w, zf))
+        col = w.scale(uz.get(z, QZERO)) - u.scale(wz.get(z, QZERO))
         for r, val in col.entries.items():
             entries[(r, z)] = val
     return SparseMatrix(nat.space, nat.space, entries)
@@ -371,12 +374,39 @@ def _coset_coords(dpart: QuotientSpace) -> Callable:
     return lambda t: read(dpart.project(t))
 
 
+def _support_index(mats: list) -> tuple[dict, dict] | None:
+    """For each label, the positions of the matrices in ``mats`` with a
+    nonzero entry in that row, and of those with one in that column; None
+    when the objects are natural-module vectors."""
+    if not isinstance(mats[0], SparseMatrix):
+        return None
+    by_row: dict[str, set[int]] = {}
+    by_col: dict[str, set[int]] = {}
+    for i, x in enumerate(mats):
+        for r, c in x.entries:
+            by_row.setdefault(r, set()).add(i)
+            by_col.setdefault(c, set()).add(i)
+    return by_row, by_col
+
+
+def _partners(x: SparseMatrix, support: tuple[dict, dict]) -> set[int]:
+    """The positions of the indexed matrices y with xy or yx possibly
+    nonzero: y has a row in cols(x) or a column in rows(x).  For every
+    other y, xy = yx = 0 exactly."""
+    by_row, by_col = support
+    out: set[int] = set()
+    for r, c in x.entries:
+        out.update(by_row.get(c, ()), by_col.get(r, ()))
+    return out
+
+
 class _Kind(NamedTuple):
     """A kind of basis element, laid out by ``GradedModel._assemble_basis``:
     element (i, p) sits at offset + i * width + p, width being the number of
     coordinate-side objects.  The two readers give the coordinates, in the
     kind's matrix-side and coordinate-side objects, of the factors of a
-    term that lands in this kind."""
+    term that lands in this kind; ``support`` is the ``_support_index`` of
+    its matrix-side objects."""
 
     offset: int
     width: int
@@ -384,6 +414,7 @@ class _Kind(NamedTuple):
     coords: list  # coordinate-side objects
     read_mat: Callable
     read_coord: Callable
+    support: tuple[dict, dict] | None
 
 
 class GradedModel:
@@ -407,7 +438,8 @@ class GradedModel:
         if ell <= RANK_BOUNDS[family] and not override_bounds:
             raise ModelError(
                 f"level ell={ell} is below the proof bound for family {family}"
-                " (pass override_bounds to experiment below it)"
+                " (pass --override-bounds, or override_bounds=True in the API,"
+                " to experiment below it)"
             )
         if m0 > n:
             raise ModelError(f"subset size {m0} exceeds truncation size {n}")
@@ -516,7 +548,8 @@ class GradedModel:
         self._kinds: dict[str, _Kind] = {}
         for kind, (mats, weights, coords, read_mat, read_coord) in kinds.items():
             self._kinds[kind] = _Kind(
-                len(self.basis), len(coords), mats, coords, read_mat, read_coord
+                len(self.basis), len(coords), mats, coords, read_mat, read_coord,
+                _support_index(mats),
             )
             for i, w in enumerate(weights):
                 for p in range(len(coords)):
@@ -555,23 +588,41 @@ class GradedModel:
         """Rows [e, f] for all basis pairs e < f with e of kind k1 and f of
         kind k2, evaluated from the family's terms.  Each factor is computed
         once per matrix-side pair (i <= j within a kind) and once per
-        coordinate-side pair.  With ``swap`` every factor is evaluated on
-        swapped arguments, mat(y, x) and coord(a', a), so the row stored at
-        (e, f) is [f, e].  ``keep`` receives each term's matrix-side factors
-        under (k1 + k2, target, mat)."""
+        coordinate-side pair.  The product ops are evaluated only on the
+        pairs whose supports meet (``_partners``), all of them on the two
+        products xy and yx formed once per pair; the other ops on every
+        pair.  With ``swap`` every factor is evaluated on swapped arguments,
+        mat(y, x) or the products (yx, xy), and coord(a', a), so the row
+        stored at (e, f) is [f, e].  ``keep`` receives each term's
+        matrix-side factors under (k1 + k2, target, mat)."""
         off1, w1, mats1, coords1 = self._kinds[k1][:4]
         off2, w2, mats2, coords2 = self._kinds[k2][:4]
         same = k1 == k2
-        rows: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for term in TERMS[self.family].get(k1 + k2, ()):
-            off_t, w_t, _mats, _coords, mat_coords, coord_coords = self._kinds[term.target]
-            mat = {}
+        terms = TERMS[self.family].get(k1 + k2, ())
+        products = {}
+        if any(term.mat in _PRODUCTS for term in terms):
             for i, x in enumerate(mats1):
-                for j in range(i if same else 0, len(mats2)):
-                    y = mats2[j]
-                    f = mat_coords(term.mat(self, y, x) if swap else term.mat(self, x, y))
+                for j in sorted(_partners(x, self._kinds[k2].support)):
+                    if j >= i or not same:
+                        y = mats2[j]
+                        xy, yx = x @ y, y @ x
+                        products[i, j] = (yx, xy) if swap else (xy, yx)
+        rows: dict[tuple[int, int], dict[int, Fraction]] = {}
+        for term in terms:
+            off_t, w_t, _mats, _coords, mat_coords, coord_coords = self._kinds[term.target][:6]
+            mat = {}
+            if term.mat in _PRODUCTS:
+                for ij, (p1, p2) in products.items():
+                    f = mat_coords(term.mat(self, p1, p2))
                     if f:
-                        mat[(i, j)] = f
+                        mat[ij] = f
+            else:
+                for i, x in enumerate(mats1):
+                    for j in range(i if same else 0, len(mats2)):
+                        y = mats2[j]
+                        f = mat_coords(term.mat(self, y, x) if swap else term.mat(self, x, y))
+                        if f:
+                            mat[i, j] = f
             coord = []
             for p, a in enumerate(coords1):
                 for t, b in enumerate(coords2):
@@ -585,13 +636,12 @@ class GradedModel:
             scale = term.scale(self)
             for (i, j), mf in mat.items():
                 e0, f0 = off1 + i * w1, off2 + j * w2
+                scaled = [(off_t + mi * w_t, scale * cm) for mi, cm in mf.items()]
                 for p, t, cf in coord:
                     if same and i == j and p >= t:
                         continue
                     row = rows.setdefault((e0 + p, f0 + t), {})
-                    for mi, cm in mf.items():
-                        c0 = scale * cm
-                        base = off_t + mi * w_t
+                    for base, c0 in scaled:
                         for ci, cc in cf.items():
                             idx = base + ci
                             s = row.get(idx, QZERO) + c0 * cc
@@ -704,8 +754,11 @@ def verify_antisymmetry(m: GradedModel) -> dict:
         backward = m._block(kind, kind, swap=True)
         forward = [key for key in m.table if off <= key[0] and key[1] < end]
         for key in sorted(backward.keys() | forward):
-            mismatch = dict(m.table.get(key, {}))
-            add_scaled(mismatch, backward.get(key, {}))
+            row, back = m.table.get(key, {}), backward.get(key, {})
+            if back == {idx: -c for idx, c in row.items()}:
+                continue
+            mismatch = dict(row)
+            add_scaled(mismatch, back)
             if mismatch:
                 failures.append(
                     {

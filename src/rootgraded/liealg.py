@@ -91,10 +91,19 @@ class FormedSpace:
         self.symmetry = "skew" if family == "C" else "symmetric"
 
     def form(self, u: SparseVector, w: SparseVector) -> Fraction:
+        fu = self.functional(u)
+        return sum((c * fu.get(lab, QZERO) for lab, c in w.entries.items()), QZERO)
+
+    def functional(self, u: SparseVector) -> dict[str, Fraction]:
+        """The form (u, -) as {label: (u, basis vector)}, read off G^T u."""
         if self.gram is None:
             raise ShapeError("type A space carries no form")
-        gw = self.gram.apply(w)
-        return sum((c * gw.get(lab) for lab, c in u.entries.items()), QZERO)
+        out: dict[str, Fraction] = {}
+        for (r, c), g in self.gram.entries.items():
+            cu = u.entries.get(r)
+            if cu is not None:
+                out[c] = out.get(c, QZERO) + cu * g
+        return out
 
 
 def gl_space(space: BasedSpace) -> BasedSpace:
@@ -645,8 +654,14 @@ def circ_trunc(
     x: SparseMatrix, y: SparseMatrix, idem: TruncationIdempotent, family: str
 ) -> SparseMatrix:
     """Family-normalized symmetric product xy + yx - (factor tr(xy)/|I_0|) J_0."""
-    xy = x @ y
-    base = xy + y @ x
+    return circ_of_products(x @ y, y @ x, idem, family)
+
+
+def circ_of_products(
+    xy: SparseMatrix, yx: SparseMatrix, idem: TruncationIdempotent, family: str
+) -> SparseMatrix:
+    """``circ_trunc`` of x and y, from the products xy and yx."""
+    base = xy + yx
     t = xy.trace()
     if t == 0:
         return base
@@ -664,23 +679,21 @@ def v_ops(
     """The level-normalized pair operators on the natural space."""
     space = nat.space
     half = Q(1, 2)
-    uv = nat.form(u, v)
+    if variant not in ("circ", "bracket_ell"):
+        raise ValueError(f"unknown variant {variant!r}")
+    vw = nat.functional(v)
+    # (u, w) for circ; (w, u) = (G u)[w] for bracket_ell, whose order flips
+    uw = nat.functional(u) if variant == "circ" else nat.gram.apply(u).entries
     entries: dict[tuple[str, str], Fraction] = {}
     for w_lab in space.labels:
-        w = space.basis_vector(w_lab)
-        vw = nat.form(v, w)
-        if variant == "circ":
-            col = u.scale(half * vw) + v.scale(half * nat.form(u, w))
-        else:
-            col = u.scale(half * vw) + v.scale(half * nat.form(w, u))
+        col = u.scale(half * vw.get(w_lab, QZERO)) + v.scale(half * uw.get(w_lab, QZERO))
         for r, c in col.entries.items():
             entries[(r, w_lab)] = c
     m = SparseMatrix(space, space, entries)
-    if variant == "circ" or uv == 0:
+    uv = QZERO if variant == "circ" else nat.form(u, v)
+    if uv == 0:
         return m
-    if variant == "bracket_ell":
-        return m + idem.matrix.scale(uv / Q(2 * idem.size))
-    raise ValueError(f"unknown variant {variant!r}")
+    return m + idem.matrix.scale(uv / Q(2 * idem.size))
 
 
 # ---------------------------------------------------------------------------

@@ -90,12 +90,15 @@ def test_verify_unknown_suite_exits_2(capsys):
 
 
 def test_verify_bound_violation_exits_2(capsys):
-    code, _ = run_cli(
-        capsys,
+    code = main([
         "verify", "--family", "BC", "--n", "4", "--ell", "2",
         "--preset", "symplectic:m=2", "--suite", "grading", "--seed", "1",
-    )
+    ])
     assert code == 2
+    err = capsys.readouterr().err
+    # one line naming both the CLI flag and the API argument
+    assert err.count("\n") == 1
+    assert "--override-bounds" in err and "override_bounds=True" in err
 
 
 def test_report_determinism(capsys):
@@ -191,9 +194,11 @@ def test_timings_flag_adds_elapsed(capsys):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert "elapsed_ms" not in out
+    assert "build_elapsed_ms" not in json.loads(out)
     code, out = run_cli(capsys, *argv, "--timings")
     assert code == 0
     assert "elapsed_ms" in out
+    assert isinstance(json.loads(out)["build_elapsed_ms"], int)
 
 
 def run_cli_err(capsys, *argv):

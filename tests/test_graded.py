@@ -554,3 +554,90 @@ def test_antisymmetry_fails_on_symmetric_term(monkeypatch, term, field, op):
     r = verify_antisymmetry(m)
     assert r["status"] == "fail"
     assert r["witnesses"]
+
+
+def _reference_table(m):
+    """The bracket table by the unpruned all-pairs loop: every term on every
+    matrix-side pair, with the products formed afresh for each term."""
+    rows = {}
+    for pair, terms in graded.TERMS[m.family].items():
+        k1, k2 = m._kinds[pair[0]], m._kinds[pair[1]]
+        same = pair[0] == pair[1]
+        for term in terms:
+            kt = m._kinds[term.target]
+            scale = term.scale(m)
+            coord = [
+                (p, t, kt.read_coord(term.coord(m, a, b)))
+                for p, a in enumerate(k1.coords)
+                for t, b in enumerate(k2.coords)
+            ]
+            for i, x in enumerate(k1.mats):
+                for j, y in enumerate(k2.mats):
+                    if same and j < i:
+                        continue
+                    if term.mat in graded._PRODUCTS:
+                        mf = kt.read_mat(term.mat(m, x @ y, y @ x))
+                    else:
+                        mf = kt.read_mat(term.mat(m, x, y))
+                    for p, t, cf in coord:
+                        if same and i == j and p >= t:
+                            continue
+                        key = (k1.offset + i * k1.width + p, k2.offset + j * k2.width + t)
+                        row = rows.setdefault(key, {})
+                        for mi, cm in mf.items():
+                            for ci, cc in cf.items():
+                                idx = kt.offset + mi * kt.width + ci
+                                row[idx] = row.get(idx, 0) + scale * cm * cc
+    out = {}
+    for key, row in rows.items():
+        row = {idx: c for idx, c in row.items() if c}
+        if row:
+            out[key] = row
+    return out
+
+
+@pytest.mark.parametrize("config", list(TABLE_DIGESTS), ids=lambda c: " ".join(map(str, c)))
+def test_support_index_is_sound(config):
+    # every pair the index skips has xy = yx = 0, for every pair of matrix
+    # kinds; and the pruned, product-sharing build equals the unpruned loop
+    m = model(*config)
+    kinds = {kind: k for kind, k in m._kinds.items() if k.support is not None}
+    assert kinds.keys() >= {"g", "d"}
+    for k1 in kinds.values():
+        for k2 in kinds.values():
+            for x in k1.mats:
+                near = graded._partners(x, k2.support)
+                for j, y in enumerate(k2.mats):
+                    if j not in near:
+                        assert (x @ y).is_zero() and (y @ x).is_zero()
+    assert m.table == _reference_table(m)
+
+
+@pytest.mark.parametrize("config", list(TABLE_DIGESTS), ids=lambda c: " ".join(map(str, c)))
+def test_antisymmetry_catches_skipped_pair(config):
+    # a row on a g-g pair the index skips, and a wrong coefficient on a row
+    # it keeps, must both be caught: the check reads every table row
+    m = model(*config)
+    table = m.table
+    g = m._kinds["g"]
+    i, j = next(
+        (i, j)
+        for i, x in enumerate(g.mats)
+        for j in range(i + 1, len(g.mats))
+        if j not in graded._partners(x, g.support)
+    )
+    key = (g.offset + i * g.width, g.offset + j * g.width)
+    assert key not in table
+    end = g.offset + len(g.mats) * g.width
+    try:
+        m.table = dict(table)
+        m.table[key] = {0: 1}
+        assert verify_antisymmetry(m)["status"] == "fail"
+        m.table = dict(table)
+        kept = next(k for k in table if k[1] < end)
+        idx = next(iter(table[kept]))
+        m.table[kept] = {**table[kept], idx: 3 * table[kept][idx]}
+        assert verify_antisymmetry(m)["status"] == "fail"
+    finally:
+        m.table = table
+    assert verify_antisymmetry(m)["status"] == "pass"
