@@ -30,11 +30,10 @@ from .exactla import (
     add_scaled,
     kernel,
     kernel_of_rows,
+    label_text,
     q_parse,
     q_str,
     rref,
-    split_tensor_label,
-    tensor_label,
     tensor_space,
 )
 
@@ -424,10 +423,10 @@ def relation_generators(q: CoordinateQuadruple) -> list[SparseVector]:
 
     def tens(*pairs: tuple[SparseVector, SparseVector]) -> SparseVector:
         """The sum of x (x) y over the given pairs (x, y)."""
-        entries: dict[str, Fraction] = {}
+        entries: dict[tuple[str, str], Fraction] = {}
         for x, y in pairs:
             for lx, vx in x.entries.items():
-                row = {tensor_label(lx, ly): vy for ly, vy in y.entries.items()}
+                row = {(lx, ly): vy for ly, vy in y.entries.items()}
                 add_scaled(entries, row, vx)
         return SparseVector(tsp, entries)
 
@@ -506,7 +505,7 @@ class BBQuotient:
         self.relations = rref(relation_generators(q), self.tensor)
         self.quotient = QuotientSpace(self.tensor, self.relations)
         self.beta_rows = beta_star_map_rows(q)
-        self._deriv_cache: dict[str, SparseMatrix] = {}
+        self._deriv_cache: dict[tuple[str, str], SparseMatrix] = {}
         self._verify_well_defined()
 
     def at_ell(self, ell: int) -> "BBQuotient":
@@ -532,10 +531,10 @@ class BBQuotient:
             add_scaled(acc, self._pair_derivation(lab).entries, coeff)
         return SparseMatrix(self.q.b_space, self.q.b_space, acc)
 
-    def _pair_derivation(self, lab: str) -> SparseMatrix:
+    def _pair_derivation(self, lab: tuple[str, str]) -> SparseMatrix:
         d = self._deriv_cache.get(lab)
         if d is None:
-            l1, l2 = split_tensor_label(lab)
+            l1, l2 = lab
             d = derivation(
                 self.q,
                 self.ell,
@@ -551,11 +550,10 @@ class BBQuotient:
 
     def _apply_columns(self, cols, t: SparseVector) -> SparseVector:
         """apply_pair_action for d given by its columns, ``_columns(d)``."""
-        out: dict[str, Fraction] = {}
-        for lab, coeff in t.entries.items():
-            l1, l2 = split_tensor_label(lab)
-            add_scaled(out, {tensor_label(r, l2): v for r, v in cols.get(l1, ())}, coeff)
-            add_scaled(out, {tensor_label(l1, r): v for r, v in cols.get(l2, ())}, coeff)
+        out: dict[tuple[str, str], Fraction] = {}
+        for (l1, l2), coeff in t.entries.items():
+            add_scaled(out, {(r, l2): v for r, v in cols.get(l1, ())}, coeff)
+            add_scaled(out, {(l1, r): v for r, v in cols.get(l2, ())}, coeff)
         return SparseVector(self.tensor, out)
 
     def _verify_well_defined(self):
@@ -574,7 +572,7 @@ class BBQuotient:
                 if not self.relations.contains(img):
                     raise InternalConsistencyError(
                         "bracket does not preserve the relation space",
-                        witness=(lab, g),
+                        witness=(label_text(lab), g),
                     )
 
     @property
@@ -584,7 +582,7 @@ class BBQuotient:
     def pair_tensor(self, x: SparseVector, y: SparseVector) -> SparseVector:
         """x (x) y in b (x) b, for x, y in b (or in a or C, lifted into b)."""
         entries = {
-            tensor_label(lx, ly): vx * vy
+            (lx, ly): vx * vy
             for lx, vx in x.entries.items()
             for ly, vy in y.entries.items()
         }
@@ -620,11 +618,12 @@ def full_homology(bb: BBQuotient) -> Subspace:
     """FH as a subspace of the coset space: the kernel of coset -> total
     derivation; verified central in {b,b}_ell."""
     csp = bb.quotient.coset_space
-    rows_by_pos: dict[str, dict[str, Fraction]] = {}
+    # (row, col) of the derivation -> {coset label: entry}
+    rows_by_pos: dict[tuple[str, str], dict[tuple[str, str], Fraction]] = {}
     for lab in csp.labels:
         d = bb.derivation_of_coset(csp.basis_vector(lab))
-        for (r, c), v in d.entries.items():
-            rows_by_pos.setdefault(f"D:{r}|{c}", {})[lab] = v
+        for pos, v in d.entries.items():
+            rows_by_pos.setdefault(pos, {})[lab] = v
     rows = [SparseVector(csp, entries) for entries in rows_by_pos.values()]
     fh = kernel_of_rows(rows, csp)
     for f in fh.rows:
@@ -633,7 +632,7 @@ def full_homology(bb: BBQuotient) -> Subspace:
         for lab in csp.labels:
             if not bb.bracket_cosets(csp.basis_vector(lab), f).is_zero():
                 raise InternalConsistencyError(
-                    "homology element is not central", witness=(lab, f)
+                    "homology element is not central", witness=(label_text(lab), f)
                 )
     return fh
 
@@ -642,12 +641,12 @@ def beta_star_map_rows(q: CoordinateQuadruple) -> dict[str, SparseVector]:
     """The linear map b(x)b -> a sending x(x)y to beta*_{x,y}, as rows."""
     tsp = q.bb_space
     parts = {l: _beta_parts(q, q.b_space.basis_vector(l)) for l in q.b_space.labels}
-    rows: dict[str, dict[str, Fraction]] = {}
+    rows: dict[str, dict[tuple[str, str], Fraction]] = {}
     for l1, p1 in parts.items():
         for l2, p2 in parts.items():
             val = _beta_star_of_parts(q, p1, p2)
             for r, v in val.entries.items():
-                rows.setdefault(r, {})[tensor_label(l1, l2)] = v
+                rows.setdefault(r, {})[l1, l2] = v
     return {r: SparseVector(tsp, entries) for r, entries in rows.items()}
 
 

@@ -10,7 +10,7 @@ so they can be shared freely.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 Q = Fraction
 
@@ -36,13 +36,15 @@ def q_parse(s: str) -> Fraction:
 class BasedSpace:
     """A finite-dimensional vector space with a fixed ordered basis.
 
-    Basis labels are opaque strings; the canonical order used for pivot
-    selection and serialization is the construction order of ``labels``.
+    Basis labels are opaque hashable values: strings for the spaces a user
+    names, (x, y) pairs for tensor and gl coordinates, integers for index
+    spaces.  The canonical order used for pivot selection and serialization
+    is the construction order of ``labels``; ``label_text`` prints a label.
     """
 
     __slots__ = ("labels", "_pos")
 
-    def __init__(self, labels: Sequence[str]):
+    def __init__(self, labels: Sequence[Hashable]):
         labels = tuple(labels)
         if len(set(labels)) != len(labels):
             raise ValueError("basis labels must be distinct")
@@ -53,13 +55,13 @@ class BasedSpace:
     def dim(self) -> int:
         return len(self.labels)
 
-    def pos(self, label: str) -> int:
+    def pos(self, label: Hashable) -> int:
         try:
             return self._pos[label]
         except KeyError:
             raise ShapeError(f"label {label!r} not in space") from None
 
-    def __contains__(self, label: str) -> bool:
+    def __contains__(self, label: Hashable) -> bool:
         return label in self._pos
 
     def __eq__(self, other) -> bool:
@@ -73,7 +75,7 @@ class BasedSpace:
     def __repr__(self):
         return f"BasedSpace(dim={self.dim})"
 
-    def basis_vector(self, label: str) -> "SparseVector":
+    def basis_vector(self, label: Hashable) -> "SparseVector":
         self.pos(label)
         return SparseVector(self, {label: QONE})
 
@@ -82,25 +84,24 @@ class BasedSpace:
 
 
 def tensor_space(u: BasedSpace, v: BasedSpace) -> BasedSpace:
-    """Tensor product realized concretely with pair labels "a⊗b"."""
-    return BasedSpace([f"{a}⊗{b}" for a in u.labels for b in v.labels])
+    """Tensor product realized concretely with pair labels (a, b)."""
+    return BasedSpace([(a, b) for a in u.labels for b in v.labels])
 
 
-def tensor_label(a: str, b: str) -> str:
-    return f"{a}⊗{b}"
-
-
-def split_tensor_label(lab: str) -> tuple[str, str]:
-    a, b = lab.split("⊗", 1)
-    return a, b
+def label_text(lab: Hashable) -> str:
+    """The printed form of a basis label; a pair (a, b) reads "a⊗b"."""
+    if isinstance(lab, tuple):
+        return f"{lab[0]}⊗{lab[1]}"
+    return str(lab)
 
 
 class SparseVector:
-    """Finitely supported label -> Fraction mapping; no explicit zeros."""
+    """Finitely supported mapping from the hashable labels of a based space
+    to Fractions; no explicit zeros."""
 
     __slots__ = ("space", "entries")
 
-    def __init__(self, space: BasedSpace, entries: Mapping[str, Fraction]):
+    def __init__(self, space: BasedSpace, entries: Mapping[Hashable, Fraction]):
         clean = {}
         pos = space._pos
         for lab, val in entries.items():
@@ -112,7 +113,7 @@ class SparseVector:
         self.space = space
         self.entries = clean
 
-    def get(self, label: str) -> Fraction:
+    def get(self, label: Hashable) -> Fraction:
         return self.entries.get(label, QZERO)
 
     def is_zero(self) -> bool:
@@ -121,17 +122,12 @@ class SparseVector:
     def __add__(self, other: "SparseVector") -> "SparseVector":
         if self.space != other.space:
             raise ShapeError("vector spaces differ")
-        out = dict(self.entries)
-        for lab, val in other.entries.items():
-            s = out.get(lab, QZERO) + val
-            if s:
-                out[lab] = s
-            else:
-                out.pop(lab, None)
-        return SparseVector(self.space, out)
+        return SparseVector(self.space, _merged(self.entries, other.entries, False))
 
     def __sub__(self, other: "SparseVector") -> "SparseVector":
-        return self + other.scale(Q(-1))
+        if self.space != other.space:
+            raise ShapeError("vector spaces differ")
+        return SparseVector(self.space, _merged(self.entries, other.entries, True))
 
     def scale(self, c: Fraction) -> "SparseVector":
         c = Q(c)
@@ -156,8 +152,21 @@ class SparseVector:
         return sorted(self.entries.items(), key=lambda kv: self.space.pos(kv[0]))
 
     def __repr__(self):
-        parts = [f"{q_str(v)}*{lab}" for lab, v in self.items_sorted()]
+        parts = [f"{q_str(v)}*{label_text(lab)}" for lab, v in self.items_sorted()]
         return " + ".join(parts) if parts else "0"
+
+
+def _merged(a: Mapping, b: Mapping, subtract: bool) -> dict:
+    """The entries of a + b, or of a - b, in one pass: a's keys in order,
+    then b's new ones, dropping the entries that cancel."""
+    out = dict(a)
+    for key, val in b.items():
+        s = out.get(key, QZERO) - val if subtract else out.get(key, QZERO) + val
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
 
 
 class SparseMatrix:
@@ -173,7 +182,7 @@ class SparseMatrix:
         self,
         domain: BasedSpace,
         codomain: BasedSpace,
-        entries: Mapping[tuple[str, str], Fraction],
+        entries: Mapping[tuple[Hashable, Hashable], Fraction],
     ):
         clean = {}
         rows, cols = codomain._pos, domain._pos
@@ -195,7 +204,7 @@ class SparseMatrix:
     def identity(space: BasedSpace) -> "SparseMatrix":
         return SparseMatrix(space, space, {(lab, lab): QONE for lab in space.labels})
 
-    def get(self, r: str, c: str) -> Fraction:
+    def get(self, r: Hashable, c: Hashable) -> Fraction:
         return self.entries.get((r, c), QZERO)
 
     def is_zero(self) -> bool:
@@ -204,7 +213,7 @@ class SparseMatrix:
     def apply(self, v: SparseVector) -> SparseVector:
         if v.space != self.domain:
             raise ShapeError("matrix domain does not match vector space")
-        out: dict[str, Fraction] = {}
+        out: dict[Hashable, Fraction] = {}
         for (r, c), m in self.entries.items():
             coeff = v.entries.get(c)
             if coeff is None:
@@ -219,10 +228,10 @@ class SparseMatrix:
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if other.codomain != self.domain:
             raise ShapeError("composition shapes disagree")
-        cols: dict[str, list[tuple[str, Fraction]]] = {}
+        cols: dict[Hashable, list[tuple[Hashable, Fraction]]] = {}
         for (r, c), v in other.entries.items():
             cols.setdefault(r, []).append((c, v))
-        out: dict[tuple[str, str], Fraction] = {}
+        out: dict[tuple[Hashable, Hashable], Fraction] = {}
         for (r, mid), v in self.entries.items():
             for c, w in cols.get(mid, ()):
                 key = (r, c)
@@ -236,17 +245,14 @@ class SparseMatrix:
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.domain != other.domain or self.codomain != other.codomain:
             raise ShapeError("matrix shapes differ")
-        out = dict(self.entries)
-        for key, val in other.entries.items():
-            s = out.get(key, QZERO) + val
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+        out = _merged(self.entries, other.entries, False)
         return SparseMatrix(self.domain, self.codomain, out)
 
     def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
-        return self + other.scale(Q(-1))
+        if self.domain != other.domain or self.codomain != other.codomain:
+            raise ShapeError("matrix shapes differ")
+        out = _merged(self.entries, other.entries, True)
+        return SparseMatrix(self.domain, self.codomain, out)
 
     def scale(self, c: Fraction) -> "SparseMatrix":
         c = Q(c)
@@ -365,7 +371,9 @@ def add_scaled(acc: dict, row: Mapping, c: Fraction = QONE) -> None:
             acc.pop(k, None)
 
 
-def _pivot_coefficients(cur: Mapping[str, Fraction], row_of_pivot: Mapping[str, int]):
+def _pivot_coefficients(
+    cur: Mapping[Hashable, Fraction], row_of_pivot: Mapping[Hashable, int]
+):
     """(row index, coefficient) for the pivots cur holds, in row order.
 
     The rows are fully reduced (each is zero on every other pivot column),
@@ -381,9 +389,9 @@ def rref(vectors: Sequence[SparseVector], space: BasedSpace | None = None) -> Su
         if not vectors:
             raise ShapeError("empty vector list needs an explicit ambient space")
         space = vectors[0].space
-    rows: list[dict[str, Fraction]] = []
+    rows: list[dict[Hashable, Fraction]] = []
     pivots: list[int] = []
-    row_of_pivot: dict[str, int] = {}
+    row_of_pivot: dict[Hashable, int] = {}
     pos = space._pos
     for v in vectors:
         if v.space != space:
@@ -417,7 +425,7 @@ def rref(vectors: Sequence[SparseVector], space: BasedSpace | None = None) -> Su
 def kernel(m: SparseMatrix) -> Subspace:
     """Exact nullspace basis of a sparse matrix, via RREF on the rows."""
     # Row space of m as vectors over the domain.
-    rows_by_label: dict[str, dict[str, Fraction]] = {}
+    rows_by_label: dict[Hashable, dict[Hashable, Fraction]] = {}
     for (r, c), v in m.entries.items():
         rows_by_label.setdefault(r, {})[c] = v
     row_vecs = [
@@ -433,7 +441,7 @@ def kernel_of_rows(rows: Sequence[SparseVector], space: BasedSpace) -> Subspace:
     rs = rref(list(rows), space)
     labels = space.labels
     # free label -> the pivot entries of its kernel vector, in pivot order
-    free_col: dict[str, list[tuple[str, Fraction]]] = {}
+    free_col: dict[Hashable, list[tuple[Hashable, Fraction]]] = {}
     for p, row in zip(rs.pivots, rs.rows):
         for lab, coeff in row.entries.items():
             free_col.setdefault(lab, []).append((labels[p], -coeff))

@@ -39,9 +39,9 @@ from .exactla import (
     SparseVector,
     add_scaled,
     kernel_of_rows,
+    label_text,
     q_str,
     rref,
-    split_tensor_label,
     subspace_sum,
 )
 from .liealg import (
@@ -457,13 +457,12 @@ class GradedModel:
         self.fh = full_homology(self.bb)
         if k_span == "zero":
             k_vectors: list[SparseVector] = []
-            self.k_name = "zero"
         elif k_span == "fh":
             k_vectors = list(self.fh.rows)
-            self.k_name = "fh"
         else:
             k_vectors = list(k_span)
-            self.k_name = f"span({len(k_vectors)})"
+        # the spanning vectors of K, read again by the CLI's uniform suite
+        self.k_vectors = k_vectors
         self.uniform_report = check_uniform(self.bb, k_vectors, fh=self.fh)
         if not self.uniform_report["uniform"]:
             raise ModelError(
@@ -529,7 +528,7 @@ class GradedModel:
             kinds["v"] = natural(self.c_basis, _label_coords(q.c_space))
         cosets = []
         for lab in self.dpart.coset_space.labels:
-            e1, e2 = (q.b_space.basis_vector(l) for l in split_tensor_label(lab))
+            e1, e2 = (q.b_space.basis_vector(l) for l in lab)
             cosets.append(
                 _Coset(
                     bstar=beta_star(q, e1, e2),
@@ -565,7 +564,7 @@ class GradedModel:
     def basis_label(self, i: int) -> str:
         kind, key = self.basis[i]
         if kind == "d":
-            return f"d[{self.dpart.coset_space.labels[key[0]]}]"
+            return f"d[{label_text(self.dpart.coset_space.labels[key[0]])}]"
         coord = {"g": "a", "s": "b", "v": "c"}[kind]
         return f"{kind}{key[0]}[{root_str(self.weight_of[i])}]⊗{coord}{key[1]}"
 
@@ -708,8 +707,7 @@ class GradedModel:
         for t in self.dpart.relations.rows:
             for c in self.c_basis:
                 acc = q.c_space.zero()
-                for lab, coeff in t.entries.items():
-                    l1, l2 = split_tensor_label(lab)
+                for (l1, l2), coeff in t.entries.items():
                     c1 = q.split_b(q.b_space.basis_vector(l1))[1]
                     c2 = q.split_b(q.b_space.basis_vector(l2))[1]
                     if c1.is_zero() or c2.is_zero():
@@ -973,10 +971,10 @@ def verify_grading(m: GradedModel) -> dict:
 def _zero_weight_span(m: GradedModel, by_weight: dict, roots: Iterable[Root]):
     """The span of the brackets [x_i, x_j], x_i of weight alpha and x_j of
     weight -alpha for each alpha in ``roots``, in the zero-weight space
-    spanned by labels ``z:<index>``.  Returns that space, the span as a
-    Subspace, and for each bracket with a part of nonzero weight the first
+    labelled by the model's basis indices.  Returns that space, the span as
+    a Subspace, and for each bracket with a part of nonzero weight the first
     three indices of that part (such a bracket is left out of the span)."""
-    zero_space = BasedSpace([f"z:{i}" for i in by_weight.get(Root.zero(), [])])
+    zero_space = BasedSpace(by_weight.get(Root.zero(), []))
     vecs, stray = [], []
     for alpha in roots:
         for i in by_weight.get(alpha, []):
@@ -988,12 +986,8 @@ def _zero_weight_span(m: GradedModel, by_weight: dict, roots: Iterable[Root]):
                 if bad:
                     stray.append(bad[:3])
                     continue
-                vecs.append(_zero_vec(zero_space, row))
+                vecs.append(SparseVector(zero_space, row))
     return zero_space, rref(vecs, zero_space), stray
-
-
-def _zero_vec(zero_space: BasedSpace, row: dict[int, Fraction]) -> SparseVector:
-    return SparseVector(zero_space, {f"z:{i}": c for i, c in row.items()})
 
 
 def _cartan_eigenvalue(m: GradedModel, w: Root, hpos: int) -> Fraction:
@@ -1056,10 +1050,7 @@ class SubModel:
         closure_fail = []
         basis_rows: list[dict[int, Fraction]] = [
             {i: QONE} for i in self.nonzero_indices
-        ] + [
-            {int(lab.split(":")[1]): c for lab, c in r.entries.items()}
-            for r in self.zero_part.rows
-        ]
+        ] + [r.entries for r in self.zero_part.rows]
         for a_pos, xa in enumerate(basis_rows):
             for xb in basis_rows[a_pos:]:
                 acc: dict[int, Fraction] = {}
@@ -1078,7 +1069,7 @@ class SubModel:
                 if zero_piece is None:
                     continue
                 if zero_piece and not self.zero_part.contains(
-                    _zero_vec(self.zero_space, zero_piece)
+                    SparseVector(self.zero_space, zero_piece)
                 ):
                     closure_fail.append("zero-weight part escapes the subalgebra")
         checks.append(
@@ -1213,7 +1204,7 @@ def verify_level_transition(m: GradedModel, added: int) -> dict:
 def _projection_rows(m: GradedModel) -> list[SparseVector]:
     """Rows of the tensor -> D-part projection (functionals per coset label)."""
     tensor = m.bb.tensor
-    rows: dict[str, dict[str, Fraction]] = {}
+    rows: dict[tuple[str, str], dict[tuple[str, str], Fraction]] = {}
     for lab in tensor.labels:
         proj = m.dpart.project(tensor.basis_vector(lab))
         for r, c in proj.entries.items():

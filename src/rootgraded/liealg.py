@@ -107,28 +107,17 @@ class FormedSpace:
 
 
 def gl_space(space: BasedSpace) -> BasedSpace:
-    return BasedSpace([f"E:{r}|{c}" for r in space.labels for c in space.labels])
-
-
-def gl_label(r: str, c: str) -> str:
-    return f"E:{r}|{c}"
-
-
-def split_gl_label(lab: str) -> tuple[str, str]:
-    r, c = lab[2:].split("|", 1)
-    return r, c
+    """gl(V) with the (row, col) labels of matrix entries: the entry dict of
+    a matrix on V is its coordinate vector."""
+    return BasedSpace([(r, c) for r in space.labels for c in space.labels])
 
 
 def mat_to_vec(m: SparseMatrix, glsp: BasedSpace) -> SparseVector:
-    return SparseVector(glsp, {gl_label(r, c): v for (r, c), v in m.entries.items()})
+    return SparseVector(glsp, m.entries)
 
 
 def vec_to_mat(v: SparseVector, space: BasedSpace) -> SparseMatrix:
-    entries = {}
-    for lab, val in v.entries.items():
-        r, c = split_gl_label(lab)
-        entries[(r, c)] = val
-    return SparseMatrix(space, space, entries)
+    return SparseMatrix(space, space, v.entries)
 
 
 def matrix_unit(j: str, k: str, space: BasedSpace) -> SparseMatrix:
@@ -137,8 +126,8 @@ def matrix_unit(j: str, k: str, space: BasedSpace) -> SparseMatrix:
     return SparseMatrix(space, space, {(j, k): QONE})
 
 
-def gl_coord_weight(lab: str) -> Root:
-    r, c = split_gl_label(lab)
+def gl_coord_weight(lab: tuple[str, str]) -> Root:
+    r, c = lab
     return label_weight(r) - label_weight(c)
 
 
@@ -149,12 +138,13 @@ def gl_coord_weight(lab: str) -> Root:
 class WeightedBasis:
     """A subspace of gl coordinates organized by ad-weights of the Cartan.
 
-    Basis order: the weight-zero block first, then nonzero weights in
-    sorted order, each block the rref of the span's part of that weight.
-    Used for both the algebras and the symmetric module.  The blocks have
-    disjoint supports, so the canonical rref ``full`` of the span holds the
-    same rows in pivot order; coordinates are read through it, each row
-    standing for the basis vector with the same pivot.
+    The basis is the canonical rref ``full`` of the span, its rows grouped
+    by the weight of their pivot label: the weight-zero block first, then
+    nonzero weights in sorted order, each block in pivot order.  Used for
+    both the algebras and the symmetric module.  The span must be graded
+    by the weights, i.e. each row of ``full`` lies in one weight space.
+    Coordinates are read through ``full``, whose row k is basis vector
+    ``_basis_of_row[k]``.
     """
 
     __slots__ = (
@@ -172,35 +162,26 @@ class WeightedBasis:
     def __init__(self, glsp: BasedSpace, space: BasedSpace, rows: Sequence[SparseVector]):
         self.glsp = glsp
         self.space = space
-        buckets: dict[Root, list[SparseVector]] = {}
-        for row in rows:
-            parts: dict[Root, dict[str, Fraction]] = {}
-            for lab, val in row.entries.items():
-                parts.setdefault(gl_coord_weight(lab), {})[lab] = val
-            for w, entries in parts.items():
-                buckets.setdefault(w, []).append(SparseVector(glsp, entries))
-        weight_subspaces = {w: rref(vecs, glsp) for w, vecs in buckets.items()}
-        zero = Root.zero()
-        self.basis_vecs: list[SparseVector] = []
-        self.weight_of_basis: list[Root] = []
+        self.full = rref(rows, glsp)
+        weights = []
+        for p, row in zip(self.full.pivots, self.full.rows):
+            w = gl_coord_weight(glsp.labels[p])
+            if any(gl_coord_weight(lab) != w for lab in row.entries):
+                raise ShapeError("span is not graded by the Cartan weights")
+            weights.append(w)
+        # a stable sort keeps pivot order within a weight; Root.zero().key()
+        # is (), so the weight-zero block comes first
+        order = sorted(range(len(weights)), key=lambda k: weights[k].key())
+        self.basis_vecs = [self.full.rows[k] for k in order]
+        self.weight_of_basis = [weights[k] for k in order]
         self.root_space_index: dict[Root, list[int]] = {}
-        basis_of_pivot: dict[int, int] = {}
-        ordered = ([zero] if zero in weight_subspaces else []) + sorted(
-            w for w in weight_subspaces if not w.is_zero()
-        )
-        for w in ordered:
-            sub = weight_subspaces[w]
-            positions = list(range(len(self.basis_vecs), len(self.basis_vecs) + sub.dim))
-            basis_of_pivot.update(zip(sub.pivots, positions))
-            self.basis_vecs.extend(sub.rows)
-            self.weight_of_basis.extend([w] * sub.dim)
-            if not w.is_zero():
-                self.root_space_index[w] = positions
-        zero_sub = weight_subspaces.get(zero)
-        self.zero_block = zero_sub.dim if zero_sub is not None else 0
+        self._basis_of_row = [0] * len(order)
+        for i, k in enumerate(order):
+            self._basis_of_row[k] = i
+            if not weights[k].is_zero():
+                self.root_space_index.setdefault(weights[k], []).append(i)
+        self.zero_block = sum(w.is_zero() for w in weights)
         self.basis_mats = [vec_to_mat(v, space) for v in self.basis_vecs]
-        self.full = rref(self.basis_vecs, glsp)
-        self._basis_of_row = [basis_of_pivot[p] for p in self.full.pivots]
 
     @property
     def dim(self) -> int:
@@ -302,7 +283,7 @@ def defining_condition_rows(nat: FormedSpace) -> list[SparseVector]:
 
 
 def _trace_row(nat: FormedSpace, glsp: BasedSpace) -> SparseVector:
-    return SparseVector(glsp, {gl_label(l, l): QONE for l in nat.space.labels})
+    return SparseVector(glsp, {(l, l): QONE for l in nat.space.labels})
 
 
 def _form_rows(nat: FormedSpace, glsp: BasedSpace, sign: Fraction) -> list[SparseVector]:
@@ -318,13 +299,11 @@ def _form_rows(nat: FormedSpace, glsp: BasedSpace, sign: Fraction) -> list[Spars
     for u in labels:
         for w in labels:
             # (phi^T G)[u, w] = sum_t phi[t,u] G[t,w], (G phi)[u, w] = sum_t G[u,t] phi[t,w]
-            entries: dict[str, Fraction] = {}
+            entries: dict[tuple[str, str], Fraction] = {}
             for t, val in cols.get(w, ()):
-                key = gl_label(t, u)
-                entries[key] = entries.get(key, QZERO) + val
+                entries[t, u] = entries.get((t, u), QZERO) + val
             for t, val in rows_g.get(u, ()):
-                key = gl_label(t, w)
-                entries[key] = entries.get(key, QZERO) + sign * val
+                entries[t, w] = entries.get((t, w), QZERO) + sign * val
             if entries:
                 out.append(SparseVector(glsp, entries))
     return out
@@ -375,7 +354,7 @@ class RepModule:
             rows = [_trace_row(nat, glsp)] + _form_rows(nat, glsp, -QONE)
             ker = kernel_of_rows(rows, glsp)
             self.wb = WeightedBasis(glsp, nat.space, ker.rows)
-            self.space = BasedSpace([f"s:{i}" for i in range(self.wb.dim)])
+            self.space = BasedSpace(range(self.wb.dim))
             self.weights = None
         else:
             raise ValueError(f"unknown module kind {kind!r}")
@@ -396,14 +375,12 @@ class RepModule:
         if self.kind == "V":
             raise ShapeError("natural module vectors are not matrices")
         acc: dict[tuple[str, str], Fraction] = {}
-        for lab, c in v.entries.items():
-            i = int(lab.split(":")[1])
+        for i, c in v.entries.items():
             add_scaled(acc, self.wb.basis_mats[i].entries, c)
         return SparseMatrix(self.algebra.space, self.algebra.space, acc)
 
     def from_matrix(self, m: SparseMatrix) -> SparseVector:
-        coords = self.wb.coords_of_mat(m)
-        return SparseVector(self.space, {f"s:{i}": c for i, c in coords.items()})
+        return SparseVector(self.space, self.wb.coords_of_mat(m))
 
     def action_matrix(self, x: SparseMatrix) -> SparseMatrix:
         cols = {}
@@ -422,7 +399,7 @@ class RepModule:
             }
         out: dict[Root, list[SparseVector]] = {}
         for i, w in enumerate(self.wb.weight_of_basis):
-            out.setdefault(w, []).append(self.space.basis_vector(f"s:{i}"))
+            out.setdefault(w, []).append(self.space.basis_vector(i))
         return {w: rref(vs, self.space) for w, vs in out.items()}
 
 
@@ -465,7 +442,7 @@ def weight_decompose(
                 shifted = [img - v.scale(lam_q) for img, v in zip(images, sub.rows)]
                 # row i of the shifted operator in subspace coordinates:
                 # coordinate i of the image of each basis row j
-                op_rows: list[dict[str, Fraction]] = [{} for _ in range(sub.dim)]
+                op_rows: list[dict[int, Fraction]] = [{} for _ in range(sub.dim)]
                 for j, sv in enumerate(shifted):
                     try:
                         coords = sub.coordinates(sv)
@@ -475,18 +452,18 @@ def weight_decompose(
                             witness=sv,
                         )
                     for i, c in coords.items():
-                        op_rows[i][f"c:{j}"] = c
-                coeff_space = BasedSpace([f"c:{i}" for i in range(sub.dim)])
+                        op_rows[i][j] = c
+                coeff_space = BasedSpace(range(sub.dim))
                 rows = [SparseVector(coeff_space, row) for row in op_rows]
                 ker = kernel_of_rows(rows, coeff_space)
                 if ker.dim == 0:
                     continue
                 vecs = []
                 for kv in ker.rows:
-                    acc = space.zero()
-                    for lab, c in kv.entries.items():
-                        acc = acc + sub.rows[int(lab.split(":")[1])].scale(c)
-                    vecs.append(acc)
+                    acc: dict = {}
+                    for j, c in kv.entries.items():
+                        add_scaled(acc, sub.rows[j].entries, c)
+                    vecs.append(SparseVector(space, acc))
                 eig = rref(vecs, space)
                 dim_found += eig.dim
                 new_pieces.append((tag + (lam,), eig))

@@ -8,7 +8,6 @@ system, since the classical conventions differ per type).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 FAMILIES = ("A", "B", "C", "D", "BC")
@@ -254,10 +253,10 @@ def is_full_subsystem(subset: Iterable[Root], system: RootSystem) -> bool:
     from .exactla import BasedSpace, SparseVector, rref
 
     amb_idx = sorted({i for r in system.roots for i in r.coords})
-    space = BasedSpace([f"e{i}" for i in amb_idx])
+    space = BasedSpace(amb_idx)
 
     def to_vec(r: Root) -> SparseVector:
-        return SparseVector(space, {f"e{i}": Fraction(c) for i, c in r.coords.items()})
+        return SparseVector(space, r.coords)
 
     span = rref([to_vec(r) for r in sorted(sub)], space)
     for r in system.roots:

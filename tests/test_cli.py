@@ -344,6 +344,34 @@ def test_internal_consistency_error_exits_3(capsys, monkeypatch):
     )
 
 
+def test_uniform_suite_checks_the_model_k(capsys, tmp_path, monkeypatch):
+    # with "K": "fh" the uniform suite decides the model's K, not K = 0
+    import rootgraded.cli as cli
+    from test_graded import nilpotent_pair_quadruple
+
+    real = cli.check_uniform
+    k_dims = []
+
+    def recording(bb, k_span, **kwargs):
+        k_dims.append(len(k_span))
+        return real(bb, k_span, **kwargs)
+
+    monkeypatch.setattr(cli, "check_uniform", recording)
+    spec = {
+        "family": "D", "n": 6, "ell": 5, "K": "fh",
+        "quadruple": quadruple_to_json(nilpotent_pair_quadruple()),
+    }
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(spec))
+    code, out = run_cli(
+        capsys, "verify", "--model", str(path), "--suite", "uniform", "--samples", "0"
+    )
+    assert code == 0
+    assert k_dims == [1]
+    (check,) = json.loads(out)["checks"]
+    assert (check["name"], check["status"], check["cross_ell"]) == ("uniform", "pass", 7)
+
+
 def test_emit_flag_accepted_on_subcommands(capsys):
     code, out = run_cli(capsys, "roots", "--family", "A", "--n", "2", "--emit", "json")
     assert code == 0

@@ -155,7 +155,7 @@ def test_matrix_apply_and_compose():
 def test_tensor_space_labels():
     t = tensor_space(S2, S2)
     assert t.dim == 4
-    assert "x⊗y" in t
+    assert ("x", "y") in t
 
 
 def test_subspace_coordinates():

@@ -96,10 +96,19 @@ def test_uniform_verdict_fails_when_beta_star_misses_a_relation(monkeypatch):
     monkeypatch.setattr(coord, "_beta_star_of_parts", lambda q, p1, p2: real(q, p1, p2) + q.unit)
     q = parse_preset_spec("matrix:k=2")
     report = coord.check_uniform(coord.build_bb(q, 5), [], cross_check_ell=7)
-    assert report["uniform"] is False and report["witness"]
+    assert report["uniform"] is False
+    # the witness prints the pair label of the relation as "x⊗y"
+    assert report["witness"] == "1*m:0,0⊗m:0,0"
     assert report["cross_check"] == {"ell": 7, "uniform": False}
-    with pytest.raises(ModelError, match="uniform property"):
+    with pytest.raises(ModelError, match="uniform property: witness 1\\*m:0,0⊗m:0,0$"):
         build_model("A", 6, 5, q)
+
+
+def test_dpart_basis_label_prints_the_coset_pair():
+    m = model("A", 6, 5, "matrix:k=2")
+    d_labels = [m.basis_label(i) for i, (kind, _) in enumerate(m.basis) if kind == "d"]
+    assert d_labels[0] == "d[m:1,0⊗m:0,1]"
+    assert len(d_labels) == m.dpart.dim == 3
 
 
 def test_unit_row_bracket():

@@ -9,6 +9,7 @@ from rootgraded.liealg import (
     DegenerateInputError,
     FormedSpace,
     TruncationIdempotent,
+    WeightedBasis,
     build_algebra,
     build_module,
     circ_trunc,
@@ -74,6 +75,19 @@ def test_weighted_basis_coordinates(which):
         outside = matrix_unit("v:1", "v:1", g.space)
     with pytest.raises(ShapeError):
         wb.coords_of_mat(outside)
+
+
+def test_weighted_basis_rejects_a_row_mixing_weights():
+    # e_{v:1,v:2} + e_{v:2,v:1} has the weights e1-e2 and e2-e1, so its span
+    # is not graded by the Cartan weights
+    g = alg("A", 3)
+    mixed = matrix_unit("v:1", "v:2", g.space) + matrix_unit("v:2", "v:1", g.space)
+    with pytest.raises(ShapeError):
+        WeightedBasis(g.glsp, g.space, [mat_to_vec(mixed, g.glsp)])
+    # a weight basis in another order gives back the same basis, in order
+    again = WeightedBasis(g.glsp, g.space, g.basis_vecs[::-1])
+    assert again.basis_vecs == g.basis_vecs
+    assert again.weight_of_basis == g.wb.weight_of_basis
 
 
 def test_degenerate_inputs():
@@ -169,10 +183,8 @@ def test_truncation_embedding(family):
 
 
 def _as_mat_entries(glvec):
-    from rootgraded.liealg import split_gl_label
-
-    for lab, val in glvec.entries.items():
-        yield split_gl_label(lab), val
+    # gl coordinates are labelled by the (row, col) pairs of matrix entries
+    return glvec.entries.items()
 
 
 def test_natural_module_weights():
