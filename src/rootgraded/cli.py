@@ -22,7 +22,6 @@ from .coord import (
     InternalConsistencyError,
     b_mul,
     check_uniform,
-    derivation,
     load_quadruple_file,
     parse_preset_spec,
     quadruple_from_json,
@@ -151,7 +150,7 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _verify_checks(model, q, args):
+def _verify_checks(model, args):
     """The named suite as (name, callable) pairs; callables are pure."""
     checks = []
     suite = args.suite
@@ -176,7 +175,7 @@ def _verify_checks(model, q, args):
     if "grading" in suite:
         checks.append(("grading", lambda: _flatten(verify_grading(model))))
     if "derivation" in suite:
-        checks.append(("derivation", lambda: _derivation_check(q, model.ell)))
+        checks.append(("derivation", lambda: _derivation_check(model)))
     if "homology" in suite:
         checks.append(("homology", lambda: _homology_check(model)))
     if "uniform" in suite:
@@ -207,12 +206,15 @@ def _flatten(report: dict) -> dict:
     return out
 
 
-def _derivation_check(q, ell) -> dict:
+def _derivation_check(model) -> dict:
+    """The derivation law on b for every pair derivation d_{x,y} the
+    model's D-part was built from."""
+    q = model.quadruple
     failures = []
     labs = q.b_space.labels
     for l1 in labs:
         for l2 in labs:
-            d = derivation(q, ell, q.b_space.basis_vector(l1), q.b_space.basis_vector(l2))
+            d = model.bb.pair_derivation((l1, l2))
             if d.is_zero():
                 continue
             for x_lab in labs:
@@ -289,7 +291,7 @@ def cmd_verify(args) -> int:
     )
     build_elapsed = int((time.monotonic() - t0) * 1000)
     results = []
-    for name, fn in _verify_checks(model, q, args):
+    for name, fn in _verify_checks(model, args):
         t0 = time.monotonic()
         out = fn()
         elapsed = int((time.monotonic() - t0) * 1000)

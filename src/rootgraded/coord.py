@@ -127,6 +127,10 @@ class CoordinateQuadruple:
     def join_b(self, a: SparseVector, c: SparseVector) -> SparseVector:
         return SparseVector(self.b_space, {**a.entries, **c.entries})
 
+    def lift_b(self, v: SparseVector) -> SparseVector:
+        """An element of a or of C, as an element of b."""
+        return SparseVector(self.b_space, v.entries)
+
     def proj_a_part(self, x: SparseVector) -> SparseVector:
         """Projection of an a-element onto the *-fixed points."""
         return (x + self.a_star(x)).scale(Q(1, 2))
@@ -188,83 +192,83 @@ def diamond_heart(q, c: SparseVector, cp: SparseVector) -> tuple[SparseVector, S
 
 
 def beta_star(q, x: SparseVector, y: SparseVector) -> SparseVector:
-    """[a1, a2] + [b1, b2] - c1 heart c2, split through the involution."""
+    """([a1, a2] + [a1*, a2*])/2 - c1 heart c2 for x = a1 + c1, y = a2 + c2."""
     return _beta_star_of_parts(q, _beta_parts(q, x), _beta_parts(q, y))
 
 
 def _beta_parts(q, x: SparseVector):
-    """x in b split as (a, b, c): its *-fixed and *-skew parts and its C part."""
-    ag, c = q.split_b(x)
-    return q.proj_a_part(ag), q.proj_b_part(ag), c
+    """x in b split as (a, a*, c): its a part, the image of that under *,
+    and its C part."""
+    a, c = q.split_b(x)
+    return a, q.a_star(a), c
 
 
 def _beta_star_of_parts(q, parts1, parts2) -> SparseVector:
     """beta* of two elements of b given by their ``_beta_parts``."""
-    a1, b1, c1 = parts1
-    a2, b2, c2 = parts2
+    a1, s1, c1 = parts1
+    a2, s2, c2 = parts2
     out = (
         q.a_mul(a1, a2)
         - q.a_mul(a2, a1)
-        + q.a_mul(b1, b2)
-        - q.a_mul(b2, b1)
-    )
+        + q.a_mul(s1, s2)
+        - q.a_mul(s2, s1)
+    ).scale(Q(1, 2))
     if q.c_dim:
-        heart = (q.f_val(c1, c2) + q.f_val(c2, c1)).scale(Q(1, 2))
-        out = out - heart
+        out = out - diamond_heart(q, c1, c2)[1]
     return out
 
 
+def inner_scale(qtype: str, ell: int) -> Fraction:
+    """kappa: for types A, C and BC the derivation d^ell_{x,y} is the inner
+    derivation of kappa beta*(x, y), less the f-term for BC.  kappa is
+    1/(ell + 1) = 1/m0 for A and 1/(2 ell) for C and BC.  B and D have no
+    inner part (beta* vanishes on their commutative coordinates): 0."""
+    if qtype == "A":
+        return Q(1, ell + 1)
+    if qtype in ("C", "BC"):
+        return Q(1, 2 * ell)
+    return QZERO
+
+
+def f_action(q, c: SparseVector, c1: SparseVector, c2: SparseVector) -> SparseVector:
+    """c1 f(c, c2) + c2 f(c, c1): the module part of <c1, c2> acting on c."""
+    return q.c_act(q.f_val(c, c2), c1) + q.c_act(q.f_val(c, c1), c2)
+
+
 def derivation(q, ell: int, x: SparseVector, y: SparseVector) -> SparseMatrix:
-    """The type-dispatched inner-derivation endomorphism d^{ell,b}_{x,y} of b."""
+    """The derivation d^ell_{x,y} of b that {x, y} acts by.
+
+    For A, C and BC it is the inner derivation of z = kappa beta*(x, y),
+    kappa = ``inner_scale``: a' -> [z, a'] on a and c -> z.c on C, less half
+    of ``f_action`` of the module parts of x and y on C (nonzero for BC
+    only).  For B it is the Jordan derivation [L_a2, L_a1]; for D it is 0.
+    """
     if ell < 1:
         raise ValueError("ell must be a positive integer")
-    a1, c1 = q.split_b(x)
-    a2, c2 = q.split_b(y)
     cols: dict[tuple[str, str], Fraction] = {}
 
     def add_col(lab: str, vec: SparseVector):
         add_scaled(cols, {(r, lab): v for r, v in vec.entries.items()})
 
-    def add_ad_cols(z: SparseVector, scale: Fraction, with_module: bool):
-        # the columns of scale * ad(z) on a and, with_module, those of
-        # c -> scale * z.c on C; there is nothing to add when z is zero
-        if z.is_zero():
-            return
+    if q.qtype == "B":
+        a1, a2 = q.split_b(x)[0], q.split_b(y)[0]
         for lab in q.a_space.labels:
             beta = q.a_space.basis_vector(lab)
-            add_col(lab, (q.a_mul(z, beta) - q.a_mul(beta, z)).scale(scale))
-        for lab in q.c_space.labels if with_module else ():
-            beta = q.c_space.basis_vector(lab)
-            add_col(lab, q.c_act(z, beta).scale(scale))
-
-    t = q.qtype
-    if t != "D" and not (a1.is_zero() or a2.is_zero()):
-        if t == "A":
-            add_ad_cols(q.a_mul(a1, a2) - q.a_mul(a2, a1), Q(1, ell + 1), False)
-        elif t == "B":
+            add_col(lab, q.a_mul(a2, q.a_mul(a1, beta)) - q.a_mul(a1, q.a_mul(a2, beta)))
+    elif q.qtype != "D":
+        parts1, parts2 = _beta_parts(q, x), _beta_parts(q, y)
+        z = _beta_star_of_parts(q, parts1, parts2).scale(inner_scale(q.qtype, ell))
+        if not z.is_zero():
             for lab in q.a_space.labels:
                 beta = q.a_space.basis_vector(lab)
-                add_col(lab, q.a_mul(a2, q.a_mul(a1, beta)) - q.a_mul(a1, q.a_mul(a2, beta)))
-        else:  # C and BC
-            s1, s2 = q.a_star(a1), q.a_star(a2)
-            comm = (
-                q.a_mul(a1, a2)
-                - q.a_mul(a2, a1)
-                + q.a_mul(s1, s2)
-                - q.a_mul(s2, s1)
-            )
-            add_ad_cols(comm, Q(1, 4 * ell), True)
-    if t == "BC" and not (c1.is_zero() or c2.is_zero()):
-        heart = (q.f_val(c1, c2) + q.f_val(c2, c1)).scale(Q(1, 2))
-        scale = Q(-1, 2 * ell)
-        add_ad_cols(heart, scale, False)
-        half = Q(1, 2)
-        for lab in q.c_space.labels:
-            beta = q.c_space.basis_vector(lab)
-            term = q.c_act(heart, beta).scale(scale)
-            term = term - q.c_act(q.f_val(beta, c2), c1).scale(half)
-            term = term - q.c_act(q.f_val(beta, c1), c2).scale(half)
-            add_col(lab, term)
+                add_col(lab, q.a_mul(z, beta) - q.a_mul(beta, z))
+            for lab in q.c_space.labels:
+                add_col(lab, q.c_act(z, q.c_space.basis_vector(lab)))
+        c1, c2 = parts1[2], parts2[2]
+        if not (c1.is_zero() or c2.is_zero()):
+            for lab in q.c_space.labels:
+                beta = q.c_space.basis_vector(lab)
+                add_col(lab, f_action(q, beta, c1, c2).scale(Q(-1, 2)))
     return SparseMatrix(q.b_space, q.b_space, cols)
 
 
@@ -306,8 +310,7 @@ def validate_quadruple(q: CoordinateQuadruple) -> dict:
         ])
         # Clifford structure: associativity on triples with at most one
         # skew factor (A associative, A-module law on B, form A-bilinear)
-        apart = [SparseVector(q.a_space, dict(r.entries)) for r in q.a_part_sub.rows]
-        bpart = [SparseVector(q.a_space, dict(r.entries)) for r in q.b_part_sub.rows]
+        apart, bpart = q.a_part_sub.rows, q.b_part_sub.rows
         cj_fails = []
         for tag, pool in (("AAA", (apart, apart, apart)),
                           ("AAB", (apart, apart, bpart)),
@@ -329,6 +332,9 @@ def validate_quadruple(q: CoordinateQuadruple) -> dict:
             or q.a_mul(avecs[lab], q.unit) != avecs[lab]
         ],
     )
+    # on a = 0 the unit law holds vacuously, but 1 = 0 makes x -> x (x) 1
+    # fail to be injective
+    record("unit is nonzero", ["unit is 0"] if q.unit.is_zero() else [])
     record(
         "star is an involution (star^2 = id)",
         [
@@ -432,12 +438,8 @@ def relation_generators(q: CoordinateQuadruple) -> list[SparseVector]:
 
     avecs = [q.b_space.basis_vector(l) for l in q.a_space.labels]
     cvecs = [q.b_space.basis_vector(l) for l in q.c_space.labels]
-    apart = [
-        SparseVector(q.b_space, dict(r.entries)) for r in q.a_part_sub.rows
-    ]
-    bpart = [
-        SparseVector(q.b_space, dict(r.entries)) for r in q.b_part_sub.rows
-    ]
+    apart = [q.lift_b(r) for r in q.a_part_sub.rows]
+    bpart = [q.lift_b(r) for r in q.b_part_sub.rows]
     for al in avecs:
         for c in cvecs:
             gens.append(tens((al, c)))
@@ -452,9 +454,9 @@ def relation_generators(q: CoordinateQuadruple) -> list[SparseVector]:
         for cp in cvecs[i + 1 :]:
             gens.append(tens((c, cp), (-cp, c)))
     # each product below is used by several generators: compute it once
-    a_only = [_drop(q, x) for x in avecs]
-    c_only = [_dropc(q, c) for c in cvecs]
-    prod = [[_lift(q, q.a_mul(x, y)) for y in a_only] for x in a_only]
+    a_only = [q.a_space.basis_vector(l) for l in q.a_space.labels]
+    c_only = [q.c_space.basis_vector(l) for l in q.c_space.labels]
+    prod = [[q.lift_b(q.a_mul(x, y)) for y in a_only] for x in a_only]
     n = len(avecs)
     for i in range(n):
         for j in range(n):
@@ -466,27 +468,14 @@ def relation_generators(q: CoordinateQuadruple) -> list[SparseVector]:
                         (prod[j][k], avecs[i]),
                     )
                 )
-    act = [[_lift(q, q.c_act(x, c)) for c in c_only] for x in a_only]
-    star_act = [[_lift(q, q.c_act(q.a_star(x), c)) for c in c_only] for x in a_only]
+    act = [[q.lift_b(q.c_act(x, c)) for c in c_only] for x in a_only]
+    star_act = [[q.lift_b(q.c_act(q.a_star(x), c)) for c in c_only] for x in a_only]
     for i, c in enumerate(cvecs):
         for j, cp in enumerate(cvecs):
-            f_ccp = _lift(q, q.f_val(c_only[i], c_only[j]))
+            f_ccp = q.lift_b(q.f_val(c_only[i], c_only[j]))
             for k, al in enumerate(avecs):
                 gens.append(tens((f_ccp, al), (star_act[k][j], c), (-act[k][i], cp)))
     return gens
-
-
-def _drop(q, v: SparseVector) -> SparseVector:
-    return SparseVector(q.a_space, {l: c for l, c in v.entries.items() if l in q.a_space})
-
-
-def _dropc(q, v: SparseVector) -> SparseVector:
-    return SparseVector(q.c_space, {l: c for l, c in v.entries.items() if l in q.c_space})
-
-
-def _lift(q, v: SparseVector) -> SparseVector:
-    """An element of a or of C, as an element of b."""
-    return SparseVector(q.b_space, dict(v.entries))
 
 
 class BBQuotient:
@@ -528,10 +517,13 @@ class BBQuotient:
     def derivation_of(self, t: SparseVector) -> SparseMatrix:
         acc: dict[tuple[str, str], Fraction] = {}
         for lab, coeff in t.entries.items():
-            add_scaled(acc, self._pair_derivation(lab).entries, coeff)
+            add_scaled(acc, self.pair_derivation(lab).entries, coeff)
         return SparseMatrix(self.q.b_space, self.q.b_space, acc)
 
-    def _pair_derivation(self, lab: tuple[str, str]) -> SparseMatrix:
+    def pair_derivation(self, lab: tuple[str, str]) -> SparseMatrix:
+        """d^ell_{x,y} for the tensor label (x, y), computed once; the build
+        computes it for every label, each being a relation pivot or a coset
+        label."""
         d = self._deriv_cache.get(lab)
         if d is None:
             l1, l2 = lab
@@ -563,7 +555,7 @@ class BBQuotient:
                     "total derivation of a relation vector is nonzero", witness=g
                 )
         for lab in self.quotient.coset_labels:
-            d = self._pair_derivation(lab)
+            d = self.pair_derivation(lab)
             if d.is_zero():
                 continue
             cols = _columns(d)

@@ -8,9 +8,12 @@ subsystem closure, level transitions) runs off that table.
 
 Levels: the parameter ``ell`` is always the level parameter of the
 derivations; the induced index-subset size is m0 = ell for families
-B/C/BC and m0 = ell + 1 for A/D.  All normalization denominators are
-bound to the actual subset size m0 (with the extra factor 2 in the
-A/D symmetric product); the two are never inferred from each other.
+B/C/BC and m0 = ell + 1 for A/D.  The matrix side binds its
+normalizations to m0 (the truncated products, with the extra factor 2 in
+the A/D symmetric product, and the level operator).  The coordinate side
+binds them to ell through one constant, kappa = ``coord.inner_scale``:
+each coset carries kappa beta*, so every bracket-term scale is a plain
+constant.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ from .coord import (
     build_bb,
     check_uniform,
     diamond_heart,
+    f_action,
     full_homology,
+    inner_scale,
 )
 from .exactla import (
     BasedSpace,
@@ -45,6 +50,7 @@ from .exactla import (
     subspace_sum,
 )
 from .liealg import (
+    FormedSpace,
     RepModule,
     TruncationIdempotent,
     build_algebra,
@@ -151,7 +157,7 @@ class Term(NamedTuple):
     target: str  # kind of the result: "g", "s", "v" or "d"
     mat: Callable  # (model, x, y) -> matrix, natural-module vector or scalar
     coord: Callable  # (model, a, a') -> vector of a or C, or a b (x) b tensor
-    scale: Callable = lambda m: QONE
+    scale: Fraction = QONE
 
 
 # matrix side.  The product ops read the pair's two products (xy, yx), so
@@ -221,7 +227,7 @@ def _v_op(variant: str) -> Callable:
 
 
 class _Coset(NamedTuple):
-    bstar: SparseVector  # beta*(e1, e2) for <k> = <e1, e2>
+    inner: SparseVector  # kappa beta*(e1, e2) for <k> = <e1, e2>
     deriv: SparseMatrix  # the derivation d_{e1, e2} of b
     c1: SparseVector  # module parts of e1 and e2
     c2: SparseVector
@@ -258,60 +264,46 @@ def _heart(m, c, c2):
     return diamond_heart(m.quadruple, c, c2)[1]
 
 
-def _with_bstar(op: Callable) -> Callable:
+def _with_inner(op: Callable) -> Callable:
     def coord(m, a, coset):
-        return op(m, a, coset.bstar)
+        return op(m, a, coset.inner)
 
     return coord
 
 
-def _bstar_act(m, c, coset):
-    return m.quadruple.c_act(coset.bstar, c)
+def _inner_act(m, c, coset):
+    return m.quadruple.c_act(coset.inner, c)
 
 
 def _f_act(m, c, coset):
-    return _f_action(m.quadruple, c, coset.c1, coset.c2)
-
-
-def _f_action(q, c, c1, c2):
-    """c1 f(c, c2) + c2 f(c, c1): the module part of <c1, c2> acting on c."""
-    return q.c_act(q.f_val(c, c2), c1) + q.c_act(q.f_val(c, c1), c2)
+    return f_action(m.quadruple, c, coset.c1, coset.c2)
 
 
 def _deriv(m, a, coset):
     q = m.quadruple
-    img = coset.deriv.apply(SparseVector(q.b_space, a.entries))
-    return SparseVector(q.a_space, img.entries)
+    return q.split_b(coset.deriv.apply(q.lift_b(a)))[0]
 
 
 def _coset_act(m, coset, other):
     return m.bb.apply_pair_action(coset.deriv, other.lift)
 
 
-def _half(m):
-    return Q(1, 2)
-
-
-def _quarter_ell(m):
-    return Q(1, 4 * m.ell)
-
-
 _DD = (Term("d", _one, _coset_act),)
 _TYPE_C = {
     "gg": (
-        Term("g", _lie, _circle, _half),
-        Term("s", _circ, _bracket, _half),
+        Term("g", _lie, _circle, Q(1, 2)),
+        Term("s", _circ, _bracket, Q(1, 2)),
         Term("d", _trace, _pair),
     ),
-    "gs": (Term("g", _circ, _bracket, _half), Term("s", _lie, _circle, _half)),
+    "gs": (Term("g", _circ, _bracket, Q(1, 2)), Term("s", _lie, _circle, Q(1, 2))),
     "gd": (
-        Term("g", _jordan, _with_bstar(_bracket), _quarter_ell),
-        Term("s", _lie, _with_bstar(_circle), _quarter_ell),
+        Term("g", _jordan, _with_inner(_bracket), Q(1, 2)),
+        Term("s", _lie, _with_inner(_circle), Q(1, 2)),
     ),
     "sd": (
-        Term("g", _lie, _with_bstar(_circle), _quarter_ell),
-        Term("s", _circ, _with_bstar(_bracket), _quarter_ell),
-        Term("d", _trace, _with_bstar(_pair), lambda m: Q(1, 2 * m.ell)),
+        Term("g", _lie, _with_inner(_circle), Q(1, 2)),
+        Term("s", _circ, _with_inner(_bracket), Q(1, 2)),
+        Term("d", _trace, _with_inner(_pair)),
     ),
     "dd": _DD,
 }
@@ -320,14 +312,14 @@ _TYPE_C["ss"] = _TYPE_C["gg"]
 TERMS: dict[str, dict[str, tuple[Term, ...]]] = {
     "A": {
         "gg": (
-            Term("g", _lie, _circle, _half),
-            Term("g", _circ, _bracket, _half),
+            Term("g", _lie, _circle, Q(1, 2)),
+            Term("g", _circ, _bracket, Q(1, 2)),
             Term("d", _trace, _pair),
         ),
         "gd": (
-            Term("g", _circ, _with_bstar(_bracket), lambda m: Q(1, 2 * m.m0)),
-            Term("g", _lie, _with_bstar(_circle), lambda m: Q(1, 2 * m.m0)),
-            Term("d", _trace, _with_bstar(_pair), lambda m: Q(1, m.m0)),
+            Term("g", _circ, _with_inner(_bracket), Q(1, 2)),
+            Term("g", _lie, _with_inner(_circle), Q(1, 2)),
+            Term("d", _trace, _with_inner(_pair)),
         ),
         "dd": _DD,
     },
@@ -335,8 +327,8 @@ TERMS: dict[str, dict[str, tuple[Term, ...]]] = {
         "gg": (Term("g", _lie, _prod), Term("d", _trace, _pair)),
         "gs": (Term("s", _act, _prod),),
         "ss": (Term("g", _d_uw, _prod), Term("d", _form, _pair)),
-        "gd": (Term("g", _first, _deriv, lambda m: Q(-1)),),
-        "sd": (Term("s", _first, _deriv, lambda m: Q(-1)),),
+        "gd": (Term("g", _first, _deriv, Q(-1)),),
+        "sd": (Term("s", _first, _deriv, Q(-1)),),
         "dd": _DD,
     },
     "C": _TYPE_C,
@@ -350,8 +342,8 @@ TERMS: dict[str, dict[str, tuple[Term, ...]]] = {
             Term("d", _form, _pair),
         ),
         "vd": (
-            Term("v", _acted_on, _bstar_act, lambda m: Q(-1, 2 * m.ell)),
-            Term("v", _first, _f_act, _half),
+            Term("v", _acted_on, _inner_act, Q(-1)),
+            Term("v", _first, _f_act, Q(1, 2)),
         ),
     },
     # the D-part of type D is central
@@ -490,8 +482,8 @@ class GradedModel:
         self.idem0 = TruncationIdempotent(self.G.space, set(range(1, m0 + 1)))
 
         q = quadruple
-        self.a_basis = [SparseVector(q.a_space, dict(r.entries)) for r in q.a_part_sub.rows]
-        self.b_basis = [SparseVector(q.a_space, dict(r.entries)) for r in q.b_part_sub.rows]
+        self.a_basis = q.a_part_sub.rows
+        self.b_basis = q.b_part_sub.rows
         self.c_basis = [q.c_space.basis_vector(l) for l in q.c_space.labels]
 
         self._assemble_basis()
@@ -526,13 +518,14 @@ class GradedModel:
             kinds["s"] = weighted(self.smod.wb, self.b_basis, q.b_part_sub.coordinates)
         if self.vmod is not None:
             kinds["v"] = natural(self.c_basis, _label_coords(q.c_space))
+        kappa = inner_scale(q.qtype, self.ell)
         cosets = []
         for lab in self.dpart.coset_space.labels:
             e1, e2 = (q.b_space.basis_vector(l) for l in lab)
             cosets.append(
                 _Coset(
-                    bstar=beta_star(q, e1, e2),
-                    deriv=self.bb._pair_derivation(lab),
+                    inner=beta_star(q, e1, e2).scale(kappa),
+                    deriv=self.bb.pair_derivation(lab),
                     c1=q.split_b(e1)[1],
                     c2=q.split_b(e2)[1],
                     lift=self.bb.tensor.basis_vector(lab),
@@ -632,7 +625,7 @@ class GradedModel:
                         coord.append((p, t, f))
             if keep is not None:
                 keep[k1 + k2, term.target, term.mat] = mat
-            scale = term.scale(self)
+            scale = term.scale
             for (i, j), mf in mat.items():
                 e0, f0 = off1 + i * w1, off2 + j * w2
                 scaled = [(off_t + mi * w_t, scale * cm) for mi, cm in mf.items()]
@@ -712,7 +705,7 @@ class GradedModel:
                     c2 = q.split_b(q.b_space.basis_vector(l2))[1]
                     if c1.is_zero() or c2.is_zero():
                         continue
-                    acc = acc + _f_action(q, c, c1, c2).scale(coeff)
+                    acc = acc + f_action(q, c, c1, c2).scale(coeff)
                 if not acc.is_zero():
                     raise InternalConsistencyError(
                         "module row does not vanish on the relation space",
@@ -1103,18 +1096,17 @@ def subalgebra(model: GradedModel, s_roots: Iterable[Root]) -> SubModel:
 # level transitions
 
 
-def _level_correction_targets(m: GradedModel):
-    if m.family in ("C", "BC"):
-        return "s", Q(1, 2)
-    if m.family == "A":
-        return "g", QONE
-    return None, QZERO  # B and D: commutator vanishes identically
+# the kind the level correction lands in; B and D have none, as beta*
+# vanishes on their commutative coordinates
+_LEVEL_TARGET = {"A": "g", "C": "s", "BC": "s"}
 
 
 def level_coset(
     m: GradedModel, lam_subset: Iterable[int], x: SparseVector, y: SparseVector
 ) -> GradedElement:
-    """The lambda-level coset <x, y>_lambda as a model element."""
+    """The lambda-level coset <x, y>_lambda as a model element: the level-0
+    coset {x, y} plus ``_level_op`` (x) kappa beta*(x, y), for x, y in b
+    (or in a or C, lifted into b)."""
     lam = frozenset(lam_subset)
     if not set(range(1, m.m0 + 1)) <= lam:
         raise ModelError("lambda must contain the base subset I_0")
@@ -1124,27 +1116,24 @@ def level_coset(
     dcos = m._dcoset(x, y)
     for di, c in dcos.items():
         coeffs[m.index_of[("d", (di,))]] = c
-    target, factor = _level_correction_targets(m)
+    target = _LEVEL_TARGET.get(m.family)
     if target is not None:
-        bs = beta_star(m.quadruple, _to_b(m, x), _to_b(m, y))
-        if not bs.is_zero():
+        q = m.quadruple
+        inner = beta_star(q, q.lift_b(x), q.lift_b(y)).scale(inner_scale(q.qtype, m.ell))
+        if not inner.is_zero():
             kind = m._kinds[target]
             for mi, cm in kind.read_mat(_level_op(m, lam, m.G.space)).items():
-                for ci, cc in kind.read_coord(bs).items():
+                for ci, cc in kind.read_coord(inner).items():
                     idx = kind.offset + mi * kind.width + ci
-                    coeffs[idx] = coeffs.get(idx, QZERO) + factor * cm * cc
+                    coeffs[idx] = coeffs.get(idx, QZERO) + cm * cc
     return GradedElement(m, coeffs)
 
 
-def _to_b(m: GradedModel, v: SparseVector) -> SparseVector:
-    return SparseVector(m.quadruple.b_space, dict(v.entries))
-
-
 def _level_op(m: GradedModel, lam: frozenset, space) -> SparseMatrix:
-    """(1/|I_lambda|) J_lambda - (1/m0) J_0 on the given natural space."""
+    """(m0/|I_lambda|) J_lambda - J_0 on the given natural space."""
     j_lam = TruncationIdempotent(space, lam).matrix
     j_0 = TruncationIdempotent(space, set(range(1, m.m0 + 1))).matrix
-    return j_lam.scale(Q(1, len(lam))) - j_0.scale(Q(1, m.m0))
+    return j_lam.scale(Q(m.m0, len(lam))) - j_0
 
 
 def verify_level_transition(m: GradedModel, added: int) -> dict:
@@ -1155,8 +1144,6 @@ def verify_level_transition(m: GradedModel, added: int) -> dict:
     """
     lam = frozenset(range(1, m.m0 + added + 1))
     n_ext = max(m.n, m.m0 + added)
-    from .liealg import FormedSpace
-
     ext = FormedSpace(m.G.family, n_ext)
     op = _level_op(m, lam, ext.space)
     checks = []
@@ -1164,9 +1151,8 @@ def verify_level_transition(m: GradedModel, added: int) -> dict:
         m, frozenset(range(1, m.m0 + 1)), ext.space
     ).is_zero()
     checks.append(_check("correction vanishes at lambda = I_0", op_zero_at_base))
-    target, factor = _level_correction_targets(m)
     op_ok = not op.is_zero()
-    if target is None:
+    if m.family not in _LEVEL_TARGET:
         # families with commutative coordinates: correction is identically 0
         all_zero = all(row.is_zero() for row in m.bb.beta_rows.values())
         checks.append(

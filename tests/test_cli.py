@@ -254,6 +254,8 @@ _ONE_DIM = {
         ({"star": [[-1, 0, "1"]]}, "basis index -1"),
         ({"unit": [[0, 1.5]]}, "not a rational"),
         ({"a_dim": "two"}, "nonnegative integer"),
+        # a = 0: the unit law holds vacuously, but 1 = 0
+        ({"a_dim": 0, "structure_constants": [], "unit": [], "star": []}, "unit is nonzero"),
     ],
 )
 def test_malformed_quadruple_file_exits_2(capsys, tmp_path, change, words):

@@ -26,7 +26,7 @@ from rootgraded.coord import (
     relation_generators,
     validate_quadruple,
 )
-from rootgraded.exactla import SparseVector, rref, tensor_space
+from rootgraded.exactla import SparseMatrix, SparseVector, rref, tensor_space
 
 PRESET_SPECS = [
     "matrix:k=2",
@@ -206,6 +206,63 @@ def test_derivation_is_a_derivation_of_b(spec):
                 lhs = d.apply(b_mul(q, x, y))
                 rhs = b_mul(q, d.apply(x), y) + b_mul(q, x, d.apply(y))
                 assert lhs == rhs, (spec, l1, l2, x_lab, y_lab)
+
+
+def _explicit_derivation(q, ell, x, y):
+    """d^ell_{x,y} by the per-family formula, written out without beta* or
+    kappa: ad([a1, a2])/(ell + 1) for A; ad([a1, a2] + [a1*, a2*])/(4 ell),
+    acting on C too, for C and BC; for BC also ad(heart(c1, c2))/(-2 ell)
+    on a and C and the f-terms -(c1 f(c, c2) + c2 f(c, c1))/2 on C; the
+    Jordan derivation [L_a2, L_a1] for B; zero for D."""
+    a1, c1 = q.split_b(x)
+    a2, c2 = q.split_b(y)
+    cols = {}
+
+    def add_col(lab, vec):
+        for r, v in vec.entries.items():
+            cols[r, lab] = cols.get((r, lab), 0) + v
+
+    def add_ad(z, scale):
+        for lab in q.a_space.labels:
+            e = q.a_space.basis_vector(lab)
+            add_col(lab, (q.a_mul(z, e) - q.a_mul(e, z)).scale(scale))
+        for lab in q.c_space.labels:
+            add_col(lab, q.c_act(z, q.c_space.basis_vector(lab)).scale(scale))
+
+    def comm(u, v):
+        return q.a_mul(u, v) - q.a_mul(v, u)
+
+    if q.qtype == "A":
+        add_ad(comm(a1, a2), Q(1, ell + 1))
+    elif q.qtype == "B":
+        for lab in q.a_space.labels:
+            e = q.a_space.basis_vector(lab)
+            add_col(lab, q.a_mul(a2, q.a_mul(a1, e)) - q.a_mul(a1, q.a_mul(a2, e)))
+    elif q.qtype in ("C", "BC"):
+        add_ad(comm(a1, a2) + comm(q.a_star(a1), q.a_star(a2)), Q(1, 4 * ell))
+    if q.qtype == "BC":
+        heart = (q.f_val(c1, c2) + q.f_val(c2, c1)).scale(Q(1, 2))
+        add_ad(heart, Q(-1, 2 * ell))
+        for lab in q.c_space.labels:
+            c = q.c_space.basis_vector(lab)
+            f_terms = q.c_act(q.f_val(c, c2), c1) + q.c_act(q.f_val(c, c1), c2)
+            add_col(lab, f_terms.scale(Q(-1, 2)))
+    return SparseMatrix(q.b_space, q.b_space, cols)
+
+
+@pytest.mark.parametrize("spec", PRESET_SPECS + ["matrix_hermitian:k=2,m=4"])
+def test_derivation_matches_the_explicit_formula(spec):
+    # derivation reads kappa from inner_scale and beta* from beta_star; the
+    # oracle writes each family's constants out
+    q = quad(spec)
+    labs = q.b_space.labels
+    for ell in (1, 4, 7):
+        for l1 in labs:
+            for l2 in labs:
+                x, y = q.b_space.basis_vector(l1), q.b_space.basis_vector(l2)
+                assert derivation(q, ell, x, y) == _explicit_derivation(q, ell, x, y), (
+                    ell, l1, l2,
+                )
 
 
 def test_relation_generators_scalar_type_a():

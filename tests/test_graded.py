@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from collections import Counter
 from fractions import Fraction as Q
 from itertools import combinations
@@ -574,7 +575,7 @@ def _reference_table(m):
         same = pair[0] == pair[1]
         for term in terms:
             kt = m._kinds[term.target]
-            scale = term.scale(m)
+            scale = term.scale
             coord = [
                 (p, t, kt.read_coord(term.coord(m, a, b)))
                 for p, a in enumerate(k1.coords)
@@ -650,3 +651,31 @@ def test_antisymmetry_catches_skipped_pair(config):
     finally:
         m.table = table
     assert verify_antisymmetry(m)["status"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ("A", 6, 5, "matrix:k=2"),
+        ("C", 5, 5, "matrix_transpose:k=2"),
+        ("BC", 4, 4, "matrix_hermitian:k=2,m=2"),
+    ],
+    ids=lambda c: " ".join(map(str, c)),
+)
+def test_inner_scale_is_pinned(monkeypatch, config):
+    # kappa doubled in every namespace that reads it changes the brackets
+    # [<k>, e] of the D-part cosets but not the D-part of [e, f]: exhaustive
+    # Jacobi must see it
+    import rootgraded.coord as coord
+
+    real = coord.inner_scale
+    readers = [
+        mod for name, mod in sys.modules.items()
+        if name.startswith("rootgraded") and getattr(mod, "inner_scale", None) is real
+    ]
+    assert coord in readers and graded in readers
+    for mod in readers:
+        monkeypatch.setattr(mod, "inner_scale", lambda qtype, ell: 2 * real(qtype, ell))
+    family, n, ell, preset = config
+    m = build_model(family, n, ell, parse_preset_spec(preset))
+    assert verify_jacobi(m, {"kind": "exhaustive_basis"})["status"] == "fail"
