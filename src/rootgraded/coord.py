@@ -721,6 +721,26 @@ def _size_param(params: dict, key: str, default: int) -> int:
     return val
 
 
+def clifford_quadruple(
+    w_labels: Sequence[str], form: dict[tuple[str, str], Fraction], name: str
+) -> CoordinateQuadruple:
+    """The type-B quadruple F1 + W, the Clifford Jordan algebra of the
+    symmetric form on W with nonzero values ``form[(u, w)]``: w.w' = (w, w')1,
+    with * fixing 1 and negating W."""
+    labels = ["one"] + list(w_labels)
+    mult = {}
+    for l in labels:
+        mult[("one", l)] = {l: QONE}
+        mult[(l, "one")] = {l: QONE}
+    for u in w_labels:
+        for w in w_labels:
+            mult[(u, w)] = {"one": form.get((u, w), QZERO)}
+    star = {("one", "one"): QONE}
+    for w in w_labels:
+        star[(w, w)] = -QONE
+    return CoordinateQuadruple("B", labels, mult, unit={"one": QONE}, star=star, name=name)
+
+
 # preset name -> the size parameters it takes
 PRESET_PARAMS = {
     "matrix": ("k",),
@@ -760,20 +780,9 @@ def preset_quadruple(name: str, **params) -> CoordinateQuadruple:
         )
     if name == "clifford":
         d = _size_param(params, "d", 2)
-        labels = ["one"] + [f"w:{i}" for i in range(1, d + 1)]
-        mult = {}
-        for l in labels:
-            mult[("one", l)] = {l: QONE}
-            mult[(l, "one")] = {l: QONE}
-        for i in range(1, d + 1):
-            for j in range(1, d + 1):
-                mult[(f"w:{i}", f"w:{j}")] = {"one": QONE} if i == j else {}
-        mult[("one", "one")] = {"one": QONE}
-        star = {("one", "one"): QONE}
-        for i in range(1, d + 1):
-            star[(f"w:{i}", f"w:{i}")] = -QONE
-        return CoordinateQuadruple(
-            "B", labels, mult, unit={"one": QONE}, star=star, name=f"clifford:d={d}"
+        w_labels = [f"w:{i}" for i in range(1, d + 1)]
+        return clifford_quadruple(
+            w_labels, {(w, w): QONE for w in w_labels}, name=f"clifford:d={d}"
         )
     if name == "matrix_transpose":
         k = _size_param(params, "k", 2)

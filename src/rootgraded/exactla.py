@@ -295,10 +295,6 @@ def commutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     return (a @ b) - (b @ a)
 
 
-def anticommutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
-    return (a @ b) + (b @ a)
-
-
 class Subspace:
     """Span of vectors, stored as a reduced row-echelon basis.
 

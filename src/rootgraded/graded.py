@@ -29,6 +29,8 @@ from .coord import (
     beta_star,
     build_bb,
     check_uniform,
+    clifford_quadruple,
+    derivation,
     diamond_heart,
     f_action,
     full_homology,
@@ -56,6 +58,7 @@ from .liealg import (
     build_algebra,
     build_module,
     circ_of_products,
+    d_uw,
     label_weight,
     v_ops,
 )
@@ -205,15 +208,7 @@ def _form(m, u, w):
 
 
 def _d_uw(m, u, w):
-    """D_{u,w}: z -> (u, z) w - (w, z) u on the natural module."""
-    nat = m.G.nat
-    uz, wz = nat.functional(u), nat.functional(w)
-    entries = {}
-    for z in nat.space.labels:
-        col = w.scale(uz.get(z, QZERO)) - u.scale(wz.get(z, QZERO))
-        for r, val in col.entries.items():
-            entries[(r, z)] = val
-    return SparseMatrix(nat.space, nat.space, entries)
+    return d_uw(m.G.nat, u, w)
 
 
 def _v_op(variant: str) -> Callable:
@@ -472,13 +467,8 @@ class GradedModel:
         # matrix side
         self.G = build_algebra(UNDERLYING[family], n)
         self.smod: RepModule | None = None
-        self.vmod: RepModule | None = None
         if family in ("C", "BC"):
             self.smod = build_module(self.G, "S")
-        elif family == "B":
-            self.smod = build_module(self.G, "V")
-        if family == "BC":
-            self.vmod = build_module(self.G, "V")
         self.idem0 = TruncationIdempotent(self.G.space, set(range(1, m0 + 1)))
 
         q = quadruple
@@ -516,7 +506,7 @@ class GradedModel:
             kinds["s"] = natural(self.b_basis, q.b_part_sub.coordinates)
         elif self.smod is not None:
             kinds["s"] = weighted(self.smod.wb, self.b_basis, q.b_part_sub.coordinates)
-        if self.vmod is not None:
+        if self.family == "BC":
             kinds["v"] = natural(self.c_basis, _label_coords(q.c_space))
         kappa = inner_scale(q.qtype, self.ell)
         cosets = []
@@ -722,6 +712,29 @@ def build_model(
     override_bounds: bool = False,
 ) -> GradedModel:
     return GradedModel(family, n, ell, quadruple, k_span, override_bounds)
+
+
+def derivation_span_equals_oB(n: int) -> tuple[bool, int, int]:
+    """D_{V,V} = o_B(n), read off the two Jordan derivations the type-B
+    bracket runs: for each pair u < w of basis vectors of V, the derivation
+    ``coord.derivation`` of the Clifford quadruple of V's form leaves the
+    unit out and is ``d_uw`` on V, and these span o_B(n) inside gl(V)."""
+    G = build_algebra("B", n)
+    nat = G.nat
+    q = clifford_quadruple(nat.space.labels, nat.gram.entries, name=f"o_B({n})")
+    labels = nat.space.labels
+    ok = True
+    span_vecs = []
+    for i, u in enumerate(labels):
+        for w in labels[i + 1 :]:
+            # the type-B derivation does not depend on the level
+            d = derivation(q, 1, q.b_space.basis_vector(u), q.b_space.basis_vector(w))
+            on_v = d_uw(nat, nat.space.basis_vector(u), nat.space.basis_vector(w))
+            # equal entries: d is d_uw on V and has no row or column at the unit
+            ok = ok and d.entries == on_v.entries
+            span_vecs.append(SparseVector(G.glsp, on_v.entries))
+    span = rref(span_vecs, G.glsp)
+    return ok and span == G.wb.full, span.dim, G.dim
 
 
 # ---------------------------------------------------------------------------

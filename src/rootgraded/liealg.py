@@ -14,7 +14,7 @@ the graded construction depend on those constants.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .exactla import (
     BasedSpace,
@@ -30,7 +30,7 @@ from .exactla import (
     kernel_of_rows,
     rref,
 )
-from .rootsys import Root, generate, reflect
+from .rootsys import Root, generate
 
 ALGEBRA_FAMILIES = ("A", "B", "C", "D")
 
@@ -487,124 +487,6 @@ def _eig_bound(h: SparseMatrix) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Clifford Jordan algebras
-
-
-class CliffordJordan:
-    """J(g, W) = A + W with the product of a Clifford Jordan algebra."""
-
-    __slots__ = ("a_space", "a_mult", "a_unit", "w_space", "a_action", "g_form", "space")
-
-    def __init__(
-        self,
-        a_space: BasedSpace,
-        a_mult: Callable[[str, str], SparseVector],
-        a_unit: SparseVector,
-        w_space: BasedSpace,
-        a_action: Callable[[str, str], SparseVector],
-        g_form: Callable[[str, str], SparseVector],
-    ):
-        self.a_space = a_space
-        self.a_mult = a_mult
-        self.a_unit = a_unit
-        self.w_space = w_space
-        self.a_action = a_action
-        self.g_form = g_form
-        self.space = BasedSpace(list(a_space.labels) + list(w_space.labels))
-
-    @staticmethod
-    def over_scalars(w_space: BasedSpace, g_form_scalar: Callable[[str, str], Fraction]) -> "CliffordJordan":
-        """The common case A = F with a scalar-valued symmetric form."""
-        a_space = BasedSpace(["one"])
-        unit = a_space.basis_vector("one")
-
-        def mult(_i, _j):
-            return unit
-
-        def action(_a, w):
-            return w_space.basis_vector(w)
-
-        def form(u, w):
-            return unit.scale(g_form_scalar(u, w))
-
-        return CliffordJordan(a_space, mult, unit, w_space, action, form)
-
-    def split(self, x: SparseVector) -> tuple[SparseVector, SparseVector]:
-        a = {l: v for l, v in x.entries.items() if l in self.a_space}
-        w = {l: v for l, v in x.entries.items() if l in self.w_space}
-        return SparseVector(self.a_space, a), SparseVector(self.w_space, w)
-
-    def join(self, a: SparseVector, w: SparseVector) -> SparseVector:
-        return SparseVector(self.space, {**a.entries, **w.entries})
-
-    def product(self, x: SparseVector, y: SparseVector) -> SparseVector:
-        a1, w1 = self.split(x)
-        a2, w2 = self.split(y)
-        a_out = self.a_space.zero()
-        for i, ci in a1.entries.items():
-            for j, cj in a2.entries.items():
-                a_out = a_out + self.a_mult(i, j).scale(ci * cj)
-        for i, ci in w1.entries.items():
-            for j, cj in w2.entries.items():
-                a_out = a_out + self.g_form(i, j).scale(ci * cj)
-        w_out = self.w_space.zero()
-        for i, ci in a1.entries.items():
-            for j, cj in w2.entries.items():
-                w_out = w_out + self.a_action(i, j).scale(ci * cj)
-        for i, ci in a2.entries.items():
-            for j, cj in w1.entries.items():
-                w_out = w_out + self.a_action(i, j).scale(ci * cj)
-        return self.join(a_out, w_out)
-
-    def left_mult(self, x: SparseVector) -> SparseMatrix:
-        entries = {}
-        for lab in self.space.labels:
-            img = self.product(x, self.space.basis_vector(lab))
-            for r, v in img.entries.items():
-                entries[(r, lab)] = v
-        return SparseMatrix(self.space, self.space, entries)
-
-
-def jordan_product(j: CliffordJordan, x: SparseVector, y: SparseVector) -> SparseVector:
-    return j.product(x, y)
-
-
-def jordan_derivation(j: CliffordJordan, a: SparseVector, b: SparseVector) -> SparseMatrix:
-    """D_{a,b} = L_b L_a - L_a L_b."""
-    la, lb = j.left_mult(a), j.left_mult(b)
-    return (lb @ la) - (la @ lb)
-
-
-def derivation_span_equals_oB(n: int) -> tuple[bool, int, int]:
-    """Span of D_{v,w} restricted to V versus o_B(n), as subspaces of gl(V)."""
-    alg = build_algebra("B", n)
-    nat = alg.nat
-
-    def scalar_form(u, w):
-        return nat.gram.get(u, w)
-
-    cj = CliffordJordan.over_scalars(nat.space, scalar_form)
-    glsp = alg.glsp
-    span_vecs = []
-    labels = nat.space.labels
-    for i, u in enumerate(labels):
-        for w in labels[i + 1 :]:
-            d = jordan_derivation(
-                cj, cj.space.basis_vector(u), cj.space.basis_vector(w)
-            )
-            entries = {}
-            for (r, c), v in d.entries.items():
-                if r in nat.space and c in nat.space:
-                    entries[(r, c)] = v
-                elif v:
-                    raise ShapeError("derivation does not restrict to V")
-            m = SparseMatrix(nat.space, nat.space, entries)
-            span_vecs.append(mat_to_vec(m, glsp))
-    span = rref(span_vecs, glsp)
-    return span == alg.wb.full, span.dim, alg.dim
-
-
-# ---------------------------------------------------------------------------
 # truncation idempotents and the normalized products
 
 
@@ -627,17 +509,11 @@ class TruncationIdempotent:
         return len(self.subset)
 
 
-def circ_trunc(
-    x: SparseMatrix, y: SparseMatrix, idem: TruncationIdempotent, family: str
-) -> SparseMatrix:
-    """Family-normalized symmetric product xy + yx - (factor tr(xy)/|I_0|) J_0."""
-    return circ_of_products(x @ y, y @ x, idem, family)
-
-
 def circ_of_products(
     xy: SparseMatrix, yx: SparseMatrix, idem: TruncationIdempotent, family: str
 ) -> SparseMatrix:
-    """``circ_trunc`` of x and y, from the products xy and yx."""
+    """Family-normalized symmetric product xy + yx - (factor tr(xy)/|I_0|) J_0
+    of x and y, from the products xy and yx."""
     base = xy + yx
     t = xy.trace()
     if t == 0:
@@ -673,46 +549,14 @@ def v_ops(
     return m + idem.matrix.scale(uv / Q(2 * idem.size))
 
 
-# ---------------------------------------------------------------------------
-# subsystem subalgebras: root spaces of a subsystem plus their coroots
+def d_uw(nat: FormedSpace, u: SparseVector, w: SparseVector) -> SparseMatrix:
+    """The Jordan derivation D_{u,w}: z -> (u, z) w - (w, z) u on the
+    natural module; for type B these span o_B."""
+    uz, wz = nat.functional(u), nat.functional(w)
+    entries = {}
+    for z in nat.space.labels:
+        col = w.scale(uz.get(z, QZERO)) - u.scale(wz.get(z, QZERO))
+        for r, val in col.entries.items():
+            entries[(r, z)] = val
+    return SparseMatrix(nat.space, nat.space, entries)
 
-
-class SubAlgebra:
-    __slots__ = ("parent", "roots", "wb", "cartan_sub")
-
-    def __init__(self, parent: MatrixLieAlgebra, roots: Iterable[Root]):
-        self.parent = parent
-        root_set = {r for r in roots if not r.is_zero()}
-        full = set(root_set) | {Root.zero()}
-        for a in root_set:
-            for b in root_set:
-                if reflect(a, b) not in full:
-                    raise ValueError(f"subsystem not closed: s_{a}({b}) missing")
-        self.roots = root_set
-        vecs = []
-        for alpha in sorted(root_set):
-            for p in parent.root_space_index[alpha]:
-                vecs.append(parent.basis_vecs[p])
-        cartan_vecs = []
-        for alpha in sorted(root_set):
-            x = parent.root_vector(alpha)
-            y = parent.root_vector(-alpha)
-            cartan_vecs.append(mat_to_vec(commutator(x, y), parent.glsp))
-        self.cartan_sub = rref(cartan_vecs, parent.glsp)
-        self.wb = WeightedBasis(parent.glsp, parent.space, list(self.cartan_sub.rows) + vecs)
-
-    @property
-    def dim(self) -> int:
-        return self.wb.dim
-
-    def closed_under_bracket(self) -> bool:
-        mats = self.wb.basis_mats
-        for i, x in enumerate(mats):
-            for y in mats[i:]:
-                if not self.wb.contains_mat(commutator(x, y)):
-                    return False
-        return True
-
-
-def subalgebra_from_subsystem(algebra: MatrixLieAlgebra, roots: Iterable[Root]) -> SubAlgebra:
-    return SubAlgebra(algebra, roots)

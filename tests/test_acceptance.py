@@ -23,6 +23,7 @@ from rootgraded.coord import (
 from rootgraded.exactla import commutator
 from rootgraded.graded import (
     build_model,
+    derivation_span_equals_oB,
     subalgebra,
     verify_antisymmetry,
     verify_grading,
@@ -32,7 +33,6 @@ from rootgraded.graded import (
 from rootgraded.liealg import (
     build_algebra,
     build_module,
-    derivation_span_equals_oB,
     expected_dimension,
     matrix_unit,
 )

@@ -15,6 +15,7 @@ from rootgraded.coord import (
     beta_star_map_rows,
     build_bb,
     check_uniform,
+    clifford_quadruple,
     derivation,
     diamond_heart,
     full_homology,
@@ -27,6 +28,7 @@ from rootgraded.coord import (
     validate_quadruple,
 )
 from rootgraded.exactla import SparseMatrix, SparseVector, rref, tensor_space
+from rootgraded.liealg import FormedSpace
 
 PRESET_SPECS = [
     "matrix:k=2",
@@ -69,6 +71,18 @@ def scalar_quadruple(qtype):
 def test_presets_validate(spec):
     report = validate_quadruple(quad(spec))
     assert report["valid"], report
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_clifford_quadruple_of_the_o_b_form_validates(n):
+    # the form of o_B(n) pairs v:i with vb:i, so its Clifford algebra is not
+    # the diagonal one of the preset
+    nat = FormedSpace("B", n)
+    q = clifford_quadruple(nat.space.labels, nat.gram.entries, name="o_B")
+    assert validate_quadruple(q)["valid"]
+    v1, vb1 = (q.a_space.basis_vector(l) for l in ("v:1", "vb:1"))
+    assert q.a_mul(v1, vb1) == q.unit.scale(Q(2))
+    assert q.a_mul(v1, v1).is_zero()
 
 
 @pytest.mark.parametrize("qtype", ["A", "C", "D"])

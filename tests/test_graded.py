@@ -152,8 +152,8 @@ def test_type_d_k_fh_quotients_everything():
 def test_bc_symplectic_orthogonal_vectors_row():
     # (u, v) = 0 and heart = 0: [u(x)c, v(x)c'] = (u o v)(x) (c diamond c')
     m = model("BC", 4, 4, "symplectic:m=2")
-    i = m.vmod.space.pos("v:1")
-    j = m.vmod.space.pos("v:2")
+    i = m.G.space.pos("v:1")
+    j = m.G.space.pos("v:2")
     xi = m.index_of[("v", (i, 0))]
     xj = m.index_of[("v", (j, 1))]
     row = m.bracket_indices(xi, xj)
@@ -379,7 +379,7 @@ def _basis_key(m, i):
     if kind == "s":
         return ("s", tuple(sorted(m.smod.wb.basis_vecs[key[0]].entries.items())), key[1])
     if kind == "v":
-        return ("v", m.vmod.space.labels[key[0]], key[1])
+        return ("v", m.G.space.labels[key[0]], key[1])
     return ("d", m.dpart.coset_space.labels[key[0]])
 
 
@@ -413,7 +413,7 @@ def test_lambda_subalgebra_closure_intermediate():
         elif kind == "s":
             labs = {lab for pair in m.smod.wb.basis_mats[key[0]].entries for lab in pair}
         else:
-            labs = {m.vmod.space.labels[key[0]]}
+            labs = {m.G.space.labels[key[0]]}
         if {int(l.split(":")[1]) for l in labs} <= lam:
             keep.append(i)
     keep_set = set(keep)

@@ -3,23 +3,22 @@ from fractions import Fraction as Q
 
 import pytest
 
+from rootgraded import graded
+from rootgraded.coord import derivation, parse_preset_spec
 from rootgraded.exactla import BasedSpace, ShapeError, SparseMatrix, commutator
+from rootgraded.graded import derivation_span_equals_oB
 from rootgraded.liealg import (
-    CliffordJordan,
     DegenerateInputError,
     FormedSpace,
     TruncationIdempotent,
     WeightedBasis,
     build_algebra,
     build_module,
-    circ_trunc,
-    derivation_span_equals_oB,
+    circ_of_products,
+    d_uw,
     expected_dimension,
-    jordan_derivation,
-    jordan_product,
     mat_to_vec,
     matrix_unit,
-    subalgebra_from_subsystem,
     v_ops,
     weight_decompose,
 )
@@ -283,56 +282,16 @@ def test_weight_decompose_trivial_module():
     assert set(dec) == {(0,)} and dec[(0,)].dim == 1
 
 
-def _f2_jordan():
-    w = BasedSpace(["w:1", "w:2"])
-    return CliffordJordan.over_scalars(w, lambda u, v: Q(1) if u == v else Q(0))
-
-
-def test_jordan_product_unit_and_square():
-    j = _f2_jordan()
-    one = j.space.basis_vector("one")
-    w1 = j.space.basis_vector("w:1")
-    x = one.scale(Q(3)) + w1
-    assert jordan_product(j, one, x) == x
-    assert jordan_product(j, w1, w1) == one  # g(w1, w1) = 1
-    w2 = j.space.basis_vector("w:2")
-    lhs = jordan_product(j, one + w1, one + w2)
-    assert lhs == one + w1 + w2  # 1 + g(w1,w2) + w1 + w2 with g(w1,w2)=0
-
-
-def test_jordan_product_commutative():
-    j = _f2_jordan()
-    xs = [j.space.basis_vector(l) for l in j.space.labels]
-    for x in xs:
-        for y in xs:
-            assert jordan_product(j, x, y) == jordan_product(j, y, x)
-
-
 def test_jordan_derivation_basics():
-    j = _f2_jordan()
-    one = j.space.basis_vector("one")
-    w1 = j.space.basis_vector("w:1")
-    w2 = j.space.basis_vector("w:2")
-    assert jordan_derivation(j, one, w1).is_zero()
-    assert jordan_derivation(j, w1, w1).is_zero()
+    q = parse_preset_spec("clifford:d=2")
+    one, w1, w2 = (q.b_space.basis_vector(l) for l in ("one", "w:1", "w:2"))
+    assert derivation(q, 1, one, w1).is_zero()
+    assert derivation(q, 1, w1, w1).is_zero()
     # D_{w1,w2} on W is u -> g(w1,u) w2 - g(w2,u) w1
-    d = jordan_derivation(j, w1, w2)
+    d = derivation(q, 1, w1, w2)
     assert d.apply(w1) == w2
     assert d.apply(w2) == -w1
     assert d.apply(one).is_zero()
-
-
-def test_jordan_derivation_is_derivation():
-    j = _f2_jordan()
-    xs = [j.space.basis_vector(l) for l in j.space.labels]
-    for a in xs:
-        for b in xs:
-            d = jordan_derivation(j, a, b)
-            for x in xs:
-                for y in xs:
-                    lhs = d.apply(jordan_product(j, x, y))
-                    rhs = jordan_product(j, d.apply(x), y) + jordan_product(j, x, d.apply(y))
-                    assert lhs == rhs
 
 
 @pytest.mark.parametrize("n,dim", [(1, 3), (2, 10), (3, 21)])
@@ -342,21 +301,27 @@ def test_derivation_span_equals_oB(n, dim):
     assert span_dim == dim and alg_dim == dim
 
 
+@pytest.mark.parametrize("factor", [2, -1])
+def test_derivation_span_binds_the_bracket_d_uw(monkeypatch, factor):
+    # the check compares coord.derivation with the D_{u,w} the type-B ss
+    # bracket term runs, so a rescaled d_uw must fail it
+    monkeypatch.setattr(graded, "d_uw", lambda nat, u, w: d_uw(nat, u, w).scale(Q(factor)))
+    assert not derivation_span_equals_oB(2)[0]
+
+
 def test_circ_trunc():
     c2 = alg("C", 2)
     sp = c2.space
     idem = TruncationIdempotent(sp, {1, 2})
     x = matrix_unit("v:1", "vb:1", sp)
     # tr(x^2) = 0 and x^2 = 0, so x o x = 0
-    assert circ_trunc(x, x, idem, "C").is_zero()
+    assert circ_of_products(x @ x, x @ x, idem, "C").is_zero()
     y = matrix_unit("vb:1", "v:1", sp)
-    xy = circ_trunc(x, y, idem, "C")
-    yx = circ_trunc(y, x, idem, "C")
+    xy = circ_of_products(x @ y, y @ x, idem, "C")
+    yx = circ_of_products(y @ x, x @ y, idem, "C")
     assert xy == yx
     # tr(xy) = 1, so the correction is -(1/2) J_0 here
-    from rootgraded.exactla import anticommutator
-
-    assert xy == anticommutator(x, y) - idem.matrix.scale(Q(1, 2))
+    assert xy == x @ y + y @ x - idem.matrix.scale(Q(1, 2))
 
 
 def test_circ_trunc_type_a_factor_two():
@@ -365,8 +330,10 @@ def test_circ_trunc_type_a_factor_two():
     idem = TruncationIdempotent(sp, {1, 2, 3})
     x = matrix_unit("v:1", "v:2", sp)
     y = matrix_unit("v:2", "v:1", sp)
-    out = circ_trunc(x, y, idem, "A")
+    out = circ_of_products(x @ y, y @ x, idem, "A")
     assert out.trace() == 0
+    # tr(xy) = 1 and |I_0| = 3, so the correction is -(2/3) J_0
+    assert out == x @ y + y @ x - idem.matrix.scale(Q(2, 3))
 
 
 def test_v_ops():
@@ -404,22 +371,6 @@ def test_v_ops_span_g_and_s():
             u, v = sp.basis_vector(u_lab), sp.basis_vector(v_lab)
             assert c2.contains_mat(v_ops(u, v, nat, idem, "circ"))
             smod.from_matrix(v_ops(u, v, nat, idem, "bracket_ell"))  # raises if outside
-
-
-def test_subalgebra_from_subsystem():
-    c4 = alg("C", 4)
-    s_roots = [r for r in generate("C", 2).nonzero()]
-    sub = subalgebra_from_subsystem(c4, s_roots)
-    assert sub.dim == 10
-    assert sub.closed_under_bracket()
-    a4 = alg("A", 4)
-    sub2 = subalgebra_from_subsystem(a4, [Root.eps(1) - Root.eps(2), Root.eps(2) - Root.eps(1)])
-    assert sub2.dim == 3
-    assert sub2.closed_under_bracket()
-    full = subalgebra_from_subsystem(c4, generate("C", 4).nonzero())
-    assert full.dim == c4.dim
-    with pytest.raises(ValueError):
-        subalgebra_from_subsystem(c4, [Root.eps(1) - Root.eps(2)])  # not negation-closed
 
 
 def test_truncation_idempotent_is_idempotent():
