@@ -131,13 +131,6 @@ class CoordinateQuadruple:
         """An element of a or of C, as an element of b."""
         return SparseVector(self.b_space, v.entries)
 
-    def proj_a_part(self, x: SparseVector) -> SparseVector:
-        """Projection of an a-element onto the *-fixed points."""
-        return (x + self.a_star(x)).scale(Q(1, 2))
-
-    def proj_b_part(self, x: SparseVector) -> SparseVector:
-        return (x - self.a_star(x)).scale(Q(1, 2))
-
     @property
     def a_dim(self) -> int:
         return self.a_space.dim
@@ -172,12 +165,6 @@ def b_mul(q: CoordinateQuadruple, x: SparseVector, y: SparseVector) -> SparseVec
     a_out = q.a_mul(a1, a2) + q.f_val(c1, c2)
     c_out = q.c_act(a1, c2) + q.c_act(q.a_star(a2), c1)
     return q.join_b(a_out, c_out)
-
-
-def b_circ_brk(q, x, y) -> tuple[SparseVector, SparseVector]:
-    xy = b_mul(q, x, y)
-    yx = b_mul(q, y, x)
-    return xy + yx, xy - yx
 
 
 def diamond_heart(q, c: SparseVector, cp: SparseVector) -> tuple[SparseVector, SparseVector]:
@@ -579,10 +566,6 @@ class BBQuotient:
             for ly, vy in y.entries.items()
         }
         return SparseVector(self.tensor, entries)
-
-    def project_pair(self, x: SparseVector, y: SparseVector) -> SparseVector:
-        """{x, y}_ell as a coset vector, for x, y in b."""
-        return self.quotient.project(self.pair_tensor(x, y))
 
     def bracket_cosets(self, u: SparseVector, v: SparseVector) -> SparseVector:
         """Bracket of two coset vectors (coset-space coordinates)."""

@@ -86,62 +86,6 @@ def subset_size(family: str, ell: int) -> int:
     return ell + 1 if family in ("A", "D") else ell
 
 
-class GradedElement:
-    """Element of L(b, K): sparse coefficients over the model basis."""
-
-    __slots__ = ("model", "coeffs")
-
-    def __init__(self, model: "GradedModel", coeffs: dict[int, Fraction]):
-        self.model = model
-        self.coeffs = {i: Q(c) for i, c in coeffs.items() if c != 0}
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "GradedElement") -> "GradedElement":
-        out = dict(self.coeffs)
-        add_scaled(out, other.coeffs)
-        return GradedElement(self.model, out)
-
-    def __sub__(self, other):
-        return self + other.scale(Q(-1))
-
-    def scale(self, c: Fraction) -> "GradedElement":
-        c = Q(c)
-        return GradedElement(self.model, {i: c * v for i, v in self.coeffs.items()})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedElement)
-            and self.model is other.model
-            and self.coeffs == other.coeffs
-        )
-
-    def _part(self, tag: str) -> dict[tuple, Fraction]:
-        out = {}
-        for i, c in self.coeffs.items():
-            kind, key = self.model.basis[i]
-            if kind == tag:
-                out[key] = c
-        return out
-
-    @property
-    def g_part(self):
-        return self._part("g")
-
-    @property
-    def s_part(self):
-        return self._part("s")
-
-    @property
-    def v_part(self):
-        return self._part("v")
-
-    @property
-    def d_part(self):
-        return self._part("d")
-
-
 # ---------------------------------------------------------------------------
 # the bracket as a table of terms
 #
@@ -539,6 +483,7 @@ class GradedModel:
                     self.index_of[(kind, key)] = len(self.basis)
                     self.basis.append((kind, key))
                     self.weight_of.append(w)
+        self._indices = frozenset(range(len(self.basis)))
 
     @property
     def dim(self) -> int:
@@ -550,9 +495,6 @@ class GradedModel:
             return f"d[{label_text(self.dpart.coset_space.labels[key[0]])}]"
         coord = {"g": "a", "s": "b", "v": "c"}[kind]
         return f"{kind}{key[0]}[{root_str(self.weight_of[i])}]⊗{coord}{key[1]}"
-
-    def element(self, coeffs: dict[int, Fraction]) -> GradedElement:
-        return GradedElement(self, coeffs)
 
     def indices_by_weight(self) -> dict[Root, list[int]]:
         out: dict[Root, list[int]] = {}
@@ -651,14 +593,18 @@ class GradedModel:
         row = self.table.get((j, i), {})
         return {m: -c for m, c in row.items()}
 
-    def bracket(self, x: GradedElement, y: GradedElement) -> GradedElement:
-        if x.model is not self or y.model is not self:
-            raise ModelError("elements belong to a different model")
+    def bracket(
+        self, x: dict[int, Fraction], y: dict[int, Fraction]
+    ) -> dict[int, Fraction]:
+        """[x, y] for model elements given as {basis index: coefficient}."""
+        if not (x.keys() <= self._indices and y.keys() <= self._indices):
+            bad = sorted(map(repr, (x.keys() | y.keys()) - self._indices))
+            raise ModelError(f"basis indices outside 0..{self.dim - 1}: {', '.join(bad)}")
         out: dict[int, Fraction] = {}
-        for i, ci in x.coeffs.items():
-            for j, cj in y.coeffs.items():
+        for i, ci in x.items():
+            for j, cj in y.items():
                 add_scaled(out, self.bracket_indices(i, j), ci * cj)
-        return GradedElement(self, out)
+        return out
 
     def int_table(self) -> list[dict[int, tuple[dict[int, int], int]]]:
         """The bracket table as a signed adjacency over integer rows:
@@ -901,12 +847,9 @@ def verify_grading(m: GradedModel) -> dict:
     gdim = len(m.G.wb.basis_mats)
     for i in range(gdim):
         for j in range(i + 1, gdim):
-            lhs: dict[int, Fraction] = {}
             xi = g_tensor_unit(i)
             xj = g_tensor_unit(j)
-            for gi, ci in xi.items():
-                for gj, cj in xj.items():
-                    add_scaled(lhs, m.bracket_indices(gi, gj), ci * cj)
+            lhs = m.bracket(xi, xj)
             expected: dict[int, Fraction] = {}
             for gk, c in m._g_lie.get((i, j), {}).items():
                 add_scaled(expected, g_tensor_unit(gk), c)
@@ -932,9 +875,7 @@ def verify_grading(m: GradedModel) -> dict:
     for e_idx in range(m.dim):
         w = m.weight_of[e_idx]
         for hpos, h_el in enumerate(cartan_elements):
-            acc: dict[int, Fraction] = {}
-            for hi, ch in h_el.items():
-                add_scaled(acc, m.bracket_indices(hi, e_idx), ch)
+            acc = m.bracket(h_el, {e_idx: QONE})
             lam = _cartan_eigenvalue(m, w, hpos)
             expected = {e_idx: lam} if lam else {}
             if acc != expected:
@@ -1059,10 +1000,7 @@ class SubModel:
         ] + [r.entries for r in self.zero_part.rows]
         for a_pos, xa in enumerate(basis_rows):
             for xb in basis_rows[a_pos:]:
-                acc: dict[int, Fraction] = {}
-                for i, ci in xa.items():
-                    for j, cj in xb.items():
-                        add_scaled(acc, m.bracket_indices(i, j), ci * cj)
+                acc = m.bracket(xa, xb)
                 zero_piece: dict[int, Fraction] = {}
                 for idx, c in acc.items():
                     w = m.weight_of[idx]
@@ -1116,30 +1054,28 @@ _LEVEL_TARGET = {"A": "g", "C": "s", "BC": "s"}
 
 def level_coset(
     m: GradedModel, lam_subset: Iterable[int], x: SparseVector, y: SparseVector
-) -> GradedElement:
-    """The lambda-level coset <x, y>_lambda as a model element: the level-0
-    coset {x, y} plus ``_level_op`` (x) kappa beta*(x, y), for x, y in b
-    (or in a or C, lifted into b)."""
+) -> dict[int, Fraction]:
+    """The lambda-level coset <x, y>_lambda as a model element
+    {basis index: coefficient}: the level-0 coset {x, y} plus
+    ``_level_op`` (x) kappa beta*(x, y), for x, y in b (or in a or C,
+    lifted into b)."""
     lam = frozenset(lam_subset)
     if not set(range(1, m.m0 + 1)) <= lam:
         raise ModelError("lambda must contain the base subset I_0")
     if not lam <= set(range(1, m.n + 1)):
         raise ModelError("lambda exceeds the model truncation; use verify_level_transition for extended checks")
-    coeffs: dict[int, Fraction] = {}
-    dcos = m._dcoset(x, y)
-    for di, c in dcos.items():
-        coeffs[m.index_of[("d", (di,))]] = c
+    coeffs = {m.index_of[("d", (di,))]: c for di, c in m._dcoset(x, y).items()}
     target = _LEVEL_TARGET.get(m.family)
     if target is not None:
         q = m.quadruple
         inner = beta_star(q, q.lift_b(x), q.lift_b(y)).scale(inner_scale(q.qtype, m.ell))
         if not inner.is_zero():
             kind = m._kinds[target]
+            coord = kind.read_coord(inner)
             for mi, cm in kind.read_mat(_level_op(m, lam, m.G.space)).items():
-                for ci, cc in kind.read_coord(inner).items():
-                    idx = kind.offset + mi * kind.width + ci
-                    coeffs[idx] = coeffs.get(idx, QZERO) + cm * cc
-    return GradedElement(m, coeffs)
+                base = kind.offset + mi * kind.width
+                add_scaled(coeffs, {base + ci: cc for ci, cc in coord.items()}, cm)
+    return coeffs
 
 
 def _level_op(m: GradedModel, lam: frozenset, space) -> SparseMatrix:
@@ -1150,10 +1086,18 @@ def _level_op(m: GradedModel, lam: frozenset, space) -> SparseMatrix:
 
 
 def verify_level_transition(m: GradedModel, added: int) -> dict:
-    """Level-transition biconditional: ker of the level-0 coset map equals
-    ker(level-lambda map) intersect ker(beta*), checked as exact subspace
-    equality over b (x) b.  lambda = I_0 plus ``added`` fresh indices; the
-    ambient natural space is extended when lambda exceeds the truncation.
+    """The level-transition checks for lambda = I_0 plus ``added`` fresh
+    indices, the ambient natural space extended when lambda exceeds the
+    truncation: the level operator vanishes at lambda = I_0, and at lambda
+    it is nonzero, traceless and form-compatible.
+
+    The kernel comparison is not the paper's biconditional ker(level-0) =
+    ker(level-lambda) intersect ker(beta*).  It compares the relation space
+    with ker(projection) intersect ker(beta*), and ker(projection) is the
+    relation space itself, so both directions reduce to beta* vanishing on
+    the relation space: the uniform property, which the build already
+    enforces.  It never applies the level-lambda operator.  Rebuilding it
+    on ``level_coset`` is ROADMAP item 1.
     """
     lam = frozenset(range(1, m.m0 + added + 1))
     n_ext = max(m.n, m.m0 + added)

@@ -195,9 +195,6 @@ class WeightedBasis:
     def coords_of_mat(self, m: SparseMatrix) -> dict[int, Fraction]:
         return self.coords_of_vec(mat_to_vec(m, self.glsp))
 
-    def contains_mat(self, m: SparseMatrix) -> bool:
-        return self.full.contains(mat_to_vec(m, self.glsp))
-
 
 # ---------------------------------------------------------------------------
 # the classical algebras
@@ -262,9 +259,6 @@ class MatrixLieAlgebra:
 
     def coords_of_mat(self, m: SparseMatrix) -> dict[int, Fraction]:
         return self.wb.coords_of_mat(m)
-
-    def contains_mat(self, m: SparseMatrix) -> bool:
-        return self.wb.contains_mat(m)
 
     def root_vector(self, alpha: Root) -> SparseMatrix:
         positions = self.wb.root_space_index[alpha]
@@ -405,85 +399,6 @@ class RepModule:
 
 def build_module(algebra: MatrixLieAlgebra, kind: str) -> RepModule:
     return RepModule(algebra, kind)
-
-
-class DecompositionError(ValueError):
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
-def weight_decompose(
-    space: "BasedSpace | RepModule", cartan_actions: Sequence[SparseMatrix]
-) -> dict[tuple, Subspace]:
-    """Simultaneous eigenspace decomposition for commuting integer actions.
-
-    Accepts either a based space with explicit action matrices, or a
-    RepModule together with Cartan elements of its algebra.  Candidate
-    eigenvalues are scanned over the Gershgorin bound; if the eigenspaces
-    fail to fill the space, the action was not diagonalizable and the
-    offending residual vector is reported.
-    """
-    if isinstance(space, RepModule):
-        module = space
-        mats = [module.action_matrix(h) for h in cartan_actions]
-        return weight_decompose(module.space, mats)
-    pieces: list[tuple[tuple, Subspace]] = [
-        ((), rref([space.basis_vector(l) for l in space.labels], space))
-    ]
-    for h in cartan_actions:
-        new_pieces = []
-        for tag, sub in pieces:
-            dim_found = 0
-            bound = _eig_bound(h)
-            images = [h.apply(v) for v in sub.rows]
-            for lam in range(-bound, bound + 1):
-                lam_q = Q(lam)
-                shifted = [img - v.scale(lam_q) for img, v in zip(images, sub.rows)]
-                # row i of the shifted operator in subspace coordinates:
-                # coordinate i of the image of each basis row j
-                op_rows: list[dict[int, Fraction]] = [{} for _ in range(sub.dim)]
-                for j, sv in enumerate(shifted):
-                    try:
-                        coords = sub.coordinates(sv)
-                    except ShapeError:
-                        raise DecompositionError(
-                            "cartan action does not preserve the subspace",
-                            witness=sv,
-                        )
-                    for i, c in coords.items():
-                        op_rows[i][j] = c
-                coeff_space = BasedSpace(range(sub.dim))
-                rows = [SparseVector(coeff_space, row) for row in op_rows]
-                ker = kernel_of_rows(rows, coeff_space)
-                if ker.dim == 0:
-                    continue
-                vecs = []
-                for kv in ker.rows:
-                    acc: dict = {}
-                    for j, c in kv.entries.items():
-                        add_scaled(acc, sub.rows[j].entries, c)
-                    vecs.append(SparseVector(space, acc))
-                eig = rref(vecs, space)
-                dim_found += eig.dim
-                new_pieces.append((tag + (lam,), eig))
-            if dim_found != sub.dim:
-                raise DecompositionError(
-                    "action is not diagonalizable over the scanned eigenvalues",
-                    witness=sub.rows[0],
-                )
-        pieces = new_pieces
-    return dict(pieces)
-
-
-def _eig_bound(h: SparseMatrix) -> int:
-    row_sums: dict[str, Fraction] = {}
-    for (r, _c), v in h.entries.items():
-        row_sums[r] = row_sums.get(r, QZERO) + abs(v)
-    if not row_sums:
-        return 0
-    m = max(row_sums.values())
-    return int(m) + (0 if m.denominator == 1 and m == int(m) else 1)
 
 
 # ---------------------------------------------------------------------------

@@ -122,13 +122,21 @@ def test_build_and_verify_model_file(capsys, tmp_path):
     )
     assert code == 0
     spec = json.loads(model_path.read_text())
-    assert spec["provenance"]["tool_version"]
+    assert spec["provenance"] == {"tool_version": spec["provenance"]["tool_version"]}
     assert spec["dim"] == 36 + 16 + 3  # sp(4) + V(x)C + D-part
     code, out = run_cli(
         capsys,
         "verify", "--model", str(model_path), "--suite", "grading", "--samples", "0",
     )
     assert code == 0
+    # a file from a build that still recorded a seed loads as before
+    spec["provenance"]["seed"] = 0
+    model_path.write_text(json.dumps(spec))
+    code, again = run_cli(
+        capsys,
+        "verify", "--model", str(model_path), "--suite", "grading", "--samples", "0",
+    )
+    assert code == 0 and again == out
 
 
 def test_build_inline_quadruple(capsys, tmp_path):

@@ -9,7 +9,6 @@ from rootgraded.coord import (
     BBQuotient,
     CoordinateQuadruple,
     InternalConsistencyError,
-    b_circ_brk,
     b_mul,
     beta_star,
     beta_star_map_rows,
@@ -134,13 +133,15 @@ def test_b_mul_pure_module_inputs():
 
 
 def test_b_circ_brk():
+    # the circle and bracket products of b, read through b_mul
     q = quad("matrix:k=2")
     e11 = q.b_space.basis_vector("m:0,0")
     e12 = q.b_space.basis_vector("m:0,1")
-    circ, brk = b_circ_brk(q, e11, e12)
-    assert b_circ_brk(q, e11, e11)[1].is_zero()
-    assert circ + brk == b_mul(q, e11, e12).scale(2)
-    assert brk == e12  # [e11, e12] = e12 in M2
+    assert b_mul(q, e11, e11) == e11
+    xy, yx = b_mul(q, e11, e12), b_mul(q, e12, e11)
+    assert yx.is_zero()  # e12 e11 = 0 in M2
+    assert xy + yx == e12  # e11 o e12 = e12
+    assert xy - yx == e12  # [e11, e12] = e12
 
 
 @pytest.mark.parametrize("spec", ["symplectic:m=2", "matrix_hermitian:k=2,m=2"])
@@ -338,8 +339,9 @@ def test_bb_antisymmetry_of_cosets_in_a():
     q = bb.q
     for l1 in q.a_space.labels:
         for l2 in q.a_space.labels:
-            u = bb.project_pair(q.b_space.basis_vector(l1), q.b_space.basis_vector(l2))
-            v = bb.project_pair(q.b_space.basis_vector(l2), q.b_space.basis_vector(l1))
+            x, y = q.b_space.basis_vector(l1), q.b_space.basis_vector(l2)
+            u = bb.quotient.project(bb.pair_tensor(x, y))
+            v = bb.quotient.project(bb.pair_tensor(y, x))
             assert u == v.scale(Q(-1))
 
 
@@ -393,8 +395,15 @@ def test_beta_star_values():
     # pure-a pair through the projections: beta* = [P_A x, P_A y] + [P_B x, P_B y]
     x = q.a_space.basis_vector("m:0,0")
     y = q.a_space.basis_vector("m:0,1")
-    ax, bx = q.proj_a_part(x), q.proj_b_part(x)
-    ay, by = q.proj_a_part(y), q.proj_b_part(y)
+
+    def fixed(v):  # projection onto the *-fixed points
+        return (v + q.a_star(v)).scale(Q(1, 2))
+
+    def skew(v):  # projection onto the *-skew points
+        return (v - q.a_star(v)).scale(Q(1, 2))
+
+    ax, bx = fixed(x), skew(x)
+    ay, by = fixed(y), skew(y)
     expected = (
         q.a_mul(ax, ay) - q.a_mul(ay, ax) + q.a_mul(bx, by) - q.a_mul(by, bx)
     )

@@ -11,7 +11,6 @@ import rootgraded.graded as graded
 from rootgraded.coord import CoordinateQuadruple, parse_preset_spec
 from rootgraded.exactla import BasedSpace, q_str
 from rootgraded.graded import (
-    GradedElement,
     ModelError,
     build_model,
     level_coset,
@@ -51,6 +50,11 @@ def nilpotent_pair_quadruple():
         "D", labels, mult, {"n:1": Q(1)}, {(l, l): Q(1) for l in labels},
         name="nilpotent_pair",
     )
+
+
+def _kinds(m, x):
+    """The basis kinds ("g", "s", "v", "d") of the indices of an element."""
+    return {m.basis[i][0] for i in x}
 
 
 def test_build_model_dimensions():
@@ -313,14 +317,70 @@ def test_subalgebra_rejects_bad_subsets():
         subalgebra(m, disconnected)
 
 
+FAULT_MODELS = [("BC", 4, 4, "symplectic:m=2"), ("A", 6, 5, "matrix:k=2")]
+
+
+def _check_status(report: dict) -> dict[str, str]:
+    return {c["name"]: c["status"] for c in report["checks"]}
+
+
+@pytest.mark.parametrize("config", FAULT_MODELS, ids=lambda c: " ".join(map(str, c)))
+def test_grading_fails_on_a_tripled_g_row(config):
+    # the row [h (x) a, x (x) a] for a Cartan vector h and a root vector x,
+    # a in the support of the unit, tripled: x -> x (x) 1 stops being a
+    # homomorphism and x (x) a stops being an ad-eigenvector
+    m = model(*config)
+    q = m.quadruple
+    p = min(q.a_part_sub.coordinates(q.unit))
+    g_unit = [i for i, (kind, key) in enumerate(m.basis) if kind == "g" and key[1] == p]
+    key = next(
+        (min(h, x), max(h, x))
+        for h in g_unit
+        if m.weight_of[h].is_zero()
+        for x in g_unit
+        if (min(h, x), max(h, x)) in m.table and not m.weight_of[x].is_zero()
+    )
+    table = m.table
+    try:
+        m.table = dict(table)
+        m.table[key] = {idx: 3 * c for idx, c in table[key].items()}
+        status = _check_status(verify_grading(m))
+    finally:
+        m.table = table
+    assert status["grading-pair: x -> x(x)1 is a Lie homomorphism"] == "fail"
+    assert status["weight decomposition: ad-eigenvector check"] == "fail"
+    assert verify_grading(m)["status"] == "pass"
+
+
+@pytest.mark.parametrize("config", FAULT_MODELS, ids=lambda c: " ".join(map(str, c)))
+def test_subsystem_closure_fails_on_a_stray_index(config):
+    # a basis index of a weight outside S added to the bracket of two
+    # elements of S: the subalgebra is no longer closed
+    m = model(*config)
+    sub = subalgebra(m, generate(m.family, m.n - 1).nonzero())
+    a, b = sub.nonzero_indices[:2]
+    stray = next(
+        i for i, w in enumerate(m.weight_of) if not w.is_zero() and w not in sub.s_roots
+    )
+    table = m.table
+    try:
+        m.table = dict(table)
+        m.table[a, b] = {**table.get((a, b), {}), stray: Q(1)}
+        status = _check_status(sub.verify())
+    finally:
+        m.table = table
+    assert status["subalgebra closed under bracket"] == "fail"
+    assert sub.verify()["status"] == "pass"
+
+
 def test_level_coset_at_base_subset_is_plain():
     m = model("BC", 5, 4, "symplectic:m=2")
     b = m.quadruple.b_space
     c0, c1 = b.basis_vector("c:0"), b.basis_vector("c:1")
     lc = level_coset(m, range(1, 5), c0, c1)
-    assert not lc.s_part and lc.d_part
+    assert lc and _kinds(m, lc) == {"d"}
     direct = m._dcoset(c0, c1)
-    assert lc.coeffs == {m.index_of[("d", (k,))]: v for k, v in direct.items()}
+    assert lc == {m.index_of[("d", (k,))]: v for k, v in direct.items()}
 
 
 def test_level_coset_correction_nonzero_type_a():
@@ -328,9 +388,9 @@ def test_level_coset_correction_nonzero_type_a():
     b = m.quadruple.b_space
     e01, e10 = b.basis_vector("m:0,1"), b.basis_vector("m:1,0")
     lc = level_coset(m, range(1, 8), e01, e10)
-    assert lc.g_part  # [a, a'] != 0 so the correction appears
+    assert "g" in _kinds(m, lc)  # [a, a'] != 0 so the correction appears
     lc0 = level_coset(m, range(1, 7), e01, e10)
-    assert not lc0.g_part
+    assert "g" not in _kinds(m, lc0)
 
 
 def test_level_coset_type_d_level_independent():
@@ -424,16 +484,39 @@ def test_lambda_subalgebra_closure_intermediate():
 
 
 def test_graded_element_parts_and_arithmetic():
+    # a model element is {basis index: coefficient}; its parts are read
+    # through the basis, and ``bracket`` extends the table bilinearly
     m = model("BC", 4, 4, "symplectic:m=2")
     gi = m.index_of[("g", (0, 0))]
     vi = m.index_of[("v", (0, 0))]
-    x = m.element({gi: Q(2), vi: Q(1, 3)})
-    assert x.g_part == {(0, 0): Q(2)}
-    assert x.v_part == {(0, 0): Q(1, 3)}
-    y = x.scale(Q(3)) - x
-    assert y.coeffs[gi] == Q(4)
-    z = m.bracket(x, x)
-    assert z.is_zero()
+    x = {gi: Q(2), vi: Q(1, 3)}
+    assert [m.basis[i] for i in x] == [("g", (0, 0)), ("v", (0, 0))]
+    assert m.bracket(x, x) == {}
+    for i in range(m.dim):
+        for j in range(m.dim):
+            assert m.bracket({i: Q(1)}, {j: Q(1)}) == m.bracket_indices(i, j)
+    rng = random.Random(5)
+
+    def combination():
+        return {rng.randrange(m.dim): Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)}
+
+    def add(u, v, c=Q(1)):
+        out = dict(u)
+        for k, val in v.items():
+            out[k] = out.get(k, Q(0)) + c * val
+        return {k: val for k, val in out.items() if val}
+
+    for _ in range(20):
+        u, v, w = combination(), combination(), combination()
+        c = Q(rng.randint(-3, 3), rng.randint(1, 4))
+        assert m.bracket(add(u, v, c), w) == add(m.bracket(u, w), m.bracket(v, w), c)
+        assert m.bracket(w, add(u, v, c)) == add(m.bracket(w, u), m.bracket(w, v), c)
+        assert m.bracket(u, u) == {}
+    for bad in (-1, m.dim, "g0"):
+        with pytest.raises(ModelError):
+            m.bracket({bad: Q(1)}, {gi: Q(1)})
+        with pytest.raises(ModelError):
+            m.bracket({gi: Q(1)}, {bad: Q(1)})
 
 
 @pytest.mark.parametrize(
@@ -509,7 +592,7 @@ def test_level_coset_mixed_pair_is_zero():
     a = q.b_space.basis_vector("m:0,0") + q.b_space.basis_vector("m:1,1")
     b = q.b_space.basis_vector("m:0,1") - q.b_space.basis_vector("m:1,0")
     lc = level_coset(m, range(1, 6), a, b)
-    assert lc.is_zero()
+    assert lc == {}
 
 
 # sha256 of each table, computed before the bracket formulas moved into the

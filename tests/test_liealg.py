@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as Q
 
@@ -5,11 +6,21 @@ import pytest
 
 from rootgraded import graded
 from rootgraded.coord import derivation, parse_preset_spec
-from rootgraded.exactla import BasedSpace, ShapeError, SparseMatrix, commutator
+from rootgraded.exactla import (
+    BasedSpace,
+    ShapeError,
+    SparseMatrix,
+    SparseVector,
+    add_scaled,
+    commutator,
+    kernel_of_rows,
+    rref,
+)
 from rootgraded.graded import derivation_span_equals_oB
 from rootgraded.liealg import (
     DegenerateInputError,
     FormedSpace,
+    RepModule,
     TruncationIdempotent,
     WeightedBasis,
     build_algebra,
@@ -20,7 +31,6 @@ from rootgraded.liealg import (
     mat_to_vec,
     matrix_unit,
     v_ops,
-    weight_decompose,
 )
 from rootgraded.rootsys import Root, generate
 
@@ -111,7 +121,7 @@ def test_closure_under_commutator(family):
     a = alg(family, 2)
     for i, x in enumerate(a.basis_mats):
         for y in a.basis_mats[i:]:
-            assert a.contains_mat(commutator(x, y))
+            assert a.wb.full.contains(mat_to_vec(commutator(x, y), a.glsp))
 
 
 @pytest.mark.parametrize("family", ["A", "B", "C", "D"])
@@ -246,12 +256,70 @@ def test_module_axiom_on_basis_triples(family, kind, n):
                 assert lhs == rhs
 
 
+class DecompositionError(ValueError):
+    pass
+
+
+def weight_decompose(space, cartan_actions) -> dict:
+    """Weight oracle: the simultaneous eigenspaces of commuting integer
+    actions, keyed by their eigenvalue tuples, found by scanning every
+    integer up to the Gershgorin bound.  ``space`` is a BasedSpace with
+    action matrices, or a RepModule with Cartan elements of its algebra.
+    Raises DecompositionError when the eigenspaces do not fill the space."""
+    if isinstance(space, RepModule):
+        mats = [space.action_matrix(h) for h in cartan_actions]
+        return weight_decompose(space.space, mats)
+    pieces = [((), rref([space.basis_vector(l) for l in space.labels], space))]
+    for h in cartan_actions:
+        row_sums = {}
+        for (r, _c), v in h.entries.items():
+            row_sums[r] = row_sums.get(r, Q(0)) + abs(v)
+        bound = math.ceil(max(row_sums.values(), default=0))
+        new_pieces = []
+        for tag, sub in pieces:
+            dim_found = 0
+            images = [h.apply(v) for v in sub.rows]
+            coeff_space = BasedSpace(range(sub.dim))
+            for lam in range(-bound, bound + 1):
+                # row i of h - lam on the subspace: coordinate i of the
+                # image of each basis row j
+                op_rows = [{} for _ in range(sub.dim)]
+                for j, (img, v) in enumerate(zip(images, sub.rows)):
+                    try:
+                        coords = sub.coordinates(img - v.scale(Q(lam)))
+                    except ShapeError:
+                        raise DecompositionError("the action does not preserve the subspace")
+                    for i, c in coords.items():
+                        op_rows[i][j] = c
+                ker = kernel_of_rows([SparseVector(coeff_space, r) for r in op_rows], coeff_space)
+                vecs = []
+                for kv in ker.rows:
+                    acc = {}
+                    for j, c in kv.entries.items():
+                        add_scaled(acc, sub.rows[j].entries, c)
+                    vecs.append(SparseVector(space, acc))
+                if vecs:
+                    eig = rref(vecs, space)
+                    dim_found += eig.dim
+                    new_pieces.append((tag + (lam,), eig))
+            if dim_found != sub.dim:
+                raise DecompositionError("the action is not diagonalizable")
+        pieces = new_pieces
+    return dict(pieces)
+
+
+def _weight_tag(w: Root, n: int) -> tuple:
+    """The Cartan eigenvalues of weight w (families B, C, D)."""
+    return tuple(w.coords.get(i, 0) for i in range(1, n + 1))
+
+
 def test_weight_decompose_sp2_natural():
     a = alg("C", 2)
     m = build_module(a, "V")
     dec = weight_decompose(m.space, a.cartan)
     assert set(dec) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
     assert all(sub.dim == 1 for sub in dec.values())
+    assert dec == {_weight_tag(w, 2): sub for w, sub in m.weight_index().items()}
 
 
 def test_weight_decompose_adjoint_sl3():
@@ -369,7 +437,7 @@ def test_v_ops_span_g_and_s():
     for u_lab in sp.labels:
         for v_lab in sp.labels:
             u, v = sp.basis_vector(u_lab), sp.basis_vector(v_lab)
-            assert c2.contains_mat(v_ops(u, v, nat, idem, "circ"))
+            c2.coords_of_mat(v_ops(u, v, nat, idem, "circ"))  # raises if outside
             smod.from_matrix(v_ops(u, v, nat, idem, "bracket_ell"))  # raises if outside
 
 
@@ -382,8 +450,6 @@ def test_truncation_idempotent_is_idempotent():
 
 
 def test_weight_decompose_non_diagonalizable_errors():
-    from rootgraded.liealg import DecompositionError
-
     sp = BasedSpace(["x", "y"])
     nilp = SparseMatrix(sp, sp, {("x", "y"): Q(1)})  # Jordan block, not diagonalizable
     with pytest.raises(DecompositionError):
@@ -397,3 +463,4 @@ def test_weight_decompose_accepts_module():
     assert sum(sub.dim for sub in dec.values()) == mod.dim
     assert dec[(0, 0)].dim == 1
     assert dec[(1, 1)].dim == 1  # weight e1 + e2
+    assert dec == {_weight_tag(w, 2): sub for w, sub in mod.weight_index().items()}
