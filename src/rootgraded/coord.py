@@ -278,14 +278,6 @@ def validate_quadruple(q: CoordinateQuadruple) -> dict:
 
     alabs = q.a_space.labels
     avecs = {l: q.a_space.basis_vector(l) for l in alabs}
-    fails = []
-    for i in alabs:
-        for j in alabs:
-            for k in alabs:
-                lhs = q.a_mul(q.a_mul(avecs[i], avecs[j]), avecs[k])
-                rhs = q.a_mul(avecs[i], q.a_mul(avecs[j], avecs[k]))
-                if lhs != rhs:
-                    fails.append(f"({i}.{j}).{k} != {i}.({j}.{k})")
     if q.qtype == "B":
         # the type-B star algebra is a Clifford Jordan algebra: commutative
         # with unit, not associative in general
@@ -309,7 +301,14 @@ def validate_quadruple(q: CoordinateQuadruple) -> dict:
                             cj_fails.append(f"associator nonzero on {tag} triple")
         record("Clifford Jordan structure", cj_fails)
     else:
-        record("a associative", fails)
+        record("a associative", [
+            f"({i}.{j}).{k} != {i}.({j}.{k})"
+            for i in alabs
+            for j in alabs
+            for k in alabs
+            if q.a_mul(q.a_mul(avecs[i], avecs[j]), avecs[k])
+            != q.a_mul(avecs[i], q.a_mul(avecs[j], avecs[k]))
+        ])
     record(
         "unit law",
         [

@@ -502,10 +502,6 @@ class GradedModel:
             out.setdefault(w, []).append(i)
         return out
 
-    def _dcoset(self, x, y) -> dict[int, Fraction]:
-        """Coset coordinates of {x, y} for x, y in b (or a lifted into b)."""
-        return self._kinds["d"].read_coord(self.bb.pair_tensor(x, y))
-
     # -- bracket table ------------------------------------------------------
 
     def _block(self, k1: str, k2: str, swap: bool = False, keep=None) -> dict:
@@ -729,91 +725,82 @@ def verify_antisymmetry(m: GradedModel) -> dict:
     }
 
 
-def _jacobi_defect(ad, i: int, j: int, k: int) -> dict[int, int]:
-    """Integer coordinates of [x_i, [x_j, x_k]] + [x_j, [x_k, x_i]]
-    + [x_k, [x_i, x_j]] over the signed adjacency ``ad``."""
-    acc: dict[int, int] = {}
-    for outer, a, b in ((i, j, k), (j, k, i), (k, i, j)):
-        inner = ad[a].get(b)
-        if inner is None:
-            continue
-        row, sign = inner
-        adj = ad[outer]
+def _within(near: dict, lo: int, hi: int) -> list:
+    """The entries of ``near`` keyed lo..hi: looked up when the range is
+    narrower than ``near``, else read off a walk of ``near``."""
+    if hi - lo < len(near):
+        return [(k, near[k]) for k in range(lo, hi + 1) if k in near]
+    return [(k, e) for k, e in near.items() if lo <= k <= hi]
+
+
+def _jacobi_defects(ad, i: int, j: int, lo: int, hi: int) -> dict[int, dict[int, int]]:
+    """{k: integer coordinates of [x_i, [x_j, x_k]] + [x_j, [x_k, x_i]]
+    + [x_k, [x_i, x_j]]} over the signed adjacency ``ad``, for every k in
+    lo..hi whose defect is nonzero.  Each term is walked from the nonzero
+    brackets it is built from: the first two from [x_j, x_k] and
+    [x_i, x_k] = -[x_k, x_i], the third from [x_i, x_j], read as
+    -[[x_i, x_j], x_k].  A k that no term reaches has a zero defect."""
+    parts = []  # (k, multiplier, integer row)
+    for outer, near, sign in ((ad[i], ad[j], 1), (ad[j], ad[i], -1)):
+        for k, (row, s1) in _within(near, lo, hi):
+            for mid, c in row.items():
+                nested = outer.get(mid)
+                if nested is not None:
+                    parts.append((k, sign * s1 * nested[1] * c, nested[0]))
+    inner = ad[i].get(j)
+    if inner is not None:
+        row, s1 = inner
         for mid, c in row.items():
-            nested = adj.get(mid)
-            if nested is None:
-                continue
-            row2, sign2 = nested
-            mult = sign * sign2 * c
-            for idx, v in row2.items():
-                nv = acc.get(idx, 0) + mult * v
-                if nv:
-                    acc[idx] = nv
-                else:
-                    acc.pop(idx, None)
-    return acc
-
-
-def _unpruned_triples(ad, dim: int):
-    """The triples i <= j <= k, in lexicographic order, whose Jacobi defect
-    the adjacency cannot prove zero, each with the number of triples up to
-    and including it.  A term [x_a, [x_b, x_c]] of the defect is zero unless
-    some x_m in the support of [x_b, x_c] has [x_a, x_m] nonzero; a triple
-    is skipped when all three of its terms are zero by this rule."""
-    covered = 0
-    for i in range(dim):
-        near_i = ad[i]
-        for j in range(i, dim):
-            near_j = ad[j]
-            ks = set()
-            inner = near_i.get(j)
-            if inner is not None:  # [x_k, [x_i, x_j]]
-                for mid in inner[0]:
-                    ks.update(ad[mid])
-            # [x_i, [x_j, x_k]], then [x_j, [x_k, x_i]]
-            for near, outer in ((near_j, near_i), (near_i, near_j)):
-                ks.update(
-                    k
-                    for k, (row, _sign) in near.items()
-                    if k >= j and not outer.keys().isdisjoint(row)
-                )
-            for k in sorted(k for k in ks if k >= j):
-                yield i, j, k, covered + k - j + 1
-            covered += dim - j
+            for k, (row2, s2) in _within(ad[mid], lo, hi):
+                parts.append((k, -s1 * s2 * c, row2))
+    if not parts:
+        return {}
+    out: dict[int, dict[int, int]] = {}
+    for k, mult, row in parts:
+        acc = out.setdefault(k, {})
+        for idx, v in row.items():
+            nv = acc.get(idx, 0) + mult * v
+            if nv:
+                acc[idx] = nv
+            else:
+                del acc[idx]
+    return {k: acc for k, acc in out.items() if acc}
 
 
 def verify_jacobi(m: GradedModel, strategy: dict) -> dict:
     """strategy: {"kind": "exhaustive_basis"} or {"kind": "random", "samples": n, "seed": s}.
 
-    ``triples`` counts the triples covered up to the fifth witness, or all
-    of them; the exhaustive strategy evaluates only the triples that
-    ``_unpruned_triples`` yields and counts the others as proved zero."""
+    Exhaustive runs ``_jacobi_defects`` once per pair i <= j over k = j..dim-1,
+    random once per drawn triple over k alone.  ``triples`` counts the
+    triples covered up to the fifth witness, or all of them."""
     ad = m.int_table()
     dim = m.dim
     if strategy.get("kind") == "exhaustive_basis":
-        triples = _unpruned_triples(ad, dim)
+        calls = ((i, j, j, dim - 1) for i in range(dim) for j in range(i, dim))
         count = dim * (dim + 1) * (dim + 2) // 6
     else:
         count = int(strategy["samples"])
         # no seed is needed when no triple is drawn
         rng = random.Random(int(strategy["seed"])) if count else None
-        triples = (
-            (rng.randrange(dim), rng.randrange(dim), rng.randrange(dim), t + 1)
-            for t in range(count)
-        )
+        draws = ((rng.randrange(dim), rng.randrange(dim), rng.randrange(dim)) for _ in range(count))
+        calls = ((i, j, k, k) for i, j, k in draws)
     failures = []
-    for i, j, k, covered in triples:
-        defect = _jacobi_defect(ad, i, j, k)
-        if defect:
+    covered = 0  # triples covered before this call
+    for i, j, lo, hi in calls:
+        defects = _jacobi_defects(ad, i, j, lo, hi)
+        for k in sorted(defects):
             failures.append(
                 {
                     "triple": [m.basis_label(i), m.basis_label(j), m.basis_label(k)],
-                    "defect_indices": sorted(defect),
+                    "defect_indices": sorted(defects[k]),
                 }
             )
-            if len(failures) >= 5:
-                count = covered
+            if len(failures) == 5:
                 break
+        if len(failures) == 5:
+            count = covered + k - lo + 1
+            break
+        covered += hi - lo + 1
     return {
         "name": f"jacobi[{strategy.get('kind', 'random')}]",
         "status": "pass" if not failures else "fail",
@@ -862,20 +849,22 @@ def verify_grading(m: GradedModel) -> dict:
     # (ii) every basis vector is a simultaneous ad-eigenvector for the
     # Cartan with eigenvalue tuple equal to its designed weight
     eig_fail = []
-    cartan_elements = []
-    for h in m.G.cartan:
-        coords = m.G.coords_of_mat(h)
-        cartan_elements.append(
-            {
-                m.index_of[("g", (gi, ai))]: cg * ca
-                for gi, cg in coords.items()
-                for ai, ca in unit_coords.items()
-            }
-        )
+    # ad_h[hpos][e] = [h (x) 1, x_e], read off the table in one pass
+    in_cartan: dict[int, list[tuple[int, Fraction]]] = {}
+    for hpos, h in enumerate(m.G.cartan):
+        for gi, cg in m.G.coords_of_mat(h).items():
+            for ai, ca in unit_coords.items():
+                in_cartan.setdefault(m.index_of[("g", (gi, ai))], []).append((hpos, cg * ca))
+    ad_h: list[dict[int, dict[int, Fraction]]] = [{} for _ in m.G.cartan]
+    for (a, b), row in m.table.items():
+        for hpos, c in in_cartan.get(a, ()):
+            add_scaled(ad_h[hpos].setdefault(b, {}), row, c)
+        for hpos, c in in_cartan.get(b, ()):
+            add_scaled(ad_h[hpos].setdefault(a, {}), row, -c)
     for e_idx in range(m.dim):
         w = m.weight_of[e_idx]
-        for hpos, h_el in enumerate(cartan_elements):
-            acc = m.bracket(h_el, {e_idx: QONE})
+        for hpos, ad in enumerate(ad_h):
+            acc = ad.get(e_idx, {})
             lam = _cartan_eigenvalue(m, w, hpos)
             expected = {e_idx: lam} if lam else {}
             if acc != expected:
@@ -1064,7 +1053,8 @@ def level_coset(
         raise ModelError("lambda must contain the base subset I_0")
     if not lam <= set(range(1, m.n + 1)):
         raise ModelError("lambda exceeds the model truncation; use verify_level_transition for extended checks")
-    coeffs = {m.index_of[("d", (di,))]: c for di, c in m._dcoset(x, y).items()}
+    dcoset = m._kinds["d"].read_coord(m.bb.pair_tensor(x, y))
+    coeffs = {m.index_of[("d", (di,))]: c for di, c in dcoset.items()}
     target = _LEVEL_TARGET.get(m.family)
     if target is not None:
         q = m.quadruple

@@ -25,7 +25,6 @@ from .exactla import (
     SparseMatrix,
     SparseVector,
     Subspace,
-    add_scaled,
     commutator,
     kernel_of_rows,
     rref,
@@ -357,30 +356,17 @@ class RepModule:
     def dim(self) -> int:
         return self.space.dim
 
-    def act(self, x: SparseMatrix, v: SparseVector) -> SparseVector:
-        """Module action of an algebra element on a module vector."""
-        if self.kind == "V":
-            return x.apply(v)
-        mat = self.to_matrix(v)
-        out = commutator(x, mat)
-        return self.from_matrix(out)
-
-    def to_matrix(self, v: SparseVector) -> SparseMatrix:
-        if self.kind == "V":
-            raise ShapeError("natural module vectors are not matrices")
-        acc: dict[tuple[str, str], Fraction] = {}
-        for i, c in v.entries.items():
-            add_scaled(acc, self.wb.basis_mats[i].entries, c)
-        return SparseMatrix(self.algebra.space, self.algebra.space, acc)
-
     def from_matrix(self, m: SparseMatrix) -> SparseVector:
         return SparseVector(self.space, self.wb.coords_of_mat(m))
 
     def action_matrix(self, x: SparseMatrix) -> SparseMatrix:
+        """The matrix of x acting on the module: x itself on V, and on S the
+        commutator [x, s] with each basis matrix s, read in the basis."""
+        if self.kind == "V":
+            return SparseMatrix(self.space, self.space, dict(x.entries))
         cols = {}
-        for lab in self.space.labels:
-            img = self.act(x, self.space.basis_vector(lab))
-            for r, val in img.entries.items():
+        for lab, s in enumerate(self.wb.basis_mats):
+            for r, val in self.from_matrix(commutator(x, s)).entries.items():
                 cols[(r, lab)] = val
         return SparseMatrix(self.space, self.space, cols)
 

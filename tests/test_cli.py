@@ -411,3 +411,23 @@ def test_cross_process_determinism(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "family,preset", [("A", "matrix:k=1"), ("D", "group_ring:m=1")]
+)
+def test_subsystem_skipped_when_smaller_truncation_has_no_root(capsys, family, preset):
+    # the (n-1)-truncation of A or D at n = 2 has no nonzero root; the
+    # suite is skipped and the other suites still report
+    code, out = run_cli(
+        capsys,
+        "verify", "--family", family, "--n", "2", "--ell", "1",
+        "--quadruple", preset, "--override-bounds",
+        "--suite", "grading,subsystem", "--samples", "0",
+    )
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["subsystem"] == {
+        "name": "subsystem", "status": "skipped", "witnesses": ["truncation too small"],
+    }
+    assert checks["grading"]["status"] == "pass"

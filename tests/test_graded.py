@@ -198,37 +198,40 @@ def test_exhaustive_antisymmetry_and_jacobi_small_bc():
     )
 
 
+def _naive_witness(m, i, j, k):
+    """The report witness of the triple (i, j, k) when its Jacobi defect
+    over ``bracket_indices`` is nonzero, else None."""
+    defect = {}
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        for mid, x in m.bracket_indices(b, c).items():
+            for idx, y in m.bracket_indices(a, mid).items():
+                defect[idx] = defect.get(idx, 0) + x * y
+    defect = sorted(idx for idx, v in defect.items() if v)
+    if defect:
+        labels = [m.basis_label(t) for t in (i, j, k)]
+        return {"triple": labels, "defect_indices": defect}
+    return None
+
+
 def _naive_jacobi(m):
     """Every triple i <= j <= k, in lexicographic order, whose Jacobi defect
-    over ``bracket_indices`` is nonzero, with the number of triples up to and
-    including it and its report witness."""
+    is nonzero, with the number of triples up to and including it and its
+    report witness."""
     count, out = 0, []
     for i in range(m.dim):
         for j in range(i, m.dim):
             for k in range(j, m.dim):
                 count += 1
-                defect = {}
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    for mid, x in m.bracket_indices(b, c).items():
-                        for idx, y in m.bracket_indices(a, mid).items():
-                            defect[idx] = defect.get(idx, 0) + x * y
-                defect = sorted(idx for idx, v in defect.items() if v)
-                if defect:
-                    labels = [m.basis_label(t) for t in (i, j, k)]
-                    out.append((count, (i, j, k), {"triple": labels, "defect_indices": defect}))
+                w = _naive_witness(m, i, j, k)
+                if w:
+                    out.append((count, (i, j, k), w))
     return out
 
 
-@pytest.mark.parametrize(
-    "config", [("BC", 5, 4, "symplectic:m=2"), ("B", 6, 5, "clifford:d=2")],
-    ids=lambda c: " ".join(map(str, c)),
-)
-@pytest.mark.parametrize("seed,mutation", [(1, "flip"), (2, "triple"), (3, "insert")])
-def test_exhaustive_jacobi_matches_naive_on_mutants(config, seed, mutation):
-    # the cached integer table and ``table`` are changed alike: one
-    # coefficient flipped or tripled, or a zero bracket given the value of a
-    # nonzero one; pruning must neither hide the fault nor change which
-    # triples report it
+def _mutated_model(config, seed, mutation):
+    """A fresh model whose cached integer table and ``table`` are changed
+    alike: one coefficient flipped or tripled, or a zero bracket given the
+    value of a nonzero one."""
     m = build_model(*config[:3], parse_preset_spec(config[3]))
     ad = m.int_table()
     rng = random.Random(seed)
@@ -244,14 +247,57 @@ def test_exhaustive_jacobi_matches_naive_on_mutants(config, seed, mutation):
         factor = -1 if mutation == "flip" else 3
         ad[a][b][0][idx] *= factor
         m.table[a, b][idx] *= factor
+    return m
+
+
+MUTANT_CONFIGS = pytest.mark.parametrize(
+    "config", [("BC", 5, 4, "symplectic:m=2"), ("B", 6, 5, "clifford:d=2")],
+    ids=lambda c: " ".join(map(str, c)),
+)
+MUTATIONS = pytest.mark.parametrize("seed,mutation", [(1, "flip"), (2, "triple"), (3, "insert")])
+
+
+@MUTANT_CONFIGS
+@MUTATIONS
+def test_exhaustive_jacobi_matches_naive_on_mutants(config, seed, mutation):
+    # the pair pass must neither miss the fault nor change which triples
+    # report it
+    m = _mutated_model(config, seed, mutation)
     r = verify_jacobi(m, {"kind": "exhaustive_basis"})
     bad = _naive_jacobi(m)
     assert r["status"] == "fail"
     assert r["triples"] == bad[4][0]
     assert r["witnesses"] == [w for _, _, w in bad[:5]]
-    # beyond the fifth witness too, no faulty triple is pruned
-    unpruned = {t[:3] for t in graded._unpruned_triples(ad, m.dim)}
-    assert all(t in unpruned for _, t, _ in bad)
+    # beyond the fifth witness too, the pair pass reports every faulty
+    # triple with its defect indices
+    ad = m.int_table()
+    for _, (i, j, k), w in bad:
+        defects = graded._jacobi_defects(ad, i, j, j, m.dim - 1)
+        assert sorted(defects.get(k, {})) == w["defect_indices"], (i, j, k)
+
+
+@MUTANT_CONFIGS
+@MUTATIONS
+def test_random_jacobi_matches_naive_on_mutants(config, seed, mutation):
+    # the same seeded draws, evaluated naively, give the same witnesses and
+    # the same ``triples``; about 1 in 2,000 to 4,000 draws hits the fault
+    m = _mutated_model(config, seed, mutation)
+    samples = 50000
+    r = verify_jacobi(m, {"kind": "random", "samples": samples, "seed": seed})
+    rng = random.Random(seed)
+    count, witnesses = samples, []
+    for t in range(samples):
+        i, j, k = rng.randrange(m.dim), rng.randrange(m.dim), rng.randrange(m.dim)
+        w = _naive_witness(m, i, j, k)
+        if w:
+            witnesses.append(w)
+            if len(witnesses) == 5:
+                count = t + 1
+                break
+    assert witnesses, "no draw reaches the fault"
+    assert r["status"] == "fail"
+    assert r["triples"] == count
+    assert r["witnesses"] == witnesses
 
 
 def test_random_jacobi_type_a():
@@ -379,8 +425,9 @@ def test_level_coset_at_base_subset_is_plain():
     c0, c1 = b.basis_vector("c:0"), b.basis_vector("c:1")
     lc = level_coset(m, range(1, 5), c0, c1)
     assert lc and _kinds(m, lc) == {"d"}
-    direct = m._dcoset(c0, c1)
-    assert lc == {m.index_of[("d", (k,))]: v for k, v in direct.items()}
+    cosets = m.dpart.coset_space
+    direct = m.dpart.project(m.bb.pair_tensor(c0, c1)).entries
+    assert lc == {m.index_of[("d", (cosets.pos(l),))]: v for l, v in direct.items()}
 
 
 def test_level_coset_correction_nonzero_type_a():
@@ -536,8 +583,7 @@ def test_jacobi_exhaustive_against_dpart(family, n, ell, preset):
     assert d_idx
     for d in d_idx:
         for i in range(m.dim):
-            for j in range(i, m.dim):
-                assert not graded._jacobi_defect(ad, d, i, j), (d, i, j)
+            assert graded._jacobi_defects(ad, d, i, i, m.dim - 1) == {}, (d, i)
 
 
 def test_jacobi_type_d_with_nonzero_dpart():
@@ -552,8 +598,7 @@ def test_jacobi_type_d_with_nonzero_dpart():
     d_idx = [i for i, (k, _) in enumerate(m.basis) if k == "d"]
     for d in d_idx:
         for i in range(m.dim):
-            for j in range(i, m.dim):
-                assert not graded._jacobi_defect(ad, d, i, j)
+            assert graded._jacobi_defects(ad, d, i, i, m.dim - 1) == {}, (d, i)
 
 
 def test_subalgebra_type_a_on_three_of_six_indices():
@@ -581,8 +626,7 @@ def test_wider_module_presets(preset):
     d_idx = [i for i, (k, _) in enumerate(m.basis) if k == "d"]
     for d in d_idx:
         for i in range(m.dim):
-            for j in range(i, m.dim):
-                assert not graded._jacobi_defect(ad, d, i, j)
+            assert graded._jacobi_defects(ad, d, i, i, m.dim - 1) == {}, (d, i)
 
 
 def test_level_coset_mixed_pair_is_zero():

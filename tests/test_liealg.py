@@ -249,10 +249,11 @@ def test_module_axiom_on_basis_triples(family, kind, n):
     vecs = [m.space.basis_vector(l) for l in m.space.labels]
     for x in mats:
         for y in mats:
-            xy = commutator(x, y)
+            act_xy = m.action_matrix(commutator(x, y))
+            act_x, act_y = m.action_matrix(x), m.action_matrix(y)
             for v in vecs:
-                lhs = m.act(xy, v)
-                rhs = m.act(x, m.act(y, v)) - m.act(y, m.act(x, v))
+                lhs = act_xy.apply(v)
+                rhs = act_x.apply(act_y.apply(v)) - act_y.apply(act_x.apply(v))
                 assert lhs == rhs
 
 
