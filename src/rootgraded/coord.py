@@ -21,8 +21,6 @@ from typing import Sequence
 from .exactla import (
     BasedSpace,
     Q,
-    QONE,
-    QZERO,
     QuotientSpace,
     SparseMatrix,
     SparseVector,
@@ -214,7 +212,7 @@ def inner_scale(qtype: str, ell: int) -> Fraction:
         return Q(1, ell + 1)
     if qtype in ("C", "BC"):
         return Q(1, 2 * ell)
-    return QZERO
+    return 0
 
 
 def f_action(q, c: SparseVector, c1: SparseVector, c2: SparseVector) -> SparseVector:
@@ -380,7 +378,7 @@ def validate_quadruple(q: CoordinateQuadruple) -> dict:
                 for l in clabs
                 for m in clabs
                 if q.a_star(q.f_val(cvecs[l], cvecs[m]))
-                != q.f_val(cvecs[m], cvecs[l]).scale(Q(-1))
+                != -q.f_val(cvecs[m], cvecs[l])
             ],
         )
         record(
@@ -665,7 +663,7 @@ def _uniform_verdict(bb: BBQuotient, k_span: Sequence[SparseVector]):
     rows = [row.entries for row in bb.beta_rows.values()]
     for t in preimage:
         for row in rows:
-            val = sum((row[lab] * c for lab, c in t.entries.items() if lab in row), QZERO)
+            val = sum((row[lab] * c for lab, c in t.entries.items() if lab in row), 0)
             if val:
                 return False, repr(t)
     return True, None
@@ -683,16 +681,16 @@ def _matrix_algebra_tables(k: int):
             for r in range(k):
                 for s in range(k):
                     if j == r:
-                        mult[(f"m:{i},{j}", f"m:{r},{s}")] = {f"m:{i},{s}": QONE}
-    unit = {f"m:{i},{i}": QONE for i in range(k)}
+                        mult[(f"m:{i},{j}", f"m:{r},{s}")] = {f"m:{i},{s}": 1}
+    unit = {f"m:{i},{i}": 1 for i in range(k)}
     return labels, mult, unit
 
 
 def _standard_skew(m: int) -> list[list[Fraction]]:
-    g = [[QZERO] * m for _ in range(m)]
+    g = [[0] * m for _ in range(m)]
     for b in range(m // 2):
-        g[2 * b][2 * b + 1] = QONE
-        g[2 * b + 1][2 * b] = -QONE
+        g[2 * b][2 * b + 1] = 1
+        g[2 * b + 1][2 * b] = -1
     return g
 
 
@@ -712,15 +710,15 @@ def clifford_quadruple(
     labels = ["one"] + list(w_labels)
     mult = {}
     for l in labels:
-        mult[("one", l)] = {l: QONE}
-        mult[(l, "one")] = {l: QONE}
+        mult[("one", l)] = {l: 1}
+        mult[(l, "one")] = {l: 1}
     for u in w_labels:
         for w in w_labels:
-            mult[(u, w)] = {"one": form.get((u, w), QZERO)}
-    star = {("one", "one"): QONE}
+            mult[(u, w)] = {"one": form.get((u, w), 0)}
+    star = {("one", "one"): 1}
     for w in w_labels:
-        star[(w, w)] = -QONE
-    return CoordinateQuadruple("B", labels, mult, unit={"one": QONE}, star=star, name=name)
+        star[(w, w)] = -1
+    return CoordinateQuadruple("B", labels, mult, unit={"one": 1}, star=star, name=name)
 
 
 # preset name -> the size parameters it takes
@@ -744,7 +742,7 @@ def preset_quadruple(name: str, **params) -> CoordinateQuadruple:
     if name == "matrix":
         k = _size_param(params, "k", 2)
         labels, mult, unit = _matrix_algebra_tables(k)
-        star = {(l, l): QONE for l in labels}
+        star = {(l, l): 1 for l in labels}
         return CoordinateQuadruple(
             "A", labels, mult, unit, star, name=f"matrix:k={k}"
         )
@@ -752,24 +750,24 @@ def preset_quadruple(name: str, **params) -> CoordinateQuadruple:
         m = _size_param(params, "m", 3)
         labels = [f"g:{i}" for i in range(m)]
         mult = {
-            (f"g:{i}", f"g:{j}"): {f"g:{(i + j) % m}": QONE}
+            (f"g:{i}", f"g:{j}"): {f"g:{(i + j) % m}": 1}
             for i in range(m)
             for j in range(m)
         }
-        star = {(l, l): QONE for l in labels}
+        star = {(l, l): 1 for l in labels}
         return CoordinateQuadruple(
-            "D", labels, mult, unit={"g:0": QONE}, star=star, name=f"group_ring:m={m}"
+            "D", labels, mult, unit={"g:0": 1}, star=star, name=f"group_ring:m={m}"
         )
     if name == "clifford":
         d = _size_param(params, "d", 2)
         w_labels = [f"w:{i}" for i in range(1, d + 1)]
         return clifford_quadruple(
-            w_labels, {(w, w): QONE for w in w_labels}, name=f"clifford:d={d}"
+            w_labels, {(w, w): 1 for w in w_labels}, name=f"clifford:d={d}"
         )
     if name == "matrix_transpose":
         k = _size_param(params, "k", 2)
         labels, mult, unit = _matrix_algebra_tables(k)
-        star = {(f"m:{j},{i}", f"m:{i},{j}"): QONE for i in range(k) for j in range(k)}
+        star = {(f"m:{j},{i}", f"m:{i},{j}"): 1 for i in range(k) for j in range(k)}
         return CoordinateQuadruple(
             "C", labels, mult, unit, star, name=f"matrix_transpose:k={k}"
         )
@@ -778,10 +776,10 @@ def preset_quadruple(name: str, **params) -> CoordinateQuadruple:
         if m % 2:
             raise ValueError("symplectic preset needs even m")
         a_labels = ["one"]
-        mult = {("one", "one"): {"one": QONE}}
-        star = {("one", "one"): QONE}
+        mult = {("one", "one"): {"one": 1}}
+        star = {("one", "one"): 1}
         c_labels = [f"c:{i}" for i in range(m)]
-        action = {("one", c): {c: QONE} for c in c_labels}
+        action = {("one", c): {c: 1} for c in c_labels}
         g = _standard_skew(m)
         f_table = {
             (f"c:{i}", f"c:{j}"): ({"one": g[i][j]} if g[i][j] else {})
@@ -792,7 +790,7 @@ def preset_quadruple(name: str, **params) -> CoordinateQuadruple:
             "BC",
             a_labels,
             mult,
-            {"one": QONE},
+            {"one": 1},
             star,
             c_labels,
             action,
@@ -805,7 +803,7 @@ def preset_quadruple(name: str, **params) -> CoordinateQuadruple:
         if m % 2:
             raise ValueError("matrix_hermitian preset needs even m")
         a_labels, mult, unit = _matrix_algebra_tables(k)
-        star = {(f"m:{j},{i}", f"m:{i},{j}"): QONE for i in range(k) for j in range(k)}
+        star = {(f"m:{j},{i}", f"m:{i},{j}"): 1 for i in range(k) for j in range(k)}
         c_labels = [f"c:{i},{j}" for i in range(k) for j in range(m)]
         action = {}
         for i in range(k):
@@ -813,7 +811,7 @@ def preset_quadruple(name: str, **params) -> CoordinateQuadruple:
                 for r in range(k):
                     for s in range(m):
                         if j == r:
-                            action[(f"m:{i},{j}", f"c:{r},{s}")] = {f"c:{i},{s}": QONE}
+                            action[(f"m:{i},{j}", f"c:{r},{s}")] = {f"c:{i},{s}": 1}
         g = _standard_skew(m)
         f_table = {}
         for i in range(k):

@@ -2,9 +2,11 @@
 
 Everything downstream (root systems, matrix Lie algebras, coordinate
 algebras, graded models) is built on the types here.  Scalars are
-``fractions.Fraction`` throughout; there is no floating point anywhere.
-All values are immutable after construction and all operations are pure,
-so they can be shared freely.
+exact rationals: ``int`` when integral, ``fractions.Fraction`` otherwise;
+no floats.  ``scalar`` is the one normalizer every stored entry passes
+through, so a Fraction with denominator 1 never stays one.  All values are
+immutable after construction and all operations are pure, so they can be
+shared freely.
 """
 
 from __future__ import annotations
@@ -14,23 +16,33 @@ from typing import Hashable, Mapping, Sequence
 
 Q = Fraction
 
-QZERO = Q(0)
-QONE = Q(1)
-
-
 class ShapeError(ValueError):
     """Operands live in incompatible based spaces."""
 
 
-def q_str(x: Fraction) -> str:
+def scalar(val) -> int | Fraction:
+    """The exact rational ``val`` as stored: an int stays an int, an
+    integral Fraction becomes its numerator, any other Fraction is kept.
+    A float is refused, since its binary expansion is not the rational it
+    was meant to be."""
+    if type(val) is not Fraction:
+        if type(val) is int:
+            return val
+        if isinstance(val, float):
+            raise ShapeError(f"float scalar {val!r}: scalars are exact rationals")
+        val = Fraction(val)
+    return val.numerator if val.denominator == 1 else val
+
+
+def q_str(x: int | Fraction) -> str:
     """Serialize a rational as "p/q", or "p" when the denominator is 1."""
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
 
 
-def q_parse(s: str) -> Fraction:
-    return Fraction(s)
+def q_parse(s: str) -> int | Fraction:
+    return scalar(Fraction(s))
 
 
 class BasedSpace:
@@ -77,7 +89,7 @@ class BasedSpace:
 
     def basis_vector(self, label: Hashable) -> "SparseVector":
         self.pos(label)
-        return SparseVector(self, {label: QONE})
+        return SparseVector(self, {label: 1})
 
     def zero(self) -> "SparseVector":
         return SparseVector(self, {})
@@ -107,14 +119,14 @@ class SparseVector:
         for lab, val in entries.items():
             if lab not in pos:
                 raise ShapeError(f"label {lab!r} not in space")
-            v = val if type(val) is Fraction else Q(val)
+            v = val if type(val) is int else scalar(val)
             if v:
                 clean[lab] = v
         self.space = space
         self.entries = clean
 
     def get(self, label: Hashable) -> Fraction:
-        return self.entries.get(label, QZERO)
+        return self.entries.get(label, 0)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -130,13 +142,13 @@ class SparseVector:
         return SparseVector(self.space, _merged(self.entries, other.entries, True))
 
     def scale(self, c: Fraction) -> "SparseVector":
-        c = Q(c)
+        c = scalar(c)
         if c == 0:
             return SparseVector(self.space, {})
         return SparseVector(self.space, {lab: c * v for lab, v in self.entries.items()})
 
     def __neg__(self) -> "SparseVector":
-        return self.scale(Q(-1))
+        return self.scale(-1)
 
     def __eq__(self, other) -> bool:
         return (
@@ -161,7 +173,7 @@ def _merged(a: Mapping, b: Mapping, subtract: bool) -> dict:
     then b's new ones, dropping the entries that cancel."""
     out = dict(a)
     for key, val in b.items():
-        s = out.get(key, QZERO) - val if subtract else out.get(key, QZERO) + val
+        s = out.get(key, 0) - val if subtract else out.get(key, 0) + val
         if s:
             out[key] = s
         else:
@@ -189,7 +201,7 @@ class SparseMatrix:
         for (r, c), val in entries.items():
             if r not in rows or c not in cols:
                 raise ShapeError(f"entry ({r!r}, {c!r}) outside matrix shape")
-            v = val if type(val) is Fraction else Q(val)
+            v = val if type(val) is int else scalar(val)
             if v:
                 clean[(r, c)] = v
         self.domain = domain
@@ -202,10 +214,10 @@ class SparseMatrix:
 
     @staticmethod
     def identity(space: BasedSpace) -> "SparseMatrix":
-        return SparseMatrix(space, space, {(lab, lab): QONE for lab in space.labels})
+        return SparseMatrix(space, space, {(lab, lab): 1 for lab in space.labels})
 
     def get(self, r: Hashable, c: Hashable) -> Fraction:
-        return self.entries.get((r, c), QZERO)
+        return self.entries.get((r, c), 0)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -218,7 +230,7 @@ class SparseMatrix:
             coeff = v.entries.get(c)
             if coeff is None:
                 continue
-            s = out.get(r, QZERO) + m * coeff
+            s = out.get(r, 0) + m * coeff
             if s:
                 out[r] = s
             else:
@@ -235,7 +247,7 @@ class SparseMatrix:
         for (r, mid), v in self.entries.items():
             for c, w in cols.get(mid, ()):
                 key = (r, c)
-                s = out.get(key, QZERO) + v * w
+                s = out.get(key, 0) + v * w
                 if s:
                     out[key] = s
                 else:
@@ -255,7 +267,7 @@ class SparseMatrix:
         return SparseMatrix(self.domain, self.codomain, out)
 
     def scale(self, c: Fraction) -> "SparseMatrix":
-        c = Q(c)
+        c = scalar(c)
         if c == 0:
             return SparseMatrix.zero(self.domain, self.codomain)
         return SparseMatrix(
@@ -263,7 +275,7 @@ class SparseMatrix:
         )
 
     def __neg__(self) -> "SparseMatrix":
-        return self.scale(Q(-1))
+        return self.scale(-1)
 
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix(
@@ -273,7 +285,7 @@ class SparseMatrix:
     def trace(self) -> Fraction:
         if self.domain != self.codomain:
             raise ShapeError("trace needs domain = codomain")
-        return sum((v for (r, c), v in self.entries.items() if r == c), QZERO)
+        return sum((v for (r, c), v in self.entries.items() if r == c), 0)
 
     def __eq__(self, other) -> bool:
         return (
@@ -357,10 +369,10 @@ class Subspace:
         return all(other.contains(r) for r in self.rows)
 
 
-def add_scaled(acc: dict, row: Mapping, c: Fraction = QONE) -> None:
+def add_scaled(acc: dict, row: Mapping, c: Fraction = 1) -> None:
     """acc += c * row in place, dropping the entries that cancel."""
     for k, v in row.items():
-        s = acc.get(k, QZERO) + c * v
+        s = acc.get(k, 0) + c * v
         if s:
             acc[k] = s
         else:
@@ -398,8 +410,9 @@ def rref(vectors: Sequence[SparseVector], space: BasedSpace | None = None) -> Su
         if not cur:
             continue
         lab_p = min(cur, key=pos.__getitem__)
-        inv = QONE / cur[lab_p]
-        cur = {lab: inv * val for lab, val in cur.items()}
+        if cur[lab_p] != 1:
+            inv = Q(1, cur[lab_p])
+            cur = {lab: scalar(inv * val) for lab, val in cur.items()}
         # eliminate the new pivot from existing rows
         for i, row in enumerate(rows):
             coeff = row.get(lab_p)
@@ -446,7 +459,7 @@ def kernel_of_rows(rows: Sequence[SparseVector], space: BasedSpace) -> Subspace:
     for j, lab in enumerate(labels):
         if j in pivot_set:
             continue
-        entries = {lab: QONE}
+        entries = {lab: 1}
         entries.update(free_col.get(lab, ()))
         basis.append(SparseVector(space, entries))
     return rref(basis, space)

@@ -39,8 +39,6 @@ from .coord import (
 from .exactla import (
     BasedSpace,
     Q,
-    QONE,
-    QZERO,
     QuotientSpace,
     SparseMatrix,
     SparseVector,
@@ -49,6 +47,7 @@ from .exactla import (
     label_text,
     q_str,
     rref,
+    scalar,
     subspace_sum,
 )
 from .liealg import (
@@ -104,7 +103,7 @@ class Term(NamedTuple):
     target: str  # kind of the result: "g", "s", "v" or "d"
     mat: Callable  # (model, x, y) -> matrix, natural-module vector or scalar
     coord: Callable  # (model, a, a') -> vector of a or C, or a b (x) b tensor
-    scale: Fraction = QONE
+    scale: Fraction = 1
 
 
 # matrix side.  The product ops read the pair's two products (xy, yx), so
@@ -144,7 +143,7 @@ def _first(m, x, y):
 
 
 def _one(m, x, y):
-    return QONE
+    return 1
 
 
 def _form(m, u, w):
@@ -266,8 +265,8 @@ TERMS: dict[str, dict[str, tuple[Term, ...]]] = {
         "gg": (Term("g", _lie, _prod), Term("d", _trace, _pair)),
         "gs": (Term("s", _act, _prod),),
         "ss": (Term("g", _d_uw, _prod), Term("d", _form, _pair)),
-        "gd": (Term("g", _first, _deriv, Q(-1)),),
-        "sd": (Term("s", _first, _deriv, Q(-1)),),
+        "gd": (Term("g", _first, _deriv, -1),),
+        "sd": (Term("s", _first, _deriv, -1),),
         "dd": _DD,
     },
     "C": _TYPE_C,
@@ -281,7 +280,7 @@ TERMS: dict[str, dict[str, tuple[Term, ...]]] = {
             Term("d", _form, _pair),
         ),
         "vd": (
-            Term("v", _acted_on, _inner_act, Q(-1)),
+            Term("v", _acted_on, _inner_act, -1),
             Term("v", _first, _f_act, Q(1, 2)),
         ),
     },
@@ -514,7 +513,10 @@ class GradedModel:
         pair.  With ``swap`` every factor is evaluated on swapped arguments,
         mat(y, x) or the products (yx, xy), and coord(a', a), so the row
         stored at (e, f) is [f, e].  ``keep`` receives each term's
-        matrix-side factors under (k1 + k2, target, mat)."""
+        matrix-side factors under (k1 + k2, target, mat).  Rows are summed
+        at ``denom`` times their value, ``denom`` clearing the denominators
+        of the term scales, and divided once per entry at the end: integral
+        factors cost int arithmetic only."""
         off1, w1, mats1, coords1 = self._kinds[k1][:4]
         off2, w2, mats2, coords2 = self._kinds[k2][:4]
         same = k1 == k2
@@ -527,6 +529,7 @@ class GradedModel:
                         y = mats2[j]
                         xy, yx = x @ y, y @ x
                         products[i, j] = (yx, xy) if swap else (xy, yx)
+        denom = lcm(*(term.scale.denominator for term in terms))
         rows: dict[tuple[int, int], dict[int, Fraction]] = {}
         for term in terms:
             off_t, w_t, _mats, _coords, mat_coords, coord_coords = self._kinds[term.target][:6]
@@ -553,10 +556,10 @@ class GradedModel:
                         coord.append((p, t, f))
             if keep is not None:
                 keep[k1 + k2, term.target, term.mat] = mat
-            scale = term.scale
+            mult = scalar(term.scale * denom)
             for (i, j), mf in mat.items():
                 e0, f0 = off1 + i * w1, off2 + j * w2
-                scaled = [(off_t + mi * w_t, scale * cm) for mi, cm in mf.items()]
+                scaled = [(off_t + mi * w_t, mult * cm) for mi, cm in mf.items()]
                 for p, t, cf in coord:
                     if same and i == j and p >= t:
                         continue
@@ -564,11 +567,14 @@ class GradedModel:
                     for base, c0 in scaled:
                         for ci, cc in cf.items():
                             idx = base + ci
-                            s = row.get(idx, QZERO) + c0 * cc
+                            s = row.get(idx, 0) + c0 * cc
                             if s:
                                 row[idx] = s
                             else:
                                 del row[idx]
+        for row in rows.values():
+            for idx, c in row.items():
+                row[idx] = scalar(c if denom == 1 else Q(c, denom))
         return {key: row for key, row in rows.items() if row}
 
     def _build_table(self):
@@ -614,7 +620,7 @@ class GradedModel:
                     denom = lcm(denom, c.denominator)
             ad = [{} for _ in range(self.dim)]
             for (a, b), row in self.table.items():
-                irow = {m: int(c * denom) for m, c in row.items()}
+                irow = {m: c.numerator * (denom // c.denominator) for m, c in row.items()}
                 ad[a][b] = (irow, 1)
                 ad[b][a] = (irow, -1)
             self._int_table = ad
@@ -824,24 +830,25 @@ def verify_grading(m: GradedModel) -> dict:
     checks = []
     unit_coords = m.quadruple.a_part_sub.coordinates(m.quadruple.unit)
 
-    def g_tensor_unit(gi):
-        return {
-            m.index_of[("g", (gi, ai))]: c for ai, c in unit_coords.items()
-        }
-
-    # (i) x -> x (x) 1 is an injective Lie homomorphism on the split algebra
+    # (i) x -> x (x) 1 is an injective Lie homomorphism on the split algebra.
+    # [x_i (x) 1, x_j (x) 1] for i < j is a sum of table rows: each of its
+    # basis pairs (a, b) has a < b
     hom_fail = []
-    gdim = len(m.G.wb.basis_mats)
-    for i in range(gdim):
-        for j in range(i + 1, gdim):
-            xi = g_tensor_unit(i)
-            xj = g_tensor_unit(j)
-            lhs = m.bracket(xi, xj)
+    units = [
+        {m.index_of[("g", (gi, ai))]: c for ai, c in unit_coords.items()}
+        for gi in range(len(m.G.wb.basis_mats))
+    ]
+    for i, xi in enumerate(units):
+        for j in range(i + 1, len(units)):
+            lhs: dict[int, Fraction] = {}
+            for a, ca in xi.items():
+                for b, cb in units[j].items():
+                    add_scaled(lhs, m.table.get((a, b), {}), ca * cb)
             expected: dict[int, Fraction] = {}
             for gk, c in m._g_lie.get((i, j), {}).items():
-                add_scaled(expected, g_tensor_unit(gk), c)
+                add_scaled(expected, units[gk], c)
             if lhs != expected:
-                hom_fail.append([m.basis_label(min(xi)), m.basis_label(min(xj))])
+                hom_fail.append([m.basis_label(min(xi)), m.basis_label(min(units[j]))])
     checks.append(
         _check("grading-pair: x -> x(x)1 is a Lie homomorphism", not hom_fail, hom_fail)
     )
@@ -926,10 +933,10 @@ def _zero_weight_span(m: GradedModel, by_weight: dict, roots: Iterable[Root]):
     return zero_space, rref(vecs, zero_space), stray
 
 
-def _cartan_eigenvalue(m: GradedModel, w: Root, hpos: int) -> Fraction:
+def _cartan_eigenvalue(m: GradedModel, w: Root, hpos: int) -> int:
     if m.family == "A":
-        return Q(w.coords.get(hpos + 1, 0) - w.coords.get(hpos + 2, 0))
-    return Q(w.coords.get(hpos + 1, 0))
+        return w.coords.get(hpos + 1, 0) - w.coords.get(hpos + 2, 0)
+    return w.coords.get(hpos + 1, 0)
 
 
 def _expected_weight_dim(m: GradedModel, alpha: Root) -> int:
@@ -985,7 +992,7 @@ class SubModel:
         checks = []
         closure_fail = []
         basis_rows: list[dict[int, Fraction]] = [
-            {i: QONE} for i in self.nonzero_indices
+            {i: 1} for i in self.nonzero_indices
         ] + [r.entries for r in self.zero_part.rows]
         for a_pos, xa in enumerate(basis_rows):
             for xb in basis_rows[a_pos:]:

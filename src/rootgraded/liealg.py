@@ -19,8 +19,6 @@ from typing import Iterable, Sequence
 from .exactla import (
     BasedSpace,
     Q,
-    QONE,
-    QZERO,
     ShapeError,
     SparseMatrix,
     SparseVector,
@@ -75,23 +73,22 @@ class FormedSpace:
             self.gram = None
             self.symmetry = None
             return
-        two = Q(2)
         for i in range(1, n + 1):
             vi, vbi = f"v:{i}", f"vb:{i}"
             if family in ("B", "D"):
-                entries[(vi, vbi)] = two
-                entries[(vbi, vi)] = two
+                entries[(vi, vbi)] = 2
+                entries[(vbi, vi)] = 2
             else:  # C and the BC construction share the symplectic form
-                entries[(vi, vbi)] = two
-                entries[(vbi, vi)] = -two
+                entries[(vi, vbi)] = 2
+                entries[(vbi, vi)] = -2
         if family == "B":
-            entries[("v:0", "v:0")] = two
+            entries[("v:0", "v:0")] = 2
         self.gram = SparseMatrix(self.space, self.space, entries)
         self.symmetry = "skew" if family == "C" else "symmetric"
 
     def form(self, u: SparseVector, w: SparseVector) -> Fraction:
         fu = self.functional(u)
-        return sum((c * fu.get(lab, QZERO) for lab, c in w.entries.items()), QZERO)
+        return sum((c * fu.get(lab, 0) for lab, c in w.entries.items()), 0)
 
     def functional(self, u: SparseVector) -> dict[str, Fraction]:
         """The form (u, -) as {label: (u, basis vector)}, read off G^T u."""
@@ -101,7 +98,7 @@ class FormedSpace:
         for (r, c), g in self.gram.entries.items():
             cu = u.entries.get(r)
             if cu is not None:
-                out[c] = out.get(c, QZERO) + cu * g
+                out[c] = out.get(c, 0) + cu * g
         return out
 
 
@@ -122,7 +119,7 @@ def vec_to_mat(v: SparseVector, space: BasedSpace) -> SparseMatrix:
 def matrix_unit(j: str, k: str, space: BasedSpace) -> SparseMatrix:
     """e_{j,k}: v_i -> delta_{k,i} v_j."""
     space.pos(j), space.pos(k)
-    return SparseMatrix(space, space, {(j, k): QONE})
+    return SparseMatrix(space, space, {(j, k): 1})
 
 
 def gl_coord_weight(lab: tuple[str, str]) -> Root:
@@ -272,11 +269,11 @@ def defining_condition_rows(nat: FormedSpace) -> list[SparseVector]:
     if nat.family == "A":
         return [_trace_row(nat, glsp)]
     # phi^T G + G phi = 0  <=>  (phi v, w) = -(v, phi w)
-    return _form_rows(nat, glsp, QONE)
+    return _form_rows(nat, glsp, 1)
 
 
 def _trace_row(nat: FormedSpace, glsp: BasedSpace) -> SparseVector:
-    return SparseVector(glsp, {(l, l): QONE for l in nat.space.labels})
+    return SparseVector(glsp, {(l, l): 1 for l in nat.space.labels})
 
 
 def _form_rows(nat: FormedSpace, glsp: BasedSpace, sign: Fraction) -> list[SparseVector]:
@@ -294,9 +291,9 @@ def _form_rows(nat: FormedSpace, glsp: BasedSpace, sign: Fraction) -> list[Spars
             # (phi^T G)[u, w] = sum_t phi[t,u] G[t,w], (G phi)[u, w] = sum_t G[u,t] phi[t,w]
             entries: dict[tuple[str, str], Fraction] = {}
             for t, val in cols.get(w, ()):
-                entries[t, u] = entries.get((t, u), QZERO) + val
+                entries[t, u] = entries.get((t, u), 0) + val
             for t, val in rows_g.get(u, ()):
-                entries[t, w] = entries.get((t, w), QZERO) + sign * val
+                entries[t, w] = entries.get((t, w), 0) + sign * val
             if entries:
                 out.append(SparseVector(glsp, entries))
     return out
@@ -344,7 +341,7 @@ class RepModule:
             nat = algebra.nat
             glsp = algebra.glsp
             # traceless, and phi^T G - G phi = 0  <=>  (phi v, w) = (v, phi w)
-            rows = [_trace_row(nat, glsp)] + _form_rows(nat, glsp, -QONE)
+            rows = [_trace_row(nat, glsp)] + _form_rows(nat, glsp, -1)
             ker = kernel_of_rows(rows, glsp)
             self.wb = WeightedBasis(glsp, nat.space, ker.rows)
             self.space = BasedSpace(range(self.wb.dim))
@@ -402,7 +399,7 @@ class TruncationIdempotent:
             kind, _, num = lab.partition(":")
             i = int(num)
             if i == 0 or i in self.subset:
-                entries[(lab, lab)] = QONE
+                entries[(lab, lab)] = 1
         self.matrix = SparseMatrix(nat_space, nat_space, entries)
 
     @property
@@ -419,8 +416,8 @@ def circ_of_products(
     t = xy.trace()
     if t == 0:
         return base
-    factor = Q(2) if family in ("A", "D") else QONE
-    return base - idem.matrix.scale(factor * t / Q(idem.size))
+    factor = 2 if family in ("A", "D") else 1
+    return base - idem.matrix.scale(Q(factor * t, idem.size))
 
 
 def v_ops(
@@ -440,11 +437,11 @@ def v_ops(
     uw = nat.functional(u) if variant == "circ" else nat.gram.apply(u).entries
     entries: dict[tuple[str, str], Fraction] = {}
     for w_lab in space.labels:
-        col = u.scale(half * vw.get(w_lab, QZERO)) + v.scale(half * uw.get(w_lab, QZERO))
+        col = u.scale(half * vw.get(w_lab, 0)) + v.scale(half * uw.get(w_lab, 0))
         for r, c in col.entries.items():
             entries[(r, w_lab)] = c
     m = SparseMatrix(space, space, entries)
-    uv = QZERO if variant == "circ" else nat.form(u, v)
+    uv = 0 if variant == "circ" else nat.form(u, v)
     if uv == 0:
         return m
     return m + idem.matrix.scale(uv / Q(2 * idem.size))
@@ -456,7 +453,7 @@ def d_uw(nat: FormedSpace, u: SparseVector, w: SparseVector) -> SparseMatrix:
     uz, wz = nat.functional(u), nat.functional(w)
     entries = {}
     for z in nat.space.labels:
-        col = w.scale(uz.get(z, QZERO)) - u.scale(wz.get(z, QZERO))
+        col = w.scale(uz.get(z, 0)) - u.scale(wz.get(z, 0))
         for r, val in col.entries.items():
             entries[(r, z)] = val
     return SparseMatrix(nat.space, nat.space, entries)

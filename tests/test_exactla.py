@@ -15,6 +15,7 @@ from rootgraded.exactla import (
     q_parse,
     q_str,
     rref,
+    scalar,
     tensor_space,
 )
 
@@ -43,6 +44,52 @@ def test_q_str_roundtrip():
     assert q_str(Q(-5)) == "-5"
     assert q_parse("3/4") == Q(3, 4)
     assert q_parse("-5") == Q(-5)
+
+
+def normalized(v):
+    """Every entry of v is stored as ``scalar`` stores it: an int, or a
+    Fraction whose denominator is above 1."""
+    return all(
+        type(c) is int or (type(c) is Q and c.denominator > 1) for c in v.entries.values()
+    )
+
+
+def test_scalar_keeps_ints_and_proper_fractions():
+    assert type(scalar(3)) is int
+    assert type(scalar(Q(6, 3))) is int and scalar(Q(6, 3)) == 2
+    assert scalar(Q(1, 2)) == Q(1, 2) and type(scalar(Q(1, 2))) is Q
+    assert type(scalar(True)) is int
+    assert type(q_parse("-4/2")) is int
+    v = SparseVector(S3, {"x": Q(4, 2), "y": Q(-3, 4), "z": 5})
+    assert normalized(v) and v.get("x") == 2
+    assert normalized(v.scale(Q(4, 3))) and v.scale(Q(4, 3)).get("y") == -1
+    assert normalized(-v)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SparseVector(S2, {"x": 0.5}),
+        lambda: SparseVector(S2, {"x": 1.0}),
+        lambda: SparseMatrix(S2, S2, {("x", "y"): 2.0}),
+        lambda: vec(S2, 1, 2).scale(0.5),
+        lambda: SparseMatrix.identity(S2).scale(1.0),
+    ],
+    ids=["vector entry", "integral vector entry", "matrix entry", "vector scale", "matrix scale"],
+)
+def test_float_scalars_are_refused(make):
+    # a float's binary expansion is not the rational it was meant to be
+    with pytest.raises(ShapeError, match="float"):
+        make()
+
+
+def test_rref_pivot_inverse_is_exact():
+    # int rows with a pivot of 3: the scaled row holds Fractions, not floats
+    sub = rref([SparseVector(S2, {"x": 3, "y": 1}), SparseVector(S2, {"x": 6, "y": 6})])
+    assert [r.entries for r in sub.rows] == [{"x": 1}, {"y": 1}]
+    sub = rref([SparseVector(S2, {"x": 3, "y": 1})])
+    assert sub.rows[0].entries == {"x": 1, "y": Q(1, 3)}
+    assert all(normalized(r) for r in sub.rows)
 
 
 def test_rref_empty_span():
@@ -235,6 +282,7 @@ def test_sparse_elimination_matches_dense_oracle(case):
     sub = rref([sparse(r, space) for r in rows], space)
     assert list(sub.pivots) == pivots
     assert [dense(r, space) for r in sub.rows] == reduced
+    assert all(normalized(r) for r in sub.rows)
 
     # reduce: the unique representative of probe + span with no pivot support
     residual = dense(sub.reduce(sparse(probe, space)), space)
@@ -266,6 +314,7 @@ def test_sparse_elimination_matches_dense_oracle(case):
     null_pivots, null_rows = dense_rref(null, n)
     assert list(ker.pivots) == null_pivots
     assert [dense(r, space) for r in ker.rows] == null_rows
+    assert all(normalized(r) for r in ker.rows)
     for k in ker.rows:
         for r in rows:
             assert sum((a * b for a, b in zip(dense(k, space), r)), Q(0)) == 0

@@ -398,6 +398,36 @@ def test_grading_fails_on_a_tripled_g_row(config):
     assert verify_grading(m)["status"] == "pass"
 
 
+@pytest.mark.parametrize(
+    "config", FAULT_MODELS + [("C", 5, 5, "matrix_transpose:k=2")], ids=lambda c: " ".join(map(str, c))
+)
+def test_grading_homomorphism_fails_on_a_scaled_root_row(config):
+    # the row [x (x) a, y (x) a] of two root vectors x, y whose bracket is
+    # nonzero, a in the support of the unit, doubled: x -> x (x) 1 stops
+    # being a homomorphism at exactly that pair, while no Cartan row changes
+    m = model(*config)
+    q = m.quadruple
+    p = min(q.a_part_sub.coordinates(q.unit))
+    g_roots = [
+        i
+        for i, (kind, key) in enumerate(m.basis)
+        if kind == "g" and key[1] == p and not m.weight_of[i].is_zero()
+    ]
+    key = next((x, y) for x in g_roots for y in g_roots if (x, y) in m.table)
+    table = m.table
+    try:
+        m.table = dict(table)
+        m.table[key] = {idx: 2 * c for idx, c in table[key].items()}
+        checks = {c["name"]: c for c in verify_grading(m)["checks"]}
+    finally:
+        m.table = table
+    hom = checks["grading-pair: x -> x(x)1 is a Lie homomorphism"]
+    assert hom["status"] == "fail"
+    assert hom["witnesses"] == [[m.basis_label(key[0]), m.basis_label(key[1])]]
+    assert checks["weight decomposition: ad-eigenvector check"]["status"] == "pass"
+    assert verify_grading(m)["status"] == "pass"
+
+
 @pytest.mark.parametrize("config", FAULT_MODELS, ids=lambda c: " ".join(map(str, c)))
 def test_subsystem_closure_fails_on_a_stray_index(config):
     # a basis index of a weight outside S added to the bracket of two
@@ -670,6 +700,41 @@ def test_bracket_table_digest(config):
         ]
     )
     assert hashlib.sha256(text.encode()).hexdigest() == TABLE_DIGESTS[config]
+
+
+def _is_stored_scalar(c) -> bool:
+    """An int, or a Fraction whose denominator is above 1: never a
+    Fraction equal to an integer, never a float."""
+    return type(c) is int or (type(c) is Q and c.denominator > 1)
+
+
+@pytest.mark.parametrize("config", list(TABLE_DIGESTS), ids=lambda c: " ".join(map(str, c)))
+def test_integral_scalars_are_ints(monkeypatch, config):
+    # every structure constant, every entry of a basis matrix and every
+    # entry of an rref row the build computes is an int when integral;
+    # test_bracket_table_digest shows the values themselves are unchanged
+    import rootgraded.coord as coord
+    import rootgraded.exactla as exactla
+    import rootgraded.liealg as liealg
+
+    rows = []
+    plain = exactla.rref
+
+    def recording(*args, **kwargs):
+        sub = plain(*args, **kwargs)
+        rows.extend(sub.rows)
+        return sub
+
+    for mod in (exactla, coord, liealg, graded):
+        monkeypatch.setattr(mod, "rref", recording)
+    m = build_model(*config[:3], parse_preset_spec(config[3]))
+    assert rows
+    assert all(_is_stored_scalar(c) for r in rows for c in r.entries.values())
+    assert all(_is_stored_scalar(c) for row in m.table.values() for c in row.values())
+    mats = [x for kind in m._kinds.values() if kind.support is not None for x in kind.mats]
+    assert mats
+    assert all(_is_stored_scalar(c) for x in mats for c in x.entries.values())
+    assert any(type(c) is int for row in m.table.values() for c in row.values())
 
 
 @pytest.mark.parametrize(
