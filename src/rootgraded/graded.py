@@ -19,6 +19,7 @@ constant.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, NamedTuple
@@ -585,11 +586,8 @@ class GradedModel:
         self.table = dict(sorted(rows.items()))
         # coordinates of [x_i, x_j] in G for i <= j, read by the grading check
         self._g_lie = kept.get(("gg", "g", _lie), {})
-        self._int_table = None
 
     def bracket_indices(self, i: int, j: int) -> dict[int, Fraction]:
-        if i == j:
-            return {}
         if i < j:
             return self.table.get((i, j), {})
         row = self.table.get((j, i), {})
@@ -606,25 +604,7 @@ class GradedModel:
         for i, ci in x.items():
             for j, cj in y.items():
                 add_scaled(out, self.bracket_indices(i, j), ci * cj)
-        return out
-
-    def int_table(self) -> list[dict[int, tuple[dict[int, int], int]]]:
-        """The bracket table as a signed adjacency over integer rows:
-        ``ad[a][b] = (row, sign)`` with [x_a, x_b] = sign * row / denom for
-        the lcm ``denom`` of all denominators.  Both directions share one
-        row; pairs with a zero bracket have no entry."""
-        if self._int_table is None:
-            denom = 1
-            for row in self.table.values():
-                for c in row.values():
-                    denom = lcm(denom, c.denominator)
-            ad = [{} for _ in range(self.dim)]
-            for (a, b), row in self.table.items():
-                irow = {m: c.numerator * (denom // c.denominator) for m, c in row.items()}
-                ad[a][b] = (irow, 1)
-                ad[b][a] = (irow, -1)
-            self._int_table = ad
-        return self._int_table
+        return {idx: scalar(c) for idx, c in out.items()}
 
     # -- model-level well-definedness ----------------------------------------
 
@@ -731,82 +711,102 @@ def verify_antisymmetry(m: GradedModel) -> dict:
     }
 
 
-def _within(near: dict, lo: int, hi: int) -> list:
-    """The entries of ``near`` keyed lo..hi: looked up when the range is
-    narrower than ``near``, else read off a walk of ``near``."""
-    if hi - lo < len(near):
-        return [(k, near[k]) for k in range(lo, hi + 1) if k in near]
-    return [(k, e) for k, e in near.items() if lo <= k <= hi]
+def _adjacency(m: GradedModel) -> tuple[list, list, list]:
+    """The table as ``_anchor_defects`` reads it, built per call from
+    ``sorted(m.table)``.  For each index a: its neighbours b, ascending,
+    beside the rows of [x_a, x_b] (+row if b > a, else -row) times the lcm
+    of all denominators; and the pairs j < k whose row holds x_a at c, as
+    parallel lists (j, k, c) in (j, k) order."""
+    denom = lcm(*{c.denominator for row in m.table.values() for c in row.values()})
+    near, rows = [[] for _ in range(m.dim)], [[] for _ in range(m.dim)]
+    reverse = [([], [], []) for _ in range(m.dim)]
+    for (a, b), row in sorted(m.table.items()):
+        irow = {idx: c.numerator * (denom // c.denominator) for idx, c in row.items()}
+        for x, y in ((a, b), (b, a)):
+            near[x].append(y)
+            rows[x].append(irow)
+        for idx, c in irow.items():
+            for part, v in zip(reverse[idx], (a, b, c)):
+                part.append(v)
+    return near, rows, reverse
 
 
-def _jacobi_defects(ad, i: int, j: int, lo: int, hi: int) -> dict[int, dict[int, int]]:
-    """{k: integer coordinates of [x_i, [x_j, x_k]] + [x_j, [x_k, x_i]]
-    + [x_k, [x_i, x_j]]} over the signed adjacency ``ad``, for every k in
-    lo..hi whose defect is nonzero.  Each term is walked from the nonzero
-    brackets it is built from: the first two from [x_j, x_k] and
-    [x_i, x_k] = -[x_k, x_i], the third from [x_i, x_j], read as
-    -[[x_i, x_j], x_k].  A k that no term reaches has a zero defect."""
-    parts = []  # (k, multiplier, integer row)
-    for outer, near, sign in ((ad[i], ad[j], 1), (ad[j], ad[i], -1)):
-        for k, (row, s1) in _within(near, lo, hi):
-            for mid, c in row.items():
-                nested = outer.get(mid)
-                if nested is not None:
-                    parts.append((k, sign * s1 * nested[1] * c, nested[0]))
-    inner = ad[i].get(j)
-    if inner is not None:
-        row, s1 = inner
+def _anchor_defects(adj, i: int) -> dict[tuple[int, int], dict[int, int]]:
+    """{(j, k): integer coordinates of the nonzero [x_i, [x_j, x_k]] +
+    [x_j, [x_k, x_i]] + [x_k, [x_i, x_j]]} for i < j < k (a repeated index
+    gives zero, as a pair's two directions share one row).  Each term walks
+    the nonzero brackets it is built from, over ranges found by bisection:
+    the first the pairs that hold a neighbour of i, the others, read as
+    -[x_j, [x_i, x_k]] and -[[x_i, x_j], x_k], the neighbours x > i of i."""
+    near, rows, reverse = adj
+    dim = len(near)
+    out: dict[int, int] = {}  # key (j * dim + k) * dim + idx
+    get = out.get
+    for mid, row in zip(near[i], rows[i]):
+        js, ks, cs = reverse[mid]
+        for t in range(bisect_left(js, i + 1), len(js)):
+            base, mult = (js[t] * dim + ks[t]) * dim, cs[t] if mid > i else -cs[t]
+            for idx, v in row.items():
+                out[base + idx] = get(base + idx, 0) + mult * v
+    start = bisect_left(near[i], i)
+    for x, row in zip(near[i][start:], rows[i][start:]):
         for mid, c in row.items():
-            for k, (row2, s2) in _within(ad[mid], lo, hi):
-                parts.append((k, -s1 * s2 * c, row2))
-    if not parts:
-        return {}
-    out: dict[int, dict[int, int]] = {}
-    for k, mult, row in parts:
-        acc = out.setdefault(k, {})
-        for idx, v in row.items():
-            nv = acc.get(idx, 0) + mult * v
-            if nv:
-                acc[idx] = nv
-            else:
-                del acc[idx]
-    return {k: acc for k, acc in out.items() if acc}
+            mnear, mrows = near[mid], rows[mid]
+            # k = x: -[x_j, x_mid] c = [x_mid, x_j] c for i < j < x
+            for t in range(bisect_left(mnear, i + 1), bisect_left(mnear, x)):
+                base, mult = (mnear[t] * dim + x) * dim, c if mnear[t] > mid else -c
+                for idx, v in mrows[t].items():
+                    out[base + idx] = get(base + idx, 0) + mult * v
+            # j = x: -[x_mid, x_k] c for k > x
+            for t in range(bisect_right(mnear, x), len(mnear)):
+                base, mult = (x * dim + mnear[t]) * dim, -c if mnear[t] > mid else c
+                for idx, v in mrows[t].items():
+                    out[base + idx] = get(base + idx, 0) + mult * v
+    defects: dict[tuple[int, int], dict[int, int]] = {}
+    for key, v in out.items():
+        if v:
+            defects.setdefault(divmod(key // dim, dim), {})[key % dim] = v
+    return defects
+
+
+def _triple_defect(table: dict, i: int, j: int, k: int) -> dict[int, Fraction]:
+    """The Jacobi defect of (i, j, k) in exact rationals, read off ``table``
+    with one lookup per bracket."""
+    out: dict[int, Fraction] = {}
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        for mid, x in table.get((b, c) if b < c else (c, b), {}).items():
+            outer = table.get((a, mid) if a < mid else (mid, a), {})
+            add_scaled(out, outer, x if (b < c) == (a < mid) else -x)
+    return out
 
 
 def verify_jacobi(m: GradedModel, strategy: dict) -> dict:
     """strategy: {"kind": "exhaustive_basis"} or {"kind": "random", "samples": n, "seed": s}.
 
-    Exhaustive runs ``_jacobi_defects`` once per pair i <= j over k = j..dim-1,
-    random once per drawn triple over k alone.  ``triples`` counts the
-    triples covered up to the fifth witness, or all of them."""
-    ad = m.int_table()
+    Exhaustive runs ``_anchor_defects`` once per anchor i, random
+    ``_triple_defect`` once per draw.  ``triples`` counts the triples
+    covered up to the fifth witness, or all of them."""
     dim = m.dim
     if strategy.get("kind") == "exhaustive_basis":
-        calls = ((i, j, j, dim - 1) for i in range(dim) for j in range(i, dim))
-        count = dim * (dim + 1) * (dim + 2) // 6
+        count = total = dim * (dim + 1) * (dim + 2) // 6
+        adj = _adjacency(m)
+        # covered: all but the triples with i' > i, with (i, j' > j), with (i, j, k' > k)
+        found = (((i, j, k), d, total - (dim - i - 1) * (dim - i) * (dim - i + 1) // 6
+                  - (dim - j - 1) * (dim - j) // 2 - (dim - 1 - k))
+                 for i in range(dim) for (j, k), d in sorted(_anchor_defects(adj, i).items()))
     else:
         count = int(strategy["samples"])
         # no seed is needed when no triple is drawn
         rng = random.Random(int(strategy["seed"])) if count else None
         draws = ((rng.randrange(dim), rng.randrange(dim), rng.randrange(dim)) for _ in range(count))
-        calls = ((i, j, k, k) for i, j, k in draws)
+        found = ((ijk, d, t + 1) for t, ijk in enumerate(draws) if (d := _triple_defect(m.table, *ijk)))
     failures = []
-    covered = 0  # triples covered before this call
-    for i, j, lo, hi in calls:
-        defects = _jacobi_defects(ad, i, j, lo, hi)
-        for k in sorted(defects):
-            failures.append(
-                {
-                    "triple": [m.basis_label(i), m.basis_label(j), m.basis_label(k)],
-                    "defect_indices": sorted(defects[k]),
-                }
-            )
-            if len(failures) == 5:
-                break
+    for triple, defect, covered in found:
+        labels = [m.basis_label(t) for t in triple]
+        failures.append({"triple": labels, "defect_indices": sorted(defect)})
         if len(failures) == 5:
-            count = covered + k - lo + 1
+            count = covered
             break
-        covered += hi - lo + 1
     return {
         "name": f"jacobi[{strategy.get('kind', 'random')}]",
         "status": "pass" if not failures else "fail",
@@ -1072,7 +1072,7 @@ def level_coset(
             for mi, cm in kind.read_mat(_level_op(m, lam, m.G.space)).items():
                 base = kind.offset + mi * kind.width
                 add_scaled(coeffs, {base + ci: cc for ci, cc in coord.items()}, cm)
-    return coeffs
+    return {idx: scalar(c) for idx, c in coeffs.items()}
 
 
 def _level_op(m: GradedModel, lam: frozenset, space) -> SparseMatrix:

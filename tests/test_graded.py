@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 import sys
 from collections import Counter
@@ -229,24 +230,19 @@ def _naive_jacobi(m):
 
 
 def _mutated_model(config, seed, mutation):
-    """A fresh model whose cached integer table and ``table`` are changed
-    alike: one coefficient flipped or tripled, or a zero bracket given the
-    value of a nonzero one."""
+    """A fresh model whose ``table`` has one coefficient flipped or tripled,
+    or a zero bracket given the value of a nonzero one (appended last, out
+    of index order)."""
     m = build_model(*config[:3], parse_preset_spec(config[3]))
-    ad = m.int_table()
     rng = random.Random(seed)
     a, b = rng.choice(sorted(m.table))
     if mutation == "insert":
         zero = [(c, d) for c in range(m.dim) for d in range(c + 1, m.dim) if (c, d) not in m.table]
         c, d = rng.choice(zero)
         m.table[c, d] = dict(m.table[a, b])
-        row = dict(ad[a][b][0])
-        ad[c][d], ad[d][c] = (row, 1), (row, -1)
     else:
         idx = rng.choice(sorted(m.table[a, b]))
-        factor = -1 if mutation == "flip" else 3
-        ad[a][b][0][idx] *= factor
-        m.table[a, b][idx] *= factor
+        m.table[a, b][idx] *= -1 if mutation == "flip" else 3
     return m
 
 
@@ -260,7 +256,7 @@ MUTATIONS = pytest.mark.parametrize("seed,mutation", [(1, "flip"), (2, "triple")
 @MUTANT_CONFIGS
 @MUTATIONS
 def test_exhaustive_jacobi_matches_naive_on_mutants(config, seed, mutation):
-    # the pair pass must neither miss the fault nor change which triples
+    # the anchor pass must neither miss the fault nor change which triples
     # report it
     m = _mutated_model(config, seed, mutation)
     r = verify_jacobi(m, {"kind": "exhaustive_basis"})
@@ -268,12 +264,15 @@ def test_exhaustive_jacobi_matches_naive_on_mutants(config, seed, mutation):
     assert r["status"] == "fail"
     assert r["triples"] == bad[4][0]
     assert r["witnesses"] == [w for _, _, w in bad[:5]]
-    # beyond the fifth witness too, the pair pass reports every faulty
-    # triple with its defect indices
-    ad = m.int_table()
-    for _, (i, j, k), w in bad:
-        defects = graded._jacobi_defects(ad, i, j, j, m.dim - 1)
-        assert sorted(defects.get(k, {})) == w["defect_indices"], (i, j, k)
+    # beyond the fifth witness too, the anchor pass reports every faulty
+    # triple, and only those, with its defect indices
+    adj = graded._adjacency(m)
+    found = {
+        (i, j, k): sorted(defect)
+        for i in range(m.dim)
+        for (j, k), defect in graded._anchor_defects(adj, i).items()
+    }
+    assert found == {ijk: w["defect_indices"] for _, ijk, w in bad}
 
 
 @MUTANT_CONFIGS
@@ -298,6 +297,35 @@ def test_random_jacobi_matches_naive_on_mutants(config, seed, mutation):
     assert r["status"] == "fail"
     assert r["triples"] == count
     assert r["witnesses"] == witnesses
+
+
+@pytest.mark.parametrize("mutation", [None, "flip"])
+def test_exhaustive_jacobi_ignores_table_order(mutation):
+    # the report depends on the table's contents, not on the order its
+    # pairs and row entries were inserted in
+    config = ("B", 6, 5, "clifford:d=2")
+    if mutation:
+        m = _mutated_model(config, 1, mutation)
+    else:
+        m = build_model(*config[:3], parse_preset_spec(config[3]))
+    exhaustive = {"kind": "exhaustive_basis"}
+    before = json.dumps(verify_jacobi(m, exhaustive))
+    m.table = {key: dict(reversed(row.items())) for key, row in reversed(m.table.items())}
+    assert json.dumps(verify_jacobi(m, exhaustive)) == before
+    assert (json.loads(before)["status"] == "fail") == bool(mutation)
+
+
+def test_verify_jacobi_keeps_no_state_on_the_model():
+    m = model("BC", 5, 4, "symplectic:m=2")
+    before = dict(vars(m))
+    table = {key: dict(row) for key, row in m.table.items()}
+    for strategy in (
+        {"kind": "exhaustive_basis"},
+        {"kind": "random", "samples": 500, "seed": 3},
+    ):
+        assert verify_jacobi(m, strategy)["status"] == "pass"
+        assert vars(m) == before
+        assert m.table == table
 
 
 def test_random_jacobi_type_a():
@@ -596,6 +624,14 @@ def test_graded_element_parts_and_arithmetic():
             m.bracket({gi: Q(1)}, {bad: Q(1)})
 
 
+def _assert_exhaustive_jacobi_passes(m):
+    """Every basis triple, those with a D-part slot among them, has a zero
+    Jacobi defect."""
+    r = verify_jacobi(m, {"kind": "exhaustive_basis"})
+    assert r["status"] == "pass", r["witnesses"]
+    assert r["triples"] == m.dim * (m.dim + 1) * (m.dim + 2) // 6
+
+
 @pytest.mark.parametrize(
     "family,n,ell,preset",
     [
@@ -606,14 +642,10 @@ def test_graded_element_parts_and_arithmetic():
 )
 def test_jacobi_exhaustive_against_dpart(family, n, ell, preset):
     # random sampling rarely hits the low-dimensional D-part of the big
-    # models, so run every triple with at least one D-part slot directly
+    # models, so run every triple, those with a D-part slot among them
     m = model(family, n, ell, preset)
-    ad = m.int_table()
-    d_idx = [i for i, (k, _) in enumerate(m.basis) if k == "d"]
-    assert d_idx
-    for d in d_idx:
-        for i in range(m.dim):
-            assert graded._jacobi_defects(ad, d, i, i, m.dim - 1) == {}, (d, i)
+    assert any(kind == "d" for kind, _ in m.basis)
+    _assert_exhaustive_jacobi_passes(m)
 
 
 def test_jacobi_type_d_with_nonzero_dpart():
@@ -624,11 +656,7 @@ def test_jacobi_type_d_with_nonzero_dpart():
     assert m.dpart.dim == 1
     r = verify_jacobi(m, {"kind": "random", "samples": 1500, "seed": 7})
     assert r["status"] == "pass"
-    ad = m.int_table()
-    d_idx = [i for i, (k, _) in enumerate(m.basis) if k == "d"]
-    for d in d_idx:
-        for i in range(m.dim):
-            assert graded._jacobi_defects(ad, d, i, i, m.dim - 1) == {}, (d, i)
+    _assert_exhaustive_jacobi_passes(m)
 
 
 def test_subalgebra_type_a_on_three_of_six_indices():
@@ -652,11 +680,7 @@ def test_wider_module_presets(preset):
     m = model("BC", 4, 4, preset)
     assert verify_jacobi(m, {"kind": "random", "samples": 800, "seed": 11})["status"] == "pass"
     assert verify_grading(m)["status"] == "pass"
-    ad = m.int_table()
-    d_idx = [i for i, (k, _) in enumerate(m.basis) if k == "d"]
-    for d in d_idx:
-        for i in range(m.dim):
-            assert graded._jacobi_defects(ad, d, i, i, m.dim - 1) == {}, (d, i)
+    _assert_exhaustive_jacobi_passes(m)
 
 
 def test_level_coset_mixed_pair_is_zero():
@@ -735,6 +759,19 @@ def test_integral_scalars_are_ints(monkeypatch, config):
     assert mats
     assert all(_is_stored_scalar(c) for x in mats for c in x.entries.values())
     assert any(type(c) is int for row in m.table.values() for c in row.values())
+
+
+def test_bracket_and_level_coset_return_stored_scalars():
+    # [sum of x_i / 2, sum of 2 x_j] sums products of Fractions; the
+    # integral ones come back as ints
+    m = model("C", 5, 5, "matrix_transpose:k=2")
+    out = m.bracket({i: Q(1, 2) for i in range(40)}, {j: 2 for j in range(40, 80)})
+    assert out and all(_is_stored_scalar(c) for c in out.values())
+    assert any(type(c) is int for c in out.values())
+    m = model("A", 7, 5, "matrix:k=2")
+    b = m.quadruple.b_space
+    lc = level_coset(m, range(1, 8), b.basis_vector("m:0,1").scale(Q(1, 2)), b.basis_vector("m:1,0"))
+    assert lc and all(_is_stored_scalar(c) for c in lc.values())
 
 
 @pytest.mark.parametrize(
