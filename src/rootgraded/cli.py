@@ -22,7 +22,6 @@ from .coord import (
     InternalConsistencyError,
     b_mul,
     check_uniform,
-    load_quadruple_file,
     parse_preset_spec,
     quadruple_from_json,
     quadruple_to_json,
@@ -30,6 +29,7 @@ from .coord import (
 )
 from .exactla import q_str
 from .graded import (
+    K_FORMS,
     build_model,
     subalgebra,
     verify_antisymmetry,
@@ -37,8 +37,8 @@ from .graded import (
     verify_jacobi,
     verify_level_transition,
 )
-from .liealg import build_algebra
-from .rootsys import generate, root_str, roots_json
+from .liealg import ALGEBRA_FAMILIES, build_algebra
+from .rootsys import FAMILIES, generate, root_str, roots_json
 
 SUITES = (
     "grading",
@@ -50,27 +50,29 @@ SUITES = (
     "subsystem",
 )
 DEFAULT_SUITE = ("grading", "jacobi", "derivation")
-FAMILIES = ("A", "B", "C", "D", "BC")
-K_CHOICES = ("zero", "fh")
 
 
 class ConfigError(ValueError):
     pass
 
 
-def load_quadruple(source: str):
-    """A preset spec ("symplectic:m=2") or a path to a quadruple JSON file."""
-    if os.path.exists(source):
-        q = load_quadruple_file(source)
-        report = validate_quadruple(q)
-        if not report["valid"]:
-            failed = [c for c in report["checks"] if c["status"] == "fail"]
-            raise ConfigError(
-                f"quadruple file {source} failed validation: "
-                + "; ".join(f"{c['law']} (witness {c['witnesses'][:1]})" for c in failed)
-            )
-        return q
-    return parse_preset_spec(source)
+def load_quadruple(source: str | dict):
+    """A preset spec ("symplectic:m=2"), a path to a quadruple JSON file, or
+    the file's object itself; a file or an object must pass every law."""
+    if isinstance(source, dict):
+        q, where = quadruple_from_json(source), "inline quadruple"
+    elif os.path.exists(source):
+        with open(source, "r", encoding="utf-8") as fh:
+            q, where = quadruple_from_json(json.load(fh)), f"quadruple file {source}"
+    else:
+        return parse_preset_spec(source)
+    failed = [c for c in validate_quadruple(q)["checks"] if c["status"] == "fail"]
+    if failed:
+        raise ConfigError(
+            f"{where} failed validation: "
+            + "; ".join(f"{c['law']} (witness {c['witnesses'][:1]})" for c in failed)
+        )
+    return q
 
 
 def _emit(data: dict, out: str | None) -> None:
@@ -340,15 +342,13 @@ def _load_model_file(args):
         ("n", _is_int, "an integer"),
         ("ell", _is_int, "an integer"),
         ("quadruple", lambda v: isinstance(v, (str, dict)), "a string or an object"),
-        ("K", lambda v: v in K_CHOICES, f"one of {list(K_CHOICES)}"),
+        ("K", lambda v: v in K_FORMS, f"one of {list(K_FORMS)}"),
     ):
         if not ok(spec[field]):
             raise ConfigError(
                 f"model file {args.model}: {field!r} must be {expected}, not {spec[field]!r}"
             )
     args.family, args.n, args.ell, args.k = spec["family"], spec["n"], spec["ell"], spec["K"]
-    if isinstance(spec["quadruple"], dict):
-        return quadruple_from_json(spec["quadruple"])
     return load_quadruple(spec["quadruple"])
 
 
@@ -379,7 +379,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_roots.set_defaults(fn=cmd_roots)
 
     p_alg = add_parser("algebra", help="emit a classical algebra truncation")
-    p_alg.add_argument("--family", required=True, choices=["A", "B", "C", "D"])
+    p_alg.add_argument("--family", required=True, choices=ALGEBRA_FAMILIES)
     p_alg.add_argument("--n", type=int, required=True)
     p_alg.add_argument("--out")
     p_alg.set_defaults(fn=cmd_algebra)
@@ -426,7 +426,7 @@ def _model_flags(p, required=True):
         required=required,
         help="preset spec like symplectic:m=2, or a quadruple JSON file",
     )
-    p.add_argument("--k", choices=K_CHOICES, default="zero")
+    p.add_argument("--k", choices=list(K_FORMS), default="zero")
     p.add_argument("--override-bounds", action="store_true")
 
 

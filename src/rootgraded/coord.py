@@ -14,7 +14,6 @@ homology) is checked mechanically rather than assumed; failures raise
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Sequence
 
@@ -34,9 +33,7 @@ from .exactla import (
     rref,
     tensor_space,
 )
-
-QUADRUPLE_TYPES = ("A", "B", "C", "D", "BC")
-
+from .rootsys import FAMILIES
 
 class InternalConsistencyError(RuntimeError):
     """A structural identity the construction relies on failed to verify."""
@@ -77,7 +74,7 @@ class CoordinateQuadruple:
         f_table: dict[tuple[str, str], dict[str, Fraction]] | None = None,
         name: str = "",
     ):
-        if qtype not in QUADRUPLE_TYPES:
+        if qtype not in FAMILIES:
             raise ValueError(f"unknown quadruple type {qtype!r}")
         self.qtype = qtype
         self.name = name or qtype
@@ -675,13 +672,12 @@ def _uniform_verdict(bb: BBQuotient, k_span: Sequence[SparseVector]):
 
 def _matrix_algebra_tables(k: int):
     labels = [f"m:{i},{j}" for i in range(k) for j in range(k)]
-    mult = {}
-    for i in range(k):
-        for j in range(k):
-            for r in range(k):
-                for s in range(k):
-                    if j == r:
-                        mult[(f"m:{i},{j}", f"m:{r},{s}")] = {f"m:{i},{s}": 1}
+    mult = {
+        (f"m:{i},{j}", f"m:{j},{s}"): {f"m:{i},{s}": 1}
+        for i in range(k)
+        for j in range(k)
+        for s in range(k)
+    }
     unit = {f"m:{i},{i}": 1 for i in range(k)}
     return labels, mult, unit
 
@@ -692,13 +688,6 @@ def _standard_skew(m: int) -> list[list[Fraction]]:
         g[2 * b][2 * b + 1] = 1
         g[2 * b + 1][2 * b] = -1
     return g
-
-
-def _size_param(params: dict, key: str, default: int) -> int:
-    val = int(params.get(key, default))
-    if val < 1:
-        raise ValueError(f"preset parameter {key}={val} must be at least 1")
-    return val
 
 
 def clifford_quadruple(
@@ -715,125 +704,116 @@ def clifford_quadruple(
     for u in w_labels:
         for w in w_labels:
             mult[(u, w)] = {"one": form.get((u, w), 0)}
-    star = {("one", "one"): 1}
-    for w in w_labels:
-        star[(w, w)] = -1
+    star = {("one", "one"): 1, **{(w, w): -1 for w in w_labels}}
     return CoordinateQuadruple("B", labels, mult, unit={"one": 1}, star=star, name=name)
 
 
-# preset name -> the size parameters it takes
-PRESET_PARAMS = {
-    "matrix": ("k",),
-    "group_ring": ("m",),
-    "clifford": ("d",),
-    "matrix_transpose": ("k",),
-    "symplectic": ("m",),
-    "matrix_hermitian": ("k", "m"),
+def _transpose(k: int) -> dict[tuple[str, str], Fraction]:
+    return {(f"m:{j},{i}", f"m:{i},{j}"): 1 for i in range(k) for j in range(k)}
+
+
+def _matrix(name: str, k: int) -> CoordinateQuadruple:
+    labels, mult, unit = _matrix_algebra_tables(k)
+    star = {(l, l): 1 for l in labels}
+    return CoordinateQuadruple("A", labels, mult, unit, star, name=name)
+
+
+def _group_ring(name: str, m: int) -> CoordinateQuadruple:
+    labels = [f"g:{i}" for i in range(m)]
+    mult = {
+        (f"g:{i}", f"g:{j}"): {f"g:{(i + j) % m}": 1} for i in range(m) for j in range(m)
+    }
+    star = {(l, l): 1 for l in labels}
+    return CoordinateQuadruple("D", labels, mult, unit={"g:0": 1}, star=star, name=name)
+
+
+def _clifford(name: str, d: int) -> CoordinateQuadruple:
+    w_labels = [f"w:{i}" for i in range(1, d + 1)]
+    return clifford_quadruple(w_labels, {(w, w): 1 for w in w_labels}, name)
+
+
+def _matrix_transpose(name: str, k: int) -> CoordinateQuadruple:
+    labels, mult, unit = _matrix_algebra_tables(k)
+    return CoordinateQuadruple("C", labels, mult, unit, _transpose(k), name=name)
+
+
+def _symplectic(name: str, m: int) -> CoordinateQuadruple:
+    if m % 2:
+        raise ValueError("symplectic preset needs even m")
+    c_labels = [f"c:{i}" for i in range(m)]
+    action = {("one", c): {c: 1} for c in c_labels}
+    g = _standard_skew(m)
+    f_table = {
+        (f"c:{i}", f"c:{j}"): ({"one": g[i][j]} if g[i][j] else {})
+        for i in range(m)
+        for j in range(m)
+    }
+    return CoordinateQuadruple(
+        "BC",
+        ["one"],
+        {("one", "one"): {"one": 1}},
+        {"one": 1},
+        {("one", "one"): 1},
+        c_labels,
+        action,
+        f_table,
+        name=name,
+    )
+
+
+def _matrix_hermitian(name: str, k: int, m: int) -> CoordinateQuadruple:
+    if m % 2:
+        raise ValueError("matrix_hermitian preset needs even m")
+    a_labels, mult, unit = _matrix_algebra_tables(k)
+    c_labels = [f"c:{i},{j}" for i in range(k) for j in range(m)]
+    action = {
+        (f"m:{i},{j}", f"c:{j},{s}"): {f"c:{i},{s}": 1}
+        for i in range(k)
+        for j in range(k)
+        for s in range(m)
+    }
+    g = _standard_skew(m)
+    # f(c, c') = c G c'^T: entry (i, r) gets G[j][s]
+    f_table = {
+        (f"c:{i},{j}", f"c:{r},{s}"): {f"m:{i},{r}": g[j][s]}
+        for i in range(k)
+        for j in range(m)
+        for r in range(k)
+        for s in range(m)
+        if g[j][s]
+    }
+    return CoordinateQuadruple(
+        "BC", a_labels, mult, unit, _transpose(k), c_labels, action, f_table, name=name
+    )
+
+
+# the minimal faithful instances of the five quadruple types: preset name ->
+# (builder, {size parameter: default}), the parameters in the order the
+# preset's name prints them
+PRESETS = {
+    "matrix": (_matrix, {"k": 2}),
+    "group_ring": (_group_ring, {"m": 3}),
+    "clifford": (_clifford, {"d": 2}),
+    "matrix_transpose": (_matrix_transpose, {"k": 2}),
+    "symplectic": (_symplectic, {"m": 2}),
+    "matrix_hermitian": (_matrix_hermitian, {"k": 2, "m": 2}),
 }
 
 
 def preset_quadruple(name: str, **params) -> CoordinateQuadruple:
-    """The named minimal faithful instances of the five quadruple types."""
-    if name not in PRESET_PARAMS:
+    """The preset ``name`` at the given sizes, the table's defaults for the
+    rest, named by all of them ("matrix_hermitian:k=2,m=2")."""
+    if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}")
+    build, defaults = PRESETS[name]
     for key in params:
-        if key not in PRESET_PARAMS[name]:
+        if key not in defaults:
             raise ValueError(f"preset {name} takes no parameter {key!r}")
-    if name == "matrix":
-        k = _size_param(params, "k", 2)
-        labels, mult, unit = _matrix_algebra_tables(k)
-        star = {(l, l): 1 for l in labels}
-        return CoordinateQuadruple(
-            "A", labels, mult, unit, star, name=f"matrix:k={k}"
-        )
-    if name == "group_ring":
-        m = _size_param(params, "m", 3)
-        labels = [f"g:{i}" for i in range(m)]
-        mult = {
-            (f"g:{i}", f"g:{j}"): {f"g:{(i + j) % m}": 1}
-            for i in range(m)
-            for j in range(m)
-        }
-        star = {(l, l): 1 for l in labels}
-        return CoordinateQuadruple(
-            "D", labels, mult, unit={"g:0": 1}, star=star, name=f"group_ring:m={m}"
-        )
-    if name == "clifford":
-        d = _size_param(params, "d", 2)
-        w_labels = [f"w:{i}" for i in range(1, d + 1)]
-        return clifford_quadruple(
-            w_labels, {(w, w): 1 for w in w_labels}, name=f"clifford:d={d}"
-        )
-    if name == "matrix_transpose":
-        k = _size_param(params, "k", 2)
-        labels, mult, unit = _matrix_algebra_tables(k)
-        star = {(f"m:{j},{i}", f"m:{i},{j}"): 1 for i in range(k) for j in range(k)}
-        return CoordinateQuadruple(
-            "C", labels, mult, unit, star, name=f"matrix_transpose:k={k}"
-        )
-    if name == "symplectic":
-        m = _size_param(params, "m", 2)
-        if m % 2:
-            raise ValueError("symplectic preset needs even m")
-        a_labels = ["one"]
-        mult = {("one", "one"): {"one": 1}}
-        star = {("one", "one"): 1}
-        c_labels = [f"c:{i}" for i in range(m)]
-        action = {("one", c): {c: 1} for c in c_labels}
-        g = _standard_skew(m)
-        f_table = {
-            (f"c:{i}", f"c:{j}"): ({"one": g[i][j]} if g[i][j] else {})
-            for i in range(m)
-            for j in range(m)
-        }
-        return CoordinateQuadruple(
-            "BC",
-            a_labels,
-            mult,
-            {"one": 1},
-            star,
-            c_labels,
-            action,
-            f_table,
-            name=f"symplectic:m={m}",
-        )
-    if name == "matrix_hermitian":
-        k = _size_param(params, "k", 2)
-        m = _size_param(params, "m", 2)
-        if m % 2:
-            raise ValueError("matrix_hermitian preset needs even m")
-        a_labels, mult, unit = _matrix_algebra_tables(k)
-        star = {(f"m:{j},{i}", f"m:{i},{j}"): 1 for i in range(k) for j in range(k)}
-        c_labels = [f"c:{i},{j}" for i in range(k) for j in range(m)]
-        action = {}
-        for i in range(k):
-            for j in range(k):
-                for r in range(k):
-                    for s in range(m):
-                        if j == r:
-                            action[(f"m:{i},{j}", f"c:{r},{s}")] = {f"c:{i},{s}": 1}
-        g = _standard_skew(m)
-        f_table = {}
-        for i in range(k):
-            for j in range(m):
-                for r in range(k):
-                    for s in range(m):
-                        # f(c, c') = c G c'^T: entry (i, r) gets G[j][s]
-                        if g[j][s]:
-                            f_table[(f"c:{i},{j}", f"c:{r},{s}")] = {
-                                f"m:{i},{r}": g[j][s]
-                            }
-        return CoordinateQuadruple(
-            "BC",
-            a_labels,
-            mult,
-            unit,
-            star,
-            c_labels,
-            action,
-            f_table,
-            name=f"matrix_hermitian:k={k},m={m}",
-        )
+    sizes = {key: int(params.get(key, default)) for key, default in defaults.items()}
+    for key, val in sizes.items():
+        if val < 1:
+            raise ValueError(f"preset parameter {key}={val} must be at least 1")
+    return build(f"{name}:" + ",".join(f"{key}={val}" for key, val in sizes.items()), **sizes)
 
 
 def parse_preset_spec(spec: str) -> CoordinateQuadruple:
@@ -951,9 +931,3 @@ def _json_scalar(key: str, val) -> Fraction:
         return q_parse(val)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"quadruple field {key!r}: {val!r} is not a rational") from None
-
-
-def load_quadruple_file(path: str) -> CoordinateQuadruple:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return quadruple_from_json(data)

@@ -303,10 +303,6 @@ class SparseMatrix:
         return f"SparseMatrix({self.codomain.dim}x{self.domain.dim}, nnz={n})"
 
 
-def commutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
-    return (a @ b) - (b @ a)
-
-
 class Subspace:
     """Span of vectors, stored as a reduced row-echelon basis.
 

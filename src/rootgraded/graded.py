@@ -348,6 +348,11 @@ class _Kind(NamedTuple):
     support: tuple[dict, dict] | None
 
 
+# the named forms of K (``--k``), each read off the full homology as the
+# spanning vectors of K
+K_FORMS = {"zero": lambda fh: [], "fh": lambda fh: list(fh.rows)}
+
+
 class GradedModel:
     def __init__(
         self,
@@ -386,12 +391,10 @@ class GradedModel:
         # coordinate side
         self.bb = build_bb(quadruple, ell)
         self.fh = full_homology(self.bb)
-        if k_span == "zero":
-            k_vectors: list[SparseVector] = []
-        elif k_span == "fh":
-            k_vectors = list(self.fh.rows)
-        else:
-            k_vectors = list(k_span)
+        named = isinstance(k_span, str)
+        if named and k_span not in K_FORMS:
+            raise ModelError(f"unknown K form {k_span!r}: expected one of {list(K_FORMS)}")
+        k_vectors = K_FORMS[k_span](self.fh) if named else list(k_span)
         # the spanning vectors of K, read again by the CLI's uniform suite
         self.k_vectors = k_vectors
         self.uniform_report = check_uniform(self.bb, k_vectors, fh=self.fh)
@@ -787,19 +790,24 @@ def verify_jacobi(m: GradedModel, strategy: dict) -> dict:
     ``_triple_defect`` once per draw.  ``triples`` counts the triples
     covered up to the fifth witness, or all of them."""
     dim = m.dim
-    if strategy.get("kind") == "exhaustive_basis":
+    kind = strategy.get("kind")
+    if kind == "exhaustive_basis":
         count = total = dim * (dim + 1) * (dim + 2) // 6
         adj = _adjacency(m)
         # covered: all but the triples with i' > i, with (i, j' > j), with (i, j, k' > k)
         found = (((i, j, k), d, total - (dim - i - 1) * (dim - i) * (dim - i + 1) // 6
                   - (dim - j - 1) * (dim - j) // 2 - (dim - 1 - k))
                  for i in range(dim) for (j, k), d in sorted(_anchor_defects(adj, i).items()))
-    else:
+    elif kind == "random":
         count = int(strategy["samples"])
         # no seed is needed when no triple is drawn
         rng = random.Random(int(strategy["seed"])) if count else None
         draws = ((rng.randrange(dim), rng.randrange(dim), rng.randrange(dim)) for _ in range(count))
         found = ((ijk, d, t + 1) for t, ijk in enumerate(draws) if (d := _triple_defect(m.table, *ijk)))
+    else:
+        raise ValueError(
+            f"unknown Jacobi strategy kind {kind!r}: expected 'exhaustive_basis' or 'random'"
+        )
     failures = []
     for triple, defect, covered in found:
         labels = [m.basis_label(t) for t in triple]
@@ -808,7 +816,7 @@ def verify_jacobi(m: GradedModel, strategy: dict) -> dict:
             count = covered
             break
     return {
-        "name": f"jacobi[{strategy.get('kind', 'random')}]",
+        "name": f"jacobi[{kind}]",
         "status": "pass" if not failures else "fail",
         "triples": count,
         "witnesses": failures,
@@ -947,9 +955,7 @@ def _expected_weight_dim(m: GradedModel, alpha: Root) -> int:
     fam = m.family
     if fam in ("A", "D"):
         return da
-    if fam == "B":
-        return da + db if cls == "short" else da
-    if fam == "C":
+    if fam in ("B", "C"):
         return da + db if cls == "short" else da
     # BC
     if cls == "short":
@@ -1088,13 +1094,13 @@ def verify_level_transition(m: GradedModel, added: int) -> dict:
     truncation: the level operator vanishes at lambda = I_0, and at lambda
     it is nonzero, traceless and form-compatible.
 
-    The kernel comparison is not the paper's biconditional ker(level-0) =
-    ker(level-lambda) intersect ker(beta*).  It compares the relation space
-    with ker(projection) intersect ker(beta*), and ker(projection) is the
-    relation space itself, so both directions reduce to beta* vanishing on
-    the relation space: the uniform property, which the build already
-    enforces.  It never applies the level-lambda operator.  Rebuilding it
-    on ``level_coset`` is ROADMAP item 1.
+    The kernel comparison is not the paper's biconditional: it compares the
+    relation space with ker(projection) intersect ker(beta*), and
+    ker(projection) is the relation space, so both directions reduce to the
+    uniform property, which the build already enforces.  Nor would a kernel
+    comparison on ``level_coset`` test more: whenever the level operator is
+    nonzero, that kernel is ker(level-0) intersect ker(beta*) at any scale of
+    the operator or of kappa.  ROADMAP item 1 compares values instead.
     """
     lam = frozenset(range(1, m.m0 + added + 1))
     n_ext = max(m.n, m.m0 + added)

@@ -23,7 +23,6 @@ from .exactla import (
     SparseMatrix,
     SparseVector,
     Subspace,
-    commutator,
     kernel_of_rows,
     rref,
 )
@@ -62,7 +61,7 @@ def label_weight(lab: str) -> Root:
 class FormedSpace:
     """A based space carrying the family's distinguished bilinear form."""
 
-    __slots__ = ("family", "n", "space", "gram", "symmetry")
+    __slots__ = ("family", "n", "space", "gram")
 
     def __init__(self, family: str, n: int):
         self.family = family
@@ -71,7 +70,6 @@ class FormedSpace:
         entries: dict[tuple[str, str], Fraction] = {}
         if family == "A":
             self.gram = None
-            self.symmetry = None
             return
         for i in range(1, n + 1):
             vi, vbi = f"v:{i}", f"vb:{i}"
@@ -84,7 +82,6 @@ class FormedSpace:
         if family == "B":
             entries[("v:0", "v:0")] = 2
         self.gram = SparseMatrix(self.space, self.space, entries)
-        self.symmetry = "skew" if family == "C" else "symmetric"
 
     def form(self, u: SparseVector, w: SparseVector) -> Fraction:
         fu = self.functional(u)
@@ -324,11 +321,10 @@ class RepModule:
     from its defining linear conditions.
     """
 
-    __slots__ = ("kind", "algebra", "space", "wb", "weights")
+    __slots__ = ("kind", "space", "wb", "weights")
 
     def __init__(self, algebra: MatrixLieAlgebra, kind: str):
         self.kind = kind
-        self.algebra = algebra
         if kind == "V":
             self.space = algebra.space
             self.wb = None
@@ -363,7 +359,7 @@ class RepModule:
             return SparseMatrix(self.space, self.space, dict(x.entries))
         cols = {}
         for lab, s in enumerate(self.wb.basis_mats):
-            for r, val in self.from_matrix(commutator(x, s)).entries.items():
+            for r, val in self.from_matrix(x @ s - s @ x).entries.items():
                 cols[(r, lab)] = val
         return SparseMatrix(self.space, self.space, cols)
 

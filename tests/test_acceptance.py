@@ -20,7 +20,6 @@ from rootgraded.coord import (
     beta_star_map_rows,
     validate_quadruple,
 )
-from rootgraded.exactla import commutator
 from rootgraded.graded import (
     build_model,
     derivation_span_equals_oB,
@@ -42,6 +41,11 @@ from rootgraded.rootsys import (
     generate,
     validate_root_system,
 )
+
+
+def commutator(x, y):
+    return x @ y - y @ x
+
 
 PRESETS = [
     "matrix:k=2",

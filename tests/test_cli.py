@@ -281,6 +281,29 @@ def test_one_dimensional_quadruple_file_loads(capsys, tmp_path):
     assert code == 0
 
 
+def test_inline_model_quadruple_is_validated(capsys, tmp_path):
+    # a1.a1 = a2 and a1.a2 = a1, so (a1.a1).a1 = 0 but a1.(a1.a1) = a1; written
+    # inline in a model file it must fail the laws it fails as a file
+    bad = {
+        "type": "A",
+        "a_dim": 3,
+        "structure_constants": [
+            [0, 0, 0, "1"], [0, 1, 1, "1"], [0, 2, 2, "1"],
+            [1, 0, 1, "1"], [2, 0, 2, "1"],
+            [1, 1, 2, "1"], [1, 2, 1, "1"],
+        ],
+        "unit": [[0, "1"]],
+        "star": [[0, 0, "1"], [1, 1, "1"], [2, 2, "1"]],
+    }
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"family": "A", "n": 6, "ell": 5, "quadruple": bad}))
+    code, err = run_cli_err(
+        capsys, "verify", "--model", str(path), "--suite", "grading", "--samples", "0"
+    )
+    assert code == 2
+    assert err.count("\n") == 1 and "a associative" in err
+
+
 @pytest.mark.parametrize("field", ["family", "n", "ell", "quadruple"])
 def test_model_file_missing_field_exits_2(capsys, tmp_path, field):
     spec = {"family": "BC", "n": 4, "ell": 4, "quadruple": "symplectic:m=2"}

@@ -5,9 +5,11 @@ import pytest
 from fractions import Fraction as Q
 
 import rootgraded.coord as coord
+from rootgraded.cli import load_quadruple
 from rootgraded.coord import (
     BBQuotient,
     CoordinateQuadruple,
+    PRESETS,
     InternalConsistencyError,
     b_mul,
     beta_star,
@@ -18,7 +20,6 @@ from rootgraded.coord import (
     derivation,
     diamond_heart,
     full_homology,
-    load_quadruple_file,
     parse_preset_spec,
     preset_quadruple,
     quadruple_from_json,
@@ -471,8 +472,19 @@ def test_quadruple_json_roundtrip(tmp_path):
     assert not q2.f_val(c0, c1).is_zero()
     path = tmp_path / "quad.json"
     path.write_text(json.dumps(data))
-    q3 = load_quadruple_file(str(path))
-    assert validate_quadruple(q3)["valid"]
+    # the command line's loader reads the file and checks every law
+    assert quadruple_to_json(load_quadruple(str(path))) == data
+
+
+@pytest.mark.parametrize("name", list(PRESETS))
+def test_preset_names_round_trip(name):
+    # a preset's name enters every report: parsed back, it names the same
+    # preset, at its defaults and at a size off them (+2 keeps m even)
+    _, defaults = PRESETS[name]
+    for sizes in ({}, {key: val + 2 for key, val in defaults.items()}):
+        q = preset_quadruple(name, **sizes)
+        assert parse_preset_spec(q.name).name == q.name
+        assert q.name.startswith(f"{name}:") and all(f"{key}=" in q.name for key in defaults)
 
 
 def test_group_ring_m1_is_scalar_type_d():

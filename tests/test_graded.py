@@ -328,6 +328,20 @@ def test_verify_jacobi_keeps_no_state_on_the_model():
         assert m.table == table
 
 
+@pytest.mark.parametrize(
+    "strategy", [{"kind": "exhaustive"}, {"kind": "exhaustive", "samples": 10, "seed": 1}, {}]
+)
+def test_verify_jacobi_rejects_an_unknown_kind(strategy):
+    m = model("BC", 5, 4, "symplectic:m=2")
+    with pytest.raises(ValueError, match="'exhaustive_basis' or 'random'"):
+        verify_jacobi(m, strategy)
+
+
+def test_unknown_k_form_is_a_model_error():
+    with pytest.raises(ModelError, match="unknown K form 'max'"):
+        build_model("BC", 5, 4, parse_preset_spec("symplectic:m=2"), "max")
+
+
 def test_random_jacobi_type_a():
     m = model("A", 6, 5, "matrix:k=2")
     r = verify_jacobi(m, {"kind": "random", "samples": 500, "seed": 42})

@@ -12,7 +12,6 @@ from rootgraded.exactla import (
     SparseMatrix,
     SparseVector,
     add_scaled,
-    commutator,
     kernel_of_rows,
     rref,
 )
@@ -35,6 +34,10 @@ from rootgraded.liealg import (
 from rootgraded.rootsys import Root, generate
 
 ALGEBRAS = {}
+
+
+def commutator(x, y):
+    return x @ y - y @ x
 
 
 def alg(family, n):

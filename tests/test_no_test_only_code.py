@@ -5,9 +5,10 @@ test that uses it, or point the test at the public path it shadows.
 
 References are found by name and followed by name, so this is a lint and
 not an exact call graph: a definition counts as read when code the program
-reaches names it, as a variable it does not bind itself, an attribute, an
-imported name or a part of a dotted string (the benchmark traces
-``Class.method`` by name).  The program reaches its module level, and then
+reaches names it, as a variable it does not bind itself, an attribute or a
+part of a dotted string (the benchmark traces ``Class.method`` by name).  An
+import alone reads nothing: a name imported only for code that tests reach
+is read only by tests.  The program reaches its module level, and then
 each definition that reached code names; a read inside a definition that
 only tests reach does not count."""
 
@@ -98,10 +99,6 @@ class _Reads(ast.NodeVisitor):
         self._read(node.attr)
         self.generic_visit(node)
 
-    def visit_ImportFrom(self, node):
-        for alias in node.names:
-            self._read(alias.name)
-
     def visit_Constant(self, node):
         if isinstance(node.value, str):
             for part in node.value.split("."):
@@ -159,6 +156,7 @@ def test_reads_are_found_by_name(tmp_path):
     source.write_text(
         "def helper():\n    return helper()\n\n"
         "def used():\n    pass\n\n"
+        "from pkg import imported\n\n"
         "x = used\nTRACED = ('Box.method',)\n",
         encoding="utf-8",
     )
@@ -166,6 +164,8 @@ def test_reads_are_found_by_name(tmp_path):
     # a definition's reads of its own name do not count
     assert reads["helper"] == 0
     assert reads["used"] == 1 and reads["Box"] == 1 and reads["method"] == 1
+    # an import is not a read
+    assert reads["imported"] == 0
 
 
 def test_reads_follow_calls(tmp_path):
