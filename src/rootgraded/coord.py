@@ -826,7 +826,12 @@ def parse_preset_spec(spec: str) -> CoordinateQuadruple:
             key = key.strip()
             if key in params:
                 raise ValueError(f"preset parameter {key!r} is given twice in {spec!r}")
-            params[key] = int(val)
+            try:
+                params[key] = int(val)
+            except ValueError:
+                raise ValueError(
+                    f"preset parameter {key!r} in {spec!r} needs an integer value, not {val!r}"
+                ) from None
     q = preset_quadruple(name.strip(), **params)
     report = validate_quadruple(q)
     if not report["valid"]:

@@ -361,9 +361,6 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.ambient.dim})"
 
-    def is_subspace_of(self, other: "Subspace") -> bool:
-        return all(other.contains(r) for r in self.rows)
-
 
 def add_scaled(acc: dict, row: Mapping, c: Fraction = 1) -> None:
     """acc += c * row in place, dropping the entries that cancel."""

@@ -26,7 +26,6 @@ from typing import Callable, Iterable, NamedTuple
 
 from .coord import (
     CoordinateQuadruple,
-    InternalConsistencyError,
     beta_star,
     build_bb,
     check_uniform,
@@ -44,7 +43,6 @@ from .exactla import (
     SparseMatrix,
     SparseVector,
     add_scaled,
-    kernel_of_rows,
     label_text,
     q_str,
     rref,
@@ -266,7 +264,10 @@ TERMS: dict[str, dict[str, tuple[Term, ...]]] = {
         "gg": (Term("g", _lie, _prod), Term("d", _trace, _pair)),
         "gs": (Term("s", _act, _prod),),
         "ss": (Term("g", _d_uw, _prod), Term("d", _form, _pair)),
-        "gd": (Term("g", _first, _deriv, -1),),
+        # no "gd": [g (x) a, <x, y>] = -g (x) d_{x,y}(a) is 0 for a in A.
+        # Split x and y into A- and W-parts; d_{x,y}(a) = y(xa) - x(ya)
+        # then vanishes by commutativity and by associativity on the AAA,
+        # AAB and ABB triples, which ``validate_quadruple`` checks
         "sd": (Term("s", _first, _deriv, -1),),
         "dd": _DD,
     },
@@ -397,12 +398,18 @@ class GradedModel:
         k_vectors = K_FORMS[k_span](self.fh) if named else list(k_span)
         # the spanning vectors of K, read again by the CLI's uniform suite
         self.k_vectors = k_vectors
-        self.uniform_report = check_uniform(self.bb, k_vectors, fh=self.fh)
-        if not self.uniform_report["uniform"]:
+        uniform = check_uniform(self.bb, k_vectors, fh=self.fh)
+        if not uniform["uniform"]:
             raise ModelError(
-                "K does not satisfy the uniform property: "
-                f"witness {self.uniform_report['witness']}"
+                f"K does not satisfy the uniform property: witness {uniform['witness']}"
             )
+        # The D-part is (b (x) b) / (relations + lift(K)).  On C, the
+        # derivation of a tensor t is c -> kappa beta*(t).c - F(t)(c) / 2,
+        # F the BC f-term (``coord.derivation``), linear in t.  The build of
+        # ``bb`` checks that every relation has derivation 0, FH is the
+        # exact kernel of the derivation (``full_homology``), and the
+        # uniform verdict says beta* is 0 on relations + lift(K).  So F is 0
+        # on the whole relation space and the module rows are well defined.
         lifts = [self.bb.quotient.lift(v) for v in k_vectors]
         relations_total = (
             subspace_sum(self.bb.relations, rref(lifts, self.bb.tensor))
@@ -424,7 +431,6 @@ class GradedModel:
         self.c_basis = [q.c_space.basis_vector(l) for l in q.c_space.labels]
 
         self._assemble_basis()
-        self._verify_model_well_defined()
         self._build_table()
 
     # -- basis bookkeeping -------------------------------------------------
@@ -608,30 +614,6 @@ class GradedModel:
             for j, cj in y.items():
                 add_scaled(out, self.bracket_indices(i, j), ci * cj)
         return {idx: scalar(c) for idx, c in out.items()}
-
-    # -- model-level well-definedness ----------------------------------------
-
-    def _verify_model_well_defined(self):
-        """The module-row f-terms of type BC must vanish on the relation
-        space; that beta* does is the uniform property of K, which
-        ``check_uniform`` has decided."""
-        if self.family != "BC":
-            return
-        q = self.quadruple
-        for t in self.dpart.relations.rows:
-            for c in self.c_basis:
-                acc = q.c_space.zero()
-                for (l1, l2), coeff in t.entries.items():
-                    c1 = q.split_b(q.b_space.basis_vector(l1))[1]
-                    c2 = q.split_b(q.b_space.basis_vector(l2))[1]
-                    if c1.is_zero() or c2.is_zero():
-                        continue
-                    acc = acc + f_action(q, c, c1, c2).scale(coeff)
-                if not acc.is_zero():
-                    raise InternalConsistencyError(
-                        "module row does not vanish on the relation space",
-                        witness=(t, c),
-                    )
 
 
 def build_model(
@@ -1094,24 +1076,18 @@ def verify_level_transition(m: GradedModel, added: int) -> dict:
     truncation: the level operator vanishes at lambda = I_0, and at lambda
     it is nonzero, traceless and form-compatible.
 
-    The kernel comparison is not the paper's biconditional: it compares the
-    relation space with ker(projection) intersect ker(beta*), and
-    ker(projection) is the relation space, so both directions reduce to the
-    uniform property, which the build already enforces.  Nor would a kernel
-    comparison on ``level_coset`` test more: whenever the level operator is
-    nonzero, that kernel is ker(level-0) intersect ker(beta*) at any scale of
-    the operator or of kappa.  ROADMAP item 1 compares values instead.
+    The kernel statement needs no check of its own: a sum of level-0
+    cosets vanishes exactly when its tensor lies in the relation space,
+    and beta* is 0 there by the uniform verdict the build enforces.
     """
     lam = frozenset(range(1, m.m0 + added + 1))
     n_ext = max(m.n, m.m0 + added)
     ext = FormedSpace(m.G.family, n_ext)
-    op = _level_op(m, lam, ext.space)
     checks = []
     op_zero_at_base = _level_op(
         m, frozenset(range(1, m.m0 + 1)), ext.space
     ).is_zero()
     checks.append(_check("correction vanishes at lambda = I_0", op_zero_at_base))
-    op_ok = not op.is_zero()
     if m.family not in _LEVEL_TARGET:
         # families with commutative coordinates: correction is identically 0
         all_zero = all(row.is_zero() for row in m.bb.beta_rows.values())
@@ -1119,40 +1095,9 @@ def verify_level_transition(m: GradedModel, added: int) -> dict:
             _check("beta* vanishes identically (commutative coordinates)", all_zero)
         )
     else:
+        op = _level_op(m, lam, ext.space)
+        op_in_s = not op.is_zero() and op.trace() == 0
         if ext.gram is not None:
-            sym_defect = (op.transpose() @ ext.gram) - (ext.gram @ op)
-            op_in_s = sym_defect.is_zero() and op.trace() == 0
-        else:
-            op_in_s = op.trace() == 0
-        checks.append(
-            _check("level operator nonzero, traceless, form-compatible", op_ok and op_in_s)
-        )
-        # kernel comparison over the tensor space
-        tensor = m.bb.tensor
-        proj_rows = _projection_rows(m)
-        bstar_rows = list(m.bb.beta_rows.values())
-        ker0 = m.dpart.relations
-        ker_joint = kernel_of_rows(proj_rows + bstar_rows, tensor)
-        forward = ker0.is_subspace_of(ker_joint)
-        backward = ker_joint.is_subspace_of(ker0)
-        checks.append(
-            _check("sum of level-0 cosets vanishes => sum of beta* vanishes", forward)
-        )
-        checks.append(
-            _check(
-                "sum of level-lambda cosets and beta* vanish => level-0 sum vanishes",
-                backward,
-            )
-        )
+            op_in_s = op_in_s and ((op.transpose() @ ext.gram) - (ext.gram @ op)).is_zero()
+        checks.append(_check("level operator nonzero, traceless, form-compatible", op_in_s))
     return _suite(f"level-transition[+{added}]", checks, lambda_size=len(lam))
-
-
-def _projection_rows(m: GradedModel) -> list[SparseVector]:
-    """Rows of the tensor -> D-part projection (functionals per coset label)."""
-    tensor = m.bb.tensor
-    rows: dict[tuple[str, str], dict[tuple[str, str], Fraction]] = {}
-    for lab in tensor.labels:
-        proj = m.dpart.project(tensor.basis_vector(lab))
-        for r, c in proj.entries.items():
-            rows.setdefault(r, {})[lab] = c
-    return [SparseVector(tensor, entries) for entries in rows.values()]

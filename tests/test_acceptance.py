@@ -385,7 +385,7 @@ def test_criterion_9_level_transitions():
             base = [c for c in r["checks"] if "vanishes at lambda = I_0" in c["name"]]
             assert base and base[0]["status"] == "pass"
     elapsed = time.monotonic() - t0
-    report_line(9, "level-transition biconditional, +1 and +2 indices", elapsed, 120)
+    report_line(9, "level-transition checks, +1 and +2 indices", elapsed, 120)
     assert elapsed < 120.0
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -60,6 +61,28 @@ def test_verify_acceptance_style_run(capsys):
     assert statuses["jacobi-exhaustive"] == "pass"  # dim 55 <= 300
     names = [c["name"] for c in data["checks"]]
     assert names == sorted(names)
+
+
+@pytest.mark.parametrize(
+    "family,n,ell,preset,digest",
+    [
+        ("BC", "5", "4", "symplectic:m=2",
+         "51ae455a2255d6ed4e4273dfb14adba00c00b3a8f757709f5bc10ef427c352ee"),
+        ("A", "6", "5", "matrix:k=2",
+         "fea172c77d7854c192c0ae102936a6c0a5969a540efb2bc39dce02aa5a2d07a4"),
+        ("B", "6", "5", "clifford:d=2",
+         "06d51d3b42633c3efd2d598b016459bc5b8a362a2389d4f0d5c32006c136a871"),
+    ],
+)
+def test_verify_report_bytes_pinned(capsys, family, n, ell, preset, digest):
+    # the report bytes of the suites whose reports the benchmark does not pin
+    code, out = run_cli(
+        capsys,
+        "verify", "--family", family, "--n", n, "--ell", ell, "--preset", preset,
+        "--suite", "derivation,homology,transition,uniform", "--samples", "0",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_empty_suite_exits_2(capsys):
@@ -351,7 +374,14 @@ def test_fh_degenerate_preset_exits_2(capsys, spec):
 
 @pytest.mark.parametrize(
     "spec,param",
-    [("matrix:K=3", "'K'"), ("symplectic:k=4", "'k'"), ("group_ring:m=3,m=4", "'m'")],
+    [
+        ("matrix:K=3", "'K'"),
+        ("symplectic:k=4", "'k'"),
+        ("group_ring:m=3,m=4", "'m'"),
+        ("matrix:k", "'k'"),
+        ("matrix:k=x", "'k'"),
+        ("matrix:k=2,", "''"),
+    ],
 )
 def test_fh_preset_unknown_or_repeated_parameter_exits_2(capsys, spec, param):
     code, err = run_cli_err(capsys, "fh", "--quadruple", spec)

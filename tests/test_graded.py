@@ -9,7 +9,15 @@ from itertools import combinations
 import pytest
 
 import rootgraded.graded as graded
-from rootgraded.coord import CoordinateQuadruple, parse_preset_spec
+from rootgraded.coord import (
+    CoordinateQuadruple,
+    beta_star,
+    clifford_quadruple,
+    f_action,
+    inner_scale,
+    parse_preset_spec,
+    validate_quadruple,
+)
 from rootgraded.exactla import BasedSpace, q_str
 from rootgraded.graded import (
     ModelError,
@@ -21,6 +29,7 @@ from rootgraded.graded import (
     verify_jacobi,
     verify_level_transition,
 )
+from rootgraded.liealg import TruncationIdempotent, build_algebra
 from rootgraded.rootsys import Root, generate
 
 _CACHE = {}
@@ -549,6 +558,134 @@ def test_level_transition_type_d_collapses():
     assert r["status"] == "pass"
     names = [c["name"] for c in r["checks"]]
     assert any("commutative" in n for n in names)
+
+
+def _level_op_without_factor(m, lam, space):
+    # J_lambda - J_0: the m0/|lambda| factor dropped
+    j_lam = TruncationIdempotent(space, lam).matrix
+    return j_lam - TruncationIdempotent(space, range(1, m.m0 + 1)).matrix
+
+
+def _level_op_j0_on_all_indices(m, lam, space):
+    # J_0 built on all n indices instead of I_0
+    j_lam = TruncationIdempotent(space, lam).matrix
+    j_0 = TruncationIdempotent(space, range(1, m.n + 1)).matrix
+    return j_lam.scale(Q(m.m0, len(lam))) - j_0
+
+
+@pytest.mark.parametrize("added", [1, 2])
+@pytest.mark.parametrize(
+    "mutant,check",
+    [
+        (_level_op_without_factor, "level operator nonzero, traceless, form-compatible"),
+        (_level_op_j0_on_all_indices, "correction vanishes at lambda = I_0"),
+    ],
+    ids=["no-factor", "j0-on-all-n"],
+)
+def test_level_transition_checks_can_fail(monkeypatch, mutant, check, added):
+    # BC n5 l4 has n > m0, so J_0 on all n indices differs from J_0 on I_0.
+    # _level_op x 7 still passes every check: it stays traceless,
+    # form-compatible and 0 at I_0; only the comparison of values in
+    # ROADMAP item 1 can see a scale
+    monkeypatch.setattr(graded, "_level_op", mutant)
+    r = verify_level_transition(model("BC", 5, 4, "symplectic:m=2"), added)
+    assert _check_status(r)[check] == "fail"
+
+
+@pytest.mark.parametrize(
+    "config",
+    [("BC", 5, 4, "symplectic:m=2"), ("A", 6, 5, "matrix:k=2"), ("C", 5, 5, "matrix_transpose:k=2")],
+    ids=lambda c: " ".join(map(str, c)),
+)
+def test_projection_kernel_is_the_relation_space(config):
+    # why the transition suite has no kernel comparison: ker(projection) is
+    # the relation space itself, and beta* vanishes on it (uniform property)
+    m = model(*config)
+    relations = m.dpart.relations
+    assert relations.dim + m.dpart.dim == m.bb.tensor.dim
+    for t in relations.rows:
+        assert m.dpart.project(t).is_zero()
+        for row in m.bb.beta_rows.values():
+            assert sum((row.entries.get(lab, 0) * c for lab, c in t.entries.items()), 0) == 0
+
+
+@pytest.mark.parametrize("preset", ["symplectic:m=2", "matrix_hermitian:k=2,m=2"])
+def test_bc_f_term_vanishes_on_the_relation_space(preset):
+    # the lemma beside the D-part build: on C the derivation of a tensor t
+    # is c -> kappa beta*(t).c - F(t)(c)/2, and F(t) = 0 for t in the
+    # relation space, though not for every t
+    m = model("BC", 5, 4, preset)
+    q = m.quadruple
+    kappa = inner_scale("BC", m.ell)
+    module_part = {l: q.split_b(q.b_space.basis_vector(l))[1] for l in q.b_space.labels}
+
+    def f_term(t, c):
+        acc = q.c_space.zero()
+        for (l1, l2), coeff in t.entries.items():
+            acc = acc + f_action(q, c, module_part[l1], module_part[l2]).scale(coeff)
+        return acc
+
+    live = False
+    for lab in m.bb.tensor.labels:
+        t = m.bb.tensor.basis_vector(lab)
+        z = beta_star(q, *(q.b_space.basis_vector(l) for l in lab)).scale(kappa)
+        d = m.bb.pair_derivation(lab)
+        for c in m.c_basis:
+            f = f_term(t, c)
+            live = live or not f.is_zero()
+            assert d.apply(q.lift_b(c)) == q.lift_b(q.c_act(z, c) - f.scale(Q(1, 2)))
+    assert live
+    for t in m.dpart.relations.rows:
+        for c in m.c_basis:
+            assert f_term(t, c).is_zero()
+
+
+def _dual_clifford_quadruple():
+    """The rank-2 Clifford quadruple over A = F[t]/(t^2): basis 1, t, w1,
+    w2, tw1, tw2 with wi.wj = delta_ij, * fixing A and negating W."""
+    # t^p w_i as (p, i), w_0 = 1
+    name = {(0, 0): "1", (1, 0): "t", (0, 1): "w:1", (0, 2): "w:2", (1, 1): "tw:1", (1, 2): "tw:2"}
+    elems = list(name)
+    mult = {}
+    for p, i in elems:
+        for r, j in elems:
+            zero = p + r > 1 or (i and j and i != j)
+            mult[name[p, i], name[r, j]] = {} if zero else {name[p + r, 0 if i and j else i or j]: 1}
+    star = {(name[e], name[e]): -1 if e[1] else 1 for e in elems}
+    return CoordinateQuadruple(
+        "B", [name[e] for e in elems], mult, {"1": 1}, star, name="dual_clifford"
+    )
+
+
+def _type_b_quadruple(spec):
+    if spec == "dual_clifford":
+        return _dual_clifford_quadruple()
+    if spec.startswith("o_B"):
+        nat = build_algebra("B", int(spec[4:-1])).nat
+        return clifford_quadruple(nat.space.labels, nat.gram.entries, name=spec)
+    return parse_preset_spec(spec)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["clifford:d=1", "clifford:d=2", "clifford:d=3", "o_B(1)", "o_B(2)", "o_B(3)", "dual_clifford"],
+)
+def test_type_b_derivations_kill_the_a_part(monkeypatch, spec):
+    # why TERMS["B"] has no "gd": every pair derivation kills the A-part,
+    # so the term -x (x) d(a), put back here, adds nothing to the table
+    q = _type_b_quadruple(spec)
+    assert validate_quadruple(q)["valid"]
+    m = build_model("B", 5, 5, q)
+    for lab in m.bb.tensor.labels:
+        d = m.bb.pair_derivation(lab)
+        assert all(d.apply(q.lift_b(a)).is_zero() for a in q.a_part_sub.rows)
+    monkeypatch.setitem(
+        graded.TERMS["B"], "gd", (graded.Term("g", graded._first, graded._deriv, -1),)
+    )
+    assert m._block("g", "d") == {}
+    if spec == "dual_clifford":
+        # A is 2-dimensional and the D-part acts on S (x) B: not vacuous
+        assert len(m.a_basis) == 2 and m.dpart.dim == 2 and m._block("s", "d")
 
 
 def _basis_key(m, i):
