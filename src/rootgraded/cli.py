@@ -256,7 +256,7 @@ def _uniform_check(model, args) -> dict:
     return {
         "status": "pass" if ok else "fail",
         "ell": report["ell"],
-        "cross_ell": args.cross_ell,
+        "cross_ell": report["cross_check"]["ell"],
         "witnesses": [] if ok else [report.get("witness")],
     }
 
@@ -288,6 +288,12 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"--samples must be at least 0, got {args.samples}")
     if args.samples > 0 and args.seed is None:
         raise ConfigError("a seed is required whenever samples > 0")
+    if "uniform" in args.suite and args.cross_ell == args.ell:
+        # check_uniform cross-checks only at a second level
+        raise ConfigError(
+            f"--cross-ell {args.cross_ell} equals the model's ell; the uniform"
+            " suite cross-checks at another level"
+        )
     t0 = time.monotonic()
     model = build_model(
         args.family, args.n, args.ell, q, args.k, override_bounds=args.override_bounds

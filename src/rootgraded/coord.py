@@ -60,6 +60,7 @@ class CoordinateQuadruple:
         "bb_space",
         "a_part_sub",
         "b_part_sub",
+        "_ad",
     )
 
     def __init__(
@@ -97,6 +98,7 @@ class CoordinateQuadruple:
         ident = SparseMatrix.identity(self.a_space)
         self.a_part_sub = kernel(self.star - ident)
         self.b_part_sub = kernel(self.star + ident)
+        self._ad = None
 
     # -- products ---------------------------------------------------------
 
@@ -111,6 +113,26 @@ class CoordinateQuadruple:
 
     def f_val(self, c: SparseVector, cp: SparseVector) -> SparseVector:
         return _bilinear(self.f_table, c, cp, self.a_space)
+
+    def ad_basis(self) -> dict[str, dict[tuple[str, str], Fraction]]:
+        """{r: the entries of ad(e_r) on b} for each basis label r of a with
+        ad(e_r) nonzero: a' -> [e_r, a'] on a and c -> e_r.c on C.  Built
+        on first use, so every derivation of q reads one copy."""
+        if self._ad is None:
+            self._ad = {}
+            for r in self.a_space.labels:
+                e = self.a_space.basis_vector(r)
+                ad = {}
+                for lab in self.a_space.labels:
+                    x = self.a_space.basis_vector(lab)
+                    for row, v in (self.a_mul(e, x) - self.a_mul(x, e)).entries.items():
+                        ad[row, lab] = v
+                for lab in self.c_space.labels:
+                    for row, v in self.c_act(e, self.c_space.basis_vector(lab)).entries.items():
+                        ad[row, lab] = v
+                if ad:
+                    self._ad[r] = ad
+        return self._ad
 
     # -- b = a (+) C ------------------------------------------------------
 
@@ -217,13 +239,17 @@ def f_action(q, c: SparseVector, c1: SparseVector, c2: SparseVector) -> SparseVe
     return q.c_act(q.f_val(c, c2), c1) + q.c_act(q.f_val(c, c1), c2)
 
 
-def derivation(q, ell: int, x: SparseVector, y: SparseVector) -> SparseMatrix:
+def derivation(
+    q, ell: int, x: SparseVector, y: SparseVector, beta: SparseVector | None = None
+) -> SparseMatrix:
     """The derivation d^ell_{x,y} of b that {x, y} acts by.
 
     For A, C and BC it is the inner derivation of z = kappa beta*(x, y),
-    kappa = ``inner_scale``: a' -> [z, a'] on a and c -> z.c on C, less half
-    of ``f_action`` of the module parts of x and y on C (nonzero for BC
-    only).  For B it is the Jordan derivation [L_a2, L_a1]; for D it is 0.
+    kappa = ``inner_scale``: a' -> [z, a'] on a and c -> z.c on C, that is
+    sum_r z_r ad(e_r) over ``q.ad_basis()``, less half of ``f_action`` of
+    the module parts of x and y on C (nonzero for BC only).  ``beta`` is
+    beta*(x, y) where the caller has it already.  For B it is the Jordan
+    derivation [L_a2, L_a1]; for D it is 0.
     """
     if ell < 1:
         raise ValueError("ell must be a positive integer")
@@ -235,22 +261,19 @@ def derivation(q, ell: int, x: SparseVector, y: SparseVector) -> SparseMatrix:
     if q.qtype == "B":
         a1, a2 = q.split_b(x)[0], q.split_b(y)[0]
         for lab in q.a_space.labels:
-            beta = q.a_space.basis_vector(lab)
-            add_col(lab, q.a_mul(a2, q.a_mul(a1, beta)) - q.a_mul(a1, q.a_mul(a2, beta)))
+            e = q.a_space.basis_vector(lab)
+            add_col(lab, q.a_mul(a2, q.a_mul(a1, e)) - q.a_mul(a1, q.a_mul(a2, e)))
     elif q.qtype != "D":
-        parts1, parts2 = _beta_parts(q, x), _beta_parts(q, y)
-        z = _beta_star_of_parts(q, parts1, parts2).scale(inner_scale(q.qtype, ell))
-        if not z.is_zero():
-            for lab in q.a_space.labels:
-                beta = q.a_space.basis_vector(lab)
-                add_col(lab, q.a_mul(z, beta) - q.a_mul(beta, z))
-            for lab in q.c_space.labels:
-                add_col(lab, q.c_act(z, q.c_space.basis_vector(lab)))
-        c1, c2 = parts1[2], parts2[2]
+        if beta is None:
+            beta = beta_star(q, x, y)
+        ad = q.ad_basis()
+        for r, zr in beta.scale(inner_scale(q.qtype, ell)).entries.items():
+            add_scaled(cols, ad.get(r, {}), zr)
+        c1, c2 = q.split_b(x)[1], q.split_b(y)[1]
         if not (c1.is_zero() or c2.is_zero()):
             for lab in q.c_space.labels:
-                beta = q.c_space.basis_vector(lab)
-                add_col(lab, f_action(q, beta, c1, c2).scale(Q(-1, 2)))
+                e = q.c_space.basis_vector(lab)
+                add_col(lab, f_action(q, e, c1, c2).scale(Q(-1, 2)))
     return SparseMatrix(q.b_space, q.b_space, cols)
 
 
@@ -502,27 +525,21 @@ class BBQuotient:
         return SparseMatrix(self.q.b_space, self.q.b_space, acc)
 
     def pair_derivation(self, lab: tuple[str, str]) -> SparseMatrix:
-        """d^ell_{x,y} for the tensor label (x, y), computed once; the build
-        computes it for every label, each being a relation pivot or a coset
-        label."""
+        """d^ell_{x,y} for the tensor label (x, y), computed once, with
+        beta*(x, y) read off ``beta_rows``; the build computes it for every
+        label, each being a relation pivot or a coset label."""
         d = self._deriv_cache.get(lab)
         if d is None:
-            l1, l2 = lab
-            d = derivation(
-                self.q,
-                self.ell,
-                self.q.b_space.basis_vector(l1),
-                self.q.b_space.basis_vector(l2),
-            )
+            q = self.q
+            beta = {r: row.entries[lab] for r, row in self.beta_rows.items() if lab in row.entries}
+            x, y = (q.b_space.basis_vector(l) for l in lab)
+            d = derivation(q, self.ell, x, y, SparseVector(q.a_space, beta))
             self._deriv_cache[lab] = d
         return d
 
     def apply_pair_action(self, d: SparseMatrix, t: SparseVector) -> SparseVector:
         """(d (x) 1 + 1 (x) d) applied to a tensor vector."""
-        return self._apply_columns(_columns(d), t)
-
-    def _apply_columns(self, cols, t: SparseVector) -> SparseVector:
-        """apply_pair_action for d given by its columns, ``_columns(d)``."""
+        cols = _columns(d)
         out: dict[tuple[str, str], Fraction] = {}
         for (l1, l2), coeff in t.entries.items():
             add_scaled(out, {(r, l2): v for r, v in cols.get(l1, ())}, coeff)
@@ -530,6 +547,12 @@ class BBQuotient:
         return SparseVector(self.tensor, out)
 
     def _verify_well_defined(self):
+        """The two facts that make {b,b}_ell = (b (x) b)/K well defined: every
+        relation vector has total derivation 0, and each coset derivation d
+        keeps K, (d (x) 1 + 1 (x) d)K in K.  The second is decided in the
+        dual, against the basis of the annihilator of K dual to the coset
+        labels (``QuotientSpace.first_escape``); it names the first
+        relation row that leaves K, as reducing each image would."""
         for g in self.relations.rows:
             if not self.derivation_of(g).is_zero():
                 raise InternalConsistencyError(
@@ -539,14 +562,13 @@ class BBQuotient:
             d = self.pair_derivation(lab)
             if d.is_zero():
                 continue
-            cols = _columns(d)
-            for g in self.relations.rows:
-                img = self._apply_columns(cols, g)
-                if not self.relations.contains(img):
-                    raise InternalConsistencyError(
-                        "bracket does not preserve the relation space",
-                        witness=(label_text(lab), g),
-                    )
+            rows = _columns(d.transpose())
+            i = self.quotient.first_escape(lambda phi: _pull_back(rows, phi))
+            if i is not None:
+                raise InternalConsistencyError(
+                    "bracket does not preserve the relation space",
+                    witness=(label_text(lab), self.relations.rows[i]),
+                )
 
     @property
     def dim(self) -> int:
@@ -577,6 +599,17 @@ def _columns(d: SparseMatrix) -> dict[str, list[tuple[str, Fraction]]]:
     for (r, c), v in d.entries.items():
         cols.setdefault(c, []).append((r, v))
     return cols
+
+
+def _pull_back(rows, phi: dict) -> dict:
+    """phi o (d (x) 1 + 1 (x) d) for a functional phi on b (x) b, with d given
+    by its rows, ``_columns(d.transpose())``: each entry of phi at (u, v)
+    walks rows u and v of d."""
+    psi: dict[tuple[str, str], Fraction] = {}
+    for (u, v), w in phi.items():
+        add_scaled(psi, {(a, v): x for a, x in rows.get(u, ())}, w)
+        add_scaled(psi, {(u, b): x for b, x in rows.get(v, ())}, w)
+    return psi
 
 
 def build_bb(q: CoordinateQuadruple, ell: int) -> BBQuotient:

@@ -435,6 +435,44 @@ def test_uniform_suite_checks_the_model_k(capsys, tmp_path, monkeypatch):
     assert (check["name"], check["status"], check["cross_ell"]) == ("uniform", "pass", 7)
 
 
+def test_cross_ell_equal_to_the_model_ell_exits_2(capsys):
+    # check_uniform cross-checks only at a second level: at the model's own
+    # ell there is nothing to report as a passed cross-check
+    code, err = run_cli_err(
+        capsys,
+        "verify", "--family", "BC", "--n", "4", "--ell", "4",
+        "--preset", "symplectic:m=2", "--suite", "uniform", "--samples", "0",
+        "--cross-ell", "4",
+    )
+    assert code == 2
+    assert err == (
+        "error: --cross-ell 4 equals the model's ell; the uniform suite"
+        " cross-checks at another level\n"
+    )
+
+
+def test_uniform_report_names_the_level_cross_checked(capsys, monkeypatch):
+    # the report's cross_ell is the level check_uniform cross-checked at
+    import rootgraded.cli as cli
+
+    real = cli.check_uniform
+
+    def shifted(bb, k_span, **kwargs):
+        kwargs["cross_check_ell"] += 1
+        return real(bb, k_span, **kwargs)
+
+    monkeypatch.setattr(cli, "check_uniform", shifted)
+    code, out = run_cli(
+        capsys,
+        "verify", "--family", "BC", "--n", "4", "--ell", "4",
+        "--preset", "symplectic:m=2", "--suite", "uniform", "--samples", "0",
+        "--cross-ell", "6",
+    )
+    assert code == 0
+    (check,) = json.loads(out)["checks"]
+    assert (check["ell"], check["cross_ell"]) == (4, 7)
+
+
 def test_emit_flag_accepted_on_subcommands(capsys):
     code, out = run_cli(capsys, "roots", "--family", "A", "--n", "2", "--emit", "json")
     assert code == 0

@@ -27,7 +27,7 @@ from rootgraded.coord import (
     relation_generators,
     validate_quadruple,
 )
-from rootgraded.exactla import SparseMatrix, SparseVector, rref, tensor_space
+from rootgraded.exactla import QuotientSpace, SparseMatrix, SparseVector, rref, tensor_space
 from rootgraded.liealg import FormedSpace
 
 PRESET_SPECS = [
@@ -344,6 +344,68 @@ def test_bb_antisymmetry_of_cosets_in_a():
             u = bb.quotient.project(bb.pair_tensor(x, y))
             v = bb.quotient.project(bb.pair_tensor(y, x))
             assert u == v.scale(Q(-1))
+
+
+def test_well_defined_check_catches_a_derivation_that_misses_k(monkeypatch):
+    # every nonzero pair derivation plus the identity: some relation vector
+    # no longer has total derivation 0
+    q = quad("matrix:k=2")
+    build_bb(q, 4)
+    real = coord.derivation
+
+    def plus_identity(q, ell, x, y, *beta):
+        d = real(q, ell, x, y, *beta)
+        return d if d.is_zero() else d + SparseMatrix.identity(q.b_space)
+
+    monkeypatch.setattr(coord, "derivation", plus_identity)
+    with pytest.raises(InternalConsistencyError) as exc:
+        build_bb(q, 4)
+    assert str(exc.value) == "total derivation of a relation vector is nonzero"
+    assert repr(exc.value.witness) == "1*m:0,0⊗m:0,1 + 1*m:1,1⊗m:0,1"
+
+
+def _fewer_relations(real):
+    """relation_generators less those of index 3 mod 7."""
+    return lambda q: [g for i, g in enumerate(real(q)) if i % 7 != 3]
+
+
+@pytest.mark.parametrize(
+    "spec,witness",
+    [
+        ("matrix_hermitian:k=2,m=2", ("c:1,0⊗c:1,0", "1*m:1,1⊗c:0,1")),
+        ("symplectic:m=4", ("c:1⊗c:1", "1*c:0⊗one")),
+    ],
+)
+def test_well_defined_check_catches_a_relation_space_not_kept(spec, witness, monkeypatch):
+    # a smaller K that the derivations still kill but no longer keep: the
+    # witness is the coset label of the derivation and the first relation
+    # row it moves outside K
+    q = quad(spec)
+    build_bb(q, 4)
+    monkeypatch.setattr(coord, "relation_generators", _fewer_relations(coord.relation_generators))
+    with pytest.raises(InternalConsistencyError) as exc:
+        build_bb(q, 4)
+    assert str(exc.value) == "bracket does not preserve the relation space"
+    lab, g = exc.value.witness
+    assert (lab, repr(g)) == witness
+
+
+@pytest.mark.parametrize("spec", ["matrix_hermitian:k=2,m=2", "symplectic:m=4", "matrix:k=2"])
+def test_dual_stability_matches_image_and_reduce(spec):
+    # for each coset derivation d and a relation space K that d may leave,
+    # the first relation row found in the dual is the first row g whose
+    # image (d (x) 1 + 1 (x) d)g does not reduce to 0 modulo K
+    q = quad(spec)
+    bb = build_bb(q, 4)
+    for k in (bb.relations, rref(_fewer_relations(relation_generators)(q), bb.tensor)):
+        quotient = QuotientSpace(bb.tensor, k)
+        for lab in quotient.coset_labels:
+            d = bb.pair_derivation(lab)
+            rows = coord._columns(d.transpose())
+            dual = quotient.first_escape(lambda phi: coord._pull_back(rows, phi))
+            images = (bb.apply_pair_action(d, g) for g in k.rows)
+            reference = next((i for i, img in enumerate(images) if not k.contains(img)), None)
+            assert dual == reference, lab
 
 
 def test_full_homology_type_d_is_everything():
