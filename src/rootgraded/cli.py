@@ -38,7 +38,7 @@ from .graded import (
     verify_level_transition,
 )
 from .liealg import ALGEBRA_FAMILIES, build_algebra
-from .rootsys import FAMILIES, generate, root_str, roots_json
+from .rootsys import FAMILIES, connected_components, generate, root_str, roots_json
 
 SUITES = (
     "grading",
@@ -263,11 +263,12 @@ def _uniform_check(model, args) -> dict:
 
 def _subsystem_check(model) -> dict:
     n = model.n
-    # the (n-1)-truncation of A or D at n = 2 has no nonzero root
-    s_roots = generate(model.family, n - 1).nonzero() if n >= 2 else []
-    if not s_roots:
+    # the (n-1)-truncation of A or D at n = 2 has no nonzero root, and that
+    # of D at n = 3 is D_2 = A_1 x A_1, not irreducible
+    small = generate(model.family, n - 1) if n >= 2 else None
+    if small is None or len(connected_components(small)) != 1:
         return {"status": "skipped", "witnesses": ["truncation too small"]}
-    sub = subalgebra(model, s_roots)
+    sub = subalgebra(model, small.nonzero())
     return _flatten(sub.verify())
 
 
@@ -286,6 +287,8 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"unknown suite entries: {unknown}")
     if args.samples < 0:
         raise ConfigError(f"--samples must be at least 0, got {args.samples}")
+    if args.exhaustive_max < 0:
+        raise ConfigError(f"--exhaustive-max must be at least 0, got {args.exhaustive_max}")
     if args.samples > 0 and args.seed is None:
         raise ConfigError("a seed is required whenever samples > 0")
     if "uniform" in args.suite and args.cross_ell == args.ell:

@@ -427,18 +427,28 @@ def validate_quadruple(q: CoordinateQuadruple) -> dict:
 
 
 def relation_generators(q: CoordinateQuadruple) -> list[SparseVector]:
-    """The seven generator families of K, instantiated over basis tuples."""
+    """The seven generator families of K, instantiated over basis tuples.
+
+    A generator that is zero, or equal to one emitted before it, is left
+    out: it adds nothing to the span, and the rref of the list is the same
+    row for row.  The symmetric pairs (x, y) and (y, x), and the three
+    rotations of a cyclic triple, give equal generators, so only x <= y and
+    the first rotation in loop order are formed."""
     tsp = q.bb_space
     gens: list[SparseVector] = []
+    seen: set[frozenset] = set()
 
-    def tens(*pairs: tuple[SparseVector, SparseVector]) -> SparseVector:
-        """The sum of x (x) y over the given pairs (x, y)."""
+    def tens(*pairs: tuple[SparseVector, SparseVector]) -> None:
+        """Emit the sum of x (x) y over the given pairs (x, y)."""
         entries: dict[tuple[str, str], Fraction] = {}
         for x, y in pairs:
             for lx, vx in x.entries.items():
                 row = {(lx, ly): vy for ly, vy in y.entries.items()}
                 add_scaled(entries, row, vx)
-        return SparseVector(tsp, entries)
+        key = frozenset(entries.items())
+        if entries and key not in seen:
+            seen.add(key)
+            gens.append(SparseVector(tsp, entries))
 
     avecs = [q.b_space.basis_vector(l) for l in q.a_space.labels]
     cvecs = [q.b_space.basis_vector(l) for l in q.c_space.labels]
@@ -446,39 +456,37 @@ def relation_generators(q: CoordinateQuadruple) -> list[SparseVector]:
     bpart = [q.lift_b(r) for r in q.b_part_sub.rows]
     for al in avecs:
         for c in cvecs:
-            gens.append(tens((al, c)))
-            gens.append(tens((c, al)))
+            tens((al, c))
+            tens((c, al))
     for a in apart:
         for b in bpart:
-            gens.append(tens((a, b)))
-    for x in avecs:
-        for y in avecs:
-            gens.append(tens((x, y), (y, x)))
+            tens((a, b))
+    for i, x in enumerate(avecs):
+        for y in avecs[i:]:
+            tens((x, y), (y, x))
     for i, c in enumerate(cvecs):
         for cp in cvecs[i + 1 :]:
-            gens.append(tens((c, cp), (-cp, c)))
+            tens((c, cp), (-cp, c))
     # each product below is used by several generators: compute it once
     a_only = [q.a_space.basis_vector(l) for l in q.a_space.labels]
     c_only = [q.c_space.basis_vector(l) for l in q.c_space.labels]
     prod = [[q.lift_b(q.a_mul(x, y)) for y in a_only] for x in a_only]
     n = len(avecs)
     for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                gens.append(
-                    tens(
-                        (prod[i][j], avecs[k]),
-                        (prod[k][i], avecs[j]),
-                        (prod[j][k], avecs[i]),
-                    )
-                )
+        for j in range(i, n):
+            for k in range(i, n):
+                # the first of the three rotations in loop order has the
+                # least index first; of (i, j, i) and (i, i, j) it is the latter
+                if k == i < j:
+                    continue
+                tens((prod[i][j], avecs[k]), (prod[k][i], avecs[j]), (prod[j][k], avecs[i]))
     act = [[q.lift_b(q.c_act(x, c)) for c in c_only] for x in a_only]
     star_act = [[q.lift_b(q.c_act(q.a_star(x), c)) for c in c_only] for x in a_only]
     for i, c in enumerate(cvecs):
         for j, cp in enumerate(cvecs):
             f_ccp = q.lift_b(q.f_val(c_only[i], c_only[j]))
             for k, al in enumerate(avecs):
-                gens.append(tens((f_ccp, al), (star_act[k][j], c), (-act[k][i], cp)))
+                tens((f_ccp, al), (star_act[k][j], c), (-act[k][i], cp))
     return gens
 
 

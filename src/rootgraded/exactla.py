@@ -322,20 +322,23 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def _eliminate(self, v: SparseVector):
-        """v minus its projection onto the span, as a dict, and the
-        (row index, coefficient) pairs of that projection."""
-        if v.space != self.ambient:
-            raise ShapeError("vector not in ambient space")
-        out = dict(v.entries)
+    def _eliminate(self, entries: Mapping[Hashable, Fraction]):
+        """The entries minus their projection onto the span, as a dict, and
+        the (row index, coefficient) pairs of that projection."""
+        out = dict(entries)
         hits = _pivot_coefficients(out, self._row_of_pivot)
         for i, coeff in hits:
             add_scaled(out, self.rows[i].entries, -coeff)
         return out, hits
 
+    def _check_space(self, v: SparseVector) -> None:
+        if v.space != self.ambient:
+            raise ShapeError("vector not in ambient space")
+
     def reduce(self, v: SparseVector) -> SparseVector:
         """Subtract the projection onto the span; residual has no pivot support."""
-        return SparseVector(self.ambient, self._eliminate(v)[0])
+        self._check_space(v)
+        return SparseVector(self.ambient, self._eliminate(v.entries)[0])
 
     def contains(self, v: SparseVector) -> bool:
         return self.reduce(v).is_zero()
@@ -343,10 +346,18 @@ class Subspace:
     def coordinates(self, v: SparseVector) -> dict[int, Fraction]:
         """The nonzero coefficients of v over the rref basis rows, as
         {row index: coefficient}; raises if v is outside."""
-        residual, hits = self._eliminate(v)
+        self._check_space(v)
+        return dict(self.entry_coordinates(v.entries))
+
+    def entry_coordinates(self, entries: Mapping[Hashable, Fraction]) -> list[tuple[int, Fraction]]:
+        """The (row index, coefficient) pairs, in row order, of the vector
+        with these nonzero entries; raises if it is outside the span.  A
+        label outside the ambient space is never a pivot, so it is left in
+        the residual and raises too."""
+        residual, hits = self._eliminate(entries)
         if residual:
             raise ShapeError("vector not in subspace")
-        return dict(hits)
+        return hits
 
     def __eq__(self, other) -> bool:
         return (
@@ -381,7 +392,7 @@ def _pivot_coefficients(
     so subtracting one never changes cur at another pivot: the coefficients
     can be read off cur once, and only the pivots it holds need a visit.
     """
-    return sorted((row_of_pivot[lab], c) for lab, c in cur.items() if lab in row_of_pivot)
+    return sorted([(row_of_pivot[lab], c) for lab, c in cur.items() if lab in row_of_pivot])
 
 
 def rref(vectors: Sequence[SparseVector], space: BasedSpace | None = None) -> Subspace:
@@ -397,6 +408,8 @@ def rref(vectors: Sequence[SparseVector], space: BasedSpace | None = None) -> Su
     for v in vectors:
         if v.space != space:
             raise ShapeError("mixed ambient spaces")
+        if len(rows) == space.dim:
+            continue  # the rows span the whole space, so v lies in it
         cur = dict(v.entries)
         for i, coeff in _pivot_coefficients(cur, row_of_pivot):
             add_scaled(cur, rows[i], -coeff)

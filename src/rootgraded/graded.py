@@ -55,7 +55,6 @@ from .liealg import (
     TruncationIdempotent,
     build_algebra,
     build_module,
-    circ_of_products,
     d_uw,
     label_weight,
     v_ops,
@@ -105,40 +104,53 @@ class Term(NamedTuple):
     scale: Fraction = 1
 
 
-# matrix side.  The product ops read the pair's two products (xy, yx), so
-# the swapped pair is (yx, xy); both vanish unless the supports of x and y
+# matrix side.  Each op returns an entry dict, {(row, col): value} of a
+# matrix or {label: value} of a natural-module vector, or a scalar.  The
+# product ops read the pair's two products (xy, yx) as entry dicts, so the
+# swapped pair is (yx, xy); both vanish unless the supports of x and y
 # meet.  The other ops read the pair (x, y) itself.
 
 
 def _lie(m, xy, yx):
-    return xy - yx
-
-
-def _circ(m, xy, yx):
-    return circ_of_products(xy, yx, m.idem0, m.family)
+    out = dict(xy)
+    add_scaled(out, yx, -1)
+    return out
 
 
 def _jordan(m, xy, yx):
-    return xy + yx
+    out = dict(xy)
+    add_scaled(out, yx)
+    return out
 
 
 def _trace(m, xy, yx):
-    return xy.trace()
+    return sum(v for (r, c), v in xy.items() if r == c)
+
+
+def _circ(m, xy, yx):
+    """The family-normalized symmetric product xy + yx - (f tr(xy)/|I_0|) J_0,
+    f = 2 on A and D and 1 on the others."""
+    out = _jordan(m, xy, yx)
+    t = _trace(m, xy, yx)
+    if t:
+        f = 2 if m.family in ("A", "D") else 1
+        add_scaled(out, m.idem0.matrix.entries, scalar(Q(-f * t, m.idem0.size)))
+    return out
 
 
 _PRODUCTS = (_lie, _circ, _jordan, _trace)
 
 
 def _act(m, x, u):
-    return x.apply(u)
+    return x.apply(u).entries
 
 
 def _acted_on(m, u, x):
-    return x.apply(u)
+    return x.apply(u).entries
 
 
 def _first(m, x, y):
-    return x
+    return x.entries
 
 
 def _one(m, x, y):
@@ -150,12 +162,12 @@ def _form(m, u, w):
 
 
 def _d_uw(m, u, w):
-    return d_uw(m.G.nat, u, w)
+    return d_uw(m.G.nat, u, w).entries
 
 
 def _v_op(variant: str) -> Callable:
     def op(m, u, w):
-        return v_ops(u, w, m.G.nat, m.idem0, variant)
+        return v_ops(u, w, m.G.nat, m.idem0, variant).entries
 
     return op
 
@@ -296,14 +308,15 @@ def _scalar_coords(val) -> dict[int, Fraction]:
 
 
 def _label_coords(space: BasedSpace) -> Callable:
-    """The reader of vectors over ``space`` as {label position: coefficient}."""
-    return lambda vec: {space.pos(lab): c for lab, c in vec.entries.items()}
+    """The reader of entry dicts {label: value} over ``space`` as {label
+    position: coefficient}."""
+    return lambda entries: {space.pos(lab): c for lab, c in entries.items()}
 
 
 def _coset_coords(dpart: QuotientSpace) -> Callable:
     """The reader of b (x) b tensors as coset coordinates in the D-part."""
     read = _label_coords(dpart.coset_space)
-    return lambda t: read(dpart.project(t))
+    return lambda t: read(dpart.project(t).entries)
 
 
 def _support_index(mats: list) -> tuple[dict, dict] | None:
@@ -329,6 +342,37 @@ def _partners(x: SparseMatrix, support: tuple[dict, dict]) -> set[int]:
     out: set[int] = set()
     for r, c in x.entries:
         out.update(by_row.get(c, ()), by_col.get(r, ()))
+    return out
+
+
+def _entry_maps(mats: list[SparseMatrix]) -> tuple[list[dict], list[dict]]:
+    """For each matrix, its entries by row, {row: [(col, value)]}, and by
+    column, {col: [(row, value)]}."""
+    by_row, by_col = [], []
+    for x in mats:
+        rows: dict = {}
+        cols: dict = {}
+        for (r, c), v in x.entries.items():
+            rows.setdefault(r, []).append((c, v))
+            cols.setdefault(c, []).append((r, v))
+        by_row.append(rows)
+        by_col.append(cols)
+    return by_row, by_col
+
+
+def _product(x_cols: dict, y_rows: dict) -> dict:
+    """The entry dict of xy, from x by column and y by row (``_entry_maps``)."""
+    out: dict = {}
+    for mid, xs in x_cols.items():
+        ys = y_rows.get(mid)
+        if ys:
+            for r, v in xs:
+                for c, w in ys:
+                    s = out.get((r, c), 0) + v * w
+                    if s:
+                        out[r, c] = s
+                    else:
+                        del out[r, c]
     return out
 
 
@@ -450,7 +494,7 @@ class GradedModel:
             return vecs, weights, coords, _label_coords(nat), read_coord
 
         def weighted(wb, coords, read_coord):
-            return wb.basis_mats, wb.weight_of_basis, coords, wb.coords_of_mat, read_coord
+            return wb.basis_mats, wb.weight_of_basis, coords, wb.coords, read_coord
 
         # kind -> (matrix-side objects, their weights, coordinate-side
         # objects, the two readers)
@@ -460,7 +504,8 @@ class GradedModel:
         elif self.smod is not None:
             kinds["s"] = weighted(self.smod.wb, self.b_basis, q.b_part_sub.coordinates)
         if self.family == "BC":
-            kinds["v"] = natural(self.c_basis, _label_coords(q.c_space))
+            read_c = _label_coords(q.c_space)
+            kinds["v"] = natural(self.c_basis, lambda c: read_c(c.entries))
         kappa = inner_scale(q.qtype, self.ell)
         cosets = []
         for lab in self.dpart.coset_space.labels:
@@ -520,24 +565,28 @@ class GradedModel:
         coordinate-side pair.  The product ops are evaluated only on the
         pairs whose supports meet (``_partners``), all of them on the two
         products xy and yx formed once per pair; the other ops on every
-        pair.  With ``swap`` every factor is evaluated on swapped arguments,
-        mat(y, x) or the products (yx, xy), and coord(a', a), so the row
-        stored at (e, f) is [f, e].  ``keep`` receives each term's
-        matrix-side factors under (k1 + k2, target, mat).  Rows are summed
-        at ``denom`` times their value, ``denom`` clearing the denominators
-        of the term scales, and divided once per entry at the end: integral
-        factors cost int arithmetic only."""
+        pair.  The products are entry dicts, formed by ``_product`` from
+        the row and column maps the block builds once per matrix.  With
+        ``swap`` every factor is evaluated on swapped arguments, mat(y, x)
+        or the products (yx, xy), and coord(a', a), so the row stored at
+        (e, f) is [f, e].  ``keep`` receives each term's matrix-side factors
+        under (k1 + k2, target, mat).  Rows are summed at ``denom`` times
+        their value, ``denom`` clearing the denominators of the term scales,
+        and divided once per entry at the end: integral factors cost int
+        arithmetic only, and an integral quotient stays an int."""
         off1, w1, mats1, coords1 = self._kinds[k1][:4]
         off2, w2, mats2, coords2 = self._kinds[k2][:4]
         same = k1 == k2
         terms = TERMS[self.family].get(k1 + k2, ())
         products = {}
         if any(term.mat in _PRODUCTS for term in terms):
+            rows1, cols1 = _entry_maps(mats1)
+            rows2, cols2 = (rows1, cols1) if same else _entry_maps(mats2)
+            support = self._kinds[k2].support
             for i, x in enumerate(mats1):
-                for j in sorted(_partners(x, self._kinds[k2].support)):
+                for j in sorted(_partners(x, support)):
                     if j >= i or not same:
-                        y = mats2[j]
-                        xy, yx = x @ y, y @ x
+                        xy, yx = _product(cols1[i], rows2[j]), _product(cols2[j], rows1[i])
                         products[i, j] = (yx, xy) if swap else (xy, yx)
         denom = lcm(*(term.scale.denominator for term in terms))
         rows: dict[tuple[int, int], dict[int, Fraction]] = {}
@@ -563,28 +612,40 @@ class GradedModel:
                         term.coord(self, b, a) if swap else term.coord(self, a, b)
                     )
                     if f:
-                        coord.append((p, t, f))
+                        coord.append((p, t, list(f.items())))
             if keep is not None:
                 keep[k1 + k2, term.target, term.mat] = mat
             mult = scalar(term.scale * denom)
             for (i, j), mf in mat.items():
                 e0, f0 = off1 + i * w1, off2 + j * w2
                 scaled = [(off_t + mi * w_t, mult * cm) for mi, cm in mf.items()]
+                diagonal = same and i == j
                 for p, t, cf in coord:
-                    if same and i == j and p >= t:
+                    if diagonal and p >= t:
                         continue
                     row = rows.setdefault((e0 + p, f0 + t), {})
+                    get = row.get
                     for base, c0 in scaled:
-                        for ci, cc in cf.items():
+                        for ci, cc in cf:
                             idx = base + ci
-                            s = row.get(idx, 0) + c0 * cc
+                            s = get(idx, 0) + c0 * cc
                             if s:
                                 row[idx] = s
                             else:
                                 del row[idx]
+        # one quotient per distinct summed value
+        quotients = {}
         for row in rows.values():
             for idx, c in row.items():
-                row[idx] = scalar(c if denom == 1 else Q(c, denom))
+                quo = quotients.get(c)
+                if quo is None:
+                    if type(c) is int:
+                        quo, rem = divmod(c, denom)
+                        quo = Q(c, denom) if rem else quo
+                    else:
+                        quo = scalar(Q(c, denom))
+                    quotients[c] = quo
+                row[idx] = quo
         return {key: row for key, row in rows.items() if row}
 
     def _build_table(self):
@@ -1057,7 +1118,7 @@ def level_coset(
         if not inner.is_zero():
             kind = m._kinds[target]
             coord = kind.read_coord(inner)
-            for mi, cm in kind.read_mat(_level_op(m, lam, m.G.space)).items():
+            for mi, cm in kind.read_mat(_level_op(m, lam, m.G.space).entries).items():
                 base = kind.offset + mi * kind.width
                 add_scaled(coeffs, {base + ci: cc for ci, cc in coord.items()}, cm)
     return {idx: scalar(c) for idx, c in coeffs.items()}

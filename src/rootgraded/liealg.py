@@ -23,8 +23,10 @@ from .exactla import (
     SparseMatrix,
     SparseVector,
     Subspace,
+    add_scaled,
     kernel_of_rows,
     rref,
+    scalar,
 )
 from .rootsys import Root, generate
 
@@ -105,14 +107,6 @@ def gl_space(space: BasedSpace) -> BasedSpace:
     return BasedSpace([(r, c) for r in space.labels for c in space.labels])
 
 
-def mat_to_vec(m: SparseMatrix, glsp: BasedSpace) -> SparseVector:
-    return SparseVector(glsp, m.entries)
-
-
-def vec_to_mat(v: SparseVector, space: BasedSpace) -> SparseMatrix:
-    return SparseMatrix(space, space, v.entries)
-
-
 def matrix_unit(j: str, k: str, space: BasedSpace) -> SparseMatrix:
     """e_{j,k}: v_i -> delta_{k,i} v_j."""
     space.pos(j), space.pos(k)
@@ -136,12 +130,11 @@ class WeightedBasis:
     nonzero weights in sorted order, each block in pivot order.  Used for
     both the algebras and the symmetric module.  The span must be graded
     by the weights, i.e. each row of ``full`` lies in one weight space.
-    Coordinates are read through ``full``, whose row k is basis vector
-    ``_basis_of_row[k]``.
+    Coordinates are read from a matrix's entry dict through ``full``,
+    whose row k is basis vector ``_basis_of_row[k]``.
     """
 
     __slots__ = (
-        "glsp",
         "space",
         "basis_vecs",
         "basis_mats",
@@ -153,7 +146,6 @@ class WeightedBasis:
     )
 
     def __init__(self, glsp: BasedSpace, space: BasedSpace, rows: Sequence[SparseVector]):
-        self.glsp = glsp
         self.space = space
         self.full = rref(rows, glsp)
         weights = []
@@ -174,19 +166,18 @@ class WeightedBasis:
             if not weights[k].is_zero():
                 self.root_space_index.setdefault(weights[k], []).append(i)
         self.zero_block = sum(w.is_zero() for w in weights)
-        self.basis_mats = [vec_to_mat(v, space) for v in self.basis_vecs]
+        self.basis_mats = [SparseMatrix(space, space, v.entries) for v in self.basis_vecs]
 
     @property
     def dim(self) -> int:
         return len(self.basis_vecs)
 
-    def coords_of_vec(self, v: SparseVector) -> dict[int, Fraction]:
-        """Coefficients over the weight-adapted basis; raises if outside."""
+    def coords(self, entries: dict[tuple[str, str], Fraction]) -> dict[int, Fraction]:
+        """Coefficients over the weight-adapted basis of the matrix with
+        these {(row, col): value} entries; raises ShapeError if it lies
+        outside the span."""
         basis_of_row = self._basis_of_row
-        return {basis_of_row[k]: c for k, c in self.full.coordinates(v).items()}
-
-    def coords_of_mat(self, m: SparseMatrix) -> dict[int, Fraction]:
-        return self.coords_of_vec(mat_to_vec(m, self.glsp))
+        return {basis_of_row[k]: c for k, c in self.full.entry_coordinates(entries)}
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +242,7 @@ class MatrixLieAlgebra:
         return self.wb.root_space_index
 
     def coords_of_mat(self, m: SparseMatrix) -> dict[int, Fraction]:
-        return self.wb.coords_of_mat(m)
+        return self.wb.coords(m.entries)
 
     def root_vector(self, alpha: Root) -> SparseMatrix:
         positions = self.wb.root_space_index[alpha]
@@ -350,7 +341,7 @@ class RepModule:
         return self.space.dim
 
     def from_matrix(self, m: SparseMatrix) -> SparseVector:
-        return SparseVector(self.space, self.wb.coords_of_mat(m))
+        return SparseVector(self.space, self.wb.coords(m.entries))
 
     def action_matrix(self, x: SparseMatrix) -> SparseMatrix:
         """The matrix of x acting on the module: x itself on V, and on S the
@@ -381,7 +372,7 @@ def build_module(algebra: MatrixLieAlgebra, kind: str) -> RepModule:
 
 
 # ---------------------------------------------------------------------------
-# truncation idempotents and the normalized products
+# truncation idempotents and the pair operators
 
 
 class TruncationIdempotent:
@@ -403,19 +394,6 @@ class TruncationIdempotent:
         return len(self.subset)
 
 
-def circ_of_products(
-    xy: SparseMatrix, yx: SparseMatrix, idem: TruncationIdempotent, family: str
-) -> SparseMatrix:
-    """Family-normalized symmetric product xy + yx - (factor tr(xy)/|I_0|) J_0
-    of x and y, from the products xy and yx."""
-    base = xy + yx
-    t = xy.trace()
-    if t == 0:
-        return base
-    factor = 2 if family in ("A", "D") else 1
-    return base - idem.matrix.scale(Q(factor * t, idem.size))
-
-
 def v_ops(
     u: SparseVector,
     v: SparseVector,
@@ -433,8 +411,12 @@ def v_ops(
     uw = nat.functional(u) if variant == "circ" else nat.gram.apply(u).entries
     entries: dict[tuple[str, str], Fraction] = {}
     for w_lab in space.labels:
-        col = u.scale(half * vw.get(w_lab, 0)) + v.scale(half * uw.get(w_lab, 0))
-        for r, c in col.entries.items():
+        # column w: (1/2)(v, w) u + (1/2) uw[w] v
+        col: dict[str, Fraction] = {}
+        for vec, c in ((u, vw.get(w_lab)), (v, uw.get(w_lab))):
+            if c:
+                add_scaled(col, vec.entries, scalar(half * c))
+        for r, c in col.items():
             entries[(r, w_lab)] = c
     m = SparseMatrix(space, space, entries)
     uv = 0 if variant == "circ" else nat.form(u, v)

@@ -247,6 +247,17 @@ def test_verify_negative_samples_exits_2(capsys):
     assert err.count("\n") == 1 and "--samples" in err
 
 
+def test_verify_negative_exhaustive_max_exits_2(capsys):
+    code, err = run_cli_err(
+        capsys,
+        "verify", "--family", "BC", "--n", "4", "--ell", "4",
+        "--preset", "symplectic:m=2", "--suite", "jacobi", "--samples", "0",
+        "--exhaustive-max", "-3",
+    )
+    assert code == 2
+    assert err.count("\n") == 1 and "--exhaustive-max" in err
+
+
 def test_verify_zero_samples_needs_no_seed(capsys):
     code, out = run_cli(
         capsys,
@@ -515,6 +526,23 @@ def test_subsystem_skipped_when_smaller_truncation_has_no_root(capsys, family, p
         "verify", "--family", family, "--n", "2", "--ell", "1",
         "--quadruple", preset, "--override-bounds",
         "--suite", "grading,subsystem", "--samples", "0",
+    )
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["subsystem"] == {
+        "name": "subsystem", "status": "skipped", "witnesses": ["truncation too small"],
+    }
+    assert checks["grading"]["status"] == "pass"
+
+
+def test_subsystem_skipped_when_smaller_truncation_is_reducible(capsys):
+    # the (n-1)-truncation of D at n = 3 is D_2 = A_1 x A_1: no irreducible
+    # subsystem to check, so the suite is skipped rather than exiting 2
+    code, out = run_cli(
+        capsys,
+        "verify", "--family", "D", "--n", "3", "--ell", "1",
+        "--quadruple", "group_ring:m=1", "--override-bounds",
+        "--suite", "grading,subsystem", "--seed", "1",
     )
     assert code == 0
     checks = {c["name"]: c for c in json.loads(out)["checks"]}

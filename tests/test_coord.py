@@ -291,6 +291,60 @@ def test_relation_generators_scalar_type_a():
     assert bb.dim == 0
 
 
+def _unpruned_relation_generators(q):
+    """The seven generator families of K over every basis tuple, zeros and
+    repeats kept: every ordered pair (x, y) and every rotation of a cyclic
+    triple."""
+
+    def tens(*pairs):
+        entries = {}
+        for x, y in pairs:
+            for lx, vx in x.entries.items():
+                for ly, vy in y.entries.items():
+                    entries[lx, ly] = entries.get((lx, ly), 0) + vx * vy
+        return SparseVector(q.bb_space, entries)
+
+    avecs = [q.b_space.basis_vector(l) for l in q.a_space.labels]
+    cvecs = [q.b_space.basis_vector(l) for l in q.c_space.labels]
+    a_only = [q.a_space.basis_vector(l) for l in q.a_space.labels]
+    c_only = [q.c_space.basis_vector(l) for l in q.c_space.labels]
+    gens = [tens(p) for al in avecs for c in cvecs for p in ((al, c), (c, al))]
+    gens += [tens((q.lift_b(a), q.lift_b(b))) for a in q.a_part_sub.rows for b in q.b_part_sub.rows]
+    gens += [tens((x, y), (y, x)) for x in avecs for y in avecs]
+    gens += [tens((c, cp), (-cp, c)) for i, c in enumerate(cvecs) for cp in cvecs[i + 1 :]]
+    prod = [[q.lift_b(q.a_mul(x, y)) for y in a_only] for x in a_only]
+    n = len(avecs)
+    gens += [
+        tens((prod[i][j], avecs[k]), (prod[k][i], avecs[j]), (prod[j][k], avecs[i]))
+        for i in range(n) for j in range(n) for k in range(n)
+    ]
+    act = [[q.lift_b(q.c_act(x, c)) for c in c_only] for x in a_only]
+    star_act = [[q.lift_b(q.c_act(q.a_star(x), c)) for c in c_only] for x in a_only]
+    for i, c in enumerate(cvecs):
+        for j, cp in enumerate(cvecs):
+            f_ccp = q.lift_b(q.f_val(c_only[i], c_only[j]))
+            for k, al in enumerate(avecs):
+                gens.append(tens((f_ccp, al), (star_act[k][j], c), (-act[k][i], cp)))
+    return gens
+
+
+@pytest.mark.parametrize("spec", PRESET_SPECS + ["symplectic:m=4"])
+def test_relation_generators_are_nonzero_and_distinct(spec):
+    # no generator is zero or a repeat, and the list is the unpruned one
+    # with its zeros and repeats dropped, the first copy kept: so the
+    # relation rref is the same row for row, each row in the same order
+    q = quad(spec)
+    gens = relation_generators(q)
+    assert gens and not any(g.is_zero() for g in gens)
+    keys = [tuple(g.entries.items()) for g in gens]
+    assert len(set(map(frozenset, keys))) == len(gens)
+    first = {}
+    for g in _unpruned_relation_generators(q):
+        if not g.is_zero():
+            first.setdefault(frozenset(g.entries.items()), tuple(g.entries.items()))
+    assert keys == list(first.values())
+
+
 def test_relation_generators_include_ab_family():
     q = quad("matrix_transpose:k=2")
     gens = relation_generators(q)
@@ -373,7 +427,7 @@ def _fewer_relations(real):
     "spec,witness",
     [
         ("matrix_hermitian:k=2,m=2", ("c:1,0⊗c:1,0", "1*m:1,1⊗c:0,1")),
-        ("symplectic:m=4", ("c:1⊗c:1", "1*c:0⊗one")),
+        ("symplectic:m=4", ("c:0⊗c:0", "1*c:1⊗c:2 + -1*c:2⊗c:1")),
     ],
 )
 def test_well_defined_check_catches_a_relation_space_not_kept(spec, witness, monkeypatch):

@@ -119,6 +119,21 @@ def test_rref_mixed_spaces_error():
         rref([vec(S2, 1, 0), vec(S3, 1, 0, 0)])
 
 
+def test_rref_stops_reducing_at_full_rank():
+    # once the rows span the space every later vector lies in the span: the
+    # result is the rref of the whole list, and a later vector of another
+    # space still raises
+    spanning = [vec(S3, 1, 2, 0), vec(S3, 0, 1, 1), vec(S3, 1, 0, 3)]
+    extra = [vec(S3, 5, Q(1, 2), -1), vec(S3, 0, 0, 7), S3.zero()]
+    whole = rref(spanning + extra)
+    assert whole == rref(spanning) and whole.dim == 3
+    assert [r.entries for r in whole.rows] == [{"x": 1}, {"y": 1}, {"z": 1}]
+    # a prefix short of full rank still reduces what follows
+    assert rref(spanning[:2] + extra).dim == 3
+    with pytest.raises(ShapeError):
+        rref(spanning + [vec(S2, 1, 0)])
+
+
 def test_rref_is_canonical():
     a = rref([vec(S3, 2, 4, 6), vec(S3, 0, 3, 3)])
     b = rref([vec(S3, 1, 5, 6), vec(S3, 1, 2, 3)])
@@ -213,6 +228,13 @@ def test_subspace_coordinates():
     assert sub.coordinates(vec(S3, 2, 0, 2)) == {0: Q(2)}
     with pytest.raises(ShapeError):
         sub.coordinates(vec(S3, 0, 0, 1))
+    # the same read from a bare entry dict, as (row, coefficient) pairs
+    assert sub.entry_coordinates(v.entries) == [(0, 2), (1, 3)]
+    with pytest.raises(ShapeError):
+        sub.entry_coordinates({"z": 1})
+    # a label outside the ambient space is never a pivot: it is left over
+    with pytest.raises(ShapeError):
+        sub.entry_coordinates({"x": 1, "z": 1, "w": 1})
 
 
 # -- dense oracle ------------------------------------------------------------

@@ -948,7 +948,8 @@ def test_antisymmetry_fails_on_symmetric_term(monkeypatch, term, field, op):
 
 def _reference_table(m):
     """The bracket table by the unpruned all-pairs loop: every term on every
-    matrix-side pair, with the products formed afresh for each term."""
+    matrix-side pair, with the products formed afresh for each term by
+    ``SparseMatrix.__matmul__``, not by the build's ``_product``."""
     rows = {}
     for pair, terms in graded.TERMS[m.family].items():
         k1, k2 = m._kinds[pair[0]], m._kinds[pair[1]]
@@ -966,7 +967,7 @@ def _reference_table(m):
                     if same and j < i:
                         continue
                     if term.mat in graded._PRODUCTS:
-                        mf = kt.read_mat(term.mat(m, x @ y, y @ x))
+                        mf = kt.read_mat(term.mat(m, (x @ y).entries, (y @ x).entries))
                     else:
                         mf = kt.read_mat(term.mat(m, x, y))
                     for p, t, cf in coord:
@@ -1001,6 +1002,21 @@ def test_support_index_is_sound(config):
                     if j not in near:
                         assert (x @ y).is_zero() and (y @ x).is_zero()
     assert m.table == _reference_table(m)
+
+
+@pytest.mark.parametrize("config", list(TABLE_DIGESTS), ids=lambda c: " ".join(map(str, c)))
+def test_product_kernel_is_matmul(config):
+    # the build's entry-dict products equal SparseMatrix products, for every
+    # ordered pair of matrices of every pair of matrix kinds
+    m = model(*config)
+    kinds = [k for k in m._kinds.values() if k.support is not None]
+    for k1 in kinds:
+        cols1 = graded._entry_maps(k1.mats)[1]
+        for k2 in kinds:
+            rows2 = graded._entry_maps(k2.mats)[0]
+            for i, x in enumerate(k1.mats):
+                for j, y in enumerate(k2.mats):
+                    assert graded._product(cols1[i], rows2[j]) == (x @ y).entries
 
 
 @pytest.mark.parametrize("config", list(TABLE_DIGESTS), ids=lambda c: " ".join(map(str, c)))

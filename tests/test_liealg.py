@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction as Q
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,10 +25,8 @@ from rootgraded.liealg import (
     WeightedBasis,
     build_algebra,
     build_module,
-    circ_of_products,
     d_uw,
     expected_dimension,
-    mat_to_vec,
     matrix_unit,
     v_ops,
 )
@@ -72,13 +71,13 @@ def test_weighted_basis_coordinates(which):
     g = alg("C" if which == "S" else which, 3)
     wb = build_module(g, "S").wb if which == "S" else g.wb
     for k, mat in enumerate(wb.basis_mats):
-        assert wb.coords_of_mat(mat) == {k: Q(1)}
+        assert wb.coords(mat.entries) == {k: Q(1)}
     rng = random.Random(6)
     coeffs = {k: Q(rng.randint(-3, 3)) for k in range(wb.dim)}
     combo = SparseMatrix.zero(g.space, g.space)
     for k, c in coeffs.items():
         combo = combo + wb.basis_mats[k].scale(c)
-    assert wb.coords_of_mat(combo) == {k: c for k, c in coeffs.items() if c}
+    assert wb.coords(combo.entries) == {k: c for k, c in coeffs.items() if c}
     if which == "A":
         outside = SparseMatrix.identity(g.space)
     elif which == "S":
@@ -86,7 +85,20 @@ def test_weighted_basis_coordinates(which):
     else:
         outside = matrix_unit("v:1", "v:1", g.space)
     with pytest.raises(ShapeError):
-        wb.coords_of_mat(outside)
+        wb.coords(outside.entries)
+
+
+def test_entry_dict_read_refuses_an_off_span_dict():
+    # the build reads each product's entry dict through the rref of G; a
+    # dict outside G must raise, the membership check the build relies on
+    g = alg("C", 3)
+    with pytest.raises(ShapeError):
+        g.wb.coords({("v:1", "v:1"): 1})
+    with pytest.raises(ShapeError):
+        g.wb.coords({("v:9", "v:9"): 1})
+    h = {("v:1", "v:1"): 1, ("vb:1", "vb:1"): -1}
+    assert g.wb.coords(h) == g.coords_of_mat(SparseMatrix(g.space, g.space, h))
+    assert len(g.wb.coords(h)) == 1
 
 
 def test_weighted_basis_rejects_a_row_mixing_weights():
@@ -95,7 +107,7 @@ def test_weighted_basis_rejects_a_row_mixing_weights():
     g = alg("A", 3)
     mixed = matrix_unit("v:1", "v:2", g.space) + matrix_unit("v:2", "v:1", g.space)
     with pytest.raises(ShapeError):
-        WeightedBasis(g.glsp, g.space, [mat_to_vec(mixed, g.glsp)])
+        WeightedBasis(g.glsp, g.space, [SparseVector(g.glsp, mixed.entries)])
     # a weight basis in another order gives back the same basis, in order
     again = WeightedBasis(g.glsp, g.space, g.basis_vecs[::-1])
     assert again.basis_vecs == g.basis_vecs
@@ -124,7 +136,7 @@ def test_closure_under_commutator(family):
     a = alg(family, 2)
     for i, x in enumerate(a.basis_mats):
         for y in a.basis_mats[i:]:
-            assert a.wb.full.contains(mat_to_vec(commutator(x, y), a.glsp))
+            assert a.wb.full.contains(SparseVector(a.glsp, commutator(x, y).entries))
 
 
 @pytest.mark.parametrize("family", ["A", "B", "C", "D"])
@@ -185,10 +197,7 @@ def test_truncation_embedding(family):
     small = alg(family, 2)
     big = alg(family, 3)
     for v in small.basis_vecs:
-        lifted = mat_to_vec(
-            SparseMatrix(big.space, big.space, {k: val for k, val in _as_mat_entries(v)}),
-            big.glsp,
-        )
+        lifted = SparseVector(big.glsp, dict(_as_mat_entries(v)))
         assert big.wb.full.contains(lifted)
     for alpha in small.root_space_index:
         assert alpha in big.root_space_index
@@ -381,16 +390,23 @@ def test_derivation_span_binds_the_bracket_d_uw(monkeypatch, factor):
     assert not derivation_span_equals_oB(2)[0]
 
 
+def _circ(x, y, idem, family):
+    """graded._circ of x and y, its products formed by ``@``, as a matrix."""
+    m = SimpleNamespace(family=family, idem0=idem)
+    sp = idem.space
+    return SparseMatrix(sp, sp, graded._circ(m, (x @ y).entries, (y @ x).entries))
+
+
 def test_circ_trunc():
     c2 = alg("C", 2)
     sp = c2.space
     idem = TruncationIdempotent(sp, {1, 2})
     x = matrix_unit("v:1", "vb:1", sp)
     # tr(x^2) = 0 and x^2 = 0, so x o x = 0
-    assert circ_of_products(x @ x, x @ x, idem, "C").is_zero()
+    assert _circ(x, x, idem, "C").is_zero()
     y = matrix_unit("vb:1", "v:1", sp)
-    xy = circ_of_products(x @ y, y @ x, idem, "C")
-    yx = circ_of_products(y @ x, x @ y, idem, "C")
+    xy = _circ(x, y, idem, "C")
+    yx = _circ(y, x, idem, "C")
     assert xy == yx
     # tr(xy) = 1, so the correction is -(1/2) J_0 here
     assert xy == x @ y + y @ x - idem.matrix.scale(Q(1, 2))
@@ -402,7 +418,7 @@ def test_circ_trunc_type_a_factor_two():
     idem = TruncationIdempotent(sp, {1, 2, 3})
     x = matrix_unit("v:1", "v:2", sp)
     y = matrix_unit("v:2", "v:1", sp)
-    out = circ_of_products(x @ y, y @ x, idem, "A")
+    out = _circ(x, y, idem, "A")
     assert out.trace() == 0
     # tr(xy) = 1 and |I_0| = 3, so the correction is -(2/3) J_0
     assert out == x @ y + y @ x - idem.matrix.scale(Q(2, 3))
