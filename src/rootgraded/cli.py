@@ -351,7 +351,7 @@ def _load_model_file(args):
         ("n", _is_int, "an integer"),
         ("ell", _is_int, "an integer"),
         ("quadruple", lambda v: isinstance(v, (str, dict)), "a string or an object"),
-        ("K", lambda v: v in K_FORMS, f"one of {list(K_FORMS)}"),
+        ("K", lambda v: isinstance(v, str) and v in K_FORMS, f"one of {list(K_FORMS)}"),
     ):
         if not ok(spec[field]):
             raise ConfigError(

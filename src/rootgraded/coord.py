@@ -240,16 +240,16 @@ def f_action(q, c: SparseVector, c1: SparseVector, c2: SparseVector) -> SparseVe
 
 
 def derivation(
-    q, ell: int, x: SparseVector, y: SparseVector, beta: SparseVector | None = None
+    q, ell: int, x: SparseVector, y: SparseVector, inner: SparseVector | None = None
 ) -> SparseMatrix:
     """The derivation d^ell_{x,y} of b that {x, y} acts by.
 
     For A, C and BC it is the inner derivation of z = kappa beta*(x, y),
     kappa = ``inner_scale``: a' -> [z, a'] on a and c -> z.c on C, that is
     sum_r z_r ad(e_r) over ``q.ad_basis()``, less half of ``f_action`` of
-    the module parts of x and y on C (nonzero for BC only).  ``beta`` is
-    beta*(x, y) where the caller has it already.  For B it is the Jordan
-    derivation [L_a2, L_a1]; for D it is 0.
+    the module parts of x and y on C (nonzero for BC only).  ``inner`` is
+    z where the caller has it already.  For B it is the Jordan derivation
+    [L_a2, L_a1]; for D it is 0.
     """
     if ell < 1:
         raise ValueError("ell must be a positive integer")
@@ -264,10 +264,10 @@ def derivation(
             e = q.a_space.basis_vector(lab)
             add_col(lab, q.a_mul(a2, q.a_mul(a1, e)) - q.a_mul(a1, q.a_mul(a2, e)))
     elif q.qtype != "D":
-        if beta is None:
-            beta = beta_star(q, x, y)
+        if inner is None:
+            inner = beta_star(q, x, y).scale(inner_scale(q.qtype, ell))
         ad = q.ad_basis()
-        for r, zr in beta.scale(inner_scale(q.qtype, ell)).entries.items():
+        for r, zr in inner.entries.items():
             add_scaled(cols, ad.get(r, {}), zr)
         c1, c2 = q.split_b(x)[1], q.split_b(y)[1]
         if not (c1.is_zero() or c2.is_zero()):
@@ -497,7 +497,7 @@ class BBQuotient:
     ``beta_star_map_rows(q)``; like K it does not depend on ell.
     """
 
-    __slots__ = ("q", "ell", "tensor", "relations", "quotient", "beta_rows", "_deriv_cache")
+    __slots__ = ("q", "ell", "tensor", "relations", "quotient", "beta_rows", "_pairs")
 
     def __init__(self, q: CoordinateQuadruple, ell: int):
         self.q = q
@@ -506,14 +506,15 @@ class BBQuotient:
         self.relations = rref(relation_generators(q), self.tensor)
         self.quotient = QuotientSpace(self.tensor, self.relations)
         self.beta_rows = beta_star_map_rows(q)
-        self._deriv_cache: dict[tuple[str, str], SparseMatrix] = {}
+        self._pairs: dict[tuple[str, str], tuple[SparseVector, SparseMatrix]] = {}
         self._verify_well_defined()
 
     def at_ell(self, ell: int) -> "BBQuotient":
         """The same quotient at another ell, not re-verified.
 
         Neither K (with the quotient) nor the beta* rows depend on ell, so
-        they are shared; the derivations do, so the result computes its own.
+        they are shared; kappa and the derivations do, so the result
+        computes its own.
         """
         other = object.__new__(BBQuotient)
         other.q = self.q
@@ -522,7 +523,7 @@ class BBQuotient:
         other.relations = self.relations
         other.quotient = self.quotient
         other.beta_rows = self.beta_rows
-        other._deriv_cache = {}
+        other._pairs = {}
         return other
 
     # derivation attached to a tensor vector, by bilinearity
@@ -532,18 +533,32 @@ class BBQuotient:
             add_scaled(acc, self.pair_derivation(lab).entries, coeff)
         return SparseMatrix(self.q.b_space, self.q.b_space, acc)
 
+    def inner_of(self, t: SparseVector) -> SparseVector:
+        """kappa beta* of a tensor vector, by linearity, kappa =
+        ``inner_scale``: for x (x) y, the element of a whose inner
+        derivation d^ell_{x,y} is, less the BC f-term."""
+        acc: dict[str, Fraction] = {}
+        for lab, coeff in t.entries.items():
+            add_scaled(acc, self._pair(lab)[0].entries, coeff)
+        return SparseVector(self.q.a_space, acc)
+
     def pair_derivation(self, lab: tuple[str, str]) -> SparseMatrix:
-        """d^ell_{x,y} for the tensor label (x, y), computed once, with
-        beta*(x, y) read off ``beta_rows``; the build computes it for every
-        label, each being a relation pivot or a coset label."""
-        d = self._deriv_cache.get(lab)
-        if d is None:
+        """d^ell_{x,y} for the tensor label (x, y)."""
+        return self._pair(lab)[1]
+
+    def _pair(self, lab: tuple[str, str]) -> tuple[SparseVector, SparseMatrix]:
+        """kappa beta*(x, y) and d^ell_{x,y} for the tensor label (x, y),
+        computed once, with beta*(x, y) read off ``beta_rows``; the build
+        computes them for every label, each being a relation pivot or a
+        coset label."""
+        pair = self._pairs.get(lab)
+        if pair is None:
             q = self.q
             beta = {r: row.entries[lab] for r, row in self.beta_rows.items() if lab in row.entries}
+            inner = SparseVector(q.a_space, beta).scale(inner_scale(q.qtype, self.ell))
             x, y = (q.b_space.basis_vector(l) for l in lab)
-            d = derivation(q, self.ell, x, y, SparseVector(q.a_space, beta))
-            self._deriv_cache[lab] = d
-        return d
+            pair = self._pairs[lab] = (inner, derivation(q, self.ell, x, y, inner))
+        return pair
 
     def apply_pair_action(self, d: SparseMatrix, t: SparseVector) -> SparseVector:
         """(d (x) 1 + 1 (x) d) applied to a tensor vector."""
@@ -597,8 +612,22 @@ class BBQuotient:
         img = self.apply_pair_action(d, self.quotient.lift(v))
         return self.quotient.project(img)
 
-    def derivation_of_coset(self, u: SparseVector) -> SparseMatrix:
-        return self.derivation_of(self.quotient.lift(u))
+    def d_part(self, k_span: Sequence[SparseVector]) -> QuotientSpace:
+        """The D-part (b (x) b)/(relations + lift(K)) of a model whose K is
+        spanned by the coset vectors ``k_span``.
+
+        On C, the derivation of a tensor t is c -> kappa beta*(t).c -
+        F(t)(c) / 2, F the BC f-term (``derivation``), linear in t.  The
+        build checks that every relation has derivation 0, FH is the exact
+        kernel of the derivation (``full_homology``), and the uniform
+        verdict says beta* is 0 on relations + lift(K).  So F is 0 on the
+        whole relation space and the module rows of the model are well
+        defined.
+        """
+        if not k_span:
+            return self.quotient
+        lifts = [self.quotient.lift(v) for v in k_span]
+        return QuotientSpace(self.tensor, rref([*self.relations.rows, *lifts], self.tensor))
 
 
 def _columns(d: SparseMatrix) -> dict[str, list[tuple[str, Fraction]]]:
@@ -628,19 +657,20 @@ def full_homology(bb: BBQuotient) -> Subspace:
     """FH as a subspace of the coset space: the kernel of coset -> total
     derivation; verified central in {b,b}_ell."""
     csp = bb.quotient.coset_space
+    derivs = {lab: bb.pair_derivation(lab) for lab in csp.labels}
     # (row, col) of the derivation -> {coset label: entry}
     rows_by_pos: dict[tuple[str, str], dict[tuple[str, str], Fraction]] = {}
-    for lab in csp.labels:
-        d = bb.derivation_of_coset(csp.basis_vector(lab))
+    for lab, d in derivs.items():
         for pos, v in d.entries.items():
             rows_by_pos.setdefault(pos, {})[lab] = v
     rows = [SparseVector(csp, entries) for entries in rows_by_pos.values()]
+    # the exact kernel of these rows: every vector of FH has derivation 0
     fh = kernel_of_rows(rows, csp)
+    live = [(lab, d) for lab, d in derivs.items() if not d.is_zero()]
     for f in fh.rows:
-        if not bb.derivation_of_coset(f).is_zero():
-            raise InternalConsistencyError("homology vector has nonzero derivation", f)
-        for lab in csp.labels:
-            if not bb.bracket_cosets(csp.basis_vector(lab), f).is_zero():
+        lifted = bb.quotient.lift(f)
+        for lab, d in live:
+            if not bb.quotient.project(bb.apply_pair_action(d, lifted)).is_zero():
                 raise InternalConsistencyError(
                     "homology element is not central", witness=(label_text(lab), f)
                 )

@@ -547,7 +547,3 @@ class QuotientSpace:
                 add_scaled(psi, pis[f], -v)
             escapes.update(row_of_pivot[lab] for lab in psi)
         return min(escapes, default=None)
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    return rref(list(a.rows) + list(b.rows), a.ambient)

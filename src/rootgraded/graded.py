@@ -11,8 +11,9 @@ derivations; the induced index-subset size is m0 = ell for families
 B/C/BC and m0 = ell + 1 for A/D.  The matrix side binds its
 normalizations to m0 (the truncated products, with the extra factor 2 in
 the A/D symmetric product, and the level operator).  The coordinate side
-binds them to ell through one constant, kappa = ``coord.inner_scale``:
-each coset carries kappa beta*, so every bracket-term scale is a plain
+binds them to ell through one constant, kappa = ``coord.inner_scale``,
+which only ``coord`` reads: each coset label's kappa beta* comes from
+``BBQuotient.inner_of``, so every bracket-term scale is a plain
 constant.
 """
 
@@ -26,7 +27,6 @@ from typing import Callable, Iterable, NamedTuple
 
 from .coord import (
     CoordinateQuadruple,
-    beta_star,
     build_bb,
     check_uniform,
     clifford_quadruple,
@@ -34,12 +34,10 @@ from .coord import (
     diamond_heart,
     f_action,
     full_homology,
-    inner_scale,
 )
 from .exactla import (
     BasedSpace,
     Q,
-    QuotientSpace,
     SparseMatrix,
     SparseVector,
     add_scaled,
@@ -47,7 +45,6 @@ from .exactla import (
     q_str,
     rref,
     scalar,
-    subspace_sum,
 )
 from .liealg import (
     FormedSpace,
@@ -172,15 +169,7 @@ def _v_op(variant: str) -> Callable:
     return op
 
 
-# coordinate side; a coset <k> is a _Coset record
-
-
-class _Coset(NamedTuple):
-    inner: SparseVector  # kappa beta*(e1, e2) for <k> = <e1, e2>
-    deriv: SparseMatrix  # the derivation d_{e1, e2} of b
-    c1: SparseVector  # module parts of e1 and e2
-    c2: SparseVector
-    lift: SparseVector  # e1 (x) e2 in b (x) b
+# coordinate side; a coset <e1, e2> is its tensor label (e1, e2)
 
 
 def _prod(m, a, b):
@@ -213,28 +202,34 @@ def _heart(m, c, c2):
     return diamond_heart(m.quadruple, c, c2)[1]
 
 
+def _inner(m, lab):
+    """kappa beta* of the coset label (e1, e2)."""
+    return m.bb.inner_of(m.bb.tensor.basis_vector(lab))
+
+
 def _with_inner(op: Callable) -> Callable:
-    def coord(m, a, coset):
-        return op(m, a, coset.inner)
+    def coord(m, a, lab):
+        return op(m, a, _inner(m, lab))
 
     return coord
 
 
-def _inner_act(m, c, coset):
-    return m.quadruple.c_act(coset.inner, c)
+def _inner_act(m, c, lab):
+    return m.quadruple.c_act(_inner(m, lab), c)
 
 
-def _f_act(m, c, coset):
-    return f_action(m.quadruple, c, coset.c1, coset.c2)
-
-
-def _deriv(m, a, coset):
+def _f_act(m, c, lab):
     q = m.quadruple
-    return q.split_b(coset.deriv.apply(q.lift_b(a)))[0]
+    return f_action(q, c, *(q.split_b(q.b_space.basis_vector(l))[1] for l in lab))
 
 
-def _coset_act(m, coset, other):
-    return m.bb.apply_pair_action(coset.deriv, other.lift)
+def _deriv(m, a, lab):
+    q = m.quadruple
+    return q.split_b(m.bb.pair_derivation(lab).apply(q.lift_b(a)))[0]
+
+
+def _coset_act(m, lab, other):
+    return m.bb.apply_pair_action(m.bb.pair_derivation(lab), m.bb.tensor.basis_vector(other))
 
 
 _DD = (Term("d", _one, _coset_act),)
@@ -313,7 +308,7 @@ def _label_coords(space: BasedSpace) -> Callable:
     return lambda entries: {space.pos(lab): c for lab, c in entries.items()}
 
 
-def _coset_coords(dpart: QuotientSpace) -> Callable:
+def _coset_coords(dpart) -> Callable:
     """The reader of b (x) b tensors as coset coordinates in the D-part."""
     read = _label_coords(dpart.coset_space)
     return lambda t: read(dpart.project(t).entries)
@@ -447,20 +442,7 @@ class GradedModel:
             raise ModelError(
                 f"K does not satisfy the uniform property: witness {uniform['witness']}"
             )
-        # The D-part is (b (x) b) / (relations + lift(K)).  On C, the
-        # derivation of a tensor t is c -> kappa beta*(t).c - F(t)(c) / 2,
-        # F the BC f-term (``coord.derivation``), linear in t.  The build of
-        # ``bb`` checks that every relation has derivation 0, FH is the
-        # exact kernel of the derivation (``full_homology``), and the
-        # uniform verdict says beta* is 0 on relations + lift(K).  So F is 0
-        # on the whole relation space and the module rows are well defined.
-        lifts = [self.bb.quotient.lift(v) for v in k_vectors]
-        relations_total = (
-            subspace_sum(self.bb.relations, rref(lifts, self.bb.tensor))
-            if lifts
-            else self.bb.relations
-        )
-        self.dpart = QuotientSpace(self.bb.tensor, relations_total)
+        self.dpart = self.bb.d_part(k_vectors)
 
         # matrix side
         self.G = build_algebra(UNDERLYING[family], n)
@@ -484,7 +466,7 @@ class GradedModel:
         The natural module (V of BC, S of B) and C are read by label
         position, A and B through the rref of the *-eigenspace, G and the
         S of C/BC through their weighted bases; the d-part is J_0 times the
-        cosets, read by projection to the coset space."""
+        coset labels, read by projection to the coset space."""
         q = self.quadruple
         nat = self.G.space
 
@@ -506,21 +488,10 @@ class GradedModel:
         if self.family == "BC":
             read_c = _label_coords(q.c_space)
             kinds["v"] = natural(self.c_basis, lambda c: read_c(c.entries))
-        kappa = inner_scale(q.qtype, self.ell)
-        cosets = []
-        for lab in self.dpart.coset_space.labels:
-            e1, e2 = (q.b_space.basis_vector(l) for l in lab)
-            cosets.append(
-                _Coset(
-                    inner=beta_star(q, e1, e2).scale(kappa),
-                    deriv=self.bb.pair_derivation(lab),
-                    c1=q.split_b(e1)[1],
-                    c2=q.split_b(e2)[1],
-                    lift=self.bb.tensor.basis_vector(lab),
-                )
-            )
-        d_mats = [self.idem0.matrix]
-        kinds["d"] = (d_mats, [Root.zero()], cosets, _scalar_coords, _coset_coords(self.dpart))
+        kinds["d"] = (
+            [self.idem0.matrix], [Root.zero()], list(self.dpart.coset_labels),
+            _scalar_coords, _coset_coords(self.dpart),
+        )
 
         self.basis: list[tuple[str, tuple]] = []
         self.weight_of: list[Root] = []
@@ -881,9 +852,7 @@ def verify_grading(m: GradedModel) -> dict:
     checks = []
     unit_coords = m.quadruple.a_part_sub.coordinates(m.quadruple.unit)
 
-    # (i) x -> x (x) 1 is an injective Lie homomorphism on the split algebra.
-    # [x_i (x) 1, x_j (x) 1] for i < j is a sum of table rows: each of its
-    # basis pairs (a, b) has a < b
+    # (i) x -> x (x) 1 is an injective Lie homomorphism on the split algebra
     hom_fail = []
     units = [
         {m.index_of[("g", (gi, ai))]: c for ai, c in unit_coords.items()}
@@ -891,10 +860,7 @@ def verify_grading(m: GradedModel) -> dict:
     ]
     for i, xi in enumerate(units):
         for j in range(i + 1, len(units)):
-            lhs: dict[int, Fraction] = {}
-            for a, ca in xi.items():
-                for b, cb in units[j].items():
-                    add_scaled(lhs, m.table.get((a, b), {}), ca * cb)
+            lhs = m.bracket(xi, units[j])
             expected: dict[int, Fraction] = {}
             for gk, c in m._g_lie.get((i, j), {}).items():
                 add_scaled(expected, units[gk], c)
@@ -1109,12 +1075,12 @@ def level_coset(
         raise ModelError("lambda must contain the base subset I_0")
     if not lam <= set(range(1, m.n + 1)):
         raise ModelError("lambda exceeds the model truncation; use verify_level_transition for extended checks")
-    dcoset = m._kinds["d"].read_coord(m.bb.pair_tensor(x, y))
+    tensor = m.bb.pair_tensor(x, y)
+    dcoset = m._kinds["d"].read_coord(tensor)
     coeffs = {m.index_of[("d", (di,))]: c for di, c in dcoset.items()}
     target = _LEVEL_TARGET.get(m.family)
     if target is not None:
-        q = m.quadruple
-        inner = beta_star(q, q.lift_b(x), q.lift_b(y)).scale(inner_scale(q.qtype, m.ell))
+        inner = m.bb.inner_of(tensor)
         if not inner.is_zero():
             kind = m._kinds[target]
             coord = kind.read_coord(inner)

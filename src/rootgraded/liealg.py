@@ -14,7 +14,7 @@ the graded construction depend on those constants.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .exactla import (
     BasedSpace,
@@ -125,8 +125,9 @@ def gl_coord_weight(lab: tuple[str, str]) -> Root:
 class WeightedBasis:
     """A subspace of gl coordinates organized by ad-weights of the Cartan.
 
-    The basis is the canonical rref ``full`` of the span, its rows grouped
-    by the weight of their pivot label: the weight-zero block first, then
+    The basis is ``full``, the span as a canonical rref ``Subspace`` (as
+    ``kernel_of_rows`` returns it), its rows grouped by the weight of their
+    pivot label: the weight-zero block first, then
     nonzero weights in sorted order, each block in pivot order.  Used for
     both the algebras and the symmetric module.  The span must be graded
     by the weights, i.e. each row of ``full`` lies in one weight space.
@@ -145,9 +146,10 @@ class WeightedBasis:
         "_basis_of_row",
     )
 
-    def __init__(self, glsp: BasedSpace, space: BasedSpace, rows: Sequence[SparseVector]):
+    def __init__(self, space: BasedSpace, full: Subspace):
         self.space = space
-        self.full = rref(rows, glsp)
+        self.full = full
+        glsp = full.ambient
         weights = []
         for p, row in zip(self.full.pivots, self.full.rows):
             w = gl_coord_weight(glsp.labels[p])
@@ -202,7 +204,7 @@ class MatrixLieAlgebra:
         self.glsp = gl_space(space)
         rows = defining_condition_rows(self.nat)
         ker = kernel_of_rows(rows, self.glsp)
-        self.wb = WeightedBasis(self.glsp, space, ker.rows)
+        self.wb = WeightedBasis(space, ker)
         if family == "A":
             self.cartan = [
                 matrix_unit(f"v:{i}", f"v:{i}", space)
@@ -330,7 +332,7 @@ class RepModule:
             # traceless, and phi^T G - G phi = 0  <=>  (phi v, w) = (v, phi w)
             rows = [_trace_row(nat, glsp)] + _form_rows(nat, glsp, -1)
             ker = kernel_of_rows(rows, glsp)
-            self.wb = WeightedBasis(glsp, nat.space, ker.rows)
+            self.wb = WeightedBasis(nat.space, ker)
             self.space = BasedSpace(range(self.wb.dim))
             self.weights = None
         else:

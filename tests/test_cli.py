@@ -352,7 +352,8 @@ def test_model_file_missing_field_exits_2(capsys, tmp_path, field):
 
 
 @pytest.mark.parametrize(
-    "field, value", [("n", "6"), ("ell", "4"), ("quadruple", 5), ("K", "bogus")]
+    "field, value",
+    [("n", "6"), ("ell", "4"), ("quadruple", 5), ("K", "bogus"), ("K", ["x"]), ("K", {})],
 )
 def test_model_file_bad_field_exits_2(capsys, tmp_path, field, value):
     spec = {"family": "BC", "n": 4, "ell": 4, "quadruple": "symplectic:m=2", field: value}

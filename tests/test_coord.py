@@ -407,8 +407,8 @@ def test_well_defined_check_catches_a_derivation_that_misses_k(monkeypatch):
     build_bb(q, 4)
     real = coord.derivation
 
-    def plus_identity(q, ell, x, y, *beta):
-        d = real(q, ell, x, y, *beta)
+    def plus_identity(q, ell, x, y, *inner):
+        d = real(q, ell, x, y, *inner)
         return d if d.is_zero() else d + SparseMatrix.identity(q.b_space)
 
     monkeypatch.setattr(coord, "derivation", plus_identity)
@@ -419,14 +419,22 @@ def test_well_defined_check_catches_a_derivation_that_misses_k(monkeypatch):
 
 
 def _fewer_relations(real):
-    """relation_generators less those of index 3 mod 7."""
-    return lambda q: [g for i, g in enumerate(real(q)) if i % 7 != 3]
+    """relation_generators replaced by the rows of their rref whose pivot
+    label (x, y) has odd position sum in b: a rule on labels, so the rows
+    kept do not depend on the order the generators are emitted in."""
+
+    def rows(q):
+        k = rref(real(q), q.bb_space)
+        pos, labels = q.b_space.pos, q.bb_space.labels
+        return [g for p, g in zip(k.pivots, k.rows) if sum(map(pos, labels[p])) % 2]
+
+    return rows
 
 
 @pytest.mark.parametrize(
     "spec,witness",
     [
-        ("matrix_hermitian:k=2,m=2", ("c:1,0⊗c:1,0", "1*m:1,1⊗c:0,1")),
+        ("matrix_hermitian:k=2,m=2", ("m:0,0⊗m:1,0", "1*m:0,0⊗m:0,1 + 1*c:1,1⊗c:0,0")),
         ("symplectic:m=4", ("c:0⊗c:0", "1*c:1⊗c:2 + -1*c:2⊗c:1")),
     ],
 )
@@ -466,6 +474,21 @@ def test_full_homology_type_d_is_everything():
     bb = bb_for("group_ring:m=3")
     fh = full_homology(bb)
     assert fh.dim == bb.dim
+
+
+def test_full_homology_catches_a_noncentral_homology_element(monkeypatch):
+    # no quadruple here has FH != 0 beside a nonzero coset derivation, so a
+    # mutant shows the centrality check can fail: with the identity as
+    # every pair derivation, FH is the cosets of coefficient sum 0, and the
+    # identity acts on each of them by 2, not 0
+    bb = bb_for("matrix:k=2")
+    ident = SparseMatrix.identity(bb.q.b_space)
+    monkeypatch.setattr(BBQuotient, "pair_derivation", lambda self, lab: ident)
+    with pytest.raises(InternalConsistencyError) as exc:
+        full_homology(bb)
+    assert str(exc.value) == "homology element is not central"
+    lab, f = exc.value.witness
+    assert (lab, repr(f)) == ("m:1,0⊗m:0,1", "1*m:1,0⊗m:0,1 + -1*m:1,1⊗m:1,0")
 
 
 def test_full_homology_matrix_oracle():
@@ -647,11 +670,10 @@ def test_cross_check_uses_derivations_at_second_ell(spec, monkeypatch):
     assert [b.ell for b in seen] == [4, 7]
     bb7 = seen[1]
     assert bb7.relations is bb.relations
-    csp = bb.quotient.coset_space
     differs = False
-    for lab in csp.labels:
+    for lab in bb.quotient.coset_labels:
         x, y = (q.b_space.basis_vector(l) for l in lab)
-        d7 = bb7.derivation_of_coset(csp.basis_vector(lab))
+        d7 = bb7.pair_derivation(lab)
         assert d7 == derivation(q, 7, x, y)
-        differs |= d7 != bb.derivation_of_coset(csp.basis_vector(lab))
+        differs |= d7 != bb.pair_derivation(lab)
     assert differs

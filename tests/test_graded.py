@@ -1059,9 +1059,9 @@ def test_antisymmetry_catches_skipped_pair(config):
     ids=lambda c: " ".join(map(str, c)),
 )
 def test_inner_scale_is_pinned(monkeypatch, config):
-    # kappa doubled in every namespace that reads it changes the brackets
-    # [<k>, e] of the D-part cosets but not the D-part of [e, f]: exhaustive
-    # Jacobi must see it
+    # kappa doubled where it is read changes the brackets [<k>, e] of the
+    # D-part cosets but not the D-part of [e, f]: exhaustive Jacobi must see
+    # it.  coord is the one module that reads kappa
     import rootgraded.coord as coord
 
     real = coord.inner_scale
@@ -1069,9 +1069,8 @@ def test_inner_scale_is_pinned(monkeypatch, config):
         mod for name, mod in sys.modules.items()
         if name.startswith("rootgraded") and getattr(mod, "inner_scale", None) is real
     ]
-    assert coord in readers and graded in readers
-    for mod in readers:
-        monkeypatch.setattr(mod, "inner_scale", lambda qtype, ell: 2 * real(qtype, ell))
+    assert readers == [coord]
+    monkeypatch.setattr(coord, "inner_scale", lambda qtype, ell: 2 * real(qtype, ell))
     family, n, ell, preset = config
     m = build_model(family, n, ell, parse_preset_spec(preset))
     assert verify_jacobi(m, {"kind": "exhaustive_basis"})["status"] == "fail"

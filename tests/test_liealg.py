@@ -107,9 +107,9 @@ def test_weighted_basis_rejects_a_row_mixing_weights():
     g = alg("A", 3)
     mixed = matrix_unit("v:1", "v:2", g.space) + matrix_unit("v:2", "v:1", g.space)
     with pytest.raises(ShapeError):
-        WeightedBasis(g.glsp, g.space, [SparseVector(g.glsp, mixed.entries)])
+        WeightedBasis(g.space, rref([SparseVector(g.glsp, mixed.entries)], g.glsp))
     # a weight basis in another order gives back the same basis, in order
-    again = WeightedBasis(g.glsp, g.space, g.basis_vecs[::-1])
+    again = WeightedBasis(g.space, rref(g.basis_vecs[::-1], g.glsp))
     assert again.basis_vecs == g.basis_vecs
     assert again.weight_of_basis == g.wb.weight_of_basis
 

@@ -21,9 +21,11 @@ PACKAGE = ROOT / "src" / "rootgraded"
 
 # read only by tests: the API the acceptance criteria use, and
 # ``level_coset``, which the level-transition check is to be rebuilt on;
-# criterion 4 reads ``from_matrix`` beside ``action_matrix``
+# criterion 4 reads ``from_matrix`` beside ``action_matrix``, criterion 5
+# ``bracket_cosets``
 TEST_API = {
     "action_matrix",
+    "bracket_cosets",
     "from_matrix",
     "derivation_span_equals_oB",
     "expected_dimension",
