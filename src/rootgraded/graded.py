@@ -533,15 +533,17 @@ class GradedModel:
         """Rows [e, f] for all basis pairs e < f with e of kind k1 and f of
         kind k2, evaluated from the family's terms.  Each factor is computed
         once per matrix-side pair (i <= j within a kind) and once per
-        coordinate-side pair.  The product ops are evaluated only on the
-        pairs whose supports meet (``_partners``), all of them on the two
-        products xy and yx formed once per pair; the other ops on every
-        pair.  The products are entry dicts, formed by ``_product`` from
-        the row and column maps the block builds once per matrix.  With
-        ``swap`` every factor is evaluated on swapped arguments, mat(y, x)
-        or the products (yx, xy), and coord(a', a), so the row stored at
-        (e, f) is [f, e].  ``keep`` receives each term's matrix-side factors
-        under (k1 + k2, target, mat).  Rows are summed at ``denom`` times
+        coordinate-side pair, the coordinate factors first: a term with
+        none is dead, and its matrix side is skipped.  The product ops are
+        evaluated only on the pairs whose supports meet (``_partners``),
+        all of them on the two products xy and yx formed once per pair when
+        some product term is live; the other ops on every pair.  The
+        products are entry dicts, formed by ``_product`` from the row and
+        column maps the block builds once per matrix.  With ``swap`` every
+        factor is evaluated on swapped arguments, mat(y, x) or the products
+        (yx, xy), and coord(a', a), so the row stored at (e, f) is [f, e].
+        ``keep`` receives each term's matrix-side factors under (k1 + k2,
+        target, mat), {} for a dead term.  Rows are summed at ``denom`` times
         their value, ``denom`` clearing the denominators of the term scales,
         and divided once per entry at the end: integral factors cost int
         arithmetic only, and an integral quotient stays an int."""
@@ -549,8 +551,17 @@ class GradedModel:
         off2, w2, mats2, coords2 = self._kinds[k2][:4]
         same = k1 == k2
         terms = TERMS[self.family].get(k1 + k2, ())
+        coords = []
+        for term in terms:
+            read = self._kinds[term.target].read_coord
+            coords.append([
+                (p, t, list(f.items()))
+                for p, a in enumerate(coords1)
+                for t, b in enumerate(coords2)
+                if (f := read(term.coord(self, b, a) if swap else term.coord(self, a, b)))
+            ])
         products = {}
-        if any(term.mat in _PRODUCTS for term in terms):
+        if any(coord and term.mat in _PRODUCTS for term, coord in zip(terms, coords)):
             rows1, cols1 = _entry_maps(mats1)
             rows2, cols2 = (rows1, cols1) if same else _entry_maps(mats2)
             support = self._kinds[k2].support
@@ -561,29 +572,21 @@ class GradedModel:
                         products[i, j] = (yx, xy) if swap else (xy, yx)
         denom = lcm(*(term.scale.denominator for term in terms))
         rows: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for term in terms:
-            off_t, w_t, _mats, _coords, mat_coords, coord_coords = self._kinds[term.target][:6]
+        for term, coord in zip(terms, coords):
+            off_t, w_t, _mats, _coords, mat_coords = self._kinds[term.target][:5]
             mat = {}
-            if term.mat in _PRODUCTS:
+            if coord and term.mat in _PRODUCTS:
                 for ij, (p1, p2) in products.items():
                     f = mat_coords(term.mat(self, p1, p2))
                     if f:
                         mat[ij] = f
-            else:
+            elif coord:
                 for i, x in enumerate(mats1):
                     for j in range(i if same else 0, len(mats2)):
                         y = mats2[j]
                         f = mat_coords(term.mat(self, y, x) if swap else term.mat(self, x, y))
                         if f:
                             mat[i, j] = f
-            coord = []
-            for p, a in enumerate(coords1):
-                for t, b in enumerate(coords2):
-                    f = coord_coords(
-                        term.coord(self, b, a) if swap else term.coord(self, a, b)
-                    )
-                    if f:
-                        coord.append((p, t, list(f.items())))
             if keep is not None:
                 keep[k1 + k2, term.target, term.mat] = mat
             mult = scalar(term.scale * denom)
@@ -728,57 +731,74 @@ def verify_antisymmetry(m: GradedModel) -> dict:
     }
 
 
-def _adjacency(m: GradedModel) -> tuple[list, list, list]:
+def _adjacency(m: GradedModel) -> tuple[list, list]:
     """The table as ``_anchor_defects`` reads it, built per call from
-    ``sorted(m.table)``.  For each index a: its neighbours b, ascending,
-    beside the rows of [x_a, x_b] (+row if b > a, else -row) times the lcm
-    of all denominators; and the pairs j < k whose row holds x_a at c, as
-    parallel lists (j, k, c) in (j, k) order."""
+    ``sorted(m.table)`` with every coefficient times the lcm of all
+    denominators, as flat int lists.  For each index a: the nonzero entries
+    of [x_a, x_y] as parallel lists (y, idx, c), ascending in y (a pair
+    (a, b) adds its row at a and minus its row at b, and the pairs (y, a)
+    with y < a sort before the pairs (a, z)); and the pairs j < k whose row
+    holds x_a at c, as parallel lists ((j * dim + k) * dim, c) in (j, k)
+    order."""
+    dim = m.dim
     denom = lcm(*{c.denominator for row in m.table.values() for c in row.values()})
-    near, rows = [[] for _ in range(m.dim)], [[] for _ in range(m.dim)]
-    reverse = [([], [], []) for _ in range(m.dim)]
+    near = [([], [], []) for _ in range(dim)]
+    reverse = [([], []) for _ in range(dim)]
     for (a, b), row in sorted(m.table.items()):
-        irow = {idx: c.numerator * (denom // c.denominator) for idx, c in row.items()}
-        for x, y in ((a, b), (b, a)):
-            near[x].append(y)
-            rows[x].append(irow)
-        for idx, c in irow.items():
-            for part, v in zip(reverse[idx], (a, b, c)):
-                part.append(v)
-    return near, rows, reverse
+        base = (a * dim + b) * dim
+        ya, ia, ca = near[a]
+        yb, ib, cb = near[b]
+        for idx, c in row.items():
+            c = c.numerator * (denom // c.denominator)
+            ya.append(b)
+            ia.append(idx)
+            ca.append(c)
+            yb.append(a)
+            ib.append(idx)
+            cb.append(-c)
+            bases, vals = reverse[idx]
+            bases.append(base)
+            vals.append(c)
+    return near, reverse
 
 
 def _anchor_defects(adj, i: int) -> dict[tuple[int, int], dict[int, int]]:
     """{(j, k): integer coordinates of the nonzero [x_i, [x_j, x_k]] +
     [x_j, [x_k, x_i]] + [x_k, [x_i, x_j]]} for i < j < k (a repeated index
-    gives zero, as a pair's two directions share one row).  Each term walks
-    the nonzero brackets it is built from, over ranges found by bisection:
-    the first the pairs that hold a neighbour of i, the others, read as
-    -[x_j, [x_i, x_k]] and -[[x_i, x_j], x_k], the neighbours x > i of i."""
-    near, rows, reverse = adj
+    gives zero, as a pair's two directions hold a row and its negative).
+    Each term walks the nonzero brackets it is built from, over ranges
+    found by bisection: the first the pairs j > i that hold a neighbour of
+    i, the others, read as -[x_j, [x_i, x_k]] and -[[x_i, x_j], x_k], the
+    neighbours x > i of i.  Each walk is one zip over slices of the flat
+    lists."""
+    near, reverse = adj
     dim = len(near)
     out: dict[int, int] = {}  # key (j * dim + k) * dim + idx
     get = out.get
-    for mid, row in zip(near[i], rows[i]):
-        js, ks, cs = reverse[mid]
-        for t in range(bisect_left(js, i + 1), len(js)):
-            base, mult = (js[t] * dim + ks[t]) * dim, cs[t] if mid > i else -cs[t]
-            for idx, v in row.items():
-                out[base + idx] = get(base + idx, 0) + mult * v
-    start = bisect_left(near[i], i)
-    for x, row in zip(near[i][start:], rows[i][start:]):
-        for mid, c in row.items():
-            mnear, mrows = near[mid], rows[mid]
-            # k = x: -[x_j, x_mid] c = [x_mid, x_j] c for i < j < x
-            for t in range(bisect_left(mnear, i + 1), bisect_left(mnear, x)):
-                base, mult = (mnear[t] * dim + x) * dim, c if mnear[t] > mid else -c
-                for idx, v in mrows[t].items():
-                    out[base + idx] = get(base + idx, 0) + mult * v
-            # j = x: -[x_mid, x_k] c for k > x
-            for t in range(bisect_right(mnear, x), len(mnear)):
-                base, mult = (x * dim + mnear[t]) * dim, -c if mnear[t] > mid else c
-                for idx, v in mrows[t].items():
-                    out[base + idx] = get(base + idx, 0) + mult * v
+    ys, idxs, cs = near[i]
+    dd = dim * dim
+    first = (i + 1) * dd
+    for mid, idx, v in zip(ys, idxs, cs):
+        bases, rcs = reverse[mid]
+        t = bisect_left(bases, first)
+        for base, c in zip(bases[t:], rcs[t:]):
+            key = base + idx
+            out[key] = get(key, 0) + c * v
+    start = bisect_right(ys, i)
+    for x, mid, c in zip(ys[start:], idxs[start:], cs[start:]):
+        mys, midxs, mcs = near[mid]
+        # k = x: -[x_j, x_mid] c = [x_mid, x_j] c for i < j < x
+        lo, hi = bisect_left(mys, i + 1), bisect_left(mys, x)
+        xd = x * dim
+        for j, idx, v in zip(mys[lo:hi], midxs[lo:hi], mcs[lo:hi]):
+            key = j * dd + xd + idx
+            out[key] = get(key, 0) + c * v
+        # j = x: -[x_mid, x_k] c for k > x
+        lo = bisect_right(mys, x, hi)
+        xbase, c = x * dd, -c
+        for k, idx, v in zip(mys[lo:], midxs[lo:], mcs[lo:]):
+            key = xbase + k * dim + idx
+            out[key] = get(key, 0) + c * v
     defects: dict[tuple[int, int], dict[int, int]] = {}
     for key, v in out.items():
         if v:
@@ -1009,15 +1029,17 @@ class SubModel:
         basis_rows: list[dict[int, Fraction]] = [
             {i: 1} for i in self.nonzero_indices
         ] + [r.entries for r in self.zero_part.rows]
+        # each basis index's weight, classified once: 0 zero, 1 in S, 2 other
+        where = [0 if w.is_zero() else 1 if w in self.s_roots else 2 for w in m.weight_of]
         for a_pos, xa in enumerate(basis_rows):
             for xb in basis_rows[a_pos:]:
                 acc = m.bracket(xa, xb)
                 zero_piece: dict[int, Fraction] = {}
                 for idx, c in acc.items():
-                    w = m.weight_of[idx]
-                    if w.is_zero():
+                    if where[idx] == 0:
                         zero_piece[idx] = c
-                    elif w not in self.s_roots:
+                    elif where[idx] == 2:
+                        w = m.weight_of[idx]
                         closure_fail.append(f"bracket leaves S at weight {root_str(w)}")
                         zero_piece = None
                         break
@@ -1031,15 +1053,8 @@ class SubModel:
             _check("subalgebra closed under bracket", not closure_fail, closure_fail)
         )
         # grading pair: G^S root spaces present for the semi-divisible part
-        s_sdiv = {
-            r
-            for r in self.s_roots
-            if r.scale(2) not in self.s_roots
-        }
-        missing = []
-        for alpha in s_sdiv:
-            if alpha not in m.G.root_space_index:
-                missing.append(root_str(alpha))
+        s_sdiv = {r for r in self.s_roots if r.scale(2) not in self.s_roots}
+        missing = [root_str(alpha) for alpha in s_sdiv if alpha not in m.G.root_space_index]
         checks.append(
             _check(
                 "grading pair root spaces present (S semi-divisible part)",

@@ -154,22 +154,6 @@ def generate(family: str, n: int) -> RootSystem:
     return RootSystem(family, n, roots)
 
 
-def coroot_pairing(beta: Root, alpha: Root) -> int:
-    """<beta, alpha^vee> = 2(beta, alpha)/(alpha, alpha); exact, must be integral."""
-    if alpha.is_zero():
-        raise ValueError("alpha must be nonzero")
-    num = 2 * beta.dot(alpha)
-    den = alpha.norm()
-    if num % den:
-        raise ValueError(f"non-integral pairing <{beta}, {alpha}^> = {num}/{den}")
-    return num // den
-
-
-def reflect(alpha: Root, beta: Root) -> Root:
-    """s_alpha(beta) = beta - <beta, alpha^vee> alpha."""
-    return beta - alpha.scale(coroot_pairing(beta, alpha))
-
-
 def classify_lengths(system: RootSystem) -> dict[Root, str]:
     """Partition of the nonzero roots into short / long / extra-long."""
     nz = system.nonzero()
@@ -199,6 +183,30 @@ def semidivisible(system: RootSystem) -> RootSystem:
     return RootSystem(family, system.n, kept)
 
 
+def _reflection_faults(roots: Iterable[Root]):
+    """Yield a message for each pair (a, b) of ``roots``, a nonzero, whose
+    pairing <b, a^vee> = 2(b, a)/(a, a) is not integral or whose reflection
+    s_a(b) = b - <b, a^vee> a is not in ``roots``; on raw coordinate dicts,
+    so that no Root is built or hashed unless a message names it."""
+    roots = list(roots)
+    keys = {r.key() for r in roots}
+    for a in roots:
+        ca = a.coords
+        norm_a = sum(c * c for c in ca.values())
+        if not norm_a:
+            continue
+        for b in roots:
+            cb = b.coords
+            num = 2 * sum(c * cb.get(i, 0) for i, c in ca.items())
+            if num % norm_a:
+                yield f"non-integral pairing <{b}, {a}^>"
+                continue
+            k = num // norm_a
+            image = {i: cb.get(i, 0) - k * ca.get(i, 0) for i in ca.keys() | cb.keys()}
+            if tuple(sorted((i, v) for i, v in image.items() if v)) not in keys:
+                yield f"reflection s_{a}({b}) leaves the system"
+
+
 def validate_root_system(system: RootSystem) -> list[str]:
     """Check the root-system axioms; returns human-readable failures."""
     failures = []
@@ -207,28 +215,7 @@ def validate_root_system(system: RootSystem) -> list[str]:
     for r in system.roots:
         if -r not in system.roots:
             failures.append(f"not closed under negation at {r}")
-    # reflection closure and integral pairings on raw coordinate tuples
-    key_set = {r.key(): r for r in system.roots}
-    nonzero = [(r, r.norm(), dict(r.coords)) for r in system.roots if not r.is_zero()]
-    for a, norm_a, ca in nonzero:
-        for b in system.roots:
-            cb = b.coords
-            num = 2 * sum(c * cb.get(i, 0) for i, c in ca.items())
-            if num % norm_a:
-                failures.append(f"non-integral pairing <{b}, {a}^>")
-                continue
-            k = num // norm_a
-            refl = dict(cb)
-            if k:
-                for i, c in ca.items():
-                    v = refl.get(i, 0) - k * c
-                    if v:
-                        refl[i] = v
-                    else:
-                        refl.pop(i, None)
-            if tuple(sorted(refl.items())) not in key_set:
-                failures.append(f"reflection s_{a}({b}) leaves the system")
-    return failures
+    return failures + list(_reflection_faults(system.roots))
 
 
 def is_full_subsystem(subset: Iterable[Root], system: RootSystem) -> bool:
@@ -236,15 +223,8 @@ def is_full_subsystem(subset: Iterable[Root], system: RootSystem) -> bool:
     sub = set(subset)
     if not sub <= system.roots:
         raise ValueError("subset is not contained in the root system")
-    if Root.zero() not in sub:
+    if Root.zero() not in sub or next(_reflection_faults(sub), None):
         return False
-    for a in sub:
-        if a.is_zero():
-            continue
-        for b in sub:
-            if reflect(a, b) not in sub:
-                return False
-    #
 
     # span check: a root of the ambient system lying in span(sub) must be in sub
     indices = sorted({i for r in sub for i in r.coords})

@@ -18,7 +18,7 @@ from rootgraded.coord import (
     parse_preset_spec,
     validate_quadruple,
 )
-from rootgraded.exactla import BasedSpace, q_str
+from rootgraded.exactla import BasedSpace, SparseVector, q_str
 from rootgraded.graded import (
     ModelError,
     build_model,
@@ -241,11 +241,20 @@ def _naive_jacobi(m):
 def _mutated_model(config, seed, mutation):
     """A fresh model whose ``table`` has one coefficient flipped or tripled,
     or a zero bracket given the value of a nonzero one (appended last, out
-    of index order)."""
+    of index order); or, for the ``fraction_*`` mutations, its first
+    non-integral coefficient in table order flipped or divided by 3."""
     m = build_model(*config[:3], parse_preset_spec(config[3]))
     rng = random.Random(seed)
     a, b = rng.choice(sorted(m.table))
-    if mutation == "insert":
+    if mutation.startswith("fraction"):
+        (a, b), idx = next(
+            (key, idx)
+            for key, row in sorted(m.table.items())
+            for idx in sorted(row)
+            if type(row[idx]) is not int
+        )
+        m.table[a, b][idx] *= -1 if mutation == "fraction_flip" else Q(1, 3)
+    elif mutation == "insert":
         zero = [(c, d) for c in range(m.dim) for d in range(c + 1, m.dim) if (c, d) not in m.table]
         c, d = rng.choice(zero)
         m.table[c, d] = dict(m.table[a, b])
@@ -282,6 +291,14 @@ def test_exhaustive_jacobi_matches_naive_on_mutants(config, seed, mutation):
         for (j, k), defect in graded._anchor_defects(adj, i).items()
     }
     assert found == {ijk: w["defect_indices"] for _, ijk, w in bad}
+
+
+@pytest.mark.parametrize("mutation", ["fraction_flip", "fraction_third"])
+def test_exhaustive_jacobi_matches_naive_on_a_fraction_mutant(mutation):
+    # a fault on a coefficient of 1/2, one of 20 among 858 entries: the
+    # flat lists hold it as an integer over the lcm of the denominators,
+    # which dividing by 3 moves from 2 to 6
+    test_exhaustive_jacobi_matches_naive_on_mutants(("BC", 5, 4, "symplectic:m=2"), 0, mutation)
 
 
 @MUTANT_CONFIGS
@@ -497,6 +514,32 @@ def test_subsystem_closure_fails_on_a_stray_index(config):
     finally:
         m.table = table
     assert status["subalgebra closed under bracket"] == "fail"
+    assert sub.verify()["status"] == "pass"
+
+
+@pytest.mark.parametrize("config", FAULT_MODELS, ids=lambda c: " ".join(map(str, c)))
+def test_subsystem_closure_fails_on_an_escaping_zero_weight_index(config):
+    # a zero-weight basis index outside the subalgebra's zero part added to
+    # the bracket of two elements of S: the zero-weight part escapes
+    m = model(*config)
+    sub = subalgebra(m, generate(m.family, m.n - 1).nonzero())
+    a, b = sub.nonzero_indices[:2]
+    escaping = next(
+        i
+        for i, w in enumerate(m.weight_of)
+        if w.is_zero() and not sub.zero_part.contains(SparseVector(sub.zero_space, {i: 1}))
+    )
+    table = m.table
+    try:
+        m.table = dict(table)
+        m.table[a, b] = {**table.get((a, b), {}), escaping: Q(1)}
+        checks = {c["name"]: c for c in sub.verify()["checks"]}
+    finally:
+        m.table = table
+    closure = checks["subalgebra closed under bracket"]
+    assert closure["status"] == "fail"
+    assert closure["witnesses"] == ["zero-weight part escapes the subalgebra"]
+    assert checks["grading pair root spaces present (S semi-divisible part)"]["status"] == "pass"
     assert sub.verify()["status"] == "pass"
 
 

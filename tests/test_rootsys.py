@@ -10,14 +10,28 @@ from rootgraded.rootsys import (
     RootSystem,
     classify_lengths,
     connected_components,
-    coroot_pairing,
     generate,
     is_full_subsystem,
-    reflect,
     root_str,
     semidivisible,
     validate_root_system,
 )
+
+
+def coroot_pairing(beta: Root, alpha: Root) -> int:
+    """<beta, alpha^vee> = 2(beta, alpha)/(alpha, alpha); exact, must be integral."""
+    if alpha.is_zero():
+        raise ValueError("alpha must be nonzero")
+    num = 2 * beta.dot(alpha)
+    den = alpha.norm()
+    if num % den:
+        raise ValueError(f"non-integral pairing <{beta}, {alpha}^> = {num}/{den}")
+    return num // den
+
+
+def reflect(alpha: Root, beta: Root) -> Root:
+    """s_alpha(beta) = beta - <beta, alpha^vee> alpha."""
+    return beta - alpha.scale(coroot_pairing(beta, alpha))
 
 
 def count_oracle(family: str, n: int) -> int:
@@ -75,6 +89,46 @@ def test_reflection_closure_and_integrality(family, n, data):
     b = data.draw(st.sampled_from(sorted(system.roots)))
     assert reflect(a, b) in system.roots
     assert isinstance(coroot_pairing(b, a), int)
+
+
+def _axiom_faults(system: RootSystem) -> list[str]:
+    """The failures ``validate_root_system`` names, found root by root with
+    ``reflect``, in the order it names them."""
+    out = [] if Root.zero() in system.roots else ["zero root missing"]
+    out += [f"not closed under negation at {r}" for r in system.roots if -r not in system.roots]
+    for a in system.roots:
+        if a.is_zero():
+            continue
+        for b in system.roots:
+            try:
+                image = reflect(a, b)
+            except ValueError:
+                out.append(f"non-integral pairing <{b}, {a}^>")
+                continue
+            if image not in system.roots:
+                out.append(f"reflection s_{a}({b}) leaves the system")
+    return out
+
+
+@pytest.mark.parametrize(
+    "roots",
+    [
+        # B2 without e1: neither negation- nor reflection-closed
+        generate("B", 2).roots - {Root.eps(1)},
+        # (e1, e1+e2+e3) has pairing 2/3
+        [Root.zero(), Root.eps(1), Root.eps(1, -1), Root({1: 1, 2: 1, 3: 1}), Root({1: -1, 2: -1, 3: -1})],
+        # no zero root
+        generate("A", 3).roots - {Root.zero()},
+    ],
+    ids=["missing-root", "non-integral", "no-zero"],
+)
+def test_validate_root_system_names_each_fault(roots):
+    system = RootSystem("B", 3, roots)
+    faults = validate_root_system(system)
+    assert faults and faults == _axiom_faults(system)
+    # a set that fails the reflection axioms is no full subsystem of itself
+    if "zero root missing" not in faults:
+        assert not is_full_subsystem(system.roots, system)
 
 
 def test_classify_lengths_bc2():
