@@ -226,7 +226,10 @@ def inner_scale(qtype: str, ell: int) -> Fraction:
     """kappa: for types A, C and BC the derivation d^ell_{x,y} is the inner
     derivation of kappa beta*(x, y), less the f-term for BC.  kappa is
     1/(ell + 1) = 1/m0 for A and 1/(2 ell) for C and BC.  B and D have no
-    inner part (beta* vanishes on their commutative coordinates): 0."""
+    inner part (beta* vanishes on their commutative coordinates): 0.  Every
+    path to kappa comes here, so a level below 1 is refused here only."""
+    if ell < 1:
+        raise ValueError(f"the level ell must be a positive integer, got {ell}")
     if qtype == "A":
         return Q(1, ell + 1)
     if qtype in ("C", "BC"):
@@ -251,8 +254,6 @@ def derivation(
     z where the caller has it already.  For B it is the Jordan derivation
     [L_a2, L_a1]; for D it is 0.
     """
-    if ell < 1:
-        raise ValueError("ell must be a positive integer")
     cols: dict[tuple[str, str], Fraction] = {}
 
     def add_col(lab: str, vec: SparseVector):

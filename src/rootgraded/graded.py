@@ -3,8 +3,8 @@
 The model is the direct sum of tensor components (G (x) A), (S (x) B),
 (V (x) C) and the quotient {b,b}_ell / K, with the family's full bracket
 table.  Structure constants over the assembled basis are computed once,
-exactly, and every verification (antisymmetry, Jacobi, grading axioms,
-subsystem closure, level transitions) runs off that table.
+exactly; the Jacobi, grading, subsystem and level-transition checks run
+off that table, and antisymmetry is proved from the terms' parities.
 
 Levels: the parameter ``ell`` is always the level parameter of the
 derivations; the induced index-subset size is m0 = ell for families
@@ -42,7 +42,6 @@ from .exactla import (
     SparseVector,
     add_scaled,
     label_text,
-    q_str,
     rref,
     scalar,
 )
@@ -103,9 +102,8 @@ class Term(NamedTuple):
 
 # matrix side.  Each op returns an entry dict, {(row, col): value} of a
 # matrix or {label: value} of a natural-module vector, or a scalar.  The
-# product ops read the pair's two products (xy, yx) as entry dicts, so the
-# swapped pair is (yx, xy); both vanish unless the supports of x and y
-# meet.  The other ops read the pair (x, y) itself.
+# product ops read the pair's two products (xy, yx) as entry dicts; both
+# vanish unless the supports of x and y meet.  The other ops read (x, y).
 
 
 def _lie(m, xy, yx):
@@ -135,7 +133,8 @@ def _circ(m, xy, yx):
     return out
 
 
-_PRODUCTS = (_lie, _circ, _jordan, _trace)
+# each product op's sign when x and y swap, (xy, yx) -> (yx, xy); a test pins it
+_PRODUCTS = {_lie: -1, _circ: 1, _jordan: 1, _trace: 1}
 
 
 def _act(m, x, u):
@@ -529,7 +528,7 @@ class GradedModel:
 
     # -- bracket table ------------------------------------------------------
 
-    def _block(self, k1: str, k2: str, swap: bool = False, keep=None) -> dict:
+    def _block(self, k1: str, k2: str, keep: dict) -> dict:
         """Rows [e, f] for all basis pairs e < f with e of kind k1 and f of
         kind k2, evaluated from the family's terms.  Each factor is computed
         once per matrix-side pair (i <= j within a kind) and once per
@@ -539,14 +538,12 @@ class GradedModel:
         all of them on the two products xy and yx formed once per pair when
         some product term is live; the other ops on every pair.  The
         products are entry dicts, formed by ``_product`` from the row and
-        column maps the block builds once per matrix.  With ``swap`` every
-        factor is evaluated on swapped arguments, mat(y, x) or the products
-        (yx, xy), and coord(a', a), so the row stored at (e, f) is [f, e].
-        ``keep`` receives each term's matrix-side factors under (k1 + k2,
-        target, mat), {} for a dead term.  Rows are summed at ``denom`` times
-        their value, ``denom`` clearing the denominators of the term scales,
-        and divided once per entry at the end: integral factors cost int
-        arithmetic only, and an integral quotient stays an int."""
+        column maps the block builds once per matrix.  ``keep`` receives
+        each term's matrix-side factors under (k1 + k2, target, mat), {}
+        for a dead term.  Rows are summed at ``denom`` times their value,
+        ``denom`` clearing the denominators of the term scales, and divided
+        once per entry at the end: integral factors cost int arithmetic
+        only, and an integral quotient stays an int."""
         off1, w1, mats1, coords1 = self._kinds[k1][:4]
         off2, w2, mats2, coords2 = self._kinds[k2][:4]
         same = k1 == k2
@@ -558,7 +555,7 @@ class GradedModel:
                 (p, t, list(f.items()))
                 for p, a in enumerate(coords1)
                 for t, b in enumerate(coords2)
-                if (f := read(term.coord(self, b, a) if swap else term.coord(self, a, b)))
+                if (f := read(term.coord(self, a, b)))
             ])
         products = {}
         if any(coord and term.mat in _PRODUCTS for term, coord in zip(terms, coords)):
@@ -568,8 +565,7 @@ class GradedModel:
             for i, x in enumerate(mats1):
                 for j in sorted(_partners(x, support)):
                     if j >= i or not same:
-                        xy, yx = _product(cols1[i], rows2[j]), _product(cols2[j], rows1[i])
-                        products[i, j] = (yx, xy) if swap else (xy, yx)
+                        products[i, j] = _product(cols1[i], rows2[j]), _product(cols2[j], rows1[i])
         denom = lcm(*(term.scale.denominator for term in terms))
         rows: dict[tuple[int, int], dict[int, Fraction]] = {}
         for term, coord in zip(terms, coords):
@@ -583,12 +579,10 @@ class GradedModel:
             elif coord:
                 for i, x in enumerate(mats1):
                     for j in range(i if same else 0, len(mats2)):
-                        y = mats2[j]
-                        f = mat_coords(term.mat(self, y, x) if swap else term.mat(self, x, y))
+                        f = mat_coords(term.mat(self, x, mats2[j]))
                         if f:
                             mat[i, j] = f
-            if keep is not None:
-                keep[k1 + k2, term.target, term.mat] = mat
+            keep[k1 + k2, term.target, term.mat] = mat
             mult = scalar(term.scale * denom)
             for (i, j), mf in mat.items():
                 e0, f0 = off1 + i * w1, off2 + j * w2
@@ -626,7 +620,7 @@ class GradedModel:
         rows = {}
         kept = {}
         for pair in TERMS[self.family]:
-            rows.update(self._block(pair[0], pair[1], keep=kept))
+            rows.update(self._block(pair[0], pair[1], kept))
         self.table = dict(sorted(rows.items()))
         # coordinates of [x_i, x_j] in G for i <= j, read by the grading check
         self._g_lie = kept.get(("gg", "g", _lie), {})
@@ -689,45 +683,49 @@ def derivation_span_equals_oB(n: int) -> tuple[bool, int, int]:
 # verification suites
 
 
-def verify_antisymmetry(m: GradedModel) -> dict:
-    """Exhaustive check of [f, e] = -[e, f] over same-kind basis pairs.
+def _parity(m: GradedModel, objs: list, op: Callable, read: Callable, sign=0) -> tuple:
+    """(s, None) when read(op(y, x)) = s * read(op(x, y)) for all x, y in
+    ``objs``, s being ``sign`` unless a pair with op nonzero decides it;
+    (None, [i, j]) for the first pair, i <= j, that rules out every sign."""
+    for i, x in enumerate(objs):
+        for j in range(i, len(objs)):
+            xy, yx = read(op(m, x, objs[j])), read(op(m, objs[j], x))
+            if xy or yx:
+                s = 1 if yx == xy else -1 if yx == {k: -c for k, c in xy.items()} else None
+                if s is None or sign == -s:
+                    return None, [i, j]
+                sign = s
+    return sign, None
 
-    The reversed brackets are evaluated from the family's terms on swapped
-    arguments and compared with ``table`` pair by pair; they are never read
-    off the table.  Cross-kind pairs are stored once, in basis order, so
-    their reversal is structural.
-    """
+
+def verify_antisymmetry(m: GradedModel) -> dict:
+    """[f, e] = -[e, f] for all basis pairs, by the parity lemma (README): a
+    same-kind term whose factors change by opposite signs when the arguments
+    swap, or that has one identically 0, is antisymmetric; cross-kind pairs
+    are stored once.  The product ops' signs are given (``_PRODUCTS``), each
+    other factor's is found by ``_parity`` at each run; the table is unread.
+    A witness: block, term index, factor, and the pair of objects breaking it."""
     failures = []
     checked = 0
-    for kind, (off, width, mats, *_readers) in m._kinds.items():
+    for kind, (_off, width, mats, coords, *_readers) in m._kinds.items():
         size = len(mats) * width
         checked += size * (size - 1) // 2
-        end = off + size
-        backward = m._block(kind, kind, swap=True)
-        forward = [key for key in m.table if off <= key[0] and key[1] < end]
-        for key in sorted(backward.keys() | forward):
-            row, back = m.table.get(key, {}), backward.get(key, {})
-            if back == {idx: -c for idx, c in row.items()}:
-                continue
-            mismatch = dict(row)
-            add_scaled(mismatch, back)
-            if mismatch:
-                failures.append(
-                    {
-                        "pair": [m.basis_label(key[0]), m.basis_label(key[1])],
-                        "defect": {str(k): q_str(c) for k, c in mismatch.items()},
-                    }
-                )
-                if len(failures) >= 5:
-                    break
-        if len(failures) >= 5:
-            break
+        for t, term in enumerate(TERMS[m.family].get(kind + kind, ())):
+            target = m._kinds[term.target]
+            factor, sign, pair = "mat", _PRODUCTS.get(term.mat), None
+            if sign is None:
+                sign, pair = _parity(m, mats, term.mat, target.read_mat)
+            if sign:
+                factor = "coord"
+                sign, pair = _parity(m, coords, term.coord, target.read_coord, -sign)
+            if sign is None:
+                failures.append({"block": kind + kind, "term": t, "factor": factor, "pair": pair})
     return {
         "name": "antisymmetry",
         "status": "pass" if not failures else "fail",
         "pairs_checked": checked,
         "pairs_structural": m.dim * (m.dim - 1) // 2 - checked,
-        "witnesses": failures,
+        "witnesses": failures[:5],
     }
 
 

@@ -463,6 +463,38 @@ def test_cross_ell_equal_to_the_model_ell_exits_2(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv,level",
+    [
+        (("fh", "--preset", "matrix_transpose:k=2", "--ell", "0"), 0),
+        (("fh", "--preset", "matrix_hermitian:k=2,m=2", "--ell", "0"), 0),
+        (("fh", "--preset", "matrix:k=2", "--ell", "-1"), -1),
+        (("fh", "--preset", "group_ring:m=3", "--ell", "0"), 0),
+        (
+            (
+                "verify", "--family", "C", "--n", "6", "--ell", "0", "--override-bounds",
+                "--preset", "matrix_transpose:k=2", "--seed", "1",
+            ),
+            0,
+        ),
+        (
+            (
+                "verify", "--family", "C", "--n", "5", "--ell", "5", "--samples", "0",
+                "--preset", "matrix_transpose:k=2", "--suite", "uniform", "--cross-ell", "0",
+            ),
+            0,
+        ),
+    ],
+    ids=["fh C", "fh BC", "fh A", "fh D", "verify ell", "verify cross-ell"],
+)
+def test_level_below_one_exits_2(capsys, argv, level):
+    # kappa is 1/(ell + 1) or 1/(2 ell): a level below 1, the model's or the
+    # uniform suite's cross-check level, is bad input and not a failed check
+    code, err = run_cli_err(capsys, *argv)
+    assert code == 2
+    assert err == f"error: the level ell must be a positive integer, got {level}\n"
+
+
 def test_uniform_report_names_the_level_cross_checked(capsys, monkeypatch):
     # the report's cross_ell is the level check_uniform cross-checked at
     import rootgraded.cli as cli

@@ -725,10 +725,10 @@ def test_type_b_derivations_kill_the_a_part(monkeypatch, spec):
     monkeypatch.setitem(
         graded.TERMS["B"], "gd", (graded.Term("g", graded._first, graded._deriv, -1),)
     )
-    assert m._block("g", "d") == {}
+    assert m._block("g", "d", {}) == {}
     if spec == "dual_clifford":
         # A is 2-dimensional and the D-part acts on S (x) B: not vacuous
-        assert len(m.a_basis) == 2 and m.dpart.dim == 2 and m._block("s", "d")
+        assert len(m.a_basis) == 2 and m.dpart.dim == 2 and m._block("s", "d", {})
 
 
 def _basis_key(m, i):
@@ -968,25 +968,49 @@ def test_bracket_and_level_coset_return_stored_scalars():
     assert lc and all(_is_stored_scalar(c) for c in lc.values())
 
 
+def _d_uw_at_first(m, u, w):
+    """D_{u, e} for the first natural-module vector e: no parity in (u, w)."""
+    return graded._d_uw(m, u, m._kinds["s"].mats[0])
+
+
+_A_GG = ("A", 6, 5, "matrix:k=2", "gg")
+
+
 @pytest.mark.parametrize(
-    "term,field,op",
+    "config,term,field,op,factor,pair",
     [
         # [x, y] (x) (a a' + a' a) becomes (x o y) (x) (a a' + a' a)
-        (0, "mat", graded._circ),
+        pytest.param(_A_GG, 0, "mat", graded._circ, "coord", [0, 0], id="0-mat-_circ"),
         # (x o y) (x) (a a' - a' a) becomes (x o y) (x) (a a' + a' a)
-        (1, "coord", graded._circle),
+        pytest.param(_A_GG, 1, "coord", graded._circle, "coord", [0, 0], id="1-coord-_circle"),
+        # [x, y] (x) (a a' + a' a) becomes [x, y] (x) a a', of no parity on
+        # the noncommutative matrix:k=2
+        pytest.param(_A_GG, 0, "coord", graded._prod, "coord", [0, 1], id="A-gg-0-coord-_prod"),
+        # (u, w) (x) {c, c'} on V (x) C becomes 1 (x) {c, c'}: the symplectic
+        # form is antisymmetric, so {c, c'} is symmetric on C, and so is 1
+        pytest.param(
+            ("BC", 4, 4, "symplectic:m=2", "vv"), 2, "mat", graded._one, "coord", [0, 0],
+            id="BC-vv-2-mat-_one",
+        ),
+        # D_{u,w} (x) b b' on S (x) B becomes D_{u,e} (x) b b'
+        pytest.param(
+            ("B", 5, 5, "clifford:d=2", "ss"), 0, "mat", _d_uw_at_first, "mat", [0, 1],
+            id="B-ss-0-mat-_d_uw_at_first",
+        ),
     ],
 )
-def test_antisymmetry_fails_on_symmetric_term(monkeypatch, term, field, op):
-    # build and check read the same terms; a term whose two factors are both
-    # symmetric under swapping the arguments must be caught
-    terms = list(graded.TERMS["A"]["gg"])
+def test_antisymmetry_fails_on_symmetric_term(monkeypatch, config, term, field, op, factor, pair):
+    # a term whose two factors are both symmetric under swapping the
+    # arguments, or one of whose factors has no parity, must be caught, and
+    # the witness names the block, the term, the factor and the pair
+    family, n, ell, preset, block = config
+    terms = list(graded.TERMS[family][block])
     terms[term] = terms[term]._replace(**{field: op})
-    monkeypatch.setitem(graded.TERMS["A"], "gg", tuple(terms))
-    m = build_model("A", 6, 5, parse_preset_spec("matrix:k=2"))
+    monkeypatch.setitem(graded.TERMS[family], block, tuple(terms))
+    m = build_model(family, n, ell, parse_preset_spec(preset))
     r = verify_antisymmetry(m)
     assert r["status"] == "fail"
-    assert r["witnesses"]
+    assert r["witnesses"] == [{"block": block, "term": term, "factor": factor, "pair": pair}]
 
 
 def _reference_table(m):
@@ -1050,7 +1074,9 @@ def test_support_index_is_sound(config):
 @pytest.mark.parametrize("config", list(TABLE_DIGESTS), ids=lambda c: " ".join(map(str, c)))
 def test_product_kernel_is_matmul(config):
     # the build's entry-dict products equal SparseMatrix products, for every
-    # ordered pair of matrices of every pair of matrix kinds
+    # ordered pair of matrices of every pair of matrix kinds; and each product
+    # op changes by its parity in _PRODUCTS when (xy, yx) is read as (yx, xy),
+    # which verify_antisymmetry takes as given
     m = model(*config)
     kinds = [k for k in m._kinds.values() if k.support is not None]
     for k1 in kinds:
@@ -1059,37 +1085,13 @@ def test_product_kernel_is_matmul(config):
             rows2 = graded._entry_maps(k2.mats)[0]
             for i, x in enumerate(k1.mats):
                 for j, y in enumerate(k2.mats):
-                    assert graded._product(cols1[i], rows2[j]) == (x @ y).entries
-
-
-@pytest.mark.parametrize("config", list(TABLE_DIGESTS), ids=lambda c: " ".join(map(str, c)))
-def test_antisymmetry_catches_skipped_pair(config):
-    # a row on a g-g pair the index skips, and a wrong coefficient on a row
-    # it keeps, must both be caught: the check reads every table row
-    m = model(*config)
-    table = m.table
-    g = m._kinds["g"]
-    i, j = next(
-        (i, j)
-        for i, x in enumerate(g.mats)
-        for j in range(i + 1, len(g.mats))
-        if j not in graded._partners(x, g.support)
-    )
-    key = (g.offset + i * g.width, g.offset + j * g.width)
-    assert key not in table
-    end = g.offset + len(g.mats) * g.width
-    try:
-        m.table = dict(table)
-        m.table[key] = {0: 1}
-        assert verify_antisymmetry(m)["status"] == "fail"
-        m.table = dict(table)
-        kept = next(k for k in table if k[1] < end)
-        idx = next(iter(table[kept]))
-        m.table[kept] = {**table[kept], idx: 3 * table[kept][idx]}
-        assert verify_antisymmetry(m)["status"] == "fail"
-    finally:
-        m.table = table
-    assert verify_antisymmetry(m)["status"] == "pass"
+                    xy, yx = (x @ y).entries, (y @ x).entries
+                    assert graded._product(cols1[i], rows2[j]) == xy
+                    assert all(
+                        op(m, yx, xy) == (f if sign == 1 else {k: -c for k, c in f.items()})
+                        for op, sign in graded._PRODUCTS.items()
+                        for f in [op(m, xy, yx)]
+                    )
 
 
 @pytest.mark.parametrize(
