@@ -92,7 +92,7 @@ def cmd_roots(args) -> int:
 def cmd_algebra(args) -> int:
     alg = build_algebra(args.family, args.n)
     root_spaces = {}
-    for alpha, positions in sorted(alg.root_space_index.items()):
+    for alpha, positions in sorted(alg.wb.root_space_index.items()):
         mats = []
         for p in positions:
             m = alg.wb.basis_mats[p]
@@ -104,7 +104,7 @@ def cmd_algebra(args) -> int:
         "family": args.family,
         "n": args.n,
         "dim": alg.dim,
-        "cartan_dim": alg.cartan_dim,
+        "cartan_dim": alg.wb.zero_block,
         "root_spaces": root_spaces,
     }
     _emit(data, args.out)
@@ -197,14 +197,11 @@ def _verify_checks(model, args):
 
 def _flatten(report: dict) -> dict:
     out = {"status": report["status"], "witnesses": []}
-    for sub in report.get("checks", []):
+    for sub in report["checks"]:
         if sub["status"] != "pass":
             out["witnesses"].append({"check": sub["name"], "witnesses": sub["witnesses"]})
-    for key in ("pairs_checked", "triples", "lambda_size"):
-        if key in report:
-            out[key] = report[key]
-    if report.get("witnesses"):
-        out["witnesses"].extend(report["witnesses"])
+    if "lambda_size" in report:
+        out["lambda_size"] = report["lambda_size"]
     return out
 
 

@@ -495,14 +495,16 @@ class BBQuotient:
     """{b, b}_ell = (b (x) b)/K with the derivation-induced bracket.
 
     ``beta_rows`` is the beta* map b (x) b -> a as rows,
-    ``beta_star_map_rows(q)``; like K it does not depend on ell.
+    ``beta_star_map_rows(q)``; like K it does not depend on ell.  ``kappa``
+    is ``inner_scale`` at ell, formed when ell is set: a level below 1 fails there.
     """
 
-    __slots__ = ("q", "ell", "tensor", "relations", "quotient", "beta_rows", "_pairs")
+    __slots__ = ("q", "ell", "kappa", "tensor", "relations", "quotient", "beta_rows", "_pairs")
 
     def __init__(self, q: CoordinateQuadruple, ell: int):
         self.q = q
         self.ell = ell
+        self.kappa = inner_scale(q.qtype, ell)
         self.tensor = q.bb_space
         self.relations = rref(relation_generators(q), self.tensor)
         self.quotient = QuotientSpace(self.tensor, self.relations)
@@ -520,6 +522,7 @@ class BBQuotient:
         other = object.__new__(BBQuotient)
         other.q = self.q
         other.ell = ell
+        other.kappa = inner_scale(self.q.qtype, ell)
         other.tensor = self.tensor
         other.relations = self.relations
         other.quotient = self.quotient
@@ -556,7 +559,7 @@ class BBQuotient:
         if pair is None:
             q = self.q
             beta = {r: row.entries[lab] for r, row in self.beta_rows.items() if lab in row.entries}
-            inner = SparseVector(q.a_space, beta).scale(inner_scale(q.qtype, self.ell))
+            inner = SparseVector(q.a_space, beta).scale(self.kappa)
             x, y = (q.b_space.basis_vector(l) for l in lab)
             pair = self._pairs[lab] = (inner, derivation(q, self.ell, x, y, inner))
         return pair

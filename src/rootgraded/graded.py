@@ -47,12 +47,11 @@ from .exactla import (
 )
 from .liealg import (
     FormedSpace,
-    RepModule,
-    TruncationIdempotent,
     build_algebra,
     build_module,
     d_uw,
     label_weight,
+    truncation_idempotent,
     v_ops,
 )
 from .rootsys import (
@@ -129,7 +128,7 @@ def _circ(m, xy, yx):
     t = _trace(m, xy, yx)
     if t:
         f = 2 if m.family in ("A", "D") else 1
-        add_scaled(out, m.idem0.matrix.entries, scalar(Q(-f * t, m.idem0.size)))
+        add_scaled(out, m.idem0.entries, scalar(Q(-f * t, m.m0)))
     return out
 
 
@@ -163,7 +162,7 @@ def _d_uw(m, u, w):
 
 def _v_op(variant: str) -> Callable:
     def op(m, u, w):
-        return v_ops(u, w, m.G.nat, m.idem0, variant).entries
+        return v_ops(u, w, m.G.nat, m.idem0, m.m0, variant).entries
 
     return op
 
@@ -445,10 +444,9 @@ class GradedModel:
 
         # matrix side
         self.G = build_algebra(UNDERLYING[family], n)
-        self.smod: RepModule | None = None
-        if family in ("C", "BC"):
-            self.smod = build_module(self.G, "S")
-        self.idem0 = TruncationIdempotent(self.G.space, set(range(1, m0 + 1)))
+        # the weighted basis of the symmetric module S of C and BC
+        self.smod = build_module(self.G) if family in ("C", "BC") else None
+        self.idem0 = truncation_idempotent(self.G.space, range(1, m0 + 1))
 
         q = quadruple
         self.a_basis = q.a_part_sub.rows
@@ -483,12 +481,12 @@ class GradedModel:
         if self.family == "B":
             kinds["s"] = natural(self.b_basis, q.b_part_sub.coordinates)
         elif self.smod is not None:
-            kinds["s"] = weighted(self.smod.wb, self.b_basis, q.b_part_sub.coordinates)
+            kinds["s"] = weighted(self.smod, self.b_basis, q.b_part_sub.coordinates)
         if self.family == "BC":
             read_c = _label_coords(q.c_space)
             kinds["v"] = natural(self.c_basis, lambda c: read_c(c.entries))
         kinds["d"] = (
-            [self.idem0.matrix], [Root.zero()], list(self.dpart.coset_labels),
+            [self.idem0], [Root.zero()], list(self.dpart.coset_labels),
             _scalar_coords, _coset_coords(self.dpart),
         )
 
@@ -894,7 +892,7 @@ def verify_grading(m: GradedModel) -> dict:
     # ad_h[hpos][e] = [h (x) 1, x_e], read off the table in one pass
     in_cartan: dict[int, list[tuple[int, Fraction]]] = {}
     for hpos, h in enumerate(m.G.cartan):
-        for gi, cg in m.G.coords_of_mat(h).items():
+        for gi, cg in m.G.wb.coords(h.entries).items():
             for ai, ca in unit_coords.items():
                 in_cartan.setdefault(m.index_of[("g", (gi, ai))], []).append((hpos, cg * ca))
     ad_h: list[dict[int, dict[int, Fraction]]] = [{} for _ in m.G.cartan]
@@ -1052,7 +1050,7 @@ class SubModel:
         )
         # grading pair: G^S root spaces present for the semi-divisible part
         s_sdiv = {r for r in self.s_roots if r.scale(2) not in self.s_roots}
-        missing = [root_str(alpha) for alpha in s_sdiv if alpha not in m.G.root_space_index]
+        missing = [root_str(alpha) for alpha in s_sdiv if alpha not in m.G.wb.root_space_index]
         checks.append(
             _check(
                 "grading pair root spaces present (S semi-divisible part)",
@@ -1105,8 +1103,8 @@ def level_coset(
 
 def _level_op(m: GradedModel, lam: frozenset, space) -> SparseMatrix:
     """(m0/|I_lambda|) J_lambda - J_0 on the given natural space."""
-    j_lam = TruncationIdempotent(space, lam).matrix
-    j_0 = TruncationIdempotent(space, set(range(1, m.m0 + 1))).matrix
+    j_lam = truncation_idempotent(space, lam)
+    j_0 = truncation_idempotent(space, range(1, m.m0 + 1))
     return j_lam.scale(Q(m.m0, len(lam))) - j_0
 
 

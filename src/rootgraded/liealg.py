@@ -14,7 +14,7 @@ the graded construction depend on those constants.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from typing import Container
 
 from .exactla import (
     BasedSpace,
@@ -25,10 +25,10 @@ from .exactla import (
     Subspace,
     add_scaled,
     kernel_of_rows,
-    rref,
+    rref,  # not called here, but bench/tracing.py traces liealg.rref
     scalar,
 )
-from .rootsys import Root, generate
+from .rootsys import Root, generate  # likewise liealg.generate
 
 ALGEBRA_FAMILIES = ("A", "B", "C", "D")
 
@@ -125,10 +125,11 @@ def gl_coord_weight(lab: tuple[str, str]) -> Root:
 class WeightedBasis:
     """A subspace of gl coordinates organized by ad-weights of the Cartan.
 
-    The basis is ``full``, the span as a canonical rref ``Subspace`` (as
-    ``kernel_of_rows`` returns it), its rows grouped by the weight of their
-    pivot label: the weight-zero block first, then
-    nonzero weights in sorted order, each block in pivot order.  Used for
+    The basis ``basis_mats`` is the rows of ``full``, the span as a canonical
+    rref ``Subspace`` (as ``kernel_of_rows`` returns it), as matrices on
+    ``space``, grouped by the weight of their pivot label: the weight-zero
+    block first, then nonzero weights in sorted order, each block in pivot
+    order.  Used for
     both the algebras and the symmetric module.  The span must be graded
     by the weights, i.e. each row of ``full`` lies in one weight space.
     Coordinates are read from a matrix's entry dict through ``full``,
@@ -136,8 +137,6 @@ class WeightedBasis:
     """
 
     __slots__ = (
-        "space",
-        "basis_vecs",
         "basis_mats",
         "weight_of_basis",
         "zero_block",
@@ -147,7 +146,6 @@ class WeightedBasis:
     )
 
     def __init__(self, space: BasedSpace, full: Subspace):
-        self.space = space
         self.full = full
         glsp = full.ambient
         weights = []
@@ -159,7 +157,7 @@ class WeightedBasis:
         # a stable sort keeps pivot order within a weight; Root.zero().key()
         # is (), so the weight-zero block comes first
         order = sorted(range(len(weights)), key=lambda k: weights[k].key())
-        self.basis_vecs = [self.full.rows[k] for k in order]
+        self.basis_mats = [SparseMatrix(space, space, self.full.rows[k].entries) for k in order]
         self.weight_of_basis = [weights[k] for k in order]
         self.root_space_index: dict[Root, list[int]] = {}
         self._basis_of_row = [0] * len(order)
@@ -168,11 +166,10 @@ class WeightedBasis:
             if not weights[k].is_zero():
                 self.root_space_index.setdefault(weights[k], []).append(i)
         self.zero_block = sum(w.is_zero() for w in weights)
-        self.basis_mats = [SparseMatrix(space, space, v.entries) for v in self.basis_vecs]
 
     @property
     def dim(self) -> int:
-        return len(self.basis_vecs)
+        return len(self.basis_mats)
 
     def coords(self, entries: dict[tuple[str, str], Fraction]) -> dict[int, Fraction]:
         """Coefficients over the weight-adapted basis of the matrix with
@@ -187,7 +184,7 @@ class WeightedBasis:
 
 
 class MatrixLieAlgebra:
-    __slots__ = ("family", "n", "nat", "glsp", "wb", "cartan", "roots")
+    __slots__ = ("family", "n", "nat", "glsp", "wb", "cartan")
 
     def __init__(self, family: str, n: int):
         if family not in ALGEBRA_FAMILIES:
@@ -217,7 +214,6 @@ class MatrixLieAlgebra:
                 - matrix_unit(f"vb:{i}", f"vb:{i}", space)
                 for i in range(1, n + 1)
             ]
-        self.roots = generate(family, n)
 
     @property
     def dim(self) -> int:
@@ -226,25 +222,6 @@ class MatrixLieAlgebra:
     @property
     def space(self) -> BasedSpace:
         return self.nat.space
-
-    @property
-    def basis_mats(self) -> list[SparseMatrix]:
-        return self.wb.basis_mats
-
-    @property
-    def basis_vecs(self) -> list[SparseVector]:
-        return self.wb.basis_vecs
-
-    @property
-    def cartan_dim(self) -> int:
-        return self.wb.zero_block
-
-    @property
-    def root_space_index(self) -> dict[Root, list[int]]:
-        return self.wb.root_space_index
-
-    def coords_of_mat(self, m: SparseMatrix) -> dict[int, Fraction]:
-        return self.wb.coords(m.entries)
 
     def root_vector(self, alpha: Root) -> SparseMatrix:
         positions = self.wb.root_space_index[alpha]
@@ -306,104 +283,41 @@ def expected_dimension(family: str, n: int) -> int:
 # modules
 
 
-class RepModule:
-    """A representation carried by an explicit matrix space.
-
-    kind "V" is the natural module; kind "S" (family C only) is the space
-    of traceless form-symmetric maps with the commutator action, solved
-    from its defining linear conditions.
-    """
-
-    __slots__ = ("kind", "space", "wb", "weights")
-
-    def __init__(self, algebra: MatrixLieAlgebra, kind: str):
-        self.kind = kind
-        if kind == "V":
-            self.space = algebra.space
-            self.wb = None
-            self.weights = {}
-            for lab in self.space.labels:
-                self.weights.setdefault(label_weight(lab), []).append(lab)
-        elif kind == "S":
-            if algebra.family != "C":
-                raise ValueError("kind S is only defined for family C")
-            nat = algebra.nat
-            glsp = algebra.glsp
-            # traceless, and phi^T G - G phi = 0  <=>  (phi v, w) = (v, phi w)
-            rows = [_trace_row(nat, glsp)] + _form_rows(nat, glsp, -1)
-            ker = kernel_of_rows(rows, glsp)
-            self.wb = WeightedBasis(nat.space, ker)
-            self.space = BasedSpace(range(self.wb.dim))
-            self.weights = None
-        else:
-            raise ValueError(f"unknown module kind {kind!r}")
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    def from_matrix(self, m: SparseMatrix) -> SparseVector:
-        return SparseVector(self.space, self.wb.coords(m.entries))
-
-    def action_matrix(self, x: SparseMatrix) -> SparseMatrix:
-        """The matrix of x acting on the module: x itself on V, and on S the
-        commutator [x, s] with each basis matrix s, read in the basis."""
-        if self.kind == "V":
-            return SparseMatrix(self.space, self.space, dict(x.entries))
-        cols = {}
-        for lab, s in enumerate(self.wb.basis_mats):
-            for r, val in self.from_matrix(x @ s - s @ x).entries.items():
-                cols[(r, lab)] = val
-        return SparseMatrix(self.space, self.space, cols)
-
-    def weight_index(self) -> dict[Root, Subspace]:
-        """Weight -> subspace of the module's own coordinate space."""
-        if self.kind == "V":
-            return {
-                w: rref([self.space.basis_vector(l) for l in labs], self.space)
-                for w, labs in self.weights.items()
-            }
-        out: dict[Root, list[SparseVector]] = {}
-        for i, w in enumerate(self.wb.weight_of_basis):
-            out.setdefault(w, []).append(self.space.basis_vector(i))
-        return {w: rref(vs, self.space) for w, vs in out.items()}
-
-
-def build_module(algebra: MatrixLieAlgebra, kind: str) -> RepModule:
-    return RepModule(algebra, kind)
+def build_module(algebra: MatrixLieAlgebra) -> WeightedBasis:
+    """The weighted basis of the symmetric module S of family C: the traceless
+    form-symmetric maps, solved from their defining linear conditions."""
+    if algebra.family != "C":
+        raise ValueError("the symmetric module is only defined for family C")
+    nat, glsp = algebra.nat, algebra.glsp
+    # traceless, and phi^T G - G phi = 0  <=>  (phi v, w) = (v, phi w)
+    rows = [_trace_row(nat, glsp)] + _form_rows(nat, glsp, -1)
+    return WeightedBasis(nat.space, kernel_of_rows(rows, glsp))
 
 
 # ---------------------------------------------------------------------------
 # truncation idempotents and the pair operators
 
 
-class TruncationIdempotent:
-    __slots__ = ("subset", "space", "matrix")
-
-    def __init__(self, nat_space: BasedSpace, subset: Iterable[int]):
-        self.subset = frozenset(subset)
-        self.space = nat_space
-        entries = {}
-        for lab in nat_space.labels:
-            kind, _, num = lab.partition(":")
-            i = int(num)
-            if i == 0 or i in self.subset:
-                entries[(lab, lab)] = 1
-        self.matrix = SparseMatrix(nat_space, nat_space, entries)
-
-    @property
-    def size(self) -> int:
-        return len(self.subset)
+def truncation_idempotent(nat_space: BasedSpace, subset: Container[int]) -> SparseMatrix:
+    """J_subset: the projection onto the basis vectors indexed by the
+    subset, and onto v:0 (type B) always."""
+    entries = {}
+    for lab in nat_space.labels:
+        i = int(lab.partition(":")[2])
+        if i == 0 or i in subset:
+            entries[(lab, lab)] = 1
+    return SparseMatrix(nat_space, nat_space, entries)
 
 
 def v_ops(
     u: SparseVector,
     v: SparseVector,
     nat: FormedSpace,
-    idem: TruncationIdempotent,
+    j0: SparseMatrix,
+    m0: int,
     variant: str,
 ) -> SparseMatrix:
-    """The level-normalized pair operators on the natural space."""
+    """The level-normalized pair operators on the natural space; j0 is J_0 on m0 indices."""
     space = nat.space
     half = Q(1, 2)
     if variant not in ("circ", "bracket_ell"):
@@ -424,7 +338,7 @@ def v_ops(
     uv = 0 if variant == "circ" else nat.form(u, v)
     if uv == 0:
         return m
-    return m + idem.matrix.scale(uv / Q(2 * idem.size))
+    return m + j0.scale(uv / Q(2 * m0))
 
 
 def d_uw(nat: FormedSpace, u: SparseVector, w: SparseVector) -> SparseMatrix:

@@ -20,6 +20,7 @@ from rootgraded.coord import (
     beta_star_map_rows,
     validate_quadruple,
 )
+from rootgraded.exactla import BasedSpace, SparseMatrix
 from rootgraded.graded import (
     build_model,
     derivation_span_equals_oB,
@@ -33,6 +34,7 @@ from rootgraded.liealg import (
     build_algebra,
     build_module,
     expected_dimension,
+    label_weight,
     matrix_unit,
 )
 from rootgraded.rootsys import (
@@ -120,21 +122,22 @@ def test_criterion_2_algebras():
             alg = build_algebra(family, n)
             assert alg.dim == expected_dimension(family, n)
             gram = alg.nat.gram
-            for m in alg.basis_mats:
+            wb = alg.wb
+            for m in wb.basis_mats:
                 if family == "A":
                     assert m.trace() == 0
                 else:
                     assert (m.transpose() @ gram + gram @ m).is_zero()
             # closure: brackets land back in the algebra (per-weight solve)
-            mats = alg.basis_mats
+            mats = wb.basis_mats
             for i, x in enumerate(mats):
                 for y in mats[i + 1 :]:
-                    alg.coords_of_mat(commutator(x, y))  # raises if outside
+                    wb.coords(commutator(x, y).entries)  # raises if outside
             # root spaces: one dimensional, [h, x] = alpha(h) x exactly
-            assert set(alg.root_space_index) == set(generate(family, n).nonzero())
-            for alpha, positions in alg.root_space_index.items():
+            assert set(wb.root_space_index) == set(generate(family, n).nonzero())
+            for alpha, positions in wb.root_space_index.items():
                 assert len(positions) == 1
-                x = alg.basis_mats[positions[0]]
+                x = mats[positions[0]]
                 for pos, h in enumerate(alg.cartan):
                     if family == "A":
                         lam = Q(alpha.coords.get(pos + 1, 0) - alpha.coords.get(pos + 2, 0))
@@ -153,7 +156,7 @@ def _check_classical_span_formulas(alg, family, n):
 
     def spans(alpha, mat):
         x = alg.root_vector(alpha)
-        coords = alg.coords_of_mat(mat)
+        coords = alg.wb.coords(mat.entries)
         (pos, coeff), = coords.items()
         assert alg.wb.basis_mats[pos] == x and coeff != 0
 
@@ -191,53 +194,58 @@ def test_criterion_3_clifford_jordan():
 def test_criterion_4_modules():
     t0 = time.monotonic()
     for n in range(2, 6):
-        for family, kinds in (("B", ("V",)), ("C", ("V", "S"))):
+        for family in ("B", "C"):
             alg = build_algebra(family, n)
-            for kind in kinds:
-                mod = build_module(alg, kind)
-                wi = mod.weight_index()
-                if kind == "V":
-                    expect = {Root.eps(i, s) for i in range(1, n + 1) for s in (1, -1)}
-                    if family == "B":
-                        expect.add(Root.zero())
-                    assert set(wi) == expect
-                    for i in range(1, n + 1):
-                        sub = wi[Root.eps(i)]
-                        assert sub.dim == 1
-                        assert sub.rows[0] == mod.space.basis_vector(f"v:{i}")
-                        subm = wi[Root.eps(i, -1)]
-                        assert subm.rows[0] == mod.space.basis_vector(f"vb:{i}")
-                    if family == "B":
-                        assert wi[Root.zero()].rows[0] == mod.space.basis_vector("v:0")
-                else:
-                    assert mod.dim == 2 * n * n - n - 1
-                    expect = {Root.zero()}
-                    for i in range(1, n + 1):
-                        for j in range(1, n + 1):
-                            if i != j:
-                                expect.add(Root.eps(i) - Root.eps(j))
-                            if i < j:
-                                expect.add(Root.eps(i) + Root.eps(j))
-                                expect.add(-(Root.eps(i) + Root.eps(j)))
-                    assert set(wi) == expect
-                    assert wi[Root.zero()].dim == n - 1
-                    sp = alg.space
-                    for i in range(1, n + 1):
-                        for j in range(i + 1, n + 1):
-                            pl = mod.from_matrix(
-                                matrix_unit(f"v:{i}", f"vb:{j}", sp)
-                                - matrix_unit(f"v:{j}", f"vb:{i}", sp)
-                            )
-                            assert wi[Root.eps(i) + Root.eps(j)].contains(pl)
-                # module axiom via action matrices: M([x,y]) = [M(x), M(y)]
-                acts = [mod.action_matrix(x) for x in alg.basis_mats]
-                for i, x in enumerate(alg.basis_mats):
-                    for j in range(i + 1, len(alg.basis_mats)):
-                        y = alg.basis_mats[j]
-                        coords = alg.coords_of_mat(commutator(x, y))
-                        expected = commutator(acts[i], acts[j])
-                        acc = expected.scale(Q(-1))
-                        for pos, c in coords.items():
+            mats = alg.wb.basis_mats
+            # V: the natural module, its weights those of its labels
+            weights = {}
+            for lab in alg.space.labels:
+                weights.setdefault(label_weight(lab), []).append(lab)
+            expect = {Root.eps(i, s) for i in range(1, n + 1) for s in (1, -1)}
+            if family == "B":
+                expect.add(Root.zero())
+                assert weights[Root.zero()] == ["v:0"]
+            assert set(weights) == expect
+            for i in range(1, n + 1):
+                assert weights[Root.eps(i)] == [f"v:{i}"]
+                assert weights[Root.eps(i, -1)] == [f"vb:{i}"]
+            # module axiom via action matrices, M([x,y]) = [M(x), M(y)]: on V
+            # M(x) = x, on S the commutator action read in S's basis
+            actions = [mats]
+            if family == "C":
+                wb = build_module(alg)
+                assert wb.dim == 2 * n * n - n - 1
+                expect = {Root.zero()}
+                for i in range(1, n + 1):
+                    for j in range(1, n + 1):
+                        if i != j:
+                            expect.add(Root.eps(i) - Root.eps(j))
+                        if i < j:
+                            expect.add(Root.eps(i) + Root.eps(j))
+                            expect.add(-(Root.eps(i) + Root.eps(j)))
+                assert set(wb.weight_of_basis) == expect
+                assert wb.zero_block == n - 1
+                sp = alg.space
+                for i in range(1, n + 1):
+                    for j in range(i + 1, n + 1):
+                        pl = matrix_unit(f"v:{i}", f"vb:{j}", sp) - matrix_unit(f"v:{j}", f"vb:{i}", sp)
+                        in_weights = {wb.weight_of_basis[k] for k in wb.coords(pl.entries)}
+                        assert in_weights == {Root.eps(i) + Root.eps(j)}
+                coords = BasedSpace(range(wb.dim))
+                s_acts = []
+                for x in mats:
+                    cols = {}
+                    for k, s in enumerate(wb.basis_mats):
+                        for r, c in wb.coords(commutator(x, s).entries).items():
+                            cols[(r, k)] = c
+                    s_acts.append(SparseMatrix(coords, coords, cols))
+                actions.append(s_acts)
+            for i, x in enumerate(mats):
+                for j in range(i + 1, len(mats)):
+                    xy = alg.wb.coords(commutator(x, mats[j]).entries)
+                    for acts in actions:
+                        acc = commutator(acts[i], acts[j]).scale(Q(-1))
+                        for pos, c in xy.items():
                             acc = acc + acts[pos].scale(c)
                         assert acc.is_zero()
     elapsed = time.monotonic() - t0

@@ -50,7 +50,7 @@ def test_verify_acceptance_style_run(capsys):
         capsys,
         "verify", "--family", "BC", "--n", "4", "--ell", "4",
         "--preset", "symplectic:m=2", "--k", "zero",
-        "--suite", "jacobi,grading", "--seed", "42",
+        "--suite", "jacobi,grading,subsystem", "--seed", "42",
     )
     assert code == 0
     data = json.loads(out)
@@ -59,6 +59,9 @@ def test_verify_acceptance_style_run(capsys):
     assert statuses["grading"] == "pass"
     assert statuses["jacobi-random"] == "pass"
     assert statuses["jacobi-exhaustive"] == "pass"  # dim 55 <= 300
+    # BC_3, the (n-1)-truncation, is irreducible: the suite runs
+    (sub,) = [c for c in data["checks"] if c["name"] == "subsystem"]
+    assert sub == {"name": "subsystem", "status": "pass", "witnesses": []}
     names = [c["name"] for c in data["checks"]]
     assert names == sorted(names)
 
@@ -484,8 +487,21 @@ def test_cross_ell_equal_to_the_model_ell_exits_2(capsys):
             ),
             0,
         ),
+        # {b,b}_ell of these is 0-dimensional: no pair derivation is formed
+        # at the cross-check level, so only the quotient's own kappa sees it
+        *(
+            (("verify", "--family", family, "--n", n, "--ell", "5", "--samples", "0",
+              "--preset", preset, "--suite", "uniform", "--cross-ell", str(level)), level)
+            for family, n, preset, level in (
+                ("D", "7", "group_ring:m=3", 0), ("D", "7", "group_ring:m=3", -4),
+                ("A", "6", "matrix:k=1", 0),
+            )
+        ),
     ],
-    ids=["fh C", "fh BC", "fh A", "fh D", "verify ell", "verify cross-ell"],
+    ids=[
+        "fh C", "fh BC", "fh A", "fh D", "verify ell", "verify cross-ell",
+        "cross-ell D empty bb", "cross-ell -4 D empty bb", "cross-ell A empty bb",
+    ],
 )
 def test_level_below_one_exits_2(capsys, argv, level):
     # kappa is 1/(ell + 1) or 1/(2 ell): a level below 1, the model's or the

@@ -9,6 +9,7 @@ from itertools import combinations
 import pytest
 
 import rootgraded.graded as graded
+from rootgraded import cli
 from rootgraded.coord import (
     CoordinateQuadruple,
     beta_star,
@@ -29,8 +30,8 @@ from rootgraded.graded import (
     verify_jacobi,
     verify_level_transition,
 )
-from rootgraded.liealg import TruncationIdempotent, build_algebra
-from rootgraded.rootsys import Root, generate
+from rootgraded.liealg import build_algebra, truncation_idempotent
+from rootgraded.rootsys import Root, generate, root_str
 
 _CACHE = {}
 
@@ -184,7 +185,7 @@ def test_bc_symplectic_orthogonal_vectors_row():
     c1 = q.c_space.basis_vector("c:1")
     dia = (q.f_val(c0, c1) - q.f_val(c1, c0)).scale(Q(1, 2))
     expected = {}
-    for gi, cg in m.G.coords_of_mat(v_ops(u, w, nat, m.idem0, "circ")).items():
+    for gi, cg in m.G.wb.coords(v_ops(u, w, nat, m.idem0, m.m0, "circ").entries).items():
         for ai, ca in m.quadruple.a_part_sub.coordinates(dia).items():
             expected[m.index_of[("g", (gi, ai))]] = cg * ca
     assert row == expected
@@ -466,6 +467,44 @@ def test_grading_fails_on_a_tripled_g_row(config):
     assert verify_grading(m)["status"] == "pass"
 
 
+@pytest.mark.parametrize("fault", ["non-root weight", "opposite rows deleted", "stray entry"])
+@pytest.mark.parametrize("config", FAULT_MODELS, ids=lambda c: " ".join(map(str, c)))
+def test_grading_weight_table_and_l0_fail(config, fault):
+    # one index's weight moved out of R, every [x_alpha, x_-alpha] row
+    # deleted, or an index of nonzero weight added to one such row: the weight
+    # table or the L_0 check fails with its witness, also once flattened
+    m = model(*config)
+    table, weight_of = m.table, m.weight_of
+    by_weight = m.indices_by_weight()
+    opposite = [k for k in table if weight_of[k[0]] == -weight_of[k[1]] != Root.zero()]
+    i = next(i for i, w in enumerate(weight_of) if not w.is_zero())
+    name = "L_0 = sum of [L_alpha, L_-alpha]"
+    m.table, m.weight_of = dict(table), list(weight_of)
+    try:
+        if fault == "non-root weight":
+            m.weight_of[i] = Root.eps(1, 3)
+            name = "weight table: weights in R and dimensions match"
+            dim = len(by_weight[weight_of[i]])
+            expected = ["3e1", {"root": root_str(weight_of[i]), "dim": dim - 1, "expected": dim}]
+        elif fault == "opposite rows deleted":
+            for key in opposite:
+                del m.table[key]
+            expected = [f"span dim 0 < zero-weight dim {len(by_weight[Root.zero()])}"]
+        else:
+            m.table[opposite[0]] = {**table[opposite[0]], i: Q(1)}
+            # the bracket is met once in each order
+            expected = [f"opposite-root bracket has nonzero weight part at {[i]}"] * 2
+        report = verify_grading(m)
+    finally:
+        m.table, m.weight_of = table, weight_of
+    check = {c["name"]: c for c in report["checks"]}[name]
+    assert check["status"] == "fail" and check["witnesses"] == expected
+    flat = cli._flatten(report)
+    assert flat["status"] == "fail"
+    assert {"check": name, "witnesses": expected} in flat["witnesses"]
+    assert verify_grading(m)["status"] == "pass"
+
+
 @pytest.mark.parametrize(
     "config", FAULT_MODELS + [("C", 5, 5, "matrix_transpose:k=2")], ids=lambda c: " ".join(map(str, c))
 )
@@ -605,14 +644,14 @@ def test_level_transition_type_d_collapses():
 
 def _level_op_without_factor(m, lam, space):
     # J_lambda - J_0: the m0/|lambda| factor dropped
-    j_lam = TruncationIdempotent(space, lam).matrix
-    return j_lam - TruncationIdempotent(space, range(1, m.m0 + 1)).matrix
+    j_lam = truncation_idempotent(space, lam)
+    return j_lam - truncation_idempotent(space, range(1, m.m0 + 1))
 
 
 def _level_op_j0_on_all_indices(m, lam, space):
     # J_0 built on all n indices instead of I_0
-    j_lam = TruncationIdempotent(space, lam).matrix
-    j_0 = TruncationIdempotent(space, range(1, m.n + 1)).matrix
+    j_lam = truncation_idempotent(space, lam)
+    j_0 = truncation_idempotent(space, range(1, m.n + 1))
     return j_lam.scale(Q(m.m0, len(lam))) - j_0
 
 
@@ -734,9 +773,9 @@ def test_type_b_derivations_kill_the_a_part(monkeypatch, spec):
 def _basis_key(m, i):
     kind, key = m.basis[i]
     if kind == "g":
-        return ("g", tuple(sorted(m.G.wb.basis_vecs[key[0]].entries.items())), key[1])
+        return ("g", tuple(sorted(m.G.wb.basis_mats[key[0]].entries.items())), key[1])
     if kind == "s":
-        return ("s", tuple(sorted(m.smod.wb.basis_vecs[key[0]].entries.items())), key[1])
+        return ("s", tuple(sorted(m.smod.basis_mats[key[0]].entries.items())), key[1])
     if kind == "v":
         return ("v", m.G.space.labels[key[0]], key[1])
     return ("d", m.dpart.coset_space.labels[key[0]])
@@ -770,7 +809,7 @@ def test_lambda_subalgebra_closure_intermediate():
         if kind == "g":
             labs = {lab for pair in m.G.wb.basis_mats[key[0]].entries for lab in pair}
         elif kind == "s":
-            labs = {lab for pair in m.smod.wb.basis_mats[key[0]].entries for lab in pair}
+            labs = {lab for pair in m.smod.basis_mats[key[0]].entries for lab in pair}
         else:
             labs = {m.G.space.labels[key[0]]}
         if {int(l.split(":")[1]) for l in labs} <= lam:

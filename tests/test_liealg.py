@@ -20,14 +20,14 @@ from rootgraded.graded import derivation_span_equals_oB
 from rootgraded.liealg import (
     DegenerateInputError,
     FormedSpace,
-    RepModule,
-    TruncationIdempotent,
     WeightedBasis,
     build_algebra,
     build_module,
     d_uw,
     expected_dimension,
+    label_weight,
     matrix_unit,
+    truncation_idempotent,
     v_ops,
 )
 from rootgraded.rootsys import Root, generate
@@ -69,7 +69,7 @@ def test_weighted_basis_coordinates(which):
     # the reader must refuse a matrix outside the span; correct bracket
     # tables never leave it, so the digest tests cannot show this
     g = alg("C" if which == "S" else which, 3)
-    wb = build_module(g, "S").wb if which == "S" else g.wb
+    wb = build_module(g) if which == "S" else g.wb
     for k, mat in enumerate(wb.basis_mats):
         assert wb.coords(mat.entries) == {k: Q(1)}
     rng = random.Random(6)
@@ -81,7 +81,7 @@ def test_weighted_basis_coordinates(which):
     if which == "A":
         outside = SparseMatrix.identity(g.space)
     elif which == "S":
-        outside = g.basis_mats[0]
+        outside = g.wb.basis_mats[0]
     else:
         outside = matrix_unit("v:1", "v:1", g.space)
     with pytest.raises(ShapeError):
@@ -97,8 +97,8 @@ def test_entry_dict_read_refuses_an_off_span_dict():
     with pytest.raises(ShapeError):
         g.wb.coords({("v:9", "v:9"): 1})
     h = {("v:1", "v:1"): 1, ("vb:1", "vb:1"): -1}
-    assert g.wb.coords(h) == g.coords_of_mat(SparseMatrix(g.space, g.space, h))
-    assert len(g.wb.coords(h)) == 1
+    ((k, _),) = g.wb.coords(h).items()
+    assert k < g.wb.zero_block
 
 
 def test_weighted_basis_rejects_a_row_mixing_weights():
@@ -109,8 +109,8 @@ def test_weighted_basis_rejects_a_row_mixing_weights():
     with pytest.raises(ShapeError):
         WeightedBasis(g.space, rref([SparseVector(g.glsp, mixed.entries)], g.glsp))
     # a weight basis in another order gives back the same basis, in order
-    again = WeightedBasis(g.space, rref(g.basis_vecs[::-1], g.glsp))
-    assert again.basis_vecs == g.basis_vecs
+    again = WeightedBasis(g.space, rref(g.wb.full.rows[::-1], g.glsp))
+    assert again.basis_mats == g.wb.basis_mats
     assert again.weight_of_basis == g.wb.weight_of_basis
 
 
@@ -124,7 +124,7 @@ def test_degenerate_inputs():
 def test_defining_conditions_on_basis(family):
     a = alg(family, 3)
     gram = a.nat.gram
-    for m in a.basis_mats:
+    for m in a.wb.basis_mats:
         if family == "A":
             assert m.trace() == 0
         else:
@@ -134,8 +134,8 @@ def test_defining_conditions_on_basis(family):
 @pytest.mark.parametrize("family", ["A", "B", "C", "D"])
 def test_closure_under_commutator(family):
     a = alg(family, 2)
-    for i, x in enumerate(a.basis_mats):
-        for y in a.basis_mats[i:]:
+    for i, x in enumerate(a.wb.basis_mats):
+        for y in a.wb.basis_mats[i:]:
             assert a.wb.full.contains(SparseVector(a.glsp, commutator(x, y).entries))
 
 
@@ -143,9 +143,9 @@ def test_closure_under_commutator(family):
 @pytest.mark.parametrize("n", [2, 3])
 def test_root_space_eigenvalue_equation(family, n):
     a = alg(family, n)
-    for alpha, positions in a.root_space_index.items():
+    for alpha, positions in a.wb.root_space_index.items():
         assert len(positions) == 1
-        x = a.basis_mats[positions[0]]
+        x = a.wb.basis_mats[positions[0]]
         for i, h in enumerate(a.cartan):
             if family == "A":
                 val = Q(alpha.coords.get(i + 1, 0) - alpha.coords.get(i + 2, 0))
@@ -157,7 +157,7 @@ def test_root_space_eigenvalue_equation(family, n):
 @pytest.mark.parametrize("family", ["A", "B", "C", "D"])
 def test_root_sets_match_generated_systems(family):
     a = alg(family, 3)
-    assert set(a.root_space_index) == set(generate(family, 3).nonzero())
+    assert set(a.wb.root_space_index) == set(generate(family, 3).nonzero())
 
 
 def test_classical_root_space_formulas():
@@ -196,59 +196,66 @@ def test_classical_root_space_formulas():
 def test_truncation_embedding(family):
     small = alg(family, 2)
     big = alg(family, 3)
-    for v in small.basis_vecs:
-        lifted = SparseVector(big.glsp, dict(_as_mat_entries(v)))
-        assert big.wb.full.contains(lifted)
-    for alpha in small.root_space_index:
-        assert alpha in big.root_space_index
-
-
-def _as_mat_entries(glvec):
     # gl coordinates are labelled by the (row, col) pairs of matrix entries
-    return glvec.entries.items()
+    for v in small.wb.full.rows:
+        assert big.wb.full.contains(SparseVector(big.glsp, v.entries))
+    for alpha in small.wb.root_space_index:
+        assert alpha in big.wb.root_space_index
 
 
 def test_natural_module_weights():
-    m = build_module(alg("C", 3), "V")
-    wi = m.weight_index()
-    assert set(wi) == {Root.eps(i, s) for i in (1, 2, 3) for s in (1, -1)}
-    sub = wi[Root.eps(2)]
-    assert sub.dim == 1 and sub.rows[0] == m.space.basis_vector("v:2")
-    b2 = build_module(alg("B", 2), "V")
-    sub0 = b2.weight_index()[Root.zero()]
-    assert sub0.dim == 1 and sub0.rows[0] == b2.space.basis_vector("v:0")
+    # the natural module's weights are those of its labels
+    labels = alg("C", 3).space.labels
+    weights = [label_weight(l) for l in labels]
+    assert set(weights) == {Root.eps(i, s) for i in (1, 2, 3) for s in (1, -1)}
+    assert [l for l, w in zip(labels, weights) if w == Root.eps(2)] == ["v:2"]
+    b2 = alg("B", 2).space.labels
+    assert [l for l in b2 if label_weight(l).is_zero()] == ["v:0"]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_symmetric_module_dimension(n):
-    m = build_module(alg("C", n), "S")
-    assert m.dim == 2 * n * n - n - 1
+    assert build_module(alg("C", n)).dim == 2 * n * n - n - 1
+
+
+def _s_weights(wb, mat):
+    """The weights of the S basis vectors that a matrix of S has
+    coordinates on; raises ShapeError if it lies outside S."""
+    return {wb.weight_of_basis[k] for k in wb.coords(mat.entries)}
 
 
 def test_symmetric_module_weight_vectors():
     # Prop 2.20(b)(i) spanning vectors as cross-checks of the kernel build.
     a = alg("C", 2)
-    m = build_module(a, "S")
+    wb = build_module(a)
     sp = a.space
-    wi = m.weight_index()
-    plus = m.from_matrix(matrix_unit("v:1", "vb:2", sp) - matrix_unit("v:2", "vb:1", sp))
-    assert wi[Root.eps(1) + Root.eps(2)].contains(plus)
-    mixed = m.from_matrix(matrix_unit("v:1", "v:2", sp) + matrix_unit("vb:2", "vb:1", sp))
-    assert wi[Root.eps(1) - Root.eps(2)].contains(mixed)
-    zero_sub = wi[Root.zero()]
-    assert zero_sub.dim == 1  # n - 1
-    h_like = m.from_matrix(
+    plus = matrix_unit("v:1", "vb:2", sp) - matrix_unit("v:2", "vb:1", sp)
+    assert _s_weights(wb, plus) == {Root.eps(1) + Root.eps(2)}
+    mixed = matrix_unit("v:1", "v:2", sp) + matrix_unit("vb:2", "vb:1", sp)
+    assert _s_weights(wb, mixed) == {Root.eps(1) - Root.eps(2)}
+    assert wb.zero_block == 1  # n - 1
+    h_like = (
         matrix_unit("v:1", "v:1", sp)
         + matrix_unit("vb:1", "vb:1", sp)
         - matrix_unit("v:2", "v:2", sp)
         - matrix_unit("vb:2", "vb:2", sp)
     )
-    assert zero_sub.contains(h_like.scale(Q(1, 2)))
+    assert _s_weights(wb, h_like.scale(Q(1, 2))) == {Root.zero()}
 
 
 def test_kind_s_requires_family_c():
     with pytest.raises(ValueError):
-        build_module(alg("B", 2), "S")
+        build_module(alg("B", 2))
+
+
+def s_action(wb, x, sp):
+    """The matrix of x acting on S by commutators, read in S's basis, on
+    the coordinate space ``sp`` of S."""
+    cols = {}
+    for k, s in enumerate(wb.basis_mats):
+        for r, c in wb.coords(commutator(x, s).entries).items():
+            cols[(r, k)] = c
+    return SparseMatrix(sp, sp, cols)
 
 
 @pytest.mark.parametrize(
@@ -256,13 +263,18 @@ def test_kind_s_requires_family_c():
 )
 def test_module_axiom_on_basis_triples(family, kind, n):
     a = alg(family, n)
-    m = build_module(a, kind)
-    mats = a.basis_mats
-    vecs = [m.space.basis_vector(l) for l in m.space.labels]
+    mats = a.wb.basis_mats
+    if kind == "V":
+        sp, act = a.space, lambda x: x
+    else:
+        wb = build_module(a)
+        sp = BasedSpace(range(wb.dim))
+        act = lambda x: s_action(wb, x, sp)
+    vecs = [sp.basis_vector(l) for l in sp.labels]
     for x in mats:
         for y in mats:
-            act_xy = m.action_matrix(commutator(x, y))
-            act_x, act_y = m.action_matrix(x), m.action_matrix(y)
+            act_xy = act(commutator(x, y))
+            act_x, act_y = act(x), act(y)
             for v in vecs:
                 lhs = act_xy.apply(v)
                 rhs = act_x.apply(act_y.apply(v)) - act_y.apply(act_x.apply(v))
@@ -276,12 +288,8 @@ class DecompositionError(ValueError):
 def weight_decompose(space, cartan_actions) -> dict:
     """Weight oracle: the simultaneous eigenspaces of commuting integer
     actions, keyed by their eigenvalue tuples, found by scanning every
-    integer up to the Gershgorin bound.  ``space`` is a BasedSpace with
-    action matrices, or a RepModule with Cartan elements of its algebra.
+    integer up to the Gershgorin bound, on the BasedSpace ``space``.
     Raises DecompositionError when the eigenspaces do not fill the space."""
-    if isinstance(space, RepModule):
-        mats = [space.action_matrix(h) for h in cartan_actions]
-        return weight_decompose(space.space, mats)
     pieces = [((), rref([space.basis_vector(l) for l in space.labels], space))]
     for h in cartan_actions:
         row_sums = {}
@@ -328,11 +336,13 @@ def _weight_tag(w: Root, n: int) -> tuple:
 
 def test_weight_decompose_sp2_natural():
     a = alg("C", 2)
-    m = build_module(a, "V")
-    dec = weight_decompose(m.space, a.cartan)
+    sp = a.space
+    dec = weight_decompose(sp, a.cartan)
     assert set(dec) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
     assert all(sub.dim == 1 for sub in dec.values())
-    assert dec == {_weight_tag(w, 2): sub for w, sub in m.weight_index().items()}
+    assert dec == {
+        _weight_tag(label_weight(l), 2): rref([sp.basis_vector(l)], sp) for l in sp.labels
+    }
 
 
 def test_weight_decompose_adjoint_sl3():
@@ -341,8 +351,8 @@ def test_weight_decompose_adjoint_sl3():
     ad_mats = []
     for h in a.cartan:
         entries = {}
-        for j, x in enumerate(a.basis_mats):
-            img = a.coords_of_mat(commutator(h, x))
+        for j, x in enumerate(a.wb.basis_mats):
+            img = a.wb.coords(commutator(h, x).entries)
             for i, c in img.items():
                 entries[(f"g:{i}", f"g:{j}")] = c
         ad_mats.append(SparseMatrix(coords, coords, entries))
@@ -390,59 +400,59 @@ def test_derivation_span_binds_the_bracket_d_uw(monkeypatch, factor):
     assert not derivation_span_equals_oB(2)[0]
 
 
-def _circ(x, y, idem, family):
+def _circ(x, y, j0, m0, family):
     """graded._circ of x and y, its products formed by ``@``, as a matrix."""
-    m = SimpleNamespace(family=family, idem0=idem)
-    sp = idem.space
+    m = SimpleNamespace(family=family, idem0=j0, m0=m0)
+    sp = j0.domain
     return SparseMatrix(sp, sp, graded._circ(m, (x @ y).entries, (y @ x).entries))
 
 
 def test_circ_trunc():
     c2 = alg("C", 2)
     sp = c2.space
-    idem = TruncationIdempotent(sp, {1, 2})
+    j0 = truncation_idempotent(sp, {1, 2})
     x = matrix_unit("v:1", "vb:1", sp)
     # tr(x^2) = 0 and x^2 = 0, so x o x = 0
-    assert _circ(x, x, idem, "C").is_zero()
+    assert _circ(x, x, j0, 2, "C").is_zero()
     y = matrix_unit("vb:1", "v:1", sp)
-    xy = _circ(x, y, idem, "C")
-    yx = _circ(y, x, idem, "C")
+    xy = _circ(x, y, j0, 2, "C")
+    yx = _circ(y, x, j0, 2, "C")
     assert xy == yx
     # tr(xy) = 1, so the correction is -(1/2) J_0 here
-    assert xy == x @ y + y @ x - idem.matrix.scale(Q(1, 2))
+    assert xy == x @ y + y @ x - j0.scale(Q(1, 2))
 
 
 def test_circ_trunc_type_a_factor_two():
     a3 = alg("A", 3)
     sp = a3.space
-    idem = TruncationIdempotent(sp, {1, 2, 3})
+    j0 = truncation_idempotent(sp, {1, 2, 3})
     x = matrix_unit("v:1", "v:2", sp)
     y = matrix_unit("v:2", "v:1", sp)
-    out = _circ(x, y, idem, "A")
+    out = _circ(x, y, j0, 3, "A")
     assert out.trace() == 0
     # tr(xy) = 1 and |I_0| = 3, so the correction is -(2/3) J_0
-    assert out == x @ y + y @ x - idem.matrix.scale(Q(2, 3))
+    assert out == x @ y + y @ x - j0.scale(Q(2, 3))
 
 
 def test_v_ops():
     c2 = alg("C", 2)
     nat = c2.nat
     sp = nat.space
-    idem = TruncationIdempotent(sp, {1, 2})
+    ell = 2
+    j0 = truncation_idempotent(sp, {1, 2})
     v1 = sp.basis_vector("v:1")
     vb1 = sp.basis_vector("vb:1")
     # u = v: circ maps w to (u, w) u
-    m = v_ops(v1, v1, nat, idem, "circ")
+    m = v_ops(v1, v1, nat, j0, ell, "circ")
     assert m.apply(vb1) == v1.scale(nat.form(v1, vb1))
     # (v1, vb1) = 2 per the symplectic form; evaluated by hand:
     # bracket_ell(v1, vb1)(v1) = 1/2*(vb1,v1)*v1 + (1/2*ell)*2*v1 = -v1 + (1/ell)v1
-    ell = idem.size
-    out = v_ops(v1, vb1, nat, idem, "bracket_ell").apply(v1)
+    out = v_ops(v1, vb1, nat, j0, ell, "bracket_ell").apply(v1)
     assert out == v1.scale(Q(-1) + Q(1, ell))
     # circ output is form-skew, bracket output is form-symmetric
     g = nat.gram
-    circ = v_ops(v1, vb1, nat, idem, "circ")
-    brk = v_ops(v1, vb1, nat, idem, "bracket_ell")
+    circ = v_ops(v1, vb1, nat, j0, ell, "circ")
+    brk = v_ops(v1, vb1, nat, j0, ell, "bracket_ell")
     assert (circ.transpose() @ g + g @ circ).is_zero()
     assert (brk.transpose() @ g - g @ brk).is_zero()
 
@@ -452,21 +462,21 @@ def test_v_ops_span_g_and_s():
     c2 = alg("C", 2)
     nat = c2.nat
     sp = nat.space
-    idem = TruncationIdempotent(sp, {1, 2})
-    smod = build_module(c2, "S")
+    j0 = truncation_idempotent(sp, {1, 2})
+    smod = build_module(c2)
     for u_lab in sp.labels:
         for v_lab in sp.labels:
             u, v = sp.basis_vector(u_lab), sp.basis_vector(v_lab)
-            c2.coords_of_mat(v_ops(u, v, nat, idem, "circ"))  # raises if outside
-            smod.from_matrix(v_ops(u, v, nat, idem, "bracket_ell"))  # raises if outside
+            c2.wb.coords(v_ops(u, v, nat, j0, 2, "circ").entries)  # raises if outside
+            smod.coords(v_ops(u, v, nat, j0, 2, "bracket_ell").entries)  # raises if outside
 
 
 def test_truncation_idempotent_is_idempotent():
     sp = FormedSpace("B", 3).space
-    idem = TruncationIdempotent(sp, {1, 2})
-    assert idem.matrix @ idem.matrix == idem.matrix
-    assert idem.matrix.apply(sp.basis_vector("v:3")).is_zero()
-    assert idem.matrix.apply(sp.basis_vector("v:0")) == sp.basis_vector("v:0")
+    j = truncation_idempotent(sp, {1, 2})
+    assert j @ j == j
+    assert j.apply(sp.basis_vector("v:3")).is_zero()
+    assert j.apply(sp.basis_vector("v:0")) == sp.basis_vector("v:0")
 
 
 def test_weight_decompose_non_diagonalizable_errors():
@@ -478,9 +488,13 @@ def test_weight_decompose_non_diagonalizable_errors():
 
 def test_weight_decompose_accepts_module():
     a = alg("C", 2)
-    mod = build_module(a, "S")
-    dec = weight_decompose(mod, a.cartan)
-    assert sum(sub.dim for sub in dec.values()) == mod.dim
+    wb = build_module(a)
+    sp = BasedSpace(range(wb.dim))
+    dec = weight_decompose(sp, [s_action(wb, h, sp) for h in a.cartan])
+    assert sum(sub.dim for sub in dec.values()) == wb.dim
     assert dec[(0, 0)].dim == 1
     assert dec[(1, 1)].dim == 1  # weight e1 + e2
-    assert dec == {_weight_tag(w, 2): sub for w, sub in mod.weight_index().items()}
+    by_weight = {}
+    for k, w in enumerate(wb.weight_of_basis):
+        by_weight.setdefault(_weight_tag(w, 2), []).append(sp.basis_vector(k))
+    assert dec == {tag: rref(vs, sp) for tag, vs in by_weight.items()}

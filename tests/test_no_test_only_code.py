@@ -21,19 +21,15 @@ PACKAGE = ROOT / "src" / "rootgraded"
 
 # read only by tests: the API the acceptance criteria use, and
 # ``level_coset``, which the level-transition check is to be rebuilt on;
-# criterion 4 reads ``from_matrix`` beside ``action_matrix``, criterion 5
-# ``bracket_cosets``
+# criterion 5 reads ``bracket_cosets``
 TEST_API = {
-    "action_matrix",
     "bracket_cosets",
-    "from_matrix",
     "derivation_span_equals_oB",
     "expected_dimension",
     "level_coset",
     "root_vector",
     "semidivisible",
     "validate_root_system",
-    "weight_index",
 }
 
 
