@@ -288,8 +288,10 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"--exhaustive-max must be at least 0, got {args.exhaustive_max}")
     if args.samples > 0 and args.seed is None:
         raise ConfigError("a seed is required whenever samples > 0")
-    if "uniform" in args.suite and args.cross_ell == args.ell:
+    if args.cross_ell is None:
         # check_uniform cross-checks only at a second level
+        args.cross_ell = 8 if args.ell == 7 else 7
+    elif "uniform" in args.suite and args.cross_ell == args.ell:
         raise ConfigError(
             f"--cross-ell {args.cross_ell} equals the model's ell; the uniform"
             " suite cross-checks at another level"
@@ -414,7 +416,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--samples", type=int, default=500)
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--exhaustive-max", type=int, default=300)
-    p_verify.add_argument("--cross-ell", type=int, default=7)
+    p_verify.add_argument("--cross-ell", type=int)
     p_verify.add_argument("--timings", action="store_true")
     p_verify.add_argument("--out")
     p_verify.set_defaults(fn=cmd_verify)

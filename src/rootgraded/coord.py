@@ -566,12 +566,7 @@ class BBQuotient:
 
     def apply_pair_action(self, d: SparseMatrix, t: SparseVector) -> SparseVector:
         """(d (x) 1 + 1 (x) d) applied to a tensor vector."""
-        cols = _columns(d)
-        out: dict[tuple[str, str], Fraction] = {}
-        for (l1, l2), coeff in t.entries.items():
-            add_scaled(out, {(r, l2): v for r, v in cols.get(l1, ())}, coeff)
-            add_scaled(out, {(l1, r): v for r, v in cols.get(l2, ())}, coeff)
-        return SparseVector(self.tensor, out)
+        return SparseVector(self.tensor, _pair_action(_columns(d), t.entries))
 
     def _verify_well_defined(self):
         """The two facts that make {b,b}_ell = (b (x) b)/K well defined: every
@@ -589,8 +584,10 @@ class BBQuotient:
             d = self.pair_derivation(lab)
             if d.is_zero():
                 continue
+            # phi o (d (x) 1 + 1 (x) d) is the action of the transpose of
+            # d, whose columns are the rows of d
             rows = _columns(d.transpose())
-            i = self.quotient.first_escape(lambda phi: _pull_back(rows, phi))
+            i = self.quotient.first_escape(lambda phi: _pair_action(rows, phi))
             if i is not None:
                 raise InternalConsistencyError(
                     "bracket does not preserve the relation space",
@@ -642,15 +639,15 @@ def _columns(d: SparseMatrix) -> dict[str, list[tuple[str, Fraction]]]:
     return cols
 
 
-def _pull_back(rows, phi: dict) -> dict:
-    """phi o (d (x) 1 + 1 (x) d) for a functional phi on b (x) b, with d given
-    by its rows, ``_columns(d.transpose())``: each entry of phi at (u, v)
-    walks rows u and v of d."""
-    psi: dict[tuple[str, str], Fraction] = {}
-    for (u, v), w in phi.items():
-        add_scaled(psi, {(a, v): x for a, x in rows.get(u, ())}, w)
-        add_scaled(psi, {(u, b): x for b, x in rows.get(v, ())}, w)
-    return psi
+def _pair_action(cols, t: dict) -> dict:
+    """(d (x) 1 + 1 (x) d) on the entries of a tensor, with d given by its
+    columns, ``_columns(d)``: each entry of t at (u, v) walks columns u and v
+    of d."""
+    out: dict[tuple[str, str], Fraction] = {}
+    for (u, v), w in t.items():
+        add_scaled(out, {(a, v): x for a, x in cols.get(u, ())}, w)
+        add_scaled(out, {(u, b): x for b, x in cols.get(v, ())}, w)
+    return out
 
 
 def build_bb(q: CoordinateQuadruple, ell: int) -> BBQuotient:

@@ -91,9 +91,6 @@ class BasedSpace:
         self.pos(label)
         return SparseVector(self, {label: 1})
 
-    def zero(self) -> "SparseVector":
-        return SparseVector(self, {})
-
 
 def tensor_space(u: BasedSpace, v: BasedSpace) -> BasedSpace:
     """Tensor product realized concretely with pair labels (a, b)."""
@@ -124,9 +121,6 @@ class SparseVector:
                 clean[lab] = v
         self.space = space
         self.entries = clean
-
-    def get(self, label: Hashable) -> Fraction:
-        return self.entries.get(label, 0)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -215,9 +209,6 @@ class SparseMatrix:
     @staticmethod
     def identity(space: BasedSpace) -> "SparseMatrix":
         return SparseMatrix(space, space, {(lab, lab): 1 for lab in space.labels})
-
-    def get(self, r: Hashable, c: Hashable) -> Fraction:
-        return self.entries.get((r, c), 0)
 
     def is_zero(self) -> bool:
         return not self.entries

@@ -101,8 +101,8 @@ class Term(NamedTuple):
 
 # matrix side.  Each op returns an entry dict, {(row, col): value} of a
 # matrix or {label: value} of a natural-module vector, or a scalar.  The
-# product ops read the pair's two products (xy, yx) as entry dicts; both
-# vanish unless the supports of x and y meet.  The other ops read (x, y).
+# product ops read the pair's two products (xy, yx) as entry dicts, and run
+# only on pairs with one of them nonzero.  The other ops read (x, y).
 
 
 def _lie(m, xy, yx):
@@ -312,61 +312,31 @@ def _coset_coords(dpart) -> Callable:
     return lambda t: read(dpart.project(t).entries)
 
 
-def _support_index(mats: list) -> tuple[dict, dict] | None:
-    """For each label, the positions of the matrices in ``mats`` with a
-    nonzero entry in that row, and of those with one in that column; None
-    when the objects are natural-module vectors."""
-    if not isinstance(mats[0], SparseMatrix):
-        return None
-    by_row: dict[str, set[int]] = {}
-    by_col: dict[str, set[int]] = {}
-    for i, x in enumerate(mats):
-        for r, c in x.entries:
-            by_row.setdefault(r, set()).add(i)
-            by_col.setdefault(c, set()).add(i)
-    return by_row, by_col
-
-
-def _partners(x: SparseMatrix, support: tuple[dict, dict]) -> set[int]:
-    """The positions of the indexed matrices y with xy or yx possibly
-    nonzero: y has a row in cols(x) or a column in rows(x).  For every
-    other y, xy = yx = 0 exactly."""
-    by_row, by_col = support
-    out: set[int] = set()
-    for r, c in x.entries:
-        out.update(by_row.get(c, ()), by_col.get(r, ()))
-    return out
-
-
-def _entry_maps(mats: list[SparseMatrix]) -> tuple[list[dict], list[dict]]:
-    """For each matrix, its entries by row, {row: [(col, value)]}, and by
-    column, {col: [(row, value)]}."""
-    by_row, by_col = [], []
-    for x in mats:
-        rows: dict = {}
-        cols: dict = {}
-        for (r, c), v in x.entries.items():
-            rows.setdefault(r, []).append((c, v))
-            cols.setdefault(c, []).append((r, v))
-        by_row.append(rows)
-        by_col.append(cols)
-    return by_row, by_col
-
-
-def _product(x_cols: dict, y_rows: dict) -> dict:
-    """The entry dict of xy, from x by column and y by row (``_entry_maps``)."""
+def _products(mats1: list[SparseMatrix], mats2: list[SparseMatrix]) -> dict:
+    """{(i, j): entry dict of x_i y_j} for x_i in ``mats1`` and y_j in
+    ``mats2``, with no key where the product is 0: one join of each x_i's
+    entries, by column, with ``mats2`` indexed by row (Gustavson, ACM TOMS
+    4(3), 1978), so a pair whose supports do not meet costs nothing."""
+    by_row: dict = {}  # mid -> {j: [(col, entry of y_j)]}
+    for j, y in enumerate(mats2):
+        for (mid, c), w in y.entries.items():
+            by_row.setdefault(mid, {}).setdefault(j, []).append((c, w))
     out: dict = {}
-    for mid, xs in x_cols.items():
-        ys = y_rows.get(mid)
-        if ys:
-            for r, v in xs:
-                for c, w in ys:
-                    s = out.get((r, c), 0) + v * w
-                    if s:
-                        out[r, c] = s
-                    else:
-                        del out[r, c]
-    return out
+    for i, x in enumerate(mats1):
+        cols: dict = {}
+        for (r, mid), v in x.entries.items():
+            cols.setdefault(mid, []).append((r, v))
+        for mid, xs in cols.items():
+            for j, ys in by_row.get(mid, {}).items():
+                xy = out.setdefault((i, j), {})
+                for r, v in xs:
+                    for c, w in ys:
+                        s = xy.get((r, c), 0) + v * w
+                        if s:
+                            xy[r, c] = s
+                        else:
+                            del xy[r, c]
+    return {ij: xy for ij, xy in out.items() if xy}
 
 
 class _Kind(NamedTuple):
@@ -374,8 +344,7 @@ class _Kind(NamedTuple):
     element (i, p) sits at offset + i * width + p, width being the number of
     coordinate-side objects.  The two readers give the coordinates, in the
     kind's matrix-side and coordinate-side objects, of the factors of a
-    term that lands in this kind; ``support`` is the ``_support_index`` of
-    its matrix-side objects."""
+    term that lands in this kind."""
 
     offset: int
     width: int
@@ -383,7 +352,6 @@ class _Kind(NamedTuple):
     coords: list  # coordinate-side objects
     read_mat: Callable
     read_coord: Callable
-    support: tuple[dict, dict] | None
 
 
 # the named forms of K (``--k``), each read off the full homology as the
@@ -496,8 +464,7 @@ class GradedModel:
         self._kinds: dict[str, _Kind] = {}
         for kind, (mats, weights, coords, read_mat, read_coord) in kinds.items():
             self._kinds[kind] = _Kind(
-                len(self.basis), len(coords), mats, coords, read_mat, read_coord,
-                _support_index(mats),
+                len(self.basis), len(coords), mats, coords, read_mat, read_coord
             )
             for i, w in enumerate(weights):
                 for p in range(len(coords)):
@@ -531,17 +498,15 @@ class GradedModel:
         kind k2, evaluated from the family's terms.  Each factor is computed
         once per matrix-side pair (i <= j within a kind) and once per
         coordinate-side pair, the coordinate factors first: a term with
-        none is dead, and its matrix side is skipped.  The product ops are
-        evaluated only on the pairs whose supports meet (``_partners``),
-        all of them on the two products xy and yx formed once per pair when
-        some product term is live; the other ops on every pair.  The
-        products are entry dicts, formed by ``_product`` from the row and
-        column maps the block builds once per matrix.  ``keep`` receives
-        each term's matrix-side factors under (k1 + k2, target, mat), {}
-        for a dead term.  Rows are summed at ``denom`` times their value,
-        ``denom`` clearing the denominators of the term scales, and divided
-        once per entry at the end: integral factors cost int arithmetic
-        only, and an integral quotient stays an int."""
+        none is dead, and its matrix side is skipped.  When some product
+        term is live, ``_products`` forms every nonzero product of the two
+        kinds' matrices once, and the product ops read (xy, yx) on each
+        pair with one of them nonzero; the other ops run on every pair.
+        ``keep`` receives each term's matrix-side factors under (k1 + k2,
+        target, mat), {} for a dead term.  Rows are summed at ``denom``
+        times their value, ``denom`` clearing the denominators of the term
+        scales, and divided once per entry at the end: integral factors
+        cost int arithmetic only, and an integral quotient stays an int."""
         off1, w1, mats1, coords1 = self._kinds[k1][:4]
         off2, w2, mats2, coords2 = self._kinds[k2][:4]
         same = k1 == k2
@@ -557,13 +522,15 @@ class GradedModel:
             ])
         products = {}
         if any(coord and term.mat in _PRODUCTS for term, coord in zip(terms, coords)):
-            rows1, cols1 = _entry_maps(mats1)
-            rows2, cols2 = (rows1, cols1) if same else _entry_maps(mats2)
-            support = self._kinds[k2].support
-            for i, x in enumerate(mats1):
-                for j in sorted(_partners(x, support)):
-                    if j >= i or not same:
-                        products[i, j] = _product(cols1[i], rows2[j]), _product(cols2[j], rows1[i])
+            xy = _products(mats1, mats2)
+            if same:
+                yx, pairs = xy, {(i, j) if i <= j else (j, i) for i, j in xy}
+            else:
+                yx = _products(mats2, mats1)  # keyed (j, i)
+                pairs = xy.keys() | {(i, j) for j, i in yx}
+            products = {(i, j): (xy.get((i, j), {}), yx.get((j, i), {})) for i, j in sorted(pairs)}
+            # the rows are summed without the join's containers: peak memory
+            del xy, yx, pairs
         denom = lcm(*(term.scale.denominator for term in terms))
         rows: dict[tuple[int, int], dict[int, Fraction]] = {}
         for term, coord in zip(terms, coords):
@@ -619,7 +586,7 @@ class GradedModel:
         kept = {}
         for pair in TERMS[self.family]:
             rows.update(self._block(pair[0], pair[1], kept))
-        self.table = dict(sorted(rows.items()))
+        self.table = {key: rows[key] for key in sorted(rows)}
         # coordinates of [x_i, x_j] in G for i <= j, read by the grading check
         self._g_lie = kept.get(("gg", "g", _lie), {})
 
@@ -949,10 +916,16 @@ def _zero_weight_span(m: GradedModel, by_weight: dict, roots: Iterable[Root]):
     weight -alpha for each alpha in ``roots``, in the zero-weight space
     labelled by the model's basis indices.  Returns that space, the span as
     a Subspace, and for each bracket with a part of nonzero weight the first
-    three indices of that part (such a bracket is left out of the span)."""
+    three indices of that part (such a bracket is left out of the span).
+    Each pair {alpha, -alpha} is visited once, from the first of the two in
+    ``roots``: [x_j, x_i] = -[x_i, x_j] adds nothing to the span."""
     zero_space = BasedSpace(by_weight.get(Root.zero(), []))
     vecs, stray = [], []
+    seen = set()
     for alpha in roots:
+        if -alpha in seen:
+            continue
+        seen.add(alpha)
         for i in by_weight.get(alpha, []):
             for j in by_weight.get(-alpha, []):
                 row = m.bracket_indices(i, j)

@@ -60,9 +60,6 @@ class Root:
     def norm(self) -> int:
         return self.dot(self)
 
-    def support(self) -> set[int]:
-        return set(self.coords)
-
     def key(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.coords.items()))
 

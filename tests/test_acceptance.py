@@ -309,7 +309,7 @@ def test_criterion_6_uniform_and_remark():
         rows = beta_star_map_rows(q)
         for g in gens:
             for row in rows.values():
-                val = sum((row.get(lab) * c for lab, c in g.entries.items()), Q(0))
+                val = sum((row.entries.get(lab, 0) * c for lab, c in g.entries.items()), Q(0))
                 assert val == 0
         bb = build_bb(q, 4)
         report = check_uniform(bb, [], cross_check_ell=7)

@@ -466,6 +466,19 @@ def test_cross_ell_equal_to_the_model_ell_exits_2(capsys):
     )
 
 
+def test_default_cross_ell_moves_off_the_model_ell(capsys):
+    # without --cross-ell the cross-check runs at 7, or at 8 for a model at
+    # ell 7, which the uniform suite then checks instead of refusing
+    code, out = run_cli(
+        capsys,
+        "verify", "--family", "C", "--n", "7", "--ell", "7",
+        "--preset", "matrix_transpose:k=1", "--suite", "uniform", "--samples", "0",
+    )
+    assert code == 0
+    (check,) = json.loads(out)["checks"]
+    assert (check["status"], check["ell"], check["cross_ell"]) == ("pass", 7, 8)
+
+
 @pytest.mark.parametrize(
     "argv,level",
     [

@@ -464,7 +464,7 @@ def test_dual_stability_matches_image_and_reduce(spec):
         for lab in quotient.coset_labels:
             d = bb.pair_derivation(lab)
             rows = coord._columns(d.transpose())
-            dual = quotient.first_escape(lambda phi: coord._pull_back(rows, phi))
+            dual = quotient.first_escape(lambda phi: coord._pair_action(rows, phi))
             images = (bb.apply_pair_action(d, g) for g in k.rows)
             reference = next((i for i, img in enumerate(images) if not k.contains(img)), None)
             assert dual == reference, lab
@@ -502,7 +502,7 @@ def test_full_homology_matrix_oracle():
     rows_by_a: dict[str, dict[str, Q]] = {}
     for lab in csp.labels:
         lift = bb.quotient.lift(csp.basis_vector(lab))
-        total = q.a_space.zero()
+        total = SparseVector(q.a_space, {})
         for (l1, l2), coeff in lift.entries.items():
             x = q.a_space.basis_vector(l1)
             y = q.a_space.basis_vector(l2)
@@ -565,7 +565,7 @@ def test_beta_star_vanishes_on_relation_generators(spec):
     for g in gens:
         for r, row in rows.items():
             val = sum(
-                (row.get(lab) * c for lab, c in g.entries.items()), Q(0)
+                (row.entries.get(lab, 0) * c for lab, c in g.entries.items()), Q(0)
             )
             assert val == 0, (spec, r)
 

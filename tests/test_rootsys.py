@@ -176,7 +176,7 @@ def test_full_subsystem():
     bc4 = generate("BC", 4)
     assert is_full_subsystem(bc4.roots, bc4)
     assert is_full_subsystem({Root.zero()}, bc4)
-    sub = {r for r in bc4.roots if r.support() <= {1, 2}}
+    sub = {r for r in bc4.roots if set(r.coords) <= {1, 2}}
     assert is_full_subsystem(sub, bc4)
     # dropping the divisible roots breaks fullness: span recovers them
     non_full = {r for r in sub if r.is_zero() or r not in (Root.eps(1), -Root.eps(1))}
