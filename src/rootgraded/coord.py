@@ -61,6 +61,7 @@ class CoordinateQuadruple:
         "a_part_sub",
         "b_part_sub",
         "_ad",
+        "_parts",
     )
 
     def __init__(
@@ -99,6 +100,7 @@ class CoordinateQuadruple:
         self.a_part_sub = kernel(self.star - ident)
         self.b_part_sub = kernel(self.star + ident)
         self._ad = None
+        self._parts: dict[tuple[str, str], dict] = {}
 
     # -- products ---------------------------------------------------------
 
@@ -133,6 +135,29 @@ class CoordinateQuadruple:
                 if ad:
                     self._ad[r] = ad
         return self._ad
+
+    def label_part(self, lab: tuple[str, str]) -> dict[tuple[str, str], Fraction]:
+        """The entries of the part of d^ell_{x,y} that is not inner, for the
+        b (x) b label (x, y), formed on first use; it does not depend on
+        ell: the Jordan derivation [L_y, L_x] for B, -f_action(., x, y)/2
+        on C for x, y in C (BC), and nothing otherwise."""
+        part = self._parts.get(lab)
+        if part is None:
+            part = self._parts[lab] = {}
+            if self.qtype == "B":
+                a1, a2 = (self.a_space.basis_vector(l) for l in lab)
+                space, image = self.a_space, lambda e: (
+                    self.a_mul(a2, self.a_mul(a1, e)) - self.a_mul(a1, self.a_mul(a2, e))
+                )
+            elif lab[0] in self.c_space and lab[1] in self.c_space:
+                c1, c2 = (self.c_space.basis_vector(l) for l in lab)
+                space, image = self.c_space, lambda c: f_action(self, c, c1, c2).scale(Q(-1, 2))
+            else:
+                return part
+            for l in space.labels:
+                for r, v in image(space.basis_vector(l)).entries.items():
+                    part[r, l] = v
+        return part
 
     # -- b = a (+) C ------------------------------------------------------
 
@@ -242,40 +267,26 @@ def f_action(q, c: SparseVector, c1: SparseVector, c2: SparseVector) -> SparseVe
     return q.c_act(q.f_val(c, c2), c1) + q.c_act(q.f_val(c, c1), c2)
 
 
-def derivation(
-    q, ell: int, x: SparseVector, y: SparseVector, inner: SparseVector | None = None
-) -> SparseMatrix:
-    """The derivation d^ell_{x,y} of b that {x, y} acts by.
-
-    For A, C and BC it is the inner derivation of z = kappa beta*(x, y),
-    kappa = ``inner_scale``: a' -> [z, a'] on a and c -> z.c on C, that is
-    sum_r z_r ad(e_r) over ``q.ad_basis()``, less half of ``f_action`` of
-    the module parts of x and y on C (nonzero for BC only).  ``inner`` is
-    z where the caller has it already.  For B it is the Jordan derivation
-    [L_a2, L_a1]; for D it is 0.
-    """
+def tensor_derivation(q, t: dict, inner: SparseVector) -> SparseMatrix:
+    """The derivation d_t of b that a tensor acts by, from its entries t over
+    b (x) b labels and z = ``inner`` = kappa beta*(t), kappa = ``inner_scale``.
+    d_t is linear in t (Allison-Benkart-Gao, Memoirs AMS 158, 2002): the
+    inner derivation sum_r z_r ad(e_r) of z (``q.ad_basis()``), plus each
+    label's ``q.label_part``: less half the f-term F(t) of t's C (x) C
+    entries for BC, the Jordan derivations for B (where z = 0); 0 for D."""
     cols: dict[tuple[str, str], Fraction] = {}
-
-    def add_col(lab: str, vec: SparseVector):
-        add_scaled(cols, {(r, lab): v for r, v in vec.entries.items()})
-
-    if q.qtype == "B":
-        a1, a2 = q.split_b(x)[0], q.split_b(y)[0]
-        for lab in q.a_space.labels:
-            e = q.a_space.basis_vector(lab)
-            add_col(lab, q.a_mul(a2, q.a_mul(a1, e)) - q.a_mul(a1, q.a_mul(a2, e)))
-    elif q.qtype != "D":
-        if inner is None:
-            inner = beta_star(q, x, y).scale(inner_scale(q.qtype, ell))
-        ad = q.ad_basis()
-        for r, zr in inner.entries.items():
-            add_scaled(cols, ad.get(r, {}), zr)
-        c1, c2 = q.split_b(x)[1], q.split_b(y)[1]
-        if not (c1.is_zero() or c2.is_zero()):
-            for lab in q.c_space.labels:
-                e = q.c_space.basis_vector(lab)
-                add_col(lab, f_action(q, e, c1, c2).scale(Q(-1, 2)))
+    for r, zr in inner.entries.items():
+        add_scaled(cols, q.ad_basis().get(r, {}), zr)
+    for lab, coeff in t.items():
+        add_scaled(cols, q.label_part(lab), coeff)
     return SparseMatrix(q.b_space, q.b_space, cols)
+
+
+def derivation(q, ell: int, x: SparseVector, y: SparseVector) -> SparseMatrix:
+    """The derivation d^ell_{x,y} of b that {x, y} acts by:
+    ``tensor_derivation`` of x (x) y."""
+    t = {(lx, ly): vx * vy for lx, vx in x.entries.items() for ly, vy in y.entries.items()}
+    return tensor_derivation(q, t, beta_star(q, x, y).scale(inner_scale(q.qtype, ell)))
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +520,7 @@ class BBQuotient:
         self.relations = rref(relation_generators(q), self.tensor)
         self.quotient = QuotientSpace(self.tensor, self.relations)
         self.beta_rows = beta_star_map_rows(q)
-        self._pairs: dict[tuple[str, str], tuple[SparseVector, SparseMatrix]] = {}
+        self._pairs: dict[tuple[str, str], SparseMatrix] = {}
         self._verify_well_defined()
 
     def at_ell(self, ell: int) -> "BBQuotient":
@@ -530,39 +541,28 @@ class BBQuotient:
         other._pairs = {}
         return other
 
-    # derivation attached to a tensor vector, by bilinearity
     def derivation_of(self, t: SparseVector) -> SparseMatrix:
-        acc: dict[tuple[str, str], Fraction] = {}
-        for lab, coeff in t.entries.items():
-            add_scaled(acc, self.pair_derivation(lab).entries, coeff)
-        return SparseMatrix(self.q.b_space, self.q.b_space, acc)
+        """d^ell_t of a tensor vector, straight from t by linearity
+        (``tensor_derivation``), with kappa beta*(t) from ``inner_of``."""
+        return tensor_derivation(self.q, t.entries, self.inner_of(t))
 
     def inner_of(self, t: SparseVector) -> SparseVector:
-        """kappa beta* of a tensor vector, by linearity, kappa =
-        ``inner_scale``: for x (x) y, the element of a whose inner
-        derivation d^ell_{x,y} is, less the BC f-term."""
-        acc: dict[str, Fraction] = {}
-        for lab, coeff in t.entries.items():
-            add_scaled(acc, self._pair(lab)[0].entries, coeff)
-        return SparseVector(self.q.a_space, acc)
+        """kappa beta* of a tensor vector, one dot product of t with each
+        ``beta_rows`` row, kappa = ``inner_scale``: for x (x) y, the element
+        of a whose inner derivation d^ell_{x,y} is, less the BC f-term."""
+        dots = {
+            r: sum(row.entries[lab] * c for lab, c in t.entries.items() if lab in row.entries)
+            for r, row in self.beta_rows.items()
+        }
+        return SparseVector(self.q.a_space, dots).scale(self.kappa)
 
     def pair_derivation(self, lab: tuple[str, str]) -> SparseMatrix:
-        """d^ell_{x,y} for the tensor label (x, y)."""
-        return self._pair(lab)[1]
-
-    def _pair(self, lab: tuple[str, str]) -> tuple[SparseVector, SparseMatrix]:
-        """kappa beta*(x, y) and d^ell_{x,y} for the tensor label (x, y),
-        computed once, with beta*(x, y) read off ``beta_rows``; the build
-        computes them for every label, each being a relation pivot or a
-        coset label."""
-        pair = self._pairs.get(lab)
-        if pair is None:
-            q = self.q
-            beta = {r: row.entries[lab] for r, row in self.beta_rows.items() if lab in row.entries}
-            inner = SparseVector(q.a_space, beta).scale(self.kappa)
-            x, y = (q.b_space.basis_vector(l) for l in lab)
-            pair = self._pairs[lab] = (inner, derivation(q, self.ell, x, y, inner))
-        return pair
+        """d^ell_{x,y} for the tensor label (x, y): ``derivation_of`` its
+        basis tensor, formed on first use (coset labels, the derivation suite)."""
+        d = self._pairs.get(lab)
+        if d is None:
+            d = self._pairs[lab] = self.derivation_of(self.tensor.basis_vector(lab))
+        return d
 
     def apply_pair_action(self, d: SparseMatrix, t: SparseVector) -> SparseVector:
         """(d (x) 1 + 1 (x) d) applied to a tensor vector."""
@@ -618,7 +618,7 @@ class BBQuotient:
         spanned by the coset vectors ``k_span``.
 
         On C, the derivation of a tensor t is c -> kappa beta*(t).c -
-        F(t)(c) / 2, F the BC f-term (``derivation``), linear in t.  The
+        F(t)(c) / 2, F the BC f-term (``tensor_derivation``), linear in t.  The
         build checks that every relation has derivation 0, FH is the exact
         kernel of the derivation (``full_homology``), and the uniform
         verdict says beta* is 0 on relations + lift(K).  So F is 0 on the

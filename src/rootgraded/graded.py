@@ -502,11 +502,12 @@ class GradedModel:
         term is live, ``_products`` forms every nonzero product of the two
         kinds' matrices once, and the product ops read (xy, yx) on each
         pair with one of them nonzero; the other ops run on every pair.
-        ``keep`` receives each term's matrix-side factors under (k1 + k2,
-        target, mat), {} for a dead term.  Rows are summed at ``denom``
-        times their value, ``denom`` clearing the denominators of the term
-        scales, and divided once per entry at the end: integral factors
-        cost int arithmetic only, and an integral quotient stays an int."""
+        ``keep`` receives the matrix-side factors of each term whose key
+        (k1 + k2, target, mat) it holds, {} for a dead term.  Rows are
+        summed at ``denom`` times their value, ``denom`` clearing the
+        denominators of the term scales, and divided once per entry at the
+        end: integral factors cost int arithmetic only, and an integral
+        quotient stays an int."""
         off1, w1, mats1, coords1 = self._kinds[k1][:4]
         off2, w2, mats2, coords2 = self._kinds[k2][:4]
         same = k1 == k2
@@ -547,7 +548,8 @@ class GradedModel:
                         f = mat_coords(term.mat(self, x, mats2[j]))
                         if f:
                             mat[i, j] = f
-            keep[k1 + k2, term.target, term.mat] = mat
+            if (k1 + k2, term.target, term.mat) in keep:
+                keep[k1 + k2, term.target, term.mat] = mat
             mult = scalar(term.scale * denom)
             for (i, j), mf in mat.items():
                 e0, f0 = off1 + i * w1, off2 + j * w2
@@ -583,12 +585,12 @@ class GradedModel:
 
     def _build_table(self):
         rows = {}
-        kept = {}
+        # only the grading check's factors, [x_i, x_j] in G for i <= j, are kept
+        kept = {("gg", "g", _lie): {}}
         for pair in TERMS[self.family]:
             rows.update(self._block(pair[0], pair[1], kept))
         self.table = {key: rows[key] for key in sorted(rows)}
-        # coordinates of [x_i, x_j] in G for i <= j, read by the grading check
-        self._g_lie = kept.get(("gg", "g", _lie), {})
+        self._g_lie = kept["gg", "g", _lie]
 
     def bracket_indices(self, i: int, j: int) -> dict[int, Fraction]:
         if i < j:
@@ -1000,9 +1002,11 @@ class SubModel:
         ] + [r.entries for r in self.zero_part.rows]
         # each basis index's weight, classified once: 0 zero, 1 in S, 2 other
         where = [0 if w.is_zero() else 1 if w in self.s_roots else 2 for w in m.weight_of]
+        single = len(self.nonzero_indices)
         for a_pos, xa in enumerate(basis_rows):
-            for xb in basis_rows[a_pos:]:
-                acc = m.bracket(xa, xb)
+            for b_pos, xb in enumerate(basis_rows[a_pos:], a_pos):
+                # [x_i, x_j] of two basis indices i <= j is their table row
+                acc = m.table.get((min(xa), min(xb)), {}) if b_pos < single else m.bracket(xa, xb)
                 zero_piece: dict[int, Fraction] = {}
                 for idx, c in acc.items():
                     if where[idx] == 0:

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -281,6 +282,47 @@ def test_derivation_matches_the_explicit_formula(spec):
                 )
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "matrix:k=2",
+        "clifford:d=2",
+        "matrix_transpose:k=2",
+        "matrix_hermitian:k=2,m=2",
+        "group_ring:m=3",
+    ],
+)
+def test_tensor_derivation_is_the_sum_of_the_pair_derivations(spec):
+    # the lemma the build reads: d_t = ad(kappa beta*(t)) - F(t)/2 is linear
+    # in t.  On every relation row and on seeded random tensors, the
+    # derivation and kappa beta* formed from t itself equal the sums over
+    # t's labels of the written-out formula and of beta* itself, and each
+    # label's pair derivation is the written-out formula
+    q = quad(spec)
+    bb = bb_for(spec)
+    kappa = coord.inner_scale(q.qtype, bb.ell)
+    labels = bb.tensor.labels
+    rng = random.Random(7)
+    randoms = [
+        SparseVector(bb.tensor, {lab: rng.randint(-3, 3) for lab in rng.sample(labels, 6)})
+        for _ in range(4)
+    ]
+    live = False
+    for t in [*bb.relations.rows, *randoms]:
+        d_sum = SparseMatrix.zero(q.b_space, q.b_space)
+        z_sum = SparseVector(q.a_space, {})
+        for lab, coeff in t.entries.items():
+            x, y = (q.b_space.basis_vector(l) for l in lab)
+            d = _explicit_derivation(q, bb.ell, x, y)
+            assert bb.pair_derivation(lab) == d, lab
+            d_sum = d_sum + d.scale(coeff)
+            z_sum = z_sum + beta_star(q, x, y).scale(kappa * coeff)
+        assert bb.derivation_of(t) == d_sum, repr(t)
+        assert bb.inner_of(t) == z_sum, repr(t)
+        live = live or not d_sum.is_zero()
+    assert live == (q.qtype != "D")
+
+
 def test_relation_generators_scalar_type_a():
     q = scalar_quadruple("A")
     gens = relation_generators(q)
@@ -400,22 +442,44 @@ def test_bb_antisymmetry_of_cosets_in_a():
             assert u == v.scale(Q(-1))
 
 
-def test_well_defined_check_catches_a_derivation_that_misses_k(monkeypatch):
-    # every nonzero pair derivation plus the identity: some relation vector
-    # no longer has total derivation 0
-    q = quad("matrix:k=2")
-    build_bb(q, 4)
-    real = coord.derivation
-
-    def plus_identity(q, ell, x, y, *inner):
-        d = real(q, ell, x, y, *inner)
-        return d if d.is_zero() else d + SparseMatrix.identity(q.b_space)
-
-    monkeypatch.setattr(coord, "derivation", plus_identity)
+def _assert_first_relation_row_fails(q, witness):
     with pytest.raises(InternalConsistencyError) as exc:
         build_bb(q, 4)
     assert str(exc.value) == "total derivation of a relation vector is nonzero"
-    assert repr(exc.value.witness) == "1*m:0,0⊗m:0,1 + 1*m:1,1⊗m:0,1"
+    assert repr(exc.value.witness) == witness
+
+
+def test_well_defined_check_catches_a_derivation_that_misses_k(monkeypatch):
+    # the beta* entry at the pivot label of the second relation row, doubled:
+    # no other relation row has an entry at a pivot label, so the rows
+    # before it keep total derivation 0 and it gets ad(kappa e_01)
+    q = quad("matrix:k=2")
+    real = coord.beta_star_map_rows
+    lab = ("m:0,0", "m:0,1")
+
+    def doubled(q):
+        rows = real(q)
+        row = rows["m:0,1"].entries
+        rows["m:0,1"] = SparseVector(q.bb_space, {**row, lab: 2 * row[lab]})
+        return rows
+
+    monkeypatch.setattr(coord, "beta_star_map_rows", doubled)
+    _assert_first_relation_row_fails(q, "1*m:0,0⊗m:0,1 + 1*m:1,1⊗m:0,1")
+
+
+def test_well_defined_check_catches_an_f_term_that_misses_k(monkeypatch):
+    # the BC f-term of the pivot label of the fifth relation row, doubled:
+    # F is symmetric, so the row c0 (x) c1 - c1 (x) c0 had F = 0 and now
+    # has F(c0, c1) != 0
+    q = quad("symplectic:m=2")
+    real = CoordinateQuadruple.label_part
+
+    def doubled(q, lab):
+        part = real(q, lab)
+        return {pos: 2 * v for pos, v in part.items()} if lab == ("c:0", "c:1") else part
+
+    monkeypatch.setattr(CoordinateQuadruple, "label_part", doubled)
+    _assert_first_relation_row_fails(q, "1*c:0⊗c:1 + -1*c:1⊗c:0")
 
 
 def _fewer_relations(real):
