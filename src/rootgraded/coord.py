@@ -267,28 +267,6 @@ def f_action(q, c: SparseVector, c1: SparseVector, c2: SparseVector) -> SparseVe
     return q.c_act(q.f_val(c, c2), c1) + q.c_act(q.f_val(c, c1), c2)
 
 
-def tensor_derivation(q, t: dict, inner: SparseVector) -> SparseMatrix:
-    """The derivation d_t of b that a tensor acts by, from its entries t over
-    b (x) b labels and z = ``inner`` = kappa beta*(t), kappa = ``inner_scale``.
-    d_t is linear in t (Allison-Benkart-Gao, Memoirs AMS 158, 2002): the
-    inner derivation sum_r z_r ad(e_r) of z (``q.ad_basis()``), plus each
-    label's ``q.label_part``: less half the f-term F(t) of t's C (x) C
-    entries for BC, the Jordan derivations for B (where z = 0); 0 for D."""
-    cols: dict[tuple[str, str], Fraction] = {}
-    for r, zr in inner.entries.items():
-        add_scaled(cols, q.ad_basis().get(r, {}), zr)
-    for lab, coeff in t.items():
-        add_scaled(cols, q.label_part(lab), coeff)
-    return SparseMatrix(q.b_space, q.b_space, cols)
-
-
-def derivation(q, ell: int, x: SparseVector, y: SparseVector) -> SparseMatrix:
-    """The derivation d^ell_{x,y} of b that {x, y} acts by:
-    ``tensor_derivation`` of x (x) y."""
-    t = {(lx, ly): vx * vy for lx, vx in x.entries.items() for ly, vy in y.entries.items()}
-    return tensor_derivation(q, t, beta_star(q, x, y).scale(inner_scale(q.qtype, ell)))
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -507,10 +485,12 @@ class BBQuotient:
 
     ``beta_rows`` is the beta* map b (x) b -> a as rows,
     ``beta_star_map_rows(q)``; like K it does not depend on ell.  ``kappa``
-    is ``inner_scale`` at ell, formed when ell is set: a level below 1 fails there.
+    is ``inner_scale`` at ell, formed when ell is set: a level below 1 fails
+    there.  ``derivations`` is {coset label f: d^ell_f}, formed once when
+    ell is set; every derivation a coset acts by is read from there.
     """
 
-    __slots__ = ("q", "ell", "kappa", "tensor", "relations", "quotient", "beta_rows", "_pairs")
+    __slots__ = ("q", "ell", "kappa", "tensor", "relations", "quotient", "beta_rows", "derivations")
 
     def __init__(self, q: CoordinateQuadruple, ell: int):
         self.q = q
@@ -520,31 +500,42 @@ class BBQuotient:
         self.relations = rref(relation_generators(q), self.tensor)
         self.quotient = QuotientSpace(self.tensor, self.relations)
         self.beta_rows = beta_star_map_rows(q)
-        self._pairs: dict[tuple[str, str], SparseMatrix] = {}
+        self.derivations = self._coset_derivations()
         self._verify_well_defined()
 
     def at_ell(self, ell: int) -> "BBQuotient":
         """The same quotient at another ell, not re-verified.
 
         Neither K (with the quotient) nor the beta* rows depend on ell, so
-        they are shared; kappa and the derivations do, so the result
-        computes its own.
+        they are shared; kappa and the coset derivations do, so the result
+        forms its own.
         """
         other = object.__new__(BBQuotient)
-        other.q = self.q
+        for name in ("q", "tensor", "relations", "quotient", "beta_rows"):
+            setattr(other, name, getattr(self, name))
         other.ell = ell
         other.kappa = inner_scale(self.q.qtype, ell)
-        other.tensor = self.tensor
-        other.relations = self.relations
-        other.quotient = self.quotient
-        other.beta_rows = self.beta_rows
-        other._pairs = {}
+        other.derivations = other._coset_derivations()
         return other
 
+    def _coset_derivations(self) -> dict[tuple[str, str], SparseMatrix]:
+        labels = self.quotient.coset_labels
+        return {f: self.derivation_of(self.tensor.basis_vector(f)) for f in labels}
+
     def derivation_of(self, t: SparseVector) -> SparseMatrix:
-        """d^ell_t of a tensor vector, straight from t by linearity
-        (``tensor_derivation``), with kappa beta*(t) from ``inner_of``."""
-        return tensor_derivation(self.q, t.entries, self.inner_of(t))
+        """The derivation d^ell_t of b that a tensor vector t acts by, formed
+        from t itself.  d_t is linear in t (Allison-Benkart-Gao, Memoirs AMS
+        158, 2002): the inner derivation sum_r z_r ad(e_r) of z = kappa
+        beta*(t) (``inner_of``, ``q.ad_basis()``), plus each label's
+        ``q.label_part``: less half the f-term F(t) of t's C (x) C entries
+        for BC, the Jordan derivations for B (where z = 0); 0 for D."""
+        q = self.q
+        cols: dict[tuple[str, str], Fraction] = {}
+        for r, zr in self.inner_of(t).entries.items():
+            add_scaled(cols, q.ad_basis().get(r, {}), zr)
+        for lab, coeff in t.entries.items():
+            add_scaled(cols, q.label_part(lab), coeff)
+        return SparseMatrix(q.b_space, q.b_space, cols)
 
     def inner_of(self, t: SparseVector) -> SparseVector:
         """kappa beta* of a tensor vector, one dot product of t with each
@@ -555,18 +546,6 @@ class BBQuotient:
             for r, row in self.beta_rows.items()
         }
         return SparseVector(self.q.a_space, dots).scale(self.kappa)
-
-    def pair_derivation(self, lab: tuple[str, str]) -> SparseMatrix:
-        """d^ell_{x,y} for the tensor label (x, y): ``derivation_of`` its
-        basis tensor, formed on first use (coset labels, the derivation suite)."""
-        d = self._pairs.get(lab)
-        if d is None:
-            d = self._pairs[lab] = self.derivation_of(self.tensor.basis_vector(lab))
-        return d
-
-    def apply_pair_action(self, d: SparseMatrix, t: SparseVector) -> SparseVector:
-        """(d (x) 1 + 1 (x) d) applied to a tensor vector."""
-        return SparseVector(self.tensor, _pair_action(_columns(d), t.entries))
 
     def _verify_well_defined(self):
         """The two facts that make {b,b}_ell = (b (x) b)/K well defined: every
@@ -580,13 +559,12 @@ class BBQuotient:
                 raise InternalConsistencyError(
                     "total derivation of a relation vector is nonzero", witness=g
                 )
-        for lab in self.quotient.coset_labels:
-            d = self.pair_derivation(lab)
+        for lab, d in self.derivations.items():
             if d.is_zero():
                 continue
             # phi o (d (x) 1 + 1 (x) d) is the action of the transpose of
             # d, whose columns are the rows of d
-            rows = _columns(d.transpose())
+            rows = _columns(d.transpose().entries)
             i = self.quotient.first_escape(lambda phi: _pair_action(rows, phi))
             if i is not None:
                 raise InternalConsistencyError(
@@ -608,17 +586,21 @@ class BBQuotient:
         return SparseVector(self.tensor, entries)
 
     def bracket_cosets(self, u: SparseVector, v: SparseVector) -> SparseVector:
-        """Bracket of two coset vectors (coset-space coordinates)."""
-        d = self.derivation_of(self.quotient.lift(u))
-        img = self.apply_pair_action(d, self.quotient.lift(v))
-        return self.quotient.project(img)
+        """[u, v] of two coset vectors (coset-space coordinates): lift(v) under
+        d (x) 1 + 1 (x) d, projected back, where d = sum_f u_f d_f over the
+        stored ``derivations``; by linearity d is ``derivation_of`` lift(u)."""
+        d: dict[tuple[str, str], Fraction] = {}
+        for f, c in u.entries.items():
+            add_scaled(d, self.derivations[f].entries, c)
+        img = _pair_action(_columns(d), self.quotient.lift(v).entries)
+        return self.quotient.project(SparseVector(self.tensor, img))
 
     def d_part(self, k_span: Sequence[SparseVector]) -> QuotientSpace:
         """The D-part (b (x) b)/(relations + lift(K)) of a model whose K is
         spanned by the coset vectors ``k_span``.
 
         On C, the derivation of a tensor t is c -> kappa beta*(t).c -
-        F(t)(c) / 2, F the BC f-term (``tensor_derivation``), linear in t.  The
+        F(t)(c) / 2, F the BC f-term (``derivation_of``), linear in t.  The
         build checks that every relation has derivation 0, FH is the exact
         kernel of the derivation (``full_homology``), and the uniform
         verdict says beta* is 0 on relations + lift(K).  So F is 0 on the
@@ -631,10 +613,10 @@ class BBQuotient:
         return QuotientSpace(self.tensor, rref([*self.relations.rows, *lifts], self.tensor))
 
 
-def _columns(d: SparseMatrix) -> dict[str, list[tuple[str, Fraction]]]:
-    """Column label -> [(row label, entry)] of d, in entry order."""
+def _columns(entries: dict) -> dict[str, list[tuple[str, Fraction]]]:
+    """Column label -> [(row label, entry)] of a matrix's entries, in entry order."""
     cols: dict[str, list[tuple[str, Fraction]]] = {}
-    for (r, c), v in d.entries.items():
+    for (r, c), v in entries.items():
         cols.setdefault(c, []).append((r, v))
     return cols
 
@@ -658,20 +640,18 @@ def full_homology(bb: BBQuotient) -> Subspace:
     """FH as a subspace of the coset space: the kernel of coset -> total
     derivation; verified central in {b,b}_ell."""
     csp = bb.quotient.coset_space
-    derivs = {lab: bb.pair_derivation(lab) for lab in csp.labels}
     # (row, col) of the derivation -> {coset label: entry}
     rows_by_pos: dict[tuple[str, str], dict[tuple[str, str], Fraction]] = {}
-    for lab, d in derivs.items():
+    for lab, d in bb.derivations.items():
         for pos, v in d.entries.items():
             rows_by_pos.setdefault(pos, {})[lab] = v
     rows = [SparseVector(csp, entries) for entries in rows_by_pos.values()]
     # the exact kernel of these rows: every vector of FH has derivation 0
     fh = kernel_of_rows(rows, csp)
-    live = [(lab, d) for lab, d in derivs.items() if not d.is_zero()]
+    live = [lab for lab, d in bb.derivations.items() if not d.is_zero()]
     for f in fh.rows:
-        lifted = bb.quotient.lift(f)
-        for lab, d in live:
-            if not bb.quotient.project(bb.apply_pair_action(d, lifted)).is_zero():
+        for lab in live:
+            if not bb.bracket_cosets(csp.basis_vector(lab), f).is_zero():
                 raise InternalConsistencyError(
                     "homology element is not central", witness=(label_text(lab), f)
                 )
@@ -694,18 +674,17 @@ def beta_star_map_rows(q: CoordinateQuadruple) -> dict[str, SparseVector]:
 def check_uniform(
     bb: BBQuotient,
     k_span: Sequence[SparseVector],
-    fh: Subspace | None = None,
+    fh: Subspace,
     cross_check_ell: int | None = None,
 ) -> dict:
-    """Decide the uniform property for span(k_span) inside FH; exact.
+    """Decide the uniform property for span(k_span) inside FH =
+    ``full_homology(bb)``; exact.
 
     The condition collapses to: the beta* map vanishes on the preimage
     K + lift(span(k_span)) of the span.  Neither K nor beta* depends on
     ell, so neither does the verdict; the optional cross-check recomputes
     FH at a second ell value and checks that the span still lies in it.
     """
-    if fh is None:
-        fh = full_homology(bb)
     for v in k_span:
         if not fh.contains(v):
             raise ValueError("spanning vector lies outside the full homology group")

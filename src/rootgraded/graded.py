@@ -30,7 +30,6 @@ from .coord import (
     build_bb,
     check_uniform,
     clifford_quadruple,
-    derivation,
     diamond_heart,
     f_action,
     full_homology,
@@ -223,11 +222,14 @@ def _f_act(m, c, lab):
 
 def _deriv(m, a, lab):
     q = m.quadruple
-    return q.split_b(m.bb.pair_derivation(lab).apply(q.lift_b(a)))[0]
+    return q.split_b(m.bb.derivations[lab].apply(q.lift_b(a)))[0]
 
 
 def _coset_act(m, lab, other):
-    return m.bb.apply_pair_action(m.bb.pair_derivation(lab), m.bb.tensor.basis_vector(other))
+    """[<lab>, <other>] of {b,b}_ell, lifted to its canonical tensor."""
+    bb = m.bb
+    csp = bb.quotient.coset_space
+    return bb.quotient.lift(bb.bracket_cosets(csp.basis_vector(lab), csp.basis_vector(other)))
 
 
 _DD = (Term("d", _one, _coset_act),)
@@ -626,8 +628,9 @@ def build_model(
 def derivation_span_equals_oB(n: int) -> tuple[bool, int, int]:
     """D_{V,V} = o_B(n), read off the two Jordan derivations the type-B
     bracket runs: for each pair u < w of basis vectors of V, the derivation
-    ``coord.derivation`` of the Clifford quadruple of V's form leaves the
-    unit out and is ``d_uw`` on V, and these span o_B(n) inside gl(V)."""
+    of the Clifford quadruple of V's form (its ``label_part`` (u, w), all
+    of it on type B) leaves the unit out and is ``d_uw`` on V, and these
+    span o_B(n) inside gl(V)."""
     G = build_algebra("B", n)
     nat = G.nat
     q = clifford_quadruple(nat.space.labels, nat.gram.entries, name=f"o_B({n})")
@@ -636,11 +639,9 @@ def derivation_span_equals_oB(n: int) -> tuple[bool, int, int]:
     span_vecs = []
     for i, u in enumerate(labels):
         for w in labels[i + 1 :]:
-            # the type-B derivation does not depend on the level
-            d = derivation(q, 1, q.b_space.basis_vector(u), q.b_space.basis_vector(w))
             on_v = d_uw(nat, nat.space.basis_vector(u), nat.space.basis_vector(w))
             # equal entries: d is d_uw on V and has no row or column at the unit
-            ok = ok and d.entries == on_v.entries
+            ok = ok and q.label_part((u, w)) == on_v.entries
             span_vecs.append(SparseVector(G.glsp, on_v.entries))
     span = rref(span_vecs, G.glsp)
     return ok and span == G.wb.full, span.dim, G.dim

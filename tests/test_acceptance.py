@@ -258,12 +258,13 @@ def test_criterion_5_coordinate_suite(preset):
     t0 = time.monotonic()
     q = get_quad(preset)
     assert validate_quadruple(q)["valid"]
-    from rootgraded.coord import b_mul, derivation, diamond_heart
+    from rootgraded.coord import b_mul, diamond_heart
 
+    bb = build_bb(q, 4)  # raises on any well-definedness failure
     labs = q.b_space.labels
     for l1 in labs:
         for l2 in labs:
-            d = derivation(q, 4, q.b_space.basis_vector(l1), q.b_space.basis_vector(l2))
+            d = bb.derivation_of(bb.tensor.basis_vector((l1, l2)))
             if d.is_zero():
                 continue
             for xl in labs:
@@ -272,7 +273,6 @@ def test_criterion_5_coordinate_suite(preset):
                     assert d.apply(b_mul(q, x, y)) == b_mul(q, d.apply(x), y) + b_mul(
                         q, x, d.apply(y)
                     )
-    bb = build_bb(q, 4)  # raises on any well-definedness failure
     csp = bb.quotient.coset_space
     basis = [csp.basis_vector(l) for l in csp.labels]
     table = {}
@@ -312,7 +312,7 @@ def test_criterion_6_uniform_and_remark():
                 val = sum((row.entries.get(lab, 0) * c for lab, c in g.entries.items()), Q(0))
                 assert val == 0
         bb = build_bb(q, 4)
-        report = check_uniform(bb, [], cross_check_ell=7)
+        report = check_uniform(bb, [], fh=full_homology(bb), cross_check_ell=7)
         assert report["uniform"] is True
         assert report["cross_check"]["uniform"] is True
     elapsed = time.monotonic() - t0

@@ -500,7 +500,7 @@ def test_default_cross_ell_moves_off_the_model_ell(capsys):
             ),
             0,
         ),
-        # {b,b}_ell of these is 0-dimensional: no pair derivation is formed
+        # {b,b}_ell of these is 0-dimensional: no coset derivation is formed
         # at the cross-check level, so only the quotient's own kappa sees it
         *(
             (("verify", "--family", family, "--n", n, "--ell", "5", "--samples", "0",
@@ -546,10 +546,63 @@ def test_uniform_report_names_the_level_cross_checked(capsys, monkeypatch):
     assert (check["ell"], check["cross_ell"]) == (4, 7)
 
 
-def test_emit_flag_accepted_on_subcommands(capsys):
-    code, out = run_cli(capsys, "roots", "--family", "A", "--n", "2", "--emit", "json")
-    assert code == 0
-    assert json.loads(out)["family"] == "A"
+def _left_multiplications(q):
+    """A mutant of ``CoordinateQuadruple.ad_basis``: L_{e_r} (a -> e_r a on
+    a, c -> e_r.c on C) in place of ad(e_r) = L_{e_r} - R_{e_r}."""
+    out = {}
+    for r in q.a_space.labels:
+        e = q.a_space.basis_vector(r)
+        cols = {}
+        for space, act in ((q.a_space, q.a_mul), (q.c_space, q.c_act)):
+            for lab in space.labels:
+                for row, v in act(e, space.basis_vector(lab)).entries.items():
+                    cols[row, lab] = v
+        out[r] = cols
+    return out
+
+
+@pytest.mark.parametrize(
+    "family,n,ell,preset,witness",
+    [
+        ("C", "6", "5", "matrix_transpose:k=2", ["m:1,1", "m:1,0", "m:0,0", "m:1,0"]),
+        ("BC", "5", "4", "matrix_hermitian:k=2,m=2", ["c:1,1", "c:0,0", "m:0,0", "m:1,0"]),
+    ],
+)
+def test_derivation_suite_kills_left_multiplication(
+    capsys, monkeypatch, family, n, ell, preset, witness
+):
+    # beta* is 0 on every relation row here, so the build never reads the
+    # inner part of a relation row's derivation and passes the mutant; the
+    # derivation law on the coset derivations fails it
+    from rootgraded.coord import CoordinateQuadruple
+
+    monkeypatch.setattr(CoordinateQuadruple, "ad_basis", _left_multiplications)
+    code, out = run_cli(
+        capsys,
+        "verify", "--family", family, "--n", n, "--ell", ell, "--preset", preset,
+        "--suite", "derivation", "--samples", "0",
+    )
+    assert code == 1
+    (check,) = json.loads(out)["checks"]
+    assert (check["name"], check["status"]) == ("derivation", "fail")
+    assert check["witnesses"][0] == witness
+
+
+def test_left_multiplication_fails_the_type_a_build(capsys, monkeypatch):
+    # on matrix:k=2 the mutant already breaks the invariance half of the build
+    from rootgraded.coord import CoordinateQuadruple
+
+    monkeypatch.setattr(CoordinateQuadruple, "ad_basis", _left_multiplications)
+    code, err = run_cli_err(
+        capsys,
+        "verify", "--family", "A", "--n", "6", "--ell", "5", "--preset", "matrix:k=2",
+        "--suite", "derivation", "--samples", "0",
+    )
+    assert code == 3
+    assert err == (
+        "internal consistency error: bracket does not preserve the relation space\n"
+        "witness: ('m:1,0⊗m:0,1', 1*m:0,0⊗m:0,1 + 1*m:1,1⊗m:0,1)\n"
+    )
 
 
 def test_cross_process_determinism(tmp_path):

@@ -18,7 +18,6 @@ from rootgraded.coord import (
     build_bb,
     check_uniform,
     clifford_quadruple,
-    derivation,
     diamond_heart,
     full_homology,
     parse_preset_spec,
@@ -55,6 +54,12 @@ def bb_for(spec, ell=4):
     if key not in _BBS:
         _BBS[key] = build_bb(quad(spec), ell)
     return _BBS[key]
+
+
+def derivation(spec, ell, x, y):
+    """d^ell_{x,y}: the derivation that {b,b}_ell forms for the tensor x (x) y."""
+    bb = bb_for(spec, ell)
+    return bb.derivation_of(bb.pair_tensor(x, y))
 
 
 def scalar_quadruple(qtype):
@@ -181,17 +186,19 @@ def test_diamond_heart_requires_module():
 
 
 def test_derivation_type_d_is_zero():
-    q = quad("group_ring:m=3")
+    spec = "group_ring:m=3"
+    q = quad(spec)
     for l1 in q.b_space.labels:
         for l2 in q.b_space.labels:
-            d = derivation(q, 4, q.b_space.basis_vector(l1), q.b_space.basis_vector(l2))
+            d = derivation(spec, 4, q.b_space.basis_vector(l1), q.b_space.basis_vector(l2))
             assert d.is_zero()
 
 
 def test_derivation_type_a_example():
     # d_{e11,e12}(e21) = (1/6)[[e11,e12],e21] = (1/6)(e11 - e22) at ell = 5
     q = quad("matrix:k=2")
-    d = derivation(q, 5, q.b_space.basis_vector("m:0,0"), q.b_space.basis_vector("m:0,1"))
+    x, y = q.b_space.basis_vector("m:0,0"), q.b_space.basis_vector("m:0,1")
+    d = derivation("matrix:k=2", 5, x, y)
     out = d.apply(q.b_space.basis_vector("m:1,0"))
     expected = (
         q.b_space.basis_vector("m:0,0") - q.b_space.basis_vector("m:1,1")
@@ -204,7 +211,7 @@ def test_derivation_vanishes_on_equal_a_inputs(spec):
     q = quad(spec)
     for lab in q.a_space.labels:
         v = q.b_space.basis_vector(lab)
-        assert derivation(q, 4, v, v).is_zero()
+        assert derivation(spec, 4, v, v).is_zero()
 
 
 @pytest.mark.parametrize("spec", PRESET_SPECS)
@@ -213,7 +220,7 @@ def test_derivation_is_a_derivation_of_b(spec):
     labs = q.b_space.labels
     pairs = [(l1, l2) for l1 in labs for l2 in labs]
     for l1, l2 in pairs:
-        d = derivation(q, 4, q.b_space.basis_vector(l1), q.b_space.basis_vector(l2))
+        d = derivation(spec, 4, q.b_space.basis_vector(l1), q.b_space.basis_vector(l2))
         if d.is_zero():
             continue
         for x_lab in labs:
@@ -269,15 +276,15 @@ def _explicit_derivation(q, ell, x, y):
 
 @pytest.mark.parametrize("spec", PRESET_SPECS + ["matrix_hermitian:k=2,m=4"])
 def test_derivation_matches_the_explicit_formula(spec):
-    # derivation reads kappa from inner_scale and beta* from beta_star; the
-    # oracle writes each family's constants out
+    # the quotient's derivation reads kappa from inner_scale and beta* from
+    # beta_rows; the oracle writes each family's constants out
     q = quad(spec)
     labs = q.b_space.labels
     for ell in (1, 4, 7):
         for l1 in labs:
             for l2 in labs:
                 x, y = q.b_space.basis_vector(l1), q.b_space.basis_vector(l2)
-                assert derivation(q, ell, x, y) == _explicit_derivation(q, ell, x, y), (
+                assert derivation(spec, ell, x, y) == _explicit_derivation(q, ell, x, y), (
                     ell, l1, l2,
                 )
 
@@ -314,13 +321,40 @@ def test_tensor_derivation_is_the_sum_of_the_pair_derivations(spec):
         for lab, coeff in t.entries.items():
             x, y = (q.b_space.basis_vector(l) for l in lab)
             d = _explicit_derivation(q, bb.ell, x, y)
-            assert bb.pair_derivation(lab) == d, lab
+            assert bb.derivation_of(bb.tensor.basis_vector(lab)) == d, lab
             d_sum = d_sum + d.scale(coeff)
             z_sum = z_sum + beta_star(q, x, y).scale(kappa * coeff)
         assert bb.derivation_of(t) == d_sum, repr(t)
         assert bb.inner_of(t) == z_sum, repr(t)
         live = live or not d_sum.is_zero()
     assert live == (q.qtype != "D")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "matrix:k=2",
+        "clifford:d=2",
+        "matrix_transpose:k=2",
+        "matrix_hermitian:k=2,m=2",
+        "group_ring:m=3",
+    ],
+)
+def test_coset_derivations_cover_every_tensor_label(spec):
+    # the lemma the derivation suite reads: each tensor is its projection,
+    # a combination of coset labels, plus a relation part that d kills, so
+    # d of every label is that combination of the stored coset derivations
+    bb = bb_for(spec)
+    q = bb.q
+    assert list(bb.derivations) == list(bb.quotient.coset_labels)
+    for f, d in bb.derivations.items():
+        assert d == _explicit_derivation(q, bb.ell, *(q.b_space.basis_vector(l) for l in f))
+    for lab in bb.tensor.labels:
+        e = bb.tensor.basis_vector(lab)
+        combination = SparseMatrix.zero(q.b_space, q.b_space)
+        for f, c in bb.quotient.project(e).entries.items():
+            combination = combination + bb.derivations[f].scale(c)
+        assert bb.derivation_of(e) == combination, lab
 
 
 def test_relation_generators_scalar_type_a():
@@ -526,10 +560,11 @@ def test_dual_stability_matches_image_and_reduce(spec):
     for k in (bb.relations, rref(_fewer_relations(relation_generators)(q), bb.tensor)):
         quotient = QuotientSpace(bb.tensor, k)
         for lab in quotient.coset_labels:
-            d = bb.pair_derivation(lab)
-            rows = coord._columns(d.transpose())
+            d = bb.derivation_of(bb.tensor.basis_vector(lab))
+            rows = coord._columns(d.transpose().entries)
             dual = quotient.first_escape(lambda phi: coord._pair_action(rows, phi))
-            images = (bb.apply_pair_action(d, g) for g in k.rows)
+            cols = coord._columns(d.entries)
+            images = (SparseVector(bb.tensor, coord._pair_action(cols, g.entries)) for g in k.rows)
             reference = next((i for i, img in enumerate(images) if not k.contains(img)), None)
             assert dual == reference, lab
 
@@ -543,11 +578,11 @@ def test_full_homology_type_d_is_everything():
 def test_full_homology_catches_a_noncentral_homology_element(monkeypatch):
     # no quadruple here has FH != 0 beside a nonzero coset derivation, so a
     # mutant shows the centrality check can fail: with the identity as
-    # every pair derivation, FH is the cosets of coefficient sum 0, and the
+    # every coset derivation, FH is the cosets of coefficient sum 0, and the
     # identity acts on each of them by 2, not 0
     bb = bb_for("matrix:k=2")
     ident = SparseMatrix.identity(bb.q.b_space)
-    monkeypatch.setattr(BBQuotient, "pair_derivation", lambda self, lab: ident)
+    monkeypatch.setattr(bb, "derivations", {lab: ident for lab in bb.derivations})
     with pytest.raises(InternalConsistencyError) as exc:
         full_homology(bb)
     assert str(exc.value) == "homology element is not central"
@@ -637,7 +672,7 @@ def test_beta_star_vanishes_on_relation_generators(spec):
 @pytest.mark.parametrize("spec", PRESET_SPECS)
 def test_uniform_k_zero_with_remark_cross_check(spec):
     bb = bb_for(spec)
-    report = check_uniform(bb, [], cross_check_ell=7)
+    report = check_uniform(bb, [], fh=full_homology(bb), cross_check_ell=7)
     assert report["uniform"] is True
     assert report["cross_check"]["uniform"] is True
 
@@ -721,6 +756,7 @@ def test_relation_space_does_not_depend_on_ell(spec):
 def test_cross_check_uses_derivations_at_second_ell(spec, monkeypatch):
     q = quad(spec)
     bb = BBQuotient(q, 4)
+    fh = full_homology(bb)
     seen = []
     real_full_homology = coord.full_homology
 
@@ -729,15 +765,14 @@ def test_cross_check_uses_derivations_at_second_ell(spec, monkeypatch):
         return real_full_homology(b)
 
     monkeypatch.setattr(coord, "full_homology", recording_full_homology)
-    report = check_uniform(bb, [], cross_check_ell=7)
+    report = check_uniform(bb, [], fh=fh, cross_check_ell=7)
     assert report["cross_check"]["ell"] == 7
-    assert [b.ell for b in seen] == [4, 7]
-    bb7 = seen[1]
+    assert [b.ell for b in seen] == [7]
+    bb7 = seen[0]
     assert bb7.relations is bb.relations
     differs = False
-    for lab in bb.quotient.coset_labels:
+    for lab, d7 in bb7.derivations.items():
         x, y = (q.b_space.basis_vector(l) for l in lab)
-        d7 = bb7.pair_derivation(lab)
-        assert d7 == derivation(q, 7, x, y)
-        differs |= d7 != bb.pair_derivation(lab)
+        assert d7 == _explicit_derivation(q, 7, x, y)
+        differs |= d7 != bb.derivations[lab]
     assert differs

@@ -111,7 +111,8 @@ def test_uniform_verdict_fails_when_beta_star_misses_a_relation(monkeypatch):
     real = coord._beta_star_of_parts
     monkeypatch.setattr(coord, "_beta_star_of_parts", lambda q, p1, p2: real(q, p1, p2) + q.unit)
     q = parse_preset_spec("matrix:k=2")
-    report = coord.check_uniform(coord.build_bb(q, 5), [], cross_check_ell=7)
+    bb = coord.build_bb(q, 5)
+    report = coord.check_uniform(bb, [], fh=coord.full_homology(bb), cross_check_ell=7)
     assert report["uniform"] is False
     # the witness prints the pair label of the relation as "x⊗y"
     assert report["witness"] == "1*m:0,0⊗m:0,0"
@@ -711,7 +712,7 @@ def test_bc_f_term_vanishes_on_the_relation_space(preset):
     for lab in m.bb.tensor.labels:
         t = m.bb.tensor.basis_vector(lab)
         z = beta_star(q, *(q.b_space.basis_vector(l) for l in lab)).scale(kappa)
-        d = m.bb.pair_derivation(lab)
+        d = m.bb.derivation_of(t)
         for c in m.c_basis:
             f = f_term(t, c)
             live = live or not f.is_zero()
@@ -759,7 +760,7 @@ def test_type_b_derivations_kill_the_a_part(monkeypatch, spec):
     assert validate_quadruple(q)["valid"]
     m = build_model("B", 5, 5, q)
     for lab in m.bb.tensor.labels:
-        d = m.bb.pair_derivation(lab)
+        d = m.bb.derivation_of(m.bb.tensor.basis_vector(lab))
         assert all(d.apply(q.lift_b(a)).is_zero() for a in q.a_part_sub.rows)
     monkeypatch.setitem(
         graded.TERMS["B"], "gd", (graded.Term("g", graded._first, graded._deriv, -1),)

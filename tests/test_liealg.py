@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from rootgraded import graded
-from rootgraded.coord import derivation, parse_preset_spec
+from rootgraded.coord import build_bb, parse_preset_spec
 from rootgraded.exactla import (
     BasedSpace,
     ShapeError,
@@ -375,11 +375,16 @@ def test_weight_decompose_trivial_module():
 
 def test_jordan_derivation_basics():
     q = parse_preset_spec("clifford:d=2")
+    bb = build_bb(q, 1)
     one, w1, w2 = (q.b_space.basis_vector(l) for l in ("one", "w:1", "w:2"))
-    assert derivation(q, 1, one, w1).is_zero()
-    assert derivation(q, 1, w1, w1).is_zero()
+
+    def derivation(x, y):
+        return bb.derivation_of(bb.pair_tensor(x, y))
+
+    assert derivation(one, w1).is_zero()
+    assert derivation(w1, w1).is_zero()
     # D_{w1,w2} on W is u -> g(w1,u) w2 - g(w2,u) w1
-    d = derivation(q, 1, w1, w2)
+    d = derivation(w1, w2)
     assert d.apply(w1) == w2
     assert d.apply(w2) == -w1
     assert d.apply(one).is_zero()
@@ -394,7 +399,7 @@ def test_derivation_span_equals_oB(n, dim):
 
 @pytest.mark.parametrize("factor", [2, -1])
 def test_derivation_span_binds_the_bracket_d_uw(monkeypatch, factor):
-    # the check compares coord.derivation with the D_{u,w} the type-B ss
+    # the check compares the Jordan derivation with the D_{u,w} the type-B ss
     # bracket term runs, so a rescaled d_uw must fail it
     monkeypatch.setattr(graded, "d_uw", lambda nat, u, w: d_uw(nat, u, w).scale(Q(factor)))
     assert not derivation_span_equals_oB(2)[0]

@@ -5,9 +5,10 @@ test that uses it, or point the test at the public path it shadows.
 
 References are found by name and followed by name, so this is a lint and
 not an exact call graph: a definition counts as read when code the program
-reaches names it, as a variable it does not bind itself, an attribute or a
-part of a dotted string (the benchmark traces ``Class.method`` by name).  An
-import alone reads nothing: a name imported only for code that tests reach
+reaches names it, as a variable it does not bind itself, an attribute or,
+in the benchmark's files only, a part of a dotted string (the benchmark
+traces ``Class.method`` by name; a string in the package, such as a suite
+name, reads nothing).  An import alone reads nothing: a name imported only for code that tests reach
 is read only by tests.  The program reaches its module level, and then
 each definition that reached code names; a read inside a definition that
 only tests reach does not count."""
@@ -21,9 +22,9 @@ PACKAGE = ROOT / "src" / "rootgraded"
 
 # read only by tests: the API the acceptance criteria use, and
 # ``level_coset``, which the level-transition check is to be rebuilt on;
-# criterion 5 reads ``bracket_cosets``
+# ``beta_star`` is the tests' reference for the beta* rows
 TEST_API = {
-    "bracket_cosets",
+    "beta_star",
     "derivation_span_equals_oB",
     "expected_dimension",
     "level_coset",
@@ -69,6 +70,7 @@ class _Reads(ast.NodeVisitor):
     def __init__(self):
         self.by_owner: dict = defaultdict(Counter)
         self._stack = []  # (definition node, owner, names it binds)
+        self.strings = False  # whether strings name what they read
 
     def _definition(self, node):
         if not self._stack:
@@ -98,7 +100,7 @@ class _Reads(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_Constant(self, node):
-        if isinstance(node.value, str):
+        if self.strings and isinstance(node.value, str):
             for part in node.value.split("."):
                 self._read(part)
 
@@ -106,6 +108,7 @@ class _Reads(ast.NodeVisitor):
 def _reads_by_owner(paths) -> dict:
     reads = _Reads()
     for path in paths:
+        reads.strings = path.parent.name == "bench"
         reads.visit(ast.parse(path.read_text(encoding="utf-8")))
     return reads.by_owner
 
@@ -150,20 +153,26 @@ def test_test_api_is_defined_and_read_only_by_tests():
 
 
 def test_reads_are_found_by_name(tmp_path):
-    source = tmp_path / "m.py"
-    source.write_text(
+    text = (
         "def helper():\n    return helper()\n\n"
         "def used():\n    pass\n\n"
         "from pkg import imported\n\n"
-        "x = used\nTRACED = ('Box.method',)\n",
-        encoding="utf-8",
+        "x = used\nTRACED = ('Box.method',)\n"
     )
+    (tmp_path / "bench").mkdir()
+    source, bench = tmp_path / "m.py", tmp_path / "bench" / "m.py"
+    source.write_text(text, encoding="utf-8")
+    bench.write_text(text, encoding="utf-8")
     reads = _reads([source])
     # a definition's reads of its own name do not count
     assert reads["helper"] == 0
-    assert reads["used"] == 1 and reads["Box"] == 1 and reads["method"] == 1
+    assert reads["used"] == 1
     # an import is not a read
     assert reads["imported"] == 0
+    # a string names what it reads only in the benchmark's files
+    assert reads["Box"] == 0 and reads["method"] == 0
+    reads = _reads([bench])
+    assert reads["Box"] == 1 and reads["method"] == 1
 
 
 def test_reads_follow_calls(tmp_path):
