@@ -81,17 +81,17 @@ class CoordinateQuadruple:
         self.qtype = qtype
         self.name = name or qtype
         self.a_space = BasedSpace(a_labels)
-        self.mult = {
-            key: SparseVector(self.a_space, val) for key, val in mult.items()
-        }
+        # the structure constants, each product of two basis elements as
+        # its entry dict
+        self.mult = {key: SparseVector(self.a_space, val).entries for key, val in mult.items()}
         self.unit = SparseVector(self.a_space, unit)
         self.star = SparseMatrix(self.a_space, self.a_space, star)
         self.c_space = BasedSpace(c_labels)
         self.action = {
-            key: SparseVector(self.c_space, val) for key, val in (action or {}).items()
+            key: SparseVector(self.c_space, val).entries for key, val in (action or {}).items()
         }
         self.f_table = {
-            key: SparseVector(self.a_space, val) for key, val in (f_table or {}).items()
+            key: SparseVector(self.a_space, val).entries for key, val in (f_table or {}).items()
         }
         self.b_space = BasedSpace(list(a_labels) + list(c_labels))
         # b (x) b, shared by K, beta* and every {b,b}_ell built on q
@@ -105,16 +105,16 @@ class CoordinateQuadruple:
     # -- products ---------------------------------------------------------
 
     def a_mul(self, x: SparseVector, y: SparseVector) -> SparseVector:
-        return _bilinear(self.mult, x, y, self.a_space)
+        return SparseVector(self.a_space, _bilinear(self.mult, x.entries, y.entries))
 
     def a_star(self, x: SparseVector) -> SparseVector:
         return self.star.apply(x)
 
     def c_act(self, a: SparseVector, c: SparseVector) -> SparseVector:
-        return _bilinear(self.action, a, c, self.c_space)
+        return SparseVector(self.c_space, _bilinear(self.action, a.entries, c.entries))
 
     def f_val(self, c: SparseVector, cp: SparseVector) -> SparseVector:
-        return _bilinear(self.f_table, c, cp, self.a_space)
+        return SparseVector(self.a_space, _bilinear(self.f_table, c.entries, cp.entries))
 
     def ad_basis(self) -> dict[str, dict[tuple[str, str], Fraction]]:
         """{r: the entries of ad(e_r) on b} for each basis label r of a with
@@ -185,15 +185,16 @@ class CoordinateQuadruple:
         return f"CoordinateQuadruple({self.name}, type {self.qtype})"
 
 
-def _bilinear(table, x: SparseVector, y: SparseVector, space: BasedSpace) -> SparseVector:
-    """The bilinear map with basis values ``table[(i, j)]``, applied to x, y."""
+def _bilinear(table: dict, x: dict, y: dict) -> dict:
+    """The bilinear map with basis values the entry dicts ``table[(i, j)]``,
+    applied to the entry dicts x and y."""
     out: dict[str, Fraction] = {}
-    for i, ci in x.entries.items():
-        for j, cj in y.entries.items():
+    for i, ci in x.items():
+        for j, cj in y.items():
             term = table.get((i, j))
-            if term is not None:
-                add_scaled(out, term.entries, ci * cj)
-    return SparseVector(space, out)
+            if term:
+                add_scaled(out, term, ci * cj)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +273,12 @@ def f_action(q, c: SparseVector, c1: SparseVector, c2: SparseVector) -> SparseVe
 
 
 def validate_quadruple(q: CoordinateQuadruple) -> dict:
-    """Check every defining law on basis tuples; returns a report dict."""
+    """Check every defining law on basis tuples; returns a report dict.
+
+    Each law reads the products of basis elements from the structure
+    constants (``q.mult``, ``q.action``, ``q.f_table``) and the columns of
+    ``q.star``, on entry dicts: (e_i e_j) e_k, say, is sum_l c_ij^l (e_l e_k).
+    """
     checks = []
 
     def record(law: str, failures: list):
@@ -284,124 +290,103 @@ def validate_quadruple(q: CoordinateQuadruple) -> dict:
             }
         )
 
-    alabs = q.a_space.labels
-    avecs = {l: q.a_space.basis_vector(l) for l in alabs}
+    alabs, clabs = q.a_space.labels, q.c_space.labels
+    mult, act, f = q.mult, q.action, q.f_table
+    e = {l: {l: 1} for l in q.b_space.labels}
+    unit = q.unit.entries
+    cols = {l: {} for l in alabs}
+    for (r, c), v in q.star.entries.items():
+        cols[c][r] = v
+
+    def star(x: dict) -> dict:
+        out: dict[str, Fraction] = {}
+        for l, c in x.items():
+            add_scaled(out, cols[l], c)
+        return out
+
+    def noncommuting(fmt: str) -> list:
+        return [
+            fmt.format(i=i, j=j)
+            for i in alabs
+            for j in alabs
+            if mult.get((i, j), {}) != mult.get((j, i), {})
+        ]
+
     if q.qtype == "B":
         # the type-B star algebra is a Clifford Jordan algebra: commutative
         # with unit, not associative in general
-        record("a commutative (Jordan)", [
-            f"{i}.{j} != {j}.{i}"
-            for i in alabs
-            for j in alabs
-            if q.a_mul(avecs[i], avecs[j]) != q.a_mul(avecs[j], avecs[i])
-        ])
+        record("a commutative (Jordan)", noncommuting("{i}.{j} != {j}.{i}"))
         # Clifford structure: associativity on triples with at most one
         # skew factor (A associative, A-module law on B, form A-bilinear)
-        apart, bpart = q.a_part_sub.rows, q.b_part_sub.rows
-        cj_fails = []
-        for tag, pool in (("AAA", (apart, apart, apart)),
-                          ("AAB", (apart, apart, bpart)),
-                          ("ABB", (apart, bpart, bpart))):
-            for x in pool[0]:
-                for y in pool[1]:
-                    for z in pool[2]:
-                        if q.a_mul(q.a_mul(x, y), z) != q.a_mul(x, q.a_mul(y, z)):
-                            cj_fails.append(f"associator nonzero on {tag} triple")
-        record("Clifford Jordan structure", cj_fails)
+        rows = {"A": [r.entries for r in q.a_part_sub.rows],
+                "B": [r.entries for r in q.b_part_sub.rows]}
+        record("Clifford Jordan structure", [
+            f"associator nonzero on {tag} triple"
+            for tag in ("AAA", "AAB", "ABB")
+            for x in rows[tag[0]]
+            for y in rows[tag[1]]
+            for z in rows[tag[2]]
+            if _bilinear(mult, _bilinear(mult, x, y), z)
+            != _bilinear(mult, x, _bilinear(mult, y, z))
+        ])
     else:
         record("a associative", [
             f"({i}.{j}).{k} != {i}.({j}.{k})"
             for i in alabs
             for j in alabs
             for k in alabs
-            if q.a_mul(q.a_mul(avecs[i], avecs[j]), avecs[k])
-            != q.a_mul(avecs[i], q.a_mul(avecs[j], avecs[k]))
+            if _bilinear(mult, mult.get((i, j), {}), e[k])
+            != _bilinear(mult, e[i], mult.get((j, k), {}))
         ])
-    record(
-        "unit law",
-        [
-            lab
-            for lab in alabs
-            if q.a_mul(q.unit, avecs[lab]) != avecs[lab]
-            or q.a_mul(avecs[lab], q.unit) != avecs[lab]
-        ],
-    )
+    record("unit law", [
+        lab
+        for lab in alabs
+        if _bilinear(mult, unit, e[lab]) != e[lab] or _bilinear(mult, e[lab], unit) != e[lab]
+    ])
     # on a = 0 the unit law holds vacuously, but 1 = 0 makes x -> x (x) 1
     # fail to be injective
-    record("unit is nonzero", ["unit is 0"] if q.unit.is_zero() else [])
-    record(
-        "star is an involution (star^2 = id)",
-        [
-            lab
-            for lab in alabs
-            if q.a_star(q.a_star(avecs[lab])) != avecs[lab]
-        ],
-    )
+    record("unit is nonzero", [] if unit else ["unit is 0"])
+    record("star is an involution (star^2 = id)", [
+        lab for lab in alabs if star(cols[lab]) != e[lab]
+    ])
     if q.qtype in ("C", "BC", "B"):
-        record(
-            "star antiautomorphism ((xy)* = y*x*)",
-            [
-                f"({i}.{j})*"
-                for i in alabs
-                for j in alabs
-                if q.a_star(q.a_mul(avecs[i], avecs[j]))
-                != q.a_mul(q.a_star(avecs[j]), q.a_star(avecs[i]))
-            ],
-        )
+        record("star antiautomorphism ((xy)* = y*x*)", [
+            f"({i}.{j})*"
+            for i in alabs
+            for j in alabs
+            if star(mult.get((i, j), {})) != _bilinear(mult, cols[j], cols[i])
+        ])
     if q.qtype in ("A", "D"):
-        ident = SparseMatrix.identity(q.a_space)
-        record("star = id", [] if q.star == ident else ["star differs from identity"])
-    if q.qtype in ("D",):
-        record(
-            "a commutative",
-            [
-                f"{i}.{j}"
-                for i in alabs
-                for j in alabs
-                if q.a_mul(avecs[i], avecs[j]) != q.a_mul(avecs[j], avecs[i])
-            ],
-        )
+        identity = {l: e[l] for l in alabs}
+        record("star = id", [] if cols == identity else ["star differs from identity"])
+    if q.qtype == "D":
+        record("a commutative", noncommuting("{i}.{j}"))
     if q.qtype in ("A", "B", "C", "D"):
         record("module part trivial", [] if q.c_dim == 0 else ["C is nonzero"])
     if q.qtype == "BC":
-        clabs = q.c_space.labels
-        cvecs = {l: q.c_space.basis_vector(l) for l in clabs}
-        record(
-            "module unital",
-            [l for l in clabs if q.c_act(q.unit, cvecs[l]) != cvecs[l]],
-        )
-        record(
-            "module associative ((xy).c = x.(y.c))",
-            [
-                f"({i}.{j}).{l}"
-                for i in alabs
-                for j in alabs
-                for l in clabs
-                if q.c_act(q.a_mul(avecs[i], avecs[j]), cvecs[l])
-                != q.c_act(avecs[i], q.c_act(avecs[j], cvecs[l]))
-            ],
-        )
-        record(
-            "f skew-hermitian (f(c,c')* = -f(c',c))",
-            [
-                f"f({l},{m})"
-                for l in clabs
-                for m in clabs
-                if q.a_star(q.f_val(cvecs[l], cvecs[m]))
-                != -q.f_val(cvecs[m], cvecs[l])
-            ],
-        )
-        record(
-            "f left semilinear (f(x.c, c') = x f(c, c'))",
-            [
-                f"f({i}.{l},{m})"
-                for i in alabs
-                for l in clabs
-                for m in clabs
-                if q.f_val(q.c_act(avecs[i], cvecs[l]), cvecs[m])
-                != q.a_mul(avecs[i], q.f_val(cvecs[l], cvecs[m]))
-            ],
-        )
+        record("module unital", [l for l in clabs if _bilinear(act, unit, e[l]) != e[l]])
+        record("module associative ((xy).c = x.(y.c))", [
+            f"({i}.{j}).{l}"
+            for i in alabs
+            for j in alabs
+            for l in clabs
+            if _bilinear(act, mult.get((i, j), {}), e[l])
+            != _bilinear(act, e[i], act.get((j, l), {}))
+        ])
+        record("f skew-hermitian (f(c,c')* = -f(c',c))", [
+            f"f({l},{m})"
+            for l in clabs
+            for m in clabs
+            if star(f.get((l, m), {})) != {a: -v for a, v in f.get((m, l), {}).items()}
+        ])
+        record("f left semilinear (f(x.c, c') = x f(c, c'))", [
+            f"f({i}.{l},{m})"
+            for i in alabs
+            for l in clabs
+            for m in clabs
+            if _bilinear(f, act.get((i, l), {}), e[m])
+            != _bilinear(mult, e[i], f.get((l, m), {}))
+        ])
     record(
         "a = A (+) B eigenspace split",
         []
@@ -627,8 +612,14 @@ def _pair_action(cols, t: dict) -> dict:
     of d."""
     out: dict[tuple[str, str], Fraction] = {}
     for (u, v), w in t.items():
-        add_scaled(out, {(a, v): x for a, x in cols.get(u, ())}, w)
-        add_scaled(out, {(u, b): x for b, x in cols.get(v, ())}, w)
+        for left, col in ((True, cols.get(u, ())), (False, cols.get(v, ()))):
+            for z, x in col:
+                key = (z, v) if left else (u, z)
+                s = out.get(key, 0) + w * x
+                if s:
+                    out[key] = s
+                else:
+                    out.pop(key, None)
     return out
 
 
@@ -898,7 +889,7 @@ def quadruple_to_json(q: CoordinateQuadruple) -> dict:
     def table3(tab, left, right, out_pos):
         out = []
         for (i, j), vec in tab.items():
-            for lab, val in vec.items_sorted():
+            for lab, val in vec.items():
                 out.append([left[i], right[j], out_pos[lab], q_str(val)])
         out.sort(key=lambda row: row[:3])
         return out
@@ -933,16 +924,15 @@ def quadruple_from_json(data: dict) -> CoordinateQuadruple:
         table: dict[tuple[str, str], dict[str, Fraction]] = {}
         for i, j, k, val in _json_rows(data, key, 4):
             pair = (_json_label(key, left, i), _json_label(key, right, j))
-            table.setdefault(pair, {})[_json_label(key, out, k)] = _json_scalar(key, val)
+            _json_put(key, table.setdefault(pair, {}), _json_label(key, out, k), val, [i, j, k])
         return table
 
-    unit = {}
+    unit, star = {}, {}
     for i, val in _json_rows(data, "unit", 2):
-        unit[_json_label("unit", a_labels, i)] = _json_scalar("unit", val)
-    star = {}
+        _json_put("unit", unit, _json_label("unit", a_labels, i), val, [i])
     for r, c, val in _json_rows(data, "star", 3):
         pair = (_json_label("star", a_labels, r), _json_label("star", a_labels, c))
-        star[pair] = _json_scalar("star", val)
+        _json_put("star", star, pair, val, [r, c])
     return CoordinateQuadruple(
         data["type"],
         a_labels,
@@ -978,6 +968,14 @@ def _json_label(key: str, labels: Sequence[str], i) -> str:
             f"quadruple field {key!r}: basis index {i!r} is outside 0..{len(labels) - 1}"
         )
     return labels[i]
+
+
+def _json_put(key: str, table: dict, lab, val, index: list) -> None:
+    """table[lab] = the scalar val of the row at ``index``; a second row at
+    the same index is refused rather than read over the first."""
+    if lab in table:
+        raise ValueError(f"quadruple field {key!r} gives the entry at {index} twice")
+    table[lab] = _json_scalar(key, val)
 
 
 def _json_scalar(key: str, val) -> Fraction:

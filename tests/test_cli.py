@@ -311,6 +311,28 @@ def test_malformed_quadruple_file_exits_2(capsys, tmp_path, change, words):
     assert err.count("\n") == 1 and words in err
 
 
+@pytest.mark.parametrize(
+    "change, words",
+    [
+        ({"structure_constants": [[0, 0, 0, "7"], [0, 0, 0, "1"]]},
+         "'structure_constants' gives the entry at [0, 0, 0] twice"),
+        ({"c_dim": 1, "action": [[0, 0, 0, "1"], [0, 0, 0, "1"]]},
+         "'action' gives the entry at [0, 0, 0] twice"),
+        ({"c_dim": 1, "f": [[0, 0, 0, "1"], [0, 0, 0, "2"]]},
+         "'f' gives the entry at [0, 0, 0] twice"),
+        ({"star": [[0, 0, "1"], [0, 0, "1"]]}, "'star' gives the entry at [0, 0] twice"),
+        ({"unit": [[0, "2"], [0, "1"]]}, "'unit' gives the entry at [0] twice"),
+    ],
+)
+def test_quadruple_file_repeated_entry_exits_2(capsys, tmp_path, change, words):
+    # the last value must not silently win: a repeated entry is refused
+    path = tmp_path / "quadruple.json"
+    path.write_text(json.dumps({**_ONE_DIM, **change}))
+    code, err = run_cli_err(capsys, "fh", "--quadruple", str(path))
+    assert code == 2
+    assert err.count("\n") == 1 and words in err
+
+
 def test_one_dimensional_quadruple_file_loads(capsys, tmp_path):
     path = tmp_path / "quadruple.json"
     path.write_text(json.dumps(_ONE_DIM))

@@ -122,6 +122,188 @@ def test_validation_failure_names_law():
     assert "a associative" in failed
 
 
+# the laws validate_quadruple checks for each type, in report order
+_LAWS = {
+    "A": ["a associative", "unit law", "unit is nonzero",
+          "star is an involution (star^2 = id)", "star = id", "module part trivial",
+          "a = A (+) B eigenspace split"],
+    "B": ["a commutative (Jordan)", "Clifford Jordan structure", "unit law",
+          "unit is nonzero", "star is an involution (star^2 = id)",
+          "star antiautomorphism ((xy)* = y*x*)", "module part trivial",
+          "a = A (+) B eigenspace split"],
+    "C": ["a associative", "unit law", "unit is nonzero",
+          "star is an involution (star^2 = id)", "star antiautomorphism ((xy)* = y*x*)",
+          "module part trivial", "a = A (+) B eigenspace split"],
+    "D": ["a associative", "unit law", "unit is nonzero",
+          "star is an involution (star^2 = id)", "star = id", "a commutative",
+          "module part trivial", "a = A (+) B eigenspace split"],
+    "BC": ["a associative", "unit law", "unit is nonzero",
+           "star is an involution (star^2 = id)", "star antiautomorphism ((xy)* = y*x*)",
+           "module unital", "module associative ((xy).c = x.(y.c))",
+           "f skew-hermitian (f(c,c')* = -f(c',c))",
+           "f left semilinear (f(x.c, c') = x f(c, c'))", "a = A (+) B eigenspace split"],
+}
+
+
+def expected_report(name, qtype, failures):
+    """The report of a quadruple that fails exactly the laws in ``failures``
+    ({law: witnesses}) and passes every other law of its type."""
+    checks = [
+        {"law": law, "status": "fail" if law in failures else "pass",
+         "witnesses": failures.get(law, [])}
+        for law in _LAWS[qtype]
+    ]
+    return {"quadruple": name, "type": qtype, "valid": not failures, "checks": checks}
+
+
+@pytest.mark.parametrize("spec", PRESET_SPECS + [
+    "matrix:k=4", "matrix_transpose:k=4", "matrix_hermitian:k=3,m=4",
+    "matrix_hermitian:k=4,m=2", "clifford:d=6", "group_ring:m=8", "symplectic:m=8",
+])
+def test_preset_validation_report(spec):
+    q = quad(spec)
+    assert validate_quadruple(q) == expected_report(spec, q.qtype, {})
+
+
+def _broken(qtype, a_labels, mult, unit, star, c_labels=(), action=None, f=None):
+    return CoordinateQuadruple(
+        qtype, a_labels, mult, unit, star, c_labels, action, f, name="broken"
+    )
+
+
+def _ident(labels):
+    return {(l, l): 1 for l in labels}
+
+
+_M2 = [f"m:{i},{j}" for i in range(2) for j in range(2)]
+_M2_MULT = {
+    (f"m:{i},{j}", f"m:{j},{s}"): {f"m:{i},{s}": 1}
+    for i in range(2) for j in range(2) for s in range(2)
+}
+_M2_UNIT = {"m:0,0": 1, "m:1,1": 1}
+_F = {("one", "one"): {"one": 1}}
+# F[x]/(x^2)
+_DUAL = {("one", "one"): {"one": 1}, ("one", "x"): {"x": 1}, ("x", "one"): {"x": 1}}
+_MAT_COMMUTATORS = ["m:0,0.m:0,1", "m:0,0.m:1,0", "m:0,1.m:0,0"]
+_MAT_ANTI = ["(m:0,0.m:0,1)*", "(m:0,0.m:1,0)*", "(m:0,1.m:0,0)*"]
+_ANTI = "star antiautomorphism ((xy)* = y*x*)"
+_INVOLUTION = "star is an involution (star^2 = id)"
+_SPLIT = "a = A (+) B eigenspace split"
+
+# one quadruple per law that it breaks: (the quadruple, {law: witnesses})
+# for every law it fails
+_BROKEN = {
+    "jordan-commutative": (
+        lambda: _broken("B", _M2, _M2_MULT, _M2_UNIT, _ident(_M2)),
+        {"a commutative (Jordan)": [f"{w} != {'.'.join(w.split('.')[::-1])}"
+                                    for w in _MAT_COMMUTATORS],
+         _ANTI: _MAT_ANTI},
+    ),
+    # u.u = v, u.v = v.u = u, all of it fixed by star: (u.u).v = 0, u.(u.v) = v
+    "clifford-aaa": (
+        lambda: _broken("B", ["one", "u", "v"], {
+            **{(l, "one"): {l: 1} for l in ("one", "u", "v")},
+            **{("one", l): {l: 1} for l in ("u", "v")},
+            ("u", "u"): {"v": 1}, ("u", "v"): {"u": 1}, ("v", "u"): {"u": 1},
+        }, {"one": 1}, _ident(["one", "u", "v"])),
+        {"Clifford Jordan structure": ["associator nonzero on AAA triple"] * 3},
+    ),
+    # u.u = 0, u.w = w.u = w, w.w = u with star -1 on w: (u.u).w = 0 but
+    # u.(u.w) = w, and (u.w).w = u but u.(w.w) = 0
+    "clifford-aab-abb": (
+        lambda: _broken("B", ["one", "u", "w"], {
+            **{(l, "one"): {l: 1} for l in ("one", "u", "w")},
+            **{("one", l): {l: 1} for l in ("u", "w")},
+            ("u", "w"): {"w": 1}, ("w", "u"): {"w": 1}, ("w", "w"): {"u": 1},
+        }, {"one": 1}, {("one", "one"): 1, ("u", "u"): 1, ("w", "w"): -1}),
+        {"Clifford Jordan structure": ["associator nonzero on AAB triple",
+                                       "associator nonzero on ABB triple"]},
+    ),
+    # (y.y).y = z.y = 0 but y.(y.y) = y.z = x
+    "associative": (
+        lambda: _broken("A", ["x", "y", "z"], {
+            ("x", "x"): {"x": 1}, ("x", "y"): {"y": 1}, ("x", "z"): {"z": 1},
+            ("y", "x"): {"y": 1}, ("z", "x"): {"z": 1},
+            ("y", "y"): {"z": 1}, ("y", "z"): {"x": 1},
+        }, {"x": 1}, _ident("xyz")),
+        {"a associative": ["(y.y).y != y.(y.y)", "(y.y).z != y.(y.z)",
+                           "(y.z).y != y.(z.y)"]},
+    ),
+    "unit-law": (
+        lambda: _broken("C", ["one"], _F, {"one": 2}, _ident(["one"])),
+        {"unit law": ["one"]},
+    ),
+    "unit-nonzero": (
+        lambda: _broken("A", [], {}, {}, {}),
+        {"unit is nonzero": ["unit is 0"]},
+    ),
+    # three orthogonal idempotents, permuted cyclically by star
+    "involution": (
+        lambda: _broken("C", ["e1", "e2", "e3"], {(e, e): {e: 1} for e in ("e1", "e2", "e3")},
+                        {"e1": 1, "e2": 1, "e3": 1},
+                        {("e2", "e1"): 1, ("e3", "e2"): 1, ("e1", "e3"): 1}),
+        {_INVOLUTION: ["e1", "e2", "e3"], _SPLIT: ["dim A + dim B = 1+0 != 3"]},
+    ),
+    "antiautomorphism": (
+        lambda: _broken("C", _M2, _M2_MULT, _M2_UNIT, _ident(_M2)),
+        {_ANTI: _MAT_ANTI},
+    ),
+    "star-id": (
+        lambda: _broken("A", _M2, _M2_MULT, _M2_UNIT,
+                        {(f"m:{j},{i}", f"m:{i},{j}"): 1 for i in range(2) for j in range(2)}),
+        {"star = id": ["star differs from identity"]},
+    ),
+    "d-commutative": (
+        lambda: _broken("D", _M2, _M2_MULT, _M2_UNIT, _ident(_M2)),
+        {"a commutative": _MAT_COMMUTATORS},
+    ),
+    "module-trivial": (
+        lambda: _broken("A", ["one"], _F, {"one": 1}, _ident(["one"]),
+                        ["c"], {("one", "c"): {"c": 1}}),
+        {"module part trivial": ["C is nonzero"]},
+    ),
+    "module-unital": (
+        lambda: _broken("BC", ["one"], _F, {"one": 1}, _ident(["one"]),
+                        ["c:0", "c:1"], {("one", "c:0"): {"c:0": 1}}),
+        {"module unital": ["c:1"]},
+    ),
+    # x.c = c, so (x.x).c = 0 but x.(x.c) = c
+    "module-associative": (
+        lambda: _broken("BC", ["one", "x"], _DUAL, {"one": 1}, _ident(["one", "x"]),
+                        ["c"], {("one", "c"): {"c": 1}, ("x", "c"): {"c": 1}}),
+        {"module associative ((xy).c = x.(y.c))": ["(x.x).c"]},
+    ),
+    "skew-hermitian": (
+        lambda: _broken("BC", ["one"], _F, {"one": 1}, _ident(["one"]), ["c:0", "c:1"],
+                        {("one", "c:0"): {"c:0": 1}, ("one", "c:1"): {"c:1": 1}},
+                        {("c:0", "c:1"): {"one": 1}, ("c:1", "c:0"): {"one": 1}}),
+        {"f skew-hermitian (f(c,c')* = -f(c',c))": ["f(c:0,c:1)", "f(c:1,c:0)"]},
+    ),
+    # x.c = 0 but x f(c:0, c:1) = x
+    "semilinear": (
+        lambda: _broken("BC", ["one", "x"], _DUAL, {"one": 1}, _ident(["one", "x"]),
+                        ["c:0", "c:1"],
+                        {("one", "c:0"): {"c:0": 1}, ("one", "c:1"): {"c:1": 1}},
+                        {("c:0", "c:1"): {"one": 1}, ("c:1", "c:0"): {"one": -1}}),
+        {"f left semilinear (f(x.c, c') = x f(c, c'))": ["f(x.c:0,c:1)", "f(x.c:1,c:0)"]},
+    ),
+    # star = [[1, 1], [0, 1]] has no -1 eigenvector and fixes only one
+    "eigenspace-split": (
+        lambda: _broken("A", ["one", "x"], _DUAL, {"one": 1},
+                        {("one", "one"): 1, ("x", "x"): 1, ("x", "one"): 1}),
+        {_INVOLUTION: ["one"], "star = id": ["star differs from identity"],
+         _SPLIT: ["dim A + dim B = 1+0 != 2"]},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_BROKEN))
+def test_validation_report_of_each_broken_law(case):
+    build, failures = _BROKEN[case]
+    q = build()
+    assert validate_quadruple(q) == expected_report("broken", q.qtype, failures)
+
+
 def test_b_mul_restricts_to_a_product():
     q = quad("matrix:k=2")
     e11 = q.b_space.basis_vector("m:0,0")
