@@ -20,14 +20,14 @@ import time
 from . import __version__
 from .coord import (
     InternalConsistencyError,
-    b_mul,
+    _bilinear,
     check_uniform,
     parse_preset_spec,
     quadruple_from_json,
     quadruple_to_json,
     validate_quadruple,
 )
-from .exactla import q_str
+from .exactla import add_scaled, q_str
 from .graded import (
     K_FORMS,
     build_model,
@@ -210,19 +210,23 @@ def _derivation_check(model) -> dict:
     model's {b,b}_ell.  That covers every pair derivation d_{x,y}: x (x) y
     is a combination of coset labels plus a relation part, d is linear in
     the tensor, and the build proves it 0 on every relation row."""
-    q = model.quadruple
+    table = model.quadruple.b_table
+    labs = model.quadruple.b_space.labels
     failures = []
-    labs = q.b_space.labels
-    vecs = [(lab, q.b_space.basis_vector(lab)) for lab in labs]
-    products = {(xl, yl): b_mul(q, x, y) for xl, x in vecs for yl, y in vecs}
     for f, d in model.bb.derivations.items():
         if d.is_zero():
             continue
-        images = {lab: d.apply(x) for lab, x in vecs}
-        for xl, x in vecs:
-            for yl, y in vecs:
-                lhs = d.apply(products[xl, yl])
-                rhs = b_mul(q, images[xl], y) + b_mul(q, x, images[yl])
+        # the columns of d: d(e_x) for each basis label x of b
+        images = {lab: {} for lab in labs}
+        for (r, c), v in d.entries.items():
+            images[c][r] = v
+        for xl in labs:
+            for yl in labs:
+                lhs: dict = {}
+                for lab, c in table.get((xl, yl), {}).items():
+                    add_scaled(lhs, images[lab], c)
+                rhs = _bilinear(table, images[xl], {yl: 1})
+                add_scaled(rhs, _bilinear(table, {xl: 1}, images[yl]))
                 if lhs != rhs:
                     failures.append([*f, xl, yl])
     return {

@@ -31,6 +31,7 @@ from .exactla import (
     q_parse,
     q_str,
     rref,
+    scalar,
     tensor_space,
 )
 from .rootsys import FAMILIES
@@ -57,6 +58,7 @@ class CoordinateQuadruple:
         "action",
         "f_table",
         "b_space",
+        "b_table",
         "bb_space",
         "a_part_sub",
         "b_part_sub",
@@ -94,6 +96,15 @@ class CoordinateQuadruple:
             key: SparseVector(self.a_space, val).entries for key, val in (f_table or {}).items()
         }
         self.b_space = BasedSpace(list(a_labels) + list(c_labels))
+        # b's product, one entry dict per pair of basis labels of b = a (+) C
+        # (the labels of a and of C are disjoint): a a' is ``mult``, f(c, c')
+        # is ``f_table``, a.c is ``action`` and c a = a*.c
+        self.b_table = {**self.mult, **self.f_table, **self.action}
+        star_cols = _columns(self.star.entries)
+        for a in self.a_space.labels:
+            col = dict(star_cols.get(a, ()))
+            for c in self.c_space.labels:
+                self.b_table[c, a] = _bilinear(self.action, col, {c: 1})
         # b (x) b, shared by K, beta* and every {b,b}_ell built on q
         self.bb_space = tensor_space(self.b_space, self.b_space)
         ident = SparseMatrix.identity(self.a_space)
@@ -102,36 +113,20 @@ class CoordinateQuadruple:
         self._ad = None
         self._parts: dict[tuple[str, str], dict] = {}
 
-    # -- products ---------------------------------------------------------
-
-    def a_mul(self, x: SparseVector, y: SparseVector) -> SparseVector:
-        return SparseVector(self.a_space, _bilinear(self.mult, x.entries, y.entries))
-
-    def a_star(self, x: SparseVector) -> SparseVector:
-        return self.star.apply(x)
-
-    def c_act(self, a: SparseVector, c: SparseVector) -> SparseVector:
-        return SparseVector(self.c_space, _bilinear(self.action, a.entries, c.entries))
-
-    def f_val(self, c: SparseVector, cp: SparseVector) -> SparseVector:
-        return SparseVector(self.a_space, _bilinear(self.f_table, c.entries, cp.entries))
-
     def ad_basis(self) -> dict[str, dict[tuple[str, str], Fraction]]:
         """{r: the entries of ad(e_r) on b} for each basis label r of a with
         ad(e_r) nonzero: a' -> [e_r, a'] on a and c -> e_r.c on C.  Built
         on first use, so every derivation of q reads one copy."""
         if self._ad is None:
+            t = self.b_table
             self._ad = {}
             for r in self.a_space.labels:
-                e = self.a_space.basis_vector(r)
                 ad = {}
-                for lab in self.a_space.labels:
-                    x = self.a_space.basis_vector(lab)
-                    for row, v in (self.a_mul(e, x) - self.a_mul(x, e)).entries.items():
-                        ad[row, lab] = v
-                for lab in self.c_space.labels:
-                    for row, v in self.c_act(e, self.c_space.basis_vector(lab)).entries.items():
-                        ad[row, lab] = v
+                for lab in self.b_space.labels:
+                    img = dict(t.get((r, lab), {}))
+                    if lab in self.a_space:
+                        add_scaled(img, t.get((lab, r), {}), -1)
+                    ad.update(((row, lab), v) for row, v in img.items())
                 if ad:
                     self._ad[r] = ad
         return self._ad
@@ -139,39 +134,30 @@ class CoordinateQuadruple:
     def label_part(self, lab: tuple[str, str]) -> dict[tuple[str, str], Fraction]:
         """The entries of the part of d^ell_{x,y} that is not inner, for the
         b (x) b label (x, y), formed on first use; it does not depend on
-        ell: the Jordan derivation [L_y, L_x] for B, -f_action(., x, y)/2
-        on C for x, y in C (BC), and nothing otherwise."""
+        ell: the Jordan derivation [L_y, L_x] on a for B; for x, y in C (BC)
+        minus half the f-term c -> x f(c, y) + y f(c, x) on C, which is
+        c -> (c y) x + (c x) y in b; nothing otherwise."""
         part = self._parts.get(lab)
         if part is None:
             part = self._parts[lab] = {}
+            t, (x, y) = self.b_table, lab
+            # the image of e_l is the sum of c (u v) over the (u, v, c) of terms(l)
             if self.qtype == "B":
-                a1, a2 = (self.a_space.basis_vector(l) for l in lab)
-                space, image = self.a_space, lambda e: (
-                    self.a_mul(a2, self.a_mul(a1, e)) - self.a_mul(a1, self.a_mul(a2, e))
+                space, terms = self.a_space, lambda l: (
+                    ({y: 1}, t.get((x, l), {}), 1), ({x: 1}, t.get((y, l), {}), -1)
                 )
-            elif lab[0] in self.c_space and lab[1] in self.c_space:
-                c1, c2 = (self.c_space.basis_vector(l) for l in lab)
-                space, image = self.c_space, lambda c: f_action(self, c, c1, c2).scale(Q(-1, 2))
+            elif x in self.c_space and y in self.c_space:
+                space, terms = self.c_space, lambda l: (
+                    (t.get((l, y), {}), {x: 1}, Q(-1, 2)), (t.get((l, x), {}), {y: 1}, Q(-1, 2))
+                )
             else:
                 return part
             for l in space.labels:
-                for r, v in image(space.basis_vector(l)).entries.items():
-                    part[r, l] = v
+                img: dict[str, Fraction] = {}
+                for u, v, c in terms(l):
+                    add_scaled(img, _bilinear(t, u, v), c)
+                part.update(((r, l), scalar(w)) for r, w in img.items())
         return part
-
-    # -- b = a (+) C ------------------------------------------------------
-
-    def split_b(self, x: SparseVector) -> tuple[SparseVector, SparseVector]:
-        a = {l: v for l, v in x.entries.items() if l in self.a_space}
-        c = {l: v for l, v in x.entries.items() if l in self.c_space}
-        return SparseVector(self.a_space, a), SparseVector(self.c_space, c)
-
-    def join_b(self, a: SparseVector, c: SparseVector) -> SparseVector:
-        return SparseVector(self.b_space, {**a.entries, **c.entries})
-
-    def lift_b(self, v: SparseVector) -> SparseVector:
-        """An element of a or of C, as an element of b."""
-        return SparseVector(self.b_space, v.entries)
 
     @property
     def a_dim(self) -> int:
@@ -201,51 +187,19 @@ def _bilinear(table: dict, x: dict, y: dict) -> dict:
 # operations on b
 
 
-def b_mul(q: CoordinateQuadruple, x: SparseVector, y: SparseVector) -> SparseVector:
-    """(a1 + c1).(a2 + c2) = a1 a2 + f(c1, c2) + a1.c2 + a2*.c1."""
-    a1, c1 = q.split_b(x)
-    a2, c2 = q.split_b(y)
-    a_out = q.a_mul(a1, a2) + q.f_val(c1, c2)
-    c_out = q.c_act(a1, c2) + q.c_act(q.a_star(a2), c1)
-    return q.join_b(a_out, c_out)
-
-
-def diamond_heart(q, c: SparseVector, cp: SparseVector) -> tuple[SparseVector, SparseVector]:
-    """diamond = antisymmetric part of f (lands in the *-fixed points),
-    heart = symmetric part (lands in the *-skew points)."""
-    if q.c_dim == 0:
-        raise ValueError(f"type {q.qtype} quadruple has no module part")
-    f1 = q.f_val(c, cp)
-    f2 = q.f_val(cp, c)
-    half = Q(1, 2)
-    return (f1 - f2).scale(half), (f1 + f2).scale(half)
-
-
 def beta_star(q, x: SparseVector, y: SparseVector) -> SparseVector:
-    """([a1, a2] + [a1*, a2*])/2 - c1 heart c2 for x = a1 + c1, y = a2 + c2."""
-    return _beta_star_of_parts(q, _beta_parts(q, x), _beta_parts(q, y))
-
-
-def _beta_parts(q, x: SparseVector):
-    """x in b split as (a, a*, c): its a part, the image of that under *,
-    and its C part."""
-    a, c = q.split_b(x)
-    return a, q.a_star(a), c
-
-
-def _beta_star_of_parts(q, parts1, parts2) -> SparseVector:
-    """beta* of two elements of b given by their ``_beta_parts``."""
-    a1, s1, c1 = parts1
-    a2, s2, c2 = parts2
-    out = (
-        q.a_mul(a1, a2)
-        - q.a_mul(a2, a1)
-        + q.a_mul(s1, s2)
-        - q.a_mul(s2, s1)
-    ).scale(Q(1, 2))
-    if q.c_dim:
-        out = out - diamond_heart(q, c1, c2)[1]
-    return out
+    """([a1, a2] + [a1*, a2*])/2 - c1 heart c2 for x = a1 + c1, y = a2 + c2,
+    heart being the symmetric part (f(c1, c2) + f(c2, c1))/2 of f: the
+    reference for the rows of ``beta_star_map_rows``."""
+    t = q.b_table
+    a1, a2 = ({l: v for l, v in z.entries.items() if l in q.a_space} for z in (x, y))
+    c1, c2 = ({l: v for l, v in z.entries.items() if l in q.c_space} for z in (x, y))
+    s1, s2 = (q.star.apply(SparseVector(q.a_space, a)).entries for a in (a1, a2))
+    out: dict[str, Fraction] = {}
+    for u, v, sign in ((a1, a2, 1), (s1, s2, 1), (c1, c2, -1)):
+        add_scaled(out, _bilinear(t, u, v), sign)
+        add_scaled(out, _bilinear(t, v, u), -1)
+    return SparseVector(q.a_space, out).scale(Q(1, 2))
 
 
 def inner_scale(qtype: str, ell: int) -> Fraction:
@@ -261,11 +215,6 @@ def inner_scale(qtype: str, ell: int) -> Fraction:
     if qtype in ("C", "BC"):
         return Q(1, 2 * ell)
     return 0
-
-
-def f_action(q, c: SparseVector, c1: SparseVector, c2: SparseVector) -> SparseVector:
-    """c1 f(c, c2) + c2 f(c, c1): the module part of <c1, c2> acting on c."""
-    return q.c_act(q.f_val(c, c2), c1) + q.c_act(q.f_val(c, c1), c2)
 
 
 # ---------------------------------------------------------------------------
@@ -409,59 +358,54 @@ def relation_generators(q: CoordinateQuadruple) -> list[SparseVector]:
     row for row.  The symmetric pairs (x, y) and (y, x), and the three
     rotations of a cyclic triple, give equal generators, so only x <= y and
     the first rotation in loop order are formed."""
-    tsp = q.bb_space
     gens: list[SparseVector] = []
     seen: set[frozenset] = set()
 
-    def tens(*pairs: tuple[SparseVector, SparseVector]) -> None:
-        """Emit the sum of x (x) y over the given pairs (x, y)."""
+    def tens(*pairs: tuple[dict, dict]) -> None:
+        """Emit the sum of x (x) y over the given pairs of entry dicts (x, y)."""
         entries: dict[tuple[str, str], Fraction] = {}
         for x, y in pairs:
-            for lx, vx in x.entries.items():
-                row = {(lx, ly): vy for ly, vy in y.entries.items()}
-                add_scaled(entries, row, vx)
+            for lx, vx in x.items():
+                add_scaled(entries, {(lx, ly): vy for ly, vy in y.items()}, vx)
         key = frozenset(entries.items())
         if entries and key not in seen:
             seen.add(key)
-            gens.append(SparseVector(tsp, entries))
+            gens.append(SparseVector(q.bb_space, entries))
 
-    avecs = [q.b_space.basis_vector(l) for l in q.a_space.labels]
-    cvecs = [q.b_space.basis_vector(l) for l in q.c_space.labels]
-    apart = [q.lift_b(r) for r in q.a_part_sub.rows]
-    bpart = [q.lift_b(r) for r in q.b_part_sub.rows]
-    for al in avecs:
-        for c in cvecs:
-            tens((al, c))
-            tens((c, al))
-    for a in apart:
-        for b in bpart:
-            tens((a, b))
-    for i, x in enumerate(avecs):
-        for y in avecs[i:]:
-            tens((x, y), (y, x))
-    for i, c in enumerate(cvecs):
-        for cp in cvecs[i + 1 :]:
-            tens((c, cp), (-cp, c))
-    # each product below is used by several generators: compute it once
-    a_only = [q.a_space.basis_vector(l) for l in q.a_space.labels]
-    c_only = [q.c_space.basis_vector(l) for l in q.c_space.labels]
-    prod = [[q.lift_b(q.a_mul(x, y)) for y in a_only] for x in a_only]
-    n = len(avecs)
-    for i in range(n):
+    t = q.b_table
+    alabs, clabs = q.a_space.labels, q.c_space.labels
+    e = {l: {l: 1} for l in q.b_space.labels}
+    for a in alabs:
+        for c in clabs:
+            tens((e[a], e[c]))
+            tens((e[c], e[a]))
+    for a in q.a_part_sub.rows:
+        for b in q.b_part_sub.rows:
+            tens((a.entries, b.entries))
+    for i, x in enumerate(alabs):
+        for y in alabs[i:]:
+            tens((e[x], e[y]), (e[y], e[x]))
+    for i, c in enumerate(clabs):
+        for cp in clabs[i + 1 :]:
+            tens((e[c], e[cp]), ({cp: -1}, e[c]))
+    n = len(alabs)
+    for i, x in enumerate(alabs):
         for j in range(i, n):
             for k in range(i, n):
                 # the first of the three rotations in loop order has the
                 # least index first; of (i, j, i) and (i, i, j) it is the latter
                 if k == i < j:
                     continue
-                tens((prod[i][j], avecs[k]), (prod[k][i], avecs[j]), (prod[j][k], avecs[i]))
-    act = [[q.lift_b(q.c_act(x, c)) for c in c_only] for x in a_only]
-    star_act = [[q.lift_b(q.c_act(q.a_star(x), c)) for c in c_only] for x in a_only]
-    for i, c in enumerate(cvecs):
-        for j, cp in enumerate(cvecs):
-            f_ccp = q.lift_b(q.f_val(c_only[i], c_only[j]))
-            for k, al in enumerate(avecs):
-                tens((f_ccp, al), (star_act[k][j], c), (-act[k][i], cp))
+                y, z = alabs[j], alabs[k]
+                xy, zx, yz = (t.get(pair, {}) for pair in ((x, y), (z, x), (y, z)))
+                tens((xy, e[z]), (zx, e[y]), (yz, e[x]))
+    # f(c, c') (x) a + (a*.c') (x) c - (a.c) (x) c', that is
+    # (c c') (x) a + (c' a) (x) c - (a c) (x) c' in b
+    for c in clabs:
+        for cp in clabs:
+            for a in alabs:
+                ccp, cpa, ac = (t.get(pair, {}) for pair in ((c, cp), (cp, a), (a, c)))
+                tens((ccp, e[a]), (cpa, e[c]), (ac, {cp: -1}))
     return gens
 
 
@@ -561,13 +505,9 @@ class BBQuotient:
     def dim(self) -> int:
         return self.quotient.dim
 
-    def pair_tensor(self, x: SparseVector, y: SparseVector) -> SparseVector:
-        """x (x) y in b (x) b, for x, y in b (or in a or C, lifted into b)."""
-        entries = {
-            (lx, ly): vx * vy
-            for lx, vx in x.entries.items()
-            for ly, vy in y.entries.items()
-        }
+    def pair_tensor(self, x: dict, y: dict) -> SparseVector:
+        """x (x) y in b (x) b, for the entry dicts x, y of elements of b."""
+        entries = {(lx, ly): vx * vy for lx, vx in x.items() for ly, vy in y.items()}
         return SparseVector(self.tensor, entries)
 
     def bracket_cosets(self, u: SparseVector, v: SparseVector) -> SparseVector:
@@ -650,16 +590,29 @@ def full_homology(bb: BBQuotient) -> Subspace:
 
 
 def beta_star_map_rows(q: CoordinateQuadruple) -> dict[str, SparseVector]:
-    """The linear map b(x)b -> a sending x(x)y to beta*_{x,y}, as rows."""
-    tsp = q.bb_space
-    parts = {l: _beta_parts(q, q.b_space.basis_vector(l)) for l in q.b_space.labels}
+    """The linear map b(x)b -> a sending x(x)y to beta*_{x,y}, as rows.  On
+    basis labels it is ([x, y] + [x*, y*])/2 for x, y in a, minus the
+    symmetric part (x y + y x)/2 of f for x, y in C, and 0 on a (x) C and
+    C (x) a; every product is b's."""
+    t, half = q.b_table, Q(1, 2)
+    star = {l: dict(col) for l, col in _columns(q.star.entries).items()}
     rows: dict[str, dict[tuple[str, str], Fraction]] = {}
-    for l1, p1 in parts.items():
-        for l2, p2 in parts.items():
-            val = _beta_star_of_parts(q, p1, p2)
-            for r, v in val.entries.items():
+    for l1 in q.b_space.labels:
+        for l2 in q.b_space.labels:
+            e1, e2 = {l1: 1}, {l2: 1}
+            if l1 in q.a_space and l2 in q.a_space:
+                s1, s2 = star.get(l1, {}), star.get(l2, {})
+                terms = ((e1, e2, half), (e2, e1, -half), (s1, s2, half), (s2, s1, -half))
+            elif l1 in q.c_space and l2 in q.c_space:
+                terms = ((e1, e2, -half), (e2, e1, -half))
+            else:
+                continue
+            val: dict[str, Fraction] = {}
+            for x, y, c in terms:
+                add_scaled(val, _bilinear(t, x, y), c)
+            for r, v in val.items():
                 rows.setdefault(r, {})[l1, l2] = v
-    return {r: SparseVector(tsp, entries) for r, entries in rows.items()}
+    return {r: SparseVector(q.bb_space, entries) for r, entries in rows.items()}
 
 
 def check_uniform(
@@ -917,6 +870,8 @@ def quadruple_from_json(data: dict) -> CoordinateQuadruple:
     for key in ("type", "a_dim", "structure_constants", "unit", "star"):
         if key not in data:
             raise ValueError(f"quadruple has no {key!r} field")
+    if not isinstance(data.get("name", ""), str):
+        raise ValueError(f"quadruple field 'name' must be a string, not {data['name']!r}")
     a_labels = [f"a:{i}" for i in range(_json_dim(data, "a_dim"))]
     c_labels = [f"c:{i}" for i in range(_json_dim(data, "c_dim"))]
 

@@ -27,11 +27,10 @@ from typing import Callable, Iterable, NamedTuple
 
 from .coord import (
     CoordinateQuadruple,
+    _bilinear,
     build_bb,
     check_uniform,
     clifford_quadruple,
-    diamond_heart,
-    f_action,
     full_homology,
 )
 from .exactla import (
@@ -94,7 +93,7 @@ def subset_size(family: str, ell: int) -> int:
 class Term(NamedTuple):
     target: str  # kind of the result: "g", "s", "v" or "d"
     mat: Callable  # (model, x, y) -> matrix, natural-module vector or scalar
-    coord: Callable  # (model, a, a') -> vector of a or C, or a b (x) b tensor
+    coord: Callable  # (model, a, a') -> entry dict over a or C, or a b (x) b tensor
     scale: Fraction = 1
 
 
@@ -166,42 +165,30 @@ def _v_op(variant: str) -> Callable:
     return op
 
 
-# coordinate side; a coset <e1, e2> is its tensor label (e1, e2)
+# coordinate side.  An element of a or of C is its entry dict over b's
+# labels, and every product is one of b (``q.b_table``): a a', a.c, and
+# f(c, c') = c c'.  A coset <e1, e2> is its tensor label (e1, e2).
 
 
-def _prod(m, a, b):
-    return m.quadruple.a_mul(a, b)
+def _prod(m, x, y):
+    return _bilinear(m.quadruple.b_table, x, y)
 
 
-def _circle(m, a, b):
-    q = m.quadruple
-    return q.a_mul(a, b) + q.a_mul(b, a)
+def _circle(m, x, y):
+    return _jordan(m, _prod(m, x, y), _prod(m, y, x))
 
 
-def _bracket(m, a, b):
-    q = m.quadruple
-    return q.a_mul(a, b) - q.a_mul(b, a)
+def _bracket(m, x, y):
+    return _lie(m, _prod(m, x, y), _prod(m, y, x))
 
 
 def _pair(m, x, y):
     return m.bb.pair_tensor(x, y)
 
 
-def _c_act(m, a, c):
-    return m.quadruple.c_act(a, c)
-
-
-def _diamond(m, c, c2):
-    return diamond_heart(m.quadruple, c, c2)[0]
-
-
-def _heart(m, c, c2):
-    return diamond_heart(m.quadruple, c, c2)[1]
-
-
 def _inner(m, lab):
-    """kappa beta* of the coset label (e1, e2)."""
-    return m.bb.inner_of(m.bb.tensor.basis_vector(lab))
+    """kappa beta* of the coset label (e1, e2), as an entry dict."""
+    return m.bb.inner_of(m.bb.tensor.basis_vector(lab)).entries
 
 
 def _with_inner(op: Callable) -> Callable:
@@ -212,17 +199,17 @@ def _with_inner(op: Callable) -> Callable:
 
 
 def _inner_act(m, c, lab):
-    return m.quadruple.c_act(_inner(m, lab), c)
+    return _prod(m, _inner(m, lab), c)
 
 
-def _f_act(m, c, lab):
-    q = m.quadruple
-    return f_action(q, c, *(q.split_b(q.b_space.basis_vector(l))[1] for l in lab))
-
-
-def _deriv(m, a, lab):
-    q = m.quadruple
-    return q.split_b(m.bb.derivations[lab].apply(q.lift_b(a)))[0]
+def _deriv(m, x, lab):
+    """The part of d_lab that is not inner, ``q.label_part(lab)``, applied
+    to x: all of d_lab on type B, minus half the f-term on C for BC."""
+    out: dict = {}
+    for (r, l), v in m.quadruple.label_part(lab).items():
+        if l in x:
+            add_scaled(out, {r: v}, x[l])
+    return out
 
 
 def _coset_act(m, lab, other):
@@ -281,16 +268,18 @@ TERMS: dict[str, dict[str, tuple[Term, ...]]] = {
     "C": _TYPE_C,
     "BC": {
         **_TYPE_C,
-        "gv": (Term("v", _act, _c_act),),
-        "sv": (Term("v", _act, _c_act),),
+        "gv": (Term("v", _act, _prod),),
+        "sv": (Term("v", _act, _prod),),
+        # c diamond c' = [c, c']/2 and c heart c' = (c o c')/2, the two
+        # parts of f, as f(c, c') = c c' in b
         "vv": (
-            Term("g", _v_op("circ"), _diamond),
-            Term("s", _v_op("bracket_ell"), _heart),
+            Term("g", _v_op("circ"), _bracket, Q(1, 2)),
+            Term("s", _v_op("bracket_ell"), _circle, Q(1, 2)),
             Term("d", _form, _pair),
         ),
         "vd": (
             Term("v", _acted_on, _inner_act, -1),
-            Term("v", _first, _f_act, Q(1, 2)),
+            Term("v", _first, _deriv, -1),
         ),
     },
     # the D-part of type D is central
@@ -306,6 +295,11 @@ def _label_coords(space: BasedSpace) -> Callable:
     """The reader of entry dicts {label: value} over ``space`` as {label
     position: coefficient}."""
     return lambda entries: {space.pos(lab): c for lab, c in entries.items()}
+
+
+def _row_coords(sub) -> Callable:
+    """The reader of entry dicts as coordinates over the rref rows of ``sub``."""
+    return lambda entries: dict(sub.entry_coordinates(entries))
 
 
 def _coset_coords(dpart) -> Callable:
@@ -418,10 +412,11 @@ class GradedModel:
         self.smod = build_module(self.G) if family in ("C", "BC") else None
         self.idem0 = truncation_idempotent(self.G.space, range(1, m0 + 1))
 
+        # the coordinate-side bases of A, B and C, as entry dicts
         q = quadruple
-        self.a_basis = q.a_part_sub.rows
-        self.b_basis = q.b_part_sub.rows
-        self.c_basis = [q.c_space.basis_vector(l) for l in q.c_space.labels]
+        self.a_basis = [r.entries for r in q.a_part_sub.rows]
+        self.b_basis = [r.entries for r in q.b_part_sub.rows]
+        self.c_basis = [{l: 1} for l in q.c_space.labels]
 
         self._assemble_basis()
         self._build_table()
@@ -447,14 +442,13 @@ class GradedModel:
 
         # kind -> (matrix-side objects, their weights, coordinate-side
         # objects, the two readers)
-        kinds = {"g": weighted(self.G.wb, self.a_basis, q.a_part_sub.coordinates)}
+        kinds = {"g": weighted(self.G.wb, self.a_basis, _row_coords(q.a_part_sub))}
         if self.family == "B":
-            kinds["s"] = natural(self.b_basis, q.b_part_sub.coordinates)
+            kinds["s"] = natural(self.b_basis, _row_coords(q.b_part_sub))
         elif self.smod is not None:
-            kinds["s"] = weighted(self.smod, self.b_basis, q.b_part_sub.coordinates)
+            kinds["s"] = weighted(self.smod, self.b_basis, _row_coords(q.b_part_sub))
         if self.family == "BC":
-            read_c = _label_coords(q.c_space)
-            kinds["v"] = natural(self.c_basis, lambda c: read_c(c.entries))
+            kinds["v"] = natural(self.c_basis, _label_coords(q.c_space))
         kinds["d"] = (
             [self.idem0], [Root.zero()], list(self.dpart.coset_labels),
             _scalar_coords, _coset_coords(self.dpart),
@@ -1064,7 +1058,7 @@ def level_coset(
         raise ModelError("lambda must contain the base subset I_0")
     if not lam <= set(range(1, m.n + 1)):
         raise ModelError("lambda exceeds the model truncation; use verify_level_transition for extended checks")
-    tensor = m.bb.pair_tensor(x, y)
+    tensor = m.bb.pair_tensor(x.entries, y.entries)
     dcoset = m._kinds["d"].read_coord(tensor)
     coeffs = {m.index_of[("d", (di,))]: c for di, c in dcoset.items()}
     target = _LEVEL_TARGET.get(m.family)
@@ -1072,7 +1066,7 @@ def level_coset(
         inner = m.bb.inner_of(tensor)
         if not inner.is_zero():
             kind = m._kinds[target]
-            coord = kind.read_coord(inner)
+            coord = kind.read_coord(inner.entries)
             for mi, cm in kind.read_mat(_level_op(m, lam, m.G.space).entries).items():
                 base = kind.offset + mi * kind.width
                 add_scaled(coeffs, {base + ci: cc for ci, cc in coord.items()}, cm)

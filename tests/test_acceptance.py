@@ -12,6 +12,7 @@ from fractions import Fraction as Q
 import pytest
 
 from rootgraded.coord import (
+    _bilinear,
     build_bb,
     check_uniform,
     full_homology,
@@ -20,7 +21,7 @@ from rootgraded.coord import (
     beta_star_map_rows,
     validate_quadruple,
 )
-from rootgraded.exactla import BasedSpace, SparseMatrix
+from rootgraded.exactla import BasedSpace, SparseMatrix, SparseVector
 from rootgraded.graded import (
     build_model,
     derivation_span_equals_oB,
@@ -258,7 +259,9 @@ def test_criterion_5_coordinate_suite(preset):
     t0 = time.monotonic()
     q = get_quad(preset)
     assert validate_quadruple(q)["valid"]
-    from rootgraded.coord import b_mul, diamond_heart
+
+    def b_mul(q, x, y):
+        return SparseVector(q.b_space, _bilinear(q.b_table, x.entries, y.entries))
 
     bb = build_bb(q, 4)  # raises on any well-definedness failure
     labs = q.b_space.labels
@@ -292,10 +295,13 @@ def test_criterion_5_coordinate_suite(preset):
     if q.c_dim:
         for lc in q.c_space.labels:
             for lcp in q.c_space.labels:
-                c, cp = q.c_space.basis_vector(lc), q.c_space.basis_vector(lcp)
-                dia, heart = diamond_heart(q, c, cp)
-                assert q.a_star(dia) == dia
-                assert q.a_star(heart) == heart.scale(Q(-1))
+                # diamond and heart, the antisymmetric and symmetric parts of f
+                f1, f2 = (
+                    SparseVector(q.a_space, q.f_table.get(l, {})) for l in [(lc, lcp), (lcp, lc)]
+                )
+                dia, heart = (f1 - f2).scale(Q(1, 2)), (f1 + f2).scale(Q(1, 2))
+                assert q.star.apply(dia) == dia
+                assert q.star.apply(heart) == heart.scale(Q(-1))
     elapsed = time.monotonic() - t0
     print(f"ACCEPTANCE 5[{preset}]: PASS  coordinate suite at ell=4  ({elapsed:.2f}s < 60s)")
     assert elapsed < 60.0

@@ -301,6 +301,9 @@ _ONE_DIM = {
         ({"a_dim": "two"}, "nonnegative integer"),
         # a = 0: the unit law holds vacuously, but 1 = 0
         ({"a_dim": 0, "structure_constants": [], "unit": [], "star": []}, "unit is nonzero"),
+        # the name enters every report as given
+        ({"name": ["x"]}, "'name' must be a string, not ['x']"),
+        ({"name": 7}, "'name' must be a string, not 7"),
     ],
 )
 def test_malformed_quadruple_file_exits_2(capsys, tmp_path, change, words):
@@ -570,15 +573,14 @@ def test_uniform_report_names_the_level_cross_checked(capsys, monkeypatch):
 
 def _left_multiplications(q):
     """A mutant of ``CoordinateQuadruple.ad_basis``: L_{e_r} (a -> e_r a on
-    a, c -> e_r.c on C) in place of ad(e_r) = L_{e_r} - R_{e_r}."""
+    a, c -> e_r.c on C, both read off b's product table) in place of
+    ad(e_r) = L_{e_r} - R_{e_r}."""
     out = {}
     for r in q.a_space.labels:
-        e = q.a_space.basis_vector(r)
         cols = {}
-        for space, act in ((q.a_space, q.a_mul), (q.c_space, q.c_act)):
-            for lab in space.labels:
-                for row, v in act(e, space.basis_vector(lab)).entries.items():
-                    cols[row, lab] = v
+        for lab in q.b_space.labels:
+            for row, v in q.b_table.get((r, lab), {}).items():
+                cols[row, lab] = v
         out[r] = cols
     return out
 

@@ -12,13 +12,11 @@ from rootgraded.coord import (
     CoordinateQuadruple,
     PRESETS,
     InternalConsistencyError,
-    b_mul,
     beta_star,
     beta_star_map_rows,
     build_bb,
     check_uniform,
     clifford_quadruple,
-    diamond_heart,
     full_homology,
     parse_preset_spec,
     preset_quadruple,
@@ -37,6 +35,12 @@ PRESET_SPECS = [
     "matrix_transpose:k=2",
     "symplectic:m=2",
     "matrix_hermitian:k=2,m=2",
+]
+
+# the benchmark's seven coordinate presets
+COORDINATE_PRESETS = [
+    "matrix:k=4", "matrix_transpose:k=4", "matrix_hermitian:k=3,m=4",
+    "matrix_hermitian:k=4,m=2", "clifford:d=6", "group_ring:m=8", "symplectic:m=8",
 ]
 
 _QUADS = {}
@@ -59,7 +63,44 @@ def bb_for(spec, ell=4):
 def derivation(spec, ell, x, y):
     """d^ell_{x,y}: the derivation that {b,b}_ell forms for the tensor x (x) y."""
     bb = bb_for(spec, ell)
-    return bb.derivation_of(bb.pair_tensor(x, y))
+    return bb.derivation_of(bb.pair_tensor(x.entries, y.entries))
+
+
+# products read off the structure constants ``mult``, ``action`` and
+# ``f_table``, independent of b's product table; b_mul reads that table
+def a_mul(q, x, y):
+    return SparseVector(q.a_space, coord._bilinear(q.mult, x.entries, y.entries))
+
+
+def c_act(q, a, c):
+    return SparseVector(q.c_space, coord._bilinear(q.action, a.entries, c.entries))
+
+
+def f_val(q, c, cp):
+    return SparseVector(q.a_space, coord._bilinear(q.f_table, c.entries, cp.entries))
+
+
+def b_mul(q, x, y):
+    return SparseVector(q.b_space, coord._bilinear(q.b_table, x.entries, y.entries))
+
+
+def split_b(q, x):
+    """x in b as its a part and its C part."""
+    return tuple(
+        SparseVector(space, {l: v for l, v in x.entries.items() if l in space})
+        for space in (q.a_space, q.c_space)
+    )
+
+
+def lift_b(q, v):
+    """An element of a or of C, as an element of b."""
+    return SparseVector(q.b_space, v.entries)
+
+
+def diamond_heart(q, c, cp):
+    """diamond = antisymmetric part of f, heart = symmetric part."""
+    f1, f2 = f_val(q, c, cp), f_val(q, cp, c)
+    return (f1 - f2).scale(Q(1, 2)), (f1 + f2).scale(Q(1, 2))
 
 
 def scalar_quadruple(qtype):
@@ -87,8 +128,8 @@ def test_clifford_quadruple_of_the_o_b_form_validates(n):
     q = clifford_quadruple(nat.space.labels, nat.gram.entries, name="o_B")
     assert validate_quadruple(q)["valid"]
     v1, vb1 = (q.a_space.basis_vector(l) for l in ("v:1", "vb:1"))
-    assert q.a_mul(v1, vb1) == q.unit.scale(Q(2))
-    assert q.a_mul(v1, v1).is_zero()
+    assert a_mul(q, v1, vb1) == q.unit.scale(Q(2))
+    assert a_mul(q, v1, v1).is_zero()
 
 
 @pytest.mark.parametrize("qtype", ["A", "C", "D"])
@@ -156,10 +197,7 @@ def expected_report(name, qtype, failures):
     return {"quadruple": name, "type": qtype, "valid": not failures, "checks": checks}
 
 
-@pytest.mark.parametrize("spec", PRESET_SPECS + [
-    "matrix:k=4", "matrix_transpose:k=4", "matrix_hermitian:k=3,m=4",
-    "matrix_hermitian:k=4,m=2", "clifford:d=6", "group_ring:m=8", "symplectic:m=8",
-])
+@pytest.mark.parametrize("spec", PRESET_SPECS + COORDINATE_PRESETS)
 def test_preset_validation_report(spec):
     q = quad(spec)
     assert validate_quadruple(q) == expected_report(spec, q.qtype, {})
@@ -333,6 +371,55 @@ def test_b_circ_brk():
     assert xy - yx == e12  # [e11, e12] = e12
 
 
+def _table_quadruple(source):
+    """A preset; the Clifford quadruple of o_B(3)'s form; or, for "json:"
+    and a preset, that preset read back from its JSON form."""
+    if source == "o_B(3)":
+        nat = FormedSpace("B", 3)
+        return clifford_quadruple(nat.space.labels, nat.gram.entries, name=source)
+    if source.startswith("json:"):
+        return quadruple_from_json(quadruple_to_json(quad(source[5:])))
+    return quad(source)
+
+
+_TABLE_SOURCES = PRESET_SPECS + COORDINATE_PRESETS + ["o_B(3)", "json:matrix_hermitian:k=2,m=2"]
+
+
+@pytest.mark.parametrize("source", _TABLE_SOURCES)
+def test_b_table_is_the_structured_product(source):
+    # e_x e_y for every pair of basis labels of b = a (+) C, against
+    # (a1 + c1)(a2 + c2) = a1 a2 + f(c1, c2) + a1.c2 + a2*.c1 written out
+    # block by block from mult, f_table, action and the columns of star
+    q = _table_quadruple(source)
+    a, c = q.a_space, q.c_space
+    for x in q.b_space.labels:
+        for y in q.b_space.labels:
+            if x in a and y in a:
+                expected = q.mult.get((x, y), {})
+            elif x in c and y in c:
+                expected = q.f_table.get((x, y), {})
+            elif x in a:
+                expected = q.action.get((x, y), {})
+            else:
+                # e_x e_y = e_y*.e_x, e_y* being column y of star
+                star_y = SparseVector(a, {r: v for (r, l), v in q.star.entries.items() if l == y})
+                expected = c_act(q, star_y, c.basis_vector(x)).entries
+            assert q.b_table.get((x, y), {}) == expected, (x, y)
+
+
+@pytest.mark.parametrize("source", _TABLE_SOURCES)
+def test_beta_star_rows_equal_beta_star_on_every_pair(source):
+    # beta_star_map_rows(q)[r] at (x, y) is the r entry of beta*(e_x, e_y),
+    # for every pair of basis labels of b
+    q = _table_quadruple(source)
+    rows = beta_star_map_rows(q)
+    for x in q.b_space.labels:
+        for y in q.b_space.labels:
+            expected = beta_star(q, q.b_space.basis_vector(x), q.b_space.basis_vector(y))
+            at_xy = {r: row.entries[x, y] for r, row in rows.items() if (x, y) in row.entries}
+            assert at_xy == expected.entries, (x, y)
+
+
 @pytest.mark.parametrize("spec", ["symplectic:m=2", "matrix_hermitian:k=2,m=2"])
 def test_diamond_heart_containment(spec):
     q = quad(spec)
@@ -341,15 +428,15 @@ def test_diamond_heart_containment(spec):
             c = q.c_space.basis_vector(lc)
             cp = q.c_space.basis_vector(lcp)
             dia, heart = diamond_heart(q, c, cp)
-            assert q.a_star(dia) == dia  # lands in the fixed points
-            assert q.a_star(heart) == heart.scale(Q(-1))  # skew points
+            assert q.star.apply(dia) == dia  # lands in the fixed points
+            assert q.star.apply(heart) == heart.scale(Q(-1))  # skew points
             dia2, heart2 = diamond_heart(q, cp, c)
             assert dia2 == dia.scale(Q(-1))
             assert heart2 == heart
     c = q.c_space.basis_vector(q.c_space.labels[0])
     dia, heart = diamond_heart(q, c, c)
     assert dia.is_zero()
-    assert heart == q.f_val(c, c)
+    assert heart == f_val(q, c, c)
 
 
 def test_heart_vanishes_for_symplectic_preset():
@@ -360,11 +447,6 @@ def test_heart_vanishes_for_symplectic_preset():
                 q, q.c_space.basis_vector(lc), q.c_space.basis_vector(lcp)
             )
             assert heart.is_zero()
-
-
-def test_diamond_heart_requires_module():
-    with pytest.raises(ValueError):
-        diamond_heart(quad("matrix:k=2"), None, None)
 
 
 def test_derivation_type_d_is_zero():
@@ -420,8 +502,8 @@ def _explicit_derivation(q, ell, x, y):
     acting on C too, for C and BC; for BC also ad(heart(c1, c2))/(-2 ell)
     on a and C and the f-terms -(c1 f(c, c2) + c2 f(c, c1))/2 on C; the
     Jordan derivation [L_a2, L_a1] for B; zero for D."""
-    a1, c1 = q.split_b(x)
-    a2, c2 = q.split_b(y)
+    a1, c1 = split_b(q, x)
+    a2, c2 = split_b(q, y)
     cols = {}
 
     def add_col(lab, vec):
@@ -431,27 +513,27 @@ def _explicit_derivation(q, ell, x, y):
     def add_ad(z, scale):
         for lab in q.a_space.labels:
             e = q.a_space.basis_vector(lab)
-            add_col(lab, (q.a_mul(z, e) - q.a_mul(e, z)).scale(scale))
+            add_col(lab, (a_mul(q, z, e) - a_mul(q, e, z)).scale(scale))
         for lab in q.c_space.labels:
-            add_col(lab, q.c_act(z, q.c_space.basis_vector(lab)).scale(scale))
+            add_col(lab, c_act(q, z, q.c_space.basis_vector(lab)).scale(scale))
 
     def comm(u, v):
-        return q.a_mul(u, v) - q.a_mul(v, u)
+        return a_mul(q, u, v) - a_mul(q, v, u)
 
     if q.qtype == "A":
         add_ad(comm(a1, a2), Q(1, ell + 1))
     elif q.qtype == "B":
         for lab in q.a_space.labels:
             e = q.a_space.basis_vector(lab)
-            add_col(lab, q.a_mul(a2, q.a_mul(a1, e)) - q.a_mul(a1, q.a_mul(a2, e)))
+            add_col(lab, a_mul(q, a2, a_mul(q, a1, e)) - a_mul(q, a1, a_mul(q, a2, e)))
     elif q.qtype in ("C", "BC"):
-        add_ad(comm(a1, a2) + comm(q.a_star(a1), q.a_star(a2)), Q(1, 4 * ell))
+        add_ad(comm(a1, a2) + comm(q.star.apply(a1), q.star.apply(a2)), Q(1, 4 * ell))
     if q.qtype == "BC":
-        heart = (q.f_val(c1, c2) + q.f_val(c2, c1)).scale(Q(1, 2))
+        heart = (f_val(q, c1, c2) + f_val(q, c2, c1)).scale(Q(1, 2))
         add_ad(heart, Q(-1, 2 * ell))
         for lab in q.c_space.labels:
             c = q.c_space.basis_vector(lab)
-            f_terms = q.c_act(q.f_val(c, c2), c1) + q.c_act(q.f_val(c, c1), c2)
+            f_terms = c_act(q, f_val(q, c, c2), c1) + c_act(q, f_val(q, c, c1), c2)
             add_col(lab, f_terms.scale(Q(-1, 2)))
     return SparseMatrix(q.b_space, q.b_space, cols)
 
@@ -567,20 +649,22 @@ def _unpruned_relation_generators(q):
     a_only = [q.a_space.basis_vector(l) for l in q.a_space.labels]
     c_only = [q.c_space.basis_vector(l) for l in q.c_space.labels]
     gens = [tens(p) for al in avecs for c in cvecs for p in ((al, c), (c, al))]
-    gens += [tens((q.lift_b(a), q.lift_b(b))) for a in q.a_part_sub.rows for b in q.b_part_sub.rows]
+    gens += [
+        tens((lift_b(q, a), lift_b(q, b))) for a in q.a_part_sub.rows for b in q.b_part_sub.rows
+    ]
     gens += [tens((x, y), (y, x)) for x in avecs for y in avecs]
     gens += [tens((c, cp), (-cp, c)) for i, c in enumerate(cvecs) for cp in cvecs[i + 1 :]]
-    prod = [[q.lift_b(q.a_mul(x, y)) for y in a_only] for x in a_only]
+    prod = [[lift_b(q, a_mul(q, x, y)) for y in a_only] for x in a_only]
     n = len(avecs)
     gens += [
         tens((prod[i][j], avecs[k]), (prod[k][i], avecs[j]), (prod[j][k], avecs[i]))
         for i in range(n) for j in range(n) for k in range(n)
     ]
-    act = [[q.lift_b(q.c_act(x, c)) for c in c_only] for x in a_only]
-    star_act = [[q.lift_b(q.c_act(q.a_star(x), c)) for c in c_only] for x in a_only]
+    act = [[lift_b(q, c_act(q, x, c)) for c in c_only] for x in a_only]
+    star_act = [[lift_b(q, c_act(q, q.star.apply(x), c)) for c in c_only] for x in a_only]
     for i, c in enumerate(cvecs):
         for j, cp in enumerate(cvecs):
-            f_ccp = q.lift_b(q.f_val(c_only[i], c_only[j]))
+            f_ccp = lift_b(q, f_val(q, c_only[i], c_only[j]))
             for k, al in enumerate(avecs):
                 gens.append(tens((f_ccp, al), (star_act[k][j], c), (-act[k][i], cp)))
     return gens
@@ -653,8 +737,8 @@ def test_bb_antisymmetry_of_cosets_in_a():
     for l1 in q.a_space.labels:
         for l2 in q.a_space.labels:
             x, y = q.b_space.basis_vector(l1), q.b_space.basis_vector(l2)
-            u = bb.quotient.project(bb.pair_tensor(x, y))
-            v = bb.quotient.project(bb.pair_tensor(y, x))
+            u = bb.quotient.project(bb.pair_tensor(x.entries, y.entries))
+            v = bb.quotient.project(bb.pair_tensor(y.entries, x.entries))
             assert u == v.scale(Q(-1))
 
 
@@ -787,7 +871,7 @@ def test_full_homology_matrix_oracle():
         for (l1, l2), coeff in lift.entries.items():
             x = q.a_space.basis_vector(l1)
             y = q.a_space.basis_vector(l2)
-            total = total + (q.a_mul(x, y) - q.a_mul(y, x)).scale(coeff)
+            total = total + (a_mul(q, x, y) - a_mul(q, y, x)).scale(coeff)
         for r, v in total.entries.items():
             rows_by_a.setdefault(r, {})[lab] = v
     from rootgraded.exactla import kernel_of_rows
@@ -818,15 +902,15 @@ def test_beta_star_values():
     y = q.a_space.basis_vector("m:0,1")
 
     def fixed(v):  # projection onto the *-fixed points
-        return (v + q.a_star(v)).scale(Q(1, 2))
+        return (v + q.star.apply(v)).scale(Q(1, 2))
 
     def skew(v):  # projection onto the *-skew points
-        return (v - q.a_star(v)).scale(Q(1, 2))
+        return (v - q.star.apply(v)).scale(Q(1, 2))
 
     ax, bx = fixed(x), skew(x)
     ay, by = fixed(y), skew(y)
     expected = (
-        q.a_mul(ax, ay) - q.a_mul(ay, ax) + q.a_mul(bx, by) - q.a_mul(by, bx)
+        a_mul(q, ax, ay) - a_mul(q, ay, ax) + a_mul(q, bx, by) - a_mul(q, by, bx)
     )
     assert beta_star(q, xb, yb) == expected
 
@@ -889,7 +973,7 @@ def test_quadruple_json_roundtrip(tmp_path):
     # same f table after relabeling positions
     c0 = q2.c_space.basis_vector("c:0")
     c1 = q2.c_space.basis_vector("c:1")
-    assert not q2.f_val(c0, c1).is_zero()
+    assert not f_val(q2, c0, c1).is_zero()
     path = tmp_path / "quad.json"
     path.write_text(json.dumps(data))
     # the command line's loader reads the file and checks every law

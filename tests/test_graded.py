@@ -12,9 +12,9 @@ import rootgraded.graded as graded
 from rootgraded import cli
 from rootgraded.coord import (
     CoordinateQuadruple,
+    _bilinear,
     beta_star,
     clifford_quadruple,
-    f_action,
     inner_scale,
     parse_preset_spec,
     validate_quadruple,
@@ -104,12 +104,22 @@ def test_k_span_outside_homology_rejected():
 
 
 def test_uniform_verdict_fails_when_beta_star_misses_a_relation(monkeypatch):
-    # with the unit added on every basis pair, beta* is 2 * unit on the
-    # generator x(x)x + x(x)x of K, so K = 0 is no longer uniform
+    # with the unit added to the beta* rows on every basis pair, beta* is
+    # 2 * unit on the generator x(x)x + x(x)x of K, so K = 0 is no longer
+    # uniform
     import rootgraded.coord as coord
 
-    real = coord._beta_star_of_parts
-    monkeypatch.setattr(coord, "_beta_star_of_parts", lambda q, p1, p2: real(q, p1, p2) + q.unit)
+    real = coord.beta_star_map_rows
+
+    def with_unit(q):
+        rows = real(q)
+        for r, u in q.unit.entries.items():
+            row = rows[r].entries if r in rows else {}
+            shifted = {lab: row.get(lab, 0) + u for lab in q.bb_space.labels}
+            rows[r] = SparseVector(q.bb_space, shifted)
+        return rows
+
+    monkeypatch.setattr(coord, "beta_star_map_rows", with_unit)
     q = parse_preset_spec("matrix:k=2")
     bb = coord.build_bb(q, 5)
     report = coord.check_uniform(bb, [], fh=coord.full_homology(bb), cross_check_ell=7)
@@ -184,7 +194,10 @@ def test_bc_symplectic_orthogonal_vectors_row():
     q = m.quadruple
     c0 = q.c_space.basis_vector("c:0")
     c1 = q.c_space.basis_vector("c:1")
-    dia = (q.f_val(c0, c1) - q.f_val(c1, c0)).scale(Q(1, 2))
+    f01, f10 = (
+        SparseVector(q.a_space, q.f_table.get(l, {})) for l in [("c:0", "c:1"), ("c:1", "c:0")]
+    )
+    dia = (f01 - f10).scale(Q(1, 2))
     expected = {}
     for gi, cg in m.G.wb.coords(v_ops(u, w, nat, m.idem0, m.m0, "circ").entries).items():
         for ai, ca in m.quadruple.a_part_sub.coordinates(dia).items():
@@ -590,7 +603,7 @@ def test_level_coset_at_base_subset_is_plain():
     lc = level_coset(m, range(1, 5), c0, c1)
     assert lc and _kinds(m, lc) == {"d"}
     cosets = m.dpart.coset_space
-    direct = m.dpart.project(m.bb.pair_tensor(c0, c1)).entries
+    direct = m.dpart.project(m.bb.pair_tensor(c0.entries, c1.entries)).entries
     assert lc == {m.index_of[("d", (cosets.pos(l),))]: v for l, v in direct.items()}
 
 
@@ -700,12 +713,21 @@ def test_bc_f_term_vanishes_on_the_relation_space(preset):
     m = model("BC", 5, 4, preset)
     q = m.quadruple
     kappa = inner_scale("BC", m.ell)
-    module_part = {l: q.split_b(q.b_space.basis_vector(l))[1] for l in q.b_space.labels}
+    c_basis = [SparseVector(q.c_space, c) for c in m.c_basis]
+
+    def c_act(a, c):
+        return SparseVector(q.c_space, _bilinear(q.action, a.entries, c.entries))
+
+    def f_val(c, cp):
+        return SparseVector(q.a_space, _bilinear(q.f_table, c.entries, cp.entries))
 
     def f_term(t, c):
+        # c1 f(c, c2) + c2 f(c, c1) over the C (x) C entries c1 (x) c2 of t
         acc = SparseVector(q.c_space, {})
         for (l1, l2), coeff in t.entries.items():
-            acc = acc + f_action(q, c, module_part[l1], module_part[l2]).scale(coeff)
+            if l1 in q.c_space and l2 in q.c_space:
+                c1, c2 = q.c_space.basis_vector(l1), q.c_space.basis_vector(l2)
+                acc = acc + (c_act(f_val(c, c2), c1) + c_act(f_val(c, c1), c2)).scale(coeff)
         return acc
 
     live = False
@@ -713,13 +735,15 @@ def test_bc_f_term_vanishes_on_the_relation_space(preset):
         t = m.bb.tensor.basis_vector(lab)
         z = beta_star(q, *(q.b_space.basis_vector(l) for l in lab)).scale(kappa)
         d = m.bb.derivation_of(t)
-        for c in m.c_basis:
+        for c in c_basis:
             f = f_term(t, c)
             live = live or not f.is_zero()
-            assert d.apply(q.lift_b(c)) == q.lift_b(q.c_act(z, c) - f.scale(Q(1, 2)))
+            image = c_act(z, c) - f.scale(Q(1, 2))
+            lift = SparseVector(q.b_space, c.entries)
+            assert d.apply(lift) == SparseVector(q.b_space, image.entries)
     assert live
     for t in m.dpart.relations.rows:
-        for c in m.c_basis:
+        for c in c_basis:
             assert f_term(t, c).is_zero()
 
 
@@ -761,7 +785,8 @@ def test_type_b_derivations_kill_the_a_part(monkeypatch, spec):
     m = build_model("B", 5, 5, q)
     for lab in m.bb.tensor.labels:
         d = m.bb.derivation_of(m.bb.tensor.basis_vector(lab))
-        assert all(d.apply(q.lift_b(a)).is_zero() for a in q.a_part_sub.rows)
+        lifts = [SparseVector(q.b_space, a.entries) for a in q.a_part_sub.rows]
+        assert all(d.apply(a).is_zero() for a in lifts)
     monkeypatch.setitem(
         graded.TERMS["B"], "gd", (graded.Term("g", graded._first, graded._deriv, -1),)
     )

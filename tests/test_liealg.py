@@ -379,7 +379,7 @@ def test_jordan_derivation_basics():
     one, w1, w2 = (q.b_space.basis_vector(l) for l in ("one", "w:1", "w:2"))
 
     def derivation(x, y):
-        return bb.derivation_of(bb.pair_tensor(x, y))
+        return bb.derivation_of(bb.pair_tensor(x.entries, y.entries))
 
     assert derivation(one, w1).is_zero()
     assert derivation(w1, w1).is_zero()
