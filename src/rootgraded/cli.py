@@ -27,7 +27,7 @@ from .coord import (
     quadruple_to_json,
     validate_quadruple,
 )
-from .exactla import add_scaled, q_str
+from .exactla import add_scaled, columns, q_str
 from .graded import (
     K_FORMS,
     build_model,
@@ -62,8 +62,8 @@ def load_quadruple(source: str | dict):
     if isinstance(source, dict):
         q, where = quadruple_from_json(source), "inline quadruple"
     elif os.path.exists(source):
-        with open(source, "r", encoding="utf-8") as fh:
-            q, where = quadruple_from_json(json.load(fh)), f"quadruple file {source}"
+        where = f"quadruple file {source}"
+        q = quadruple_from_json(_read_json(source, where))
     else:
         return parse_preset_spec(source)
     failed = [c for c in validate_quadruple(q)["checks"] if c["status"] == "fail"]
@@ -73,6 +73,15 @@ def load_quadruple(source: str | dict):
             + "; ".join(f"{c['law']} (witness {c['witnesses'][:1]})" for c in failed)
         )
     return q
+
+
+def _read_json(path: str, where: str):
+    """The JSON value in the file at path; a nesting too deep to parse is bad input."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ConfigError(f"{where} is nested too deeply to read") from None
 
 
 def _emit(data: dict, out: str | None) -> None:
@@ -214,12 +223,10 @@ def _derivation_check(model) -> dict:
     labs = model.quadruple.b_space.labels
     failures = []
     for f, d in model.bb.derivations.items():
-        if d.is_zero():
+        if not d:
             continue
         # the columns of d: d(e_x) for each basis label x of b
-        images = {lab: {} for lab in labs}
-        for (r, c), v in d.entries.items():
-            images[c][r] = v
+        images = {lab: {} for lab in labs} | columns(d)
         for xl in labs:
             for yl in labs:
                 lhs: dict = {}
@@ -287,6 +294,9 @@ def cmd_verify(args) -> int:
     unknown = [s for s in args.suite if s not in SUITES]
     if unknown:
         raise ConfigError(f"unknown suite entries: {unknown}")
+    for i, name in enumerate(args.suite):
+        if name in args.suite[:i]:
+            raise ConfigError(f"suite entry {name!r} is given twice")
     if args.samples < 0:
         raise ConfigError(f"--samples must be at least 0, got {args.samples}")
     if args.exhaustive_max < 0:
@@ -342,8 +352,7 @@ def cmd_verify(args) -> int:
 def _load_model_file(args):
     """Read --model into args (family, n, ell, k) and return its quadruple.
     Each field must be a value its flag accepts."""
-    with open(args.model, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
+    spec = _read_json(args.model, f"model file {args.model}")
     if not isinstance(spec, dict):
         raise ConfigError(f"model file {args.model} must hold a JSON object")
     for field in ("family", "n", "ell", "quadruple"):

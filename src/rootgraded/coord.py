@@ -25,6 +25,8 @@ from .exactla import (
     SparseVector,
     Subspace,
     add_scaled,
+    apply,
+    columns,
     kernel,
     kernel_of_rows,
     label_text,
@@ -100,11 +102,10 @@ class CoordinateQuadruple:
         # (the labels of a and of C are disjoint): a a' is ``mult``, f(c, c')
         # is ``f_table``, a.c is ``action`` and c a = a*.c
         self.b_table = {**self.mult, **self.f_table, **self.action}
-        star_cols = _columns(self.star.entries)
+        star_cols = columns(self.star.entries)
         for a in self.a_space.labels:
-            col = dict(star_cols.get(a, ()))
             for c in self.c_space.labels:
-                self.b_table[c, a] = _bilinear(self.action, col, {c: 1})
+                self.b_table[c, a] = _bilinear(self.action, star_cols.get(a, {}), {c: 1})
         # b (x) b, shared by K, beta* and every {b,b}_ell built on q
         self.bb_space = tensor_space(self.b_space, self.b_space)
         ident = SparseMatrix.identity(self.a_space)
@@ -194,7 +195,7 @@ def beta_star(q, x: SparseVector, y: SparseVector) -> SparseVector:
     t = q.b_table
     a1, a2 = ({l: v for l, v in z.entries.items() if l in q.a_space} for z in (x, y))
     c1, c2 = ({l: v for l, v in z.entries.items() if l in q.c_space} for z in (x, y))
-    s1, s2 = (q.star.apply(SparseVector(q.a_space, a)).entries for a in (a1, a2))
+    s1, s2 = (apply(q.star.entries, a) for a in (a1, a2))
     out: dict[str, Fraction] = {}
     for u, v, sign in ((a1, a2, 1), (s1, s2, 1), (c1, c2, -1)):
         add_scaled(out, _bilinear(t, u, v), sign)
@@ -243,15 +244,9 @@ def validate_quadruple(q: CoordinateQuadruple) -> dict:
     mult, act, f = q.mult, q.action, q.f_table
     e = {l: {l: 1} for l in q.b_space.labels}
     unit = q.unit.entries
-    cols = {l: {} for l in alabs}
-    for (r, c), v in q.star.entries.items():
-        cols[c][r] = v
-
-    def star(x: dict) -> dict:
-        out: dict[str, Fraction] = {}
-        for l, c in x.items():
-            add_scaled(out, cols[l], c)
-        return out
+    star = q.star.entries
+    cols = columns(star)
+    e_star = {l: cols.get(l, {}) for l in alabs}  # e_l*, column l of star
 
     def noncommuting(fmt: str) -> list:
         return [
@@ -296,18 +291,18 @@ def validate_quadruple(q: CoordinateQuadruple) -> dict:
     # fail to be injective
     record("unit is nonzero", [] if unit else ["unit is 0"])
     record("star is an involution (star^2 = id)", [
-        lab for lab in alabs if star(cols[lab]) != e[lab]
+        lab for lab in alabs if apply(star, e_star[lab]) != e[lab]
     ])
     if q.qtype in ("C", "BC", "B"):
         record("star antiautomorphism ((xy)* = y*x*)", [
             f"({i}.{j})*"
             for i in alabs
             for j in alabs
-            if star(mult.get((i, j), {})) != _bilinear(mult, cols[j], cols[i])
+            if apply(star, mult.get((i, j), {})) != _bilinear(mult, e_star[j], e_star[i])
         ])
     if q.qtype in ("A", "D"):
-        identity = {l: e[l] for l in alabs}
-        record("star = id", [] if cols == identity else ["star differs from identity"])
+        identity = {(l, l): 1 for l in alabs}
+        record("star = id", [] if star == identity else ["star differs from identity"])
     if q.qtype == "D":
         record("a commutative", noncommuting("{i}.{j}"))
     if q.qtype in ("A", "B", "C", "D"):
@@ -326,7 +321,7 @@ def validate_quadruple(q: CoordinateQuadruple) -> dict:
             f"f({l},{m})"
             for l in clabs
             for m in clabs
-            if star(f.get((l, m), {})) != {a: -v for a, v in f.get((m, l), {}).items()}
+            if apply(star, f.get((l, m), {})) != {a: -v for a, v in f.get((m, l), {}).items()}
         ])
         record("f left semilinear (f(x.c, c') = x f(c, c'))", [
             f"f({i}.{l},{m})"
@@ -447,34 +442,35 @@ class BBQuotient:
         other.derivations = other._coset_derivations()
         return other
 
-    def _coset_derivations(self) -> dict[tuple[str, str], SparseMatrix]:
-        labels = self.quotient.coset_labels
-        return {f: self.derivation_of(self.tensor.basis_vector(f)) for f in labels}
+    def _coset_derivations(self) -> dict[tuple[str, str], dict]:
+        return {f: self.derivation_of({f: 1}) for f in self.quotient.coset_labels}
 
-    def derivation_of(self, t: SparseVector) -> SparseMatrix:
-        """The derivation d^ell_t of b that a tensor vector t acts by, formed
-        from t itself.  d_t is linear in t (Allison-Benkart-Gao, Memoirs AMS
-        158, 2002): the inner derivation sum_r z_r ad(e_r) of z = kappa
-        beta*(t) (``inner_of``, ``q.ad_basis()``), plus each label's
+    def derivation_of(self, t: dict) -> dict[tuple[str, str], Fraction]:
+        """The derivation d^ell_t of b that the tensor t acts by, both entry
+        dicts, formed from t itself.  d_t is linear in t (Allison-Benkart-Gao,
+        Memoirs AMS 158, 2002): the inner derivation sum_r z_r ad(e_r) of
+        z = kappa beta*(t) (``inner_of``, ``q.ad_basis()``), plus each label's
         ``q.label_part``: less half the f-term F(t) of t's C (x) C entries
         for BC, the Jordan derivations for B (where z = 0); 0 for D."""
         q = self.q
-        cols: dict[tuple[str, str], Fraction] = {}
-        for r, zr in self.inner_of(t).entries.items():
-            add_scaled(cols, q.ad_basis().get(r, {}), zr)
-        for lab, coeff in t.entries.items():
-            add_scaled(cols, q.label_part(lab), coeff)
-        return SparseMatrix(q.b_space, q.b_space, cols)
+        d: dict[tuple[str, str], Fraction] = {}
+        for r, zr in self.inner_of(t).items():
+            add_scaled(d, q.ad_basis().get(r, {}), zr)
+        for lab, coeff in t.items():
+            add_scaled(d, q.label_part(lab), coeff)
+        return {key: scalar(v) for key, v in d.items()}
 
-    def inner_of(self, t: SparseVector) -> SparseVector:
-        """kappa beta* of a tensor vector, one dot product of t with each
-        ``beta_rows`` row, kappa = ``inner_scale``: for x (x) y, the element
-        of a whose inner derivation d^ell_{x,y} is, less the BC f-term."""
-        dots = {
-            r: sum(row.entries[lab] * c for lab, c in t.entries.items() if lab in row.entries)
-            for r, row in self.beta_rows.items()
-        }
-        return SparseVector(self.q.a_space, dots).scale(self.kappa)
+    def inner_of(self, t: dict) -> dict[str, Fraction]:
+        """kappa beta* of the tensor t, both entry dicts, one dot product of
+        t with each ``beta_rows`` row, kappa = ``inner_scale``: for x (x) y,
+        the element of a whose inner derivation d^ell_{x,y} is, less the BC
+        f-term.  A dot is formed only when kappa is nonzero."""
+        z: dict[str, Fraction] = {}
+        for r, row in self.beta_rows.items():
+            dot = self.kappa and sum(row[lab] * c for lab, c in t.items() if lab in row)
+            if dot:
+                z[r] = scalar(self.kappa * dot)
+        return z
 
     def _verify_well_defined(self):
         """The two facts that make {b,b}_ell = (b (x) b)/K well defined: every
@@ -484,16 +480,16 @@ class BBQuotient:
         labels (``QuotientSpace.first_escape``); it names the first
         relation row that leaves K, as reducing each image would."""
         for g in self.relations.rows:
-            if not self.derivation_of(g).is_zero():
+            if self.derivation_of(g.entries):
                 raise InternalConsistencyError(
                     "total derivation of a relation vector is nonzero", witness=g
                 )
         for lab, d in self.derivations.items():
-            if d.is_zero():
+            if not d:
                 continue
             # phi o (d (x) 1 + 1 (x) d) is the action of the transpose of
             # d, whose columns are the rows of d
-            rows = _columns(d.transpose().entries)
+            rows = columns({(c, r): v for (r, c), v in d.items()})
             i = self.quotient.first_escape(lambda phi: _pair_action(rows, phi))
             if i is not None:
                 raise InternalConsistencyError(
@@ -516,8 +512,8 @@ class BBQuotient:
         stored ``derivations``; by linearity d is ``derivation_of`` lift(u)."""
         d: dict[tuple[str, str], Fraction] = {}
         for f, c in u.entries.items():
-            add_scaled(d, self.derivations[f].entries, c)
-        img = _pair_action(_columns(d), self.quotient.lift(v).entries)
+            add_scaled(d, self.derivations[f], c)
+        img = _pair_action(columns(d), self.quotient.lift(v).entries)
         return self.quotient.project(SparseVector(self.tensor, img))
 
     def d_part(self, k_span: Sequence[SparseVector]) -> QuotientSpace:
@@ -538,22 +534,14 @@ class BBQuotient:
         return QuotientSpace(self.tensor, rref([*self.relations.rows, *lifts], self.tensor))
 
 
-def _columns(entries: dict) -> dict[str, list[tuple[str, Fraction]]]:
-    """Column label -> [(row label, entry)] of a matrix's entries, in entry order."""
-    cols: dict[str, list[tuple[str, Fraction]]] = {}
-    for (r, c), v in entries.items():
-        cols.setdefault(c, []).append((r, v))
-    return cols
-
-
 def _pair_action(cols, t: dict) -> dict:
     """(d (x) 1 + 1 (x) d) on the entries of a tensor, with d given by its
-    columns, ``_columns(d)``: each entry of t at (u, v) walks columns u and v
+    columns, ``columns(d)``: each entry of t at (u, v) walks columns u and v
     of d."""
     out: dict[tuple[str, str], Fraction] = {}
     for (u, v), w in t.items():
-        for left, col in ((True, cols.get(u, ())), (False, cols.get(v, ()))):
-            for z, x in col:
+        for left, col in ((True, cols.get(u, {})), (False, cols.get(v, {}))):
+            for z, x in col.items():
                 key = (z, v) if left else (u, z)
                 s = out.get(key, 0) + w * x
                 if s:
@@ -574,12 +562,12 @@ def full_homology(bb: BBQuotient) -> Subspace:
     # (row, col) of the derivation -> {coset label: entry}
     rows_by_pos: dict[tuple[str, str], dict[tuple[str, str], Fraction]] = {}
     for lab, d in bb.derivations.items():
-        for pos, v in d.entries.items():
+        for pos, v in d.items():
             rows_by_pos.setdefault(pos, {})[lab] = v
     rows = [SparseVector(csp, entries) for entries in rows_by_pos.values()]
     # the exact kernel of these rows: every vector of FH has derivation 0
     fh = kernel_of_rows(rows, csp)
-    live = [lab for lab, d in bb.derivations.items() if not d.is_zero()]
+    live = [lab for lab, d in bb.derivations.items() if d]
     for f in fh.rows:
         for lab in live:
             if not bb.bracket_cosets(csp.basis_vector(lab), f).is_zero():
@@ -589,13 +577,14 @@ def full_homology(bb: BBQuotient) -> Subspace:
     return fh
 
 
-def beta_star_map_rows(q: CoordinateQuadruple) -> dict[str, SparseVector]:
-    """The linear map b(x)b -> a sending x(x)y to beta*_{x,y}, as rows.  On
+def beta_star_map_rows(q: CoordinateQuadruple) -> dict[str, dict]:
+    """The linear map b(x)b -> a sending x(x)y to beta*_{x,y}, as entry dicts
+    {r: row r}.  On
     basis labels it is ([x, y] + [x*, y*])/2 for x, y in a, minus the
     symmetric part (x y + y x)/2 of f for x, y in C, and 0 on a (x) C and
     C (x) a; every product is b's."""
     t, half = q.b_table, Q(1, 2)
-    star = {l: dict(col) for l, col in _columns(q.star.entries).items()}
+    star = columns(q.star.entries)
     rows: dict[str, dict[tuple[str, str], Fraction]] = {}
     for l1 in q.b_space.labels:
         for l2 in q.b_space.labels:
@@ -611,8 +600,8 @@ def beta_star_map_rows(q: CoordinateQuadruple) -> dict[str, SparseVector]:
             for x, y, c in terms:
                 add_scaled(val, _bilinear(t, x, y), c)
             for r, v in val.items():
-                rows.setdefault(r, {})[l1, l2] = v
-    return {r: SparseVector(q.bb_space, entries) for r, entries in rows.items()}
+                rows.setdefault(r, {})[l1, l2] = scalar(v)
+    return rows
 
 
 def check_uniform(
@@ -652,7 +641,7 @@ def check_uniform(
 
 def _uniform_verdict(bb: BBQuotient, k_span: Sequence[SparseVector]):
     preimage = list(bb.relations.rows) + [bb.quotient.lift(v) for v in k_span]
-    rows = [row.entries for row in bb.beta_rows.values()]
+    rows = list(bb.beta_rows.values())
     for t in preimage:
         for row in rows:
             val = sum((row[lab] * c for lab, c in t.entries.items() if lab in row), 0)

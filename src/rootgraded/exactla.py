@@ -162,6 +162,25 @@ class SparseVector:
         return " + ".join(parts) if parts else "0"
 
 
+def apply(m: Mapping, v: Mapping) -> dict:
+    """The entries of m v, for a matrix m and a vector v given by their
+    entry dicts {(row, col): value} and {label: value}."""
+    out: dict[Hashable, Fraction] = {}
+    for (r, c), x in m.items():
+        if c in v:
+            add_scaled(out, {r: x}, v[c])
+    return {r: scalar(s) for r, s in out.items()}
+
+
+def columns(entries: Mapping) -> dict:
+    """Column label -> {row label: entry} of a matrix's entry dict, in
+    entry order."""
+    cols: dict[Hashable, dict] = {}
+    for (r, c), v in entries.items():
+        cols.setdefault(c, {})[r] = v
+    return cols
+
+
 def _merged(a: Mapping, b: Mapping, subtract: bool) -> dict:
     """The entries of a + b, or of a - b, in one pass: a's keys in order,
     then b's new ones, dropping the entries that cancel."""
@@ -216,17 +235,7 @@ class SparseMatrix:
     def apply(self, v: SparseVector) -> SparseVector:
         if v.space != self.domain:
             raise ShapeError("matrix domain does not match vector space")
-        out: dict[Hashable, Fraction] = {}
-        for (r, c), m in self.entries.items():
-            coeff = v.entries.get(c)
-            if coeff is None:
-                continue
-            s = out.get(r, 0) + m * coeff
-            if s:
-                out[r] = s
-            else:
-                out.pop(r, None)
-        return SparseVector(self.codomain, out)
+        return SparseVector(self.codomain, apply(self.entries, v.entries))
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if other.codomain != self.domain:
@@ -430,15 +439,9 @@ def rref(vectors: Sequence[SparseVector], space: BasedSpace | None = None) -> Su
 
 def kernel(m: SparseMatrix) -> Subspace:
     """Exact nullspace basis of a sparse matrix, via RREF on the rows."""
-    # Row space of m as vectors over the domain.
-    rows_by_label: dict[Hashable, dict[Hashable, Fraction]] = {}
-    for (r, c), v in m.entries.items():
-        rows_by_label.setdefault(r, {})[c] = v
-    row_vecs = [
-        SparseVector(m.domain, rows_by_label[r])
-        for r in m.codomain.labels
-        if r in rows_by_label
-    ]
+    # the rows of m, the columns of its transpose, as vectors over the domain
+    rows = columns(m.transpose().entries)
+    row_vecs = [SparseVector(m.domain, rows[r]) for r in m.codomain.labels if r in rows]
     return kernel_of_rows(row_vecs, m.domain)
 
 

@@ -39,6 +39,7 @@ from .exactla import (
     SparseMatrix,
     SparseVector,
     add_scaled,
+    apply,
     label_text,
     rref,
     scalar,
@@ -97,9 +98,9 @@ class Term(NamedTuple):
     scale: Fraction = 1
 
 
-# matrix side.  Each op returns an entry dict, {(row, col): value} of a
-# matrix or {label: value} of a natural-module vector, or a scalar.  The
-# product ops read the pair's two products (xy, yx) as entry dicts, and run
+# matrix side.  Each operand and each result is an entry dict, {(row, col):
+# value} of a matrix or {label: value} of a natural-module vector, or a
+# scalar.  The product ops read the pair's two products (xy, yx), and run
 # only on pairs with one of them nonzero.  The other ops read (x, y).
 
 
@@ -126,7 +127,7 @@ def _circ(m, xy, yx):
     t = _trace(m, xy, yx)
     if t:
         f = 2 if m.family in ("A", "D") else 1
-        add_scaled(out, m.idem0.entries, scalar(Q(-f * t, m.m0)))
+        add_scaled(out, m.idem0, scalar(Q(-f * t, m.m0)))
     return out
 
 
@@ -135,15 +136,15 @@ _PRODUCTS = {_lie: -1, _circ: 1, _jordan: 1, _trace: 1}
 
 
 def _act(m, x, u):
-    return x.apply(u).entries
+    return apply(x, u)
 
 
 def _acted_on(m, u, x):
-    return x.apply(u).entries
+    return apply(x, u)
 
 
 def _first(m, x, y):
-    return x.entries
+    return x
 
 
 def _one(m, x, y):
@@ -155,12 +156,12 @@ def _form(m, u, w):
 
 
 def _d_uw(m, u, w):
-    return d_uw(m.G.nat, u, w).entries
+    return d_uw(m.G.nat, u, w)
 
 
 def _v_op(variant: str) -> Callable:
     def op(m, u, w):
-        return v_ops(u, w, m.G.nat, m.idem0, m.m0, variant).entries
+        return v_ops(u, w, m.G.nat, m.idem0, m.m0, variant)
 
     return op
 
@@ -188,7 +189,7 @@ def _pair(m, x, y):
 
 def _inner(m, lab):
     """kappa beta* of the coset label (e1, e2), as an entry dict."""
-    return m.bb.inner_of(m.bb.tensor.basis_vector(lab)).entries
+    return m.bb.inner_of({lab: 1})
 
 
 def _with_inner(op: Callable) -> Callable:
@@ -308,19 +309,19 @@ def _coset_coords(dpart) -> Callable:
     return lambda t: read(dpart.project(t).entries)
 
 
-def _products(mats1: list[SparseMatrix], mats2: list[SparseMatrix]) -> dict:
+def _products(mats1: list[dict], mats2: list[dict]) -> dict:
     """{(i, j): entry dict of x_i y_j} for x_i in ``mats1`` and y_j in
     ``mats2``, with no key where the product is 0: one join of each x_i's
     entries, by column, with ``mats2`` indexed by row (Gustavson, ACM TOMS
     4(3), 1978), so a pair whose supports do not meet costs nothing."""
     by_row: dict = {}  # mid -> {j: [(col, entry of y_j)]}
     for j, y in enumerate(mats2):
-        for (mid, c), w in y.entries.items():
+        for (mid, c), w in y.items():
             by_row.setdefault(mid, {}).setdefault(j, []).append((c, w))
     out: dict = {}
     for i, x in enumerate(mats1):
         cols: dict = {}
-        for (r, mid), v in x.entries.items():
+        for (r, mid), v in x.items():
             cols.setdefault(mid, []).append((r, v))
         for mid, xs in cols.items():
             for j, ys in by_row.get(mid, {}).items():
@@ -344,7 +345,7 @@ class _Kind(NamedTuple):
 
     offset: int
     width: int
-    mats: list  # matrix-side objects
+    mats: list  # matrix-side objects, as entry dicts
     coords: list  # coordinate-side objects
     read_mat: Callable
     read_coord: Callable
@@ -410,7 +411,7 @@ class GradedModel:
         self.G = build_algebra(UNDERLYING[family], n)
         # the weighted basis of the symmetric module S of C and BC
         self.smod = build_module(self.G) if family in ("C", "BC") else None
-        self.idem0 = truncation_idempotent(self.G.space, range(1, m0 + 1))
+        self.idem0 = truncation_idempotent(self.G.space, range(1, m0 + 1)).entries  # J_0
 
         # the coordinate-side bases of A, B and C, as entry dicts
         q = quadruple
@@ -433,12 +434,13 @@ class GradedModel:
         nat = self.G.space
 
         def natural(coords, read_coord):
-            vecs = [nat.basis_vector(l) for l in nat.labels]
+            vecs = [{l: 1} for l in nat.labels]
             weights = [label_weight(l) for l in nat.labels]
             return vecs, weights, coords, _label_coords(nat), read_coord
 
         def weighted(wb, coords, read_coord):
-            return wb.basis_mats, wb.weight_of_basis, coords, wb.coords, read_coord
+            mats = [x.entries for x in wb.basis_mats]
+            return mats, wb.weight_of_basis, coords, wb.coords, read_coord
 
         # kind -> (matrix-side objects, their weights, coordinate-side
         # objects, the two readers)
@@ -633,10 +635,10 @@ def derivation_span_equals_oB(n: int) -> tuple[bool, int, int]:
     span_vecs = []
     for i, u in enumerate(labels):
         for w in labels[i + 1 :]:
-            on_v = d_uw(nat, nat.space.basis_vector(u), nat.space.basis_vector(w))
+            on_v = d_uw(nat, {u: 1}, {w: 1})
             # equal entries: d is d_uw on V and has no row or column at the unit
-            ok = ok and q.label_part((u, w)) == on_v.entries
-            span_vecs.append(SparseVector(G.glsp, on_v.entries))
+            ok = ok and q.label_part((u, w)) == on_v
+            span_vecs.append(SparseVector(G.glsp, on_v))
     span = rref(span_vecs, G.glsp)
     return ok and span == G.wb.full, span.dim, G.dim
 
@@ -1063,10 +1065,10 @@ def level_coset(
     coeffs = {m.index_of[("d", (di,))]: c for di, c in dcoset.items()}
     target = _LEVEL_TARGET.get(m.family)
     if target is not None:
-        inner = m.bb.inner_of(tensor)
-        if not inner.is_zero():
+        inner = m.bb.inner_of(tensor.entries)
+        if inner:
             kind = m._kinds[target]
-            coord = kind.read_coord(inner.entries)
+            coord = kind.read_coord(inner)
             for mi, cm in kind.read_mat(_level_op(m, lam, m.G.space).entries).items():
                 base = kind.offset + mi * kind.width
                 add_scaled(coeffs, {base + ci: cc for ci, cc in coord.items()}, cm)
@@ -1100,7 +1102,7 @@ def verify_level_transition(m: GradedModel, added: int) -> dict:
     checks.append(_check("correction vanishes at lambda = I_0", op_zero_at_base))
     if m.family not in _LEVEL_TARGET:
         # families with commutative coordinates: correction is identically 0
-        all_zero = all(row.is_zero() for row in m.bb.beta_rows.values())
+        all_zero = not any(m.bb.beta_rows.values())
         checks.append(
             _check("beta* vanishes identically (commutative coordinates)", all_zero)
         )

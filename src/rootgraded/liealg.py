@@ -24,6 +24,7 @@ from .exactla import (
     SparseVector,
     Subspace,
     add_scaled,
+    apply,
     kernel_of_rows,
     rref,  # not called here, but bench/tracing.py traces liealg.rref
     scalar,
@@ -85,17 +86,17 @@ class FormedSpace:
             entries[("v:0", "v:0")] = 2
         self.gram = SparseMatrix(self.space, self.space, entries)
 
-    def form(self, u: SparseVector, w: SparseVector) -> Fraction:
+    def form(self, u: dict, w: dict) -> Fraction:
         fu = self.functional(u)
-        return sum((c * fu.get(lab, 0) for lab, c in w.entries.items()), 0)
+        return sum((c * fu.get(lab, 0) for lab, c in w.items()), 0)
 
-    def functional(self, u: SparseVector) -> dict[str, Fraction]:
-        """The form (u, -) as {label: (u, basis vector)}, read off G^T u."""
+    def functional(self, u: dict) -> dict[str, Fraction]:
+        """The form (u, -) of an entry dict u as {label: (u, basis vector)}, read off G^T u."""
         if self.gram is None:
             raise ShapeError("type A space carries no form")
         out: dict[str, Fraction] = {}
         for (r, c), g in self.gram.entries.items():
-            cu = u.entries.get(r)
+            cu = u.get(r)
             if cu is not None:
                 out[c] = out.get(c, 0) + cu * g
         return out
@@ -309,46 +310,38 @@ def truncation_idempotent(nat_space: BasedSpace, subset: Container[int]) -> Spar
     return SparseMatrix(nat_space, nat_space, entries)
 
 
-def v_ops(
-    u: SparseVector,
-    v: SparseVector,
-    nat: FormedSpace,
-    j0: SparseMatrix,
-    m0: int,
-    variant: str,
-) -> SparseMatrix:
-    """The level-normalized pair operators on the natural space; j0 is J_0 on m0 indices."""
-    space = nat.space
+def v_ops(u: dict, v: dict, nat: FormedSpace, j0: dict, m0: int, variant: str) -> dict:
+    """The level-normalized pair operators on the natural space, on entry
+    dicts: of the vectors u, v, and of J_0 on m0 indices, j0."""
     half = Q(1, 2)
     if variant not in ("circ", "bracket_ell"):
         raise ValueError(f"unknown variant {variant!r}")
     vw = nat.functional(v)
     # (u, w) for circ; (w, u) = (G u)[w] for bracket_ell, whose order flips
-    uw = nat.functional(u) if variant == "circ" else nat.gram.apply(u).entries
+    uw = nat.functional(u) if variant == "circ" else apply(nat.gram.entries, u)
     entries: dict[tuple[str, str], Fraction] = {}
-    for w_lab in space.labels:
+    for w_lab in nat.space.labels:
         # column w: (1/2)(v, w) u + (1/2) uw[w] v
         col: dict[str, Fraction] = {}
         for vec, c in ((u, vw.get(w_lab)), (v, uw.get(w_lab))):
             if c:
-                add_scaled(col, vec.entries, scalar(half * c))
-        for r, c in col.items():
-            entries[(r, w_lab)] = c
-    m = SparseMatrix(space, space, entries)
+                add_scaled(col, vec, scalar(half * c))
+        entries.update(((r, w_lab), c) for r, c in col.items())
     uv = 0 if variant == "circ" else nat.form(u, v)
-    if uv == 0:
-        return m
-    return m + j0.scale(uv / Q(2 * m0))
+    if uv:
+        add_scaled(entries, j0, scalar(uv / Q(2 * m0)))
+    return {key: scalar(c) for key, c in entries.items()}
 
 
-def d_uw(nat: FormedSpace, u: SparseVector, w: SparseVector) -> SparseMatrix:
-    """The Jordan derivation D_{u,w}: z -> (u, z) w - (w, z) u on the
-    natural module; for type B these span o_B."""
+def d_uw(nat: FormedSpace, u: dict, w: dict) -> dict:
+    """The Jordan derivation D_{u,w}: z -> (u, z) w - (w, z) u on the natural
+    module, on entry dicts; for type B these span o_B."""
     uz, wz = nat.functional(u), nat.functional(w)
     entries = {}
     for z in nat.space.labels:
-        col = w.scale(uz.get(z, 0)) - u.scale(wz.get(z, 0))
-        for r, val in col.entries.items():
-            entries[(r, z)] = val
-    return SparseMatrix(nat.space, nat.space, entries)
+        col: dict[str, Fraction] = {}
+        add_scaled(col, w, uz.get(z, 0))
+        add_scaled(col, u, -wz.get(z, 0))
+        entries.update(((r, z), scalar(val)) for r, val in col.items())
+    return entries
 

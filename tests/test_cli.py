@@ -115,6 +115,18 @@ def test_verify_unknown_suite_exits_2(capsys):
     assert code == 2
 
 
+def test_verify_repeated_suite_entry_exits_2(capsys):
+    # "jacobi,jacobi,grading" would run what "jacobi,grading" runs and
+    # print another report: refused, as a repeated preset parameter is
+    code, err = run_cli_err(
+        capsys,
+        "verify", "--family", "BC", "--n", "4", "--ell", "4",
+        "--preset", "symplectic:m=2", "--suite", "jacobi,jacobi,grading", "--samples", "0",
+    )
+    assert code == 2
+    assert err == "error: suite entry 'jacobi' is given twice\n"
+
+
 def test_verify_bound_violation_exits_2(capsys):
     code = main([
         "verify", "--family", "BC", "--n", "4", "--ell", "2",
@@ -312,6 +324,23 @@ def test_malformed_quadruple_file_exits_2(capsys, tmp_path, change, words):
     code, err = run_cli_err(capsys, "fh", "--quadruple", str(path))
     assert code == 2
     assert err.count("\n") == 1 and words in err
+
+
+@pytest.mark.parametrize(
+    "argv, words",
+    [
+        (("verify", "--model", "{path}", "--samples", "0"), "model file"),
+        (("fh", "--quadruple", "{path}"), "quadruple file"),
+    ],
+)
+def test_deeply_nested_json_file_exits_2(capsys, tmp_path, argv, words):
+    # json.load gives up on 100,000 nested arrays with a RecursionError:
+    # bad input, not a failed check
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, err = run_cli_err(capsys, *(arg.format(path=path) for arg in argv))
+    assert code == 2
+    assert err == f"error: {words} {path} is nested too deeply to read\n"
 
 
 @pytest.mark.parametrize(

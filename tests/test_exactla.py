@@ -10,6 +10,7 @@ from rootgraded.exactla import (
     ShapeError,
     SparseMatrix,
     SparseVector,
+    apply,
     kernel,
     kernel_of_rows,
     q_parse,
@@ -64,6 +65,10 @@ def test_scalar_keeps_ints_and_proper_fractions():
     assert normalized(v) and v.entries["x"] == 2
     assert normalized(v.scale(Q(4, 3))) and v.scale(Q(4, 3)).entries["y"] == -1
     assert normalized(-v)
+    # m v on entry dicts: 2 * (1/2) and 1/2 + 1/2 come back as ints, 1 - 1 not at all
+    m = {("x", "x"): 2, ("y", "x"): 1, ("y", "y"): Q(1, 2), ("z", "x"): 2, ("z", "y"): -1}
+    out = apply(m, {"x": Q(1, 2), "y": 1})
+    assert out == {"x": 1, "y": 1} and all(type(c) is int for c in out.values())
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from rootgraded.coord import (
     parse_preset_spec,
     validate_quadruple,
 )
-from rootgraded.exactla import BasedSpace, SparseVector, q_str
+from rootgraded.exactla import BasedSpace, SparseMatrix, SparseVector, q_str
 from rootgraded.graded import (
     ModelError,
     build_model,
@@ -30,7 +30,7 @@ from rootgraded.graded import (
     verify_jacobi,
     verify_level_transition,
 )
-from rootgraded.liealg import build_algebra, truncation_idempotent
+from rootgraded.liealg import build_algebra, d_uw, truncation_idempotent, v_ops
 from rootgraded.rootsys import Root, generate, root_str
 
 _CACHE = {}
@@ -114,9 +114,9 @@ def test_uniform_verdict_fails_when_beta_star_misses_a_relation(monkeypatch):
     def with_unit(q):
         rows = real(q)
         for r, u in q.unit.entries.items():
-            row = rows[r].entries if r in rows else {}
+            row = rows.get(r, {})
             shifted = {lab: row.get(lab, 0) + u for lab in q.bb_space.labels}
-            rows[r] = SparseVector(q.bb_space, shifted)
+            rows[r] = {lab: v for lab, v in shifted.items() if v}
         return rows
 
     monkeypatch.setattr(coord, "beta_star_map_rows", with_unit)
@@ -186,11 +186,9 @@ def test_bc_symplectic_orthogonal_vectors_row():
     assert row
     kinds = {m.basis[idx][0] for idx in row}
     assert kinds == {"g"}  # only the circ (x) diamond term survives
-    from rootgraded.liealg import v_ops
-
     nat = m.G.nat
-    u = nat.space.basis_vector("v:1")
-    w = nat.space.basis_vector("v:2")
+    u = nat.space.basis_vector("v:1").entries
+    w = nat.space.basis_vector("v:2").entries
     q = m.quadruple
     c0 = q.c_space.basis_vector("c:0")
     c1 = q.c_space.basis_vector("c:1")
@@ -199,7 +197,7 @@ def test_bc_symplectic_orthogonal_vectors_row():
     )
     dia = (f01 - f10).scale(Q(1, 2))
     expected = {}
-    for gi, cg in m.G.wb.coords(v_ops(u, w, nat, m.idem0, m.m0, "circ").entries).items():
+    for gi, cg in m.G.wb.coords(v_ops(u, w, nat, m.idem0, m.m0, "circ")).items():
         for ai, ca in m.quadruple.a_part_sub.coordinates(dia).items():
             expected[m.index_of[("g", (gi, ai))]] = cg * ca
     assert row == expected
@@ -702,7 +700,7 @@ def test_projection_kernel_is_the_relation_space(config):
     for t in relations.rows:
         assert m.dpart.project(t).is_zero()
         for row in m.bb.beta_rows.values():
-            assert sum((row.entries.get(lab, 0) * c for lab, c in t.entries.items()), 0) == 0
+            assert sum((row.get(lab, 0) * c for lab, c in t.entries.items()), 0) == 0
 
 
 @pytest.mark.parametrize("preset", ["symplectic:m=2", "matrix_hermitian:k=2,m=2"])
@@ -734,7 +732,7 @@ def test_bc_f_term_vanishes_on_the_relation_space(preset):
     for lab in m.bb.tensor.labels:
         t = m.bb.tensor.basis_vector(lab)
         z = beta_star(q, *(q.b_space.basis_vector(l) for l in lab)).scale(kappa)
-        d = m.bb.derivation_of(t)
+        d = SparseMatrix(q.b_space, q.b_space, m.bb.derivation_of(t.entries))
         for c in c_basis:
             f = f_term(t, c)
             live = live or not f.is_zero()
@@ -784,7 +782,7 @@ def test_type_b_derivations_kill_the_a_part(monkeypatch, spec):
     assert validate_quadruple(q)["valid"]
     m = build_model("B", 5, 5, q)
     for lab in m.bb.tensor.labels:
-        d = m.bb.derivation_of(m.bb.tensor.basis_vector(lab))
+        d = SparseMatrix(q.b_space, q.b_space, m.bb.derivation_of({lab: 1}))
         lifts = [SparseVector(q.b_space, a.entries) for a in q.a_part_sub.rows]
         assert all(d.apply(a).is_zero() for a in lifts)
     monkeypatch.setitem(
@@ -1016,8 +1014,34 @@ def test_integral_scalars_are_ints(monkeypatch, config):
     assert all(_is_stored_scalar(c) for row in m.table.values() for c in row.values())
     mats = [x for kind in _matrix_kinds(m).values() for x in kind.mats]
     assert mats
-    assert all(_is_stored_scalar(c) for x in mats for c in x.entries.values())
+    assert all(_is_stored_scalar(c) for x in mats for c in x.values())
     assert any(type(c) is int for row in m.table.values() for c in row.values())
+    # the entry dicts {b,b}_ell forms, and the outputs of the matrix-side ops
+    # other than the products (d_uw on B, v_ops on BC), hold no 0 either
+    bb = m.bb
+    dicts = [*bb.derivations.values(), *bb.beta_rows.values()]
+    dicts += [bb.inner_of({f: 1}) for f in bb.quotient.coset_labels]
+    dicts += [bb.inner_of(g.entries) for g in bb.relations.rows]
+    # and where the products come out integral: kappa times multiples of
+    # its denominator, and (1/2) u against 2 w
+    k = Q(bb.kappa).denominator
+    dicts += [bb.inner_of({f: k}) for f in bb.quotient.coset_labels]
+    dicts += [bb.derivation_of({f: c}) for f in bb.quotient.coset_labels for c in range(1, k + 1)]
+    nat = m.G.nat
+    if nat.gram is not None:
+        u, w = {nat.space.labels[0]: Q(1, 2)}, {nat.space.labels[1]: 2}
+        dicts.append(d_uw(nat, u, w))
+        dicts += [v_ops(u, w, nat, m.idem0, m.m0, variant) for variant in ("circ", "bracket_ell")]
+    dicts += [
+        out
+        for pair, terms in graded.TERMS[m.family].items()
+        for term in terms
+        if term.mat not in graded._PRODUCTS
+        for x in m._kinds[pair[0]].mats
+        for y in m._kinds[pair[1]].mats
+        if isinstance(out := term.mat(m, x, y), dict)
+    ]
+    assert all(_is_stored_scalar(c) and c != 0 for d in dicts for c in d.values())
 
 
 def test_bracket_and_level_coset_return_stored_scalars():
@@ -1084,6 +1108,11 @@ def _matrix_kinds(m):
     return {k: kind for k, kind in m._kinds.items() if k != "v" and (k, m.family) != ("s", "B")}
 
 
+def _as_matrix(m, x):
+    """The matrix on the natural space with the entry dict x."""
+    return SparseMatrix(m.G.space, m.G.space, x)
+
+
 def _reference_table(m):
     """The bracket table by the unpruned all-pairs loop: every term on every
     matrix-side pair, with the products formed afresh for each term by
@@ -1105,7 +1134,8 @@ def _reference_table(m):
                     if same and j < i:
                         continue
                     if term.mat in graded._PRODUCTS:
-                        mf = kt.read_mat(term.mat(m, (x @ y).entries, (y @ x).entries))
+                        xm, ym = _as_matrix(m, x), _as_matrix(m, y)
+                        mf = kt.read_mat(term.mat(m, (xm @ ym).entries, (ym @ xm).entries))
                     else:
                         mf = kt.read_mat(term.mat(m, x, y))
                     for p, t, cf in coord:
@@ -1140,7 +1170,7 @@ def test_support_index_is_sound(config):
             for i, x in enumerate(k1.mats):
                 for j, y in enumerate(k2.mats):
                     if (i, j) not in products:
-                        assert (x @ y).is_zero()
+                        assert (_as_matrix(m, x) @ _as_matrix(m, y)).is_zero()
     assert m.table == _reference_table(m)
 
 
@@ -1157,7 +1187,8 @@ def test_product_kernel_is_matmul(config):
             products = graded._products(k1.mats, k2.mats)
             for i, x in enumerate(k1.mats):
                 for j, y in enumerate(k2.mats):
-                    xy, yx = (x @ y).entries, (y @ x).entries
+                    xm, ym = _as_matrix(m, x), _as_matrix(m, y)
+                    xy, yx = (xm @ ym).entries, (ym @ xm).entries
                     assert products.get((i, j), {}) == xy
                     assert all(
                         op(m, yx, xy) == (f if sign == 1 else {k: -c for k, c in f.items()})

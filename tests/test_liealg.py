@@ -379,7 +379,8 @@ def test_jordan_derivation_basics():
     one, w1, w2 = (q.b_space.basis_vector(l) for l in ("one", "w:1", "w:2"))
 
     def derivation(x, y):
-        return bb.derivation_of(bb.pair_tensor(x.entries, y.entries))
+        d = bb.derivation_of(bb.pair_tensor(x.entries, y.entries).entries)
+        return SparseMatrix(q.b_space, q.b_space, d)
 
     assert derivation(one, w1).is_zero()
     assert derivation(w1, w1).is_zero()
@@ -401,13 +402,16 @@ def test_derivation_span_equals_oB(n, dim):
 def test_derivation_span_binds_the_bracket_d_uw(monkeypatch, factor):
     # the check compares the Jordan derivation with the D_{u,w} the type-B ss
     # bracket term runs, so a rescaled d_uw must fail it
-    monkeypatch.setattr(graded, "d_uw", lambda nat, u, w: d_uw(nat, u, w).scale(Q(factor)))
+    def scaled(nat, u, w):
+        return {key: factor * v for key, v in d_uw(nat, u, w).items()}
+
+    monkeypatch.setattr(graded, "d_uw", scaled)
     assert not derivation_span_equals_oB(2)[0]
 
 
 def _circ(x, y, j0, m0, family):
     """graded._circ of x and y, its products formed by ``@``, as a matrix."""
-    m = SimpleNamespace(family=family, idem0=j0, m0=m0)
+    m = SimpleNamespace(family=family, idem0=j0.entries, m0=m0)
     sp = j0.domain
     return SparseMatrix(sp, sp, graded._circ(m, (x @ y).entries, (y @ x).entries))
 
@@ -439,6 +443,12 @@ def test_circ_trunc_type_a_factor_two():
     assert out == x @ y + y @ x - j0.scale(Q(2, 3))
 
 
+def _v_ops(u, v, nat, j0, m0, variant):
+    """v_ops of the vectors u, v with J_0 the matrix j0, as a matrix."""
+    entries = v_ops(u.entries, v.entries, nat, j0.entries, m0, variant)
+    return SparseMatrix(nat.space, nat.space, entries)
+
+
 def test_v_ops():
     c2 = alg("C", 2)
     nat = c2.nat
@@ -448,16 +458,16 @@ def test_v_ops():
     v1 = sp.basis_vector("v:1")
     vb1 = sp.basis_vector("vb:1")
     # u = v: circ maps w to (u, w) u
-    m = v_ops(v1, v1, nat, j0, ell, "circ")
-    assert m.apply(vb1) == v1.scale(nat.form(v1, vb1))
+    m = _v_ops(v1, v1, nat, j0, ell, "circ")
+    assert m.apply(vb1) == v1.scale(nat.form(v1.entries, vb1.entries))
     # (v1, vb1) = 2 per the symplectic form; evaluated by hand:
     # bracket_ell(v1, vb1)(v1) = 1/2*(vb1,v1)*v1 + (1/2*ell)*2*v1 = -v1 + (1/ell)v1
-    out = v_ops(v1, vb1, nat, j0, ell, "bracket_ell").apply(v1)
+    out = _v_ops(v1, vb1, nat, j0, ell, "bracket_ell").apply(v1)
     assert out == v1.scale(Q(-1) + Q(1, ell))
     # circ output is form-skew, bracket output is form-symmetric
     g = nat.gram
-    circ = v_ops(v1, vb1, nat, j0, ell, "circ")
-    brk = v_ops(v1, vb1, nat, j0, ell, "bracket_ell")
+    circ = _v_ops(v1, vb1, nat, j0, ell, "circ")
+    brk = _v_ops(v1, vb1, nat, j0, ell, "bracket_ell")
     assert (circ.transpose() @ g + g @ circ).is_zero()
     assert (brk.transpose() @ g - g @ brk).is_zero()
 
@@ -472,8 +482,8 @@ def test_v_ops_span_g_and_s():
     for u_lab in sp.labels:
         for v_lab in sp.labels:
             u, v = sp.basis_vector(u_lab), sp.basis_vector(v_lab)
-            c2.wb.coords(v_ops(u, v, nat, j0, 2, "circ").entries)  # raises if outside
-            smod.coords(v_ops(u, v, nat, j0, 2, "bracket_ell").entries)  # raises if outside
+            c2.wb.coords(_v_ops(u, v, nat, j0, 2, "circ").entries)  # raises if outside
+            smod.coords(_v_ops(u, v, nat, j0, 2, "bracket_ell").entries)  # raises if outside
 
 
 def test_truncation_idempotent_is_idempotent():
