@@ -454,8 +454,11 @@ def main(argv=None) -> int:
         return args.fn(args)
     except InternalConsistencyError as exc:
         sys.stderr.write(f"internal consistency error: {exc}\n")
-        if exc.witness is not None:
-            sys.stderr.write(f"witness: {exc.witness!r}\n")
+        witness = exc.witness
+        if witness is not None:
+            # a witness text prints as it reads, any other witness by repr
+            text = witness if isinstance(witness, str) else repr(witness)
+            sys.stderr.write(f"witness: {text}\n")
         return 3
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

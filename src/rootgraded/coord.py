@@ -14,6 +14,7 @@ homology) is checked mechanically rather than assumed; failures raise
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Sequence
 
@@ -22,10 +23,10 @@ from .exactla import (
     Q,
     QuotientSpace,
     SparseMatrix,
-    SparseVector,
     Subspace,
     add_scaled,
     apply,
+    clean,
     columns,
     kernel,
     kernel_of_rows,
@@ -35,6 +36,7 @@ from .exactla import (
     rref,
     scalar,
     tensor_space,
+    vector_text,
 )
 from .rootsys import FAMILIES
 
@@ -87,16 +89,12 @@ class CoordinateQuadruple:
         self.a_space = BasedSpace(a_labels)
         # the structure constants, each product of two basis elements as
         # its entry dict
-        self.mult = {key: SparseVector(self.a_space, val).entries for key, val in mult.items()}
-        self.unit = SparseVector(self.a_space, unit)
+        self.mult = {key: clean(self.a_space, val) for key, val in mult.items()}
+        self.unit = clean(self.a_space, unit)
         self.star = SparseMatrix(self.a_space, self.a_space, star)
         self.c_space = BasedSpace(c_labels)
-        self.action = {
-            key: SparseVector(self.c_space, val).entries for key, val in (action or {}).items()
-        }
-        self.f_table = {
-            key: SparseVector(self.a_space, val).entries for key, val in (f_table or {}).items()
-        }
+        self.action = {key: clean(self.c_space, val) for key, val in (action or {}).items()}
+        self.f_table = {key: clean(self.a_space, val) for key, val in (f_table or {}).items()}
         self.b_space = BasedSpace(list(a_labels) + list(c_labels))
         # b's product, one entry dict per pair of basis labels of b = a (+) C
         # (the labels of a and of C are disjoint): a a' is ``mult``, f(c, c')
@@ -188,19 +186,19 @@ def _bilinear(table: dict, x: dict, y: dict) -> dict:
 # operations on b
 
 
-def beta_star(q, x: SparseVector, y: SparseVector) -> SparseVector:
+def beta_star(q, x: dict, y: dict) -> dict:
     """([a1, a2] + [a1*, a2*])/2 - c1 heart c2 for x = a1 + c1, y = a2 + c2,
-    heart being the symmetric part (f(c1, c2) + f(c2, c1))/2 of f: the
-    reference for the rows of ``beta_star_map_rows``."""
+    heart being the symmetric part (f(c1, c2) + f(c2, c1))/2 of f, all
+    entry dicts: the reference for the rows of ``beta_star_map_rows``."""
     t = q.b_table
-    a1, a2 = ({l: v for l, v in z.entries.items() if l in q.a_space} for z in (x, y))
-    c1, c2 = ({l: v for l, v in z.entries.items() if l in q.c_space} for z in (x, y))
+    a1, a2 = ({l: v for l, v in z.items() if l in q.a_space} for z in (x, y))
+    c1, c2 = ({l: v for l, v in z.items() if l in q.c_space} for z in (x, y))
     s1, s2 = (apply(q.star.entries, a) for a in (a1, a2))
     out: dict[str, Fraction] = {}
     for u, v, sign in ((a1, a2, 1), (s1, s2, 1), (c1, c2, -1)):
         add_scaled(out, _bilinear(t, u, v), sign)
         add_scaled(out, _bilinear(t, v, u), -1)
-    return SparseVector(q.a_space, out).scale(Q(1, 2))
+    return {l: scalar(Q(1, 2) * v) for l, v in out.items()}
 
 
 def inner_scale(qtype: str, ell: int) -> Fraction:
@@ -243,7 +241,7 @@ def validate_quadruple(q: CoordinateQuadruple) -> dict:
     alabs, clabs = q.a_space.labels, q.c_space.labels
     mult, act, f = q.mult, q.action, q.f_table
     e = {l: {l: 1} for l in q.b_space.labels}
-    unit = q.unit.entries
+    unit = q.unit
     star = q.star.entries
     cols = columns(star)
     e_star = {l: cols.get(l, {}) for l in alabs}  # e_l*, column l of star
@@ -262,8 +260,7 @@ def validate_quadruple(q: CoordinateQuadruple) -> dict:
         record("a commutative (Jordan)", noncommuting("{i}.{j} != {j}.{i}"))
         # Clifford structure: associativity on triples with at most one
         # skew factor (A associative, A-module law on B, form A-bilinear)
-        rows = {"A": [r.entries for r in q.a_part_sub.rows],
-                "B": [r.entries for r in q.b_part_sub.rows]}
+        rows = {"A": q.a_part_sub.rows, "B": q.b_part_sub.rows}
         record("Clifford Jordan structure", [
             f"associator nonzero on {tag} triple"
             for tag in ("AAA", "AAB", "ABB")
@@ -345,7 +342,7 @@ def validate_quadruple(q: CoordinateQuadruple) -> dict:
 # the relation space K and the quotient {b,b}_ell
 
 
-def relation_generators(q: CoordinateQuadruple) -> list[SparseVector]:
+def relation_generators(q: CoordinateQuadruple) -> list[dict]:
     """The seven generator families of K, instantiated over basis tuples.
 
     A generator that is zero, or equal to one emitted before it, is left
@@ -353,7 +350,7 @@ def relation_generators(q: CoordinateQuadruple) -> list[SparseVector]:
     row for row.  The symmetric pairs (x, y) and (y, x), and the three
     rotations of a cyclic triple, give equal generators, so only x <= y and
     the first rotation in loop order are formed."""
-    gens: list[SparseVector] = []
+    gens: list[dict] = []
     seen: set[frozenset] = set()
 
     def tens(*pairs: tuple[dict, dict]) -> None:
@@ -365,7 +362,7 @@ def relation_generators(q: CoordinateQuadruple) -> list[SparseVector]:
         key = frozenset(entries.items())
         if entries and key not in seen:
             seen.add(key)
-            gens.append(SparseVector(q.bb_space, entries))
+            gens.append(entries)
 
     t = q.b_table
     alabs, clabs = q.a_space.labels, q.c_space.labels
@@ -376,7 +373,7 @@ def relation_generators(q: CoordinateQuadruple) -> list[SparseVector]:
             tens((e[c], e[a]))
     for a in q.a_part_sub.rows:
         for b in q.b_part_sub.rows:
-            tens((a.entries, b.entries))
+            tens((a, b))
     for i, x in enumerate(alabs):
         for y in alabs[i:]:
             tens((e[x], e[y]), (e[y], e[x]))
@@ -480,9 +477,10 @@ class BBQuotient:
         labels (``QuotientSpace.first_escape``); it names the first
         relation row that leaves K, as reducing each image would."""
         for g in self.relations.rows:
-            if self.derivation_of(g.entries):
+            if self.derivation_of(g):
                 raise InternalConsistencyError(
-                    "total derivation of a relation vector is nonzero", witness=g
+                    "total derivation of a relation vector is nonzero",
+                    witness=vector_text(self.tensor, g),
                 )
         for lab, d in self.derivations.items():
             if not d:
@@ -494,44 +492,42 @@ class BBQuotient:
             if i is not None:
                 raise InternalConsistencyError(
                     "bracket does not preserve the relation space",
-                    witness=(label_text(lab), self.relations.rows[i]),
+                    witness=_pair_witness(lab, self.tensor, self.relations.rows[i]),
                 )
 
     @property
     def dim(self) -> int:
         return self.quotient.dim
 
-    def pair_tensor(self, x: dict, y: dict) -> SparseVector:
+    def pair_tensor(self, x: dict, y: dict) -> dict:
         """x (x) y in b (x) b, for the entry dicts x, y of elements of b."""
-        entries = {(lx, ly): vx * vy for lx, vx in x.items() for ly, vy in y.items()}
-        return SparseVector(self.tensor, entries)
+        return {(lx, ly): scalar(vx * vy) for lx, vx in x.items() for ly, vy in y.items()}
 
-    def bracket_cosets(self, u: SparseVector, v: SparseVector) -> SparseVector:
-        """[u, v] of two coset vectors (coset-space coordinates): lift(v) under
-        d (x) 1 + 1 (x) d, projected back, where d = sum_f u_f d_f over the
-        stored ``derivations``; by linearity d is ``derivation_of`` lift(u)."""
+    def bracket_cosets(self, u: dict, v: dict) -> dict:
+        """[u, v] of two coset vectors, entry dicts over the coset labels: v
+        under d (x) 1 + 1 (x) d, reduced modulo the relations, where d =
+        sum_f u_f d_f over the stored ``derivations``; by linearity d is
+        ``derivation_of`` u."""
         d: dict[tuple[str, str], Fraction] = {}
-        for f, c in u.entries.items():
+        for f, c in u.items():
             add_scaled(d, self.derivations[f], c)
-        img = _pair_action(columns(d), self.quotient.lift(v).entries)
-        return self.quotient.project(SparseVector(self.tensor, img))
+        return self.relations.reduce(_pair_action(columns(d), v))
 
-    def d_part(self, k_span: Sequence[SparseVector]) -> QuotientSpace:
-        """The D-part (b (x) b)/(relations + lift(K)) of a model whose K is
+    def d_part(self, k_span: Sequence[dict]) -> QuotientSpace:
+        """The D-part (b (x) b)/(relations + K) of a model whose K is
         spanned by the coset vectors ``k_span``.
 
         On C, the derivation of a tensor t is c -> kappa beta*(t).c -
         F(t)(c) / 2, F the BC f-term (``derivation_of``), linear in t.  The
         build checks that every relation has derivation 0, FH is the exact
         kernel of the derivation (``full_homology``), and the uniform
-        verdict says beta* is 0 on relations + lift(K).  So F is 0 on the
+        verdict says beta* is 0 on relations + K.  So F is 0 on the
         whole relation space and the module rows of the model are well
         defined.
         """
         if not k_span:
             return self.quotient
-        lifts = [self.quotient.lift(v) for v in k_span]
-        return QuotientSpace(self.tensor, rref([*self.relations.rows, *lifts], self.tensor))
+        return QuotientSpace(self.tensor, rref([*self.relations.rows, *k_span], self.tensor))
 
 
 def _pair_action(cols, t: dict) -> dict:
@@ -564,17 +560,21 @@ def full_homology(bb: BBQuotient) -> Subspace:
     for lab, d in bb.derivations.items():
         for pos, v in d.items():
             rows_by_pos.setdefault(pos, {})[lab] = v
-    rows = [SparseVector(csp, entries) for entries in rows_by_pos.values()]
     # the exact kernel of these rows: every vector of FH has derivation 0
-    fh = kernel_of_rows(rows, csp)
+    fh = kernel_of_rows(list(rows_by_pos.values()), csp)
     live = [lab for lab, d in bb.derivations.items() if d]
     for f in fh.rows:
         for lab in live:
-            if not bb.bracket_cosets(csp.basis_vector(lab), f).is_zero():
+            if bb.bracket_cosets({lab: 1}, f):
                 raise InternalConsistencyError(
-                    "homology element is not central", witness=(label_text(lab), f)
+                    "homology element is not central", witness=_pair_witness(lab, csp, f)
                 )
     return fh
+
+
+def _pair_witness(lab, space: BasedSpace, v: dict) -> str:
+    """The witness text of a coset label and a vector: "('x⊗y', 1*u⊗w)"."""
+    return f"({label_text(lab)!r}, {vector_text(space, v)})"
 
 
 def beta_star_map_rows(q: CoordinateQuadruple) -> dict[str, dict]:
@@ -606,7 +606,7 @@ def beta_star_map_rows(q: CoordinateQuadruple) -> dict[str, dict]:
 
 def check_uniform(
     bb: BBQuotient,
-    k_span: Sequence[SparseVector],
+    k_span: Sequence[dict],
     fh: Subspace,
     cross_check_ell: int | None = None,
 ) -> dict:
@@ -614,7 +614,7 @@ def check_uniform(
     ``full_homology(bb)``; exact.
 
     The condition collapses to: the beta* map vanishes on the preimage
-    K + lift(span(k_span)) of the span.  Neither K nor beta* depends on
+    K + span(k_span) of the span.  Neither K nor beta* depends on
     ell, so neither does the verdict; the optional cross-check recomputes
     FH at a second ell value and checks that the span still lies in it.
     """
@@ -633,20 +633,19 @@ def check_uniform(
         for v in k_span:
             if not fh2.contains(v):
                 raise InternalConsistencyError(
-                    "homology membership changed with ell", witness=v
+                    "homology membership changed with ell",
+                    witness=vector_text(bb.quotient.coset_space, v),
                 )
         report["cross_check"] = {"ell": cross_check_ell, "uniform": verdict}
     return report
 
 
-def _uniform_verdict(bb: BBQuotient, k_span: Sequence[SparseVector]):
-    preimage = list(bb.relations.rows) + [bb.quotient.lift(v) for v in k_span]
+def _uniform_verdict(bb: BBQuotient, k_span: Sequence[dict]):
     rows = list(bb.beta_rows.values())
-    for t in preimage:
+    for t in [*bb.relations.rows, *k_span]:
         for row in rows:
-            val = sum((row[lab] * c for lab, c in t.entries.items() if lab in row), 0)
-            if val:
-                return False, repr(t)
+            if sum((row[lab] * c for lab, c in t.items() if lab in row), 0):
+                return False, vector_text(bb.tensor, t)
     return True, None
 
 
@@ -844,7 +843,7 @@ def quadruple_to_json(q: CoordinateQuadruple) -> dict:
         "name": q.name,
         "a_dim": q.a_dim,
         "structure_constants": table3(q.mult, apos, apos, apos),
-        "unit": sorted([apos[lab], q_str(v)] for lab, v in q.unit.entries.items()),
+        "unit": sorted([apos[lab], q_str(v)] for lab, v in q.unit.items()),
         "star": star_entries,
         "c_dim": q.c_dim,
         "action": table3(q.action, apos, cpos, cpos),
@@ -922,8 +921,16 @@ def _json_put(key: str, table: dict, lab, val, index: list) -> None:
     table[lab] = _json_scalar(key, val)
 
 
+# a rational as ``q_str`` writes it: "p" or "p/q", in ASCII digits
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _json_scalar(key: str, val) -> Fraction:
-    if not isinstance(val, (str, int)) or isinstance(val, bool):
+    """An integer, or a string in the form ``_RATIONAL``.  Any other string
+    is refused before it is parsed: Fraction would read "1e99999999" by
+    forming 10^99999999."""
+    is_int = isinstance(val, int) and not isinstance(val, bool)
+    if not (is_int or isinstance(val, str) and _RATIONAL.fullmatch(val)):
         raise ValueError(f"quadruple field {key!r}: {val!r} is not a rational string")
     try:
         return q_parse(val)

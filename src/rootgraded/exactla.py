@@ -4,9 +4,11 @@ Everything downstream (root systems, matrix Lie algebras, coordinate
 algebras, graded models) is built on the types here.  Scalars are
 exact rationals: ``int`` when integral, ``fractions.Fraction`` otherwise;
 no floats.  ``scalar`` is the one normalizer every stored entry passes
-through, so a Fraction with denominator 1 never stays one.  All values are
-immutable after construction and all operations are pure, so they can be
-shared freely.
+through, so a Fraction with denominator 1 never stays one.  A vector is
+its entry dict {label: value} over a ``BasedSpace``, with no zero
+entries; a matrix is a ``SparseMatrix`` or its entry dict {(row, col):
+value}.  No operation but ``add_scaled`` changes a dict it is given, so
+results can be shared freely.
 """
 
 from __future__ import annotations
@@ -87,10 +89,6 @@ class BasedSpace:
     def __repr__(self):
         return f"BasedSpace(dim={self.dim})"
 
-    def basis_vector(self, label: Hashable) -> "SparseVector":
-        self.pos(label)
-        return SparseVector(self, {label: 1})
-
 
 def tensor_space(u: BasedSpace, v: BasedSpace) -> BasedSpace:
     """Tensor product realized concretely with pair labels (a, b)."""
@@ -104,62 +102,26 @@ def label_text(lab: Hashable) -> str:
     return str(lab)
 
 
-class SparseVector:
-    """Finitely supported mapping from the hashable labels of a based space
-    to Fractions; no explicit zeros."""
+def clean(space: BasedSpace, entries: Mapping) -> dict:
+    """The entries of a vector over ``space`` as stored: every label must
+    lie in the space, every value passes through ``scalar`` (which refuses
+    a float), and the zeros are dropped."""
+    out = {}
+    pos = space._pos
+    for lab, val in entries.items():
+        if lab not in pos:
+            raise ShapeError(f"label {lab!r} not in space")
+        v = val if type(val) is int else scalar(val)
+        if v:
+            out[lab] = v
+    return out
 
-    __slots__ = ("space", "entries")
 
-    def __init__(self, space: BasedSpace, entries: Mapping[Hashable, Fraction]):
-        clean = {}
-        pos = space._pos
-        for lab, val in entries.items():
-            if lab not in pos:
-                raise ShapeError(f"label {lab!r} not in space")
-            v = val if type(val) is int else scalar(val)
-            if v:
-                clean[lab] = v
-        self.space = space
-        self.entries = clean
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __add__(self, other: "SparseVector") -> "SparseVector":
-        if self.space != other.space:
-            raise ShapeError("vector spaces differ")
-        return SparseVector(self.space, _merged(self.entries, other.entries, False))
-
-    def __sub__(self, other: "SparseVector") -> "SparseVector":
-        if self.space != other.space:
-            raise ShapeError("vector spaces differ")
-        return SparseVector(self.space, _merged(self.entries, other.entries, True))
-
-    def scale(self, c: Fraction) -> "SparseVector":
-        c = scalar(c)
-        if c == 0:
-            return SparseVector(self.space, {})
-        return SparseVector(self.space, {lab: c * v for lab, v in self.entries.items()})
-
-    def __neg__(self) -> "SparseVector":
-        return self.scale(-1)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SparseVector)
-            and self.space == other.space
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.space, frozenset(self.entries.items())))
-
-    def items_sorted(self):
-        return sorted(self.entries.items(), key=lambda kv: self.space.pos(kv[0]))
-
-    def __repr__(self):
-        parts = [f"{q_str(v)}*{label_text(lab)}" for lab, v in self.items_sorted()]
-        return " + ".join(parts) if parts else "0"
+def vector_text(space: BasedSpace, entries: Mapping) -> str:
+    """A vector's entries in the space's label order, as "1*x + -1/2*y",
+    or "0"."""
+    items = sorted(entries.items(), key=lambda kv: space.pos(kv[0]))
+    return " + ".join(f"{q_str(v)}*{label_text(lab)}" for lab, v in items) or "0"
 
 
 def apply(m: Mapping, v: Mapping) -> dict:
@@ -232,11 +194,6 @@ class SparseMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def apply(self, v: SparseVector) -> SparseVector:
-        if v.space != self.domain:
-            raise ShapeError("matrix domain does not match vector space")
-        return SparseVector(self.codomain, apply(self.entries, v.entries))
-
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if other.codomain != self.domain:
             raise ShapeError("composition shapes disagree")
@@ -304,7 +261,8 @@ class SparseMatrix:
 
 
 class Subspace:
-    """Span of vectors, stored as a reduced row-echelon basis.
+    """Span of vectors, stored as a reduced row-echelon basis whose rows
+    are entry dicts.
 
     The RREF is canonical given the ambient label order, so two subspaces
     are equal iff their ``rows`` lists are equal.
@@ -312,7 +270,7 @@ class Subspace:
 
     __slots__ = ("ambient", "rows", "pivots", "_row_of_pivot")
 
-    def __init__(self, ambient: BasedSpace, rows: Sequence[SparseVector], pivots: Sequence[int]):
+    def __init__(self, ambient: BasedSpace, rows: Sequence[dict], pivots: Sequence[int]):
         self.ambient = ambient
         self.rows = tuple(rows)
         self.pivots = tuple(pivots)
@@ -328,36 +286,27 @@ class Subspace:
         out = dict(entries)
         hits = _pivot_coefficients(out, self._row_of_pivot)
         for i, coeff in hits:
-            add_scaled(out, self.rows[i].entries, -coeff)
+            add_scaled(out, self.rows[i], -coeff)
         return out, hits
 
-    def _check_space(self, v: SparseVector) -> None:
-        if v.space != self.ambient:
-            raise ShapeError("vector not in ambient space")
+    def reduce(self, v: Mapping[Hashable, Fraction]) -> dict:
+        """The nonzero entries v has once its projection onto the span is
+        subtracted, each through ``scalar``; the residual has no pivot
+        support."""
+        return {lab: scalar(c) for lab, c in self._eliminate(v)[0].items()}
 
-    def reduce(self, v: SparseVector) -> SparseVector:
-        """Subtract the projection onto the span; residual has no pivot support."""
-        self._check_space(v)
-        return SparseVector(self.ambient, self._eliminate(v.entries)[0])
+    def contains(self, v: Mapping[Hashable, Fraction]) -> bool:
+        return not self._eliminate(v)[0]
 
-    def contains(self, v: SparseVector) -> bool:
-        return self.reduce(v).is_zero()
-
-    def coordinates(self, v: SparseVector) -> dict[int, Fraction]:
-        """The nonzero coefficients of v over the rref basis rows, as
-        {row index: coefficient}; raises if v is outside."""
-        self._check_space(v)
-        return dict(self.entry_coordinates(v.entries))
-
-    def entry_coordinates(self, entries: Mapping[Hashable, Fraction]) -> list[tuple[int, Fraction]]:
-        """The (row index, coefficient) pairs, in row order, of the vector
-        with these nonzero entries; raises if it is outside the span.  A
-        label outside the ambient space is never a pivot, so it is left in
-        the residual and raises too."""
-        residual, hits = self._eliminate(entries)
+    def coordinates(self, v: Mapping[Hashable, Fraction]) -> dict[int, Fraction]:
+        """The coefficients over the rref rows, in row order, of the vector
+        with these nonzero entries, as {row index: coefficient}; raises if
+        it is outside the span.  A label outside the ambient space is never
+        a pivot, so it is left in the residual and raises too."""
+        residual, hits = self._eliminate(v)
         if residual:
             raise ShapeError("vector not in subspace")
-        return hits
+        return dict(hits)
 
     def __eq__(self, other) -> bool:
         return (
@@ -365,9 +314,6 @@ class Subspace:
             and self.ambient == other.ambient
             and self.rows == other.rows
         )
-
-    def __hash__(self):
-        return hash((self.ambient, self.rows))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.ambient.dim})"
@@ -395,22 +341,18 @@ def _pivot_coefficients(
     return sorted([(row_of_pivot[lab], c) for lab, c in cur.items() if lab in row_of_pivot])
 
 
-def rref(vectors: Sequence[SparseVector], space: BasedSpace | None = None) -> Subspace:
-    """Reduced row-echelon basis of the span, pivots in ambient label order."""
-    if space is None:
-        if not vectors:
-            raise ShapeError("empty vector list needs an explicit ambient space")
-        space = vectors[0].space
+def rref(vectors: Sequence[Mapping], space: BasedSpace) -> Subspace:
+    """Reduced row-echelon basis of the span of the entry dicts ``vectors``
+    over ``space`` (each read through ``clean``), pivots in ambient label
+    order."""
     rows: list[dict[Hashable, Fraction]] = []
     pivots: list[int] = []
     row_of_pivot: dict[Hashable, int] = {}
     pos = space._pos
     for v in vectors:
-        if v.space != space:
-            raise ShapeError("mixed ambient spaces")
+        cur = clean(space, v)
         if len(rows) == space.dim:
             continue  # the rows span the whole space, so v lies in it
-        cur = dict(v.entries)
         for i, coeff in _pivot_coefficients(cur, row_of_pivot):
             add_scaled(cur, rows[i], -coeff)
         if not cur:
@@ -432,7 +374,7 @@ def rref(vectors: Sequence[SparseVector], space: BasedSpace | None = None) -> Su
     order = sorted(range(len(pivots)), key=lambda i: pivots[i])
     return Subspace(
         space,
-        [SparseVector(space, rows[i]) for i in order],
+        [{lab: scalar(val) for lab, val in rows[i].items()} for i in order],
         [pivots[i] for i in order],
     )
 
@@ -441,18 +383,18 @@ def kernel(m: SparseMatrix) -> Subspace:
     """Exact nullspace basis of a sparse matrix, via RREF on the rows."""
     # the rows of m, the columns of its transpose, as vectors over the domain
     rows = columns(m.transpose().entries)
-    row_vecs = [SparseVector(m.domain, rows[r]) for r in m.codomain.labels if r in rows]
-    return kernel_of_rows(row_vecs, m.domain)
+    return kernel_of_rows([rows[r] for r in m.codomain.labels if r in rows], m.domain)
 
 
-def kernel_of_rows(rows: Sequence[SparseVector], space: BasedSpace) -> Subspace:
-    """Common nullspace of a family of linear functionals given as row vectors."""
-    rs = rref(list(rows), space)
+def kernel_of_rows(rows: Sequence[Mapping], space: BasedSpace) -> Subspace:
+    """Common nullspace of a family of linear functionals given as the
+    entry dicts of row vectors over ``space``."""
+    rs = rref(rows, space)
     labels = space.labels
     # free label -> the pivot entries of its kernel vector, in pivot order
     free_col: dict[Hashable, list[tuple[Hashable, Fraction]]] = {}
     for p, row in zip(rs.pivots, rs.rows):
-        for lab, coeff in row.entries.items():
+        for lab, coeff in row.items():
             free_col.setdefault(lab, []).append((labels[p], -coeff))
     pivot_set = set(rs.pivots)
     basis = []
@@ -461,15 +403,17 @@ def kernel_of_rows(rows: Sequence[SparseVector], space: BasedSpace) -> Subspace:
             continue
         entries = {lab: 1}
         entries.update(free_col.get(lab, ()))
-        basis.append(SparseVector(space, entries))
+        basis.append(entries)
     return rref(basis, space)
 
 
 class QuotientSpace:
     """Ambient space modulo a subspace of relations.
 
-    Coset coordinates are taken over the non-pivot labels of the relation
-    RREF; projection is exact and canonical.
+    The coset labels are the non-pivot labels of the relation RREF.  A
+    coset's canonical representative, ``relations.reduce`` of any vector
+    in it, has entries at coset labels only, so one entry dict is both the
+    coset vector and its ambient representative.
     """
 
     __slots__ = ("ambient", "relations", "coset_labels", "coset_space", "_annihilator")
@@ -490,17 +434,6 @@ class QuotientSpace:
     def dim(self) -> int:
         return len(self.coset_labels)
 
-    def project(self, v: SparseVector) -> SparseVector:
-        """Canonical coset representative, as a vector over the coset space."""
-        red = self.relations.reduce(v)
-        return SparseVector(self.coset_space, dict(red.entries))
-
-    def lift(self, w: SparseVector) -> SparseVector:
-        """The canonical ambient representative of a coset vector."""
-        if w.space != self.coset_space:
-            raise ShapeError("vector not in coset space")
-        return SparseVector(self.ambient, dict(w.entries))
-
     def annihilator(self) -> dict[Hashable, dict[Hashable, Fraction]]:
         """The functionals that vanish on the relations, in the basis dual to
         the coset labels: {f: pi_f}, built on first use.
@@ -514,7 +447,7 @@ class QuotientSpace:
             pis = {f: {f: 1} for f in self.coset_labels}
             labels = self.ambient.labels
             for p, row in zip(self.relations.pivots, self.relations.rows):
-                for f, c in row.entries.items():
+                for f, c in row.items():
                     if f != labels[p]:
                         pis[f][labels[p]] = -c
             self._annihilator = pis

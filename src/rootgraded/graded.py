@@ -37,9 +37,9 @@ from .exactla import (
     BasedSpace,
     Q,
     SparseMatrix,
-    SparseVector,
     add_scaled,
     apply,
+    clean,
     label_text,
     rref,
     scalar,
@@ -214,10 +214,8 @@ def _deriv(m, x, lab):
 
 
 def _coset_act(m, lab, other):
-    """[<lab>, <other>] of {b,b}_ell, lifted to its canonical tensor."""
-    bb = m.bb
-    csp = bb.quotient.coset_space
-    return bb.quotient.lift(bb.bracket_cosets(csp.basis_vector(lab), csp.basis_vector(other)))
+    """[<lab>, <other>] of {b,b}_ell, as its canonical tensor."""
+    return m.bb.bracket_cosets({lab: 1}, {other: 1})
 
 
 _DD = (Term("d", _one, _coset_act),)
@@ -298,15 +296,10 @@ def _label_coords(space: BasedSpace) -> Callable:
     return lambda entries: {space.pos(lab): c for lab, c in entries.items()}
 
 
-def _row_coords(sub) -> Callable:
-    """The reader of entry dicts as coordinates over the rref rows of ``sub``."""
-    return lambda entries: dict(sub.entry_coordinates(entries))
-
-
 def _coset_coords(dpart) -> Callable:
     """The reader of b (x) b tensors as coset coordinates in the D-part."""
     read = _label_coords(dpart.coset_space)
-    return lambda t: read(dpart.project(t).entries)
+    return lambda t: read(dpart.relations.reduce(t))
 
 
 def _products(mats1: list[dict], mats2: list[dict]) -> dict:
@@ -397,8 +390,10 @@ class GradedModel:
         named = isinstance(k_span, str)
         if named and k_span not in K_FORMS:
             raise ModelError(f"unknown K form {k_span!r}: expected one of {list(K_FORMS)}")
-        k_vectors = K_FORMS[k_span](self.fh) if named else list(k_span)
-        # the spanning vectors of K, read again by the CLI's uniform suite
+        csp = self.bb.quotient.coset_space
+        k_vectors = K_FORMS[k_span](self.fh) if named else [clean(csp, v) for v in k_span]
+        # the spanning vectors of K as entry dicts over the coset labels,
+        # read again by the CLI's uniform suite
         self.k_vectors = k_vectors
         uniform = check_uniform(self.bb, k_vectors, fh=self.fh)
         if not uniform["uniform"]:
@@ -415,8 +410,8 @@ class GradedModel:
 
         # the coordinate-side bases of A, B and C, as entry dicts
         q = quadruple
-        self.a_basis = [r.entries for r in q.a_part_sub.rows]
-        self.b_basis = [r.entries for r in q.b_part_sub.rows]
+        self.a_basis = list(q.a_part_sub.rows)
+        self.b_basis = list(q.b_part_sub.rows)
         self.c_basis = [{l: 1} for l in q.c_space.labels]
 
         self._assemble_basis()
@@ -429,7 +424,7 @@ class GradedModel:
         The natural module (V of BC, S of B) and C are read by label
         position, A and B through the rref of the *-eigenspace, G and the
         S of C/BC through their weighted bases; the d-part is J_0 times the
-        coset labels, read by projection to the coset space."""
+        coset labels, read by reduction modulo the D-part's relations."""
         q = self.quadruple
         nat = self.G.space
 
@@ -444,11 +439,11 @@ class GradedModel:
 
         # kind -> (matrix-side objects, their weights, coordinate-side
         # objects, the two readers)
-        kinds = {"g": weighted(self.G.wb, self.a_basis, _row_coords(q.a_part_sub))}
+        kinds = {"g": weighted(self.G.wb, self.a_basis, q.a_part_sub.coordinates)}
         if self.family == "B":
-            kinds["s"] = natural(self.b_basis, _row_coords(q.b_part_sub))
+            kinds["s"] = natural(self.b_basis, q.b_part_sub.coordinates)
         elif self.smod is not None:
-            kinds["s"] = weighted(self.smod, self.b_basis, _row_coords(q.b_part_sub))
+            kinds["s"] = weighted(self.smod, self.b_basis, q.b_part_sub.coordinates)
         if self.family == "BC":
             kinds["v"] = natural(self.c_basis, _label_coords(q.c_space))
         kinds["d"] = (
@@ -638,7 +633,7 @@ def derivation_span_equals_oB(n: int) -> tuple[bool, int, int]:
             on_v = d_uw(nat, {u: 1}, {w: 1})
             # equal entries: d is d_uw on V and has no row or column at the unit
             ok = ok and q.label_part((u, w)) == on_v
-            span_vecs.append(SparseVector(G.glsp, on_v))
+            span_vecs.append(on_v)
     span = rref(span_vecs, G.glsp)
     return ok and span == G.wb.full, span.dim, G.dim
 
@@ -934,7 +929,7 @@ def _zero_weight_span(m: GradedModel, by_weight: dict, roots: Iterable[Root]):
                 if bad:
                     stray.append(bad[:3])
                     continue
-                vecs.append(SparseVector(zero_space, row))
+                vecs.append(row)
     return zero_space, rref(vecs, zero_space), stray
 
 
@@ -996,7 +991,7 @@ class SubModel:
         closure_fail = []
         basis_rows: list[dict[int, Fraction]] = [
             {i: 1} for i in self.nonzero_indices
-        ] + [r.entries for r in self.zero_part.rows]
+        ] + list(self.zero_part.rows)
         # each basis index's weight, classified once: 0 zero, 1 in S, 2 other
         where = [0 if w.is_zero() else 1 if w in self.s_roots else 2 for w in m.weight_of]
         single = len(self.nonzero_indices)
@@ -1015,9 +1010,7 @@ class SubModel:
                         break
                 if zero_piece is None:
                     continue
-                if zero_piece and not self.zero_part.contains(
-                    SparseVector(self.zero_space, zero_piece)
-                ):
+                if zero_piece and not self.zero_part.contains(zero_piece):
                     closure_fail.append("zero-weight part escapes the subalgebra")
         checks.append(
             _check("subalgebra closed under bracket", not closure_fail, closure_fail)
@@ -1049,23 +1042,23 @@ _LEVEL_TARGET = {"A": "g", "C": "s", "BC": "s"}
 
 
 def level_coset(
-    m: GradedModel, lam_subset: Iterable[int], x: SparseVector, y: SparseVector
+    m: GradedModel, lam_subset: Iterable[int], x: dict, y: dict
 ) -> dict[int, Fraction]:
     """The lambda-level coset <x, y>_lambda as a model element
     {basis index: coefficient}: the level-0 coset {x, y} plus
-    ``_level_op`` (x) kappa beta*(x, y), for x, y in b (or in a or C,
-    lifted into b)."""
+    ``_level_op`` (x) kappa beta*(x, y), for the entry dicts x, y of
+    elements of b (an element of a or C is one of b)."""
     lam = frozenset(lam_subset)
     if not set(range(1, m.m0 + 1)) <= lam:
         raise ModelError("lambda must contain the base subset I_0")
     if not lam <= set(range(1, m.n + 1)):
         raise ModelError("lambda exceeds the model truncation; use verify_level_transition for extended checks")
-    tensor = m.bb.pair_tensor(x.entries, y.entries)
+    tensor = m.bb.pair_tensor(x, y)
     dcoset = m._kinds["d"].read_coord(tensor)
     coeffs = {m.index_of[("d", (di,))]: c for di, c in dcoset.items()}
     target = _LEVEL_TARGET.get(m.family)
     if target is not None:
-        inner = m.bb.inner_of(tensor.entries)
+        inner = m.bb.inner_of(tensor)
         if inner:
             kind = m._kinds[target]
             coord = kind.read_coord(inner)

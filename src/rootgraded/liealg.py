@@ -21,7 +21,6 @@ from .exactla import (
     Q,
     ShapeError,
     SparseMatrix,
-    SparseVector,
     Subspace,
     add_scaled,
     apply,
@@ -91,15 +90,11 @@ class FormedSpace:
         return sum((c * fu.get(lab, 0) for lab, c in w.items()), 0)
 
     def functional(self, u: dict) -> dict[str, Fraction]:
-        """The form (u, -) of an entry dict u as {label: (u, basis vector)}, read off G^T u."""
+        """The form (u, -) of an entry dict u as {label: (u, basis vector)},
+        that is G^T u."""
         if self.gram is None:
             raise ShapeError("type A space carries no form")
-        out: dict[str, Fraction] = {}
-        for (r, c), g in self.gram.entries.items():
-            cu = u.get(r)
-            if cu is not None:
-                out[c] = out.get(c, 0) + cu * g
-        return out
+        return apply({(c, r): g for (r, c), g in self.gram.entries.items()}, u)
 
 
 def gl_space(space: BasedSpace) -> BasedSpace:
@@ -152,13 +147,13 @@ class WeightedBasis:
         weights = []
         for p, row in zip(self.full.pivots, self.full.rows):
             w = gl_coord_weight(glsp.labels[p])
-            if any(gl_coord_weight(lab) != w for lab in row.entries):
+            if any(gl_coord_weight(lab) != w for lab in row):
                 raise ShapeError("span is not graded by the Cartan weights")
             weights.append(w)
         # a stable sort keeps pivot order within a weight; Root.zero().key()
         # is (), so the weight-zero block comes first
         order = sorted(range(len(weights)), key=lambda k: weights[k].key())
-        self.basis_mats = [SparseMatrix(space, space, self.full.rows[k].entries) for k in order]
+        self.basis_mats = [SparseMatrix(space, space, self.full.rows[k]) for k in order]
         self.weight_of_basis = [weights[k] for k in order]
         self.root_space_index: dict[Root, list[int]] = {}
         self._basis_of_row = [0] * len(order)
@@ -177,7 +172,7 @@ class WeightedBasis:
         these {(row, col): value} entries; raises ShapeError if it lies
         outside the span."""
         basis_of_row = self._basis_of_row
-        return {basis_of_row[k]: c for k, c in self.full.entry_coordinates(entries)}
+        return {basis_of_row[k]: c for k, c in self.full.coordinates(entries).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -231,22 +226,23 @@ class MatrixLieAlgebra:
         return self.wb.basis_mats[positions[0]]
 
 
-def defining_condition_rows(nat: FormedSpace) -> list[SparseVector]:
-    """Linear conditions cutting the algebra out of gl, as rows over gl coords."""
-    glsp = gl_space(nat.space)
+def defining_condition_rows(nat: FormedSpace) -> list[dict]:
+    """Linear conditions cutting the algebra out of gl, as the entry dicts
+    of rows over gl coords."""
     if nat.family == "A":
-        return [_trace_row(nat, glsp)]
+        return [_trace_row(nat)]
     # phi^T G + G phi = 0  <=>  (phi v, w) = -(v, phi w)
-    return _form_rows(nat, glsp, 1)
+    return _form_rows(nat, 1)
 
 
-def _trace_row(nat: FormedSpace, glsp: BasedSpace) -> SparseVector:
-    return SparseVector(glsp, {(l, l): 1 for l in nat.space.labels})
+def _trace_row(nat: FormedSpace) -> dict:
+    return {(l, l): 1 for l in nat.space.labels}
 
 
-def _form_rows(nat: FormedSpace, glsp: BasedSpace, sign: Fraction) -> list[SparseVector]:
-    """The nonzero entries (u, w) of phi^T G + sign * G phi, as rows over gl
-    coordinates, for the Gram matrix G of the natural module."""
+def _form_rows(nat: FormedSpace, sign: Fraction) -> list[dict]:
+    """The nonzero entries (u, w) of phi^T G + sign * G phi, as the entry
+    dicts of rows over gl coordinates, for the Gram matrix G of the natural
+    module.  A row may hold an entry that cancels to 0; ``rref`` drops it."""
     labels = nat.space.labels
     cols: dict[str, list[tuple[str, Fraction]]] = {}
     rows_g: dict[str, list[tuple[str, Fraction]]] = {}
@@ -263,7 +259,7 @@ def _form_rows(nat: FormedSpace, glsp: BasedSpace, sign: Fraction) -> list[Spars
             for t, val in rows_g.get(u, ()):
                 entries[t, w] = entries.get((t, w), 0) + sign * val
             if entries:
-                out.append(SparseVector(glsp, entries))
+                out.append(entries)
     return out
 
 
@@ -291,7 +287,7 @@ def build_module(algebra: MatrixLieAlgebra) -> WeightedBasis:
         raise ValueError("the symmetric module is only defined for family C")
     nat, glsp = algebra.nat, algebra.glsp
     # traceless, and phi^T G - G phi = 0  <=>  (phi v, w) = (v, phi w)
-    rows = [_trace_row(nat, glsp)] + _form_rows(nat, glsp, -1)
+    rows = [_trace_row(nat)] + _form_rows(nat, -1)
     return WeightedBasis(nat.space, kernel_of_rows(rows, glsp))
 
 

@@ -227,17 +227,12 @@ def is_full_subsystem(subset: Iterable[Root], system: RootSystem) -> bool:
     indices = sorted({i for r in sub for i in r.coords})
     if not indices:
         return True
-    from .exactla import BasedSpace, SparseVector, rref
+    from .exactla import BasedSpace, rref
 
-    amb_idx = sorted({i for r in system.roots for i in r.coords})
-    space = BasedSpace(amb_idx)
-
-    def to_vec(r: Root) -> SparseVector:
-        return SparseVector(space, r.coords)
-
-    span = rref([to_vec(r) for r in sorted(sub)], space)
+    space = BasedSpace(sorted({i for r in system.roots for i in r.coords}))
+    span = rref([r.coords for r in sorted(sub)], space)
     for r in system.roots:
-        if span.contains(to_vec(r)) and r not in sub:
+        if span.contains(r.coords) and r not in sub:
             return False
     return True
 

@@ -21,7 +21,7 @@ from rootgraded.coord import (
     beta_star_map_rows,
     validate_quadruple,
 )
-from rootgraded.exactla import BasedSpace, SparseMatrix, SparseVector
+from rootgraded.exactla import BasedSpace, SparseMatrix, add_scaled, apply, scalar
 from rootgraded.graded import (
     build_model,
     derivation_span_equals_oB,
@@ -260,35 +260,44 @@ def test_criterion_5_coordinate_suite(preset):
     q = get_quad(preset)
     assert validate_quadruple(q)["valid"]
 
+    def lin(*terms):
+        # sum c * v over the (c, v) pairs of entry dicts, as stored
+        out = {}
+        for c, v in terms:
+            add_scaled(out, v, c)
+        return {lab: scalar(x) for lab, x in out.items()}
+
     def b_mul(q, x, y):
-        return SparseVector(q.b_space, _bilinear(q.b_table, x.entries, y.entries))
+        return lin((1, _bilinear(q.b_table, x, y)))
 
     bb = build_bb(q, 4)  # raises on any well-definedness failure
     labs = q.b_space.labels
     for l1 in labs:
         for l2 in labs:
-            d = SparseMatrix(q.b_space, q.b_space, bb.derivation_of({(l1, l2): 1}))
-            if d.is_zero():
+            d = bb.derivation_of({(l1, l2): 1})
+            if not d:
                 continue
             for xl in labs:
                 for yl in labs:
-                    x, y = q.b_space.basis_vector(xl), q.b_space.basis_vector(yl)
-                    assert d.apply(b_mul(q, x, y)) == b_mul(q, d.apply(x), y) + b_mul(
-                        q, x, d.apply(y)
+                    x, y = {xl: 1}, {yl: 1}
+                    assert apply(d, b_mul(q, x, y)) == lin(
+                        (1, b_mul(q, apply(d, x), y)), (1, b_mul(q, x, apply(d, y)))
                     )
     csp = bb.quotient.coset_space
-    basis = [csp.basis_vector(l) for l in csp.labels]
+    basis = [{l: 1} for l in csp.labels]
     table = {}
     for i, u in enumerate(basis):
         for j, v in enumerate(basis):
             table[(i, j)] = bb.bracket_cosets(u, v)
             if j < i:
-                assert table[(i, j)] == table[(j, i)].scale(Q(-1))
+                assert table[(i, j)] == lin((-1, table[(j, i)]))
     for i, u in enumerate(basis):
         for j, v in enumerate(basis):
             for k, w in enumerate(basis):
                 lhs = bb.bracket_cosets(u, table[(j, k)])
-                rhs = bb.bracket_cosets(table[(i, j)], w) + bb.bracket_cosets(v, table[(i, k)])
+                rhs = lin(
+                    (1, bb.bracket_cosets(table[(i, j)], w)), (1, bb.bracket_cosets(v, table[(i, k)]))
+                )
                 assert lhs == rhs
     fh = full_homology(bb)  # raises if FH is not central
     assert fh.dim <= bb.dim
@@ -296,12 +305,11 @@ def test_criterion_5_coordinate_suite(preset):
         for lc in q.c_space.labels:
             for lcp in q.c_space.labels:
                 # diamond and heart, the antisymmetric and symmetric parts of f
-                f1, f2 = (
-                    SparseVector(q.a_space, q.f_table.get(l, {})) for l in [(lc, lcp), (lcp, lc)]
-                )
-                dia, heart = (f1 - f2).scale(Q(1, 2)), (f1 + f2).scale(Q(1, 2))
-                assert q.star.apply(dia) == dia
-                assert q.star.apply(heart) == heart.scale(Q(-1))
+                f1, f2 = (q.f_table.get(l, {}) for l in [(lc, lcp), (lcp, lc)])
+                dia = lin((Q(1, 2), f1), (Q(-1, 2), f2))
+                heart = lin((Q(1, 2), f1), (Q(1, 2), f2))
+                assert apply(q.star.entries, dia) == dia
+                assert apply(q.star.entries, heart) == lin((-1, heart))
     elapsed = time.monotonic() - t0
     print(f"ACCEPTANCE 5[{preset}]: PASS  coordinate suite at ell=4  ({elapsed:.2f}s < 60s)")
     assert elapsed < 60.0
@@ -315,7 +323,7 @@ def test_criterion_6_uniform_and_remark():
         rows = beta_star_map_rows(q)
         for g in gens:
             for row in rows.values():
-                val = sum((row.get(lab, 0) * c for lab, c in g.entries.items()), Q(0))
+                val = sum((row.get(lab, 0) * c for lab, c in g.items()), Q(0))
                 assert val == 0
         bb = build_bb(q, 4)
         report = check_uniform(bb, [], fh=full_homology(bb), cross_check_ell=7)

@@ -316,6 +316,14 @@ _ONE_DIM = {
         # the name enters every report as given
         ({"name": ["x"]}, "'name' must be a string, not ['x']"),
         ({"name": 7}, "'name' must be a string, not 7"),
+        # only "p" and "p/q" are read: Fraction would expand the exponent
+        # of "1e99999999" digit by digit, and "0.5" is no rational string
+        ({"unit": [[0, "1e99999999"]]}, "'1e99999999' is not a rational string"),
+        ({"unit": [[0, "0.5"]]}, "'0.5' is not a rational string"),
+        ({"unit": [[0, "+1"]]}, "'+1' is not a rational string"),
+        ({"unit": [[0, "1/"]]}, "'1/' is not a rational string"),
+        ({"unit": [[0, "\u0661"]]}, "is not a rational string"),
+        ({"unit": [[0, "1/0"]]}, "'1/0' is not a rational"),
     ],
 )
 def test_malformed_quadruple_file_exits_2(capsys, tmp_path, change, words):
@@ -474,6 +482,31 @@ def test_internal_consistency_error_exits_3(capsys, monkeypatch):
     assert err == (
         "internal consistency error: relation space not preserved\nwitness: ('x', 'y')\n"
     )
+
+
+def _exterior_d2() -> dict:
+    """exterior:d=2 (type C): A is the exterior algebra of F^2, basis a:0 = 1,
+    a:1 = x1, a:2 = x2 and a:3 = x1 x2, with x_i -> -x_i extended as an
+    anti-automorphism, so a monomial of degree r has the sign
+    (-1)^r (-1)^(r(r-1)/2)."""
+    mult = [[0, j, j, "1"] for j in range(4)] + [[j, 0, j, "1"] for j in range(1, 4)]
+    mult += [[1, 2, 3, "1"], [2, 1, 3, "-1"]]
+    star = [[0, 0, "1"], [1, 1, "-1"], [2, 2, "-1"], [3, 3, "-1"]]
+    return {"type": "C", "a_dim": 4, "structure_constants": mult, "unit": [[0, "1"]], "star": star}
+
+
+def test_nonuniform_k_exits_2_with_its_witness(capsys, tmp_path):
+    # K = FH on exterior:d=2 is not uniform: beta* is nonzero on the FH
+    # vector x2 (x) x1, which the error names as it reads
+    path = tmp_path / "exterior.json"
+    path.write_text(json.dumps(_exterior_d2()))
+    code, err = run_cli_err(
+        capsys,
+        "verify", "--family", "C", "--n", "6", "--ell", "5", "--quadruple", str(path),
+        "--k", "fh", "--samples", "0",
+    )
+    assert code == 2
+    assert err == "error: K does not satisfy the uniform property: witness 1*a:2⊗a:1\n"
 
 
 def test_uniform_suite_checks_the_model_k(capsys, tmp_path, monkeypatch):

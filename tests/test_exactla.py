@@ -9,8 +9,9 @@ from rootgraded.exactla import (
     QuotientSpace,
     ShapeError,
     SparseMatrix,
-    SparseVector,
+    add_scaled,
     apply,
+    clean,
     kernel,
     kernel_of_rows,
     q_parse,
@@ -18,6 +19,7 @@ from rootgraded.exactla import (
     rref,
     scalar,
     tensor_space,
+    vector_text,
 )
 
 S2 = BasedSpace(["x", "y"])
@@ -25,7 +27,16 @@ S3 = BasedSpace(["x", "y", "z"])
 
 
 def vec(space, *coords):
-    return SparseVector(space, dict(zip(space.labels, map(Q, coords))))
+    """The entry dict of the vector with these coordinates, zeros left out."""
+    return {lab: scalar(Q(c)) for lab, c in zip(space.labels, coords) if c}
+
+
+def combo(*terms):
+    """sum c * v over the (c, v) pairs, as a stored entry dict."""
+    out = {}
+    for c, v in terms:
+        add_scaled(out, v, c)
+    return {lab: scalar(x) for lab, x in out.items()}
 
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -51,7 +62,7 @@ def normalized(v):
     """Every entry of v is stored as ``scalar`` stores it: an int, or a
     Fraction whose denominator is above 1."""
     return all(
-        type(c) is int or (type(c) is Q and c.denominator > 1) for c in v.entries.values()
+        type(c) is int or (type(c) is Q and c.denominator > 1) for c in v.values()
     )
 
 
@@ -61,26 +72,32 @@ def test_scalar_keeps_ints_and_proper_fractions():
     assert scalar(Q(1, 2)) == Q(1, 2) and type(scalar(Q(1, 2))) is Q
     assert type(scalar(True)) is int
     assert type(q_parse("-4/2")) is int
-    v = SparseVector(S3, {"x": Q(4, 2), "y": Q(-3, 4), "z": 5})
-    assert normalized(v) and v.entries["x"] == 2
-    assert normalized(v.scale(Q(4, 3))) and v.scale(Q(4, 3)).entries["y"] == -1
-    assert normalized(-v)
+    v = clean(S3, {"x": Q(4, 2), "y": Q(-3, 4), "z": 5})
+    assert normalized(v) and v == {"x": 2, "y": Q(-3, 4), "z": 5}
     # m v on entry dicts: 2 * (1/2) and 1/2 + 1/2 come back as ints, 1 - 1 not at all
     m = {("x", "x"): 2, ("y", "x"): 1, ("y", "y"): Q(1, 2), ("z", "x"): 2, ("z", "y"): -1}
     out = apply(m, {"x": Q(1, 2), "y": 1})
     assert out == {"x": 1, "y": 1} and all(type(c) is int for c in out.values())
 
 
+def _one_dim_quadruple(**tables):
+    """The type-A quadruple F, with some of its tables replaced."""
+    from rootgraded.coord import CoordinateQuadruple
+
+    args = {"mult": {("one", "one"): {"one": 1}}, "unit": {"one": 1}, "star": {("one", "one"): 1}}
+    return CoordinateQuadruple("A", ["one"], **{**args, **tables})
+
+
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: SparseVector(S2, {"x": 0.5}),
-        lambda: SparseVector(S2, {"x": 1.0}),
+        lambda: _one_dim_quadruple(unit={"one": 0.5}),
+        lambda: _one_dim_quadruple(mult={("one", "one"): {"one": 1.0}}),
+        lambda: rref([{"x": 1, "y": 0.5}], S2),
         lambda: SparseMatrix(S2, S2, {("x", "y"): 2.0}),
-        lambda: vec(S2, 1, 2).scale(0.5),
         lambda: SparseMatrix.identity(S2).scale(1.0),
     ],
-    ids=["vector entry", "integral vector entry", "matrix entry", "vector scale", "matrix scale"],
+    ids=["vector entry", "integral vector entry", "rref row", "matrix entry", "matrix scale"],
 )
 def test_float_scalars_are_refused(make):
     # a float's binary expansion is not the rational it was meant to be
@@ -88,23 +105,44 @@ def test_float_scalars_are_refused(make):
         make()
 
 
+def test_clean_checks_labels_and_drops_zeros():
+    assert clean(S3, {"x": 0, "y": Q(3, 3), "z": Q(1, 2)}) == {"y": 1, "z": Q(1, 2)}
+    with pytest.raises(ShapeError, match="'w' not in space"):
+        clean(S3, {"w": 1})
+
+
 def test_rref_pivot_inverse_is_exact():
     # int rows with a pivot of 3: the scaled row holds Fractions, not floats
-    sub = rref([SparseVector(S2, {"x": 3, "y": 1}), SparseVector(S2, {"x": 6, "y": 6})])
-    assert [r.entries for r in sub.rows] == [{"x": 1}, {"y": 1}]
-    sub = rref([SparseVector(S2, {"x": 3, "y": 1})])
-    assert sub.rows[0].entries == {"x": 1, "y": Q(1, 3)}
+    sub = rref([{"x": 3, "y": 1}, {"x": 6, "y": 6}], S2)
+    assert list(sub.rows) == [{"x": 1}, {"y": 1}]
+    sub = rref([{"x": 3, "y": 1}], S2)
+    assert sub.rows[0] == {"x": 1, "y": Q(1, 3)}
     assert all(normalized(r) for r in sub.rows)
+
+
+def test_rref_rows_are_stored_values():
+    # integral Fractions come back as ints, and a row is a plain dict
+    sub = rref([{"x": Q(2), "y": Q(4, 2)}, {"z": Q(6, 3)}], S3)
+    assert list(sub.rows) == [{"x": 1, "y": 1}, {"z": 1}]
+    assert all(type(r) is dict and normalized(r) for r in sub.rows)
+
+
+def test_rref_skips_zero_entries():
+    # an explicit zero is no entry: it is never a pivot, and a vector of
+    # zeros adds nothing
+    sub = rref([{"x": 0, "y": 2, "z": 0}, {"x": 0}, {}], S3)
+    assert list(sub.pivots) == [1] and list(sub.rows) == [{"y": 1}]
+    assert sub == rref([{"y": 1}], S3)
 
 
 def test_rref_empty_span():
     sub = rref([], S2)
     assert sub.dim == 0
-    assert sub.contains(SparseVector(S2, {}))
+    assert sub.contains({})
 
 
 def test_rref_full_space():
-    sub = rref([vec(S2, 1, 0), vec(S2, 0, 1), vec(S2, 1, 1)])
+    sub = rref([vec(S2, 1, 0), vec(S2, 0, 1), vec(S2, 1, 1)], S2)
     assert sub.dim == 2
 
 
@@ -113,35 +151,36 @@ def test_rref_rank_two_rows():
     r1 = vec(S3, 1, 2, 3)
     r2 = vec(S3, 0, 1, 1)
     r3 = vec(S3, 1, 3, 4)
-    sub = rref([r1, r2, r3])
+    sub = rref([r1, r2, r3], S3)
     assert sub.dim == 2
     assert sub.contains(r3)
     assert not sub.contains(vec(S3, 0, 0, 1))
 
 
 def test_rref_mixed_spaces_error():
-    with pytest.raises(ShapeError):
-        rref([vec(S2, 1, 0), vec(S3, 1, 0, 0)])
+    # z is a label of S3, not of S2
+    with pytest.raises(ShapeError, match="'z' not in space"):
+        rref([vec(S2, 1, 0), vec(S3, 0, 0, 1)], S2)
 
 
 def test_rref_stops_reducing_at_full_rank():
     # once the rows span the space every later vector lies in the span: the
-    # result is the rref of the whole list, and a later vector of another
-    # space still raises
+    # result is the rref of the whole list, and a later vector with a label
+    # outside the space still raises
     spanning = [vec(S3, 1, 2, 0), vec(S3, 0, 1, 1), vec(S3, 1, 0, 3)]
-    extra = [vec(S3, 5, Q(1, 2), -1), vec(S3, 0, 0, 7), SparseVector(S3, {})]
-    whole = rref(spanning + extra)
-    assert whole == rref(spanning) and whole.dim == 3
-    assert [r.entries for r in whole.rows] == [{"x": 1}, {"y": 1}, {"z": 1}]
+    extra = [vec(S3, 5, Q(1, 2), -1), vec(S3, 0, 0, 7), {}]
+    whole = rref(spanning + extra, S3)
+    assert whole == rref(spanning, S3) and whole.dim == 3
+    assert list(whole.rows) == [{"x": 1}, {"y": 1}, {"z": 1}]
     # a prefix short of full rank still reduces what follows
-    assert rref(spanning[:2] + extra).dim == 3
+    assert rref(spanning[:2] + extra, S3).dim == 3
     with pytest.raises(ShapeError):
-        rref(spanning + [vec(S2, 1, 0)])
+        rref(spanning + [{"w": 1}], S3)
 
 
 def test_rref_is_canonical():
-    a = rref([vec(S3, 2, 4, 6), vec(S3, 0, 3, 3)])
-    b = rref([vec(S3, 1, 5, 6), vec(S3, 1, 2, 3)])
+    a = rref([vec(S3, 2, 4, 6), vec(S3, 0, 3, 3)], S3)
+    b = rref([vec(S3, 1, 5, 6), vec(S3, 1, 2, 3)], S3)
     assert a == b
 
 
@@ -170,36 +209,39 @@ def test_rank_nullity_and_kernel_exactness():
     m = SparseMatrix(S3, S3, entries)
     k = kernel(m)
     row_rank = rref(
-        [SparseVector(S3, {c: v for (r2, c), v in entries.items() if r2 == r}) for r in S3.labels]
+        [{c: v for (r2, c), v in entries.items() if r2 == r} for r in S3.labels], S3
     ).dim
     assert row_rank + k.dim == 3
     for b in k.rows:
-        assert m.apply(b).is_zero()
+        assert apply(m.entries, b) == {}
 
 
 def test_quotient_projects_relations_to_zero():
-    rel = rref([vec(S2, 1, 1)])
+    rel = rref([vec(S2, 1, 1)], S2)
     q = QuotientSpace(S2, rel)
     assert q.dim == 1
-    assert q.project(vec(S2, 1, 1)).is_zero()
-    assert q.project(vec(S2, 2, 0)) == q.project(vec(S2, 0, -2))
+    assert q.relations.reduce(vec(S2, 1, 1)) == {}
+    assert q.relations.reduce(vec(S2, 2, 0)) == q.relations.reduce(vec(S2, 0, -2))
 
 
 def test_quotient_trivial_relations():
     q = QuotientSpace(S3, rref([], S3))
     v = vec(S3, 1, 2, 3)
-    assert dict(q.project(v).entries) == dict(v.entries)
+    assert q.relations.reduce(v) == v
 
 
 def test_quotient_project_idempotent_and_linear():
-    rel = rref([vec(S3, 1, 1, 0), vec(S3, 0, 1, 1)])
+    rel = rref([vec(S3, 1, 1, 0), vec(S3, 0, 1, 1)], S3)
     q = QuotientSpace(S3, rel)
     v = vec(S3, 3, 1, 4)
     w = vec(S3, -1, 5, 9)
-    pv = q.project(v)
-    assert q.project(q.lift(pv)) == pv
-    assert q.project(v + w) == q.project(v) + q.project(w)
-    assert q.project(v.scale(Q(7, 2))) == pv.scale(Q(7, 2))
+    project = q.relations.reduce
+    pv = project(v)
+    # the representative lies on the coset labels, and is its own
+    assert pv.keys() <= set(q.coset_labels) and project(pv) == pv
+    assert project(combo((1, v), (1, w))) == combo((1, pv), (1, project(w)))
+    assert project(combo((Q(7, 2), v))) == combo((Q(7, 2), pv))
+    assert all(normalized(project(x)) for x in (v, combo((Q(1, 2), w))))
 
 
 @settings(max_examples=25)
@@ -213,10 +255,17 @@ def test_trace_ab_equals_trace_ba(a, b, c, d):
 def test_matrix_apply_and_compose():
     m = SparseMatrix(S2, S3, {("x", "x"): Q(1), ("z", "y"): Q(2)})
     v = vec(S2, 5, 7)
-    assert m.apply(v) == vec(S3, 5, 0, 14)
+    assert apply(m.entries, v) == vec(S3, 5, 0, 14)
     back = SparseMatrix(S3, S2, {("x", "x"): Q(1), ("y", "z"): Q(1)})
     comp = back @ m
-    assert comp.apply(v) == vec(S2, 5, 14)
+    assert apply(comp.entries, v) == vec(S2, 5, 14)
+
+
+def test_vector_text_reads_in_label_order():
+    t = tensor_space(S2, S2)
+    assert vector_text(t, {("y", "x"): -1, ("x", "y"): Q(1, 2)}) == "1/2*x⊗y + -1*y⊗x"
+    assert vector_text(S3, {"z": 3, "x": 1}) == "1*x + 3*z"
+    assert vector_text(S3, {}) == "0"
 
 
 def test_tensor_space_labels():
@@ -226,20 +275,18 @@ def test_tensor_space_labels():
 
 
 def test_subspace_coordinates():
-    sub = rref([vec(S3, 1, 0, 1), vec(S3, 0, 1, 1)])
+    sub = rref([vec(S3, 1, 0, 1), vec(S3, 0, 1, 1)], S3)
     v = vec(S3, 2, 3, 5)
     coords = sub.coordinates(v)
-    assert coords == {0: Q(2), 1: Q(3)}
+    # in row order
+    assert coords == {0: Q(2), 1: Q(3)} and list(coords) == [0, 1]
     assert sub.coordinates(vec(S3, 2, 0, 2)) == {0: Q(2)}
+    assert list(sub.coordinates({"y": 3, "z": 5, "x": 2})) == [0, 1]
     with pytest.raises(ShapeError):
         sub.coordinates(vec(S3, 0, 0, 1))
-    # the same read from a bare entry dict, as (row, coefficient) pairs
-    assert sub.entry_coordinates(v.entries) == [(0, 2), (1, 3)]
-    with pytest.raises(ShapeError):
-        sub.entry_coordinates({"z": 1})
     # a label outside the ambient space is never a pivot: it is left over
     with pytest.raises(ShapeError):
-        sub.entry_coordinates({"x": 1, "z": 1, "w": 1})
+        sub.coordinates({"x": 1, "z": 1, "w": 1})
 
 
 # -- dense oracle ------------------------------------------------------------
@@ -263,11 +310,11 @@ def dense_rref(rows, n):
 
 
 def dense(v, space):
-    return [v.entries.get(lab, 0) for lab in space.labels]
+    return [v.get(lab, 0) for lab in space.labels]
 
 
 def sparse(row, space):
-    return SparseVector(space, dict(zip(space.labels, row)))
+    return {lab: scalar(c) for lab, c in zip(space.labels, row) if c}
 
 
 def combine(coeffs, rows, n):
@@ -320,7 +367,8 @@ def test_sparse_elimination_matches_dense_oracle(case):
     n = space.dim
     pivots, reduced = dense_rref(rows, n)
     assert len(pivots) <= 0.3 * len(rows)
-    sub = rref([sparse(r, space) for r in rows], space)
+    # the rows as given, zeros and all: rref drops the zeros
+    sub = rref([dict(zip(space.labels, r)) for r in rows], space)
     assert list(sub.pivots) == pivots
     assert [dense(r, space) for r in sub.rows] == reduced
     assert all(normalized(r) for r in sub.rows)
@@ -344,7 +392,7 @@ def test_sparse_elimination_matches_dense_oracle(case):
 
     # kernel_of_rows: the rref of the dense nullspace
     null = dense_null(pivots, reduced, n)
-    ker = kernel_of_rows([sparse(r, space) for r in rows], space)
+    ker = kernel_of_rows([dict(zip(space.labels, r)) for r in rows], space)
     null_pivots, null_rows = dense_rref(null, n)
     assert list(ker.pivots) == null_pivots
     assert [dense(r, space) for r in ker.rows] == null_rows
@@ -399,9 +447,9 @@ def test_dual_stability_matches_image_and_reduce(case):
     k = rref([sparse(r, space) for r in rows], space)
     quotient = QuotientSpace(space, k)
     # the reference: reduce the image of each relation row in turn
-    reference = next((i for i, g in enumerate(k.rows) if not k.contains(m.apply(g))), None)
+    reference = next((i for i, g in enumerate(k.rows) if not k.contains(apply(m.entries, g))), None)
     mt = m.transpose()
-    dual = quotient.first_escape(lambda phi: dict(mt.apply(SparseVector(space, phi)).entries))
+    dual = quotient.first_escape(lambda phi: apply(mt.entries, phi))
     assert dual == reference
 
     # one functional per coset label, dual to the coset labels, killing K
@@ -410,4 +458,4 @@ def test_dual_stability_matches_image_and_reduce(case):
     for f, pi in pis.items():
         assert all(pi.get(e, 0) == (e == f) for e in quotient.coset_labels)
         for g in k.rows:
-            assert sum((pi.get(lab, 0) * g.entries.get(lab, 0) for lab in space.labels), 0) == 0
+            assert sum((pi.get(lab, 0) * g.get(lab, 0) for lab in space.labels), 0) == 0

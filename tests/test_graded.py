@@ -19,7 +19,7 @@ from rootgraded.coord import (
     parse_preset_spec,
     validate_quadruple,
 )
-from rootgraded.exactla import BasedSpace, SparseMatrix, SparseVector, q_str
+from rootgraded.exactla import BasedSpace, SparseMatrix, add_scaled, apply, q_str, scalar
 from rootgraded.graded import (
     ModelError,
     build_model,
@@ -34,6 +34,15 @@ from rootgraded.liealg import build_algebra, d_uw, truncation_idempotent, v_ops
 from rootgraded.rootsys import Root, generate, root_str
 
 _CACHE = {}
+
+
+def lin(*terms):
+    """sum c * v over the (c, v) pairs of entry dicts, as stored: every
+    value through ``scalar``, the zeros dropped."""
+    out = {}
+    for c, v in terms:
+        add_scaled(out, v, c)
+    return {lab: scalar(x) for lab, x in out.items()}
 
 
 def model(family, n, ell, preset, k="zero", override=False):
@@ -96,9 +105,7 @@ def test_k_span_outside_homology_rejected():
     bb = coord.build_bb(q, 5)
     fh = coord.full_homology(bb)
     csp = bb.quotient.coset_space
-    outside = next(
-        csp.basis_vector(l) for l in csp.labels if not fh.contains(csp.basis_vector(l))
-    )
+    outside = next({l: 1} for l in csp.labels if not fh.contains({l: 1}))
     with pytest.raises(ValueError):
         build_model("A", 6, 5, q, [outside])
 
@@ -113,7 +120,7 @@ def test_uniform_verdict_fails_when_beta_star_misses_a_relation(monkeypatch):
 
     def with_unit(q):
         rows = real(q)
-        for r, u in q.unit.entries.items():
+        for r, u in q.unit.items():
             row = rows.get(r, {})
             shifted = {lab: row.get(lab, 0) + u for lab in q.bb_space.labels}
             rows[r] = {lab: v for lab, v in shifted.items() if v}
@@ -175,6 +182,19 @@ def test_type_d_k_fh_quotients_everything():
     assert m.dim == len(m.G.wb.basis_mats) * 3
 
 
+def test_k_vectors_given_as_entry_dicts_are_stored_clean():
+    # a K vector from the API is read like any input vector: zeros dropped,
+    # integral Fractions made ints, and a label outside the coset space refused
+    q = nilpotent_pair_quadruple()
+    (lab,) = build_model("D", 6, 5, q, "zero").dpart.coset_labels
+    m = build_model("D", 6, 5, q, [{lab: Q(4, 2)}, {lab: 0}])
+    assert m.k_vectors == [{lab: 2}, {}] and type(m.k_vectors[0][lab]) is int
+    assert m.dpart.dim == 0
+    # 1 (x) 1 lies in the relation space: it is no coset label
+    with pytest.raises(ValueError, match="not in space"):
+        build_model("D", 6, 5, q, [{("n:1", "n:1"): 1}])
+
+
 def test_bc_symplectic_orthogonal_vectors_row():
     # (u, v) = 0 and heart = 0: [u(x)c, v(x)c'] = (u o v)(x) (c diamond c')
     m = model("BC", 4, 4, "symplectic:m=2")
@@ -187,15 +207,10 @@ def test_bc_symplectic_orthogonal_vectors_row():
     kinds = {m.basis[idx][0] for idx in row}
     assert kinds == {"g"}  # only the circ (x) diamond term survives
     nat = m.G.nat
-    u = nat.space.basis_vector("v:1").entries
-    w = nat.space.basis_vector("v:2").entries
+    u, w = {"v:1": 1}, {"v:2": 1}
     q = m.quadruple
-    c0 = q.c_space.basis_vector("c:0")
-    c1 = q.c_space.basis_vector("c:1")
-    f01, f10 = (
-        SparseVector(q.a_space, q.f_table.get(l, {})) for l in [("c:0", "c:1"), ("c:1", "c:0")]
-    )
-    dia = (f01 - f10).scale(Q(1, 2))
+    f01, f10 = (q.f_table.get(l, {}) for l in [("c:0", "c:1"), ("c:1", "c:0")])
+    dia = lin((Q(1, 2), f01), (Q(-1, 2), f10))
     expected = {}
     for gi, cg in m.G.wb.coords(v_ops(u, w, nat, m.idem0, m.m0, "circ")).items():
         for ai, ca in m.quadruple.a_part_sub.coordinates(dia).items():
@@ -578,7 +593,7 @@ def test_subsystem_closure_fails_on_an_escaping_zero_weight_index(config):
     escaping = next(
         i
         for i, w in enumerate(m.weight_of)
-        if w.is_zero() and not sub.zero_part.contains(SparseVector(sub.zero_space, {i: 1}))
+        if w.is_zero() and not sub.zero_part.contains({i: 1})
     )
     table = m.table
     try:
@@ -597,18 +612,17 @@ def test_subsystem_closure_fails_on_an_escaping_zero_weight_index(config):
 def test_level_coset_at_base_subset_is_plain():
     m = model("BC", 5, 4, "symplectic:m=2")
     b = m.quadruple.b_space
-    c0, c1 = b.basis_vector("c:0"), b.basis_vector("c:1")
+    c0, c1 = {"c:0": 1}, {"c:1": 1}
     lc = level_coset(m, range(1, 5), c0, c1)
     assert lc and _kinds(m, lc) == {"d"}
     cosets = m.dpart.coset_space
-    direct = m.dpart.project(m.bb.pair_tensor(c0.entries, c1.entries)).entries
+    direct = m.dpart.relations.reduce(m.bb.pair_tensor(c0, c1))
     assert lc == {m.index_of[("d", (cosets.pos(l),))]: v for l, v in direct.items()}
 
 
 def test_level_coset_correction_nonzero_type_a():
     m = model("A", 7, 5, "matrix:k=2")
-    b = m.quadruple.b_space
-    e01, e10 = b.basis_vector("m:0,1"), b.basis_vector("m:1,0")
+    e01, e10 = {"m:0,1": 1}, {"m:1,0": 1}
     lc = level_coset(m, range(1, 8), e01, e10)
     assert "g" in _kinds(m, lc)  # [a, a'] != 0 so the correction appears
     lc0 = level_coset(m, range(1, 7), e01, e10)
@@ -617,8 +631,7 @@ def test_level_coset_correction_nonzero_type_a():
 
 def test_level_coset_type_d_level_independent():
     m = build_model("D", 7, 5, nilpotent_pair_quadruple(), "zero")
-    b = m.quadruple.b_space
-    x, y = b.basis_vector("n:x"), b.basis_vector("n:y")
+    x, y = {"n:x": 1}, {"n:y": 1}
     lc6 = level_coset(m, range(1, 7), x, y)
     lc7 = level_coset(m, range(1, 8), x, y)
     assert lc6 == lc7
@@ -626,8 +639,7 @@ def test_level_coset_type_d_level_independent():
 
 def test_level_coset_validates_subset():
     m = model("BC", 5, 4, "symplectic:m=2")
-    b = m.quadruple.b_space
-    c0 = b.basis_vector("c:0")
+    c0 = {"c:0": 1}
     with pytest.raises(ModelError):
         level_coset(m, [2, 3, 4, 5], c0, c0)  # misses I_0
     with pytest.raises(ModelError):
@@ -698,9 +710,9 @@ def test_projection_kernel_is_the_relation_space(config):
     relations = m.dpart.relations
     assert relations.dim + m.dpart.dim == m.bb.tensor.dim
     for t in relations.rows:
-        assert m.dpart.project(t).is_zero()
+        assert m.dpart.relations.reduce(t) == {}
         for row in m.bb.beta_rows.values():
-            assert sum((row.get(lab, 0) * c for lab, c in t.entries.items()), 0) == 0
+            assert sum((row.get(lab, 0) * c for lab, c in t.items()), 0) == 0
 
 
 @pytest.mark.parametrize("preset", ["symplectic:m=2", "matrix_hermitian:k=2,m=2"])
@@ -711,38 +723,37 @@ def test_bc_f_term_vanishes_on_the_relation_space(preset):
     m = model("BC", 5, 4, preset)
     q = m.quadruple
     kappa = inner_scale("BC", m.ell)
-    c_basis = [SparseVector(q.c_space, c) for c in m.c_basis]
+    c_basis = m.c_basis
 
     def c_act(a, c):
-        return SparseVector(q.c_space, _bilinear(q.action, a.entries, c.entries))
+        return lin((1, _bilinear(q.action, a, c)))
 
     def f_val(c, cp):
-        return SparseVector(q.a_space, _bilinear(q.f_table, c.entries, cp.entries))
+        return lin((1, _bilinear(q.f_table, c, cp)))
 
     def f_term(t, c):
         # c1 f(c, c2) + c2 f(c, c1) over the C (x) C entries c1 (x) c2 of t
-        acc = SparseVector(q.c_space, {})
-        for (l1, l2), coeff in t.entries.items():
+        acc = {}
+        for (l1, l2), coeff in t.items():
             if l1 in q.c_space and l2 in q.c_space:
-                c1, c2 = q.c_space.basis_vector(l1), q.c_space.basis_vector(l2)
-                acc = acc + (c_act(f_val(c, c2), c1) + c_act(f_val(c, c1), c2)).scale(coeff)
+                c1, c2 = {l1: 1}, {l2: 1}
+                acc = lin((1, acc), (coeff, c_act(f_val(c, c2), c1)), (coeff, c_act(f_val(c, c1), c2)))
         return acc
 
     live = False
     for lab in m.bb.tensor.labels:
-        t = m.bb.tensor.basis_vector(lab)
-        z = beta_star(q, *(q.b_space.basis_vector(l) for l in lab)).scale(kappa)
-        d = SparseMatrix(q.b_space, q.b_space, m.bb.derivation_of(t.entries))
+        t = {lab: 1}
+        z = lin((kappa, beta_star(q, *({l: 1} for l in lab))))
+        d = m.bb.derivation_of(t)
         for c in c_basis:
             f = f_term(t, c)
-            live = live or not f.is_zero()
-            image = c_act(z, c) - f.scale(Q(1, 2))
-            lift = SparseVector(q.b_space, c.entries)
-            assert d.apply(lift) == SparseVector(q.b_space, image.entries)
+            live = live or f != {}
+            # c is an element of b with the same entry dict
+            assert apply(d, c) == lin((1, c_act(z, c)), (Q(-1, 2), f))
     assert live
     for t in m.dpart.relations.rows:
         for c in c_basis:
-            assert f_term(t, c).is_zero()
+            assert f_term(t, c) == {}
 
 
 def _dual_clifford_quadruple():
@@ -782,9 +793,8 @@ def test_type_b_derivations_kill_the_a_part(monkeypatch, spec):
     assert validate_quadruple(q)["valid"]
     m = build_model("B", 5, 5, q)
     for lab in m.bb.tensor.labels:
-        d = SparseMatrix(q.b_space, q.b_space, m.bb.derivation_of({lab: 1}))
-        lifts = [SparseVector(q.b_space, a.entries) for a in q.a_part_sub.rows]
-        assert all(d.apply(a).is_zero() for a in lifts)
+        d = m.bb.derivation_of({lab: 1})
+        assert all(apply(d, a) == {} for a in q.a_part_sub.rows)
     monkeypatch.setitem(
         graded.TERMS["B"], "gd", (graded.Term("g", graded._first, graded._deriv, -1),)
     )
@@ -944,8 +954,8 @@ def test_level_coset_mixed_pair_is_zero():
     # pairs mixing the fixed and skew parts carry no coset and no correction
     m = model("C", 5, 5, "matrix_transpose:k=2")
     q = m.quadruple
-    a = q.b_space.basis_vector("m:0,0") + q.b_space.basis_vector("m:1,1")
-    b = q.b_space.basis_vector("m:0,1") - q.b_space.basis_vector("m:1,0")
+    a = {"m:0,0": 1, "m:1,1": 1}
+    b = {"m:0,1": 1, "m:1,0": -1}
     lc = level_coset(m, range(1, 6), a, b)
     assert lc == {}
 
@@ -1010,7 +1020,7 @@ def test_integral_scalars_are_ints(monkeypatch, config):
         monkeypatch.setattr(mod, "rref", recording)
     m = build_model(*config[:3], parse_preset_spec(config[3]))
     assert rows
-    assert all(_is_stored_scalar(c) for r in rows for c in r.entries.values())
+    assert all(type(r) is dict and _is_stored_scalar(c) for r in rows for c in r.values())
     assert all(_is_stored_scalar(c) for row in m.table.values() for c in row.values())
     mats = [x for kind in _matrix_kinds(m).values() for x in kind.mats]
     assert mats
@@ -1021,7 +1031,7 @@ def test_integral_scalars_are_ints(monkeypatch, config):
     bb = m.bb
     dicts = [*bb.derivations.values(), *bb.beta_rows.values()]
     dicts += [bb.inner_of({f: 1}) for f in bb.quotient.coset_labels]
-    dicts += [bb.inner_of(g.entries) for g in bb.relations.rows]
+    dicts += [bb.inner_of(g) for g in bb.relations.rows]
     # and where the products come out integral: kappa times multiples of
     # its denominator, and (1/2) u against 2 w
     k = Q(bb.kappa).denominator
@@ -1052,8 +1062,7 @@ def test_bracket_and_level_coset_return_stored_scalars():
     assert out and all(_is_stored_scalar(c) for c in out.values())
     assert any(type(c) is int for c in out.values())
     m = model("A", 7, 5, "matrix:k=2")
-    b = m.quadruple.b_space
-    lc = level_coset(m, range(1, 8), b.basis_vector("m:0,1").scale(Q(1, 2)), b.basis_vector("m:1,0"))
+    lc = level_coset(m, range(1, 8), {"m:0,1": Q(1, 2)}, {"m:1,0": 1})
     assert lc and all(_is_stored_scalar(c) for c in lc.values())
 
 

@@ -11,10 +11,11 @@ from rootgraded.exactla import (
     BasedSpace,
     ShapeError,
     SparseMatrix,
-    SparseVector,
     add_scaled,
+    apply,
     kernel_of_rows,
     rref,
+    scalar,
 )
 from rootgraded.graded import derivation_span_equals_oB
 from rootgraded.liealg import (
@@ -39,6 +40,10 @@ def commutator(x, y):
     return x @ y - y @ x
 
 
+def neg(v):
+    return {lab: -c for lab, c in v.items()}
+
+
 def alg(family, n):
     key = (family, n)
     if key not in ALGEBRAS:
@@ -51,10 +56,10 @@ def test_matrix_unit():
     e11 = matrix_unit("v:1", "v:1", sp)
     e12 = matrix_unit("v:1", "v:2", sp)
     e21 = matrix_unit("v:2", "v:1", sp)
-    v1, v2 = sp.basis_vector("v:1"), sp.basis_vector("v:2")
-    assert e11.apply(v1) == v1
-    assert e12.apply(v2) == v1
-    assert e12.apply(v1).is_zero()
+    v1, v2 = {"v:1": 1}, {"v:2": 1}
+    assert apply(e11.entries, v1) == v1
+    assert apply(e12.entries, v2) == v1
+    assert apply(e12.entries, v1) == {}
     assert commutator(e12, e21) == e11 - matrix_unit("v:2", "v:2", sp)
 
 
@@ -107,7 +112,7 @@ def test_weighted_basis_rejects_a_row_mixing_weights():
     g = alg("A", 3)
     mixed = matrix_unit("v:1", "v:2", g.space) + matrix_unit("v:2", "v:1", g.space)
     with pytest.raises(ShapeError):
-        WeightedBasis(g.space, rref([SparseVector(g.glsp, mixed.entries)], g.glsp))
+        WeightedBasis(g.space, rref([mixed.entries], g.glsp))
     # a weight basis in another order gives back the same basis, in order
     again = WeightedBasis(g.space, rref(g.wb.full.rows[::-1], g.glsp))
     assert again.basis_mats == g.wb.basis_mats
@@ -136,7 +141,7 @@ def test_closure_under_commutator(family):
     a = alg(family, 2)
     for i, x in enumerate(a.wb.basis_mats):
         for y in a.wb.basis_mats[i:]:
-            assert a.wb.full.contains(SparseVector(a.glsp, commutator(x, y).entries))
+            assert a.wb.full.contains(commutator(x, y).entries)
 
 
 @pytest.mark.parametrize("family", ["A", "B", "C", "D"])
@@ -198,7 +203,7 @@ def test_truncation_embedding(family):
     big = alg(family, 3)
     # gl coordinates are labelled by the (row, col) pairs of matrix entries
     for v in small.wb.full.rows:
-        assert big.wb.full.contains(SparseVector(big.glsp, v.entries))
+        assert big.wb.full.contains(v)
     for alpha in small.wb.root_space_index:
         assert alpha in big.wb.root_space_index
 
@@ -270,14 +275,15 @@ def test_module_axiom_on_basis_triples(family, kind, n):
         wb = build_module(a)
         sp = BasedSpace(range(wb.dim))
         act = lambda x: s_action(wb, x, sp)
-    vecs = [sp.basis_vector(l) for l in sp.labels]
+    vecs = [{l: 1} for l in sp.labels]
     for x in mats:
         for y in mats:
-            act_xy = act(commutator(x, y))
-            act_x, act_y = act(x), act(y)
+            act_xy = act(commutator(x, y)).entries
+            act_x, act_y = act(x).entries, act(y).entries
             for v in vecs:
-                lhs = act_xy.apply(v)
-                rhs = act_x.apply(act_y.apply(v)) - act_y.apply(act_x.apply(v))
+                lhs = apply(act_xy, v)
+                rhs = apply(act_x, apply(act_y, v))
+                add_scaled(rhs, apply(act_y, apply(act_x, v)), -1)
                 assert lhs == rhs
 
 
@@ -290,7 +296,7 @@ def weight_decompose(space, cartan_actions) -> dict:
     actions, keyed by their eigenvalue tuples, found by scanning every
     integer up to the Gershgorin bound, on the BasedSpace ``space``.
     Raises DecompositionError when the eigenspaces do not fill the space."""
-    pieces = [((), rref([space.basis_vector(l) for l in space.labels], space))]
+    pieces = [((), rref([{l: 1} for l in space.labels], space))]
     for h in cartan_actions:
         row_sums = {}
         for (r, _c), v in h.entries.items():
@@ -299,26 +305,28 @@ def weight_decompose(space, cartan_actions) -> dict:
         new_pieces = []
         for tag, sub in pieces:
             dim_found = 0
-            images = [h.apply(v) for v in sub.rows]
+            images = [apply(h.entries, v) for v in sub.rows]
             coeff_space = BasedSpace(range(sub.dim))
             for lam in range(-bound, bound + 1):
                 # row i of h - lam on the subspace: coordinate i of the
                 # image of each basis row j
                 op_rows = [{} for _ in range(sub.dim)]
                 for j, (img, v) in enumerate(zip(images, sub.rows)):
+                    shifted = dict(img)
+                    add_scaled(shifted, v, -lam)
                     try:
-                        coords = sub.coordinates(img - v.scale(Q(lam)))
+                        coords = sub.coordinates(shifted)
                     except ShapeError:
                         raise DecompositionError("the action does not preserve the subspace")
                     for i, c in coords.items():
                         op_rows[i][j] = c
-                ker = kernel_of_rows([SparseVector(coeff_space, r) for r in op_rows], coeff_space)
+                ker = kernel_of_rows(op_rows, coeff_space)
                 vecs = []
                 for kv in ker.rows:
                     acc = {}
-                    for j, c in kv.entries.items():
-                        add_scaled(acc, sub.rows[j].entries, c)
-                    vecs.append(SparseVector(space, acc))
+                    for j, c in kv.items():
+                        add_scaled(acc, sub.rows[j], c)
+                    vecs.append(acc)
                 if vecs:
                     eig = rref(vecs, space)
                     dim_found += eig.dim
@@ -341,7 +349,7 @@ def test_weight_decompose_sp2_natural():
     assert set(dec) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
     assert all(sub.dim == 1 for sub in dec.values())
     assert dec == {
-        _weight_tag(label_weight(l), 2): rref([sp.basis_vector(l)], sp) for l in sp.labels
+        _weight_tag(label_weight(l), 2): rref([{l: 1}], sp) for l in sp.labels
     }
 
 
@@ -376,19 +384,18 @@ def test_weight_decompose_trivial_module():
 def test_jordan_derivation_basics():
     q = parse_preset_spec("clifford:d=2")
     bb = build_bb(q, 1)
-    one, w1, w2 = (q.b_space.basis_vector(l) for l in ("one", "w:1", "w:2"))
+    one, w1, w2 = ({l: 1} for l in ("one", "w:1", "w:2"))
 
     def derivation(x, y):
-        d = bb.derivation_of(bb.pair_tensor(x.entries, y.entries).entries)
-        return SparseMatrix(q.b_space, q.b_space, d)
+        return bb.derivation_of(bb.pair_tensor(x, y))
 
-    assert derivation(one, w1).is_zero()
-    assert derivation(w1, w1).is_zero()
+    assert derivation(one, w1) == {}
+    assert derivation(w1, w1) == {}
     # D_{w1,w2} on W is u -> g(w1,u) w2 - g(w2,u) w1
     d = derivation(w1, w2)
-    assert d.apply(w1) == w2
-    assert d.apply(w2) == -w1
-    assert d.apply(one).is_zero()
+    assert apply(d, w1) == w2
+    assert apply(d, w2) == neg(w1)
+    assert apply(d, one) == {}
 
 
 @pytest.mark.parametrize("n,dim", [(1, 3), (2, 10), (3, 21)])
@@ -445,7 +452,7 @@ def test_circ_trunc_type_a_factor_two():
 
 def _v_ops(u, v, nat, j0, m0, variant):
     """v_ops of the vectors u, v with J_0 the matrix j0, as a matrix."""
-    entries = v_ops(u.entries, v.entries, nat, j0.entries, m0, variant)
+    entries = v_ops(u, v, nat, j0.entries, m0, variant)
     return SparseMatrix(nat.space, nat.space, entries)
 
 
@@ -455,15 +462,14 @@ def test_v_ops():
     sp = nat.space
     ell = 2
     j0 = truncation_idempotent(sp, {1, 2})
-    v1 = sp.basis_vector("v:1")
-    vb1 = sp.basis_vector("vb:1")
+    v1, vb1 = {"v:1": 1}, {"vb:1": 1}
     # u = v: circ maps w to (u, w) u
     m = _v_ops(v1, v1, nat, j0, ell, "circ")
-    assert m.apply(vb1) == v1.scale(nat.form(v1.entries, vb1.entries))
+    assert apply(m.entries, vb1) == {"v:1": nat.form(v1, vb1)}
     # (v1, vb1) = 2 per the symplectic form; evaluated by hand:
     # bracket_ell(v1, vb1)(v1) = 1/2*(vb1,v1)*v1 + (1/2*ell)*2*v1 = -v1 + (1/ell)v1
-    out = _v_ops(v1, vb1, nat, j0, ell, "bracket_ell").apply(v1)
-    assert out == v1.scale(Q(-1) + Q(1, ell))
+    out = apply(_v_ops(v1, vb1, nat, j0, ell, "bracket_ell").entries, v1)
+    assert out == {"v:1": scalar(Q(-1) + Q(1, ell))}
     # circ output is form-skew, bracket output is form-symmetric
     g = nat.gram
     circ = _v_ops(v1, vb1, nat, j0, ell, "circ")
@@ -481,17 +487,39 @@ def test_v_ops_span_g_and_s():
     smod = build_module(c2)
     for u_lab in sp.labels:
         for v_lab in sp.labels:
-            u, v = sp.basis_vector(u_lab), sp.basis_vector(v_lab)
+            u, v = {u_lab: 1}, {v_lab: 1}
             c2.wb.coords(_v_ops(u, v, nat, j0, 2, "circ").entries)  # raises if outside
             smod.coords(_v_ops(u, v, nat, j0, 2, "bracket_ell").entries)  # raises if outside
+
+
+@pytest.mark.parametrize("family", ["B", "C", "D"])
+def test_functional_is_the_form_against_each_basis_vector(family):
+    # (u, -) is G^T u: at each label w, the form of u with e_w.  With u's
+    # entries halves against the Gram matrix's 2s, the integral values come
+    # back as ints
+    nat = FormedSpace(family, 2)
+    labels = nat.space.labels
+    u = {lab: Q(i + 1, 2) for i, lab in enumerate(labels)}
+    expected = {}
+    for w in labels:
+        val = sum((u[r] * g for (r, col), g in nat.gram.entries.items() if col == w), 0)
+        if val:
+            expected[w] = val
+    fu = nat.functional(u)
+    assert fu == expected
+    assert all(type(c) is int or c.denominator > 1 for c in fu.values())
+    assert any(type(c) is int for c in fu.values())
+    assert nat.form(u, {labels[0]: 1}) == expected.get(labels[0], 0)
+    with pytest.raises(ShapeError):
+        FormedSpace("A", 2).functional({"v:1": 1})
 
 
 def test_truncation_idempotent_is_idempotent():
     sp = FormedSpace("B", 3).space
     j = truncation_idempotent(sp, {1, 2})
     assert j @ j == j
-    assert j.apply(sp.basis_vector("v:3")).is_zero()
-    assert j.apply(sp.basis_vector("v:0")) == sp.basis_vector("v:0")
+    assert apply(j.entries, {"v:3": 1}) == {}
+    assert apply(j.entries, {"v:0": 1}) == {"v:0": 1}
 
 
 def test_weight_decompose_non_diagonalizable_errors():
@@ -511,5 +539,5 @@ def test_weight_decompose_accepts_module():
     assert dec[(1, 1)].dim == 1  # weight e1 + e2
     by_weight = {}
     for k, w in enumerate(wb.weight_of_basis):
-        by_weight.setdefault(_weight_tag(w, 2), []).append(sp.basis_vector(k))
+        by_weight.setdefault(_weight_tag(w, 2), []).append({k: 1})
     assert dec == {tag: rref(vs, sp) for tag, vs in by_weight.items()}

@@ -8,10 +8,14 @@ not an exact call graph: a definition counts as read when code the program
 reaches names it, as a variable it does not bind itself, an attribute or,
 in the benchmark's files only, a part of a dotted string (the benchmark
 traces ``Class.method`` by name; a string in the package, such as a suite
-name, reads nothing).  An import alone reads nothing: a name imported only for code that tests reach
-is read only by tests.  The program reaches its module level, and then
-each definition that reached code names; a read inside a definition that
-only tests reach does not count."""
+name, reads nothing).  A method is read only as an attribute or a part of
+a dotted string: a bare name reads the module-level function or class of
+that name, not a method that shares it.  So methods are keyed ".name",
+apart from the module-level "name".  An import alone reads nothing: a name
+imported only for code that tests reach is read only by tests.  The
+program reaches its module level, and then each definition that reached
+code names; a read inside a definition that only tests reach does not
+count."""
 
 import ast
 from collections import Counter, defaultdict
@@ -24,29 +28,27 @@ PACKAGE = ROOT / "src" / "rootgraded"
 # ``level_coset``, which the level-transition check is to be rebuilt on;
 # ``beta_star`` is the tests' reference for the beta* rows
 TEST_API = {
+    ".root_vector",
     "beta_star",
     "derivation_span_equals_oB",
     "expected_dimension",
     "level_coset",
-    "root_vector",
     "semidivisible",
     "validate_root_system",
 }
 
 
 def _definitions() -> dict[str, str]:
-    """Module-level functions and classes and the methods of those classes,
-    dunder methods left out, as {name: module file}."""
+    """Module-level functions and classes, keyed by name, and the methods
+    of those classes, keyed ".name", dunder methods left out, as {key:
+    module file}."""
     out = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, ast.ClassDef):
-                nodes = [node, *node.body]
-            else:
-                nodes = [node]
-            for d in nodes:
+            methods = node.body if isinstance(node, ast.ClassDef) else []
+            for d, prefix in [(node, ""), *((m, ".") for m in methods)]:
                 if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and not d.name.startswith("__"):
-                    out.setdefault(d.name, path.name)
+                    out.setdefault(prefix + d.name, path.name)
     return out
 
 
@@ -63,9 +65,10 @@ def _local_names(node) -> set[str]:
 
 class _Reads(ast.NodeVisitor):
     """Names read in a module, counted by their owner: the module-level
-    function or class, or the method of a module-level class, that the read
-    sits in (None at module level).  Nested definitions read for their
-    owner, and a dunder method reads for its class, which runs it."""
+    function or class, or the method of a module-level class (".name"),
+    that the read sits in (None at module level).  Nested definitions read
+    for their owner, and a dunder method reads for its class, which runs
+    it.  A bare name is read as "name", an attribute as "name" and ".name"."""
 
     def __init__(self):
         self.by_owner: dict = defaultdict(Counter)
@@ -79,15 +82,18 @@ class _Reads(ast.NodeVisitor):
             outer, owner, _ = self._stack[-1]
             top_class = len(self._stack) == 1 and isinstance(outer, ast.ClassDef)
             if top_class and not node.name.startswith("__"):
-                owner = node.name
+                owner = "." + node.name
         self._stack.append((node, owner, _local_names(node)))
         self.generic_visit(node)
         self._stack.pop()
 
     visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _definition
 
-    def _read(self, name):
-        self.by_owner[self._stack[-1][1] if self._stack else None][name] += 1
+    def _read(self, name, attribute=False):
+        reads = self.by_owner[self._stack[-1][1] if self._stack else None]
+        reads[name] += 1
+        if attribute:
+            reads["." + name] += 1
 
     def visit_Name(self, node):
         # a name a function binds is its own variable, not a definition
@@ -96,13 +102,13 @@ class _Reads(ast.NodeVisitor):
             self._read(node.id)
 
     def visit_Attribute(self, node):
-        self._read(node.attr)
+        self._read(node.attr, attribute=True)
         self.generic_visit(node)
 
     def visit_Constant(self, node):
         if self.strings and isinstance(node.value, str):
             for part in node.value.split("."):
-                self._read(part)
+                self._read(part, attribute=True)
 
 
 def _reads_by_owner(paths) -> dict:
@@ -170,9 +176,9 @@ def test_reads_are_found_by_name(tmp_path):
     # an import is not a read
     assert reads["imported"] == 0
     # a string names what it reads only in the benchmark's files
-    assert reads["Box"] == 0 and reads["method"] == 0
+    assert reads["Box"] == 0 and reads[".method"] == 0
     reads = _reads([bench])
-    assert reads["Box"] == 1 and reads["method"] == 1
+    assert reads["Box"] == 1 and reads[".method"] == 1
 
 
 def test_reads_follow_calls(tmp_path):
@@ -194,6 +200,26 @@ def test_reads_follow_calls(tmp_path):
     # ``api``: an allowlisted function reaches nothing for the program
     assert reads["api"] == 0 and reads["helper"] == 0
     # a reached class runs its dunder methods, which reach on
-    assert reads["method"] == 1 and reads["inner"] == 1
+    assert reads[".method"] == 1 and reads["inner"] == 1
     # a name a function binds is its own variable
     assert reads["user"] == 1 and reads["unused"] == 0
+
+
+def test_a_bare_name_reads_no_method(tmp_path):
+    # ``apply`` is both a function and a method of Box: a bare call reads
+    # the function only, and the method, with what it reads, stays unread
+    # until code reads it as an attribute
+    source = tmp_path / "m.py"
+    text = (
+        "def apply():\n    pass\n\n"
+        "class Box:\n"
+        "    def apply(self):\n        return inner()\n\n"
+        "def inner():\n    pass\n\n"
+        "x = apply(), Box\n"
+    )
+    source.write_text(text, encoding="utf-8")
+    reads = _reads([source])
+    assert reads["apply"] == 1 and reads[".apply"] == 0 and reads["inner"] == 0
+    source.write_text(text + "y = Box().apply\n", encoding="utf-8")
+    reads = _reads([source])
+    assert reads["apply"] == 2 and reads[".apply"] == 1 and reads["inner"] == 1
