@@ -102,13 +102,10 @@ def cmd_algebra(args) -> int:
     alg = build_algebra(args.family, args.n)
     root_spaces = {}
     for alpha, positions in sorted(alg.wb.root_space_index.items()):
-        mats = []
-        for p in positions:
-            m = alg.wb.basis_mats[p]
-            mats.append(
-                [[r, c, q_str(v)] for (r, c), v in sorted(m.entries.items())]
-            )
-        root_spaces[root_str(alpha)] = mats
+        root_spaces[root_str(alpha)] = [
+            [[r, c, q_str(v)] for (r, c), v in sorted(alg.wb.basis_mats[p].items())]
+            for p in positions
+        ]
     data = {
         "family": args.family,
         "n": args.n,

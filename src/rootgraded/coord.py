@@ -22,13 +22,11 @@ from .exactla import (
     BasedSpace,
     Q,
     QuotientSpace,
-    SparseMatrix,
     Subspace,
     add_scaled,
     apply,
     clean,
     columns,
-    kernel,
     kernel_of_rows,
     label_text,
     q_parse,
@@ -91,7 +89,8 @@ class CoordinateQuadruple:
         # its entry dict
         self.mult = {key: clean(self.a_space, val) for key, val in mult.items()}
         self.unit = clean(self.a_space, unit)
-        self.star = SparseMatrix(self.a_space, self.a_space, star)
+        # the involution's entry dict {(row, col): value} on a
+        self.star = clean(tensor_space(self.a_space, self.a_space), star)
         self.c_space = BasedSpace(c_labels)
         self.action = {key: clean(self.c_space, val) for key, val in (action or {}).items()}
         self.f_table = {key: clean(self.a_space, val) for key, val in (f_table or {}).items()}
@@ -100,15 +99,25 @@ class CoordinateQuadruple:
         # (the labels of a and of C are disjoint): a a' is ``mult``, f(c, c')
         # is ``f_table``, a.c is ``action`` and c a = a*.c
         self.b_table = {**self.mult, **self.f_table, **self.action}
-        star_cols = columns(self.star.entries)
+        star_cols = columns(self.star)
         for a in self.a_space.labels:
             for c in self.c_space.labels:
                 self.b_table[c, a] = _bilinear(self.action, star_cols.get(a, {}), {c: 1})
         # b (x) b, shared by K, beta* and every {b,b}_ell built on q
         self.bb_space = tensor_space(self.b_space, self.b_space)
-        ident = SparseMatrix.identity(self.a_space)
-        self.a_part_sub = kernel(self.star - ident)
-        self.b_part_sub = kernel(self.star + ident)
+        # A and B, the (+1)- and (-1)-eigenspaces of star on a: the kernels
+        # of star -+ 1, from their nonzero rows
+        star_rows = columns({(c, r): v for (r, c), v in self.star.items()})
+        parts = []
+        for sign in (1, -1):
+            rows = []
+            for r in self.a_space.labels:
+                row = dict(star_rows.get(r, {}))
+                add_scaled(row, {r: -sign})
+                if row:
+                    rows.append(row)
+            parts.append(kernel_of_rows(rows, self.a_space))
+        self.a_part_sub, self.b_part_sub = parts
         self._ad = None
         self._parts: dict[tuple[str, str], dict] = {}
 
@@ -193,7 +202,7 @@ def beta_star(q, x: dict, y: dict) -> dict:
     t = q.b_table
     a1, a2 = ({l: v for l, v in z.items() if l in q.a_space} for z in (x, y))
     c1, c2 = ({l: v for l, v in z.items() if l in q.c_space} for z in (x, y))
-    s1, s2 = (apply(q.star.entries, a) for a in (a1, a2))
+    s1, s2 = (apply(q.star, a) for a in (a1, a2))
     out: dict[str, Fraction] = {}
     for u, v, sign in ((a1, a2, 1), (s1, s2, 1), (c1, c2, -1)):
         add_scaled(out, _bilinear(t, u, v), sign)
@@ -242,7 +251,7 @@ def validate_quadruple(q: CoordinateQuadruple) -> dict:
     mult, act, f = q.mult, q.action, q.f_table
     e = {l: {l: 1} for l in q.b_space.labels}
     unit = q.unit
-    star = q.star.entries
+    star = q.star
     cols = columns(star)
     e_star = {l: cols.get(l, {}) for l in alabs}  # e_l*, column l of star
 
@@ -584,7 +593,7 @@ def beta_star_map_rows(q: CoordinateQuadruple) -> dict[str, dict]:
     symmetric part (x y + y x)/2 of f for x, y in C, and 0 on a (x) C and
     C (x) a; every product is b's."""
     t, half = q.b_table, Q(1, 2)
-    star = columns(q.star.entries)
+    star = columns(q.star)
     rows: dict[str, dict[tuple[str, str], Fraction]] = {}
     for l1 in q.b_space.labels:
         for l2 in q.b_space.labels:
@@ -836,7 +845,7 @@ def quadruple_to_json(q: CoordinateQuadruple) -> dict:
         return out
 
     star_entries = sorted(
-        [apos[r], apos[c], q_str(v)] for (r, c), v in q.star.entries.items()
+        [apos[r], apos[c], q_str(v)] for (r, c), v in q.star.items()
     )
     return {
         "type": q.qtype,

@@ -6,8 +6,9 @@ exact rationals: ``int`` when integral, ``fractions.Fraction`` otherwise;
 no floats.  ``scalar`` is the one normalizer every stored entry passes
 through, so a Fraction with denominator 1 never stays one.  A vector is
 its entry dict {label: value} over a ``BasedSpace``, with no zero
-entries; a matrix is a ``SparseMatrix`` or its entry dict {(row, col):
-value}.  No operation but ``add_scaled`` changes a dict it is given, so
+entries, and a matrix is its entry dict {(row, col): value}; the one
+matrix class only checks such a dict against its shapes to compose two
+maps.  No operation but ``add_scaled`` changes a dict it is given, so
 results can be shared freely.
 """
 
@@ -143,24 +144,11 @@ def columns(entries: Mapping) -> dict:
     return cols
 
 
-def _merged(a: Mapping, b: Mapping, subtract: bool) -> dict:
-    """The entries of a + b, or of a - b, in one pass: a's keys in order,
-    then b's new ones, dropping the entries that cancel."""
-    out = dict(a)
-    for key, val in b.items():
-        s = out.get(key, 0) - val if subtract else out.get(key, 0) + val
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return out
-
-
 class SparseMatrix:
-    """Finitely supported linear map; entries keyed by (row, col) labels.
+    """A matrix's entry dict checked against its shape, for one operation:
+    the composition ``m @ p``, (m @ p)[r, c] = sum_t m[r, t] * p[t, c].
 
-    Rows are labels of the codomain, columns labels of the domain, so
-    ``(m @ v)[r] = sum_c m[r, c] * v[c]``.
+    Rows are labels of the codomain, columns labels of the domain.
     """
 
     __slots__ = ("domain", "codomain", "entries")
@@ -183,17 +171,6 @@ class SparseMatrix:
         self.codomain = codomain
         self.entries = clean
 
-    @staticmethod
-    def zero(domain: BasedSpace, codomain: BasedSpace) -> "SparseMatrix":
-        return SparseMatrix(domain, codomain, {})
-
-    @staticmethod
-    def identity(space: BasedSpace) -> "SparseMatrix":
-        return SparseMatrix(space, space, {(lab, lab): 1 for lab in space.labels})
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if other.codomain != self.domain:
             raise ShapeError("composition shapes disagree")
@@ -210,54 +187,6 @@ class SparseMatrix:
                 else:
                     out.pop(key, None)
         return SparseMatrix(other.domain, self.codomain, out)
-
-    def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
-        if self.domain != other.domain or self.codomain != other.codomain:
-            raise ShapeError("matrix shapes differ")
-        out = _merged(self.entries, other.entries, False)
-        return SparseMatrix(self.domain, self.codomain, out)
-
-    def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
-        if self.domain != other.domain or self.codomain != other.codomain:
-            raise ShapeError("matrix shapes differ")
-        out = _merged(self.entries, other.entries, True)
-        return SparseMatrix(self.domain, self.codomain, out)
-
-    def scale(self, c: Fraction) -> "SparseMatrix":
-        c = scalar(c)
-        if c == 0:
-            return SparseMatrix.zero(self.domain, self.codomain)
-        return SparseMatrix(
-            self.domain, self.codomain, {k: c * v for k, v in self.entries.items()}
-        )
-
-    def __neg__(self) -> "SparseMatrix":
-        return self.scale(-1)
-
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(
-            self.codomain, self.domain, {(c, r): v for (r, c), v in self.entries.items()}
-        )
-
-    def trace(self) -> Fraction:
-        if self.domain != self.codomain:
-            raise ShapeError("trace needs domain = codomain")
-        return sum((v for (r, c), v in self.entries.items() if r == c), 0)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SparseMatrix)
-            and self.domain == other.domain
-            and self.codomain == other.codomain
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.domain, self.codomain, frozenset(self.entries.items())))
-
-    def __repr__(self):
-        n = len(self.entries)
-        return f"SparseMatrix({self.codomain.dim}x{self.domain.dim}, nnz={n})"
 
 
 class Subspace:
@@ -281,9 +210,9 @@ class Subspace:
         return len(self.rows)
 
     def _eliminate(self, entries: Mapping[Hashable, Fraction]):
-        """The entries minus their projection onto the span, as a dict, and
-        the (row index, coefficient) pairs of that projection."""
-        out = dict(entries)
+        """The nonzero entries minus their projection onto the span, as a
+        dict, and the (row index, coefficient) pairs of that projection."""
+        out = {lab: c for lab, c in entries.items() if c}
         hits = _pivot_coefficients(out, self._row_of_pivot)
         for i, coeff in hits:
             add_scaled(out, self.rows[i], -coeff)
@@ -300,7 +229,7 @@ class Subspace:
 
     def coordinates(self, v: Mapping[Hashable, Fraction]) -> dict[int, Fraction]:
         """The coefficients over the rref rows, in row order, of the vector
-        with these nonzero entries, as {row index: coefficient}; raises if
+        with these entries, as {row index: coefficient}; raises if
         it is outside the span.  A label outside the ambient space is never
         a pivot, so it is left in the residual and raises too."""
         residual, hits = self._eliminate(v)
@@ -377,13 +306,6 @@ def rref(vectors: Sequence[Mapping], space: BasedSpace) -> Subspace:
         [{lab: scalar(val) for lab, val in rows[i].items()} for i in order],
         [pivots[i] for i in order],
     )
-
-
-def kernel(m: SparseMatrix) -> Subspace:
-    """Exact nullspace basis of a sparse matrix, via RREF on the rows."""
-    # the rows of m, the columns of its transpose, as vectors over the domain
-    rows = columns(m.transpose().entries)
-    return kernel_of_rows([rows[r] for r in m.codomain.labels if r in rows], m.domain)
 
 
 def kernel_of_rows(rows: Sequence[Mapping], space: BasedSpace) -> Subspace:

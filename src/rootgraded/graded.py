@@ -206,11 +206,7 @@ def _inner_act(m, c, lab):
 def _deriv(m, x, lab):
     """The part of d_lab that is not inner, ``q.label_part(lab)``, applied
     to x: all of d_lab on type B, minus half the f-term on C for BC."""
-    out: dict = {}
-    for (r, l), v in m.quadruple.label_part(lab).items():
-        if l in x:
-            add_scaled(out, {r: v}, x[l])
-    return out
+    return apply(m.quadruple.label_part(lab), x)
 
 
 def _coset_act(m, lab, other):
@@ -406,7 +402,7 @@ class GradedModel:
         self.G = build_algebra(UNDERLYING[family], n)
         # the weighted basis of the symmetric module S of C and BC
         self.smod = build_module(self.G) if family in ("C", "BC") else None
-        self.idem0 = truncation_idempotent(self.G.space, range(1, m0 + 1)).entries  # J_0
+        self.idem0 = truncation_idempotent(self.G.space, range(1, m0 + 1))  # J_0
 
         # the coordinate-side bases of A, B and C, as entry dicts
         q = quadruple
@@ -434,8 +430,7 @@ class GradedModel:
             return vecs, weights, coords, _label_coords(nat), read_coord
 
         def weighted(wb, coords, read_coord):
-            mats = [x.entries for x in wb.basis_mats]
-            return mats, wb.weight_of_basis, coords, wb.coords, read_coord
+            return wb.basis_mats, wb.weight_of_basis, coords, wb.coords, read_coord
 
         # kind -> (matrix-side objects, their weights, coordinate-side
         # objects, the two readers)
@@ -624,7 +619,7 @@ def derivation_span_equals_oB(n: int) -> tuple[bool, int, int]:
     span o_B(n) inside gl(V)."""
     G = build_algebra("B", n)
     nat = G.nat
-    q = clifford_quadruple(nat.space.labels, nat.gram.entries, name=f"o_B({n})")
+    q = clifford_quadruple(nat.space.labels, nat.gram, name=f"o_B({n})")
     labels = nat.space.labels
     ok = True
     span_vecs = []
@@ -853,7 +848,7 @@ def verify_grading(m: GradedModel) -> dict:
     # ad_h[hpos][e] = [h (x) 1, x_e], read off the table in one pass
     in_cartan: dict[int, list[tuple[int, Fraction]]] = {}
     for hpos, h in enumerate(m.G.cartan):
-        for gi, cg in m.G.wb.coords(h.entries).items():
+        for gi, cg in m.G.wb.coords(h).items():
             for ai, ca in unit_coords.items():
                 in_cartan.setdefault(m.index_of[("g", (gi, ai))], []).append((hpos, cg * ca))
     ad_h: list[dict[int, dict[int, Fraction]]] = [{} for _ in m.G.cartan]
@@ -1062,17 +1057,18 @@ def level_coset(
         if inner:
             kind = m._kinds[target]
             coord = kind.read_coord(inner)
-            for mi, cm in kind.read_mat(_level_op(m, lam, m.G.space).entries).items():
+            for mi, cm in kind.read_mat(_level_op(m, lam, m.G.space)).items():
                 base = kind.offset + mi * kind.width
                 add_scaled(coeffs, {base + ci: cc for ci, cc in coord.items()}, cm)
     return {idx: scalar(c) for idx, c in coeffs.items()}
 
 
-def _level_op(m: GradedModel, lam: frozenset, space) -> SparseMatrix:
-    """(m0/|I_lambda|) J_lambda - J_0 on the given natural space."""
-    j_lam = truncation_idempotent(space, lam)
-    j_0 = truncation_idempotent(space, range(1, m.m0 + 1))
-    return j_lam.scale(Q(m.m0, len(lam))) - j_0
+def _level_op(m: GradedModel, lam: frozenset, space) -> dict:
+    """(m0/|I_lambda|) J_lambda - J_0 on the given natural space, as its
+    entry dict."""
+    out = dict.fromkeys(truncation_idempotent(space, lam), scalar(Q(m.m0, len(lam))))
+    add_scaled(out, truncation_idempotent(space, range(1, m.m0 + 1)), -1)
+    return out
 
 
 def verify_level_transition(m: GradedModel, added: int) -> dict:
@@ -1089,9 +1085,7 @@ def verify_level_transition(m: GradedModel, added: int) -> dict:
     n_ext = max(m.n, m.m0 + added)
     ext = FormedSpace(m.G.family, n_ext)
     checks = []
-    op_zero_at_base = _level_op(
-        m, frozenset(range(1, m.m0 + 1)), ext.space
-    ).is_zero()
+    op_zero_at_base = not _level_op(m, frozenset(range(1, m.m0 + 1)), ext.space)
     checks.append(_check("correction vanishes at lambda = I_0", op_zero_at_base))
     if m.family not in _LEVEL_TARGET:
         # families with commutative coordinates: correction is identically 0
@@ -1101,8 +1095,14 @@ def verify_level_transition(m: GradedModel, added: int) -> dict:
         )
     else:
         op = _level_op(m, lam, ext.space)
-        op_in_s = not op.is_zero() and op.trace() == 0
+        op_in_s = bool(op) and sum(v for (r, c), v in op.items() if r == c) == 0
         if ext.gram is not None:
-            op_in_s = op_in_s and ((op.transpose() @ ext.gram) - (ext.gram @ op)).is_zero()
+            # form-compatible: op^T G = G op, each side one composition
+            sp = ext.space
+            op_t, op_m, gram = (
+                SparseMatrix(sp, sp, e)
+                for e in ({(c, r): v for (r, c), v in op.items()}, op, ext.gram)
+            )
+            op_in_s = op_in_s and (op_t @ gram).entries == (gram @ op_m).entries
         checks.append(_check("level operator nonzero, traceless, form-compatible", op_in_s))
     return _suite(f"level-transition[+{added}]", checks, lambda_size=len(lam))

@@ -20,7 +20,6 @@ from .exactla import (
     BasedSpace,
     Q,
     ShapeError,
-    SparseMatrix,
     Subspace,
     add_scaled,
     apply,
@@ -61,7 +60,8 @@ def label_weight(lab: str) -> Root:
 
 
 class FormedSpace:
-    """A based space carrying the family's distinguished bilinear form."""
+    """A based space carrying the family's distinguished bilinear form, its
+    Gram matrix ``gram`` an entry dict (None on type A, which has none)."""
 
     __slots__ = ("family", "n", "space", "gram")
 
@@ -69,10 +69,10 @@ class FormedSpace:
         self.family = family
         self.n = n
         self.space = BasedSpace(natural_labels(family, n))
-        entries: dict[tuple[str, str], Fraction] = {}
+        self.gram = None
         if family == "A":
-            self.gram = None
             return
+        entries: dict[tuple[str, str], Fraction] = {}
         for i in range(1, n + 1):
             vi, vbi = f"v:{i}", f"vb:{i}"
             if family in ("B", "D"):
@@ -83,7 +83,7 @@ class FormedSpace:
                 entries[(vbi, vi)] = -2
         if family == "B":
             entries[("v:0", "v:0")] = 2
-        self.gram = SparseMatrix(self.space, self.space, entries)
+        self.gram = entries
 
     def form(self, u: dict, w: dict) -> Fraction:
         fu = self.functional(u)
@@ -94,19 +94,13 @@ class FormedSpace:
         that is G^T u."""
         if self.gram is None:
             raise ShapeError("type A space carries no form")
-        return apply({(c, r): g for (r, c), g in self.gram.entries.items()}, u)
+        return apply({(c, r): g for (r, c), g in self.gram.items()}, u)
 
 
 def gl_space(space: BasedSpace) -> BasedSpace:
     """gl(V) with the (row, col) labels of matrix entries: the entry dict of
     a matrix on V is its coordinate vector."""
     return BasedSpace([(r, c) for r in space.labels for c in space.labels])
-
-
-def matrix_unit(j: str, k: str, space: BasedSpace) -> SparseMatrix:
-    """e_{j,k}: v_i -> delta_{k,i} v_j."""
-    space.pos(j), space.pos(k)
-    return SparseMatrix(space, space, {(j, k): 1})
 
 
 def gl_coord_weight(lab: tuple[str, str]) -> Root:
@@ -122,14 +116,14 @@ class WeightedBasis:
     """A subspace of gl coordinates organized by ad-weights of the Cartan.
 
     The basis ``basis_mats`` is the rows of ``full``, the span as a canonical
-    rref ``Subspace`` (as ``kernel_of_rows`` returns it), as matrices on
-    ``space``, grouped by the weight of their pivot label: the weight-zero
-    block first, then nonzero weights in sorted order, each block in pivot
-    order.  Used for
-    both the algebras and the symmetric module.  The span must be graded
-    by the weights, i.e. each row of ``full`` lies in one weight space.
-    Coordinates are read from a matrix's entry dict through ``full``,
-    whose row k is basis vector ``_basis_of_row[k]``.
+    rref ``Subspace`` (as ``kernel_of_rows`` returns it), each the entry
+    dict of a matrix, grouped by the weight of their pivot label: the
+    weight-zero block first, then nonzero weights in sorted order, each
+    block in pivot order.  Used for both the algebras and the symmetric
+    module.  The span must be graded by the weights, i.e. each row of
+    ``full`` lies in one weight space.  Coordinates are read from a
+    matrix's entry dict through ``full``, whose row k is basis vector
+    ``_basis_of_row[k]``.
     """
 
     __slots__ = (
@@ -141,7 +135,7 @@ class WeightedBasis:
         "_basis_of_row",
     )
 
-    def __init__(self, space: BasedSpace, full: Subspace):
+    def __init__(self, full: Subspace):
         self.full = full
         glsp = full.ambient
         weights = []
@@ -153,7 +147,7 @@ class WeightedBasis:
         # a stable sort keeps pivot order within a weight; Root.zero().key()
         # is (), so the weight-zero block comes first
         order = sorted(range(len(weights)), key=lambda k: weights[k].key())
-        self.basis_mats = [SparseMatrix(space, space, self.full.rows[k]) for k in order]
+        self.basis_mats = [self.full.rows[k] for k in order]
         self.weight_of_basis = [weights[k] for k in order]
         self.root_space_index: dict[Root, list[int]] = {}
         self._basis_of_row = [0] * len(order)
@@ -193,23 +187,16 @@ class MatrixLieAlgebra:
         self.family = family
         self.n = n
         self.nat = FormedSpace(family, n)
-        space = self.nat.space
-        self.glsp = gl_space(space)
+        self.glsp = gl_space(self.nat.space)
         rows = defining_condition_rows(self.nat)
         ker = kernel_of_rows(rows, self.glsp)
-        self.wb = WeightedBasis(space, ker)
+        self.wb = WeightedBasis(ker)
+        # the standard Cartan, e_uu - e_ww for each pair (u, w) of labels
         if family == "A":
-            self.cartan = [
-                matrix_unit(f"v:{i}", f"v:{i}", space)
-                - matrix_unit(f"v:{i+1}", f"v:{i+1}", space)
-                for i in range(1, n)
-            ]
+            pairs = [(f"v:{i}", f"v:{i+1}") for i in range(1, n)]
         else:
-            self.cartan = [
-                matrix_unit(f"v:{i}", f"v:{i}", space)
-                - matrix_unit(f"vb:{i}", f"vb:{i}", space)
-                for i in range(1, n + 1)
-            ]
+            pairs = [(f"v:{i}", f"vb:{i}") for i in range(1, n + 1)]
+        self.cartan = [{(u, u): 1, (w, w): -1} for u, w in pairs]
 
     @property
     def dim(self) -> int:
@@ -219,7 +206,7 @@ class MatrixLieAlgebra:
     def space(self) -> BasedSpace:
         return self.nat.space
 
-    def root_vector(self, alpha: Root) -> SparseMatrix:
+    def root_vector(self, alpha: Root) -> dict:
         positions = self.wb.root_space_index[alpha]
         if len(positions) != 1:
             raise ShapeError(f"root space of {alpha} is not one dimensional")
@@ -246,7 +233,7 @@ def _form_rows(nat: FormedSpace, sign: Fraction) -> list[dict]:
     labels = nat.space.labels
     cols: dict[str, list[tuple[str, Fraction]]] = {}
     rows_g: dict[str, list[tuple[str, Fraction]]] = {}
-    for (r, c), v in nat.gram.entries.items():
+    for (r, c), v in nat.gram.items():
         rows_g.setdefault(r, []).append((c, v))
         cols.setdefault(c, []).append((r, v))
     out = []
@@ -288,22 +275,22 @@ def build_module(algebra: MatrixLieAlgebra) -> WeightedBasis:
     nat, glsp = algebra.nat, algebra.glsp
     # traceless, and phi^T G - G phi = 0  <=>  (phi v, w) = (v, phi w)
     rows = [_trace_row(nat)] + _form_rows(nat, -1)
-    return WeightedBasis(nat.space, kernel_of_rows(rows, glsp))
+    return WeightedBasis(kernel_of_rows(rows, glsp))
 
 
 # ---------------------------------------------------------------------------
 # truncation idempotents and the pair operators
 
 
-def truncation_idempotent(nat_space: BasedSpace, subset: Container[int]) -> SparseMatrix:
-    """J_subset: the projection onto the basis vectors indexed by the
-    subset, and onto v:0 (type B) always."""
+def truncation_idempotent(nat_space: BasedSpace, subset: Container[int]) -> dict:
+    """J_subset, as its entry dict: the projection onto the basis vectors
+    indexed by the subset, and onto v:0 (type B) always."""
     entries = {}
     for lab in nat_space.labels:
         i = int(lab.partition(":")[2])
         if i == 0 or i in subset:
             entries[(lab, lab)] = 1
-    return SparseMatrix(nat_space, nat_space, entries)
+    return entries
 
 
 def v_ops(u: dict, v: dict, nat: FormedSpace, j0: dict, m0: int, variant: str) -> dict:
@@ -314,7 +301,7 @@ def v_ops(u: dict, v: dict, nat: FormedSpace, j0: dict, m0: int, variant: str) -
         raise ValueError(f"unknown variant {variant!r}")
     vw = nat.functional(v)
     # (u, w) for circ; (w, u) = (G u)[w] for bracket_ell, whose order flips
-    uw = nat.functional(u) if variant == "circ" else apply(nat.gram.entries, u)
+    uw = nat.functional(u) if variant == "circ" else apply(nat.gram, u)
     entries: dict[tuple[str, str], Fraction] = {}
     for w_lab in nat.space.labels:
         # column w: (1/2)(v, w) u + (1/2) uw[w] v

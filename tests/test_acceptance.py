@@ -10,6 +10,7 @@ import time
 from fractions import Fraction as Q
 
 import pytest
+from dictmat import commutator, lin, product, trace, transpose, unit
 
 from rootgraded.coord import (
     _bilinear,
@@ -21,7 +22,7 @@ from rootgraded.coord import (
     beta_star_map_rows,
     validate_quadruple,
 )
-from rootgraded.exactla import BasedSpace, SparseMatrix, add_scaled, apply, scalar
+from rootgraded.exactla import apply
 from rootgraded.graded import (
     build_model,
     derivation_span_equals_oB,
@@ -36,7 +37,6 @@ from rootgraded.liealg import (
     build_module,
     expected_dimension,
     label_weight,
-    matrix_unit,
 )
 from rootgraded.rootsys import (
     Root,
@@ -44,10 +44,6 @@ from rootgraded.rootsys import (
     generate,
     validate_root_system,
 )
-
-
-def commutator(x, y):
-    return x @ y - y @ x
 
 
 PRESETS = [
@@ -126,14 +122,14 @@ def test_criterion_2_algebras():
             wb = alg.wb
             for m in wb.basis_mats:
                 if family == "A":
-                    assert m.trace() == 0
+                    assert trace(m) == 0
                 else:
-                    assert (m.transpose() @ gram + gram @ m).is_zero()
+                    assert lin((1, product(transpose(m), gram)), (1, product(gram, m))) == {}
             # closure: brackets land back in the algebra (per-weight solve)
             mats = wb.basis_mats
             for i, x in enumerate(mats):
                 for y in mats[i + 1 :]:
-                    wb.coords(commutator(x, y).entries)  # raises if outside
+                    wb.coords(commutator(x, y))  # raises if outside
             # root spaces: one dimensional, [h, x] = alpha(h) x exactly
             assert set(wb.root_space_index) == set(generate(family, n).nonzero())
             for alpha, positions in wb.root_space_index.items():
@@ -144,7 +140,7 @@ def test_criterion_2_algebras():
                         lam = Q(alpha.coords.get(pos + 1, 0) - alpha.coords.get(pos + 2, 0))
                     else:
                         lam = Q(alpha.coords.get(pos + 1, 0))
-                    assert commutator(h, x) == x.scale(lam)
+                    assert commutator(h, x) == lin((lam, x))
             _check_classical_span_formulas(alg, family, n)
     elapsed = time.monotonic() - t0
     report_line(2, "algebra conditions, closure, dims, root spaces, n=2..6", elapsed, 10)
@@ -153,11 +149,10 @@ def test_criterion_2_algebras():
 
 def _check_classical_span_formulas(alg, family, n):
     """The classical root-space spanning vectors, up to scalar."""
-    sp = alg.space
-
-    def spans(alpha, mat):
+    def spans(alpha, *terms):
+        # the sum of the (sign, matrix unit) terms spans the root space
         x = alg.root_vector(alpha)
-        coords = alg.wb.coords(mat.entries)
+        coords = alg.wb.coords(lin(*terms))
         (pos, coeff), = coords.items()
         assert alg.wb.basis_mats[pos] == x and coeff != 0
 
@@ -167,19 +162,17 @@ def _check_classical_span_formulas(alg, family, n):
                 continue
             eij = Root.eps(i) - Root.eps(j)
             if family == "A":
-                spans(eij, matrix_unit(f"v:{i}", f"v:{j}", sp))
+                spans(eij, (1, unit(f"v:{i}", f"v:{j}")))
                 continue
-            spans(eij, matrix_unit(f"v:{i}", f"v:{j}", sp) - matrix_unit(f"vb:{j}", f"vb:{i}", sp))
+            spans(eij, (1, unit(f"v:{i}", f"v:{j}")), (-1, unit(f"vb:{j}", f"vb:{i}")))
             if i < j:
                 plus = Root.eps(i) + Root.eps(j)
-                if family == "C":
-                    spans(plus, matrix_unit(f"v:{i}", f"vb:{j}", sp) + matrix_unit(f"v:{j}", f"vb:{i}", sp))
-                else:
-                    spans(plus, matrix_unit(f"v:{i}", f"vb:{j}", sp) - matrix_unit(f"v:{j}", f"vb:{i}", sp))
+                sign = 1 if family == "C" else -1
+                spans(plus, (1, unit(f"v:{i}", f"vb:{j}")), (sign, unit(f"v:{j}", f"vb:{i}")))
         if family == "B":
-            spans(Root.eps(i), matrix_unit(f"v:{i}", "v:0", sp) - matrix_unit("v:0", f"vb:{i}", sp))
+            spans(Root.eps(i), (1, unit(f"v:{i}", "v:0")), (-1, unit("v:0", f"vb:{i}")))
         if family == "C":
-            spans(Root.eps(i, 2), matrix_unit(f"v:{i}", f"vb:{i}", sp))
+            spans(Root.eps(i, 2), (1, unit(f"v:{i}", f"vb:{i}")))
 
 
 def test_criterion_3_clifford_jordan():
@@ -226,29 +219,28 @@ def test_criterion_4_modules():
                             expect.add(-(Root.eps(i) + Root.eps(j)))
                 assert set(wb.weight_of_basis) == expect
                 assert wb.zero_block == n - 1
-                sp = alg.space
                 for i in range(1, n + 1):
                     for j in range(i + 1, n + 1):
-                        pl = matrix_unit(f"v:{i}", f"vb:{j}", sp) - matrix_unit(f"v:{j}", f"vb:{i}", sp)
-                        in_weights = {wb.weight_of_basis[k] for k in wb.coords(pl.entries)}
+                        pl = lin((1, unit(f"v:{i}", f"vb:{j}")), (-1, unit(f"v:{j}", f"vb:{i}")))
+                        in_weights = {wb.weight_of_basis[k] for k in wb.coords(pl)}
                         assert in_weights == {Root.eps(i) + Root.eps(j)}
-                coords = BasedSpace(range(wb.dim))
                 s_acts = []
                 for x in mats:
                     cols = {}
                     for k, s in enumerate(wb.basis_mats):
-                        for r, c in wb.coords(commutator(x, s).entries).items():
+                        for r, c in wb.coords(commutator(x, s)).items():
                             cols[(r, k)] = c
-                    s_acts.append(SparseMatrix(coords, coords, cols))
+                    s_acts.append(cols)
                 actions.append(s_acts)
             for i, x in enumerate(mats):
                 for j in range(i + 1, len(mats)):
-                    xy = alg.wb.coords(commutator(x, mats[j]).entries)
+                    xy = alg.wb.coords(commutator(x, mats[j]))
                     for acts in actions:
-                        acc = commutator(acts[i], acts[j]).scale(Q(-1))
-                        for pos, c in xy.items():
-                            acc = acc + acts[pos].scale(c)
-                        assert acc.is_zero()
+                        acc = lin(
+                            (-1, commutator(acts[i], acts[j])),
+                            *((c, acts[pos]) for pos, c in xy.items()),
+                        )
+                        assert acc == {}
     elapsed = time.monotonic() - t0
     report_line(4, "module weight tables and module axiom, n=2..5", elapsed, 30)
     assert elapsed < 30.0
@@ -259,13 +251,6 @@ def test_criterion_5_coordinate_suite(preset):
     t0 = time.monotonic()
     q = get_quad(preset)
     assert validate_quadruple(q)["valid"]
-
-    def lin(*terms):
-        # sum c * v over the (c, v) pairs of entry dicts, as stored
-        out = {}
-        for c, v in terms:
-            add_scaled(out, v, c)
-        return {lab: scalar(x) for lab, x in out.items()}
 
     def b_mul(q, x, y):
         return lin((1, _bilinear(q.b_table, x, y)))
@@ -308,8 +293,8 @@ def test_criterion_5_coordinate_suite(preset):
                 f1, f2 = (q.f_table.get(l, {}) for l in [(lc, lcp), (lcp, lc)])
                 dia = lin((Q(1, 2), f1), (Q(-1, 2), f2))
                 heart = lin((Q(1, 2), f1), (Q(1, 2), f2))
-                assert apply(q.star.entries, dia) == dia
-                assert apply(q.star.entries, heart) == lin((-1, heart))
+                assert apply(q.star, dia) == dia
+                assert apply(q.star, heart) == lin((-1, heart))
     elapsed = time.monotonic() - t0
     print(f"ACCEPTANCE 5[{preset}]: PASS  coordinate suite at ell=4  ({elapsed:.2f}s < 60s)")
     assert elapsed < 60.0

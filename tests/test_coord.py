@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from dictmat import lin, transpose
 
 from fractions import Fraction as Q
 
@@ -27,12 +28,10 @@ from rootgraded.coord import (
 )
 from rootgraded.exactla import (
     QuotientSpace,
-    SparseMatrix,
-    add_scaled,
+    ShapeError,
     apply,
     columns,
     rref,
-    scalar,
     tensor_space,
 )
 from rootgraded.liealg import FormedSpace
@@ -74,24 +73,10 @@ def ev(lab):
     return {lab: 1}
 
 
-def lin(*terms):
-    """sum c * v over the (c, v) pairs of entry dicts, as stored: every
-    value through ``scalar``, the zeros dropped."""
-    out = {}
-    for c, v in terms:
-        add_scaled(out, v, c)
-    return {lab: scalar(x) for lab, x in out.items()}
-
-
-def on_b(q, entries):
-    """The linear map of b with these entries."""
-    return SparseMatrix(q.b_space, q.b_space, entries)
-
-
 def derivation(spec, ell, x, y):
     """d^ell_{x,y}: the derivation that {b,b}_ell forms for the tensor x (x) y."""
     bb = bb_for(spec, ell)
-    return on_b(bb.q, bb.derivation_of(bb.pair_tensor(x, y)))
+    return bb.derivation_of(bb.pair_tensor(x, y))
 
 
 # products read off the structure constants ``mult``, ``action`` and
@@ -114,7 +99,7 @@ def b_mul(q, x, y):
 
 
 def star(q, v):
-    return apply(q.star.entries, v)
+    return apply(q.star, v)
 
 
 def split_b(q, x):
@@ -139,6 +124,18 @@ def scalar_quadruple(qtype):
     )
 
 
+def test_star_is_read_on_a_only():
+    # star is an entry dict over a x a: a label outside a is refused, and
+    # an integral Fraction is stored as an int
+    args = ("A", ["one"], {("one", "one"): {"one": 1}}, {"one": 1})
+    with pytest.raises(ShapeError, match="not in space"):
+        CoordinateQuadruple(*args, {("one", "c:0"): 1})
+    with pytest.raises(ShapeError, match="not in space"):
+        CoordinateQuadruple(*args, {("two", "one"): 1})
+    q = CoordinateQuadruple(*args, {("one", "one"): Q(2, 2)})
+    assert q.star == {("one", "one"): 1} and type(q.star["one", "one"]) is int
+
+
 @pytest.mark.parametrize("spec", PRESET_SPECS)
 def test_presets_validate(spec):
     report = validate_quadruple(quad(spec))
@@ -150,7 +147,7 @@ def test_clifford_quadruple_of_the_o_b_form_validates(n):
     # the form of o_B(n) pairs v:i with vb:i, so its Clifford algebra is not
     # the diagonal one of the preset
     nat = FormedSpace("B", n)
-    q = clifford_quadruple(nat.space.labels, nat.gram.entries, name="o_B")
+    q = clifford_quadruple(nat.space.labels, nat.gram, name="o_B")
     assert validate_quadruple(q)["valid"]
     v1, vb1 = ev("v:1"), ev("vb:1")
     assert a_mul(q, v1, vb1) == lin((2, q.unit))
@@ -398,7 +395,7 @@ def _table_quadruple(source):
     and a preset, that preset read back from its JSON form."""
     if source == "o_B(3)":
         nat = FormedSpace("B", 3)
-        return clifford_quadruple(nat.space.labels, nat.gram.entries, name=source)
+        return clifford_quadruple(nat.space.labels, nat.gram, name=source)
     if source.startswith("json:"):
         return quadruple_from_json(quadruple_to_json(quad(source[5:])))
     return quad(source)
@@ -424,7 +421,7 @@ def test_b_table_is_the_structured_product(source):
                 expected = q.action.get((x, y), {})
             else:
                 # e_x e_y = e_y*.e_x, e_y* being column y of star
-                star_y = {r: v for (r, l), v in q.star.entries.items() if l == y}
+                star_y = {r: v for (r, l), v in q.star.items() if l == y}
                 expected = c_act(q, star_y, ev(x))
             assert q.b_table.get((x, y), {}) == expected, (x, y)
 
@@ -473,8 +470,7 @@ def test_derivation_type_d_is_zero():
     q = quad(spec)
     for l1 in q.b_space.labels:
         for l2 in q.b_space.labels:
-            d = derivation(spec, 4, ev(l1), ev(l2))
-            assert d.is_zero()
+            assert derivation(spec, 4, ev(l1), ev(l2)) == {}
 
 
 def test_derivation_type_a_example():
@@ -482,7 +478,7 @@ def test_derivation_type_a_example():
     q = quad("matrix:k=2")
     x, y = ev("m:0,0"), ev("m:0,1")
     d = derivation("matrix:k=2", 5, x, y)
-    out = apply(d.entries, ev("m:1,0"))
+    out = apply(d, ev("m:1,0"))
     expected = lin((Q(1, 6), ev("m:0,0")), (Q(-1, 6), ev("m:1,1")))
     assert out == expected
 
@@ -492,7 +488,7 @@ def test_derivation_vanishes_on_equal_a_inputs(spec):
     q = quad(spec)
     for lab in q.a_space.labels:
         v = ev(lab)
-        assert derivation(spec, 4, v, v).is_zero()
+        assert derivation(spec, 4, v, v) == {}
 
 
 @pytest.mark.parametrize("spec", PRESET_SPECS)
@@ -502,13 +498,13 @@ def test_derivation_is_a_derivation_of_b(spec):
     pairs = [(l1, l2) for l1 in labs for l2 in labs]
     for l1, l2 in pairs:
         d = derivation(spec, 4, ev(l1), ev(l2))
-        if d.is_zero():
+        if not d:
             continue
         for x_lab in labs:
             for y_lab in labs:
                 x, y = ev(x_lab), ev(y_lab)
-                lhs = apply(d.entries, b_mul(q, x, y))
-                dx, dy = apply(d.entries, x), apply(d.entries, y)
+                lhs = apply(d, b_mul(q, x, y))
+                dx, dy = apply(d, x), apply(d, y)
                 rhs = lin((1, b_mul(q, dx, y)), (1, b_mul(q, x, dy)))
                 assert lhs == rhs, (spec, l1, l2, x_lab, y_lab)
 
@@ -552,7 +548,7 @@ def _explicit_derivation(q, ell, x, y):
             c = ev(lab)
             f_terms = lin((1, c_act(q, f_val(q, c, c2), c1)), (1, c_act(q, f_val(q, c, c1), c2)))
             add_col(lab, lin((Q(-1, 2), f_terms)))
-    return SparseMatrix(q.b_space, q.b_space, cols)
+    return lin((1, cols))
 
 
 @pytest.mark.parametrize("spec", PRESET_SPECS + ["matrix_hermitian:k=2,m=4"])
@@ -596,17 +592,16 @@ def test_tensor_derivation_is_the_sum_of_the_pair_derivations(spec):
     ]
     live = False
     for t in [*bb.relations.rows, *randoms]:
-        d_sum = SparseMatrix.zero(q.b_space, q.b_space)
-        z_sum = {}
+        d_sum, z_sum = {}, {}
         for lab, coeff in t.items():
             x, y = (ev(l) for l in lab)
             d = _explicit_derivation(q, bb.ell, x, y)
-            assert bb.derivation_of({lab: 1}) == d.entries, lab
-            d_sum = d_sum + d.scale(coeff)
+            assert bb.derivation_of({lab: 1}) == d, lab
+            d_sum = lin((1, d_sum), (coeff, d))
             z_sum = lin((1, z_sum), (kappa * coeff, beta_star(q, x, y)))
-        assert bb.derivation_of(t) == d_sum.entries, t
+        assert bb.derivation_of(t) == d_sum, t
         assert bb.inner_of(t) == z_sum, t
-        live = live or not d_sum.is_zero()
+        live = live or d_sum != {}
     assert live == (q.qtype != "D")
 
 
@@ -628,13 +623,13 @@ def test_coset_derivations_cover_every_tensor_label(spec):
     q = bb.q
     assert list(bb.derivations) == list(bb.quotient.coset_labels)
     for f, d in bb.derivations.items():
-        assert d == _explicit_derivation(q, bb.ell, *(ev(l) for l in f)).entries
+        assert d == _explicit_derivation(q, bb.ell, *(ev(l) for l in f))
     for lab in bb.tensor.labels:
         e = ev(lab)
-        combination = SparseMatrix.zero(q.b_space, q.b_space)
-        for f, c in bb.quotient.relations.reduce(e).items():
-            combination = combination + on_b(q, bb.derivations[f]).scale(c)
-        assert bb.derivation_of(e) == combination.entries, lab
+        combination = lin(
+            *((c, bb.derivations[f]) for f, c in bb.quotient.relations.reduce(e).items())
+        )
+        assert bb.derivation_of(e) == combination, lab
 
 
 def test_relation_generators_scalar_type_a():
@@ -841,10 +836,10 @@ def test_dual_stability_matches_image_and_reduce(spec):
     for k in (bb.relations, rref(_fewer_relations(relation_generators)(q), bb.tensor)):
         quotient = QuotientSpace(bb.tensor, k)
         for lab in quotient.coset_labels:
-            d = on_b(q, bb.derivation_of({lab: 1}))
-            rows = columns(d.transpose().entries)
+            d = bb.derivation_of({lab: 1})
+            rows = columns(transpose(d))
             dual = quotient.first_escape(lambda phi: coord._pair_action(rows, phi))
-            cols = columns(d.entries)
+            cols = columns(d)
             images = (coord._pair_action(cols, g) for g in k.rows)
             reference = next((i for i, img in enumerate(images) if not k.contains(img)), None)
             assert dual == reference, lab
@@ -862,7 +857,7 @@ def test_full_homology_catches_a_noncentral_homology_element(monkeypatch):
     # every coset derivation, FH is the cosets of coefficient sum 0, and the
     # identity acts on each of them by 2, not 0
     bb = bb_for("matrix:k=2")
-    ident = SparseMatrix.identity(bb.q.b_space).entries
+    ident = {(lab, lab): 1 for lab in bb.q.b_space.labels}
     monkeypatch.setattr(bb, "derivations", {lab: ident for lab in bb.derivations})
     with pytest.raises(InternalConsistencyError) as exc:
         full_homology(bb)
@@ -967,6 +962,14 @@ def test_check_uniform_rejects_non_homology_span():
         check_uniform(bb, [outside], fh=fh)
 
 
+def test_check_uniform_reads_an_explicit_zero_as_no_entry():
+    # {f: 0} is the zero vector, which lies in FH: K is 0, as for K = []
+    bb = bb_for("matrix:k=2")
+    fh = full_homology(bb)
+    zero = {bb.quotient.coset_labels[0]: 0}
+    assert check_uniform(bb, [zero], fh=fh) == check_uniform(bb, [], fh=fh)
+
+
 def test_quadruple_json_roundtrip(tmp_path):
     q = quad("matrix_hermitian:k=2,m=2")
     data = quadruple_to_json(q)
@@ -1040,6 +1043,6 @@ def test_cross_check_uses_derivations_at_second_ell(spec, monkeypatch):
     differs = False
     for lab, d7 in bb7.derivations.items():
         x, y = (ev(l) for l in lab)
-        assert d7 == _explicit_derivation(q, 7, x, y).entries
+        assert d7 == _explicit_derivation(q, 7, x, y)
         differs |= d7 != bb.derivations[lab]
     assert differs

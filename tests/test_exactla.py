@@ -3,16 +3,15 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from dictmat import lin, trace, transpose
 
 from rootgraded.exactla import (
     BasedSpace,
     QuotientSpace,
     ShapeError,
     SparseMatrix,
-    add_scaled,
     apply,
     clean,
-    kernel,
     kernel_of_rows,
     q_parse,
     q_str,
@@ -29,14 +28,6 @@ S3 = BasedSpace(["x", "y", "z"])
 def vec(space, *coords):
     """The entry dict of the vector with these coordinates, zeros left out."""
     return {lab: scalar(Q(c)) for lab, c in zip(space.labels, coords) if c}
-
-
-def combo(*terms):
-    """sum c * v over the (c, v) pairs, as a stored entry dict."""
-    out = {}
-    for c, v in terms:
-        add_scaled(out, v, c)
-    return {lab: scalar(x) for lab, x in out.items()}
 
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -95,9 +86,9 @@ def _one_dim_quadruple(**tables):
         lambda: _one_dim_quadruple(mult={("one", "one"): {"one": 1.0}}),
         lambda: rref([{"x": 1, "y": 0.5}], S2),
         lambda: SparseMatrix(S2, S2, {("x", "y"): 2.0}),
-        lambda: SparseMatrix.identity(S2).scale(1.0),
+        lambda: _one_dim_quadruple(star={("one", "one"): 1.0}),
     ],
-    ids=["vector entry", "integral vector entry", "rref row", "matrix entry", "matrix scale"],
+    ids=["vector entry", "integral vector entry", "rref row", "matrix entry", "star entry"],
 )
 def test_float_scalars_are_refused(make):
     # a float's binary expansion is not the rational it was meant to be
@@ -185,17 +176,15 @@ def test_rref_is_canonical():
 
 
 def test_kernel_identity_and_zero():
-    ident = SparseMatrix.identity(S3)
-    assert kernel(ident).dim == 0
-    zero = SparseMatrix.zero(S3, S3)
-    assert kernel(zero).dim == 3
+    # the kernel of a matrix is the common nullspace of its rows
+    assert kernel_of_rows([{lab: 1} for lab in S3.labels], S3).dim == 0
+    assert kernel_of_rows([], S3).dim == 3
+    assert kernel_of_rows([{}, {"x": 0}], S3).dim == 3
 
 
 def test_kernel_sum_map():
     # (x, y) |-> x + y on Q^2, kernel = span{(1, -1)} solved by hand.
-    cod = BasedSpace(["t"])
-    m = SparseMatrix(S2, cod, {("t", "x"): Q(1), ("t", "y"): Q(1)})
-    k = kernel(m)
+    k = kernel_of_rows([{"x": 1, "y": 1}], S2)
     assert k.dim == 1
     assert k.contains(vec(S2, 1, -1))
 
@@ -206,14 +195,11 @@ def test_rank_nullity_and_kernel_exactness():
         ("y", "x"): Q(2), ("y", "y"): Q(4), ("y", "z"): Q(6),
         ("z", "x"): Q(0), ("z", "y"): Q(1), ("z", "z"): Q(1),
     }
-    m = SparseMatrix(S3, S3, entries)
-    k = kernel(m)
-    row_rank = rref(
-        [{c: v for (r2, c), v in entries.items() if r2 == r} for r in S3.labels], S3
-    ).dim
-    assert row_rank + k.dim == 3
+    rows = [{c: v for (r2, c), v in entries.items() if r2 == r} for r in S3.labels]
+    k = kernel_of_rows(rows, S3)
+    assert rref(rows, S3).dim + k.dim == 3
     for b in k.rows:
-        assert apply(m.entries, b) == {}
+        assert apply(entries, b) == {}
 
 
 def test_quotient_projects_relations_to_zero():
@@ -239,9 +225,9 @@ def test_quotient_project_idempotent_and_linear():
     pv = project(v)
     # the representative lies on the coset labels, and is its own
     assert pv.keys() <= set(q.coset_labels) and project(pv) == pv
-    assert project(combo((1, v), (1, w))) == combo((1, pv), (1, project(w)))
-    assert project(combo((Q(7, 2), v))) == combo((Q(7, 2), pv))
-    assert all(normalized(project(x)) for x in (v, combo((Q(1, 2), w))))
+    assert project(lin((1, v), (1, w))) == lin((1, pv), (1, project(w)))
+    assert project(lin((Q(7, 2), v))) == lin((Q(7, 2), pv))
+    assert all(normalized(project(x)) for x in (v, lin((Q(1, 2), w))))
 
 
 @settings(max_examples=25)
@@ -249,7 +235,7 @@ def test_quotient_project_idempotent_and_linear():
 def test_trace_ab_equals_trace_ba(a, b, c, d):
     m1 = SparseMatrix(S2, S2, {("x", "x"): Q(a), ("x", "y"): Q(b), ("y", "x"): Q(c), ("y", "y"): Q(d)})
     m2 = SparseMatrix(S2, S2, {("x", "x"): Q(d), ("x", "y"): Q(a), ("y", "x"): Q(b), ("y", "y"): Q(c)})
-    assert (m1 @ m2).trace() == (m2 @ m1).trace()
+    assert trace((m1 @ m2).entries) == trace((m2 @ m1).entries)
 
 
 def test_matrix_apply_and_compose():
@@ -287,6 +273,16 @@ def test_subspace_coordinates():
     # a label outside the ambient space is never a pivot: it is left over
     with pytest.raises(ShapeError):
         sub.coordinates({"x": 1, "z": 1, "w": 1})
+
+
+def test_subspace_reads_an_explicit_zero_as_no_entry():
+    # {x: 1, y: 0} is the vector x: it lies in span{x}, has residual 0 and
+    # coordinate 1; a zero at a pivot label is no coordinate either
+    sub = rref([{"x": 1}], S2)
+    assert sub.contains({"x": 1, "y": 0})
+    assert sub.reduce({"x": 1, "y": 0}) == {} and sub.reduce({"y": 0}) == {}
+    assert sub.coordinates({"x": 1, "y": 0}) == {0: 1}
+    assert sub.coordinates({"x": 0}) == {}
 
 
 # -- dense oracle ------------------------------------------------------------
@@ -437,7 +433,7 @@ def subspace_and_map(draw):
         for r in range(n)
         for c in range(n)
     }
-    return space, rows, SparseMatrix(space, space, entries)
+    return space, rows, lin((1, entries))
 
 
 @settings(max_examples=200, deadline=None)
@@ -447,9 +443,9 @@ def test_dual_stability_matches_image_and_reduce(case):
     k = rref([sparse(r, space) for r in rows], space)
     quotient = QuotientSpace(space, k)
     # the reference: reduce the image of each relation row in turn
-    reference = next((i for i, g in enumerate(k.rows) if not k.contains(apply(m.entries, g))), None)
-    mt = m.transpose()
-    dual = quotient.first_escape(lambda phi: apply(mt.entries, phi))
+    reference = next((i for i, g in enumerate(k.rows) if not k.contains(apply(m, g))), None)
+    mt = transpose(m)
+    dual = quotient.first_escape(lambda phi: apply(mt, phi))
     assert dual == reference
 
     # one functional per coset label, dual to the coset labels, killing K

@@ -7,6 +7,7 @@ from fractions import Fraction as Q
 from itertools import combinations
 
 import pytest
+from dictmat import lin
 
 import rootgraded.graded as graded
 from rootgraded import cli
@@ -19,7 +20,7 @@ from rootgraded.coord import (
     parse_preset_spec,
     validate_quadruple,
 )
-from rootgraded.exactla import BasedSpace, SparseMatrix, add_scaled, apply, q_str, scalar
+from rootgraded.exactla import SparseMatrix, apply, q_str
 from rootgraded.graded import (
     ModelError,
     build_model,
@@ -34,15 +35,6 @@ from rootgraded.liealg import build_algebra, d_uw, truncation_idempotent, v_ops
 from rootgraded.rootsys import Root, generate, root_str
 
 _CACHE = {}
-
-
-def lin(*terms):
-    """sum c * v over the (c, v) pairs of entry dicts, as stored: every
-    value through ``scalar``, the zeros dropped."""
-    out = {}
-    for c, v in terms:
-        add_scaled(out, v, c)
-    return {lab: scalar(x) for lab, x in out.items()}
 
 
 def model(family, n, ell, preset, k="zero", override=False):
@@ -669,14 +661,23 @@ def test_level_transition_type_d_collapses():
 def _level_op_without_factor(m, lam, space):
     # J_lambda - J_0: the m0/|lambda| factor dropped
     j_lam = truncation_idempotent(space, lam)
-    return j_lam - truncation_idempotent(space, range(1, m.m0 + 1))
+    return lin((1, j_lam), (-1, truncation_idempotent(space, range(1, m.m0 + 1))))
 
 
 def _level_op_j0_on_all_indices(m, lam, space):
     # J_0 built on all n indices instead of I_0
     j_lam = truncation_idempotent(space, lam)
     j_0 = truncation_idempotent(space, range(1, m.n + 1))
-    return j_lam.scale(Q(m.m0, len(lam))) - j_0
+    return lin((Q(m.m0, len(lam)), j_lam), (-1, j_0))
+
+
+_LEVEL_OP = graded._level_op
+
+
+def _level_op_not_form_compatible(m, lam, space):
+    # plus e_{v:1,v:2}: still nonzero and traceless, but op^T G = G op
+    # fails, which only the two compositions of the check can see
+    return lin((1, _LEVEL_OP(m, lam, space)), (1, {("v:1", "v:2"): 1}))
 
 
 @pytest.mark.parametrize("added", [1, 2])
@@ -685,8 +686,9 @@ def _level_op_j0_on_all_indices(m, lam, space):
     [
         (_level_op_without_factor, "level operator nonzero, traceless, form-compatible"),
         (_level_op_j0_on_all_indices, "correction vanishes at lambda = I_0"),
+        (_level_op_not_form_compatible, "level operator nonzero, traceless, form-compatible"),
     ],
-    ids=["no-factor", "j0-on-all-n"],
+    ids=["no-factor", "j0-on-all-n", "not-form-compatible"],
 )
 def test_level_transition_checks_can_fail(monkeypatch, mutant, check, added):
     # BC n5 l4 has n > m0, so J_0 on all n indices differs from J_0 on I_0.
@@ -778,7 +780,7 @@ def _type_b_quadruple(spec):
         return _dual_clifford_quadruple()
     if spec.startswith("o_B"):
         nat = build_algebra("B", int(spec[4:-1])).nat
-        return clifford_quadruple(nat.space.labels, nat.gram.entries, name=spec)
+        return clifford_quadruple(nat.space.labels, nat.gram, name=spec)
     return parse_preset_spec(spec)
 
 
@@ -807,9 +809,9 @@ def test_type_b_derivations_kill_the_a_part(monkeypatch, spec):
 def _basis_key(m, i):
     kind, key = m.basis[i]
     if kind == "g":
-        return ("g", tuple(sorted(m.G.wb.basis_mats[key[0]].entries.items())), key[1])
+        return ("g", tuple(sorted(m.G.wb.basis_mats[key[0]].items())), key[1])
     if kind == "s":
-        return ("s", tuple(sorted(m.smod.basis_mats[key[0]].entries.items())), key[1])
+        return ("s", tuple(sorted(m.smod.basis_mats[key[0]].items())), key[1])
     if kind == "v":
         return ("v", m.G.space.labels[key[0]], key[1])
     return ("d", m.dpart.coset_space.labels[key[0]])
@@ -841,9 +843,9 @@ def test_lambda_subalgebra_closure_intermediate():
             keep.append(i)
             continue
         if kind == "g":
-            labs = {lab for pair in m.G.wb.basis_mats[key[0]].entries for lab in pair}
+            labs = {lab for pair in m.G.wb.basis_mats[key[0]] for lab in pair}
         elif kind == "s":
-            labs = {lab for pair in m.smod.basis_mats[key[0]].entries for lab in pair}
+            labs = {lab for pair in m.smod.basis_mats[key[0]] for lab in pair}
         else:
             labs = {m.G.space.labels[key[0]]}
         if {int(l.split(":")[1]) for l in labs} <= lam:
@@ -1025,6 +1027,18 @@ def test_integral_scalars_are_ints(monkeypatch, config):
     mats = [x for kind in _matrix_kinds(m).values() for x in kind.mats]
     assert mats
     assert all(_is_stored_scalar(c) for x in mats for c in x.values())
+    # every matrix the build holds is a plain entry dict of nonzero stored
+    # values: the basis matrices, the Cartan, the Gram matrix, J_0, star and
+    # the level operator, at a lambda one index past I_0
+    lam = frozenset(range(1, m.m0 + 2))
+    held = [*m.G.wb.basis_mats, *m.G.cartan, m.idem0, m.quadruple.star]
+    held += [graded._level_op(m, lam, m.G.space)]
+    held += [m.G.nat.gram] if m.G.nat.gram is not None else []
+    held += m.smod.basis_mats if m.smod is not None else []
+    assert all(
+        type(x) is dict and all(_is_stored_scalar(c) and c != 0 for c in x.values())
+        for x in held
+    )
     assert any(type(c) is int for row in m.table.values() for c in row.values())
     # the entry dicts {b,b}_ell forms, and the outputs of the matrix-side ops
     # other than the products (d_uw on B, v_ops on BC), hold no 0 either
@@ -1179,7 +1193,7 @@ def test_support_index_is_sound(config):
             for i, x in enumerate(k1.mats):
                 for j, y in enumerate(k2.mats):
                     if (i, j) not in products:
-                        assert (_as_matrix(m, x) @ _as_matrix(m, y)).is_zero()
+                        assert (_as_matrix(m, x) @ _as_matrix(m, y)).entries == {}
     assert m.table == _reference_table(m)
 
 
