@@ -15,7 +15,7 @@ results can be shared freely.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 Q = Fraction
 
@@ -338,7 +338,7 @@ class QuotientSpace:
     coset vector and its ambient representative.
     """
 
-    __slots__ = ("ambient", "relations", "coset_labels", "coset_space", "_annihilator")
+    __slots__ = ("ambient", "relations", "coset_labels", "coset_space")
 
     def __init__(self, ambient: BasedSpace, relations: Subspace):
         if relations.ambient != ambient:
@@ -350,49 +350,7 @@ class QuotientSpace:
             lab for j, lab in enumerate(ambient.labels) if j not in pivot_set
         )
         self.coset_space = BasedSpace(self.coset_labels)
-        self._annihilator = None
 
     @property
     def dim(self) -> int:
         return len(self.coset_labels)
-
-    def annihilator(self) -> dict[Hashable, dict[Hashable, Fraction]]:
-        """The functionals that vanish on the relations, in the basis dual to
-        the coset labels: {f: pi_f}, built on first use.
-
-        Each relation row is g_p = e_p + sum_f c_pf e_f over the coset
-        labels f, so pi_f = e_f* - sum_p c_pf e_p* kills every g_p, and
-        pi_f(e_f') = delta_ff'.  There is one pi_f per coset label, as many
-        as the codimension of the relations: they are a basis.
-        """
-        if self._annihilator is None:
-            pis = {f: {f: 1} for f in self.coset_labels}
-            labels = self.ambient.labels
-            for p, row in zip(self.relations.pivots, self.relations.rows):
-                for f, c in row.items():
-                    if f != labels[p]:
-                        pis[f][labels[p]] = -c
-            self._annihilator = pis
-        return self._annihilator
-
-    def first_escape(self, pull_back: Callable[[dict], dict]) -> int | None:
-        """The index of the first relation row that a linear map A of the
-        ambient space takes outside the relations, or None when A keeps
-        them.  ``pull_back(phi)`` is phi o A as a new {label: coefficient}
-        dict, for a functional phi given the same way.
-
-        A functional psi vanishes on the relations iff it equals
-        sum_f psi(e_f) pi_f, and the residual psi - sum_f psi(e_f) pi_f is
-        zero on every e_f and reads psi(g_p) at each pivot p.  With psi =
-        pi_f o A for every f, the residuals are nonzero at p exactly when
-        A g_p lies outside the relations: codim^2 residuals, no reduction.
-        """
-        pis = self.annihilator()
-        row_of_pivot = self.relations._row_of_pivot
-        escapes = set()
-        for pi in pis.values():
-            psi = pull_back(pi)
-            for f, v in [(lab, v) for lab, v in psi.items() if lab in pis]:
-                add_scaled(psi, pis[f], -v)
-            escapes.update(row_of_pivot[lab] for lab in psi)
-        return min(escapes, default=None)

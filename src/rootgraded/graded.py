@@ -30,7 +30,6 @@ from .coord import (
     _bilinear,
     build_bb,
     check_uniform,
-    clifford_quadruple,
     full_homology,
 )
 from .exactla import (
@@ -609,28 +608,6 @@ def build_model(
     override_bounds: bool = False,
 ) -> GradedModel:
     return GradedModel(family, n, ell, quadruple, k_span, override_bounds)
-
-
-def derivation_span_equals_oB(n: int) -> tuple[bool, int, int]:
-    """D_{V,V} = o_B(n), read off the two Jordan derivations the type-B
-    bracket runs: for each pair u < w of basis vectors of V, the derivation
-    of the Clifford quadruple of V's form (its ``label_part`` (u, w), all
-    of it on type B) leaves the unit out and is ``d_uw`` on V, and these
-    span o_B(n) inside gl(V)."""
-    G = build_algebra("B", n)
-    nat = G.nat
-    q = clifford_quadruple(nat.space.labels, nat.gram, name=f"o_B({n})")
-    labels = nat.space.labels
-    ok = True
-    span_vecs = []
-    for i, u in enumerate(labels):
-        for w in labels[i + 1 :]:
-            on_v = d_uw(nat, {u: 1}, {w: 1})
-            # equal entries: d is d_uw on V and has no row or column at the unit
-            ok = ok and q.label_part((u, w)) == on_v
-            span_vecs.append(on_v)
-    span = rref(span_vecs, G.glsp)
-    return ok and span == G.wb.full, span.dim, G.dim
 
 
 # ---------------------------------------------------------------------------

@@ -254,15 +254,6 @@ def build_algebra(family: str, n: int) -> MatrixLieAlgebra:
     return MatrixLieAlgebra(family, n)
 
 
-def expected_dimension(family: str, n: int) -> int:
-    return {
-        "A": n * n - 1,
-        "B": 2 * n * n + n,
-        "C": 2 * n * n + n,
-        "D": 2 * n * n - n,
-    }[family]
-
-
 # ---------------------------------------------------------------------------
 # modules
 

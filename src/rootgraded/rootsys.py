@@ -172,14 +172,6 @@ def classify_lengths(system: RootSystem) -> dict[Root, str]:
     return out
 
 
-def semidivisible(system: RootSystem) -> RootSystem:
-    """Drop every root whose double is also a root; keep zero."""
-    kept = {r for r in system.roots if r.is_zero() or r.scale(2) not in system.roots}
-    kept.add(Root.zero())
-    family = "C" if system.family == "BC" else system.family
-    return RootSystem(family, system.n, kept)
-
-
 def _reflection_faults(roots: Iterable[Root]):
     """Yield a message for each pair (a, b) of ``roots``, a nonzero, whose
     pairing <b, a^vee> = 2(b, a)/(a, a) is not integral or whose reflection
@@ -202,17 +194,6 @@ def _reflection_faults(roots: Iterable[Root]):
             image = {i: cb.get(i, 0) - k * ca.get(i, 0) for i in ca.keys() | cb.keys()}
             if tuple(sorted((i, v) for i, v in image.items() if v)) not in keys:
                 yield f"reflection s_{a}({b}) leaves the system"
-
-
-def validate_root_system(system: RootSystem) -> list[str]:
-    """Check the root-system axioms; returns human-readable failures."""
-    failures = []
-    if Root.zero() not in system.roots:
-        failures.append("zero root missing")
-    for r in system.roots:
-        if -r not in system.roots:
-            failures.append(f"not closed under negation at {r}")
-    return failures + list(_reflection_faults(system.roots))
 
 
 def is_full_subsystem(subset: Iterable[Root], system: RootSystem) -> bool:

@@ -1,0 +1,63 @@
+"""Reference facts the tests compare the package against.
+
+Each is an independent statement of something the package's own checks
+rely on (a dimension formula, the root-system axioms, the semidivisible
+part of BC, the type-B derivation span), read only by tests.
+"""
+
+from rootgraded import graded
+from rootgraded.coord import clifford_quadruple
+from rootgraded.exactla import rref
+from rootgraded.liealg import build_algebra
+from rootgraded.rootsys import Root, RootSystem, _reflection_faults
+
+
+def expected_dimension(family: str, n: int) -> int:
+    return {
+        "A": n * n - 1,
+        "B": 2 * n * n + n,
+        "C": 2 * n * n + n,
+        "D": 2 * n * n - n,
+    }[family]
+
+
+def semidivisible(system: RootSystem) -> RootSystem:
+    """Drop every root whose double is also a root; keep zero."""
+    kept = {r for r in system.roots if r.is_zero() or r.scale(2) not in system.roots}
+    kept.add(Root.zero())
+    family = "C" if system.family == "BC" else system.family
+    return RootSystem(family, system.n, kept)
+
+
+def validate_root_system(system: RootSystem) -> list[str]:
+    """Check the root-system axioms; returns human-readable failures."""
+    failures = []
+    if Root.zero() not in system.roots:
+        failures.append("zero root missing")
+    for r in system.roots:
+        if -r not in system.roots:
+            failures.append(f"not closed under negation at {r}")
+    return failures + list(_reflection_faults(system.roots))
+
+
+def derivation_span_equals_oB(n: int) -> tuple[bool, int, int]:
+    """D_{V,V} = o_B(n), read off the two Jordan derivations the type-B
+    bracket runs: for each pair u < w of basis vectors of V, the derivation
+    of the Clifford quadruple of V's form (its ``label_part`` (u, w), all
+    of it on type B) leaves the unit out and is ``d_uw`` on V, read where
+    the bracket reads it (``graded.d_uw``), and these span o_B(n) inside
+    gl(V)."""
+    G = build_algebra("B", n)
+    nat = G.nat
+    q = clifford_quadruple(nat.space.labels, nat.gram, name=f"o_B({n})")
+    labels = nat.space.labels
+    ok = True
+    span_vecs = []
+    for i, u in enumerate(labels):
+        for w in labels[i + 1 :]:
+            on_v = graded.d_uw(nat, {u: 1}, {w: 1})
+            # equal entries: d is d_uw on V and has no row or column at the unit
+            ok = ok and q.label_part((u, w)) == on_v
+            span_vecs.append(on_v)
+    span = rref(span_vecs, G.glsp)
+    return ok and span == G.wb.full, span.dim, G.dim

@@ -11,6 +11,7 @@ from fractions import Fraction as Q
 
 import pytest
 from dictmat import commutator, lin, product, trace, transpose, unit
+from oracles import derivation_span_equals_oB, expected_dimension, validate_root_system
 
 from rootgraded.coord import (
     _bilinear,
@@ -25,7 +26,6 @@ from rootgraded.coord import (
 from rootgraded.exactla import apply
 from rootgraded.graded import (
     build_model,
-    derivation_span_equals_oB,
     subalgebra,
     verify_antisymmetry,
     verify_grading,
@@ -35,14 +35,12 @@ from rootgraded.graded import (
 from rootgraded.liealg import (
     build_algebra,
     build_module,
-    expected_dimension,
     label_weight,
 )
 from rootgraded.rootsys import (
     Root,
     classify_lengths,
     generate,
-    validate_root_system,
 )
 
 

@@ -650,32 +650,37 @@ def _left_multiplications(q):
 @pytest.mark.parametrize(
     "family,n,ell,preset,witness",
     [
-        ("C", "6", "5", "matrix_transpose:k=2", ["m:1,1", "m:1,0", "m:0,0", "m:1,0"]),
-        ("BC", "5", "4", "matrix_hermitian:k=2,m=2", ["c:1,1", "c:0,0", "m:0,0", "m:1,0"]),
+        ("C", "6", "5", "matrix_transpose:k=2", ("d(x*) = d(x)*", "(ii) ('m:1,1⊗m:1,0', 'm:0,0')")),
+        (
+            "BC", "5", "4", "matrix_hermitian:k=2,m=2",
+            ("d(x*) = d(x)*", "(ii) ('c:1,1⊗c:0,0', 'm:0,0')"),
+        ),
     ],
 )
 def test_derivation_suite_kills_left_multiplication(
     capsys, monkeypatch, family, n, ell, preset, witness
 ):
-    # beta* is 0 on every relation row here, so the build never reads the
-    # inner part of a relation row's derivation and passes the mutant; the
-    # derivation law on the coset derivations fails it
+    # beta* is 0 on every relation row here, so the first half of the
+    # well-defined check never reads the inner part of a relation row's
+    # derivation; L_z with z* = -z does not commute with *, so fact (ii)
+    # fails the build, before the derivation suite runs
     from rootgraded.coord import CoordinateQuadruple
 
     monkeypatch.setattr(CoordinateQuadruple, "ad_basis", _left_multiplications)
-    code, out = run_cli(
+    code, err = run_cli_err(
         capsys,
         "verify", "--family", family, "--n", n, "--ell", ell, "--preset", preset,
         "--suite", "derivation", "--samples", "0",
     )
-    assert code == 1
-    (check,) = json.loads(out)["checks"]
-    assert (check["name"], check["status"]) == ("derivation", "fail")
-    assert check["witnesses"][0] == witness
+    assert code == 3
+    assert err == "internal consistency error: coset derivation fails {}\nwitness: {}\n".format(
+        *witness
+    )
 
 
 def test_left_multiplication_fails_the_type_a_build(capsys, monkeypatch):
-    # on matrix:k=2 the mutant already breaks the invariance half of the build
+    # on matrix:k=2 star is the identity, so fact (ii) holds, and the mutant
+    # breaks the derivation law, fact (iii), at the first pair it reaches
     from rootgraded.coord import CoordinateQuadruple
 
     monkeypatch.setattr(CoordinateQuadruple, "ad_basis", _left_multiplications)
@@ -686,8 +691,44 @@ def test_left_multiplication_fails_the_type_a_build(capsys, monkeypatch):
     )
     assert code == 3
     assert err == (
-        "internal consistency error: bracket does not preserve the relation space\n"
-        "witness: ('m:1,0⊗m:0,1', 1*m:0,0⊗m:0,1 + 1*m:1,1⊗m:0,1)\n"
+        "internal consistency error: coset derivation fails d(xy) = d(x)y + x d(y)\n"
+        "witness: (iii) ('m:1,0⊗m:0,1', 'm:0,0', 'm:0,0')\n"
+    )
+
+
+def _c_into_a(real):
+    """A mutant of ``CoordinateQuadruple.label_part``: each column at a C
+    label also gets, at the first label of a, the sum of its entries, so
+    the f-term of a C (x) C label sends C into a."""
+
+    def mutant(q, lab):
+        part = real(q, lab)
+        out, a0 = dict(part), q.a_space.labels[0]
+        for (r, c), v in part.items():
+            if c in q.c_space:
+                out[a0, c] = out.get((a0, c), 0) + v
+        return {key: v for key, v in out.items() if v}
+
+    return mutant
+
+
+def test_a_derivation_that_sends_c_into_a_fails_the_build(capsys, monkeypatch):
+    # the f-term is 0 on every relation row, so the first half of the
+    # well-defined check passes the mutant; fact (i) fails it
+    from rootgraded.coord import CoordinateQuadruple
+
+    monkeypatch.setattr(
+        CoordinateQuadruple, "label_part", _c_into_a(CoordinateQuadruple.label_part)
+    )
+    code, err = run_cli_err(
+        capsys,
+        "verify", "--family", "BC", "--n", "5", "--ell", "4",
+        "--preset", "matrix_hermitian:k=2,m=2", "--suite", "derivation", "--samples", "0",
+    )
+    assert code == 3
+    assert err == (
+        "internal consistency error: coset derivation fails d(a) in a, d(C) in C\n"
+        "witness: (i) ('c:1,0⊗c:1,0', 'c:0,1')\n"
     )
 
 

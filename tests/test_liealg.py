@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 from dictmat import commutator, lin, product, trace, transpose, unit
+from oracles import derivation_span_equals_oB, expected_dimension
 
 from rootgraded import graded
 from rootgraded.coord import build_bb, parse_preset_spec
@@ -17,7 +18,6 @@ from rootgraded.exactla import (
     rref,
     scalar,
 )
-from rootgraded.graded import derivation_span_equals_oB
 from rootgraded.liealg import (
     DegenerateInputError,
     FormedSpace,
@@ -25,7 +25,6 @@ from rootgraded.liealg import (
     build_algebra,
     build_module,
     d_uw,
-    expected_dimension,
     label_weight,
     truncation_idempotent,
     v_ops,

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import semidivisible, validate_root_system
 
 from rootgraded.rootsys import (
     EXTRALONG,
@@ -13,8 +14,6 @@ from rootgraded.rootsys import (
     generate,
     is_full_subsystem,
     root_str,
-    semidivisible,
-    validate_root_system,
 )
 
 
