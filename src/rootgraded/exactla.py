@@ -6,10 +6,9 @@ exact rationals: ``int`` when integral, ``fractions.Fraction`` otherwise;
 no floats.  ``scalar`` is the one normalizer every stored entry passes
 through, so a Fraction with denominator 1 never stays one.  A vector is
 its entry dict {label: value} over a ``BasedSpace``, with no zero
-entries, and a matrix is its entry dict {(row, col): value}; the one
-matrix class only checks such a dict against its shapes to compose two
-maps.  No operation but ``add_scaled`` changes a dict it is given, so
-results can be shared freely.
+entries, and a matrix is its entry dict {(row, col): value}, which
+``apply`` applies to a vector.  No operation but ``add_scaled`` changes
+a dict it is given, so results can be shared freely.
 """
 
 from __future__ import annotations
@@ -144,6 +143,7 @@ def columns(entries: Mapping) -> dict:
     return cols
 
 
+# no caller in the package, but bench/tracing.py traces its __matmul__
 class SparseMatrix:
     """A matrix's entry dict checked against its shape, for one operation:
     the composition ``m @ p``, (m @ p)[r, c] = sum_t m[r, t] * p[t, c].

@@ -2,7 +2,7 @@
 
 A matrix is its entry dict {(row, col): value} and a vector its entry dict
 {label: value}, as in the package, which itself needs only
-``exactla.apply`` and the one composition ``SparseMatrix.__matmul__``.
+``exactla.apply``.
 Every result here is stored as the package stores it: each value through
 ``scalar``, the zeros dropped.
 """

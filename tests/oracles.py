@@ -2,13 +2,16 @@
 
 Each is an independent statement of something the package's own checks
 rely on (a dimension formula, the root-system axioms, the semidivisible
-part of BC, the type-B derivation span), read only by tests.
+part of BC, the type-B derivation span, the level operator's lemma), read
+only by tests.
 """
+
+from dictmat import lin, product, trace, transpose
 
 from rootgraded import graded
 from rootgraded.coord import clifford_quadruple
-from rootgraded.exactla import rref
-from rootgraded.liealg import build_algebra
+from rootgraded.exactla import ShapeError, rref
+from rootgraded.liealg import FormedSpace, build_algebra
 from rootgraded.rootsys import Root, RootSystem, _reflection_faults
 
 
@@ -61,3 +64,41 @@ def derivation_span_equals_oB(n: int) -> tuple[bool, int, int]:
             span_vecs.append(on_v)
     span = rref(span_vecs, G.glsp)
     return ok and span == G.wb.full, span.dim, G.dim
+
+
+def level_lemma_faults(m, level_op, added=None) -> list[str]:
+    """The facts of the lemma in ``graded.verify_level_transition`` that
+    fail for the level operator function ``level_op`` (model, lambda,
+    natural space) on the model m.  On the natural space at n, n + 1 and
+    n + 2 the operator must be 0 at lambda = I_0; at lambda = I_0 plus each
+    of ``added`` fresh indices (all of them by default) that the space
+    holds, it must be nonzero, traceless and form-compatible, and at n lie
+    in the span ``level_coset`` reads it from.  On B and D, beta* must have
+    no row."""
+    if m.family not in graded._LEVEL_TARGET:
+        return [f"beta* has a row {r!r}" for r in m.bb.beta_rows]
+    kind = m._kinds[graded._LEVEL_TARGET[m.family]]
+    faults = []
+    for size in (m.n, m.n + 1, m.n + 2):
+        nat = FormedSpace(m.G.family, size)
+        if level_op(m, frozenset(range(1, m.m0 + 1)), nat.space):
+            faults.append(f"n={size}: nonzero at I_0")
+        for k in added or range(1, size - m.m0 + 1):
+            if m.m0 + k > size:
+                continue
+            op = level_op(m, frozenset(range(1, m.m0 + k + 1)), nat.space)
+            where = f"n={size}, |lambda|={m.m0 + k}"
+            if not op:
+                faults.append(f"{where}: zero")
+            if trace(op):
+                faults.append(f"{where}: trace {trace(op)}")
+            if nat.gram is not None and product(transpose(op), nat.gram) != product(nat.gram, op):
+                faults.append(f"{where}: not form-compatible")
+            if size == m.n:
+                try:
+                    coords = kind.read_mat(op)
+                except ShapeError:
+                    coords = {}
+                if lin(*((c, kind.mats[i]) for i, c in coords.items())) != op:
+                    faults.append(f"{where}: outside the span level_coset reads")
+    return faults

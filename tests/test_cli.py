@@ -88,6 +88,35 @@ def test_verify_report_bytes_pinned(capsys, family, n, ell, preset, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "family,n,ell,preset,digest",
+    [
+        ("BC", "5", "4", "symplectic:m=2",
+         "62ba32ecca5103a897cd717adfb25958378fcbcd616ae7e83334388029a9b3d9"),
+        ("BC", "5", "4", "matrix_hermitian:k=2,m=2",
+         "9c156025c77bc203c77cae67f5ce34c552052bf73528727256d477937fbf1668"),
+        ("A", "6", "5", "matrix:k=2",
+         "aba2d8c5e140075d59eda403619ff40a3e2ebac4aa0f27f6814bb571ce12bc01"),
+        ("D", "7", "5", "group_ring:m=3",
+         "a695b513541fa995c94dc323cf5b80e00a357f025d57085fb0a14e1950423e3a"),
+        ("B", "6", "5", "clifford:d=2",
+         "6465d0fcff4c51809fea58f15e5a61ca6902d998c7e3c1be6bc0a29d078c43e0"),
+        ("C", "6", "5", "matrix_transpose:k=2",
+         "9fddf1569804212f3ccbf8949d75f29bddebe8dffc0eaf1cdebbefd997fbdd26"),
+    ],
+)
+def test_transition_report_bytes_pinned(capsys, family, n, ell, preset, digest):
+    # the transition suite on the six headline models reports the lemma's
+    # verdict, with the bytes it had when it computed the level operator
+    code, out = run_cli(
+        capsys,
+        "verify", "--family", family, "--n", n, "--ell", ell, "--preset", preset,
+        "--suite", "transition", "--samples", "0", "--k", "zero",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_empty_suite_exits_2(capsys):
     code, _ = run_cli(
         capsys,

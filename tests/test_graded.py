@@ -8,6 +8,7 @@ from itertools import combinations
 
 import pytest
 from dictmat import lin
+from oracles import level_lemma_faults
 
 import rootgraded.graded as graded
 from rootgraded import cli
@@ -640,22 +641,45 @@ def test_level_coset_validates_subset():
 
 @pytest.mark.parametrize("added", [1, 2])
 def test_level_transition_bc(added):
+    # the entry the CLI prints: the lemma's verdict, and the size of lambda
     r = verify_level_transition(model("BC", 5, 4, "symplectic:m=2"), added)
-    assert r["status"] == "pass", r
+    assert r == {"status": "pass", "lambda_size": 4 + added, "witnesses": []}
 
 
 @pytest.mark.parametrize("added", [1, 2])
 def test_level_transition_type_a(added):
     r = verify_level_transition(model("A", 6, 5, "matrix:k=2"), added)
-    assert r["status"] == "pass", r
+    assert r == {"status": "pass", "lambda_size": 6 + added, "witnesses": []}
 
 
-def test_level_transition_type_d_collapses():
-    m = build_model("D", 6, 5, nilpotent_pair_quadruple(), "zero")
-    r = verify_level_transition(m, 1)
-    assert r["status"] == "pass"
-    names = [c["name"] for c in r["checks"]]
-    assert any("commutative" in n for n in names)
+def test_level_transition_refuses_no_added_index():
+    with pytest.raises(ModelError):
+        verify_level_transition(model("BC", 5, 4, "symplectic:m=2"), 0)
+
+
+# the models of the level lemma: the A, C and BC headline models (and A at
+# n = 7, where lambda past I_0 fits the truncation), every B and D preset,
+# and the nilpotent pair
+LEVEL_MODELS = [
+    ("BC", 5, 4, "symplectic:m=2"),
+    ("BC", 5, 4, "matrix_hermitian:k=2,m=2"),
+    ("A", 6, 5, "matrix:k=2"),
+    ("A", 7, 5, "matrix:k=2"),
+    ("C", 6, 5, "matrix_transpose:k=2"),
+    *(("B", 6, 5, f"clifford:d={d}") for d in (1, 2, 6)),
+    *(("D", 7, 5, f"group_ring:m={k}") for k in (1, 3, 8)),
+    ("D", 6, 5, "nilpotent_pair"),
+]
+
+
+@pytest.mark.parametrize("config", LEVEL_MODELS, ids=lambda c: " ".join(map(str, c)))
+def test_level_lemma(config):
+    # the lemma verify_level_transition reports, on real operators
+    if config[3] == "nilpotent_pair":
+        m = build_model(*config[:3], nilpotent_pair_quadruple(), "zero")
+    else:
+        m = model(*config)
+    assert level_lemma_faults(m, graded._level_op) == []
 
 
 def _level_op_without_factor(m, lam, space):
@@ -675,29 +699,25 @@ _LEVEL_OP = graded._level_op
 
 
 def _level_op_not_form_compatible(m, lam, space):
-    # plus e_{v:1,v:2}: still nonzero and traceless, but op^T G = G op
-    # fails, which only the two compositions of the check can see
+    # plus e_{v:1,v:2}: still traceless, but op^T G = G op fails, and it
+    # is no longer 0 at I_0
     return lin((1, _LEVEL_OP(m, lam, space)), (1, {("v:1", "v:2"): 1}))
 
 
 @pytest.mark.parametrize("added", [1, 2])
 @pytest.mark.parametrize(
-    "mutant,check",
-    [
-        (_level_op_without_factor, "level operator nonzero, traceless, form-compatible"),
-        (_level_op_j0_on_all_indices, "correction vanishes at lambda = I_0"),
-        (_level_op_not_form_compatible, "level operator nonzero, traceless, form-compatible"),
-    ],
+    "mutant",
+    [_level_op_without_factor, _level_op_j0_on_all_indices, _level_op_not_form_compatible],
     ids=["no-factor", "j0-on-all-n", "not-form-compatible"],
 )
-def test_level_transition_checks_can_fail(monkeypatch, mutant, check, added):
-    # BC n5 l4 has n > m0, so J_0 on all n indices differs from J_0 on I_0.
-    # _level_op x 7 still passes every check: it stays traceless,
-    # form-compatible and 0 at I_0; only the comparison of values in
-    # ROADMAP item 1 can see a scale
-    monkeypatch.setattr(graded, "_level_op", mutant)
-    r = verify_level_transition(model("BC", 5, 4, "symplectic:m=2"), added)
-    assert _check_status(r)[check] == "fail"
+def test_level_transition_checks_can_fail(mutant, added):
+    # the lemma's facts fail for each wrong formula, at lambda = I_0 plus
+    # ``added``.  BC n5 l4 has n > m0, so J_0 on all n indices differs from
+    # J_0 on I_0.  _level_op x 7 still satisfies the lemma: it stays
+    # traceless, form-compatible and 0 at I_0; only the comparison of
+    # values in ROADMAP item 7 can see a scale
+    m = model("BC", 5, 4, "symplectic:m=2")
+    assert level_lemma_faults(m, mutant, added=(added,)) != []
 
 
 @pytest.mark.parametrize(
