@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .exactla import (
@@ -578,6 +579,10 @@ def _fact_check(q: CoordinateQuadruple):
             right.setdefault(y, []).append((x, o, w))
 
     def check(d):
+        # each fact is homogeneous in d, so d times its common denominator
+        # has the same verdict and witness, in int arithmetic
+        denom = lcm(*(v.denominator for v in d.values()))
+        d = {k: v.numerator * (denom // v.denominator) for k, v in d.items()}
         crossing = [c for r, c in d if (r in a) != (c in a)]
         if crossing:
             return "(i)", "d(a) in a, d(C) in C", (min(crossing, key=pos),)

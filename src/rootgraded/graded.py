@@ -689,14 +689,14 @@ def _adjacency(m: GradedModel) -> tuple[list, list]:
     return near, reverse
 
 
-def _anchor_defects(adj, i: int) -> dict[tuple[int, int], dict[int, int]]:
+def _anchor_defects(adj, i: int, lo: int) -> dict[tuple[int, int], dict[int, int]]:
     """{(j, k): integer coordinates of the nonzero [x_i, [x_j, x_k]] +
-    [x_j, [x_k, x_i]] + [x_k, [x_i, x_j]]} for i < j < k (a repeated index
+    [x_j, [x_k, x_i]] + [x_k, [x_i, x_j]]} for lo <= j < k (a repeated index
     gives zero, as a pair's two directions hold a row and its negative).
     Each term walks the nonzero brackets it is built from, over ranges
-    found by bisection: the first the pairs j > i that hold a neighbour of
-    i, the others, read as -[x_j, [x_i, x_k]] and -[[x_i, x_j], x_k], the
-    neighbours x > i of i.  Each walk is one zip over slices of the flat
+    found by bisection: the first the pairs j >= lo that hold a neighbour
+    of i, the others, read as -[x_j, [x_i, x_k]] and -[[x_i, x_j], x_k], the
+    neighbours x >= lo of i.  Each walk is one zip over slices of the flat
     lists."""
     near, reverse = adj
     dim = len(near)
@@ -704,26 +704,26 @@ def _anchor_defects(adj, i: int) -> dict[tuple[int, int], dict[int, int]]:
     get = out.get
     ys, idxs, cs = near[i]
     dd = dim * dim
-    first = (i + 1) * dd
+    first = lo * dd
     for mid, idx, v in zip(ys, idxs, cs):
         bases, rcs = reverse[mid]
         t = bisect_left(bases, first)
         for base, c in zip(bases[t:], rcs[t:]):
             key = base + idx
             out[key] = get(key, 0) + c * v
-    start = bisect_right(ys, i)
+    start = bisect_left(ys, lo)
     for x, mid, c in zip(ys[start:], idxs[start:], cs[start:]):
         mys, midxs, mcs = near[mid]
-        # k = x: -[x_j, x_mid] c = [x_mid, x_j] c for i < j < x
-        lo, hi = bisect_left(mys, i + 1), bisect_left(mys, x)
+        # k = x: -[x_j, x_mid] c = [x_mid, x_j] c for lo <= j < x
+        low, hi = bisect_left(mys, lo), bisect_left(mys, x)
         xd = x * dim
-        for j, idx, v in zip(mys[lo:hi], midxs[lo:hi], mcs[lo:hi]):
+        for j, idx, v in zip(mys[low:hi], midxs[low:hi], mcs[low:hi]):
             key = j * dd + xd + idx
             out[key] = get(key, 0) + c * v
         # j = x: -[x_mid, x_k] c for k > x
-        lo = bisect_right(mys, x, hi)
+        low = bisect_right(mys, x, hi)
         xbase, c = x * dd, -c
-        for k, idx, v in zip(mys[lo:], midxs[lo:], mcs[lo:]):
+        for k, idx, v in zip(mys[low:], midxs[low:], mcs[low:]):
             key = xbase + k * dim + idx
             out[key] = get(key, 0) + c * v
     defects: dict[tuple[int, int], dict[int, int]] = {}
@@ -731,6 +731,131 @@ def _anchor_defects(adj, i: int) -> dict[tuple[int, int], dict[int, int]]:
         if v:
             defects.setdefault(divmod(key // dim, dim), {})[key % dim] = v
     return defects
+
+
+def _candidates(m: GradedModel) -> list[dict]:
+    """The candidate generators, signed permutations {label: (label',
+    sign)} of the natural labels (README, "exhaustive Jacobi"); type A
+    leaves index n out, as e_ii - e_nn is not monomial once n moves."""
+    kinds = ("v",) if m.family == "A" else ("v", "vb")
+    eps = -1 if m.family in ("C", "BC") else 1
+    out = []
+    for block in (range(1, m.m0 + 1), range(m.m0 + 1, m.n + 1)):
+        b = [i for i in block if m.family != "A" or i != m.n]
+        perms = [dict(zip(b[:2], b[1::-1])), dict(zip(b, b[1:] + b[:1]))][: min(len(b) - 1, 2)]
+        out += [{f"{k}:{i}": (f"{k}:{j}", 1) for k in kinds for i, j in p.items()} for p in perms]
+        if b and m.family != "A":
+            out.append({f"v:{b[0]}": (f"vb:{b[0]}", 1), f"vb:{b[0]}": (f"v:{b[0]}", eps)})
+    return out
+
+
+def _signed_map(m: GradedModel, relabel: dict):
+    """(sigma, lam), e_a -> lam[a] e_sigma[a], induced by ``relabel`` on G,
+    S and V (the coordinates and the D-part fixed); None where some basis
+    object is not sent to plus or minus one basis object."""
+    sigma, lam = list(range(m.dim)), [1] * m.dim
+    image_of = {lab: relabel.get(lab, (lab, 1)) for lab in m.G.space.labels}
+
+    def move(key):  # a matrix entry (row, col), or a natural-module label
+        if type(key) is not tuple:
+            return image_of[key]
+        (r, sr), (c, sc) = image_of[key[0]], image_of[key[1]]
+        return (r, c), sr * sc
+
+    for kind, (off, width, mats, *_readers) in m._kinds.items():
+        if kind == "d":
+            continue
+        position = {frozenset(x.items()): i for i, x in enumerate(mats)}
+        for i, x in enumerate(mats):
+            image = [(k, s * v) for k, v in x.items() for k, s in [move(k)]]
+            for sign in (1, -1):
+                j = position.get(frozenset((k, sign * v) for k, v in image))
+                if j is not None:
+                    break
+            else:
+                return None
+            at, to = off + i * width, off + j * width
+            sigma[at : at + width] = range(to, to + width)
+            lam[at : at + width] = [sign] * width
+    return sigma, lam
+
+
+def _preserves(adj, entries: dict, sigma: list, lam: list) -> bool:
+    """Whether e_a -> lam[a] e_sigma[a] maps each entry of ``_adjacency``'s
+    [x_a, x_y], a < y, to its image in ``entries`` ({(a * dim + y) * dim +
+    idx: c}, a < y); as a bijection on keys, it then keeps zero brackets."""
+    near = adj[0]
+    dim = len(near)
+    get = entries.get
+    for a, (ys, idxs, cs) in enumerate(near):
+        sa, la = sigma[a], lam[a]
+        t = bisect_right(ys, a)
+        for y, idx, c in zip(ys[t:], idxs[t:], cs[t:]):
+            sy, c = sigma[y], la * lam[y] * lam[idx] * c
+            key = (sa * dim + sy if sa < sy else sy * dim + sa) * dim + sigma[idx]
+            if get(key) != (c if sa < sy else -c):
+                return False
+    return True
+
+
+def _jacobi_anchors(m: GradedModel, adj) -> list[int] | None:
+    """The anchors X of a proof of Jacobi from the index symmetries, or None
+    where one of its premises fails.
+
+    Lemma (Humphreys, GTM 9, 10.3 and 12.1): given antisymmetry, the x with
+    ad x a derivation form a subalgebra D, which automorphisms keep.  With
+    README's five premises (pairs stored as a < b; kept generators preserve
+    the table; each nonzero-weight orbit holds an anchor or is reached by a
+    row of proved orbits with one entry outside them; grading (iii); no
+    defect J(x, y, z), x an anchor, y < z), D holds every index."""
+    if any(a >= b for a, b in m.table):
+        return None
+    entries = {b + idx: c for idx, (bases, cs) in enumerate(adj[1]) for b, c in zip(bases, cs)}
+    root = list(range(m.dim))  # union-find over the orbits, rooted at their least index
+
+    def find(a):
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        return a
+
+    for relabel in _candidates(m):
+        mapped = _signed_map(m, relabel)
+        if mapped and _preserves(adj, entries, *mapped):
+            for a, b in enumerate(mapped[0]):
+                ra, rb = find(a), find(b)
+                root[max(ra, rb)] = min(ra, rb)
+    del entries
+    by_weight = m.indices_by_weight()
+    zero_space, span, _ = _zero_weight_span(m, by_weight, [w for w in by_weight if not w.is_zero()])
+    if span.dim != zero_space.dim:
+        return None
+    orbit = [find(a) if not w.is_zero() else -1 for a, w in enumerate(m.weight_of)]
+    # the rows [x_r, x_y] of each orbit's least index r, y of nonzero weight,
+    # as (r, y's orbit, the orbits of the entries): the generators carry
+    # them onto the rows of every other index of the orbit
+    rows = set()
+    for r in set(orbit) - {-1}:
+        by_y: dict[int, list] = {}
+        for y, t, c in zip(*adj[0][r]):
+            if c:  # an entry stored as 0 is no entry
+                by_y.setdefault(y, []).append(orbit[t])
+        rows.update((r, orbit[y], tuple(sorted(ts))) for y, ts in by_y.items() if orbit[y] >= 0)
+    proved, anchors = set(), []
+    for x in sorted(set(orbit) - {-1}):
+        if x in proved:
+            continue
+        if _anchor_defects(adj, x, 0):
+            return None
+        anchors.append(x)
+        proved.add(x)
+        while reached := {
+            left[0]
+            for a, b, ts in rows
+            if a in proved and b in proved
+            and len(left := [t for t in ts if t not in proved]) == 1 and left[0] >= 0
+        }:
+            proved |= reached
+    return anchors
 
 
 def _triple_defect(table: dict, i: int, j: int, k: int) -> dict[int, Fraction]:
@@ -747,18 +872,21 @@ def _triple_defect(table: dict, i: int, j: int, k: int) -> dict[int, Fraction]:
 def verify_jacobi(m: GradedModel, strategy: dict) -> dict:
     """strategy: {"kind": "exhaustive_basis"} or {"kind": "random", "samples": n, "seed": s}.
 
-    Exhaustive runs ``_anchor_defects`` once per anchor i, random
-    ``_triple_defect`` once per draw.  ``triples`` counts the triples
-    covered up to the fifth witness, or all of them."""
+    Exhaustive first tries the proof from the index symmetries
+    (``_jacobi_anchors``); where it does not close, it runs
+    ``_anchor_defects`` once per index i over the triples i < j < k.
+    Random runs ``_triple_defect`` once per draw.  ``triples`` counts the
+    triples proved, or covered up to the fifth witness."""
     dim = m.dim
     kind = strategy.get("kind")
     if kind == "exhaustive_basis":
         count = total = dim * (dim + 1) * (dim + 2) // 6
         adj = _adjacency(m)
         # covered: all but the triples with i' > i, with (i, j' > j), with (i, j, k' > k)
-        found = (((i, j, k), d, total - (dim - i - 1) * (dim - i) * (dim - i + 1) // 6
-                  - (dim - j - 1) * (dim - j) // 2 - (dim - 1 - k))
-                 for i in range(dim) for (j, k), d in sorted(_anchor_defects(adj, i).items()))
+        found = () if _jacobi_anchors(m, adj) is not None else (
+            ((i, j, k), d, total - (dim - i - 1) * (dim - i) * (dim - i + 1) // 6
+             - (dim - j - 1) * (dim - j) // 2 - (dim - 1 - k))
+            for i in range(dim) for (j, k), d in sorted(_anchor_defects(adj, i, i + 1).items()))
     elif kind == "random":
         count = int(strategy["samples"])
         # no seed is needed when no triple is drawn
@@ -964,11 +1092,30 @@ class SubModel:
         ] + list(self.zero_part.rows)
         # each basis index's weight, classified once: 0 zero, 1 in S, 2 other
         where = [0 if w.is_zero() else 1 if w in self.s_roots else 2 for w in m.weight_of]
-        single = len(self.nonzero_indices)
+        indices = self.nonzero_indices
+        single = len(indices)
+        # [x_y, z] for each zero-weight row z and each index y of weight in
+        # S, summed from the table rows [x_y, x_t] = s * row in the order
+        # ``GradedModel.bracket`` sums them
+        by_t: dict[int, list] = {t: [] for t in self.zero_space.labels}
+        for (a, b), row in m.table.items():
+            for t, y, s in ((b, a, 1), (a, b, -1)):
+                if t in by_t and where[y] == 1:
+                    by_t[t].append((y, row, s))
+        ads: list[dict[int, dict]] = [{} for _ in self.zero_part.rows]
+        for ad, z in zip(ads, self.zero_part.rows):
+            for t, c in z.items():
+                for y, row, s in by_t[t]:
+                    add_scaled(ad.setdefault(y, {}), row, s * c)
         for a_pos, xa in enumerate(basis_rows):
             for b_pos, xb in enumerate(basis_rows[a_pos:], a_pos):
                 # [x_i, x_j] of two basis indices i <= j is their table row
-                acc = m.table.get((min(xa), min(xb)), {}) if b_pos < single else m.bracket(xa, xb)
+                if b_pos < single:
+                    acc = m.table.get((indices[a_pos], indices[b_pos]), {})
+                elif a_pos < single:
+                    acc = ads[b_pos - single].get(indices[a_pos], {})
+                else:
+                    acc = m.bracket(xa, xb)
                 zero_piece: dict[int, Fraction] = {}
                 for idx, c in acc.items():
                     if where[idx] == 0:

@@ -309,7 +309,7 @@ def test_exhaustive_jacobi_matches_naive_on_mutants(config, seed, mutation):
     found = {
         (i, j, k): sorted(defect)
         for i in range(m.dim)
-        for (j, k), defect in graded._anchor_defects(adj, i).items()
+        for (j, k), defect in graded._anchor_defects(adj, i, i + 1).items()
     }
     assert found == {ijk: w["defect_indices"] for _, ijk, w in bad}
 
@@ -320,6 +320,166 @@ def test_exhaustive_jacobi_matches_naive_on_a_fraction_mutant(mutation):
     # flat lists hold it as an integer over the lcm of the denominators,
     # which dividing by 3 moves from 2 to 6
     test_exhaustive_jacobi_matches_naive_on_mutants(("BC", 5, 4, "symplectic:m=2"), 0, mutation)
+
+
+EXHAUSTIVE = {"kind": "exhaustive_basis"}
+# the four models of the benchmark's jacobi_exhaustive workload
+JACOBI_MODELS = [
+    ("BC", 5, 4, "symplectic:m=2"),
+    ("B", 6, 5, "clifford:d=2"),
+    ("A", 6, 5, "matrix:k=2"),
+    ("D", 7, 5, "group_ring:m=3"),
+]
+
+
+def _scan_report(m):
+    """The exhaustive report of the bounded scan over every anchor: the
+    defects of i < j < k from ``_anchor_defects(adj, i, i + 1)``, in order,
+    and ``triples`` the position of the fifth in the lexicographic order of
+    the triples i <= j <= k, or all of them."""
+    adj = graded._adjacency(m)
+    dim = m.dim
+    count, witnesses = dim * (dim + 1) * (dim + 2) // 6, []
+    for i in range(dim):
+        for (j, k), defect in sorted(graded._anchor_defects(adj, i, i + 1).items()):
+            witnesses.append(
+                {"triple": [m.basis_label(t) for t in (i, j, k)], "defect_indices": sorted(defect)}
+            )
+            if len(witnesses) == 5:
+                count = (
+                    sum((dim - a) * (dim - a + 1) // 2 for a in range(i))
+                    + sum(dim - b for b in range(i, j))
+                    + k - j + 1
+                )
+                break
+        if len(witnesses) == 5:
+            break
+    status = "fail" if witnesses else "pass"
+    name = "jacobi[exhaustive_basis]"
+    return {"name": name, "status": status, "triples": count, "witnesses": witnesses}
+
+
+TABLE_FAULTS = [
+    (config, seed, mutation)
+    for config in JACOBI_MODELS
+    for seed, mutation in [
+        (1, "flip"), (2, "triple"), (3, "insert"), (0, "fraction_flip"), (0, "fraction_third")
+    ]
+    # B and D tables are integral: a fraction mutant needs a non-integral entry
+    if not (mutation.startswith("fraction") and config[0] in ("B", "D"))
+]
+
+
+def _param_id(v):
+    return " ".join(map(str, v)) if isinstance(v, tuple) else str(v)
+
+
+@pytest.mark.parametrize("config,seed,mutation", TABLE_FAULTS, ids=_param_id)
+def test_exhaustive_jacobi_matches_the_scan_on_a_table_fault(config, seed, mutation):
+    # where the proof from the symmetries does not close, the report is the
+    # scan's, failing witnesses and ``triples`` included
+    m = _mutated_model(config, seed, mutation)
+    assert graded._jacobi_anchors(m, graded._adjacency(m)) is None
+    r = verify_jacobi(m, EXHAUSTIVE)
+    assert r["status"] == "fail"
+    assert r == _scan_report(m)
+
+
+DOUBLINGS = [
+    (config, block, t)
+    for config in JACOBI_MODELS
+    for block, terms in graded.TERMS[config[0]].items()
+    for t in range(len(terms))
+]
+
+
+@pytest.mark.parametrize(
+    "config,block,t", DOUBLINGS, ids=[f"{c[0]}-{block}-{t}" for c, block, t in DOUBLINGS]
+)
+def test_exhaustive_jacobi_matches_the_scan_on_a_doubled_term(monkeypatch, config, block, t):
+    # one term scaled by 2: a no-op, a rescaling, or a table that fails
+    # Jacobi (16 of the 37); in each case the report is the scan's, and the
+    # proof from the symmetries closes exactly where Jacobi holds
+    family = config[0]
+    terms = list(graded.TERMS[family][block])
+    terms[t] = terms[t]._replace(scale=terms[t].scale * 2)
+    monkeypatch.setitem(graded.TERMS[family], block, tuple(terms))
+    m = build_model(*config[:3], parse_preset_spec(config[3]))
+    r = verify_jacobi(m, EXHAUSTIVE)
+    assert r == _scan_report(m)
+    assert (graded._jacobi_anchors(m, graded._adjacency(m)) is None) == (r["status"] == "fail")
+
+
+@pytest.mark.parametrize(
+    "config,anchors",
+    [
+        # the six headline models, the first, third, fourth and fifth also
+        # the jacobi_exhaustive models
+        (("BC", 5, 4, "symplectic:m=2"), 5),
+        (("BC", 5, 4, "matrix_hermitian:k=2,m=2"), 9),
+        (("A", 6, 5, "matrix:k=2"), 7),
+        (("D", 7, 5, "group_ring:m=3"), 3),
+        (("B", 6, 5, "clifford:d=2"), 4),
+        (("C", 6, 5, "matrix_transpose:k=2"), 7),
+    ],
+    ids=_param_id,
+)
+def test_exhaustive_jacobi_is_proved_from_the_anchors(monkeypatch, config, anchors):
+    # the proof closes: every walk is an anchor's, over all y < z, and
+    # there are few of them; the report is the scan's pass
+    m = model(*config)
+    walks = []
+    walk = graded._anchor_defects
+    monkeypatch.setattr(
+        graded, "_anchor_defects", lambda adj, i, lo: walks.append((i, lo)) or walk(adj, i, lo)
+    )
+    r = verify_jacobi(m, EXHAUSTIVE)
+    assert r == {
+        "name": "jacobi[exhaustive_basis]",
+        "status": "pass",
+        "triples": m.dim * (m.dim + 1) * (m.dim + 2) // 6,
+        "witnesses": [],
+    }
+    assert [lo for _, lo in walks] == [0] * anchors
+    # every candidate generator is kept
+    adj = graded._adjacency(m)
+    entries = {b + idx: c for idx, (bases, cs) in enumerate(adj[1]) for b, c in zip(bases, cs)}
+    for relabel in graded._candidates(m):
+        mapped = graded._signed_map(m, relabel)
+        assert mapped and graded._preserves(adj, entries, *mapped)
+
+
+def test_jacobi_anchors_need_each_premise(monkeypatch):
+    m = model("BC", 5, 4, "symplectic:m=2")
+    adj = graded._adjacency(m)
+    assert graded._jacobi_anchors(m, adj) is not None
+    # (i): a key (b, a) with b > a, even with an empty row, which leaves
+    # the walks as they were, is not a table stored once per pair a < b
+    (a, b), _row = next(iter(m.table.items()))
+    m2 = build_model("BC", 5, 4, parse_preset_spec("symplectic:m=2"))
+    m2.table[b, a] = {}
+    assert graded._jacobi_anchors(m2, graded._adjacency(m2)) is None
+    # (iv): brackets of opposite weights that miss part of the zero-weight space
+    span = graded._zero_weight_span
+
+    def short(*args):
+        zero_space, sub, stray = span(*args)
+        return zero_space, graded.rref(list(sub.rows)[1:], zero_space), stray
+
+    monkeypatch.setattr(graded, "_zero_weight_span", short)
+    assert graded._jacobi_anchors(m, adj) is None
+
+
+def test_generators_that_move_the_cartan_off_the_basis_are_dropped():
+    # type C moves index n out of S's Cartan basis; type A leaves it out
+    m = model("BC", 7, 4, "matrix_hermitian:k=2,m=2")
+    kept = [graded._signed_map(m, relabel) is not None for relabel in graded._candidates(m)]
+    # I_0 = 1..4: (1 2), (1 2 3 4) and the sign change at 1; I \\ I_0 = 5..7:
+    # (5 6), (5 6 7), which moves 7, and the sign change at 5
+    assert kept == [True, True, True, True, False, True]
+    a = model("A", 6, 5, "matrix:k=2")
+    moved = {int(lab.partition(":")[2]) for relabel in graded._candidates(a) for lab in relabel}
+    assert moved == {1, 2, 3, 4, 5}
 
 
 @MUTANT_CONFIGS
@@ -600,6 +760,38 @@ def test_subsystem_closure_fails_on_an_escaping_zero_weight_index(config):
     assert closure["witnesses"] == ["zero-weight part escapes the subalgebra"]
     assert checks["grading pair root spaces present (S semi-divisible part)"]["status"] == "pass"
     assert sub.verify()["status"] == "pass"
+
+
+def test_subsystem_brackets_a_zero_weight_row_by_linearity():
+    # a stray entry u_t in each [x_y, x_t], u orthogonal to every zero row z
+    # of the subalgebra, cancels in every [x_y, z]: the subalgebra stays
+    # closed; with any one of them left out it leaves S
+    m = model("A", 6, 5, "matrix:k=2")
+    sub = subalgebra(m, generate(m.family, m.n - 1).nonzero())
+    rows = sub.zero_part.rows
+    pivots = [sub.zero_space.labels[p] for p in sub.zero_part.pivots]
+    free = max(t for z in rows for t in z if t not in pivots)
+    # row z is 1 at its pivot, so u is 1 at ``free`` and -z[free] there
+    u = {free: 1, **{p: -z[free] for p, z in zip(pivots, rows) if free in z}}
+    y = sub.nonzero_indices[0]
+    # both storage directions of the pair (y, t) are met
+    assert len(u) > 2 and min(u) < y < max(u)
+    stray = next(i for i, w in enumerate(m.weight_of) if not w.is_zero() and w not in sub.s_roots)
+    table = m.table
+
+    def closure(faults):
+        m.table = dict(table)
+        for t, ut in faults.items():
+            key, sign = ((y, t), 1) if y < t else ((t, y), -1)
+            m.table[key] = {**table.get(key, {}), stray: sign * ut}
+        try:
+            return _check_status(sub.verify())["subalgebra closed under bracket"]
+        finally:
+            m.table = table
+
+    assert closure(u) == "pass"
+    for t in u:
+        assert closure({s: ut for s, ut in u.items() if s != t}) == "fail"
 
 
 def test_level_coset_at_base_subset_is_plain():
