@@ -418,13 +418,18 @@ class BBQuotient:
     """{b, b}_ell = (b (x) b)/K with the derivation-induced bracket.
 
     ``beta_rows`` is the beta* map b (x) b -> a as rows,
-    ``beta_star_map_rows(q)``; like K it does not depend on ell.  ``kappa``
-    is ``inner_scale`` at ell, formed when ell is set: a level below 1 fails
-    there.  ``derivations`` is {coset label f: d^ell_f}, formed once when
-    ell is set; every derivation a coset acts by is read from there.
+    ``beta_star_map_rows(q)``, and ``beta_cols`` the same entries by tensor
+    label, {label: {row: entry}}, each times ``beta_denom``, their common
+    denominator, so an int.  ``beta_witness`` is the first relation row
+    beta* is nonzero on, or None.  Like K, these do not depend on ell
+    (``_shared``).  ``kappa`` is ``inner_scale`` at ell, formed when ell is
+    set: a level below 1 fails there.  ``derivations`` is {coset label f:
+    d^ell_f}, formed once when ell is set; every derivation a coset acts by
+    is read from there.
     """
 
-    __slots__ = ("q", "ell", "kappa", "tensor", "relations", "quotient", "beta_rows", "derivations")
+    _shared = ("q", "tensor", "relations", "quotient", "beta_rows", "beta_cols", "beta_denom", "beta_witness")
+    __slots__ = ("ell", "kappa", "derivations", *_shared)
 
     def __init__(self, q: CoordinateQuadruple, ell: int):
         self.q = q
@@ -433,19 +438,23 @@ class BBQuotient:
         self.tensor = q.bb_space
         self.relations = rref(relation_generators(q), self.tensor)
         self.quotient = QuotientSpace(self.tensor, self.relations)
-        self.beta_rows = beta_star_map_rows(q)
+        self.beta_rows = rows = beta_star_map_rows(q)
+        self.beta_denom = lcm(*(v.denominator for row in rows.values() for v in row.values()))
+        self.beta_cols = columns(
+            {(r, lab): scalar(v * self.beta_denom) for r, row in rows.items() for lab, v in row.items()}
+        )
         self.derivations = self._coset_derivations()
         self._verify_well_defined()
 
     def at_ell(self, ell: int) -> "BBQuotient":
         """The same quotient at another ell, not re-verified.
 
-        Neither K (with the quotient) nor the beta* rows depend on ell, so
-        they are shared; kappa and the coset derivations do, so the result
-        forms its own.
+        Neither K (with the quotient) nor beta* depends on ell, so what is
+        formed from them is shared; kappa and the coset derivations do, so
+        the result forms its own.
         """
         other = object.__new__(BBQuotient)
-        for name in ("q", "tensor", "relations", "quotient", "beta_rows"):
+        for name in self._shared:
             setattr(other, name, getattr(self, name))
         other.ell = ell
         other.kappa = inner_scale(self.q.qtype, ell)
@@ -455,32 +464,43 @@ class BBQuotient:
     def _coset_derivations(self) -> dict[tuple[str, str], dict]:
         return {f: self.derivation_of({f: 1}) for f in self.quotient.coset_labels}
 
-    def derivation_of(self, t: dict) -> dict[tuple[str, str], Fraction]:
+    def derivation_of(self, t: dict, walk: dict | None = None) -> dict[tuple[str, str], Fraction]:
         """The derivation d^ell_t of b that the tensor t acts by, both entry
         dicts, formed from t itself.  d_t is linear in t (Allison-Benkart-Gao,
         Memoirs AMS 158, 2002): the inner derivation sum_r z_r ad(e_r) of
         z = kappa beta*(t) (``inner_of``, ``q.ad_basis()``), plus each label's
         ``q.label_part``: less half the f-term F(t) of t's C (x) C entries
-        for BC, the Jordan derivations for B (where z = 0); 0 for D."""
+        for BC, the Jordan derivations for B (where z = 0); 0 for D.  A
+        caller that holds t's ``beta_walk`` passes it."""
         q = self.q
         d: dict[tuple[str, str], Fraction] = {}
-        for r, zr in self.inner_of(t).items():
+        for r, zr in self.inner_of(t, walk).items():
             add_scaled(d, q.ad_basis().get(r, {}), zr)
         for lab, coeff in t.items():
             add_scaled(d, q.label_part(lab), coeff)
         return {key: scalar(v) for key, v in d.items()}
 
-    def inner_of(self, t: dict) -> dict[str, Fraction]:
-        """kappa beta* of the tensor t, both entry dicts, one dot product of
-        t with each ``beta_rows`` row, kappa = ``inner_scale``: for x (x) y,
-        the element of a whose inner derivation d^ell_{x,y} is, less the BC
-        f-term.  A dot is formed only when kappa is nonzero."""
-        z: dict[str, Fraction] = {}
-        for r, row in self.beta_rows.items():
-            dot = self.kappa and sum(row[lab] * c for lab, c in t.items() if lab in row)
-            if dot:
-                z[r] = scalar(self.kappa * dot)
-        return z
+    def beta_walk(self, t: dict) -> dict[str, Fraction]:
+        """beta_denom beta*(t) of the tensor t, an entry dict that may hold
+        zeros, from the entries of t at the labels of ``beta_cols`` only."""
+        acc: dict[str, Fraction] = {}
+        for lab, c in t.items():
+            for r, w in self.beta_cols.get(lab, {}).items():
+                acc[r] = acc.get(r, 0) + w * c
+        return acc
+
+    def inner_of(self, t: dict, walk: dict | None = None) -> dict[str, Fraction]:
+        """kappa beta* of the tensor t, both entry dicts, in ``beta_rows``
+        order, kappa = ``inner_scale``: for x (x) y, the element of a whose
+        inner derivation d^ell_{x,y} is, less the BC f-term.  It is t's
+        ``beta_walk``, formed unless given, times kappa / beta_denom, and
+        is formed only when kappa is nonzero."""
+        if not self.kappa:
+            return {}
+        if walk is None:
+            walk = self.beta_walk(t)
+        scale = self.kappa * Q(1, self.beta_denom)
+        return {r: scalar(scale * walk[r]) for r in self.beta_rows if walk.get(r)}
 
     def _verify_well_defined(self):
         """The two facts that make {b,b}_ell = (b (x) b)/K well defined: every
@@ -496,9 +516,16 @@ class BBQuotient:
         valid input: beta*(x, y)* = -beta*(x, y) by the antiautomorphism
         law, so ad(kappa beta*(t)) commutes with *; on type B the mixed A/B
         part of a label lies in K, so its derivation is 0, and [L_y, L_x]
-        with x, y both in A or both in B commutes with *."""
+        with x, y both in A or both in B commutes with *.
+
+        beta* of each relation row is formed once, for its derivation and
+        for ``beta_witness``, the relation half of the uniform verdict."""
+        self.beta_witness = None
         for g in self.relations.rows:
-            if self.derivation_of(g):
+            walk = self.beta_walk(g)
+            if self.beta_witness is None and any(walk.values()):
+                self.beta_witness = g
+            if self.derivation_of(g, walk):
                 raise InternalConsistencyError(
                     "total derivation of a relation vector is nonzero",
                     witness=vector_text(self.tensor, g),
@@ -697,11 +724,14 @@ def check_uniform(
 
 
 def _uniform_verdict(bb: BBQuotient, k_span: Sequence[dict]):
-    rows = list(bb.beta_rows.values())
-    for t in [*bb.relations.rows, *k_span]:
-        for row in rows:
-            if sum((row[lab] * c for lab, c in t.items() if lab in row), 0):
-                return False, vector_text(bb.tensor, t)
+    """(verdict, witness): the first of the relation rows, then k_span, that
+    beta* is nonzero on.  The build found the relation row, ``beta_witness``,
+    so only k_span is walked here."""
+    if bb.beta_witness is not None:
+        return False, vector_text(bb.tensor, bb.beta_witness)
+    for t in k_span:
+        if any(bb.beta_walk(t).values()):
+            return False, vector_text(bb.tensor, t)
     return True, None
 
 

@@ -273,10 +273,15 @@ def _pivot_coefficients(
 def rref(vectors: Sequence[Mapping], space: BasedSpace) -> Subspace:
     """Reduced row-echelon basis of the span of the entry dicts ``vectors``
     over ``space`` (each read through ``clean``), pivots in ambient label
-    order."""
+    order.
+
+    A column index, {non-pivot label: indices of the rows holding it},
+    names the rows a new pivot must be eliminated from, so no row that
+    lacks it is visited; an entry that cancels leaves its label's set."""
     rows: list[dict[Hashable, Fraction]] = []
     pivots: list[int] = []
     row_of_pivot: dict[Hashable, int] = {}
+    holders: dict[Hashable, set[int]] = {}
     pos = space._pos
     for v in vectors:
         cur = clean(space, v)
@@ -290,13 +295,19 @@ def rref(vectors: Sequence[Mapping], space: BasedSpace) -> Subspace:
         if cur[lab_p] != 1:
             inv = Q(1, cur[lab_p])
             cur = {lab: scalar(inv * val) for lab, val in cur.items()}
-        # eliminate the new pivot from existing rows
-        for i, row in enumerate(rows):
-            coeff = row.get(lab_p)
-            if coeff:
-                new = dict(row)
-                add_scaled(new, cur, -coeff)
-                rows[i] = new
+        # eliminate the new pivot from the rows that hold it
+        for i in holders.pop(lab_p, ()):
+            new = dict(rows[i])
+            add_scaled(new, cur, -new[lab_p])
+            rows[i] = new
+            for lab in cur:
+                if lab in new:
+                    holders.setdefault(lab, set()).add(i)
+                elif lab in holders:
+                    holders[lab].discard(i)
+        for lab in cur:
+            if lab != lab_p:
+                holders.setdefault(lab, set()).add(len(rows))
         row_of_pivot[lab_p] = len(rows)
         rows.append(cur)
         pivots.append(pos[lab_p])

@@ -32,7 +32,9 @@ from rootgraded.exactla import (
     apply,
     columns,
     rref,
+    scalar,
     tensor_space,
+    vector_text,
 )
 from rootgraded.liealg import FormedSpace
 
@@ -1061,6 +1063,82 @@ def test_check_uniform_reads_an_explicit_zero_as_no_entry():
     fh = full_homology(bb)
     zero = {bb.quotient.coset_labels[0]: 0}
     assert check_uniform(bb, [zero], fh=fh) == check_uniform(bb, [], fh=fh)
+
+
+def _row_dots(bb, t):
+    """{r: the dot of t with beta_rows[r]} in row order, zeros left out:
+    beta*(t), one row at a time."""
+    dots = {}
+    for r, row in bb.beta_rows.items():
+        dot = sum((row[lab] * c for lab, c in t.items() if lab in row), 0)
+        if dot:
+            dots[r] = dot
+    return dots
+
+
+@pytest.mark.parametrize(
+    "source",
+    COORDINATE_PRESETS
+    + ["exterior:d=2", "exterior:d=3", "dual:m=2 (A)", "dual:m=3 (A)", "dual:m=2 (D)", "dual:m=3 (D)"],
+)
+def test_beta_walk_equals_the_row_wise_dot(source):
+    # inner_of and the uniform verdict walk beta_cols from t's entries, in
+    # ints at beta_denom; on every coset label and every relation row they
+    # agree with the dot of t with each row, values, types and key order
+    bb = build_bb(_hand_made(source), 4)
+    for t in [*({f: 1} for f in bb.quotient.coset_labels), *bb.relations.rows]:
+        dots = _row_dots(bb, t)
+        walk = {r: v for r, v in bb.beta_walk(t).items() if v}
+        assert walk == {r: bb.beta_denom * v for r, v in dots.items()}, t
+        z = bb.inner_of(t)
+        expected = {r: scalar(bb.kappa * v) for r, v in dots.items() if bb.kappa}
+        assert [(r, v, type(v)) for r, v in z.items()] == [
+            (r, v, type(v)) for r, v in expected.items()
+        ], t
+    assert all(type(w) is int for col in bb.beta_cols.values() for w in col.values())
+    # the build enforces the uniform verdict on K = 0: beta* is 0 on K
+    assert bb.beta_witness is None
+    bb7 = bb.at_ell(7)
+    assert bb7.beta_cols is bb.beta_cols and bb7.beta_denom == bb.beta_denom
+    assert bb7.beta_witness is bb.beta_witness
+
+
+def _with_unit_beta_rows(real):
+    """beta_star_map_rows with the unit added on every basis pair, so beta*
+    is nonzero on x (x) x + x (x) x in K and on every tensor label."""
+
+    def rows_with_unit(q):
+        rows = real(q)
+        for r, u in q.unit.items():
+            row = rows.get(r, {})
+            shifted = {lab: row.get(lab, 0) + u for lab in q.bb_space.labels}
+            rows[r] = {lab: v for lab, v in shifted.items() if v}
+        return rows
+
+    return rows_with_unit
+
+
+def test_uniform_witness_is_a_relation_row_before_k_span(monkeypatch):
+    # a relation row with nonzero beta* and k_span vectors that fail too:
+    # the relation row is the witness, found once by the build and shared
+    # by at_ell; without it, the first failing k_span vector is
+    monkeypatch.setattr(coord, "beta_star_map_rows", _with_unit_beta_rows(beta_star_map_rows))
+    bb = build_bb(parse_preset_spec("matrix:k=2"), 5)
+    k_span = [{f: 1} for f in bb.quotient.coset_labels]
+    assert all(_row_dots(bb, t) for t in k_span)
+    first = next(g for g in bb.relations.rows if _row_dots(bb, g))
+    assert bb.beta_witness is first
+    bb7 = bb.at_ell(7)
+    assert bb7.beta_witness is first and bb7.beta_cols is bb.beta_cols
+    for b in (bb, bb7):
+        assert coord._uniform_verdict(b, k_span) == (False, "1*m:0,0⊗m:0,0")
+    monkeypatch.undo()
+    bb = build_bb(parse_preset_spec("matrix:k=2"), 5)
+    assert bb.beta_witness is None
+    g = bb.relations.rows[0]
+    for span in ([g, *k_span], [g, *k_span[::-1]]):
+        assert coord._uniform_verdict(bb, span) == (False, vector_text(bb.tensor, span[1]))
+    assert coord._uniform_verdict(bb, [g]) == (True, None)
 
 
 def test_quadruple_json_roundtrip(tmp_path):

@@ -356,13 +356,46 @@ def redundant_rows(draw):
     return space, rows, probe, mix
 
 
+@st.composite
+def heavy_fill_rows(draw):
+    """Rows over n <= 12 labels of rank up to n, where a new pivot meets
+    many earlier rows and entries cancel: besides the drawn rows, each
+    extra row is a drawn row a less the multiple of another drawn row b
+    that zeroes a column both hold, a - (a_j / b_j) b."""
+    n = draw(st.integers(1, 12))
+    space = BasedSpace([f"u{i}" for i in range(n)])
+    r = draw(st.integers(1, n))
+    rows = draw(st.lists(st.lists(small_q, min_size=n, max_size=n), min_size=r, max_size=r))
+    pick = st.integers(0, len(rows) - 1)
+    for _ in range(draw(st.integers(0, n))):
+        a, b, j = rows[draw(pick)], rows[draw(pick)], draw(st.integers(0, n - 1))
+        if b[j]:
+            rows.append([x - a[j] / b[j] * y for x, y in zip(a, b)])
+    rows = draw(st.permutations(rows))
+    probe = draw(st.lists(small_q, min_size=n, max_size=n))
+    mix = draw(st.lists(small_q, min_size=len(rows), max_size=len(rows)))
+    return space, rows, probe, mix
+
+
 @settings(max_examples=200, deadline=None)
 @given(redundant_rows())
 def test_sparse_elimination_matches_dense_oracle(case):
-    space, rows, probe, mix = case
+    space, rows = case[:2]
+    assert len(dense_rref(rows, space.dim)[0]) <= 0.3 * len(rows)
+    _check_against_dense(*case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(heavy_fill_rows())
+def test_sparse_elimination_matches_dense_oracle_under_fill_in(case):
+    # rref's column index: a new pivot is eliminated from the rows that
+    # hold its label, and a label that cancels in a row leaves its set
+    _check_against_dense(*case)
+
+
+def _check_against_dense(space, rows, probe, mix):
     n = space.dim
     pivots, reduced = dense_rref(rows, n)
-    assert len(pivots) <= 0.3 * len(rows)
     # the rows as given, zeros and all: rref drops the zeros
     sub = rref([dict(zip(space.labels, r)) for r in rows], space)
     assert list(sub.pivots) == pivots
