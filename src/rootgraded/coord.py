@@ -65,6 +65,7 @@ class CoordinateQuadruple:
         "f_table",
         "b_space",
         "b_table",
+        "denom",
         "bb_space",
         "a_part_sub",
         "b_part_sub",
@@ -107,6 +108,9 @@ class CoordinateQuadruple:
         for a in self.a_space.labels:
             for c in self.c_space.labels:
                 self.b_table[c, a] = _bilinear(self.action, star_cols.get(a, {}), {c: 1})
+        # 2 m^2, m the common denominator of b's product: one of every ad(e_r)
+        # and ``label_part``, whose entries are b's or halved products of two
+        self.denom = 2 * lcm(*(v.denominator for row in self.b_table.values() for v in row.values())) ** 2
         # b (x) b, shared by K, beta* and every {b,b}_ell built on q
         self.bb_space = tensor_space(self.b_space, self.b_space)
         # A and B, the (+1)- and (-1)-eigenspaces of star on a: the kernels
@@ -197,21 +201,6 @@ def _bilinear(table: dict, x: dict, y: dict) -> dict:
 
 # ---------------------------------------------------------------------------
 # operations on b
-
-
-def beta_star(q, x: dict, y: dict) -> dict:
-    """([a1, a2] + [a1*, a2*])/2 - c1 heart c2 for x = a1 + c1, y = a2 + c2,
-    heart being the symmetric part (f(c1, c2) + f(c2, c1))/2 of f, all
-    entry dicts: the reference for the rows of ``beta_star_map_rows``."""
-    t = q.b_table
-    a1, a2 = ({l: v for l, v in z.items() if l in q.a_space} for z in (x, y))
-    c1, c2 = ({l: v for l, v in z.items() if l in q.c_space} for z in (x, y))
-    s1, s2 = (apply(q.star, a) for a in (a1, a2))
-    out: dict[str, Fraction] = {}
-    for u, v, sign in ((a1, a2, 1), (s1, s2, 1), (c1, c2, -1)):
-        add_scaled(out, _bilinear(t, u, v), sign)
-        add_scaled(out, _bilinear(t, v, u), -1)
-    return {l: scalar(Q(1, 2) * v) for l, v in out.items()}
 
 
 def inner_scale(qtype: str, ell: int) -> Fraction:
@@ -362,55 +351,59 @@ def relation_generators(q: CoordinateQuadruple) -> list[dict]:
     out: it adds nothing to the span, and the rref of the list is the same
     row for row.  The symmetric pairs (x, y) and (y, x), and the three
     rotations of a cyclic triple, give equal generators, so only x <= y and
-    the first rotation in loop order are formed."""
+    the first rotation in loop order are formed; a cyclic or f-family triple
+    whose three products are 0 is skipped.  The binomial families are written
+    out, a (x) C and C (x) a with no repeat test: no other family meets them."""
     gens: list[dict] = []
     seen: set[frozenset] = set()
 
-    def tens(*pairs: tuple[dict, dict]) -> None:
-        """Emit the sum of x (x) y over the given pairs of entry dicts (x, y)."""
-        entries: dict[tuple[str, str], Fraction] = {}
-        for x, y in pairs:
-            for lx, vx in x.items():
-                add_scaled(entries, {(lx, ly): vy for ly, vy in y.items()}, vx)
+    def keep(entries: dict) -> None:
         key = frozenset(entries.items())
         if entries and key not in seen:
             seen.add(key)
             gens.append(entries)
 
+    def tens(*terms: tuple[dict, str, int]) -> None:
+        """Keep the sum of s p (x) e_l over the terms (p, l, s), p an entry dict."""
+        entries: dict[tuple[str, str], Fraction] = {}
+        for p, l, s in terms:
+            for o, v in p.items():
+                entries[o, l] = entries.get((o, l), 0) + s * v
+        keep({key: v for key, v in entries.items() if v})
+
     t = q.b_table
     alabs, clabs = q.a_space.labels, q.c_space.labels
-    e = {l: {l: 1} for l in q.b_space.labels}
     for a in alabs:
         for c in clabs:
-            tens((e[a], e[c]))
-            tens((e[c], e[a]))
+            gens += ({(a, c): 1}, {(c, a): 1})
     for a in q.a_part_sub.rows:
         for b in q.b_part_sub.rows:
-            tens((a, b))
+            keep({(x, y): vx * vy for x, vx in a.items() for y, vy in b.items()})
     for i, x in enumerate(alabs):
         for y in alabs[i:]:
-            tens((e[x], e[y]), (e[y], e[x]))
+            keep({(x, y): 1, (y, x): 1} if x != y else {(x, x): 2})
     for i, c in enumerate(clabs):
         for cp in clabs[i + 1 :]:
-            tens((e[c], e[cp]), ({cp: -1}, e[c]))
-    n = len(alabs)
+            keep({(c, cp): 1, (cp, c): -1})
     for i, x in enumerate(alabs):
-        for j in range(i, n):
-            for k in range(i, n):
+        for j, y in enumerate(alabs[i:], i):
+            xy = t.get((x, y), {})
+            for k, z in enumerate(alabs[i:], i):
                 # the first of the three rotations in loop order has the
                 # least index first; of (i, j, i) and (i, i, j) it is the latter
                 if k == i < j:
                     continue
-                y, z = alabs[j], alabs[k]
-                xy, zx, yz = (t.get(pair, {}) for pair in ((x, y), (z, x), (y, z)))
-                tens((xy, e[z]), (zx, e[y]), (yz, e[x]))
+                zx, yz = t.get((z, x), {}), t.get((y, z), {})
+                if xy or zx or yz:
+                    tens((xy, z, 1), (zx, y, 1), (yz, x, 1))
     # f(c, c') (x) a + (a*.c') (x) c - (a.c) (x) c', that is
     # (c c') (x) a + (c' a) (x) c - (a c) (x) c' in b
     for c in clabs:
         for cp in clabs:
             for a in alabs:
-                ccp, cpa, ac = (t.get(pair, {}) for pair in ((c, cp), (cp, a), (a, c)))
-                tens((ccp, e[a]), (cpa, e[c]), (ac, {cp: -1}))
+                ccp, cpa, ac = t.get((c, cp), {}), t.get((cp, a), {}), t.get((a, c), {})
+                if ccp or cpa or ac:
+                    tens((ccp, a, 1), (cpa, c, 1), (ac, cp, -1))
     return gens
 
 
@@ -439,10 +432,9 @@ class BBQuotient:
         self.relations = rref(relation_generators(q), self.tensor)
         self.quotient = QuotientSpace(self.tensor, self.relations)
         self.beta_rows = rows = beta_star_map_rows(q)
-        self.beta_denom = lcm(*(v.denominator for row in rows.values() for v in row.values()))
-        self.beta_cols = columns(
-            {(r, lab): scalar(v * self.beta_denom) for r, row in rows.items() for lab, v in row.items()}
-        )
+        self.beta_denom = d = lcm(*(v.denominator for row in rows.values() for v in row.values()))
+        self.beta_cols = columns({(r, lab): v.numerator * (d // v.denominator)
+                                  for r, row in rows.items() for lab, v in row.items()})
         self.derivations = self._coset_derivations()
         self._verify_well_defined()
 
@@ -464,21 +456,30 @@ class BBQuotient:
     def _coset_derivations(self) -> dict[tuple[str, str], dict]:
         return {f: self.derivation_of({f: 1}) for f in self.quotient.coset_labels}
 
-    def derivation_of(self, t: dict, walk: dict | None = None) -> dict[tuple[str, str], Fraction]:
+    def derivation_of(self, t: dict) -> dict[tuple[str, str], Fraction]:
         """The derivation d^ell_t of b that the tensor t acts by, both entry
         dicts, formed from t itself.  d_t is linear in t (Allison-Benkart-Gao,
         Memoirs AMS 158, 2002): the inner derivation sum_r z_r ad(e_r) of
         z = kappa beta*(t) (``inner_of``, ``q.ad_basis()``), plus each label's
         ``q.label_part``: less half the f-term F(t) of t's C (x) C entries
-        for BC, the Jordan derivations for B (where z = 0); 0 for D.  A
-        caller that holds t's ``beta_walk`` passes it."""
-        q = self.q
-        d: dict[tuple[str, str], Fraction] = {}
-        for r, zr in self.inner_of(t, walk).items():
-            add_scaled(d, q.ad_basis().get(r, {}), zr)
-        for lab, coeff in t.items():
-            add_scaled(d, q.label_part(lab), coeff)
-        return {key: scalar(v) for key, v in d.items()}
+        for BC, the Jordan derivations for B (where z = 0); 0 for D.  Summed
+        in ints times G L den, G the common denominator of t, L ``q.denom``
+        and num / den = kappa / beta_denom; only nonzero sums are divided."""
+        q, k, g = self.q, self.kappa, lcm(*(v.denominator for v in t.values()))
+        u = t if g == 1 else {lab: v.numerator * (g // v.denominator) for lab, v in t.items()}
+        num, den = q.denom * k.numerator, q.denom * k.denominator * self.beta_denom
+        walk = self.beta_walk(u) if num else {}
+        terms = [(num * w, q.ad_basis().get(r, {})) for r, w in walk.items() if w]
+        terms += [(den * c, q.label_part(lab)) for lab, c in u.items()]
+        d: dict[tuple[str, str], int] = {}
+        for c, row in terms:
+            for key, x in row.items():
+                s = d.get(key, 0) + c * x.numerator // x.denominator
+                if s:
+                    d[key] = s
+                else:
+                    d.pop(key, None)
+        return {key: scalar(Q(n, den * g)) for key, n in d.items()}
 
     def beta_walk(self, t: dict) -> dict[str, Fraction]:
         """beta_denom beta*(t) of the tensor t, an entry dict that may hold
@@ -489,16 +490,15 @@ class BBQuotient:
                 acc[r] = acc.get(r, 0) + w * c
         return acc
 
-    def inner_of(self, t: dict, walk: dict | None = None) -> dict[str, Fraction]:
+    def inner_of(self, t: dict) -> dict[str, Fraction]:
         """kappa beta* of the tensor t, both entry dicts, in ``beta_rows``
         order, kappa = ``inner_scale``: for x (x) y, the element of a whose
         inner derivation d^ell_{x,y} is, less the BC f-term.  It is t's
-        ``beta_walk``, formed unless given, times kappa / beta_denom, and
-        is formed only when kappa is nonzero."""
+        ``beta_walk`` times kappa / beta_denom, and is formed only when
+        kappa is nonzero."""
         if not self.kappa:
             return {}
-        if walk is None:
-            walk = self.beta_walk(t)
+        walk = self.beta_walk(t)
         scale = self.kappa * Q(1, self.beta_denom)
         return {r: scalar(scale * walk[r]) for r in self.beta_rows if walk.get(r)}
 
@@ -518,14 +518,15 @@ class BBQuotient:
         part of a label lies in K, so its derivation is 0, and [L_y, L_x]
         with x, y both in A or both in B commutes with *.
 
-        beta* of each relation row is formed once, for its derivation and
-        for ``beta_witness``, the relation half of the uniform verdict."""
+        d_g of a relation row g is formed only where beta*(g) or a label
+        part of g is nonzero, for d_g is 0 otherwise; beta*(g) also finds
+        ``beta_witness``, the relation half of the uniform verdict."""
         self.beta_witness = None
         for g in self.relations.rows:
-            walk = self.beta_walk(g)
-            if self.beta_witness is None and any(walk.values()):
+            inner = any(self.beta_walk(g).values())
+            if self.beta_witness is None and inner:
                 self.beta_witness = g
-            if self.derivation_of(g, walk):
+            if (inner or any(map(self.q.label_part, g))) and self.derivation_of(g):
                 raise InternalConsistencyError(
                     "total derivation of a relation vector is nonzero",
                     witness=vector_text(self.tensor, g),
@@ -662,28 +663,26 @@ def full_homology(bb: BBQuotient) -> Subspace:
 
 def beta_star_map_rows(q: CoordinateQuadruple) -> dict[str, dict]:
     """The linear map b(x)b -> a sending x(x)y to beta*_{x,y}, as entry dicts
-    {r: row r}.  On
-    basis labels it is ([x, y] + [x*, y*])/2 for x, y in a, minus the
-    symmetric part (x y + y x)/2 of f for x, y in C, and 0 on a (x) C and
-    C (x) a; every product is b's."""
-    t, half = q.b_table, Q(1, 2)
-    star = columns(q.star)
+    {r: row r}.  On basis labels it is ([x, y] + [x*, y*])/2 for x, y in a,
+    minus the symmetric part (x y + y x)/2 of f for x, y in C, and 0 on
+    a (x) C and C (x) a; every product is b's.  Each entry is formed twice
+    over, from the table and star's columns in their own arithmetic (ints
+    when integral), and halved once."""
+    t, star = q.b_table, columns(q.star)
+    alabs, clabs = q.a_space.labels, q.c_space.labels
     rows: dict[str, dict[tuple[str, str], Fraction]] = {}
-    for l1 in q.b_space.labels:
-        for l2 in q.b_space.labels:
-            e1, e2 = {l1: 1}, {l2: 1}
-            if l1 in q.a_space and l2 in q.a_space:
-                s1, s2 = star.get(l1, {}), star.get(l2, {})
-                terms = ((e1, e2, half), (e2, e1, -half), (s1, s2, half), (s2, s1, -half))
-            elif l1 in q.c_space and l2 in q.c_space:
-                terms = ((e1, e2, -half), (e2, e1, -half))
-            else:
-                continue
-            val: dict[str, Fraction] = {}
-            for x, y, c in terms:
-                add_scaled(val, _bilinear(t, x, y), c)
-            for r, v in val.items():
-                rows.setdefault(r, {})[l1, l2] = scalar(v)
+    for l1, l2 in [(x, y) for x in alabs for y in alabs] + [(x, y) for x in clabs for y in clabs]:
+        twice: dict[str, Fraction] = {}
+        sign = 1 if l1 in q.a_space else -1
+        add_scaled(twice, t.get((l1, l2), {}), sign)
+        add_scaled(twice, t.get((l2, l1), {}), -1)
+        if sign == 1:
+            s1, s2 = star.get(l1, {}), star.get(l2, {})
+            add_scaled(twice, _bilinear(t, s1, s2))
+            add_scaled(twice, _bilinear(t, s2, s1), -1)
+        for r, v in twice.items():
+            half = v >> 1 if type(v) is int and not v & 1 else scalar(Q(v, 2))
+            rows.setdefault(r, {})[l1, l2] = half
     return rows
 
 

@@ -2,15 +2,17 @@
 
 Each is an independent statement of something the package's own checks
 rely on (a dimension formula, the root-system axioms, the semidivisible
-part of BC, the type-B derivation span, the level operator's lemma), read
-only by tests.
+part of BC, the type-B derivation span, the level operator's lemma, beta*
+on two elements of b), read only by tests.
 """
+
+from fractions import Fraction as Q
 
 from dictmat import lin, product, trace, transpose
 
 from rootgraded import graded
 from rootgraded.coord import clifford_quadruple
-from rootgraded.exactla import ShapeError, rref
+from rootgraded.exactla import ShapeError, apply, rref
 from rootgraded.liealg import FormedSpace, build_algebra
 from rootgraded.rootsys import Root, RootSystem, _reflection_faults
 
@@ -102,3 +104,21 @@ def level_lemma_faults(m, level_op, added=None) -> list[str]:
                 if lin(*((c, kind.mats[i]) for i, c in coords.items())) != op:
                     faults.append(f"{where}: outside the span level_coset reads")
     return faults
+
+
+def beta_star(q, x: dict, y: dict) -> dict:
+    """([a1, a2] + [a1*, a2*])/2 - c1 heart c2 for x = a1 + c1, y = a2 + c2,
+    heart being the symmetric part (f(c1, c2) + f(c2, c1))/2 of f, all
+    entry dicts, every product read off ``q.b_table``: the reference for
+    the rows of ``coord.beta_star_map_rows``."""
+
+    def prod(u, v):
+        return lin(*((cu * cv, q.b_table.get((i, j), {})) for i, cu in u.items() for j, cv in v.items()))
+
+    a1, a2 = ({l: v for l, v in z.items() if l in q.a_space} for z in (x, y))
+    c1, c2 = ({l: v for l, v in z.items() if l in q.c_space} for z in (x, y))
+    s1, s2 = (apply(q.star, a) for a in (a1, a2))
+    terms = []
+    for u, v, sign in ((a1, a2, 1), (s1, s2, 1), (c1, c2, -1)):
+        terms += [(Q(sign, 2), prod(u, v)), (Q(-1, 2), prod(v, u))]
+    return lin(*terms)

@@ -8,14 +8,13 @@ from itertools import combinations
 
 import pytest
 from dictmat import lin
-from oracles import level_lemma_faults
+from oracles import beta_star, level_lemma_faults
 
 import rootgraded.graded as graded
 from rootgraded import cli
 from rootgraded.coord import (
     CoordinateQuadruple,
     _bilinear,
-    beta_star,
     clifford_quadruple,
     inner_scale,
     parse_preset_spec,

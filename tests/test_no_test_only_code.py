@@ -26,12 +26,11 @@ PACKAGE = ROOT / "src" / "rootgraded"
 
 # read only by tests: ``root_vector``, which the acceptance criteria use,
 # and ``level_coset`` with its ``_level_op``, which the level-transition
-# check is to be rebuilt on; ``beta_star`` is the tests' reference for the
-# beta* rows.  Oracles that only tests read live in ``tests/oracles.py``
+# check is to be rebuilt on.  Oracles that only tests read live in
+# ``tests/oracles.py``
 TEST_API = {
     ".root_vector",
     "_level_op",
-    "beta_star",
     "level_coset",
 }
 
