@@ -1,18 +1,20 @@
 """Coordinate quadruples (a, *, C, f) and the Lie algebra {b, b}_ell.
 
-A quadruple is stored by structure constants over fixed bases of the
-star algebra and the module.  The derived algebra b = a + C carries the
-structured product; the relation space K, the derivations d^{ell,b}, the
-quotient {b,b}_ell with its bracket, the full skew-dihedral homology and
-the uniform property are all computed exactly.
+A quadruple keeps one product table, b's, over the basis of b = a + C:
+a's structure constants, the action and f are its (a, a), (a, C) and
+(C, C) blocks, and c a = a*.c fills the fourth.  The relation space K,
+the derivations d^{ell,b}, the quotient {b,b}_ell with its bracket, the
+full skew-dihedral homology and the uniform property are all computed
+exactly from it.
 
-Every claim the construction depends on (associativity, the involution
-laws, well-definedness of the bracket on the quotient, centrality of the
-homology) is checked mechanically rather than assumed; failures raise
-``InternalConsistencyError`` with a witness.  The bracket is well defined
-because every relation has derivation 0 and each coset derivation keeps
-K, which follows from three facts on it checked here: it keeps a and C,
-commutes with *, and satisfies the derivation law on b.
+Every claim the construction depends on (associativity, which for a,
+the module and f is one law, b associative on a.a.a, a.a.C and a.C.C;
+the involution laws; well-definedness of the bracket on the quotient;
+centrality of the homology) is checked mechanically rather than assumed;
+failures raise ``InternalConsistencyError`` with a witness.  The bracket
+is well defined because every relation has derivation 0 and each coset
+derivation keeps K, which follows from three facts on it checked here:
+it keeps a and C, commutes with *, and satisfies the derivation law on b.
 """
 
 from __future__ import annotations
@@ -57,12 +59,9 @@ class CoordinateQuadruple:
         "qtype",
         "name",
         "a_space",
-        "mult",
         "unit",
         "star",
         "c_space",
-        "action",
-        "f_table",
         "b_space",
         "b_table",
         "denom",
@@ -90,24 +89,22 @@ class CoordinateQuadruple:
         self.qtype = qtype
         self.name = name or qtype
         self.a_space = BasedSpace(a_labels)
-        # the structure constants, each product of two basis elements as
-        # its entry dict
-        self.mult = {key: clean(self.a_space, val) for key, val in mult.items()}
+        # b's product, q's only product table: an entry dict per pair of basis
+        # labels of b = a (+) C (a's and C's are disjoint), a a' from ``mult``,
+        # f(c, c') from ``f_table``, a.c from ``action`` and c a = a*.c
+        t = self.b_table = {key: clean(self.a_space, val) for key, val in mult.items()}
         self.unit = clean(self.a_space, unit)
         # the involution's entry dict {(row, col): value} on a
         self.star = clean(tensor_space(self.a_space, self.a_space), star)
         self.c_space = BasedSpace(c_labels)
-        self.action = {key: clean(self.c_space, val) for key, val in (action or {}).items()}
-        self.f_table = {key: clean(self.a_space, val) for key, val in (f_table or {}).items()}
+        action = {key: clean(self.c_space, val) for key, val in (action or {}).items()}
+        t.update((key, clean(self.a_space, val)) for key, val in (f_table or {}).items())
+        t.update(action)
         self.b_space = BasedSpace(list(a_labels) + list(c_labels))
-        # b's product, one entry dict per pair of basis labels of b = a (+) C
-        # (the labels of a and of C are disjoint): a a' is ``mult``, f(c, c')
-        # is ``f_table``, a.c is ``action`` and c a = a*.c
-        self.b_table = {**self.mult, **self.f_table, **self.action}
         star_cols = columns(self.star)
         for a in self.a_space.labels:
             for c in self.c_space.labels:
-                self.b_table[c, a] = _bilinear(self.action, star_cols.get(a, {}), {c: 1})
+                t[c, a] = _bilinear(action, star_cols.get(a, {}), {c: 1})
         # 2 m^2, m the common denominator of b's product: one of every ad(e_r)
         # and ``label_part``, whose entries are b's or halved products of two
         self.denom = 2 * lcm(*(v.denominator for row in self.b_table.values() for v in row.values())) ** 2
@@ -225,9 +222,12 @@ def inner_scale(qtype: str, ell: int) -> Fraction:
 def validate_quadruple(q: CoordinateQuadruple) -> dict:
     """Check every defining law on basis tuples; returns a report dict.
 
-    Each law reads the products of basis elements from the structure
-    constants (``q.mult``, ``q.action``, ``q.f_table``) and the columns of
-    ``q.star``, on entry dicts: (e_i e_j) e_k, say, is sum_l c_ij^l (e_l e_k).
+    Each law reads the products of basis elements from b's product table
+    ``q.b_table``, with ``q.unit`` and the columns of ``q.star``, on entry
+    dicts: (e_i e_j) e_k, say, is sum_l c_ij^l (e_l e_k).  "a associative",
+    "module associative" and "f left semilinear" are one law, b associative
+    on the triples a.a.a, a.a.C and a.C.C, and the Clifford structure is the
+    same law on triples of A and B; ``_associator_faults`` checks each.
     """
     checks = []
 
@@ -241,10 +241,9 @@ def validate_quadruple(q: CoordinateQuadruple) -> dict:
         )
 
     alabs, clabs = q.a_space.labels, q.c_space.labels
-    mult, act, f = q.mult, q.action, q.f_table
-    e = {l: {l: 1} for l in q.b_space.labels}
-    unit = q.unit
-    star = q.star
+    t = q.b_table
+    ea, ec = ({l: {l: 1} for l in labs} for labs in (alabs, clabs))
+    unit, star = q.unit, q.star
     cols = columns(star)
     e_star = {l: cols.get(l, {}) for l in alabs}  # e_l*, column l of star
 
@@ -253,8 +252,11 @@ def validate_quadruple(q: CoordinateQuadruple) -> dict:
             fmt.format(i=i, j=j)
             for i in alabs
             for j in alabs
-            if mult.get((i, j), {}) != mult.get((j, i), {})
+            if t.get((i, j), {}) != t.get((j, i), {})
         ]
+
+    def associative(law: str, fmt: str, xs: dict, ys: dict, zs: dict):
+        record(law, [fmt.format(*key) for key in _associator_faults(t, xs, ys, zs)])
 
     if q.qtype == "B":
         # the type-B star algebra is a Clifford Jordan algebra: commutative
@@ -262,42 +264,31 @@ def validate_quadruple(q: CoordinateQuadruple) -> dict:
         record("a commutative (Jordan)", noncommuting("{i}.{j} != {j}.{i}"))
         # Clifford structure: associativity on triples with at most one
         # skew factor (A associative, A-module law on B, form A-bilinear)
-        rows = {"A": q.a_part_sub.rows, "B": q.b_part_sub.rows}
+        rows = {p: dict(enumerate(s.rows)) for p, s in (("A", q.a_part_sub), ("B", q.b_part_sub))}
         record("Clifford Jordan structure", [
             f"associator nonzero on {tag} triple"
             for tag in ("AAA", "AAB", "ABB")
-            for x in rows[tag[0]]
-            for y in rows[tag[1]]
-            for z in rows[tag[2]]
-            if _bilinear(mult, _bilinear(mult, x, y), z)
-            != _bilinear(mult, x, _bilinear(mult, y, z))
+            for _ in _associator_faults(t, *(rows[part] for part in tag))
         ])
     else:
-        record("a associative", [
-            f"({i}.{j}).{k} != {i}.({j}.{k})"
-            for i in alabs
-            for j in alabs
-            for k in alabs
-            if _bilinear(mult, mult.get((i, j), {}), e[k])
-            != _bilinear(mult, e[i], mult.get((j, k), {}))
-        ])
+        associative("a associative", "({0}.{1}).{2} != {0}.({1}.{2})", ea, ea, ea)
     record("unit law", [
         lab
         for lab in alabs
-        if _bilinear(mult, unit, e[lab]) != e[lab] or _bilinear(mult, e[lab], unit) != e[lab]
+        if _bilinear(t, unit, ea[lab]) != ea[lab] or _bilinear(t, ea[lab], unit) != ea[lab]
     ])
     # on a = 0 the unit law holds vacuously, but 1 = 0 makes x -> x (x) 1
     # fail to be injective
     record("unit is nonzero", [] if unit else ["unit is 0"])
     record("star is an involution (star^2 = id)", [
-        lab for lab in alabs if apply(star, e_star[lab]) != e[lab]
+        lab for lab in alabs if apply(star, e_star[lab]) != ea[lab]
     ])
     if q.qtype in ("C", "BC", "B"):
         record("star antiautomorphism ((xy)* = y*x*)", [
             f"({i}.{j})*"
             for i in alabs
             for j in alabs
-            if apply(star, mult.get((i, j), {})) != _bilinear(mult, e_star[j], e_star[i])
+            if apply(star, t.get((i, j), {})) != _bilinear(t, e_star[j], e_star[i])
         ])
     if q.qtype in ("A", "D"):
         identity = {(l, l): 1 for l in alabs}
@@ -307,29 +298,15 @@ def validate_quadruple(q: CoordinateQuadruple) -> dict:
     if q.qtype in ("A", "B", "C", "D"):
         record("module part trivial", [] if q.c_dim == 0 else ["C is nonzero"])
     if q.qtype == "BC":
-        record("module unital", [l for l in clabs if _bilinear(act, unit, e[l]) != e[l]])
-        record("module associative ((xy).c = x.(y.c))", [
-            f"({i}.{j}).{l}"
-            for i in alabs
-            for j in alabs
-            for l in clabs
-            if _bilinear(act, mult.get((i, j), {}), e[l])
-            != _bilinear(act, e[i], act.get((j, l), {}))
-        ])
+        record("module unital", [l for l in clabs if _bilinear(t, unit, ec[l]) != ec[l]])
+        associative("module associative ((xy).c = x.(y.c))", "({0}.{1}).{2}", ea, ea, ec)
         record("f skew-hermitian (f(c,c')* = -f(c',c))", [
             f"f({l},{m})"
             for l in clabs
             for m in clabs
-            if apply(star, f.get((l, m), {})) != {a: -v for a, v in f.get((m, l), {}).items()}
+            if apply(star, t.get((l, m), {})) != {a: -v for a, v in t.get((m, l), {}).items()}
         ])
-        record("f left semilinear (f(x.c, c') = x f(c, c'))", [
-            f"f({i}.{l},{m})"
-            for i in alabs
-            for l in clabs
-            for m in clabs
-            if _bilinear(f, act.get((i, l), {}), e[m])
-            != _bilinear(mult, e[i], f.get((l, m), {}))
-        ])
+        associative("f left semilinear (f(x.c, c') = x f(c, c'))", "f({0}.{1},{2})", ea, ec, ec)
     record(
         "a = A (+) B eigenspace split",
         []
@@ -338,6 +315,20 @@ def validate_quadruple(q: CoordinateQuadruple) -> dict:
     )
     ok = all(c["status"] == "pass" for c in checks)
     return {"quadruple": q.name, "type": q.qtype, "valid": ok, "checks": checks}
+
+
+def _associator_faults(t: dict, xs: dict, ys: dict, zs: dict):
+    """The keys (i, j, k), in loop order, of the triples x = xs[i],
+    y = ys[j], z = zs[k] of entry dicts with (xy)z != x(yz) in the product
+    table t.  Both sides are 0 where xy and yz are, so a triple is formed
+    only where xy or yz is nonzero."""
+    yz = {j: {k: p for k, z in zs.items() if (p := _bilinear(t, y, z))} for j, y in ys.items()}
+    for i, x in xs.items():
+        for j, y in ys.items():
+            xy = _bilinear(t, x, y)
+            for k in zs if xy else yz[j]:
+                if _bilinear(t, xy, zs[k]) != _bilinear(t, x, yz[j].get(k, {})):
+                    yield i, j, k
 
 
 # ---------------------------------------------------------------------------
@@ -912,11 +903,13 @@ def quadruple_to_json(q: CoordinateQuadruple) -> dict:
     apos = {lab: i for i, lab in enumerate(q.a_space.labels)}
     cpos = {lab: i for i, lab in enumerate(q.c_space.labels)}
 
-    def table3(tab, left, right, out_pos):
+    def table3(left, right, out_pos):
+        # the (left, right) block of b's product
         out = []
-        for (i, j), vec in tab.items():
-            for lab, val in vec.items():
-                out.append([left[i], right[j], out_pos[lab], q_str(val)])
+        for (i, j), vec in q.b_table.items():
+            if i in left and j in right:
+                for lab, val in vec.items():
+                    out.append([left[i], right[j], out_pos[lab], q_str(val)])
         out.sort(key=lambda row: row[:3])
         return out
 
@@ -927,12 +920,12 @@ def quadruple_to_json(q: CoordinateQuadruple) -> dict:
         "type": q.qtype,
         "name": q.name,
         "a_dim": q.a_dim,
-        "structure_constants": table3(q.mult, apos, apos, apos),
+        "structure_constants": table3(apos, apos, apos),
         "unit": sorted([apos[lab], q_str(v)] for lab, v in q.unit.items()),
         "star": star_entries,
         "c_dim": q.c_dim,
-        "action": table3(q.action, apos, cpos, cpos),
-        "f": table3(q.f_table, cpos, cpos, apos),
+        "action": table3(apos, cpos, cpos),
+        "f": table3(cpos, cpos, apos),
     }
 
 

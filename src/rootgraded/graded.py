@@ -735,17 +735,20 @@ def _anchor_defects(adj, i: int, lo: int) -> dict[tuple[int, int], dict[int, int
 
 def _candidates(m: GradedModel) -> list[dict]:
     """The candidate generators, signed permutations {label: (label',
-    sign)} of the natural labels (README, "exhaustive Jacobi"); type A
-    leaves index n out, as e_ii - e_nn is not monomial once n moves."""
+    sign)} of the natural labels (README, "exhaustive Jacobi").  The
+    permutations leave index n out on A, C and BC, whose Cartan bases
+    e_ii - e_nn and e_ii + e_i'i' - e_nn - e_n'n' (v:i' = vb:i) are not
+    monomial once n moves, and keep it on B and D (e_ii - e_i'i').  The sign
+    change at each block's first index, n included, fixes e_nn + e_n'n'."""
     kinds = ("v",) if m.family == "A" else ("v", "vb")
     eps = -1 if m.family in ("C", "BC") else 1
     out = []
     for block in (range(1, m.m0 + 1), range(m.m0 + 1, m.n + 1)):
-        b = [i for i in block if m.family != "A" or i != m.n]
-        perms = [dict(zip(b[:2], b[1::-1])), dict(zip(b, b[1:] + b[:1]))][: min(len(b) - 1, 2)]
+        b = [i for i in block if i != m.n or m.family in ("B", "D")]
+        perms = [dict(zip(b[:2], b[1::-1])), dict(zip(b, b[1:] + b[:1]))][: max(0, len(b) - 1)]
         out += [{f"{k}:{i}": (f"{k}:{j}", 1) for k in kinds for i, j in p.items()} for p in perms]
-        if b and m.family != "A":
-            out.append({f"v:{b[0]}": (f"vb:{b[0]}", 1), f"vb:{b[0]}": (f"v:{b[0]}", eps)})
+        if m.family != "A":
+            out += [{f"v:{i}": (f"vb:{i}", 1), f"vb:{i}": (f"v:{i}", eps)} for i in block[:1]]
     return out
 
 

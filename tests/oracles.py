@@ -3,7 +3,8 @@
 Each is an independent statement of something the package's own checks
 rely on (a dimension formula, the root-system axioms, the semidivisible
 part of BC, the type-B derivation span, the level operator's lemma, beta*
-on two elements of b), read only by tests.
+on two elements of b, the associativity laws of a quadruple), read only by
+tests.
 """
 
 from fractions import Fraction as Q
@@ -11,7 +12,7 @@ from fractions import Fraction as Q
 from dictmat import lin, product, trace, transpose
 
 from rootgraded import graded
-from rootgraded.coord import clifford_quadruple
+from rootgraded.coord import _bilinear, clifford_quadruple
 from rootgraded.exactla import ShapeError, apply, rref
 from rootgraded.liealg import FormedSpace, build_algebra
 from rootgraded.rootsys import Root, RootSystem, _reflection_faults
@@ -122,3 +123,54 @@ def beta_star(q, x: dict, y: dict) -> dict:
     for u, v, sign in ((a1, a2, 1), (s1, s2, 1), (c1, c2, -1)):
         terms += [(Q(sign, 2), prod(u, v)), (Q(-1, 2), prod(v, u))]
     return lin(*terms)
+
+
+def dense_associativity_faults(q) -> dict[str, list[str]]:
+    """Every failure, not only the first three, of the four associativity
+    laws ``coord.validate_quadruple`` reports, formed on every basis triple,
+    zero products included, each law over its own table: a's product, the
+    action and f are the (a, a), (a, C) and (C, C) blocks of ``q.b_table``.
+    The reference for ``coord._associator_faults``, which forms only the
+    triples with a nonzero inner product."""
+    alabs, clabs = q.a_space.labels, q.c_space.labels
+    mult, act, f = (
+        {(i, j): v for (i, j), v in q.b_table.items() if i in left and j in right}
+        for left, right in ((q.a_space, q.a_space), (q.a_space, q.c_space), (q.c_space, q.c_space))
+    )
+    e = {l: {l: 1} for l in q.b_space.labels}
+    rows = {"A": q.a_part_sub.rows, "B": q.b_part_sub.rows}
+    return {
+        "Clifford Jordan structure": [
+            f"associator nonzero on {tag} triple"
+            for tag in ("AAA", "AAB", "ABB")
+            for x in rows[tag[0]]
+            for y in rows[tag[1]]
+            for z in rows[tag[2]]
+            if _bilinear(mult, _bilinear(mult, x, y), z)
+            != _bilinear(mult, x, _bilinear(mult, y, z))
+        ],
+        "a associative": [
+            f"({i}.{j}).{k} != {i}.({j}.{k})"
+            for i in alabs
+            for j in alabs
+            for k in alabs
+            if _bilinear(mult, mult.get((i, j), {}), e[k])
+            != _bilinear(mult, e[i], mult.get((j, k), {}))
+        ],
+        "module associative ((xy).c = x.(y.c))": [
+            f"({i}.{j}).{l}"
+            for i in alabs
+            for j in alabs
+            for l in clabs
+            if _bilinear(act, mult.get((i, j), {}), e[l])
+            != _bilinear(act, e[i], act.get((j, l), {}))
+        ],
+        "f left semilinear (f(x.c, c') = x f(c, c'))": [
+            f"f({i}.{l},{m})"
+            for i in alabs
+            for l in clabs
+            for m in clabs
+            if _bilinear(f, act.get((i, l), {}), e[m])
+            != _bilinear(mult, e[i], f.get((l, m), {}))
+        ],
+    }

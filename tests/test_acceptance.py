@@ -294,7 +294,8 @@ def test_criterion_5_coordinate_suite(preset):
         for lc in q.c_space.labels:
             for lcp in q.c_space.labels:
                 # diamond and heart, the antisymmetric and symmetric parts of f
-                f1, f2 = (q.f_table.get(l, {}) for l in [(lc, lcp), (lcp, lc)])
+                # f is the (C, C) block of b's product
+                f1, f2 = (q.b_table.get(l, {}) for l in [(lc, lcp), (lcp, lc)])
                 dia = lin((Q(1, 2), f1), (Q(-1, 2), f2))
                 heart = lin((Q(1, 2), f1), (Q(1, 2), f2))
                 assert apply(q.star, dia) == dia

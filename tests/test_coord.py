@@ -1,10 +1,13 @@
+import functools
+import hashlib
+import inspect
 import itertools
 import json
 import random
 
 import pytest
 from dictmat import lin
-from oracles import beta_star
+from oracles import beta_star, dense_associativity_faults
 
 from fractions import Fraction as Q
 
@@ -82,19 +85,28 @@ def derivation(spec, ell, x, y):
     return bb.derivation_of(bb.pair_tensor(x, y))
 
 
-# products read off the structure constants ``mult``, ``action`` and
-# ``f_table``, independent of b's product table; b_mul reads that table.
-# An element of a or of C is an element of b with the same entry dict
+@functools.cache
+def block(q, left, right):
+    """The (left, right) block of b's product table, each of left and right
+    "a" or "C": a's product is (a, a), the action (a, C) and f (C, C)."""
+    spaces = {"a": q.a_space, "C": q.c_space}
+    return {(x, y): v for (x, y), v in q.b_table.items() if x in spaces[left] and y in spaces[right]}
+
+
+# a's product, the action and f, each read off its own block of b's product
+# table, so the C part of an argument of a_mul, say, is not read; b_mul
+# reads the whole table.  An element of a or of C is an element of b with
+# the same entry dict
 def a_mul(q, x, y):
-    return lin((1, coord._bilinear(q.mult, x, y)))
+    return lin((1, coord._bilinear(block(q, "a", "a"), x, y)))
 
 
 def c_act(q, a, c):
-    return lin((1, coord._bilinear(q.action, a, c)))
+    return lin((1, coord._bilinear(block(q, "a", "C"), a, c)))
 
 
 def f_val(q, c, cp):
-    return lin((1, coord._bilinear(q.f_table, c, cp)))
+    return lin((1, coord._bilinear(block(q, "C", "C"), c, cp)))
 
 
 def b_mul(q, x, y):
@@ -330,6 +342,26 @@ _BROKEN = {
                         ["c:0", "c:1"], {("one", "c:0"): {"c:0": 1}}),
         {"module unital": ["c:1"]},
     ),
+    # u.w = w and every other product of u and w 0: the one fault,
+    # (u.u).w = 0 but u.(u.w) = w, has xy = 0 and yz nonzero
+    "associative-left-zero": (
+        lambda: _broken("A", ["one", "u", "w"], {
+            **{(l, "one"): {l: 1} for l in ("one", "u", "w")},
+            **{("one", l): {l: 1} for l in ("u", "w")},
+            ("u", "w"): {"w": 1},
+        }, {"one": 1}, _ident(["one", "u", "w"])),
+        {"a associative": ["(u.u).w != u.(u.w)"]},
+    ),
+    # w.u = w and every other product of u and w 0: the one fault,
+    # (w.u).u = w but w.(u.u) = 0, has yz = 0 and xy nonzero
+    "associative-right-zero": (
+        lambda: _broken("A", ["one", "u", "w"], {
+            **{(l, "one"): {l: 1} for l in ("one", "u", "w")},
+            **{("one", l): {l: 1} for l in ("u", "w")},
+            ("w", "u"): {"w": 1},
+        }, {"one": 1}, _ident(["one", "u", "w"])),
+        {"a associative": ["(w.u).u != w.(u.u)"]},
+    ),
     # x.c = c, so (x.x).c = 0 but x.(x.c) = c
     "module-associative": (
         lambda: _broken("BC", ["one", "x"], _DUAL, {"one": 1}, _ident(["one", "x"]),
@@ -446,26 +478,112 @@ def test_halved_quadruples_hold_fractions(source):
     assert any(type(v) is Q for v in q.star.values()) == (source != "halved:matrix:k=2")
 
 
+def _built_from(source):
+    """``_table_quadruple(source)`` built afresh (a preset is not read from
+    the cache), and the arguments its constructor was given."""
+    init, given = CoordinateQuadruple.__init__, []
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        given.append(inspect.signature(init).bind(self, *args, **kwargs).arguments)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CoordinateQuadruple, "__init__", spy)
+        fresh = source in PRESET_SPECS + COORDINATE_PRESETS
+        q = parse_preset_spec(source) if fresh else _table_quadruple(source)
+    return q, given[-1]
+
+
 @pytest.mark.parametrize("source", _TABLE_SOURCES)
 def test_b_table_is_the_structured_product(source):
     # e_x e_y for every pair of basis labels of b = a (+) C, against
     # (a1 + c1)(a2 + c2) = a1 a2 + f(c1, c2) + a1.c2 + a2*.c1 written out
-    # block by block from mult, f_table, action and the columns of star
-    q = _table_quadruple(source)
+    # block by block: a1 a2, f and a1.c2 from the tables the constructor
+    # was given (a preset's, or a JSON file's rows), a2*.c1 from the
+    # (a, C) block and the columns of star
+    q, given = _built_from(source)
     a, c = q.a_space, q.c_space
     for x in q.b_space.labels:
         for y in q.b_space.labels:
             if x in a and y in a:
-                expected = q.mult.get((x, y), {})
+                table = given["mult"]
             elif x in c and y in c:
-                expected = q.f_table.get((x, y), {})
+                table = given.get("f_table") or {}
             elif x in a:
-                expected = q.action.get((x, y), {})
+                table = given.get("action") or {}
             else:
                 # e_x e_y = e_y*.e_x, e_y* being column y of star
                 star_y = {r: v for (r, l), v in q.star.items() if l == y}
-                expected = c_act(q, star_y, ev(x))
+                assert q.b_table.get((x, y), {}) == c_act(q, star_y, ev(x)), (x, y)
+                continue
+            expected = {l: v for l, v in table.get((x, y), {}).items() if v}
             assert q.b_table.get((x, y), {}) == expected, (x, y)
+
+
+# sha256 of json.dumps(quadruple_to_json(q)) for each of _TABLE_SOURCES
+_JSON_SHA256 = {
+    "matrix:k=2": "5fff5076d4710d0021b3adea1432b1b4a3710c878645041c8ff5dc80292ea171",
+    "group_ring:m=3": "4cdb94622986be00991ff2b79692d4c96d0fed6cee676f2bdfb28b66947c98f2",
+    "clifford:d=2": "a02dd27b53e58f5223df0aac0139a53978ecd507eb67d5aecc47ac0a97b1298c",
+    "matrix_transpose:k=2": "8604531653cdfa7e36018699231e124cfe46fa831fbb4bcefb3e948e5ce6f955",
+    "symplectic:m=2": "a76460a867f6a8043d1a91fa13e224f0c852a7fd888b4c5756f1adb5b0f646f2",
+    "matrix_hermitian:k=2,m=2": "5b9d9dd5fa41eec785fc9db78242e00fd9ad13bddadc2f0d563a527bbc6ab23c",
+    "matrix:k=4": "8f88163d4342b396e62901d53057ac953711f0e22e233bf54fd006d936df1363",
+    "matrix_transpose:k=4": "08fdd9822035264df8fd8ea99150b8a463fb38f6f2c08a74f5cddaad426d806b",
+    "matrix_hermitian:k=3,m=4": "ef5598e8dfc773aab404fc23d4e06961ce5e8179e163572d69fe8352849b84f4",
+    "matrix_hermitian:k=4,m=2": "67d819e46f0392cb48ebac67bf01309c5ecb674c6c9f5b0e3501d7a32d61c5dd",
+    "clifford:d=6": "f9ad8194a243cfa9bc16c93e79e63e8831b1eed1cd220c435fa3449c202d152f",
+    "group_ring:m=8": "605d41dfa1bb1ad1be25d7bdf3e8f4372c3f4bd2db5234820a75a62a2741c901",
+    "symplectic:m=8": "c27aaa3b92278a15659691382cb0fbdf0e6e9640664013ef0883c1614d587410",
+    "o_B(3)": "93c935329cea4bc1145fdeff8664c8156de35a18d777ce75fd5ccf73cfd7d0dd",
+    "json:matrix_hermitian:k=2,m=2": "5b9d9dd5fa41eec785fc9db78242e00fd9ad13bddadc2f0d563a527bbc6ab23c",
+    "halved:matrix:k=2": "313f8f59e6f613b40cafac7788fe9ed51a5556190fe50fa38655573c53603582",
+    "halved:matrix_hermitian:k=2,m=2": "c6417cab7aff887b3ba2c2aefe24883e8606ba485d66d9c377ceba0a64370530",
+}
+
+
+@pytest.mark.parametrize("source", _TABLE_SOURCES)
+def test_quadruple_json_bytes_are_pinned(source):
+    text = json.dumps(quadruple_to_json(_table_quadruple(source)))
+    assert hashlib.sha256(text.encode()).hexdigest() == _JSON_SHA256[source]
+
+
+def _walked_faults(q):
+    """The four associativity laws of ``dense_associativity_faults``, every
+    failure of each, from ``coord._associator_faults`` on the triples
+    ``validate_quadruple`` hands it."""
+    t = q.b_table
+    ea, ec = ({l: {l: 1} for l in labs} for labs in (q.a_space.labels, q.c_space.labels))
+    rows = {p: dict(enumerate(s.rows)) for p, s in (("A", q.a_part_sub), ("B", q.b_part_sub))}
+
+    def walk(fmt, *spaces):
+        return [fmt.format(*key) for key in coord._associator_faults(t, *spaces)]
+
+    return {
+        "Clifford Jordan structure": [
+            w
+            for tag in ("AAA", "AAB", "ABB")
+            for w in walk(f"associator nonzero on {tag} triple", *(rows[p] for p in tag))
+        ],
+        "a associative": walk("({0}.{1}).{2} != {0}.({1}.{2})", ea, ea, ea),
+        "module associative ((xy).c = x.(y.c))": walk("({0}.{1}).{2}", ea, ea, ec),
+        "f left semilinear (f(x.c, c') = x f(c, c'))": walk("f({0}.{1},{2})", ea, ec, ec),
+    }
+
+
+@pytest.mark.parametrize("case", _TABLE_SOURCES + [f"broken:{case}" for case in _BROKEN])
+def test_associator_walk_finds_every_dense_fault(case):
+    # every failure in order, not only the three a report keeps; and the
+    # report's witnesses of each law it checks are the first three
+    if case.startswith("broken:"):
+        q = _BROKEN[case[7:]][0]()
+    else:
+        q = _table_quadruple(case)
+    dense = dense_associativity_faults(q)
+    assert _walked_faults(q) == dense
+    for check in validate_quadruple(q)["checks"]:
+        if check["law"] in dense:
+            assert check["witnesses"] == dense[check["law"]][:3], check["law"]
 
 
 @pytest.mark.parametrize("source", _TABLE_SOURCES)

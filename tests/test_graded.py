@@ -201,7 +201,8 @@ def test_bc_symplectic_orthogonal_vectors_row():
     nat = m.G.nat
     u, w = {"v:1": 1}, {"v:2": 1}
     q = m.quadruple
-    f01, f10 = (q.f_table.get(l, {}) for l in [("c:0", "c:1"), ("c:1", "c:0")])
+    # f(c, c') is the (C, C) block of b's product
+    f01, f10 = (q.b_table.get(l, {}) for l in [("c:0", "c:1"), ("c:1", "c:0")])
     dia = lin((Q(1, 2), f01), (Q(-1, 2), f10))
     expected = {}
     for gi, cg in m.G.wb.coords(v_ops(u, w, nat, m.idem0, m.m0, "circ")).items():
@@ -469,16 +470,46 @@ def test_jacobi_anchors_need_each_premise(monkeypatch):
     assert graded._jacobi_anchors(m, adj) is None
 
 
-def test_generators_that_move_the_cartan_off_the_basis_are_dropped():
-    # type C moves index n out of S's Cartan basis; type A leaves it out
-    m = model("BC", 7, 4, "matrix_hermitian:k=2,m=2")
-    kept = [graded._signed_map(m, relabel) is not None for relabel in graded._candidates(m)]
-    # I_0 = 1..4: (1 2), (1 2 3 4) and the sign change at 1; I \\ I_0 = 5..7:
-    # (5 6), (5 6 7), which moves 7, and the sign change at 5
-    assert kept == [True, True, True, True, False, True]
-    a = model("A", 6, 5, "matrix:k=2")
-    moved = {int(lab.partition(":")[2]) for relabel in graded._candidates(a) for lab in relabel}
-    assert moved == {1, 2, 3, 4, 5}
+@pytest.mark.parametrize(
+    "config,moved",
+    [
+        # A, C and BC leave index n out of the permutations, B and D keep it
+        (("A", 6, 5, "matrix:k=2"), (1, 2, 3, 4, 5)),
+        (("B", 6, 5, "clifford:d=2"), (1, 2, 3, 4, 5, 6)),
+        (("C", 6, 5, "matrix_transpose:k=2"), (1, 2, 3, 4, 5, 6)),
+        (("D", 7, 5, "group_ring:m=3"), (1, 2, 3, 4, 5, 6, 7)),
+        (("BC", 7, 4, "matrix_hermitian:k=2,m=2"), (1, 2, 3, 4, 5, 6)),
+    ],
+    ids=_param_id,
+)
+def test_every_candidate_generator_is_kept(config, moved):
+    # each candidate sends every basis object to plus or minus one; on C
+    # and BC the sign change at a block's first index may be at n (C n6:
+    # I_0 = 1..5, I \\ I_0 = {6}, and 6 moves only under the sign change)
+    m = model(*config)
+    cands = graded._candidates(m)
+    assert cands and all(cands)
+    assert all(graded._signed_map(m, relabel) is not None for relabel in cands)
+    assert {int(lab.partition(":")[2]) for relabel in cands for lab in relabel} == set(moved)
+
+
+@pytest.mark.parametrize(
+    "config,ns,anchors",
+    [
+        (("C", 5, "matrix_transpose:k=2"), (8, 9), 14),
+        (("BC", 4, "matrix_hermitian:k=2,m=2"), (7, 8), 16),
+    ],
+    ids=_param_id,
+)
+def test_anchor_count_does_not_grow_with_n(config, ns, anchors):
+    # with index n out of the permutations on C and BC, one more index of
+    # I \\ I_0 adds no orbit
+    family, ell, preset = config
+    counts = []
+    for n in ns:
+        m = build_model(family, n, ell, parse_preset_spec(preset))
+        counts.append(len(graded._jacobi_anchors(m, graded._adjacency(m))))
+    assert counts == [anchors, anchors]
 
 
 @MUTANT_CONFIGS
@@ -938,11 +969,13 @@ def test_bc_f_term_vanishes_on_the_relation_space(preset):
     kappa = inner_scale("BC", m.ell)
     c_basis = m.c_basis
 
+    # a in a and c, c' in C, so b's product reads its (a, C) block for a.c
+    # and its (C, C) block for f(c, c')
     def c_act(a, c):
-        return lin((1, _bilinear(q.action, a, c)))
+        return lin((1, _bilinear(q.b_table, a, c)))
 
     def f_val(c, cp):
-        return lin((1, _bilinear(q.f_table, c, cp)))
+        return lin((1, _bilinear(q.b_table, c, cp)))
 
     def f_term(t, c):
         # c1 f(c, c2) + c2 f(c, c1) over the C (x) C entries c1 (x) c2 of t
