@@ -470,6 +470,23 @@ def test_jacobi_anchors_need_each_premise(monkeypatch):
     assert graded._jacobi_anchors(m, adj) is None
 
 
+def test_generators_that_move_the_cartan_off_the_basis_are_dropped():
+    # type C moves index n out of S's Cartan basis, so a relabelling that
+    # moves n has no signed map; _candidates leaves n out on C and BC
+    m = model("BC", 7, 4, "matrix_hermitian:k=2,m=2")
+
+    def cycle(*idx):
+        return {f"{k}:{i}": (f"{k}:{j}", 1) for k in ("v", "vb") for i, j in zip(idx, idx[1:] + idx[:1])}
+
+    # I \\ I_0 = 5..7: (5 6) is kept, (5 6 7), which moves 7, is dropped
+    assert graded._signed_map(m, cycle(5, 6)) is not None
+    assert graded._signed_map(m, cycle(5, 6, 7)) is None
+    assert cycle(5, 6, 7) not in graded._candidates(m)
+    a = model("A", 6, 5, "matrix:k=2")
+    moved = {int(lab.partition(":")[2]) for relabel in graded._candidates(a) for lab in relabel}
+    assert moved == {1, 2, 3, 4, 5}
+
+
 @pytest.mark.parametrize(
     "config,moved",
     [
