@@ -28,6 +28,7 @@ from .exactla import (
     BasedSpace,
     Q,
     QuotientSpace,
+    ShapeError,
     Subspace,
     add_scaled,
     apply,
@@ -35,6 +36,7 @@ from .exactla import (
     columns,
     kernel_of_rows,
     label_text,
+    outer,
     q_parse,
     q_str,
     rref,
@@ -89,6 +91,15 @@ class CoordinateQuadruple:
         self.qtype = qtype
         self.name = name or qtype
         self.a_space = BasedSpace(a_labels)
+        self.c_space = BasedSpace(c_labels)
+        # each table's keys lie in its block of b x b, as the JSON loader's do
+        spaces = {"a": self.a_space, "C": self.c_space}
+        blocks = (("mult", mult, "aa"), ("action", action or {}, "aC"), ("f_table", f_table or {}, "CC"))
+        for table, given, (r, c) in blocks:
+            for key in given:
+                if not (isinstance(key, tuple) and len(key) == 2
+                        and key[0] in spaces[r] and key[1] in spaces[c]):
+                    raise ShapeError(f"{table} key {key!r} outside {r} x {c}")
         # b's product, q's only product table: an entry dict per pair of basis
         # labels of b = a (+) C (a's and C's are disjoint), a a' from ``mult``,
         # f(c, c') from ``f_table``, a.c from ``action`` and c a = a*.c
@@ -96,7 +107,6 @@ class CoordinateQuadruple:
         self.unit = clean(self.a_space, unit)
         # the involution's entry dict {(row, col): value} on a
         self.star = clean(tensor_space(self.a_space, self.a_space), star)
-        self.c_space = BasedSpace(c_labels)
         action = {key: clean(self.c_space, val) for key, val in (action or {}).items()}
         t.update((key, clean(self.a_space, val)) for key, val in (f_table or {}).items())
         t.update(action)
@@ -369,7 +379,7 @@ def relation_generators(q: CoordinateQuadruple) -> list[dict]:
             gens += ({(a, c): 1}, {(c, a): 1})
     for a in q.a_part_sub.rows:
         for b in q.b_part_sub.rows:
-            keep({(x, y): vx * vy for x, vx in a.items() for y, vy in b.items()})
+            keep(outer(a, b))
     for i, x in enumerate(alabs):
         for y in alabs[i:]:
             keep({(x, y): 1, (y, x): 1} if x != y else {(x, x): 2})
@@ -537,7 +547,7 @@ class BBQuotient:
 
     def pair_tensor(self, x: dict, y: dict) -> dict:
         """x (x) y in b (x) b, for the entry dicts x, y of elements of b."""
-        return {(lx, ly): scalar(vx * vy) for lx, vx in x.items() for ly, vy in y.items()}
+        return outer(x, y)
 
     def bracket_cosets(self, u: dict, v: dict) -> dict:
         """[u, v] of two coset vectors, entry dicts over the coset labels: v

@@ -7,8 +7,10 @@ no floats.  ``scalar`` is the one normalizer every stored entry passes
 through, so a Fraction with denominator 1 never stays one.  A vector is
 its entry dict {label: value} over a ``BasedSpace``, with no zero
 entries, and a matrix is its entry dict {(row, col): value}, which
-``apply`` applies to a vector.  No operation but ``add_scaled`` changes
-a dict it is given, so results can be shared freely.
+``apply`` applies to a vector.  The package's two matrix kernels live
+here: ``products`` multiplies lists of matrices, and ``outer`` forms
+x (x) y.  No operation but ``add_scaled`` changes a dict it is given, so
+results can be shared freely.
 """
 
 from __future__ import annotations
@@ -143,7 +145,41 @@ def columns(entries: Mapping) -> dict:
     return cols
 
 
-# no caller in the package, but bench/tracing.py traces its __matmul__
+def outer(x: Mapping, y: Mapping) -> dict:
+    """The outer product x (x) y of two vectors' entry dicts, as the matrix
+    entry dict {(r, c): x_r y_c}; it has no zero entry, as x and y have none."""
+    return {(r, c): scalar(vr * vc) for r, vr in x.items() for c, vc in y.items()}
+
+
+def products(mats1: list[dict], mats2: list[dict]) -> dict:
+    """{(i, j): entry dict of x_i y_j} for x_i in ``mats1`` and y_j in
+    ``mats2``, with no key where the product is 0: one join of each x_i's
+    entries, by column, with ``mats2`` indexed by row (Gustavson, ACM TOMS
+    4(3), 1978), so a pair whose supports do not meet costs nothing."""
+    by_row: dict = {}  # mid -> {j: [(col, entry of y_j)]}
+    for j, y in enumerate(mats2):
+        for (mid, c), w in y.items():
+            by_row.setdefault(mid, {}).setdefault(j, []).append((c, w))
+    out: dict = {}
+    for i, x in enumerate(mats1):
+        cols: dict = {}
+        for (r, mid), v in x.items():
+            cols.setdefault(mid, []).append((r, v))
+        for mid, xs in cols.items():
+            for j, ys in by_row.get(mid, {}).items():
+                xy = out.setdefault((i, j), {})
+                for r, v in xs:
+                    for c, w in ys:
+                        s = xy.get((r, c), 0) + v * w
+                        if s:
+                            xy[r, c] = s
+                        else:
+                            del xy[r, c]
+    return {ij: xy for ij, xy in out.items() if xy}
+
+
+# the package multiplies with ``products``; this class stays as the
+# boundary bench/tracing.py traces as exactla.matmul
 class SparseMatrix:
     """A matrix's entry dict checked against its shape, for one operation:
     the composition ``m @ p``, (m @ p)[r, c] = sum_t m[r, t] * p[t, c].
@@ -174,18 +210,7 @@ class SparseMatrix:
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if other.codomain != self.domain:
             raise ShapeError("composition shapes disagree")
-        cols: dict[Hashable, list[tuple[Hashable, Fraction]]] = {}
-        for (r, c), v in other.entries.items():
-            cols.setdefault(r, []).append((c, v))
-        out: dict[tuple[Hashable, Hashable], Fraction] = {}
-        for (r, mid), v in self.entries.items():
-            for c, w in cols.get(mid, ()):
-                key = (r, c)
-                s = out.get(key, 0) + v * w
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+        out = products([self.entries], [other.entries]).get((0, 0), {})
         return SparseMatrix(other.domain, self.codomain, out)
 
 

@@ -39,6 +39,7 @@ from .exactla import (
     apply,
     clean,
     label_text,
+    products,
     rref,
     scalar,
 )
@@ -295,33 +296,6 @@ def _coset_coords(dpart) -> Callable:
     return lambda t: read(dpart.relations.reduce(t))
 
 
-def _products(mats1: list[dict], mats2: list[dict]) -> dict:
-    """{(i, j): entry dict of x_i y_j} for x_i in ``mats1`` and y_j in
-    ``mats2``, with no key where the product is 0: one join of each x_i's
-    entries, by column, with ``mats2`` indexed by row (Gustavson, ACM TOMS
-    4(3), 1978), so a pair whose supports do not meet costs nothing."""
-    by_row: dict = {}  # mid -> {j: [(col, entry of y_j)]}
-    for j, y in enumerate(mats2):
-        for (mid, c), w in y.items():
-            by_row.setdefault(mid, {}).setdefault(j, []).append((c, w))
-    out: dict = {}
-    for i, x in enumerate(mats1):
-        cols: dict = {}
-        for (r, mid), v in x.items():
-            cols.setdefault(mid, []).append((r, v))
-        for mid, xs in cols.items():
-            for j, ys in by_row.get(mid, {}).items():
-                xy = out.setdefault((i, j), {})
-                for r, v in xs:
-                    for c, w in ys:
-                        s = xy.get((r, c), 0) + v * w
-                        if s:
-                            xy[r, c] = s
-                        else:
-                            del xy[r, c]
-    return {ij: xy for ij, xy in out.items() if xy}
-
-
 class _Kind(NamedTuple):
     """A kind of basis element, laid out by ``GradedModel._assemble_basis``:
     element (i, p) sits at offset + i * width + p, width being the number of
@@ -484,7 +458,7 @@ class GradedModel:
         once per matrix-side pair (i <= j within a kind) and once per
         coordinate-side pair, the coordinate factors first: a term with
         none is dead, and its matrix side is skipped.  When some product
-        term is live, ``_products`` forms every nonzero product of the two
+        term is live, ``products`` forms every nonzero product of the two
         kinds' matrices once, and the product ops read (xy, yx) on each
         pair with one of them nonzero; the other ops run on every pair.
         ``keep`` receives the matrix-side factors of each term whose key
@@ -506,15 +480,15 @@ class GradedModel:
                 for t, b in enumerate(coords2)
                 if (f := read(term.coord(self, a, b)))
             ])
-        products = {}
+        both = {}  # (i, j) -> (x_i y_j, y_j x_i)
         if any(coord and term.mat in _PRODUCTS for term, coord in zip(terms, coords)):
-            xy = _products(mats1, mats2)
+            xy = products(mats1, mats2)
             if same:
                 yx, pairs = xy, {(i, j) if i <= j else (j, i) for i, j in xy}
             else:
-                yx = _products(mats2, mats1)  # keyed (j, i)
+                yx = products(mats2, mats1)  # keyed (j, i)
                 pairs = xy.keys() | {(i, j) for j, i in yx}
-            products = {(i, j): (xy.get((i, j), {}), yx.get((j, i), {})) for i, j in sorted(pairs)}
+            both = {(i, j): (xy.get((i, j), {}), yx.get((j, i), {})) for i, j in sorted(pairs)}
             # the rows are summed without the join's containers: peak memory
             del xy, yx, pairs
         denom = lcm(*(term.scale.denominator for term in terms))
@@ -523,7 +497,7 @@ class GradedModel:
             off_t, w_t, _mats, _coords, mat_coords = self._kinds[term.target][:5]
             mat = {}
             if coord and term.mat in _PRODUCTS:
-                for ij, (p1, p2) in products.items():
+                for ij, (p1, p2) in both.items():
                     f = mat_coords(term.mat(self, p1, p2))
                     if f:
                         mat[ij] = f

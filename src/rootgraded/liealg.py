@@ -24,6 +24,7 @@ from .exactla import (
     add_scaled,
     apply,
     kernel_of_rows,
+    outer,
     rref,  # not called here, but bench/tracing.py traces liealg.rref
     scalar,
 )
@@ -287,35 +288,22 @@ def truncation_idempotent(nat_space: BasedSpace, subset: Container[int]) -> dict
 def v_ops(u: dict, v: dict, nat: FormedSpace, j0: dict, m0: int, variant: str) -> dict:
     """The level-normalized pair operators on the natural space, on entry
     dicts: of the vectors u, v, and of J_0 on m0 indices, j0."""
-    half = Q(1, 2)
     if variant not in ("circ", "bracket_ell"):
         raise ValueError(f"unknown variant {variant!r}")
-    vw = nat.functional(v)
     # (u, w) for circ; (w, u) = (G u)[w] for bracket_ell, whose order flips
     uw = nat.functional(u) if variant == "circ" else apply(nat.gram, u)
-    entries: dict[tuple[str, str], Fraction] = {}
-    for w_lab in nat.space.labels:
-        # column w: (1/2)(v, w) u + (1/2) uw[w] v
-        col: dict[str, Fraction] = {}
-        for vec, c in ((u, vw.get(w_lab)), (v, uw.get(w_lab))):
-            if c:
-                add_scaled(col, vec, scalar(half * c))
-        entries.update(((r, w_lab), c) for r, c in col.items())
+    # twice the operator: w -> (v, w) u + uw[w] v, plus (u, v) J_0 / m0
+    twice = outer(u, nat.functional(v))
+    add_scaled(twice, outer(v, uw))
     uv = 0 if variant == "circ" else nat.form(u, v)
     if uv:
-        add_scaled(entries, j0, scalar(uv / Q(2 * m0)))
-    return {key: scalar(c) for key, c in entries.items()}
+        add_scaled(twice, j0, Q(uv, m0))
+    return {key: scalar(Q(c, 2)) for key, c in twice.items()}
 
 
 def d_uw(nat: FormedSpace, u: dict, w: dict) -> dict:
     """The Jordan derivation D_{u,w}: z -> (u, z) w - (w, z) u on the natural
     module, on entry dicts; for type B these span o_B."""
-    uz, wz = nat.functional(u), nat.functional(w)
-    entries = {}
-    for z in nat.space.labels:
-        col: dict[str, Fraction] = {}
-        add_scaled(col, w, uz.get(z, 0))
-        add_scaled(col, u, -wz.get(z, 0))
-        entries.update(((r, z), scalar(val)) for r, val in col.items())
-    return entries
-
+    entries = outer(w, nat.functional(u))
+    add_scaled(entries, outer(u, nat.functional(w)), -1)
+    return {key: scalar(c) for key, c in entries.items()}

@@ -1,8 +1,9 @@
 """Matrix arithmetic on entry dicts, for the tests.
 
 A matrix is its entry dict {(row, col): value} and a vector its entry dict
-{label: value}, as in the package, which itself needs only
-``exactla.apply``.
+{label: value}, as in the package.  ``product`` is written apart from
+the package's ``exactla.products``, so the tests can use it as that
+kernel's oracle.
 Every result here is stored as the package stores it: each value through
 ``scalar``, the zeros dropped.
 """

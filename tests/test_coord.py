@@ -151,6 +151,41 @@ def test_star_is_read_on_a_only():
     assert q.star == {("one", "one"): 1} and type(q.star["one", "one"]) is int
 
 
+@pytest.mark.parametrize(
+    "table, key, block",
+    [
+        ("mult", ("one", "zz"), "a x a"),
+        ("mult", ("one", "c"), "a x a"),
+        ("mult", ("one",), "a x a"),
+        ("action", ("c", "one"), "a x C"),
+        ("action", ("one", "zz"), "a x C"),
+        ("f_table", ("c", "one"), "C x C"),
+        ("f_table", "cc", "C x C"),
+    ],
+)
+def test_table_keys_outside_their_block_are_refused(table, key, block):
+    # each table's keys lie in its block of b x b, on a type-BC quadruple
+    # with a = F and C = F; one stray row is refused with its table and
+    # key, where it used to build, validate, and be left out of the JSON
+    tables = {
+        "mult": {("one", "one"): {"one": 1}},
+        "action": {("one", "c"): {"c": 1}},
+        "f_table": {("c", "c"): {"one": 1}},
+    }
+
+    def build(tables):
+        return CoordinateQuadruple(
+            "BC", ["one"], tables["mult"], {"one": 1}, {("one", "one"): 1}, ["c"],
+            tables["action"], tables["f_table"],
+        )
+
+    assert build(tables).b_table["c", "c"] == {"one": 1}
+    tables[table] = {**tables[table], key: {"one": 1}}
+    with pytest.raises(ShapeError) as err:
+        build(tables)
+    assert str(err.value) == f"{table} key {key!r} outside {block}"
+
+
 @pytest.mark.parametrize("spec", PRESET_SPECS)
 def test_presets_validate(spec):
     report = validate_quadruple(quad(spec))

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from dictmat import lin, trace
+from dictmat import lin, product, trace
 
 from rootgraded.exactla import (
     BasedSpace,
@@ -13,6 +13,8 @@ from rootgraded.exactla import (
     apply,
     clean,
     kernel_of_rows,
+    outer,
+    products,
     q_parse,
     q_str,
     rref,
@@ -245,6 +247,67 @@ def test_matrix_apply_and_compose():
     back = SparseMatrix(S3, S2, {("x", "x"): Q(1), ("y", "z"): Q(1)})
     comp = back @ m
     assert apply(comp.entries, v) == vec(S2, 5, 14)
+    with pytest.raises(ShapeError, match="composition shapes disagree"):
+        m @ m
+
+
+# entries that cancel in pairs, ints and Fractions both
+_entry = st.sampled_from([1, -1, 2, -2, Q(1, 2), Q(-1, 2), Q(3, 2)])
+ROWS, MIDS, COLS = BasedSpace("abc"), BasedSpace("pqrs"), BasedSpace("xyz")
+
+
+def _matrices(rows, cols):
+    """Lists of up to four matrices' entry dicts with rows and columns
+    drawn from these labels, the empty list included."""
+    keys = st.tuples(st.sampled_from(rows), st.sampled_from(cols))
+    return st.lists(st.dictionaries(keys, _entry, max_size=5), max_size=4)
+
+
+@st.composite
+def product_cases(draw):
+    """(mats1, mats2) over ROWS x MIDS and MIDS x COLS; the second list's
+    rows meet the first's columns p, q fully, in part, or not at all."""
+    mids2 = draw(st.sampled_from(["pq", "pqr", "rs"]))
+    return draw(_matrices("abc", "pq")), draw(_matrices(mids2, "xyz"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_cases())
+def test_products_match_the_dictmat_oracle(case):
+    # every pair's product is dictmat's, keyed only where it is nonzero,
+    # with no zero entry; all-int inputs give ints
+    mats1, mats2 = case
+    joined = products(mats1, mats2)
+    expected = {
+        (i, j): xy for i, x in enumerate(mats1) for j, y in enumerate(mats2) if (xy := product(x, y))
+    }
+    assert joined == expected
+    assert all(xy and 0 not in xy.values() for xy in joined.values())
+    if all(type(v) is int for m in mats1 + mats2 for v in m.values()):
+        assert all(type(v) is int for xy in joined.values() for v in xy.values())
+    # the traced composition is the same join, behind its shape check
+    for x in mats1:
+        for y in mats2:
+            composed = SparseMatrix(MIDS, ROWS, x) @ SparseMatrix(COLS, MIDS, y)
+            assert composed.entries == product(x, y)
+
+
+def test_products_edge_cases():
+    x = {("a", "p"): 1, ("a", "q"): Q(1, 2)}
+    # a sum that cancels leaves no key; supports that do not meet cost none
+    assert products([x], [{("p", "x"): 1, ("q", "x"): -2}]) == {}
+    assert products([x], [{("r", "x"): 1}]) == {}
+    assert products([], [x]) == {} and products([x], []) == {}
+    assert products([x, {}], [{("q", "y"): 2}]) == {(0, 0): {("a", "y"): 1}}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.sampled_from("abc"), _entry), st.dictionaries(st.sampled_from("xy"), _entry))
+def test_outer_is_the_scalar_comprehension(x, y):
+    out = outer(x, y)
+    expected = {(r, c): scalar(vr * vc) for r, vr in x.items() for c, vc in y.items()}
+    assert out == expected
+    assert all(type(out[key]) is type(val) for key, val in expected.items())
 
 
 def test_vector_text_reads_in_label_order():

@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 from itertools import combinations
 
 import pytest
-from dictmat import lin
+from dictmat import lin, product
 from oracles import beta_star, level_lemma_faults
 
 import rootgraded.graded as graded
@@ -20,7 +20,7 @@ from rootgraded.coord import (
     parse_preset_spec,
     validate_quadruple,
 )
-from rootgraded.exactla import SparseMatrix, apply, q_str
+from rootgraded.exactla import apply, products, q_str
 from rootgraded.graded import (
     ModelError,
     build_model,
@@ -1392,15 +1392,10 @@ def _matrix_kinds(m):
     return {k: kind for k, kind in m._kinds.items() if k != "v" and (k, m.family) != ("s", "B")}
 
 
-def _as_matrix(m, x):
-    """The matrix on the natural space with the entry dict x."""
-    return SparseMatrix(m.G.space, m.G.space, x)
-
-
 def _reference_table(m):
     """The bracket table by the unpruned all-pairs loop: every term on every
     matrix-side pair, with the products formed afresh for each term by
-    ``SparseMatrix.__matmul__``, not by the build's ``_products``."""
+    ``dictmat.product``, not by the build's ``exactla.products``."""
     rows = {}
     for pair, terms in graded.TERMS[m.family].items():
         k1, k2 = m._kinds[pair[0]], m._kinds[pair[1]]
@@ -1418,8 +1413,7 @@ def _reference_table(m):
                     if same and j < i:
                         continue
                     if term.mat in graded._PRODUCTS:
-                        xm, ym = _as_matrix(m, x), _as_matrix(m, y)
-                        mf = kt.read_mat(term.mat(m, (xm @ ym).entries, (ym @ xm).entries))
+                        mf = kt.read_mat(term.mat(m, product(x, y), product(y, x)))
                     else:
                         mf = kt.read_mat(term.mat(m, x, y))
                     for p, t, cf in coord:
@@ -1449,18 +1443,18 @@ def test_support_index_is_sound(config):
     assert kinds.keys() >= {"g", "d"}
     for k1 in kinds.values():
         for k2 in kinds.values():
-            products = graded._products(k1.mats, k2.mats)
-            assert all(products.values())
+            xy = products(k1.mats, k2.mats)
+            assert all(xy.values())
             for i, x in enumerate(k1.mats):
                 for j, y in enumerate(k2.mats):
-                    if (i, j) not in products:
-                        assert (_as_matrix(m, x) @ _as_matrix(m, y)).entries == {}
+                    if (i, j) not in xy:
+                        assert product(x, y) == {}
     assert m.table == _reference_table(m)
 
 
 @pytest.mark.parametrize("config", list(TABLE_DIGESTS), ids=lambda c: " ".join(map(str, c)))
 def test_product_kernel_is_matmul(config):
-    # the join's entry-dict products equal SparseMatrix products, for every
+    # the join's entry-dict products equal dictmat's products, for every
     # ordered pair of matrices of every pair of matrix kinds; and each product
     # op changes by its parity in _PRODUCTS when (xy, yx) is read as (yx, xy),
     # which verify_antisymmetry takes as given
@@ -1468,12 +1462,11 @@ def test_product_kernel_is_matmul(config):
     kinds = _matrix_kinds(m).values()
     for k1 in kinds:
         for k2 in kinds:
-            products = graded._products(k1.mats, k2.mats)
+            joined = products(k1.mats, k2.mats)
             for i, x in enumerate(k1.mats):
                 for j, y in enumerate(k2.mats):
-                    xm, ym = _as_matrix(m, x), _as_matrix(m, y)
-                    xy, yx = (xm @ ym).entries, (ym @ xm).entries
-                    assert products.get((i, j), {}) == xy
+                    xy, yx = product(x, y), product(y, x)
+                    assert joined.get((i, j), {}) == xy
                     assert all(
                         op(m, yx, xy) == (f if sign == 1 else {k: -c for k, c in f.items()})
                         for op, sign in graded._PRODUCTS.items()
