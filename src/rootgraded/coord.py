@@ -545,10 +545,6 @@ class BBQuotient:
     def dim(self) -> int:
         return self.quotient.dim
 
-    def pair_tensor(self, x: dict, y: dict) -> dict:
-        """x (x) y in b (x) b, for the entry dicts x, y of elements of b."""
-        return outer(x, y)
-
     def bracket_cosets(self, u: dict, v: dict) -> dict:
         """[u, v] of two coset vectors, entry dicts over the coset labels: v
         under d (x) 1 + 1 (x) d, reduced modulo the relations, where d =

@@ -39,6 +39,7 @@ from .exactla import (
     apply,
     clean,
     label_text,
+    outer,
     products,
     rref,
     scalar,
@@ -182,7 +183,7 @@ def _bracket(m, x, y):
 
 
 def _pair(m, x, y):
-    return m.bb.pair_tensor(x, y)
+    return outer(x, y)
 
 
 def _inner(m, lab):
@@ -841,8 +842,8 @@ def _triple_defect(table: dict, i: int, j: int, k: int) -> dict[int, Fraction]:
     out: dict[int, Fraction] = {}
     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
         for mid, x in table.get((b, c) if b < c else (c, b), {}).items():
-            outer = table.get((a, mid) if a < mid else (mid, a), {})
-            add_scaled(out, outer, x if (b < c) == (a < mid) else -x)
+            across = table.get((a, mid) if a < mid else (mid, a), {})
+            add_scaled(out, across, x if (b < c) == (a < mid) else -x)
     return out
 
 
@@ -1147,7 +1148,7 @@ def level_coset(
         raise ModelError("lambda must contain the base subset I_0")
     if not lam <= set(range(1, m.n + 1)):
         raise ModelError("lambda exceeds the model truncation")
-    tensor = m.bb.pair_tensor(x, y)
+    tensor = outer(x, y)
     dcoset = m._kinds["d"].read_coord(tensor)
     coeffs = {m.index_of[("d", (di,))]: c for di, c in dcoset.items()}
     target = _LEVEL_TARGET.get(m.family)

@@ -1,10 +1,11 @@
 """Reference facts the tests compare the package against.
 
 Each is an independent statement of something the package's own checks
-rely on (a dimension formula, the root-system axioms, the semidivisible
-part of BC, the type-B derivation span, the level operator's lemma, beta*
-on two elements of b, the associativity laws of a quadruple), read only by
-tests.
+rely on (a dimension formula, the root-system axioms with the reflection
+test, that every pairing <b, a^vee> is integral and every s_a(b) a root,
+the semidivisible part of BC, the type-B derivation span, the level
+operator's lemma, beta* on two elements of b, the associativity laws of a
+quadruple), read only by tests.
 """
 
 from fractions import Fraction as Q
@@ -15,7 +16,7 @@ from rootgraded import graded
 from rootgraded.coord import _bilinear, clifford_quadruple
 from rootgraded.exactla import ShapeError, apply, rref
 from rootgraded.liealg import FormedSpace, build_algebra
-from rootgraded.rootsys import Root, RootSystem, _reflection_faults
+from rootgraded.rootsys import Root, RootSystem
 
 
 def expected_dimension(family: str, n: int) -> int:
@@ -33,6 +34,30 @@ def semidivisible(system: RootSystem) -> RootSystem:
     kept.add(Root.zero())
     family = "C" if system.family == "BC" else system.family
     return RootSystem(family, system.n, kept)
+
+
+def _reflection_faults(roots):
+    """Yield a message for each pair (a, b) of ``roots``, a nonzero, whose
+    pairing <b, a^vee> = 2(b, a)/(a, a) is not integral or whose reflection
+    s_a(b) = b - <b, a^vee> a is not in ``roots``; on raw coordinate dicts,
+    so that no Root is built or hashed unless a message names it."""
+    roots = list(roots)
+    keys = {r.key() for r in roots}
+    for a in roots:
+        ca = a.coords
+        norm_a = sum(c * c for c in ca.values())
+        if not norm_a:
+            continue
+        for b in roots:
+            cb = b.coords
+            num = 2 * sum(c * cb.get(i, 0) for i, c in ca.items())
+            if num % norm_a:
+                yield f"non-integral pairing <{b}, {a}^>"
+                continue
+            k = num // norm_a
+            image = {i: cb.get(i, 0) - k * ca.get(i, 0) for i in ca.keys() | cb.keys()}
+            if tuple(sorted((i, v) for i, v in image.items() if v)) not in keys:
+                yield f"reflection s_{a}({b}) leaves the system"
 
 
 def validate_root_system(system: RootSystem) -> list[str]:

@@ -34,6 +34,7 @@ from rootgraded.exactla import (
     ShapeError,
     apply,
     columns,
+    outer,
     q_str,
     rref,
     scalar,
@@ -82,7 +83,7 @@ def ev(lab):
 def derivation(spec, ell, x, y):
     """d^ell_{x,y}: the derivation that {b,b}_ell forms for the tensor x (x) y."""
     bb = bb_for(spec, ell)
-    return bb.derivation_of(bb.pair_tensor(x, y))
+    return bb.derivation_of(outer(x, y))
 
 
 @functools.cache
@@ -1013,8 +1014,8 @@ def test_bb_antisymmetry_of_cosets_in_a():
     for l1 in q.a_space.labels:
         for l2 in q.a_space.labels:
             x, y = ev(l1), ev(l2)
-            u = bb.relations.reduce(bb.pair_tensor(x, y))
-            v = bb.relations.reduce(bb.pair_tensor(y, x))
+            u = bb.relations.reduce(outer(x, y))
+            v = bb.relations.reduce(outer(y, x))
             assert u == lin((-1, v))
 
 

@@ -20,7 +20,7 @@ from rootgraded.coord import (
     parse_preset_spec,
     validate_quadruple,
 )
-from rootgraded.exactla import apply, products, q_str
+from rootgraded.exactla import apply, outer, products, q_str
 from rootgraded.graded import (
     ModelError,
     build_model,
@@ -848,7 +848,7 @@ def test_level_coset_at_base_subset_is_plain():
     lc = level_coset(m, range(1, 5), c0, c1)
     assert lc and _kinds(m, lc) == {"d"}
     cosets = m.dpart.coset_space
-    direct = m.dpart.relations.reduce(m.bb.pair_tensor(c0, c1))
+    direct = m.dpart.relations.reduce(outer(c0, c1))
     assert lc == {m.index_of[("d", (cosets.pos(l),))]: v for l, v in direct.items()}
 
 

@@ -15,6 +15,7 @@ from rootgraded.exactla import (
     add_scaled,
     apply,
     kernel_of_rows,
+    outer,
     rref,
     scalar,
 )
@@ -358,7 +359,7 @@ def test_jordan_derivation_basics():
     one, w1, w2 = ({l: 1} for l in ("one", "w:1", "w:2"))
 
     def derivation(x, y):
-        return bb.derivation_of(bb.pair_tensor(x, y))
+        return bb.derivation_of(outer(x, y))
 
     assert derivation(one, w1) == {}
     assert derivation(w1, w1) == {}

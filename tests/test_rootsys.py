@@ -1,3 +1,5 @@
+from fractions import Fraction as Q
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -110,24 +112,24 @@ def _axiom_faults(system: RootSystem) -> list[str]:
 
 
 @pytest.mark.parametrize(
-    "roots",
+    "roots, ambient",
     [
-        # B2 without e1: neither negation- nor reflection-closed
-        generate("B", 2).roots - {Root.eps(1)},
-        # (e1, e1+e2+e3) has pairing 2/3
-        [Root.zero(), Root.eps(1), Root.eps(1, -1), Root({1: 1, 2: 1, 3: 1}), Root({1: -1, 2: -1, 3: -1})],
-        # no zero root
-        generate("A", 3).roots - {Root.zero()},
+        # B2 without e1: neither negation- nor reflection-closed, and no
+        # full subsystem of B3, whose e1 lies in its span
+        (generate("B", 2).roots - {Root.eps(1)}, generate("B", 3)),
+        # (e1, e1+e2+e3) has pairing 2/3, so no generated system holds it
+        ([Root.zero(), Root.eps(1), Root.eps(1, -1), Root({1: 1, 2: 1, 3: 1}), Root({1: -1, 2: -1, 3: -1})], None),
+        # no zero root, so no full subsystem of A3
+        (generate("A", 3).roots - {Root.zero()}, generate("A", 3)),
     ],
     ids=["missing-root", "non-integral", "no-zero"],
 )
-def test_validate_root_system_names_each_fault(roots):
+def test_validate_root_system_names_each_fault(roots, ambient):
     system = RootSystem("B", 3, roots)
     faults = validate_root_system(system)
     assert faults and faults == _axiom_faults(system)
-    # a set that fails the reflection axioms is no full subsystem of itself
-    if "zero root missing" not in faults:
-        assert not is_full_subsystem(system.roots, system)
+    if ambient is not None:
+        assert not is_full_subsystem(roots, ambient)
 
 
 def test_classify_lengths_bc2():
@@ -183,6 +185,69 @@ def test_full_subsystem():
     assert not is_full_subsystem(non_full, bc4)
     with pytest.raises(ValueError):
         is_full_subsystem({Root.eps(9)}, bc4)
+
+
+def _rank(vectors, n: int) -> int:
+    """The rank of root vectors over indices 1..n, by exact Gaussian
+    elimination on dense rows."""
+    rows = [[Q(v.coords.get(i, 0)) for i in range(1, n + 1)] for v in vectors]
+    rank = 0
+    for col in range(n):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _full_by_definition(sub: set, system: RootSystem) -> bool:
+    """S is a full subsystem of R: 0 in S, every s_a(b), a, b in S, a
+    nonzero, in S, and every root of R whose adjoining keeps the rank of S
+    in S."""
+    if Root.zero() not in sub:
+        return False
+    if any(reflect(a, b) not in sub for a in sub if not a.is_zero() for b in sub):
+        return False
+    rank = _rank(sub, system.n)
+    return all(r in sub or _rank([*sub, r], system.n) > rank for r in system.roots)
+
+
+@st.composite
+def _subsets_with_zero(draw, system: RootSystem) -> set:
+    """A set of roots of ``system`` with 0: random, closed under negation,
+    or every root whose support lies in an index block J."""
+    nz = system.nonzero()
+    kind = draw(st.sampled_from(["random", "negation-closed", "index-block"]))
+    if kind == "index-block":
+        block = draw(st.sets(st.integers(1, system.n)))
+        chosen = {r for r in nz if set(r.coords) <= block}
+    else:
+        chosen = draw(st.sets(st.sampled_from(nz)))
+        if kind == "negation-closed":
+            chosen |= {-r for r in chosen}
+    return chosen | {Root.zero()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=st.sampled_from(["A", "B", "C", "D", "BC"]), n=st.integers(2, 4), data=st.data())
+def test_full_subsystem_matches_the_definition(family, n, data):
+    system = generate(family, n)
+    sub = data.draw(_subsets_with_zero(system))
+    assert is_full_subsystem(sub, system) == _full_by_definition(sub, system)
+
+
+# the (n-1)-truncations that the subsystem suite checks on the criterion-7
+# models and on the benchmark's jacobi_exhaustive models
+@pytest.mark.parametrize("family, n", [("BC", 5), ("A", 6), ("D", 7), ("B", 6), ("C", 6)])
+def test_truncation_is_a_full_subsystem(family, n):
+    system = generate(family, n)
+    sub = set(generate(family, n - 1).roots)
+    assert is_full_subsystem(sub, system)
+    assert _full_by_definition(sub, system)
 
 
 @pytest.mark.parametrize("family", ["A", "B", "C", "D", "BC"])
